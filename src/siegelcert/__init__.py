@@ -5,8 +5,7 @@ __version__ = "0.1.0"
 
 from .balls import ComplexBall, Verdict, ball_in_interval
 from .certifier import (CertificationReport, FixedPointRecord, Location,
-                        PointVerdict, certify_fixed_point, jacobian,
-                        not_root_of_unity)
+                        PointVerdict, certify_fixed_point, not_root_of_unity)
 from .cohomology import (ActionMatrix, delta_eigen_check, fixed_point_bound,
                          quad_action_matrix, spectral_data, tl_action_matrix)
 from .cuspidal import (CuspidalParams, CurvePoint, certify_cuspidal,

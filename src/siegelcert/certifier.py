@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .balls import ComplexBall, Verdict, ball_in_interval, certified_out_margin
-from .errors import WitnessMismatch
-from .geometry import ProjectivePoint, chart_jacobian
+from .errors import CheckFailed, WitnessMismatch
+from .geometry import ProjectivePoint
 from .intpoly import IntPolynomial
 from .salem import SalemCertificate, is_salem
 
@@ -77,11 +77,6 @@ def _safe_sqrt(ball: ComplexBall) -> ComplexBall:
         # disc ball contains 0: enclose both branches in one disk around 0
         _, hi = ball.abs_bounds()
         return ComplexBall(0j, math.sqrt(hi) * (1 + 2 ** -40) + 1e-300)
-
-
-def jacobian(family_map, w: ProjectivePoint, chart: int | None = None):
-    """Certified chart Jacobian at a fixed point (see geometry.chart_jacobian)."""
-    return chart_jacobian(family_map, w, chart)
 
 
 @functools.cache
@@ -168,6 +163,27 @@ class RootSection:
         return sum(1 for v in self.verdicts if v.verdict is verdict)
 
 
+def certify_sections(circle_roots, records_per_root, salem: IntPolynomial,
+                     strict_ok: bool = True) -> list[RootSection]:
+    """One RootSection per unit-circle root, with verdicts for its records.
+
+    The conjugates of a root are the fixed points over every other root;
+    record p over root j gets witness index j * len(records_per_root[j]) + p.
+    """
+    sections = []
+    for i, delta in enumerate(circle_roots):
+        conjugates = []
+        for j, (other, recs) in enumerate(zip(circle_roots, records_per_root)):
+            if j != i:
+                conjugates += [(other, j * len(recs) + p, rec)
+                               for p, rec in enumerate(recs)]
+        recs = list(records_per_root[i])
+        verdicts = [certify_fixed_point(rec, conjugates, salem, strict_ok)
+                    for rec in recs]
+        sections.append(RootSection(delta, recs, verdicts))
+    return sections
+
+
 @dataclass
 class StrictEvidence:
     resultant_degree: int          # degree of the raw eliminated resultant
@@ -194,7 +210,7 @@ class CertificationReport:
             for sec in self.sections:
                 n = sec.count(PointVerdict.SIEGEL_CERTIFIED)
                 if n > self.siegel_cap:
-                    raise AssertionError(
+                    raise CheckFailed(
                         f"certified {n} Siegel centers, cap is {self.siegel_cap}")
 
     @property

@@ -9,14 +9,15 @@ Subcommands:
 
 Reports are JSON on stdout (optionally also written to --out).  Exit codes:
 0 full certification, 1 hard error (JSON error object on stdout), 2 when any
-verdict is Inconclusive.  SIEGELCERT_WORKERS sets the worker count; identical
-configurations (including --seed) produce byte-identical reports.
+verdict is Inconclusive.  --strict adds conjugacy evidence to every run
+command; when the evidence fails, the verdicts it would back become
+Inconclusive and the report still prints.  Identical configurations produce
+byte-identical reports.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .certifier import CertificationReport
@@ -24,8 +25,8 @@ from .cohomology import quad_action_matrix, tl_action_matrix
 from .cuspidal import certify_cuspidal
 from .errors import SiegelcertError
 from .pipeline import certify_three_lines, theorem1_pipeline
-from .report import (DEFAULT_RESIDUAL_TOL, DEFAULT_ROOT_TOL, RunConfig,
-                     exit_code_for, render, report_to_dict)
+from .report import (DEFAULT_ROOT_TOL, RunConfig, exit_code_for, render,
+                     report_to_dict)
 from .threelines import OrbitData
 
 
@@ -45,8 +46,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--tol", type=float, default=DEFAULT_ROOT_TOL,
                        help="root isolation tolerance (default %(default)g)")
-        p.add_argument("--residual-tol", type=float, default=DEFAULT_RESIDUAL_TOL,
-                       help="fixed-point residual tolerance (default %(default)g)")
         p.add_argument("--escalations", type=int, default=1,
                        help="precision escalation retries (default %(default)d)")
         p.add_argument("--max-iter", type=int, default=500,
@@ -54,8 +53,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--strict", action="store_true",
                        help="add resultant/mod-p conjugacy evidence; its failure "
                             "downgrades verdicts to Inconclusive")
-        p.add_argument("--seed", type=int, default=0,
-                       help="recorded in the report for reproducibility")
         p.add_argument("--out", type=str, default=None,
                        help="also write the JSON report to this path")
 
@@ -98,14 +95,6 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _workers() -> int:
-    raw = os.environ.get("SIEGELCERT_WORKERS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _emit(text: str, out_path: str | None):
     sys.stdout.write(text)
     if out_path:
@@ -120,17 +109,14 @@ def _finish(report: CertificationReport, config: RunConfig) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    workers = _workers()
     try:
         if args.command == "cuspidal":
             if args.n < 1:
                 raise SiegelcertError("orbit length n must be >= 1")
             config = RunConfig("cuspidal", "cuspidal", {"n": args.n},
-                               args.tol, args.residual_tol, args.escalations,
-                               args.strict, args.seed, workers, args.out,
-                               max_iter=args.max_iter)
+                               args.tol, args.escalations, args.strict,
+                               args.out, max_iter=args.max_iter)
             report = certify_cuspidal(args.n, tol=args.tol, strict=args.strict,
-                                      workers=workers,
                                       escalations=args.escalations,
                                       max_iter=args.max_iter)
             return _finish(report, config)
@@ -139,31 +125,24 @@ def main(argv: list[str] | None = None) -> int:
             orbit = OrbitData(args.m, args.n)
             config = RunConfig("three-lines", "three_lines",
                                {"m": list(args.m), "n": list(args.n)},
-                               args.tol, args.residual_tol, args.escalations,
-                               args.strict, args.seed, workers, args.out,
-                               max_iter=args.max_iter)
+                               args.tol, args.escalations, args.strict,
+                               args.out, max_iter=args.max_iter)
             report = certify_three_lines(orbit, tol=args.tol,
-                                         strict=args.strict, workers=workers,
+                                         strict=args.strict,
                                          escalations=args.escalations,
                                          max_iter=args.max_iter)
             return _finish(report, config)
 
         if args.command == "theorem1":
-            if args.k < 2:
-                sys.stderr.write(
-                    "k = 0 and k = 1 are delegated to the earlier degree-2 "
-                    "constructions on other cubic curves; this tool covers k >= 2.\n")
-                return 1
             from .pipeline import DEFAULT_EPS, DEFAULT_MN_CAP
             eps = args.eps if args.eps is not None else DEFAULT_EPS
             mn_cap = args.mn_cap if args.mn_cap is not None else DEFAULT_MN_CAP
             config = RunConfig("theorem1", "theorem1",
                                {"k": args.k, "eps": eps, "mn_cap": mn_cap},
-                               args.tol, args.residual_tol, args.escalations,
-                               args.strict, args.seed, workers, args.out,
-                               max_iter=args.max_iter)
+                               args.tol, args.escalations, args.strict,
+                               args.out, max_iter=args.max_iter)
             report = theorem1_pipeline(args.k, tol=args.tol, strict=args.strict,
-                                       workers=workers, eps=eps, mN_cap=mn_cap)
+                                       eps=eps, mN_cap=mn_cap)
             return _finish(report, config)
 
         if args.command == "matrix":

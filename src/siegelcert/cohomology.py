@@ -11,12 +11,11 @@ Salem-factor comparisons are integer identities.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
 from .balls import ComplexBall
-from .errors import MixedFactor
+from .errors import MixedFactor, PipelineFailed
 from .intpoly import IntPolynomial, strip_cyclotomic
 from .salem import SalemCertificate, is_salem
 
@@ -241,9 +240,12 @@ class SpectralData:
     salem_cert: SalemCertificate | None = None
 
 
-def spectral_data(m: ActionMatrix, dim_cap: int = CHARPOLY_DIM_CAP) -> SpectralData:
-    """Exact char poly, cyclotomic/Salem split, spectral radius and entropy."""
-    if m.dim > dim_cap:
+def spectral_data(m: ActionMatrix,
+                  dim_cap: int | None = CHARPOLY_DIM_CAP) -> SpectralData:
+    """Exact char poly, cyclotomic/Salem split, spectral radius and entropy.
+
+    Raises MixedFactor above dim_cap (None: no cap)."""
+    if dim_cap is not None and m.dim > dim_cap:
         raise MixedFactor(f"dimension {m.dim} exceeds the exact char-poly cap "
                           f"{dim_cap}; use delta_eigen_check for large matrices")
     rest, cyclo = strip_cyclotomic(m.char_poly)
@@ -262,53 +264,34 @@ def fixed_point_bound(m: ActionMatrix) -> int:
 
 
 def delta_eigen_check(m: ActionMatrix, delta) -> ComplexBall:
-    """Certified ball for |det(delta I - M)|; eigenvalue claims demand it
-    contain zero.
+    """Certified ball for |det(delta I - M)|, the exact characteristic
+    polynomial evaluated at the ball; eigenvalue claims demand it contain
+    zero."""
+    value = m.char_poly.eval_ball(ComplexBall.exact(delta))
+    return ComplexBall(complex(abs(value.center), 0.0), value.radius)
 
-    Small matrices evaluate the exact characteristic polynomial at the ball;
-    large ones run a ball LU elimination (division-free in the last pivot, so
-    a zero-containing final pivot is fine).
+
+@dataclass(frozen=True)
+class SpectralCheck:
+    matrix_info: dict               # dim, trace and fixed-point bound
+    entropy: float
+    data: SpectralData | None       # None when the dimension exceeded the cap
+
+
+def spectral_check(m: ActionMatrix, salem: IntPolynomial,
+                   cert: SalemCertificate,
+                   dim_cap: int | None = CHARPOLY_DIM_CAP) -> SpectralCheck:
+    """Matrix data and entropy for a report whose Salem factor is salem.
+
+    Up to dim_cap (None: every dimension) the exact characteristic polynomial
+    must split off exactly salem, and the entropy comes from it; above the
+    cap the entropy is the Salem certificate's and nothing is cross-checked.
     """
-    db = ComplexBall.exact(delta)
-    if m.dim <= CHARPOLY_DIM_CAP:
-        value = m.char_poly.eval_ball(db)
-    else:
-        value = _ball_det_shifted(m, db)
-    mag = abs(value.center)
-    return ComplexBall(complex(mag, 0.0), value.radius)
-
-
-def _ball_det_shifted(m: ActionMatrix, delta: ComplexBall) -> ComplexBall:
-    n = m.dim
-    rows = [[delta - m.entries[i][j] if i == j else ComplexBall.exact(-m.entries[i][j])
-             for j in range(n)] for i in range(n)]
-    det = ComplexBall.exact(1)
-    for k in range(n - 1):
-        pick, best = None, 0.0
-        for i in range(k, n):
-            lo, _ = rows[i][k].abs_bounds()
-            if lo > best:
-                pick, best = i, lo
-        if pick is None:
-            return _hadamard_ball(rows)
-        if pick != k:
-            rows[k], rows[pick] = rows[pick], rows[k]
-            det = -det
-        pivot = rows[k][k]
-        det = det * pivot
-        inv = pivot.inverse()
-        for i in range(k + 1, n):
-            f = rows[i][k] * inv
-            lo, hi = f.abs_bounds()
-            if hi == 0.0:
-                continue
-            for j in range(k + 1, n):
-                rows[i][j] = rows[i][j] - f * rows[k][j]
-    return det * rows[n - 1][n - 1]
-
-
-def _hadamard_ball(rows) -> ComplexBall:
-    bound = 1.0
-    for r in rows:
-        bound *= math.sqrt(sum(b.abs_bounds()[1] ** 2 for b in r))
-    return ComplexBall(0j, bound)
+    info = {"dim": m.dim, "trace": m.trace(), "bound": fixed_point_bound(m)}
+    if dim_cap is not None and m.dim > dim_cap:
+        return SpectralCheck(info, cert.entropy, None)
+    sd = spectral_data(m, dim_cap=None)
+    if sd.salem_part != salem:
+        raise PipelineFailed("spectral_data", "action-matrix Salem factor "
+                             "differs from the orbit's Salem polynomial")
+    return SpectralCheck(info, sd.entropy, sd)

@@ -20,14 +20,14 @@ from dataclasses import dataclass
 
 from .balls import ComplexBall
 from .certifier import (CertificationReport, FixedPointRecord, Location,
-                        RootSection, StrictEvidence, certify_fixed_point,
-                        record_from_jacobian)
-from .errors import (DegenerateTau, Indeterminate, NoSalemFactor,
+                        StrictEvidence, certify_sections, record_from_jacobian)
+from .cohomology import quad_action_matrix, spectral_check
+from .errors import (CheckFailed, DegenerateTau, Indeterminate, NoSalemFactor,
                      NoUnitCircleRoots, PoleAtTau)
 from .geometry import ProjectivePoint, chart_jacobian
-from .intpoly import (IntPolynomial, admissible_primes, irreducible_mod_p,
-                      resultant, squarefree_part, strip_cyclotomic)
+from .intpoly import IntPolynomial, resultant, strip_cyclotomic
 from .salem import is_salem
+from .strictmode import squarefree_evidence
 
 INDETERMINACY_TOL = 1e-10
 
@@ -179,7 +179,7 @@ def fixed_points_cuspidal(params: CuspidalParams,
     for rec in recs:
         img = quad_map_eval(params, rec.coords)
         if rec.coords.distance(img) > residual_tol:
-            raise AssertionError(
+            raise CheckFailed(
                 f"fixed-point residual {rec.coords.distance(img):.2e} at {rec.coords}")
     return recs
 
@@ -257,12 +257,7 @@ def strict_mode_evidence(salem: IntPolynomial,
     stand-in for conjugacy of all (delta, fixed point) pairs; failure at every
     prime is recorded, not fatal.
     """
-    eliminated = abscissa_resultant(salem)
-    candidate = squarefree_part(eliminated)
-    for p in admissible_primes(candidate, prime_budget):
-        if irreducible_mod_p(candidate, p):
-            return StrictEvidence(eliminated.degree, candidate.degree, p, True)
-    return StrictEvidence(eliminated.degree, candidate.degree, None, False)
+    return squarefree_evidence(abscissa_resultant(salem), prime_budget)
 
 
 def certify_cuspidal(n: int, tol: float = 1e-12, strict: bool = False,
@@ -273,7 +268,8 @@ def certify_cuspidal(n: int, tol: float = 1e-12, strict: bool = False,
     For each unit-circle root delta of the Salem factor: both off-curve fixed
     points, their rotation numbers, and Siegel verdicts with the witness chosen
     among all other unit-circle conjugates (largest certified distance of its
-    s-value from [0,4], ties broken by root order).
+    s-value from [0,4], ties broken by root order).  workers is accepted
+    and ignored: every run is single-threaded.
     """
     salem, _cyclo = salem_factor(n)
     cert = is_salem(salem, tol, escalations, max_iter)
@@ -289,61 +285,21 @@ def certify_cuspidal(n: int, tol: float = 1e-12, strict: bool = False,
         evidence = strict_mode_evidence(salem)
         strict_ok = evidence.irreducible
 
-    sections = _sections_for_roots(cert.circle_roots, salem, strict_ok, workers)
-
-    from .cohomology import (CHARPOLY_DIM_CAP, fixed_point_bound,
-                             quad_action_matrix, spectral_data)
-    matrix = quad_action_matrix(n, n, n)
-    matrix_info = {"dim": matrix.dim, "trace": matrix.trace(),
-                   "bound": fixed_point_bound(matrix)}
-    entropy = cert.entropy
-    if matrix.dim <= CHARPOLY_DIM_CAP:
-        sd = spectral_data(matrix)
-        if sd.salem_part != salem:
-            raise NoSalemFactor("action-matrix Salem factor differs from the "
-                                "orbit-closure polynomial")
-        entropy = sd.entropy
+    # |delta| = 1 certified by the Salem pattern, so tau is exactly real
+    records = [_records_for_delta(delta, (delta + delta.inverse()).realize_real())
+               for delta in cert.circle_roots]
+    sections = certify_sections(cert.circle_roots, records, salem, strict_ok)
+    spectral = spectral_check(quad_action_matrix(n, n, n), salem, cert)
 
     return CertificationReport(
         family="cuspidal",
         parameters={"n": n, "strict": strict},
         salem_poly=salem,
         salem_cert=cert,
-        entropy=entropy,
+        entropy=spectral.entropy,
         sections=sections,
         principal=0,
-        matrix_info=matrix_info,
+        matrix_info=spectral.matrix_info,
         strict_evidence=evidence,
         siegel_cap=2,
     )
-
-
-def _sections_for_roots(circle_roots, salem, strict_ok, workers) -> list[RootSection]:
-    def build(delta: ComplexBall):
-        # |delta| = 1 certified by the Salem pattern, so tau is exactly real
-        tau = (delta + delta.inverse()).realize_real()
-        return _records_for_delta(delta, tau)
-
-    all_records = _parallel_map(build, list(circle_roots), workers)
-
-    sections = []
-    for i, delta in enumerate(circle_roots):
-        recs = all_records[i]
-        conjugates = []
-        for j, other in enumerate(circle_roots):
-            if j == i:
-                continue
-            for k, conj_rec in enumerate(all_records[j]):
-                conjugates.append((other, j * 2 + k, conj_rec))
-        verdicts = [certify_fixed_point(rec, conjugates, salem, strict_ok)
-                    for rec in recs]
-        sections.append(RootSection(delta, list(recs), verdicts))
-    return sections
-
-
-def _parallel_map(fn, items, workers):
-    if workers <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))

@@ -110,6 +110,12 @@ class ChartFailure(SiegelcertError):
     """No affine chart covers the requested point."""
 
 
+class CheckFailed(SiegelcertError):
+    """A computed result failed a consistency check that the construction
+    guarantees (fixed-point residual, indeterminacy, criterion agreement,
+    Siegel cap); the message names the check."""
+
+
 class PipelineFailed(SiegelcertError):
     """A pipeline stage postcondition failed; message names the stage."""
 

@@ -17,9 +17,8 @@ from dataclasses import dataclass
 
 from .balls import ComplexBall, Verdict, ball_in_interval
 from .certifier import (CertificationReport, Location, PointVerdict, RootSection,
-                        certify_fixed_point)
-from .cohomology import (CHARPOLY_DIM_CAP, delta_eigen_check, fixed_point_bound,
-                         spectral_data, tl_action_matrix)
+                        certify_fixed_point, certify_sections)
+from .cohomology import spectral_check, tl_action_matrix
 from .cuspidal import certify_cuspidal
 from .errors import BudgetExhausted, PipelineFailed, SiegelcertError
 from .threelines import (ApproxResult, a_value, approx_parameters, b_value,
@@ -76,8 +75,6 @@ def _try_candidate(approx: ApproxResult) -> _Candidate | None:
         recs_star = _records_at(approx.delta_star, approx.params_star, approx.orbit)
     except SiegelcertError:
         return None
-    except AssertionError:
-        return None
     if not _pattern_holds(recs0, Verdict.CERTIFIED_IN):
         return None
     if not _pattern_holds(recs_star, Verdict.CERTIFIED_OUT):
@@ -93,7 +90,8 @@ def certify_three_lines(orbit, tol: float = 1e-12, strict: bool = False,
     Builds the Salem polynomial from the cleared chi constraint, then for
     every unit-circle root: the lift parameters, direct orbit verification,
     the N+3 fixed points, and Siegel verdicts with witnesses drawn from the
-    other unit-circle roots' fixed points.
+    other unit-circle roots' fixed points.  workers is accepted and ignored:
+    every run is single-threaded.
     """
     from .errors import OrbitCollision
     from .salem import is_salem
@@ -110,7 +108,8 @@ def certify_three_lines(orbit, tol: float = 1e-12, strict: bool = False,
         evidence = three_lines_strict_evidence(salem, orbit)
         strict_ok = evidence.irreducible
 
-    def build(root):
+    records = []
+    for root in cert.circle_roots:
         params = ab_from_delta(root.center, orbit)
         rep = orbit_verify(params, orbit)
         if not rep.passed:
@@ -118,67 +117,39 @@ def certify_three_lines(orbit, tol: float = 1e-12, strict: bool = False,
                 f"orbit conditions failed at root {root.center:.6f}: "
                 f"max residual {rep.max_residual:.2e}, "
                 f"{len(rep.collisions)} collision(s)")
-        return _records_at(root, params, orbit), rep
-
-    results = _parallel_map(build, list(cert.circle_roots), workers)
-
-    sections = []
-    for i, root in enumerate(cert.circle_roots):
-        recs, _rep = results[i]
-        conjugates = []
-        for j, other in enumerate(cert.circle_roots):
-            if j == i:
-                continue
-            for p, conj_rec in enumerate(results[j][0]):
-                conjugates.append((other, j * len(results[j][0]) + p, conj_rec))
-        verdicts = [certify_fixed_point(rec, conjugates, salem, strict_ok)
-                    for rec in recs]
-        sections.append(RootSection(root, list(recs), verdicts))
-
-    matrix = tl_action_matrix(orbit)
-    matrix_info = {"dim": matrix.dim, "trace": matrix.trace(),
-                   "bound": fixed_point_bound(matrix)}
-    entropy = cert.entropy
-    if matrix.dim <= CHARPOLY_DIM_CAP:
-        sd = spectral_data(matrix)
-        if sd.salem_part != salem:
-            raise PipelineFailed("spectral_data",
-                                 "action-matrix Salem factor differs from the "
-                                 "cleared chi constraint")
-        entropy = sd.entropy
+        records.append(_records_at(root, params, orbit))
+    sections = certify_sections(cert.circle_roots, records, salem, strict_ok)
+    spectral = spectral_check(tl_action_matrix(orbit), salem, cert)
     return CertificationReport(
         family="three_lines",
         parameters={"m": list(orbit.m), "n": list(orbit.n), "N": orbit.N,
                     "strict": strict},
         salem_poly=salem,
         salem_cert=cert,
-        entropy=entropy,
+        entropy=spectral.entropy,
         sections=sections,
         principal=0,
-        matrix_info=matrix_info,
+        matrix_info=spectral.matrix_info,
         strict_evidence=evidence,
     )
-
-
-def _parallel_map(fn, items, workers):
-    if workers <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def theorem1_pipeline(k: int, tol: float = 1e-12, strict: bool = False,
                       workers: int = 1, d0_target: float = DEFAULT_D0_TARGET,
                       eps: float = DEFAULT_EPS, mN_cap: int = DEFAULT_MN_CAP
                       ) -> CertificationReport:
-    """Certification report with exactly k Siegel-certified fixed points."""
+    """Certification report with exactly k Siegel-certified fixed points.
+
+    With strict=True the report carries the conjugacy evidence; when that
+    evidence fails, the verdicts at delta0 become Inconclusive and the report
+    is returned as it stands.  workers is accepted and ignored.
+    """
     if k < 2:
         raise PipelineFailed(
             "arguments", f"k = {k} is handled by prior constructions "
             "(degree-2 maps on other cubics); this pipeline needs k >= 2")
     if k == 2:
-        report = certify_cuspidal(8, tol=tol, strict=strict, workers=workers)
+        report = certify_cuspidal(8, tol=tol, strict=strict)
         count = report.principal_section.count(PointVerdict.SIEGEL_CERTIFIED)
         if count != 2:
             raise PipelineFailed("certify_cuspidal",
@@ -236,17 +207,24 @@ def _report_from_candidate(k: int, cand: _Candidate,
     salem = approx.salem
     cert = approx.salem_cert
 
+    evidence = None
+    strict_ok = True
+    if strict:
+        from .strictmode import three_lines_strict_evidence
+        evidence = three_lines_strict_evidence(salem, approx.orbit)
+        strict_ok = evidence.irreducible
+
     conjugates = [(approx.delta_star, i, rec)
                   for i, rec in enumerate(cand.records_star)]
-    verdicts0 = [certify_fixed_point(rec, conjugates, salem)
+    verdicts0 = [certify_fixed_point(rec, conjugates, salem, strict_ok)
                  for rec in cand.records0]
-    verdicts_star = [certify_fixed_point(rec, [], salem)
+    verdicts_star = [certify_fixed_point(rec, [], salem, strict_ok)
                      for rec in cand.records_star]
     sections = [RootSection(approx.delta0, cand.records0, verdicts0),
                 RootSection(approx.delta_star, cand.records_star, verdicts_star)]
 
     certified = sections[0].count(PointVerdict.SIEGEL_CERTIFIED)
-    if certified != k:
+    if strict_ok and certified != k:
         raise PipelineFailed("certification",
                              f"expected {k} certified centers, got {certified}")
     w0_verdicts = [v for rec, v in zip(cand.records0, verdicts0)
@@ -254,35 +232,18 @@ def _report_from_candidate(k: int, cand: _Candidate,
     if len(w0_verdicts) != 1 or w0_verdicts[0].verdict is not PointVerdict.NOT_ROTATION:
         raise PipelineFailed("certification", "singular point not NotRotation")
 
-    matrix = tl_action_matrix(approx.orbit)
-    entropy = cert.entropy
-    matrix_info = {"dim": matrix.dim, "trace": matrix.trace(),
-                   "bound": fixed_point_bound(matrix)}
-    if matrix.dim <= CHARPOLY_DIM_CAP:
-        sd = spectral_data(matrix)
-        if sd.salem_part != salem:
-            raise PipelineFailed("spectral_data",
-                                 "action-matrix Salem factor differs from the "
-                                 "cleared chi constraint")
-        entropy = sd.entropy
-        matrix_info["salem_degree"] = sd.salem_part.degree
-        matrix_info["cyclotomic_factors"] = list(sd.cyclo_parts)
-    else:
-        check = delta_eigen_check(matrix, cert.lam)
-        if not check.contains_zero():
-            raise PipelineFailed("delta_eigen_check",
-                                 "spectral radius not certified as an eigenvalue")
+    spectral = spectral_check(tl_action_matrix(approx.orbit), salem, cert,
+                              dim_cap=None)
+    matrix_info = dict(spectral.matrix_info,
+                       salem_degree=spectral.data.salem_part.degree,
+                       cyclotomic_factors=list(spectral.data.cyclo_parts))
+    entropy = spectral.entropy
     if entropy <= 0:
         raise PipelineFailed("entropy", f"entropy {entropy} not positive")
     if matrix_info["bound"] != len(cand.records0):
         raise PipelineFailed("fixed_point_bound",
                              f"bound {matrix_info['bound']} != fixed point "
                              f"count {len(cand.records0)}")
-
-    evidence = None
-    if strict:
-        from .strictmode import three_lines_strict_evidence
-        evidence = three_lines_strict_evidence(salem, approx.orbit)
 
     return CertificationReport(
         family="three_lines",

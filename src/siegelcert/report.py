@@ -2,9 +2,11 @@
 
 One top-level object: {config, family, salem {coeffs, roots[], lambda,
 entropy}, fixed_points[], verdicts[], matrix {dim, trace, bound}, evidence}.
-Complex numbers serialize as [re, im] pairs and balls as {center: [re, im],
-radius}.  Identical RunConfig (including seed) must produce byte-identical
-output, so everything is emitted with sorted keys and no timestamps.
+The config block records command, family, arguments, root_tol, escalations,
+max_iter, strict and version.  Complex numbers serialize as [re, im] pairs
+and balls as {center: [re, im], radius}.  Identical RunConfig must produce
+byte-identical output, so everything is emitted with sorted keys and no
+timestamps.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from .balls import ComplexBall
 from .certifier import CertificationReport
 
 DEFAULT_ROOT_TOL = 1e-12
-DEFAULT_RESIDUAL_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -26,18 +27,15 @@ class RunConfig:
     family: str
     arguments: dict = field(default_factory=dict)
     root_tol: float = DEFAULT_ROOT_TOL
-    residual_tol: float = DEFAULT_RESIDUAL_TOL
     escalations: int = 1
     strict: bool = False
-    seed: int = 0
-    workers: int = 1
     out: str | None = None
     max_iter: int = 500
     version: str = __version__
 
     def __post_init__(self):
-        if self.root_tol <= 0 or self.residual_tol <= 0:
-            raise ValueError("tolerances must be > 0")
+        if self.root_tol <= 0:
+            raise ValueError("root_tol must be > 0")
 
     def to_dict(self) -> dict:
         return {
@@ -45,12 +43,9 @@ class RunConfig:
             "family": self.family,
             "arguments": self.arguments,
             "root_tol": self.root_tol,
-            "residual_tol": self.residual_tol,
             "escalations": self.escalations,
             "max_iter": self.max_iter,
             "strict": self.strict,
-            "seed": self.seed,
-            "workers": self.workers,
             "version": self.version,
         }
 

@@ -116,7 +116,14 @@ def three_lines_strict_evidence(salem: IntPolynomial, orbit,
     As in the cuspidal case the minimal-polynomial candidate is the squarefree
     part of the resultant (reciprocal pairs of delta-roots produce repeated
     abscissa factors)."""
-    eliminated = abscissa_resultant_tl(salem, orbit)
+    return squarefree_evidence(abscissa_resultant_tl(salem, orbit), prime_budget)
+
+
+def squarefree_evidence(eliminated: IntPolynomial,
+                        prime_budget: int = 25) -> StrictEvidence:
+    """Evidence from a delta-eliminated resultant: its squarefree part, and
+    the first admissible prime (of prime_budget) modulo which that part is
+    irreducible, if any."""
     candidate = squarefree_part(eliminated)
     for p in admissible_primes(candidate, prime_budget):
         if irreducible_mod_p(candidate, p):

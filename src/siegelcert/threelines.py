@@ -28,9 +28,10 @@ from dataclasses import dataclass
 
 from .balls import ComplexBall, Verdict, ball_in_interval
 from .certifier import (FixedPointRecord, Location, record_from_jacobian)
-from .errors import (BudgetExhausted, DegenerateSpectrum, Indeterminate,
-                     NoSalemFactor, OffUnitCircle, PerturbationFailed,
-                     PoleAtParameter, PoleHit, PoleInFormula, SearchFailed)
+from .errors import (BudgetExhausted, CheckFailed, DegenerateSpectrum,
+                     Indeterminate, NoSalemFactor, OffUnitCircle,
+                     PerturbationFailed, PoleAtParameter, PoleHit, PoleInFormula,
+                     SearchFailed)
 from .geometry import ProjectivePoint, chart_jacobian
 from .intpoly import IntPolynomial, strip_cyclotomic
 from .roots import ComplexPolynomial, poly_roots
@@ -581,10 +582,10 @@ def fixed_points_tl(params: ThreeLinesParams, residual_tol: float = 1e-8,
     for rec in records:
         img_comps = TLMap.from_params(params).components(*rec.coords.coords)
         if max(abs(c) for c in img_comps) < INDETERMINACY_TOL:
-            raise AssertionError(f"fixed point {rec.coords} hits indeterminacy")
+            raise CheckFailed(f"fixed point {rec.coords} hits indeterminacy")
         resid = rec.coords.distance(ProjectivePoint(*img_comps))
         if resid > residual_tol:
-            raise AssertionError(
+            raise CheckFailed(
                 f"fixed-point residual {resid:.2e} at {rec.coords}")
     return records
 
@@ -653,7 +654,7 @@ def infinity_criterion(params: ThreeLinesParams,
              for s in infinity_eigen_data(db, ratio, on_circle=True)]
     for ev in eigen:
         if {verdict, ev} == {Verdict.CERTIFIED_IN, Verdict.CERTIFIED_OUT}:
-            raise AssertionError(
+            raise CheckFailed(
                 f"infinity criterion contradiction: ratio {verdict} vs eigen {ev}")
     if verdict is Verdict.UNKNOWN and eigen[0] is eigen[1] != Verdict.UNKNOWN:
         return eigen[0]
@@ -820,7 +821,7 @@ def construct_cstar(N: int) -> ThreeLinesParams:
         try:
             _require_pattern(a, b, d, inside=False, what="construct_cstar")
             return ThreeLinesParams(delta, a, b).normalized()
-        except (PerturbationFailed, DegenerateSpectrum, AssertionError) as exc:
+        except (PerturbationFailed, DegenerateSpectrum) as exc:
             last_err = exc
     raise PerturbationFailed(f"no spread size worked for N={N}: {last_err}")
 

@@ -7,8 +7,9 @@ import pytest
 from siegelcert.balls import ComplexBall
 from siegelcert.cohomology import (ActionMatrix, delta_eigen_check,
                                    fixed_point_bound, quad_action_matrix,
-                                   spectral_data, tl_action_matrix)
-from siegelcert.errors import MixedFactor
+                                   spectral_check, spectral_data,
+                                   tl_action_matrix)
+from siegelcert.errors import MixedFactor, PipelineFailed
 from siegelcert.intpoly import IntPolynomial, strip_cyclotomic
 from siegelcert.salem import is_salem
 from siegelcert.threelines import OrbitData, lambda_by_bisection, salem_from_orbit
@@ -110,13 +111,32 @@ def test_delta_eigen_check_tl_root():
     assert delta_eigen_check(m, cert.circle_roots[0]).contains_zero()
 
 
-def test_delta_eigen_check_large_matrix_ball_lu():
+def test_delta_eigen_check_large_matrix_exact():
     orbit = OrbitData((30,), (3,))
     m = tl_action_matrix(orbit)
-    assert m.dim > 96  # forces the ball-LU path
+    assert m.dim > 96
     cert = is_salem(salem_from_orbit(orbit))
     assert delta_eigen_check(m, cert.lam).contains_zero()
     assert not delta_eigen_check(m, ComplexBall.exact(2.5 + 0.1j)).contains_zero()
+
+
+def test_spectral_check_dim_cap():
+    orbit = OrbitData((30,), (3,))
+    m = tl_action_matrix(orbit)
+    salem = salem_from_orbit(orbit)
+    cert = is_salem(salem)
+    exact = spectral_check(m, salem, cert, dim_cap=None)
+    assert exact.data.salem_part == salem
+    assert exact.entropy == cert.entropy
+    assert exact.matrix_info == {"dim": 103, "trace": m.trace(),
+                                 "bound": fixed_point_bound(m)}
+    capped = spectral_check(m, salem, cert)
+    assert capped.data is None and capped.entropy == cert.entropy
+    assert capped.matrix_info == exact.matrix_info
+    # a mismatched Salem factor is caught only on the exact path
+    other = salem_from_orbit(OrbitData((2,), (1,)))
+    with pytest.raises(PipelineFailed):
+        spectral_check(m, other, cert, dim_cap=None)
 
 
 def test_spectral_data_dim_cap():

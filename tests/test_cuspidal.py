@@ -12,7 +12,8 @@ from siegelcert.cuspidal import (CurvePoint, CuspidalParams, QuadMap,
                                  curve_restriction, fixed_points_cuspidal,
                                  orbit_polynomial, quad_map_eval, s_value,
                                  _records_for_delta)
-from siegelcert.errors import DegenerateTau, Indeterminate, NoSalemFactor, PoleAtTau
+from siegelcert.errors import (CheckFailed, DegenerateTau, Indeterminate,
+                               NoSalemFactor, PoleAtTau)
 from siegelcert.geometry import ProjectivePoint, chart_jacobian, fd_chart_jacobian
 from siegelcert.intpoly import IntPolynomial
 from siegelcert.roots import ComplexPolynomial, poly_roots
@@ -147,6 +148,12 @@ def test_fixed_point_records_verified(salem8_cert):
         assert rec.det.contains(par.delta)
 
 
+def test_fixed_point_residual_check_raises_typed_error(salem8_cert):
+    par = CuspidalParams(salem8_cert.circle_roots[0].center)
+    with pytest.raises(CheckFailed, match="fixed-point residual"):
+        fixed_points_cuspidal(par, residual_tol=1e-300)
+
+
 def test_s_value_reference_endpoints():
     cases = [
         ((1.219, 0.022), 2.05, Verdict.CERTIFIED_IN),
@@ -231,14 +238,6 @@ def test_certify_cuspidal_strict_evidence():
     assert ev.candidate_degree == 8
     assert ev.irreducible and ev.prime == 7
     assert not rep.has_inconclusive
-
-
-def test_certify_cuspidal_workers_match():
-    a = certify_cuspidal(8, workers=1)
-    b = certify_cuspidal(8, workers=4)
-    va = [v.verdict for sec in a.sections for v in sec.verdicts]
-    vb = [v.verdict for sec in b.sections for v in sec.verdicts]
-    assert va == vb
 
 
 def test_fixed_points_sampled_tau_residuals():
