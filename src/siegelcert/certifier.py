@@ -163,22 +163,24 @@ class RootSection:
         return sum(1 for v in self.verdicts if v.verdict is verdict)
 
 
-def certify_sections(circle_roots, records_per_root, salem: IntPolynomial,
+def certify_sections(cert: SalemCertificate, records_per_root,
                      strict_ok: bool = True) -> list[RootSection]:
-    """One RootSection per unit-circle root, with verdicts for its records.
+    """One RootSection per unit-circle root of cert, with verdicts for its
+    records_per_root entry.
 
     The conjugates of a root are the fixed points over every other root;
     record p over root j gets witness index j * len(records_per_root[j]) + p.
     """
+    roots = cert.circle_roots
     sections = []
-    for i, delta in enumerate(circle_roots):
+    for i, delta in enumerate(roots):
         conjugates = []
-        for j, (other, recs) in enumerate(zip(circle_roots, records_per_root)):
+        for j, (other, recs) in enumerate(zip(roots, records_per_root)):
             if j != i:
                 conjugates += [(other, j * len(recs) + p, rec)
                                for p, rec in enumerate(recs)]
         recs = list(records_per_root[i])
-        verdicts = [certify_fixed_point(rec, conjugates, salem, strict_ok)
+        verdicts = [certify_fixed_point(rec, conjugates, cert.poly, strict_ok)
                     for rec in recs]
         sections.append(RootSection(delta, recs, verdicts))
     return sections

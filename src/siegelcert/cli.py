@@ -12,7 +12,9 @@ Reports are JSON on stdout (optionally also written to --out).  Exit codes:
 verdict is Inconclusive.  --strict adds conjugacy evidence to every run
 command; when the evidence fails, the verdicts it would back become
 Inconclusive and the report still prints.  Identical configurations produce
-byte-identical reports.
+byte-identical reports.  There are no precision flags: each Salem polynomial
+is certified once at the fixed tolerance of roots.poly_roots, and a pattern
+that double precision cannot decide is a BoundaryUndecidable error (exit 1).
 """
 
 from __future__ import annotations
@@ -24,9 +26,9 @@ from .certifier import CertificationReport
 from .cohomology import quad_action_matrix, tl_action_matrix
 from .cuspidal import certify_cuspidal
 from .errors import SiegelcertError
-from .pipeline import certify_three_lines, theorem1_pipeline
-from .report import (DEFAULT_ROOT_TOL, RunConfig, exit_code_for, render,
-                     report_to_dict)
+from .pipeline import (DEFAULT_EPS, DEFAULT_MN_CAP, certify_three_lines,
+                       theorem1_pipeline)
+from .report import RunConfig, exit_code_for, render, report_to_dict
 from .threelines import OrbitData
 
 
@@ -44,12 +46,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--tol", type=float, default=DEFAULT_ROOT_TOL,
-                       help="root isolation tolerance (default %(default)g)")
-        p.add_argument("--escalations", type=int, default=1,
-                       help="precision escalation retries (default %(default)d)")
-        p.add_argument("--max-iter", type=int, default=500,
-                       help="root iteration cap (default %(default)d)")
         p.add_argument("--strict", action="store_true",
                        help="add resultant/mod-p conjugacy evidence; its failure "
                             "downgrades verdicts to Inconclusive")
@@ -75,11 +71,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="number of Siegel centers; k >= 2 (k = 0, 1 are covered "
                         "by earlier degree-2 constructions on other cubics and "
                         "are out of scope here)")
-    p.add_argument("--eps", type=float, default=None,
+    p.add_argument("--eps", type=float, default=DEFAULT_EPS,
                    help="target-locality radius for the orbit-data search "
-                        "(default %g)" % 1.6)
-    p.add_argument("--mn-cap", type=int, default=None,
-                   help="cap on the swept orbit length (default %d)" % 18)
+                        "(default %(default)g)")
+    p.add_argument("--mn-cap", type=int, default=DEFAULT_MN_CAP,
+                   help="cap on the swept orbit length (default %(default)d)")
     common(p)
 
     p = sub.add_parser("matrix", help="plain-text action-matrix dump")
@@ -114,35 +110,25 @@ def main(argv: list[str] | None = None) -> int:
             if args.n < 1:
                 raise SiegelcertError("orbit length n must be >= 1")
             config = RunConfig("cuspidal", "cuspidal", {"n": args.n},
-                               args.tol, args.escalations, args.strict,
-                               args.out, max_iter=args.max_iter)
-            report = certify_cuspidal(args.n, tol=args.tol, strict=args.strict,
-                                      escalations=args.escalations,
-                                      max_iter=args.max_iter)
+                               args.strict, args.out)
+            report = certify_cuspidal(args.n, strict=args.strict)
             return _finish(report, config)
 
         if args.command == "three-lines":
             orbit = OrbitData(args.m, args.n)
             config = RunConfig("three-lines", "three_lines",
                                {"m": list(args.m), "n": list(args.n)},
-                               args.tol, args.escalations, args.strict,
-                               args.out, max_iter=args.max_iter)
-            report = certify_three_lines(orbit, tol=args.tol,
-                                         strict=args.strict,
-                                         escalations=args.escalations,
-                                         max_iter=args.max_iter)
+                               args.strict, args.out)
+            report = certify_three_lines(orbit, strict=args.strict)
             return _finish(report, config)
 
         if args.command == "theorem1":
-            from .pipeline import DEFAULT_EPS, DEFAULT_MN_CAP
-            eps = args.eps if args.eps is not None else DEFAULT_EPS
-            mn_cap = args.mn_cap if args.mn_cap is not None else DEFAULT_MN_CAP
             config = RunConfig("theorem1", "theorem1",
-                               {"k": args.k, "eps": eps, "mn_cap": mn_cap},
-                               args.tol, args.escalations, args.strict,
-                               args.out, max_iter=args.max_iter)
-            report = theorem1_pipeline(args.k, tol=args.tol, strict=args.strict,
-                                       eps=eps, mN_cap=mn_cap)
+                               {"k": args.k, "eps": args.eps,
+                                "mn_cap": args.mn_cap},
+                               args.strict, args.out)
+            report = theorem1_pipeline(args.k, strict=args.strict,
+                                       eps=args.eps, mN_cap=args.mn_cap)
             return _finish(report, config)
 
         if args.command == "matrix":

@@ -278,20 +278,19 @@ class SpectralCheck:
     data: SpectralData | None       # None when the dimension exceeded the cap
 
 
-def spectral_check(m: ActionMatrix, salem: IntPolynomial,
-                   cert: SalemCertificate,
+def spectral_check(m: ActionMatrix, cert: SalemCertificate,
                    dim_cap: int | None = CHARPOLY_DIM_CAP) -> SpectralCheck:
-    """Matrix data and entropy for a report whose Salem factor is salem.
+    """Matrix data and entropy for a report whose Salem factor is cert.poly.
 
     Up to dim_cap (None: every dimension) the exact characteristic polynomial
-    must split off exactly salem, and the entropy comes from it; above the
-    cap the entropy is the Salem certificate's and nothing is cross-checked.
+    must split off exactly cert.poly, and the entropy comes from it; above
+    the cap the entropy is the certificate's and nothing is cross-checked.
     """
     info = {"dim": m.dim, "trace": m.trace(), "bound": fixed_point_bound(m)}
     if dim_cap is not None and m.dim > dim_cap:
         return SpectralCheck(info, cert.entropy, None)
     sd = spectral_data(m, dim_cap=None)
-    if sd.salem_part != salem:
+    if sd.salem_part != cert.poly:
         raise PipelineFailed("spectral_data", "action-matrix Salem factor "
                              "differs from the orbit's Salem polynomial")
     return SpectralCheck(info, sd.entropy, sd)

@@ -260,9 +260,8 @@ def strict_mode_evidence(salem: IntPolynomial,
     return squarefree_evidence(abscissa_resultant(salem), prime_budget)
 
 
-def certify_cuspidal(n: int, tol: float = 1e-12, strict: bool = False,
-                     workers: int = 1, escalations: int = 1,
-                     max_iter: int = 500) -> CertificationReport:
+def certify_cuspidal(n: int, strict: bool = False,
+                     workers: int = 1) -> CertificationReport:
     """Full certification run for orbit length n.
 
     For each unit-circle root delta of the Salem factor: both off-curve fixed
@@ -272,7 +271,7 @@ def certify_cuspidal(n: int, tol: float = 1e-12, strict: bool = False,
     and ignored: every run is single-threaded.
     """
     salem, _cyclo = salem_factor(n)
-    cert = is_salem(salem, tol, escalations, max_iter)
+    cert = is_salem(salem)
     if not cert:
         raise NoSalemFactor(f"non-cyclotomic part fails the Salem pattern: "
                             f"{cert.reason}")
@@ -288,8 +287,8 @@ def certify_cuspidal(n: int, tol: float = 1e-12, strict: bool = False,
     # |delta| = 1 certified by the Salem pattern, so tau is exactly real
     records = [_records_for_delta(delta, (delta + delta.inverse()).realize_real())
                for delta in cert.circle_roots]
-    sections = certify_sections(cert.circle_roots, records, salem, strict_ok)
-    spectral = spectral_check(quad_action_matrix(n, n, n), salem, cert)
+    sections = certify_sections(cert, records, strict_ok)
+    spectral = spectral_check(quad_action_matrix(n, n, n), cert)
 
     return CertificationReport(
         family="cuspidal",

@@ -25,10 +25,9 @@ from .threelines import (ApproxResult, a_value, approx_parameters, b_value,
                          construct_c0, construct_cstar, fixed_points_tl,
                          orbit_verify)
 
-DEFAULT_D0_TARGET = 0.96
+D0_TARGET = 0.96  # first design determinant tried for the all-inside target
 DEFAULT_EPS = 1.6
 DEFAULT_MN_CAP = 18
-DEFAULT_KSEARCH = 64
 
 
 @dataclass
@@ -82,9 +81,8 @@ def _try_candidate(approx: ApproxResult) -> _Candidate | None:
     return _Candidate(approx, recs0, recs_star, rep0, rep_star)
 
 
-def certify_three_lines(orbit, tol: float = 1e-12, strict: bool = False,
-                        workers: int = 1, escalations: int = 1,
-                        max_iter: int = 500) -> CertificationReport:
+def certify_three_lines(orbit, strict: bool = False,
+                        workers: int = 1) -> CertificationReport:
     """Full certification run for fixed orbit data.
 
     Builds the Salem polynomial from the cleared chi constraint, then for
@@ -94,18 +92,14 @@ def certify_three_lines(orbit, tol: float = 1e-12, strict: bool = False,
     every run is single-threaded.
     """
     from .errors import OrbitCollision
-    from .salem import is_salem
     from .threelines import ab_from_delta, salem_from_orbit
-    salem = salem_from_orbit(orbit)
-    cert = is_salem(salem, tol, escalations, max_iter)
-    if not cert:
-        raise PipelineFailed("is_salem", cert.reason)
+    cert = salem_from_orbit(orbit)
 
     strict_ok = True
     evidence = None
     if strict:
         from .strictmode import three_lines_strict_evidence
-        evidence = three_lines_strict_evidence(salem, orbit)
+        evidence = three_lines_strict_evidence(cert.poly, orbit)
         strict_ok = evidence.irreducible
 
     records = []
@@ -118,13 +112,13 @@ def certify_three_lines(orbit, tol: float = 1e-12, strict: bool = False,
                 f"max residual {rep.max_residual:.2e}, "
                 f"{len(rep.collisions)} collision(s)")
         records.append(_records_at(root, params, orbit))
-    sections = certify_sections(cert.circle_roots, records, salem, strict_ok)
-    spectral = spectral_check(tl_action_matrix(orbit), salem, cert)
+    sections = certify_sections(cert, records, strict_ok)
+    spectral = spectral_check(tl_action_matrix(orbit), cert)
     return CertificationReport(
         family="three_lines",
         parameters={"m": list(orbit.m), "n": list(orbit.n), "N": orbit.N,
                     "strict": strict},
-        salem_poly=salem,
+        salem_poly=cert.poly,
         salem_cert=cert,
         entropy=spectral.entropy,
         sections=sections,
@@ -134,8 +128,7 @@ def certify_three_lines(orbit, tol: float = 1e-12, strict: bool = False,
     )
 
 
-def theorem1_pipeline(k: int, tol: float = 1e-12, strict: bool = False,
-                      workers: int = 1, d0_target: float = DEFAULT_D0_TARGET,
+def theorem1_pipeline(k: int, strict: bool = False, workers: int = 1,
                       eps: float = DEFAULT_EPS, mN_cap: int = DEFAULT_MN_CAP
                       ) -> CertificationReport:
     """Certification report with exactly k Siegel-certified fixed points.
@@ -149,7 +142,7 @@ def theorem1_pipeline(k: int, tol: float = 1e-12, strict: bool = False,
             "arguments", f"k = {k} is handled by prior constructions "
             "(degree-2 maps on other cubics); this pipeline needs k >= 2")
     if k == 2:
-        report = certify_cuspidal(8, tol=tol, strict=strict)
+        report = certify_cuspidal(8, strict=strict)
         count = report.principal_section.count(PointVerdict.SIEGEL_CERTIFIED)
         if count != 2:
             raise PipelineFailed("certify_cuspidal",
@@ -159,7 +152,7 @@ def theorem1_pipeline(k: int, tol: float = 1e-12, strict: bool = False,
     n = k - 2
     c0 = None
     c0_err: Exception | None = None
-    d_try = d0_target
+    d_try = D0_TARGET
     while d_try < 1.0:
         try:
             c0 = construct_c0(n, d_target=d_try)
@@ -189,8 +182,8 @@ def theorem1_pipeline(k: int, tol: float = 1e-12, strict: bool = False,
     approx_err = None
     for rank in range(4):
         try:
-            approx_parameters(c0, cstar, eps, k_search=DEFAULT_KSEARCH,
-                              mN_cap=mN_cap, accept=gate, n_rank=rank)
+            approx_parameters(c0, cstar, eps, mN_cap=mN_cap, accept=gate,
+                              n_rank=rank)
             break
         except BudgetExhausted as exc:
             approx_err = exc
@@ -204,8 +197,8 @@ def _report_from_candidate(k: int, cand: _Candidate,
                            strict: bool) -> CertificationReport:
     approx = cand.approx
     n = approx.orbit.N
-    salem = approx.salem
     cert = approx.salem_cert
+    salem = cert.poly
 
     evidence = None
     strict_ok = True
@@ -232,8 +225,7 @@ def _report_from_candidate(k: int, cand: _Candidate,
     if len(w0_verdicts) != 1 or w0_verdicts[0].verdict is not PointVerdict.NOT_ROTATION:
         raise PipelineFailed("certification", "singular point not NotRotation")
 
-    spectral = spectral_check(tl_action_matrix(approx.orbit), salem, cert,
-                              dim_cap=None)
+    spectral = spectral_check(tl_action_matrix(approx.orbit), cert, dim_cap=None)
     matrix_info = dict(spectral.matrix_info,
                        salem_degree=spectral.data.salem_part.degree,
                        cyclotomic_factors=list(spectral.data.cyclo_parts))

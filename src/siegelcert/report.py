@@ -2,9 +2,9 @@
 
 One top-level object: {config, family, salem {coeffs, roots[], lambda,
 entropy}, fixed_points[], verdicts[], matrix {dim, trace, bound}, evidence}.
-The config block records command, family, arguments, root_tol, escalations,
-max_iter, strict and version.  Complex numbers serialize as [re, im] pairs
-and balls as {center: [re, im], radius}.  Identical RunConfig must produce
+The config block records command, family, arguments, strict and version.
+Complex numbers serialize as [re, im] pairs and balls as
+{center: [re, im], radius}.  Identical RunConfig must produce
 byte-identical output, so everything is emitted with sorted keys and no
 timestamps.
 """
@@ -18,33 +18,21 @@ from . import __version__
 from .balls import ComplexBall
 from .certifier import CertificationReport
 
-DEFAULT_ROOT_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class RunConfig:
     command: str
     family: str
     arguments: dict = field(default_factory=dict)
-    root_tol: float = DEFAULT_ROOT_TOL
-    escalations: int = 1
     strict: bool = False
     out: str | None = None
-    max_iter: int = 500
     version: str = __version__
-
-    def __post_init__(self):
-        if self.root_tol <= 0:
-            raise ValueError("root_tol must be > 0")
 
     def to_dict(self) -> dict:
         return {
             "command": self.command,
             "family": self.family,
             "arguments": self.arguments,
-            "root_tol": self.root_tol,
-            "escalations": self.escalations,
-            "max_iter": self.max_iter,
             "strict": self.strict,
             "version": self.version,
         }

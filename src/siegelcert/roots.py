@@ -11,6 +11,11 @@ disks contains exactly k roots counted with multiplicity.  We inflate |p(z_i)|
 by a running Horner error bound (and by coefficient radii, when the input
 coefficients are themselves only known up to a ball), so the disks are valid
 for the exact polynomial, not just its floating image.
+
+The sweep has one stopping rule for every caller: every correction below
+DEFAULT_TOL times the root scale, or DEFAULT_MAX_ITER sweeps from each start
+circle.  The disks are valid wherever the sweep stops; a tighter stop only
+makes them smaller, and so more often disjoint.
 """
 
 from __future__ import annotations
@@ -87,8 +92,7 @@ class RootSet:
         return len(self.balls)
 
 
-def poly_roots(p: ComplexPolynomial, tol: float = DEFAULT_TOL, *,
-               max_iter: int = DEFAULT_MAX_ITER,
+def poly_roots(p: ComplexPolynomial, *,
                coeff_radii: tuple[float, ...] | None = None,
                require_simple: bool = False) -> RootSet:
     """All roots of p with certified error disks.
@@ -101,8 +105,6 @@ def poly_roots(p: ComplexPolynomial, tol: float = DEFAULT_TOL, *,
     """
     if p.degree < 1:
         raise ValueError("degree must be >= 1")
-    if tol <= 0:
-        raise ValueError("tol must be > 0")
     coeffs = np.array(p.coeffs, dtype=np.complex128)
     n = p.degree
     lc = coeffs[-1]
@@ -122,7 +124,7 @@ def poly_roots(p: ComplexPolynomial, tol: float = DEFAULT_TOL, *,
     with np.errstate(all="ignore"):
         for attempt, r0 in enumerate(starts):
             z = r0 * np.exp(2j * np.pi * (k + 0.37 + 0.13 * attempt) / n)
-            for sweep in range(max_iter):
+            for sweep in range(DEFAULT_MAX_ITER):
                 pz = _horner_vec(coeffs, z)
                 diff = z[:, None] - z[None, :]
                 np.fill_diagonal(diff, 1.0)
@@ -140,7 +142,7 @@ def poly_roots(p: ComplexPolynomial, tol: float = DEFAULT_TOL, *,
                         0.83 * r0 * np.exp(2j * np.pi * (k + 0.11 * (sweep + 2)) / n),
                         z)
                     continue
-                if not bad.any() and np.max(np.abs(w)) < tol * scale:
+                if not bad.any() and np.max(np.abs(w)) < DEFAULT_TOL * scale:
                     converged = True
                     break
             if converged:
@@ -149,9 +151,11 @@ def poly_roots(p: ComplexPolynomial, tol: float = DEFAULT_TOL, *,
     balls, clusters = _certify(p, [complex(v) for v in z], coeff_radii)
     if not converged and not clusters:
         raise NonConvergence(
-            f"no convergence after {max_iter} iterations at tol={tol:g}")
+            f"no convergence after {DEFAULT_MAX_ITER} iterations "
+            f"at tol={DEFAULT_TOL:g}")
     if require_simple and clusters:
-        raise ClusterUnresolved(f"{len(clusters)} root cluster(s) at tol={tol:g}")
+        raise ClusterUnresolved(
+            f"{len(clusters)} root cluster(s) at tol={DEFAULT_TOL:g}")
     return RootSet(tuple(balls), tuple(clusters))
 
 

@@ -29,8 +29,6 @@ from .errors import BoundaryUndecidable
 from .intpoly import IntPolynomial, strip_cyclotomic
 from .roots import ComplexPolynomial, RootSet, poly_roots, sort_roots
 
-_EPS = 2.0 ** -46
-
 
 @dataclass(frozen=True)
 class SalemRejection:
@@ -57,13 +55,12 @@ class SalemCertificate:
         return math.log(self.lam.center.real)
 
 
-def is_salem(p: IntPolynomial, tol: float = 1e-12, escalations: int = 1,
-             max_iter: int = 500) -> SalemCertificate | SalemRejection:
+def is_salem(p: IntPolynomial) -> SalemCertificate | SalemRejection:
     """Salem certificate for p, or a rejection carrying the reason.
 
-    One precision escalation (tol / 1e4) is attempted when a root ball
-    straddles the unit circle without resolving the pattern; after that the
-    condition surfaces as BoundaryUndecidable.
+    The roots are isolated once, at the default tolerance of poly_roots.  A
+    root disk that straddles the unit circle without resolving the pattern
+    raises BoundaryUndecidable: double precision cannot decide it.
     """
     if p.is_zero or not p.is_monic:
         return SalemRejection("not monic")
@@ -77,19 +74,7 @@ def is_salem(p: IntPolynomial, tol: float = 1e-12, escalations: int = 1,
     if cyclo:
         return SalemRejection(f"cyclotomic factor(s) {cyclo}")
 
-    last: BoundaryUndecidable | None = None
-    for attempt in range(escalations + 1):
-        try:
-            return _classify(p, tol / (1e4 ** attempt), max_iter)
-        except BoundaryUndecidable as exc:
-            last = exc
-    raise last
-
-
-def _classify(p: IntPolynomial, tol: float,
-              max_iter: int) -> SalemCertificate | SalemRejection:
-    rs: RootSet = poly_roots(ComplexPolynomial(tuple(map(float, p.coeffs))), tol,
-                             max_iter=max_iter)
+    rs: RootSet = poly_roots(ComplexPolynomial(tuple(map(float, p.coeffs))))
     if not rs.is_simple:
         raise BoundaryUndecidable("root disks overlap; cannot classify pattern")
     outside, inside, straddle = [], [], []
@@ -122,7 +107,6 @@ def _classify(p: IntPolynomial, tol: float,
             raise BoundaryUndecidable(
                 "conjugate-inverse image of a boundary disk escapes every disk")
     lam = outside[0]
-    lam_lo, _ = lam.abs_bounds()
     if not (lam.center.real - lam.radius > 1.0 and lam.meets_real_axis()):
         return SalemRejection("dominant root not certified real > 1")
     return SalemCertificate(

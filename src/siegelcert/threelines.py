@@ -39,6 +39,7 @@ from .salem import SalemCertificate, is_salem
 
 INDETERMINACY_TOL = 1e-10
 COLLISION_TOL = 1e-7
+K_SEARCH = 64  # orbit lengths 1..K_SEARCH ranked by the density search
 
 
 @dataclass(frozen=True)
@@ -360,8 +361,9 @@ def cleared_chi_polynomial(orbit: OrbitData) -> IntPolynomial:
     return total.primitive_positive()
 
 
-def salem_from_orbit(orbit: OrbitData) -> IntPolynomial:
-    """The Salem factor of the cleared chi constraint."""
+def salem_from_orbit(orbit: OrbitData) -> SalemCertificate:
+    """Salem certificate for the non-cyclotomic factor of the cleared chi
+    constraint; the factor itself is cert.poly."""
     rest, _cyclo = strip_cyclotomic(cleared_chi_polynomial(orbit))
     if rest.degree < 4:
         raise NoSalemFactor(
@@ -372,7 +374,7 @@ def salem_from_orbit(orbit: OrbitData) -> IntPolynomial:
         raise NoSalemFactor(
             f"non-cyclotomic chi factor fails the Salem pattern ({rest.degree}): "
             f"{cert.reason}")
-    return rest
+    return cert
 
 
 def lambda_by_bisection(orbit: OrbitData, lo: float = 1.0 + 1e-9,
@@ -489,6 +491,30 @@ def _certified_real_indices(balls) -> set[int]:
     return out
 
 
+def _abscissa_roots(d: ComplexBall, ab, bb) -> tuple[list[ComplexBall], set[int]]:
+    """Roots of the degree-N abscissa polynomial sum_k (d ga_k - gb_k) x^k,
+    sorted by rounded center, and the indices of the certified-real ones.
+
+    ga, gb are the symmetric coefficients of the inverse parameters.  The
+    real indices mean something only when d and the parameters are exactly
+    real; callers gate on that.
+    """
+    ga = _sym_coeffs([v.inverse() for v in ab])
+    gb = _sym_coeffs([v.inverse() for v in bb])
+    coeffs = [d * ga[k] - gb[k] for k in range(len(ga))]
+    centers = tuple(c.center for c in coeffs)
+    radii = tuple(c.radius for c in coeffs)
+    if abs(centers[-1]) <= radii[-1]:
+        raise DegenerateSpectrum("leading coefficient of the abscissa polynomial "
+                                 "is not certified nonzero")
+    roots = poly_roots(ComplexPolynomial(centers), coeff_radii=radii)
+    if not roots.is_simple:
+        raise DegenerateSpectrum("abscissa polynomial has clustered roots")
+    xs = sorted(roots.balls, key=lambda bl: (round(bl.center.real, 10),
+                                             round(bl.center.imag, 10)))
+    return xs, _certified_real_indices(xs)
+
+
 def _realized_record(rec: FixedPointRecord) -> FixedPointRecord:
     """Record with the rotation number realized to an exactly real ball.
 
@@ -535,20 +561,9 @@ def fixed_points_tl(params: ThreeLinesParams, residual_tol: float = 1e-8,
     d_ball = (1 + db) * (1 + db) / db
     if realize:
         d_ball = d_ball.realize_real()  # (1+delta)^2/delta real for |delta| = 1
-    ga = _sym_coeffs([v.inverse() for v in ab])
-    gb = _sym_coeffs([v.inverse() for v in bb])
-    coeffs = [d_ball * ga[k] - gb[k] for k in range(len(ga))]
-    centers = tuple(c.center for c in coeffs)
-    radii = tuple(c.radius for c in coeffs)
-    if abs(centers[-1]) <= radii[-1]:
-        raise DegenerateSpectrum("leading coefficient of the abscissa polynomial "
-                                 "is not certified nonzero")
-    roots = poly_roots(ComplexPolynomial(centers), coeff_radii=radii)
-    if not roots.is_simple:
-        raise DegenerateSpectrum("abscissa polynomial has clustered roots")
-    xs = sorted(roots.balls, key=lambda bl: (round(bl.center.real, 10),
-                                             round(bl.center.imag, 10)))
-    real_idx = _certified_real_indices(xs) if realize else set()
+    xs, real_idx = _abscissa_roots(d_ball, ab, bb)
+    if not realize:
+        real_idx = set()  # complex coefficients: conjugate pairing proves nothing
     for i, x in enumerate(xs):
         w = ProjectivePoint(x.center, x.center, 1)
         jac = chart_jacobian(tlm_ball, w, chart=2, point_radius=x.radius)
@@ -758,19 +773,7 @@ def design_rotation_numbers(a, b, d: float) -> tuple[list[ComplexBall], ComplexB
     da = ComplexBall.exact(float(d))
     ab = [ComplexBall.exact(complex(v)) for v in a]
     bb = [ComplexBall.exact(complex(v)) for v in b]
-    ga = _sym_coeffs([v.inverse() for v in ab])
-    gb = _sym_coeffs([v.inverse() for v in bb])
-    coeffs = [da * ga[k] - gb[k] for k in range(len(ga))]
-    centers = tuple(c.center for c in coeffs)
-    radii = tuple(c.radius for c in coeffs)
-    if abs(centers[-1]) <= radii[-1]:
-        raise DegenerateSpectrum("degenerate leading coefficient in the design")
-    roots = poly_roots(ComplexPolynomial(centers), coeff_radii=radii)
-    if not roots.is_simple:
-        raise DegenerateSpectrum("design abscissa polynomial has clustered roots")
-    xs = sorted(roots.balls, key=lambda bl: (round(bl.center.real, 10),
-                                             round(bl.center.imag, 10)))
-    real_idx = _certified_real_indices(xs)
+    xs, real_idx = _abscissa_roots(da, ab, bb)
     svals = []
     for i, x in enumerate(xs):
         if i in real_idx:
@@ -837,7 +840,6 @@ class ApproxResult:
     delta_star: ComplexBall
     params0: ThreeLinesParams
     params_star: ThreeLinesParams
-    salem: IntPolynomial
     salem_cert: SalemCertificate
 
 
@@ -852,7 +854,7 @@ def _mult_independent(d0: complex, dstar: complex, bound: int = 12,
     return True
 
 
-def _joint_pick(formula, targets0, targets_star, d0, dstar, k_search,
+def _joint_pick(formula, targets0, targets_star, d0, dstar,
                 used: set[int], rank: int = 0,
                 window: float = math.inf) -> list[int]:
     """Greedy density choice for each target pair.
@@ -865,7 +867,7 @@ def _joint_pick(formula, targets0, targets_star, d0, dstar, k_search,
     for t0, ts in zip(targets0, targets_star):
         inside = []
         scored = []
-        for k in range(1, k_search + 1):
+        for k in range(1, K_SEARCH + 1):
             if k in used:
                 continue
             try:
@@ -890,8 +892,8 @@ def _joint_pick(formula, targets0, targets_star, d0, dstar, k_search,
 
 
 def approx_parameters(c0: ThreeLinesParams, cstar: ThreeLinesParams, eps: float,
-                      *, k_search: int = 64, mN_cap: int = 24,
-                      accept=None, n_rank: int = 0) -> ApproxResult:
+                      *, mN_cap: int, accept=None,
+                      n_rank: int = 0) -> ApproxResult:
     """Orbit data and two unit-circle Salem roots approximating both targets.
 
     n_1..n_N and m_1..m_{N-1} are fixed by the joint density argument at the
@@ -914,12 +916,11 @@ def approx_parameters(c0: ThreeLinesParams, cstar: ThreeLinesParams, eps: float,
 
     window = 0.9 * eps
     used: set[int] = set()
-    n_pick = _joint_pick(b_value, c0.b, cstar.b, d0, dstar, k_search, used,
+    n_pick = _joint_pick(b_value, c0.b, cstar.b, d0, dstar, used,
                          rank=n_rank, window=window)
     used_m: set[int] = set()
     m_head = _joint_pick(a_value, c0.a[:-1], cstar.a[:-1], d0, dstar,
-                         k_search, used_m, rank=n_rank,
-                         window=window) if N > 1 else []
+                         used_m, rank=n_rank, window=window) if N > 1 else []
 
     from .errors import BoundaryUndecidable, ClusterUnresolved, NonConvergence
 
@@ -932,14 +933,11 @@ def approx_parameters(c0: ThreeLinesParams, cstar: ThreeLinesParams, eps: float,
             continue
         orbit = OrbitData(m, n)
         try:
-            salem = salem_from_orbit(orbit)
-            cert = is_salem(salem)
+            cert = salem_from_orbit(orbit)
         except (NoSalemFactor, BoundaryUndecidable, ClusterUnresolved,
                 NonConvergence):
             # non-generic orbit data (e.g. a reducible non-cyclotomic part);
             # not a lift candidate, keep sweeping
-            continue
-        if not cert:
             continue
         near0 = _roots_within(cert.circle_roots, d0, eps)
         near_star = _roots_within(cert.circle_roots, dstar, eps)
@@ -959,7 +957,7 @@ def approx_parameters(c0: ThreeLinesParams, cstar: ThreeLinesParams, eps: float,
                     continue
                 if not (_within(ps.a, cstar.a, eps) and _within(ps.b, cstar.b, eps)):
                     continue
-                result = ApproxResult(orbit, cand0, cand_star, p0, ps, salem, cert)
+                result = ApproxResult(orbit, cand0, cand_star, p0, ps, cert)
                 if accept is None or accept(result):
                     return result
     raise BudgetExhausted(f"m_N sweep exceeded {mN_cap} without hitting both "
@@ -983,10 +981,7 @@ def equidistribution_stat(orbit: OrbitData, bins: int = 12) -> float:
     Diagnostic for the asymptotic equidistribution of the non-dominant roots;
     decreases as the orbit lengths grow.
     """
-    salem = salem_from_orbit(orbit)
-    cert = is_salem(salem)
-    if not cert:
-        raise NoSalemFactor("no Salem certificate for the orbit")
+    cert = salem_from_orbit(orbit)
     angles = [cmath.phase(r.center) % (2 * math.pi) for r in cert.circle_roots]
     counts = [0] * bins
     for t in angles:

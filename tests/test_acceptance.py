@@ -22,7 +22,6 @@ from siegelcert.geometry import ProjectivePoint, chart_jacobian, fd_chart_jacobi
 from siegelcert.intpoly import strip_cyclotomic
 from siegelcert.pipeline import theorem1_pipeline
 from siegelcert.roots import ComplexPolynomial, poly_roots
-from siegelcert.salem import is_salem
 from siegelcert.threelines import (OrbitData, TLMap, ab_from_delta,
                                    fixed_points_tl, h_iterate,
                                    infinity_eigen_data, lambda_by_bisection,
@@ -113,8 +112,7 @@ def test_criterion_05_orbit_closure(salem8):
 def test_criterion_06_three_lines_consistency():
     t0 = time.time()
     for orbit in (OrbitData((2,), (1,)), OrbitData((1, 2), (1, 1))):
-        salem = salem_from_orbit(orbit)
-        cert = is_salem(salem)
+        cert = salem_from_orbit(orbit)
         for root in cert.circle_roots:
             params = ab_from_delta(root.center, orbit)
             assert abs(params.c - 1) < 1e-10                      # (a)
@@ -150,7 +148,7 @@ def test_criterion_07_eigenvalue_formulas(salem8_cert):
 
     # three-lines w0 eigenvalues {omega/delta, conj(omega)/delta}
     orbit = OrbitData((2,), (1,))
-    cert = is_salem(salem_from_orbit(orbit))
+    cert = salem_from_orbit(orbit)
     droot = cert.circle_roots[0]
     params = ab_from_delta(droot.center, orbit)
     tlm = TLMap.from_params(params)

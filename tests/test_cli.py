@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from siegelcert import cli, strictmode
 from siegelcert.certifier import StrictEvidence
 from siegelcert.cli import main
@@ -23,7 +25,8 @@ def test_cuspidal_full_run(capsys):
     assert abs(doc["salem"]["entropy"] - 0.6901) < 1e-3
     assert doc["matrix"] == {"bound": 4, "dim": 28, "trace": 2}
     assert doc["config"]["version"]
-    assert doc["config"]["root_tol"] > 0
+    assert set(doc["config"]) == {"arguments", "command", "family", "strict",
+                                  "version"}
     principal = doc["principal"]
     vs = [v for v in doc["verdicts"] if v["section"] == principal]
     assert [v["verdict"] for v in vs] == ["SiegelCertified", "SiegelCertified"]
@@ -80,6 +83,13 @@ def test_theorem1_k1_usage_error(capsys):
     code, out = _run(capsys, "theorem1", "--k", "1")
     assert code == 1
     assert json.loads(out)["error"]["stage"] == "PipelineFailed"
+
+
+def test_precision_flags_are_usage_errors(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["cuspidal", "--n", "8", "--tol", "1e-12"])
+    assert exc.value.code == 2
+    assert "--tol" in capsys.readouterr().err
 
 
 def test_check_failure_is_a_json_error(capsys, monkeypatch, salem8_cert):

@@ -11,7 +11,6 @@ from siegelcert.cohomology import (ActionMatrix, delta_eigen_check,
                                    tl_action_matrix)
 from siegelcert.errors import MixedFactor, PipelineFailed
 from siegelcert.intpoly import IntPolynomial, strip_cyclotomic
-from siegelcert.salem import is_salem
 from siegelcert.threelines import OrbitData, lambda_by_bisection, salem_from_orbit
 
 PERMS = [(0, 1, 2), (1, 2, 0), (2, 0, 1), (0, 2, 1), (1, 0, 2), (2, 1, 0)]
@@ -61,7 +60,7 @@ def test_tl_matrices_match_bisection_and_bound():
         assert m.apply(m.canonical_vector) == m.canonical_vector
         sd = spectral_data(m)
         assert abs(sd.lam.center.real - lambda_by_bisection(orbit)) < 1e-9
-        assert sd.salem_part == salem_from_orbit(orbit)
+        assert sd.salem_part == salem_from_orbit(orbit).poly
 
 
 def test_charpoly_reciprocal_up_to_sign():
@@ -107,7 +106,7 @@ def test_delta_eigen_check_identity_exact():
 def test_delta_eigen_check_tl_root():
     orbit = OrbitData((2,), (1,))
     m = tl_action_matrix(orbit)
-    cert = is_salem(salem_from_orbit(orbit))
+    cert = salem_from_orbit(orbit)
     assert delta_eigen_check(m, cert.circle_roots[0]).contains_zero()
 
 
@@ -115,7 +114,7 @@ def test_delta_eigen_check_large_matrix_exact():
     orbit = OrbitData((30,), (3,))
     m = tl_action_matrix(orbit)
     assert m.dim > 96
-    cert = is_salem(salem_from_orbit(orbit))
+    cert = salem_from_orbit(orbit)
     assert delta_eigen_check(m, cert.lam).contains_zero()
     assert not delta_eigen_check(m, ComplexBall.exact(2.5 + 0.1j)).contains_zero()
 
@@ -123,20 +122,19 @@ def test_delta_eigen_check_large_matrix_exact():
 def test_spectral_check_dim_cap():
     orbit = OrbitData((30,), (3,))
     m = tl_action_matrix(orbit)
-    salem = salem_from_orbit(orbit)
-    cert = is_salem(salem)
-    exact = spectral_check(m, salem, cert, dim_cap=None)
-    assert exact.data.salem_part == salem
+    cert = salem_from_orbit(orbit)
+    exact = spectral_check(m, cert, dim_cap=None)
+    assert exact.data.salem_part == cert.poly
     assert exact.entropy == cert.entropy
     assert exact.matrix_info == {"dim": 103, "trace": m.trace(),
                                  "bound": fixed_point_bound(m)}
-    capped = spectral_check(m, salem, cert)
+    capped = spectral_check(m, cert)
     assert capped.data is None and capped.entropy == cert.entropy
     assert capped.matrix_info == exact.matrix_info
     # a mismatched Salem factor is caught only on the exact path
     other = salem_from_orbit(OrbitData((2,), (1,)))
     with pytest.raises(PipelineFailed):
-        spectral_check(m, other, cert, dim_cap=None)
+        spectral_check(m, other, dim_cap=None)
 
 
 def test_spectral_data_dim_cap():

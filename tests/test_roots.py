@@ -35,7 +35,7 @@ def test_salem8_roots_match_listed_values(salem8):
 
 def test_triple_root_cluster_flagged():
     p = ComplexPolynomial((-27.0, 27.0, -9.0, 1.0))  # (t-3)^3
-    rs = poly_roots(p, 1e-12)
+    rs = poly_roots(p)
     assert len(rs.clusters) == 1 and len(rs.clusters[0]) == 3
     for b in rs.balls:
         assert abs(b.center - 3.0) < 1e-3
@@ -44,7 +44,7 @@ def test_triple_root_cluster_flagged():
 def test_triple_root_require_simple_raises():
     p = ComplexPolynomial((-27.0, 27.0, -9.0, 1.0))
     with pytest.raises(ClusterUnresolved):
-        poly_roots(p, 1e-12, require_simple=True)
+        poly_roots(p, require_simple=True)
 
 
 def test_reexpansion_matches_coefficients():
@@ -55,7 +55,7 @@ def test_reexpansion_matches_coefficients():
         coeffs = [complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(deg)]
         coeffs.append(complex(rng.uniform(0.5, 2), rng.uniform(-1, 1)))
         p = ComplexPolynomial(tuple(coeffs))
-        rs = poly_roots(p, 1e-12)
+        rs = poly_roots(p)
         if not rs.is_simple:
             continue
         prod = [p.coeffs[-1]]
@@ -71,8 +71,6 @@ def test_reexpansion_matches_coefficients():
 def test_degree_and_tol_validation():
     with pytest.raises(ValueError):
         poly_roots(ComplexPolynomial((1.0,)))
-    with pytest.raises(ValueError):
-        poly_roots(ComplexPolynomial((1.0, 1.0)), tol=0.0)
 
 
 def test_coeff_radii_widen_certificates():

@@ -1,5 +1,8 @@
 """Salem certificates: the degree-8 instance, cyclotomic rejections, oracles."""
 
+import pytest
+
+from siegelcert.errors import BoundaryUndecidable
 from siegelcert.intpoly import IntPolynomial, cyclotomic
 from siegelcert.salem import SalemCertificate, is_salem
 
@@ -48,9 +51,8 @@ def test_rejects_cyclotomic_multiple(salem8):
 def test_lehmer_degree_case_vs_chi_bisection():
     from siegelcert.threelines import OrbitData, lambda_by_bisection, salem_from_orbit
     orbit = OrbitData((2,), (1,))
-    s = salem_from_orbit(orbit)
-    cert = is_salem(s)
-    assert cert
+    cert = salem_from_orbit(orbit)
+    assert isinstance(cert, SalemCertificate)
     lam = lambda_by_bisection(orbit)
     assert abs(cert.lam.center.real - lam) < 1e-9
 
@@ -62,3 +64,12 @@ def test_salem_certificate_implies_not_root_of_unity(salem8_cert):
         for k in range(1, 13):
             for j in range(k):
                 assert abs(b.center - cmath.exp(2j * cmath.pi * j / k)) > 1e-3
+
+
+def test_double_roots_are_boundary_undecidable():
+    lehmer = IntPolynomial((1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1))
+    assert is_salem(lehmer)
+    # L^2 passes every exact check; its double roots give overlapping disks,
+    # which the one classification pass cannot resolve
+    with pytest.raises(BoundaryUndecidable):
+        is_salem(lehmer * lehmer)

@@ -11,7 +11,6 @@ from siegelcert.certifier import Location
 from siegelcert.errors import (BudgetExhausted, Indeterminate,
                                PoleAtParameter, PoleInFormula, SearchFailed)
 from siegelcert.geometry import ProjectivePoint
-from siegelcert.salem import is_salem
 from siegelcert.threelines import (OrbitData, ThreeLinesParams,
                                    a_value, ab_from_delta, approx_parameters,
                                    b_value, chi,
@@ -187,8 +186,7 @@ def test_chi_limits_and_roots():
     orb = OrbitData((2,), (1,))
     assert abs(chi(1 + 1e-6, orb).center.real - 1.5) < 1e-3
     assert abs(chi(1e6, orb).center) < 1e-5
-    s = salem_from_orbit(orb)
-    cert = is_salem(s)
+    cert = salem_from_orbit(orb)
     for b in (cert.lam,) + cert.circle_roots:
         assert abs(chi(b.center, orb).center - 1) < 1e-9
 
@@ -202,9 +200,8 @@ def test_params_satisfy_chi_identity():
 
 def test_salem_from_orbit_cases():
     for orb in (OrbitData((2,), (1,)), OrbitData((1,), (2,))):
-        s = salem_from_orbit(orb)
-        cert = is_salem(s)
-        assert cert
+        cert = salem_from_orbit(orb)
+        assert cert and cert.poly.degree >= 4
         lam = lambda_by_bisection(orb)
         assert abs(cert.lam.center.real - lam) < 1e-9
 
@@ -218,8 +215,7 @@ def test_lambda_monotone_convergence_in_m():
 
 def test_orbit_verify_hand_checked_infinity_orbit():
     orb = OrbitData((2,), (1,))
-    s = salem_from_orbit(orb)
-    cert = is_salem(s)
+    cert = salem_from_orbit(orb)
     d = cert.circle_roots[0].center
     par = ab_from_delta(d, orb)
     # [0:1:0] -> [-delta:1:0] -> [1:0:0] via the infinity-line formula
@@ -233,7 +229,7 @@ def test_orbit_verify_hand_checked_infinity_orbit():
 def test_orbit_verify_at_real_salem_root():
     """f^4 sends (a1, 0) to (0, a1) and f^3 closes the b-orbit (m=2, n=1)."""
     orb = OrbitData((2,), (1,))
-    cert = is_salem(salem_from_orbit(orb))
+    cert = salem_from_orbit(orb)
     lam = cert.lam.center.real
     par = ab_from_delta(lam, orb)
     a1 = par.a[0]
@@ -254,7 +250,7 @@ def test_orbit_verify_negative_control():
 
 def test_fixed_points_count_and_w0():
     orb = OrbitData((1, 2), (1, 1))
-    cert = is_salem(salem_from_orbit(orb))
+    cert = salem_from_orbit(orb)
     par = ab_from_delta(cert.circle_roots[0].center, orb)
     recs = fixed_points_tl(par)
     assert len(recs) == orb.N + 3
