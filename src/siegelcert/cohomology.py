@@ -2,11 +2,14 @@
 
 The basis is the line class H followed by one exceptional class per blown-up
 orbit point, each orbit listed oldest step first; the intersection form is
-diag(1, -1, ..., -1).  Constructors build the pullback action for the two map
-families and verify exact form preservation M^T J M = J on construction.
+diag(1, -1, ..., -1).  Both constructors build the pullback action for their
+map family on one shared orbit-lattice scaffold, and every ActionMatrix
+verifies exact form preservation M^T J M = J on construction, with the same
+exact integer product (_mat_mul) that computes the characteristic polynomial.
 Characteristic polynomials are computed exactly over Python bigints
 (Faddeev-LeVerrier), never in floating point, so cyclotomic stripping and
-Salem-factor comparisons are integer identities.
+Salem-factor comparisons are integer identities.  spectral_data works at any
+dimension; the one size cap, CHARPOLY_DIM_CAP, is applied by spectral_check.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .balls import ComplexBall
-from .errors import MixedFactor, PipelineFailed
+from .errors import CheckFailed, MixedFactor, PipelineFailed
 from .intpoly import IntPolynomial, strip_cyclotomic
 from .salem import SalemCertificate, is_salem
 
@@ -47,16 +50,10 @@ class ActionMatrix:
         return (1,) + (-1,) * (self.dim - 1)
 
     def preserves_form(self) -> bool:
-        m = self.entries
-        signs = self.form_signs
-        n = self.dim
-        for i in range(n):
-            for j in range(i, n):
-                s = sum(signs[k] * m[k][i] * m[k][j] for k in range(n))
-                want = signs[i] if i == j else 0
-                if s != want:
-                    return False
-        return True
+        """Exact integer check of M^T J M = J."""
+        form = _diagonal(self.form_signs)
+        transpose = tuple(zip(*self.entries))
+        return _mat_mul(transpose, _mat_mul(form, self.entries)) == form
 
     def trace(self) -> int:
         return sum(self.entries[i][i] for i in range(self.dim))
@@ -89,24 +86,29 @@ class ActionMatrix:
 def _char_poly_exact(entries) -> IntPolynomial:
     """Faddeev-LeVerrier over bigints: all divisions are exact."""
     n = len(entries)
-    m = [list(r) for r in entries]
-    aux = [row[:] for row in m]
-    coeffs = [0] * (n + 1)
-    coeffs[n] = 1
-    c = -sum(aux[i][i] for i in range(n))
-    coeffs[n - 1] = c
-    for k in range(2, n + 1):
+    aux = [[0] * n for _ in range(n)]
+    coeffs = [0] * n + [1]
+    for k in range(1, n + 1):
         for i in range(n):
-            aux[i][i] += c
-        aux = _mat_mul(m, aux)
+            aux[i][i] += coeffs[n - k + 1]
+        aux = _mat_mul(entries, aux)
         tr = sum(aux[i][i] for i in range(n))
-        assert tr % k == 0, "Faddeev-LeVerrier trace not divisible"
-        c = -tr // k
-        coeffs[n - k] = c
+        if tr % k:
+            raise CheckFailed("Faddeev-LeVerrier trace not divisible")
+        coeffs[n - k] = -tr // k
     return IntPolynomial(tuple(coeffs))
 
 
+def _diagonal(values) -> list[list[int]]:
+    out = [[0] * len(values) for _ in values]
+    for i, v in enumerate(values):
+        out[i][i] = v
+    return out
+
+
 def _mat_mul(a, b):
+    """Exact product of square integer matrices; zero entries of a are
+    skipped, so sparse left factors cost little."""
     n = len(a)
     out = [[0] * n for _ in range(n)]
     for i in range(n):
@@ -125,6 +127,27 @@ def _mat_mul(a, b):
 # constructors for the two families
 # ---------------------------------------------------------------------------
 
+def _orbit_lattice(chains):
+    """Basis scaffolding shared by both families.
+
+    chains lists (name, length) for each orbit; the basis is H followed by
+    the classes "name.k" of every orbit, oldest step first.  Returns the
+    labels, index (index[c][k] is the basis position of class k of chain c,
+    so index[c][-1] is the orbit end) and the column grid col[j][i] (row i of
+    column j) with every class k >= 1 already shifted one step down its orbit.
+    """
+    labels = ["H"]
+    index = []
+    for name, length in chains:
+        index.append(range(len(labels), len(labels) + length))
+        labels.extend(f"{name}.{k}" for k in range(length))
+    col = [[0] * len(labels) for _ in labels]
+    for idx in index:
+        for prev, cur in zip(idx, idx[1:]):
+            col[cur][prev] += 1
+    return tuple(labels), index, col
+
+
 def quad_action_matrix(n1: int, n2: int, n3: int,
                        sigma: tuple[int, int, int] = (0, 1, 2)) -> ActionMatrix:
     """Pullback action for a quadratic map whose i-th backward indeterminacy
@@ -140,33 +163,21 @@ def quad_action_matrix(n1: int, n2: int, n3: int,
         raise ValueError("orbit lengths must be >= 0")
     if sorted(sigma) != [0, 1, 2]:
         raise ValueError("sigma must be a permutation of (0, 1, 2)")
-    labels = ["H"]
-    index: dict[tuple[int, int], int] = {}
-    for l in range(3):
-        for k in range(ns[l] + 1):
-            index[(l, k)] = len(labels)
-            labels.append(f"E{l + 1}.{k}")
-    dim = len(labels)
-    col = [[0] * dim for _ in range(dim)]  # col[j][i]: row i of column j
-
-    ends = {l: index[(l, ns[l])] for l in range(3)}
+    labels, index, col = _orbit_lattice(
+        [(f"E{l + 1}", ns[l] + 1) for l in range(3)])
+    ends = [idx[-1] for idx in index]
     inv_sigma = {sigma[l]: l for l in range(3)}
 
     col[0][0] = 2
-    for l in range(3):
-        col[0][ends[l]] -= 1
+    for end in ends:
+        col[0][end] -= 1
     for i in range(3):
-        j = index[(i, 0)]
+        j = index[i][0]
         col[j][0] += 1
-        partner = inv_sigma[i]
         for l in range(3):
-            if l != partner:
+            if l != inv_sigma[i]:
                 col[j][ends[l]] -= 1
-    for l in range(3):
-        for k in range(1, ns[l] + 1):
-            col[index[(l, k)]][index[(l, k - 1)]] += 1
-    entries = tuple(tuple(col[j][i] for j in range(dim)) for i in range(dim))
-    return ActionMatrix(entries, tuple(labels))
+    return ActionMatrix(tuple(zip(*col)), labels)
 
 
 def tl_action_matrix(orbit) -> ActionMatrix:
@@ -178,53 +189,27 @@ def tl_action_matrix(orbit) -> ActionMatrix:
     displayed combinations of H and orbit ends; all other classes shift one
     step down their orbit.
     """
-    m, n = orbit.m, orbit.n
-    N = len(m)
-    labels = ["H"]
-    index: dict[tuple[str, int, int], int] = {}
-
-    def add_orbit(tag: str, which: int, length: int):
-        for k in range(length):
-            index[(tag, which, k)] = len(labels)
-            labels.append(f"E{tag}{which if tag != '0' else ''}.{k}")
-
-    add_orbit("0", 0, 3)
-    for i, mi in enumerate(m):
-        add_orbit("a", i + 1, 3 * mi - 1)
-    for j, nj in enumerate(n):
-        add_orbit("b", j + 1, 3 * nj + 1)
-    dim = len(labels)
-    col = [[0] * dim for _ in range(dim)]
-
-    end0 = index[("0", 0, 2)]
-    end_a = {i: index[("a", i + 1, 3 * m[i] - 2)] for i in range(N)}
-    end_b = {j: index[("b", j + 1, 3 * n[j])] for j in range(N)}
+    N = len(orbit.m)
+    labels, index, col = _orbit_lattice(
+        [("E0", 3)]
+        + [(f"Ea{i + 1}", 3 * mi - 1) for i, mi in enumerate(orbit.m)]
+        + [(f"Eb{j + 1}", 3 * nj + 1) for j, nj in enumerate(orbit.n)])
+    end0 = index[0][-1]
+    other_ends = [idx[-1] for idx in index[1:]]
 
     def minus_all_ends(column, h_coeff, e0_coeff):
         column[0] += h_coeff
         column[end0] -= e0_coeff
-        for i in range(N):
-            column[end_a[i]] -= 1
-        for j in range(N):
-            column[end_b[j]] -= 1
+        for end in other_ends:
+            column[end] -= 1
 
     minus_all_ends(col[0], N + 1, N)
-    minus_all_ends(col[index[("0", 0, 0)]], N, N - 1)
-    for i in range(N):
-        j0 = index[("a", i + 1, 0)]
-        col[j0][0] += 1
-        col[j0][end0] -= 1
-        col[j0][end_a[i]] -= 1
-    for j in range(N):
-        j0 = index[("b", j + 1, 0)]
-        col[j0][0] += 1
-        col[j0][end0] -= 1
-        col[j0][end_b[j]] -= 1
-    for (tag, which, k), idx in index.items():
-        if k >= 1:
-            col[idx][index[(tag, which, k - 1)]] += 1
-    entries = tuple(tuple(col[j][i] for j in range(dim)) for i in range(dim))
-    return ActionMatrix(entries, tuple(labels))
+    minus_all_ends(col[index[0][0]], N, N - 1)
+    for idx in index[1:]:  # the a and b orbits alike
+        col[idx[0]][0] += 1
+        col[idx[0]][end0] -= 1
+        col[idx[0]][idx[-1]] -= 1
+    return ActionMatrix(tuple(zip(*col)), labels)
 
 
 # ---------------------------------------------------------------------------
@@ -237,17 +222,11 @@ class SpectralData:
     entropy: float
     salem_part: IntPolynomial
     cyclo_parts: tuple[int, ...]
-    salem_cert: SalemCertificate | None = None
 
 
-def spectral_data(m: ActionMatrix,
-                  dim_cap: int | None = CHARPOLY_DIM_CAP) -> SpectralData:
-    """Exact char poly, cyclotomic/Salem split, spectral radius and entropy.
-
-    Raises MixedFactor above dim_cap (None: no cap)."""
-    if dim_cap is not None and m.dim > dim_cap:
-        raise MixedFactor(f"dimension {m.dim} exceeds the exact char-poly cap "
-                          f"{dim_cap}; use delta_eigen_check for large matrices")
+def spectral_data(m: ActionMatrix) -> SpectralData:
+    """Exact char poly, cyclotomic/Salem split, spectral radius and entropy,
+    at every dimension (the size cap is spectral_check's choice)."""
     rest, cyclo = strip_cyclotomic(m.char_poly)
     if rest.degree < 1:
         return SpectralData(ComplexBall.exact(1), 0.0, rest, tuple(cyclo))
@@ -255,7 +234,7 @@ def spectral_data(m: ActionMatrix,
     if not cert:
         raise MixedFactor(f"non-cyclotomic factor of degree {rest.degree} "
                           f"fails the Salem pattern: {cert.reason}")
-    return SpectralData(cert.lam, cert.entropy, rest, tuple(cyclo), cert)
+    return SpectralData(cert.lam, cert.entropy, rest, tuple(cyclo))
 
 
 def fixed_point_bound(m: ActionMatrix) -> int:
@@ -285,11 +264,13 @@ def spectral_check(m: ActionMatrix, cert: SalemCertificate,
     Up to dim_cap (None: every dimension) the exact characteristic polynomial
     must split off exactly cert.poly, and the entropy comes from it; above
     the cap the entropy is the certificate's and nothing is cross-checked.
+    This is the only place the cap is read: it bounds the Faddeev-LeVerrier
+    cost of per-item runs, while theorem1 passes None.
     """
     info = {"dim": m.dim, "trace": m.trace(), "bound": fixed_point_bound(m)}
     if dim_cap is not None and m.dim > dim_cap:
         return SpectralCheck(info, cert.entropy, None)
-    sd = spectral_data(m, dim_cap=None)
+    sd = spectral_data(m)
     if sd.salem_part != cert.poly:
         raise PipelineFailed("spectral_data", "action-matrix Salem factor "
                              "differs from the orbit's Salem polynomial")

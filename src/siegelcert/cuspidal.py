@@ -30,6 +30,7 @@ from .salem import is_salem
 from .strictmode import squarefree_evidence
 
 INDETERMINACY_TOL = 1e-10
+RESIDUAL_TOL = 1e-9  # chordal distance of a fixed point from its image
 
 
 @dataclass(frozen=True)
@@ -126,7 +127,8 @@ def orbit_polynomial(n: int) -> IntPolynomial:
     coeffs = [-1, 2] + [0] * (n - 1) + [-2, 1]
     cleared = IntPolynomial(tuple(coeffs))
     q = cleared.try_exact_div(IntPolynomial((-1, 1)))
-    assert q is not None
+    if q is None:
+        raise CheckFailed(f"t - 1 does not divide the orbit polynomial at n={n}")
     return q
 
 
@@ -168,17 +170,16 @@ def s_value(tau, x) -> ComplexBall:
     return inner * inner / pole
 
 
-def fixed_points_cuspidal(params: CuspidalParams,
-                          residual_tol: float = 1e-9) -> list[FixedPointRecord]:
+def fixed_points_cuspidal(params: CuspidalParams) -> list[FixedPointRecord]:
     """The two fixed points off the cubic, with certified derivative data.
 
     Each record's coordinates are verified by one application of the map
-    (residual below residual_tol in chordal distance).
+    (residual below RESIDUAL_TOL in chordal distance).
     """
     recs = _records_for_delta(ComplexBall.exact(params.delta))
     for rec in recs:
         img = quad_map_eval(params, rec.coords)
-        if rec.coords.distance(img) > residual_tol:
+        if rec.coords.distance(img) > RESIDUAL_TOL:
             raise CheckFailed(
                 f"fixed-point residual {rec.coords.distance(img):.2e} at {rec.coords}")
     return recs

@@ -13,7 +13,7 @@ import functools
 from dataclasses import dataclass
 
 from .balls import ComplexBall
-from .errors import BadPrime, DegreeOverflow
+from .errors import BadPrime, CheckFailed, DegreeOverflow
 
 
 @dataclass(frozen=True)
@@ -27,15 +27,6 @@ class IntPolynomial:
         object.__setattr__(self, "coeffs", c)
 
     # -- basics --------------------------------------------------------
-
-    @staticmethod
-    def of(*coeffs: int) -> "IntPolynomial":
-        """Polynomial from low-to-high coefficients: of(1, -2, 1) = 1 - 2x + x^2."""
-        return IntPolynomial(tuple(coeffs))
-
-    @staticmethod
-    def x_power(k: int, coeff: int = 1) -> "IntPolynomial":
-        return IntPolynomial((0,) * k + (coeff,))
 
     @property
     def degree(self) -> int:
@@ -174,6 +165,16 @@ class IntPolynomial:
 ONE = IntPolynomial((1,))
 
 
+def x_pow_plus_one(e: int) -> IntPolynomial:
+    """x^e + 1, for e >= 1."""
+    return IntPolynomial((1,) + (0,) * (e - 1) + (1,))
+
+
+def x_pow_minus_one(e: int) -> IntPolynomial:
+    """x^e - 1, for e >= 1."""
+    return IntPolynomial((-1,) + (0,) * (e - 1) + (1,))
+
+
 # ---------------------------------------------------------------------------
 # cyclotomic polynomials
 # ---------------------------------------------------------------------------
@@ -183,11 +184,12 @@ def cyclotomic(k: int) -> IntPolynomial:
     """k-th cyclotomic polynomial via exact division of x^k - 1."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    p = IntPolynomial((-1,) + (0,) * (k - 1) + (1,))
+    p = x_pow_minus_one(k)
     for d in range(1, k):
         if k % d == 0:
             q = p.try_exact_div(cyclotomic(d))
-            assert q is not None, f"cyclotomic recursion failed at k={k}, d={d}"
+            if q is None:
+                raise CheckFailed(f"cyclotomic recursion failed at k={k}, d={d}")
             p = q
     return p
 
@@ -325,7 +327,8 @@ def _bareiss_det(rows: list[list[IntPolynomial]]) -> IntPolynomial:
             for j in range(k + 1, n):
                 num = rows[i][j] * pivot - rows[i][k] * rows[k][j]
                 q = num.try_exact_div(denom)
-                assert q is not None, "Bareiss exact division failed"
+                if q is None:
+                    raise CheckFailed("Bareiss exact division failed")
                 rows[i][j] = q
             rows[i][k] = IntPolynomial(())
         denom = pivot
@@ -371,7 +374,8 @@ def squarefree_part(p: IntPolynomial) -> IntPolynomial:
         return pp
     g = poly_gcd(pp, pp.derivative())
     q = pp.try_exact_div(g)
-    assert q is not None, "gcd must divide over Z for a primitive polynomial"
+    if q is None:
+        raise CheckFailed("gcd does not divide the primitive polynomial over Z")
     return q.primitive_positive()
 
 

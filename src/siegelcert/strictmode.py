@@ -14,21 +14,8 @@ from __future__ import annotations
 
 from .certifier import StrictEvidence
 from .intpoly import (IntPolynomial, admissible_primes, irreducible_mod_p,
-                      resultant, squarefree_part)
-
-_ONE = IntPolynomial((1,))
-
-
-def _tpoly(*coeffs: int) -> IntPolynomial:
-    return IntPolynomial(tuple(coeffs))
-
-
-def _t_pow_plus(e: int) -> IntPolynomial:   # t^e + 1
-    return IntPolynomial((1,) + (0,) * (e - 1) + (1,))
-
-
-def _t_pow_minus(e: int) -> IntPolynomial:  # t^e - 1
-    return IntPolynomial((-1,) + (0,) * (e - 1) + (1,))
+                      resultant, squarefree_part, x_pow_minus_one,
+                      x_pow_plus_one)
 
 
 class _BivarX:
@@ -89,21 +76,21 @@ def abscissa_resultant_tl(salem: IntPolynomial, orbit) -> IntPolynomial:
     R_j = delta^2 (delta^{3n_j}-1), T_j = (delta^3-1)(delta^{3n_j+1}+1); the
     resultant against the Salem polynomial eliminates delta exactly.
     """
-    d3 = _t_pow_minus(3)
-    lhs = _BivarX.const(_tpoly(1, 2, 1))  # (1+delta)^2
+    d3 = x_pow_minus_one(3)
+    lhs = _BivarX.const(IntPolynomial((1, 2, 1)))  # (1+delta)^2
     for mi in orbit.m:
-        p_i = _t_pow_minus(3 * mi).scale_pow(1)
-        q_i = d3 * _t_pow_plus(3 * mi - 1)
+        p_i = x_pow_minus_one(3 * mi).scale_pow(1)
+        q_i = d3 * x_pow_plus_one(3 * mi - 1)
         lhs = lhs * _BivarX.linear(q_i, p_i)
-    rhs = _BivarX.const(_tpoly(0, 1))     # delta
+    rhs = _BivarX.const(IntPolynomial((0, 1)))     # delta
     for nj in orbit.n:
-        r_j = _t_pow_minus(3 * nj).scale_pow(2)
-        t_j = d3 * _t_pow_plus(3 * nj + 1)
+        r_j = x_pow_minus_one(3 * nj).scale_pow(2)
+        t_j = d3 * x_pow_plus_one(3 * nj + 1)
         rhs = rhs * _BivarX.linear(t_j, -1 * r_j)
     for nj in orbit.n:
-        lhs = lhs * _BivarX.const(d3 * _t_pow_plus(3 * nj + 1))
+        lhs = lhs * _BivarX.const(d3 * x_pow_plus_one(3 * nj + 1))
     for mi in orbit.m:
-        rhs = rhs * _BivarX.const(d3 * _t_pow_plus(3 * mi - 1))
+        rhs = rhs * _BivarX.const(d3 * x_pow_plus_one(3 * mi - 1))
     cleared = lhs - rhs
     eliminated = resultant(salem, cleared.by_delta_power())
     return eliminated.primitive_positive()

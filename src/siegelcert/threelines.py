@@ -33,11 +33,13 @@ from .errors import (BudgetExhausted, CheckFailed, DegenerateSpectrum,
                      PerturbationFailed, PoleAtParameter, PoleHit, PoleInFormula,
                      SearchFailed)
 from .geometry import ProjectivePoint, chart_jacobian
-from .intpoly import IntPolynomial, strip_cyclotomic
+from .intpoly import (ONE, IntPolynomial, strip_cyclotomic, x_pow_minus_one,
+                      x_pow_plus_one)
 from .roots import ComplexPolynomial, poly_roots
 from .salem import SalemCertificate, is_salem
 
 INDETERMINACY_TOL = 1e-10
+RESIDUAL_TOL = 1e-8  # chordal distance of a fixed point from its image
 COLLISION_TOL = 1e-7
 K_SEARCH = 64  # orbit lengths 1..K_SEARCH ranked by the density search
 
@@ -332,32 +334,20 @@ def chi(delta, orbit: OrbitData) -> ComplexBall:
 
 def cleared_chi_polynomial(orbit: OrbitData) -> IntPolynomial:
     """Integer polynomial obtained by clearing denominators of chi = 1."""
-    t = IntPolynomial  # alias
-
-    def cyclo_plus(e: int) -> IntPolynomial:  # t^e + 1
-        return t((1,) + (0,) * (e - 1) + (1,))
-
-    def cyclo_minus(e: int) -> IntPolynomial:  # t^e - 1
-        return t((-1,) + (0,) * (e - 1) + (1,))
-
-    a_dens = [cyclo_plus(3 * mi - 1) for mi in orbit.m]
-    b_dens = [cyclo_plus(3 * nj + 1) for nj in orbit.n]
-    d3 = cyclo_minus(3)
+    a_dens = [x_pow_plus_one(3 * mi - 1) for mi in orbit.m]
+    b_dens = [x_pow_plus_one(3 * nj + 1) for nj in orbit.n]
 
     def prod(polys):
-        out = t((1,))
-        for p in polys:
-            out = out * p
-        return out
+        return math.prod(polys, start=ONE)
 
-    total = t(())
+    total = IntPolynomial(())
     for j, nj in enumerate(orbit.n):
-        num = cyclo_minus(3 * nj).scale_pow(2)  # t^2 (t^{3n_j} - 1)
+        num = x_pow_minus_one(3 * nj).scale_pow(2)  # t^2 (t^{3n_j} - 1)
         total = total + num * prod(a_dens) * prod(b_dens[:j] + b_dens[j + 1:])
     for i, mi in enumerate(orbit.m):
-        num = cyclo_minus(3 * mi).scale_pow(1)  # t (t^{3m_i} - 1)
+        num = x_pow_minus_one(3 * mi).scale_pow(1)  # t (t^{3m_i} - 1)
         total = total + num * prod(a_dens[:i] + a_dens[i + 1:]) * prod(b_dens)
-    total = total - d3 * prod(a_dens) * prod(b_dens)
+    total = total - x_pow_minus_one(3) * prod(a_dens) * prod(b_dens)
     return total.primitive_positive()
 
 
@@ -523,7 +513,7 @@ def _realized_record(rec: FixedPointRecord) -> FixedPointRecord:
                             rec.s.realize_real(), rec.eigenvalues)
 
 
-def fixed_points_tl(params: ThreeLinesParams, residual_tol: float = 1e-8,
+def fixed_points_tl(params: ThreeLinesParams,
                     delta_ball: ComplexBall | None = None,
                     a_balls=None, b_balls=None,
                     on_circle: bool = False) -> list[FixedPointRecord]:
@@ -599,7 +589,7 @@ def fixed_points_tl(params: ThreeLinesParams, residual_tol: float = 1e-8,
         if max(abs(c) for c in img_comps) < INDETERMINACY_TOL:
             raise CheckFailed(f"fixed point {rec.coords} hits indeterminacy")
         resid = rec.coords.distance(ProjectivePoint(*img_comps))
-        if resid > residual_tol:
+        if resid > RESIDUAL_TOL:
             raise CheckFailed(
                 f"fixed-point residual {resid:.2e} at {rec.coords}")
     return records

@@ -4,10 +4,11 @@ import json
 
 import pytest
 
-from siegelcert import cli, strictmode
+from siegelcert import cli, cuspidal, strictmode
 from siegelcert.certifier import StrictEvidence
 from siegelcert.cli import main
 from siegelcert.cuspidal import CuspidalParams, fixed_points_cuspidal
+from siegelcert.intpoly import IntPolynomial
 
 
 def _run(capsys, *argv):
@@ -95,9 +96,18 @@ def test_precision_flags_are_usage_errors(capsys):
 def test_check_failure_is_a_json_error(capsys, monkeypatch, salem8_cert):
     def failing_run(n, **kwargs):
         par = CuspidalParams(salem8_cert.circle_roots[0].center)
-        fixed_points_cuspidal(par, residual_tol=1e-300)
+        fixed_points_cuspidal(par)
 
+    monkeypatch.setattr(cuspidal, "RESIDUAL_TOL", 1e-300)
     monkeypatch.setattr(cli, "certify_cuspidal", failing_run)
+    code, out = _run(capsys, "cuspidal", "--n", "8")
+    assert code == 1
+    assert json.loads(out)["error"]["stage"] == "CheckFailed"
+
+
+def test_failed_exact_division_is_a_json_error(capsys, monkeypatch):
+    monkeypatch.setattr(IntPolynomial, "try_exact_div",
+                        lambda self, divisor: None)
     code, out = _run(capsys, "cuspidal", "--n", "8")
     assert code == 1
     assert json.loads(out)["error"]["stage"] == "CheckFailed"
@@ -156,6 +166,9 @@ def test_matrix_dump_three_lines(capsys):
                      "--m", "2", "--n", "1")
     assert code == 0
     assert len(out.splitlines()) == 1 + 13
+    assert out.splitlines()[0].split() == (
+        ["H", "E0.0", "E0.1", "E0.2"] + [f"Ea1.{k}" for k in range(5)]
+        + [f"Eb1.{k}" for k in range(4)])
 
 
 def test_matrix_dump_bad_args(capsys):

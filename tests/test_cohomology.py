@@ -9,7 +9,7 @@ from siegelcert.cohomology import (ActionMatrix, delta_eigen_check,
                                    fixed_point_bound, quad_action_matrix,
                                    spectral_check, spectral_data,
                                    tl_action_matrix)
-from siegelcert.errors import MixedFactor, PipelineFailed
+from siegelcert.errors import PipelineFailed
 from siegelcert.intpoly import IntPolynomial, strip_cyclotomic
 from siegelcert.threelines import OrbitData, lambda_by_bisection, salem_from_orbit
 
@@ -29,6 +29,14 @@ def test_form_preserved_random_quad_matrices():
 def test_form_violation_rejected():
     with pytest.raises(ValueError):
         ActionMatrix(((2, 0), (0, 1)), ("H", "E"))
+    # flipping the sign of the off-diagonal entry (H, E1.0) keeps every
+    # diagonal entry of M^T J M and breaks only off-diagonal ones
+    m = quad_action_matrix(8, 8, 8)
+    rows = [list(r) for r in m.entries]
+    assert rows[0][1] == 1
+    rows[0][1] = -1
+    with pytest.raises(ValueError):
+        ActionMatrix(tuple(map(tuple, rows)), m.labels)
 
 
 def test_quad_888_charpoly_and_entropy(salem8):
@@ -135,12 +143,6 @@ def test_spectral_check_dim_cap():
     other = salem_from_orbit(OrbitData((2,), (1,)))
     with pytest.raises(PipelineFailed):
         spectral_check(m, other, dim_cap=None)
-
-
-def test_spectral_data_dim_cap():
-    m = tl_action_matrix(OrbitData((30,), (3,)))
-    with pytest.raises(MixedFactor):
-        spectral_data(m)
 
 
 def test_matrix_text_export_stable():

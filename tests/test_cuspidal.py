@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from siegelcert import cuspidal
 from siegelcert.balls import ComplexBall, Verdict, ball_in_interval
 from siegelcert.certifier import PointVerdict
 from siegelcert.cuspidal import (CurvePoint, CuspidalParams, QuadMap,
@@ -148,10 +149,12 @@ def test_fixed_point_records_verified(salem8_cert):
         assert rec.det.contains(par.delta)
 
 
-def test_fixed_point_residual_check_raises_typed_error(salem8_cert):
+def test_fixed_point_residual_check_raises_typed_error(salem8_cert,
+                                                       monkeypatch):
+    monkeypatch.setattr(cuspidal, "RESIDUAL_TOL", 1e-300)
     par = CuspidalParams(salem8_cert.circle_roots[0].center)
     with pytest.raises(CheckFailed, match="fixed-point residual"):
-        fixed_points_cuspidal(par, residual_tol=1e-300)
+        fixed_points_cuspidal(par)
 
 
 def test_s_value_reference_endpoints():
