@@ -18,6 +18,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+from .errors import BallDomainError
+
 # Relative rounding slop per operation (>> 2^-53 actual roundoff) and an
 # absolute floor that keeps radii positive without drowning tiny quantities.
 _EPS = 2.0 ** -46
@@ -134,7 +136,8 @@ class ComplexBall:
         a = abs(self.center)
         denom = a * a - self.radius * self.radius
         if denom <= _TINY or a <= self.radius:
-            raise _balldiv_error(self)
+            raise BallDomainError(
+                f"division through a ball containing 0: {self!r}")
         # center at the exact disk image; only the radius uses the shrunken
         # denominator (growing the disk), so no uncompensated center bias
         c = self.center.conjugate() / denom
@@ -167,7 +170,7 @@ class ComplexBall:
         """
         a = abs(self.center)
         if a <= self.radius + _TINY:
-            raise _ballsqrt_error(self)
+            raise BallDomainError(f"sqrt of a ball containing 0: {self!r}")
         c = cmath.sqrt(self.center)
         lo = (a - self.radius) * (1.0 - _EPS)
         r = self.radius / (2.0 * math.sqrt(lo))
@@ -175,16 +178,6 @@ class ComplexBall:
 
     def __repr__(self):
         return f"ComplexBall({self.center!r}, {self.radius:.3e})"
-
-
-def _balldiv_error(ball):
-    from .errors import BallDomainError
-    return BallDomainError(f"division through a ball containing 0: {ball!r}")
-
-
-def _ballsqrt_error(ball):
-    from .errors import BallDomainError
-    return BallDomainError(f"sqrt of a ball containing 0: {ball!r}")
 
 
 def ball_in_interval(x: ComplexBall, lo: float, hi: float) -> Verdict:
@@ -218,14 +211,3 @@ def certified_out_margin(x: ComplexBall, lo: float, hi: float) -> float:
     dx = max(lo - cx, 0.0, cx - hi)
     dist = math.hypot(dx, cy)
     return dist - x.radius * (1.0 + _EPS)
-
-
-def ball_on_unit_circle(x: ComplexBall, tol: float = 1e-6) -> bool:
-    """Whether the ball is a thin annulus slice around |z| = 1 (width <= tol).
-
-    This alone never *certifies* |z| = 1; the Salem module derives exact
-    unit-circle membership from the self-pairing of root balls under
-    z -> 1/conj(z).
-    """
-    lo, hi = x.abs_bounds()
-    return lo >= 1.0 - tol and hi <= 1.0 + tol

@@ -2,13 +2,16 @@
 
 A fixed point w of f_delta with |delta| = 1 certified gets the verdict
 SiegelCertified when its rotation number s = Tr^2/Det is certified inside
-[0,4], some Galois-conjugate fixed point (delta*, w*) with |delta*| = 1 has s
-certified outside [0,4], and delta is certified not a root of unity (Salem
-witness polynomial).  The conjugate with the outside s-value forces the
-eigenvalue ratio off the unit circle at the conjugate, which upgrades
-"eigenvalues on the circle" to "multiplicatively independent eigenvalues";
-transcendence theory then provides the Siegel disk, so multiplicative
-independence is the entire computable content of the certificate.
+[0,4] and some Galois-conjugate fixed point (delta*, w*) has s certified
+outside [0,4], where delta* is one of the unit-circle roots of the run's
+SalemCertificate.  Verdicts rest on that certificate alone: a root of a
+certified Salem polynomial is not a root of unity, so nothing here
+re-evaluates or re-certifies the polynomial.  The conjugate with the outside
+s-value forces the eigenvalue ratio off the unit circle at the conjugate,
+which upgrades "eigenvalues on the circle" to "multiplicatively independent
+eigenvalues"; transcendence theory then provides the Siegel disk, so
+multiplicative independence is the entire computable content of the
+certificate.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .balls import ComplexBall, Verdict, ball_in_interval, certified_out_margin
-from .errors import CheckFailed, WitnessMismatch
+from .errors import BallDomainError, CheckFailed, WitnessMismatch
 from .geometry import ProjectivePoint
 from .intpoly import IntPolynomial
 from .salem import SalemCertificate, is_salem
@@ -70,7 +73,6 @@ def record_from_jacobian(location: Location, coords: ProjectivePoint,
 
 
 def _safe_sqrt(ball: ComplexBall) -> ComplexBall:
-    from .errors import BallDomainError
     try:
         return ball.sqrt()
     except BallDomainError:
@@ -114,15 +116,19 @@ class CertifiedVerdict:
 
 def certify_fixed_point(rec: FixedPointRecord,
                         conjugates: list[tuple[ComplexBall, int, FixedPointRecord]],
-                        witness_poly: IntPolynomial,
+                        cert: SalemCertificate,
                         strict_ok: bool = True) -> CertifiedVerdict:
     """Verdict for one fixed point given its Galois-conjugate records.
 
     conjugates holds (delta*, index, record) triples for unit-circle conjugate
-    parameters; all fixed points of one map share them.  The curve-singular
-    fixed point is decided directly: its eigenvalue ratio is a primitive cube
-    root of unity, so the eigenvalues are multiplicatively dependent and no
-    Siegel disk can be centered there, even though its s-value is 1.
+    parameters; all fixed points of one map share them.  A conjugate is a
+    witness when its s is CertifiedOut of [0,4]; the certified distance only
+    ranks witnesses.  The chosen witness's delta* must be one of
+    cert.circle_roots, which proves it is not a root of unity; any other
+    value raises WitnessMismatch.  The curve-singular fixed point is decided
+    directly: its eigenvalue ratio is a primitive cube root of unity, so the
+    eigenvalues are multiplicatively dependent and no Siegel disk can be
+    centered there, even though its s-value is 1.
     """
     if rec.location is Location.CURVE_SINGULAR:
         return CertifiedVerdict(PointVerdict.NOT_ROTATION,
@@ -139,15 +145,17 @@ def certify_fixed_point(rec: FixedPointRecord,
     for delta_star, idx, conj in conjugates:
         if conj.location is Location.CURVE_SINGULAR:
             continue
+        if ball_in_interval(conj.s, 0.0, 4.0) is not Verdict.CERTIFIED_OUT:
+            continue
         margin = certified_out_margin(conj.s, 0.0, 4.0)
-        if margin > 0 and (best is None or margin > best.margin):
+        if best is None or margin > best.margin:
             best = Witness(delta_star, idx, margin)
     if best is None:
         return CertifiedVerdict(PointVerdict.INCONCLUSIVE,
                                 note="no conjugate with s outside [0,4]")
-    if not not_root_of_unity(best.delta, witness_poly):
-        return CertifiedVerdict(PointVerdict.INCONCLUSIVE,
-                                note="witness polynomial is not Salem")
+    if best.delta not in cert.circle_roots:
+        raise WitnessMismatch(
+            f"witness delta {best.delta.center} is not a certified circle root")
     return CertifiedVerdict(PointVerdict.SIEGEL_CERTIFIED, witness=best)
 
 
@@ -180,7 +188,7 @@ def certify_sections(cert: SalemCertificate, records_per_root,
                 conjugates += [(other, j * len(recs) + p, rec)
                                for p, rec in enumerate(recs)]
         recs = list(records_per_root[i])
-        verdicts = [certify_fixed_point(rec, conjugates, cert.poly, strict_ok)
+        verdicts = [certify_fixed_point(rec, conjugates, cert, strict_ok)
                     for rec in recs]
         sections.append(RootSection(delta, recs, verdicts))
     return sections
@@ -198,11 +206,8 @@ class StrictEvidence:
 class CertificationReport:
     family: str
     parameters: dict
-    salem_poly: IntPolynomial
     salem_cert: SalemCertificate
-    entropy: float
-    sections: list[RootSection]
-    principal: int                      # index of the headline section
+    sections: list[RootSection]         # sections[0] is the headline one
     matrix_info: dict = field(default_factory=dict)
     strict_evidence: StrictEvidence | None = None
     siegel_cap: int | None = None       # hard upper bound on certified centers
@@ -216,8 +221,12 @@ class CertificationReport:
                         f"certified {n} Siegel centers, cap is {self.siegel_cap}")
 
     @property
+    def entropy(self) -> float:
+        return self.salem_cert.entropy
+
+    @property
     def principal_section(self) -> RootSection:
-        return self.sections[self.principal]
+        return self.sections[0]
 
     @property
     def has_inconclusive(self) -> bool:

@@ -20,6 +20,7 @@ that double precision cannot decide is a BoundaryUndecidable error (exit 1).
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 
 from .certifier import CertificationReport
@@ -143,7 +144,6 @@ def main(argv: list[str] | None = None) -> int:
             _emit(m.to_text(), args.out)
             return 0
     except (SiegelcertError, ValueError) as exc:
-        import json
         sys.stdout.write(json.dumps(
             {"error": {"stage": type(exc).__name__, "message": str(exc)}},
             sort_keys=True, indent=2) + "\n")

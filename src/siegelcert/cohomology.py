@@ -253,25 +253,25 @@ def delta_eigen_check(m: ActionMatrix, delta) -> ComplexBall:
 @dataclass(frozen=True)
 class SpectralCheck:
     matrix_info: dict               # dim, trace and fixed-point bound
-    entropy: float
     data: SpectralData | None       # None when the dimension exceeded the cap
 
 
 def spectral_check(m: ActionMatrix, cert: SalemCertificate,
                    dim_cap: int | None = CHARPOLY_DIM_CAP) -> SpectralCheck:
-    """Matrix data and entropy for a report whose Salem factor is cert.poly.
+    """Matrix data for a report whose Salem factor is cert.poly.
 
     Up to dim_cap (None: every dimension) the exact characteristic polynomial
-    must split off exactly cert.poly, and the entropy comes from it; above
-    the cap the entropy is the certificate's and nothing is cross-checked.
-    This is the only place the cap is read: it bounds the Faddeev-LeVerrier
-    cost of per-item runs, while theorem1 passes None.
+    must split off exactly cert.poly (else PipelineFailed), so the report's
+    entropy, cert.entropy, is the action's; above the cap nothing is
+    cross-checked and data is None.  This is the only place the cap is read:
+    it bounds the Faddeev-LeVerrier cost of per-item runs, while theorem1
+    passes None.
     """
     info = {"dim": m.dim, "trace": m.trace(), "bound": fixed_point_bound(m)}
     if dim_cap is not None and m.dim > dim_cap:
-        return SpectralCheck(info, cert.entropy, None)
+        return SpectralCheck(info, None)
     sd = spectral_data(m)
     if sd.salem_part != cert.poly:
         raise PipelineFailed("spectral_data", "action-matrix Salem factor "
                              "differs from the orbit's Salem polynomial")
-    return SpectralCheck(info, sd.entropy, sd)
+    return SpectralCheck(info, sd)

@@ -23,7 +23,7 @@ from .certifier import (CertificationReport, FixedPointRecord, Location,
                         StrictEvidence, certify_sections, record_from_jacobian)
 from .cohomology import quad_action_matrix, spectral_check
 from .errors import (CheckFailed, DegenerateTau, Indeterminate, NoSalemFactor,
-                     NoUnitCircleRoots, PoleAtTau)
+                     PoleAtTau)
 from .geometry import ProjectivePoint, chart_jacobian
 from .intpoly import IntPolynomial, resultant, strip_cyclotomic
 from .salem import is_salem
@@ -276,8 +276,6 @@ def certify_cuspidal(n: int, strict: bool = False,
     if not cert:
         raise NoSalemFactor(f"non-cyclotomic part fails the Salem pattern: "
                             f"{cert.reason}")
-    if not cert.circle_roots:
-        raise NoUnitCircleRoots(f"no certified unit-circle roots at n={n}")
 
     evidence = None
     strict_ok = True
@@ -294,11 +292,8 @@ def certify_cuspidal(n: int, strict: bool = False,
     return CertificationReport(
         family="cuspidal",
         parameters={"n": n, "strict": strict},
-        salem_poly=salem,
         salem_cert=cert,
-        entropy=spectral.entropy,
         sections=sections,
-        principal=0,
         matrix_info=spectral.matrix_info,
         strict_evidence=evidence,
         siegel_cap=2,

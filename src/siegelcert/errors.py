@@ -54,10 +54,6 @@ class NoSalemFactor(SiegelcertError):
     """Polynomial has no Salem factor after cyclotomic stripping."""
 
 
-class NoUnitCircleRoots(SiegelcertError):
-    """Salem factor has no certified unit-circle roots."""
-
-
 # ---- three-lines family ----
 
 class PoleInFormula(SiegelcertError):
@@ -103,7 +99,8 @@ class MixedFactor(SiegelcertError):
 
 
 class WitnessMismatch(SiegelcertError):
-    """Claimed witness polynomial does not vanish at the given value."""
+    """A witness value is not a certified unit-circle root of the run's Salem
+    certificate, or a claimed witness polynomial does not vanish there."""
 
 
 class ChartFailure(SiegelcertError):

@@ -49,14 +49,6 @@ class ProjectivePoint:
         mags = [abs(c) for c in self.coords]
         return mags.index(max(mags))
 
-    def is_affine(self, tol: float = 1e-12) -> bool:
-        return abs(self.z) > tol
-
-    def to_affine(self) -> tuple[complex, complex]:
-        if self.z == 0:
-            raise ZeroDivisionError("point at infinity")
-        return (self.x / self.z, self.y / self.z)
-
     def distance(self, other: "ProjectivePoint") -> float:
         """Chordal distance: norm of the cross product of unit representatives."""
         p, q = self.coords, other.coords

@@ -9,7 +9,9 @@ wraps honest conversion error for coefficients beyond 2^53.
 
 from __future__ import annotations
 
+import cmath
 import functools
+import math
 from dataclasses import dataclass
 
 from .balls import ComplexBall
@@ -111,7 +113,6 @@ class IntPolynomial:
         return IntPolynomial(tuple(reversed(self.coeffs)))
 
     def content(self) -> int:
-        import math
         g = 0
         for c in self.coeffs:
             g = math.gcd(g, abs(c))
@@ -248,7 +249,6 @@ def _unity_root_screen(p: IntPolynomial, k: int) -> bool:
     """Fast necessary condition for cyclotomic(k) | p: p nearly vanishes at a
     primitive k-th root of unity.  Degrees or coefficients too large for a
     trustworthy float evaluation pass the screen unconditionally."""
-    import cmath
     if p.degree > 4096 or max(abs(c) for c in p.coeffs) > 2 ** 48:
         return True
     z = cmath.exp(2j * cmath.pi / k)

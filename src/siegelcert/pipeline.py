@@ -20,10 +20,11 @@ from .certifier import (CertificationReport, Location, PointVerdict, RootSection
                         certify_fixed_point, certify_sections)
 from .cohomology import spectral_check, tl_action_matrix
 from .cuspidal import certify_cuspidal
-from .errors import BudgetExhausted, PipelineFailed, SiegelcertError
-from .threelines import (ApproxResult, a_value, approx_parameters, b_value,
-                         construct_c0, construct_cstar, fixed_points_tl,
-                         orbit_verify)
+from .errors import (BudgetExhausted, OrbitCollision, PipelineFailed,
+                     SiegelcertError)
+from .threelines import (ApproxResult, a_value, ab_from_delta, approx_parameters,
+                         b_value, construct_c0, construct_cstar, fixed_points_tl,
+                         orbit_verify, salem_from_orbit)
 
 D0_TARGET = 0.96  # first design determinant tried for the all-inside target
 DEFAULT_EPS = 1.6
@@ -91,8 +92,6 @@ def certify_three_lines(orbit, strict: bool = False,
     other unit-circle roots' fixed points.  workers is accepted and ignored:
     every run is single-threaded.
     """
-    from .errors import OrbitCollision
-    from .threelines import ab_from_delta, salem_from_orbit
     cert = salem_from_orbit(orbit)
 
     strict_ok = True
@@ -118,11 +117,8 @@ def certify_three_lines(orbit, strict: bool = False,
         family="three_lines",
         parameters={"m": list(orbit.m), "n": list(orbit.n), "N": orbit.N,
                     "strict": strict},
-        salem_poly=cert.poly,
         salem_cert=cert,
-        entropy=spectral.entropy,
         sections=sections,
-        principal=0,
         matrix_info=spectral.matrix_info,
         strict_evidence=evidence,
     )
@@ -198,20 +194,19 @@ def _report_from_candidate(k: int, cand: _Candidate,
     approx = cand.approx
     n = approx.orbit.N
     cert = approx.salem_cert
-    salem = cert.poly
 
     evidence = None
     strict_ok = True
     if strict:
         from .strictmode import three_lines_strict_evidence
-        evidence = three_lines_strict_evidence(salem, approx.orbit)
+        evidence = three_lines_strict_evidence(cert.poly, approx.orbit)
         strict_ok = evidence.irreducible
 
     conjugates = [(approx.delta_star, i, rec)
                   for i, rec in enumerate(cand.records_star)]
-    verdicts0 = [certify_fixed_point(rec, conjugates, salem, strict_ok)
+    verdicts0 = [certify_fixed_point(rec, conjugates, cert, strict_ok)
                  for rec in cand.records0]
-    verdicts_star = [certify_fixed_point(rec, [], salem, strict_ok)
+    verdicts_star = [certify_fixed_point(rec, [], cert, strict_ok)
                      for rec in cand.records_star]
     sections = [RootSection(approx.delta0, cand.records0, verdicts0),
                 RootSection(approx.delta_star, cand.records_star, verdicts_star)]
@@ -229,9 +224,6 @@ def _report_from_candidate(k: int, cand: _Candidate,
     matrix_info = dict(spectral.matrix_info,
                        salem_degree=spectral.data.salem_part.degree,
                        cyclotomic_factors=list(spectral.data.cyclo_parts))
-    entropy = spectral.entropy
-    if entropy <= 0:
-        raise PipelineFailed("entropy", f"entropy {entropy} not positive")
     if matrix_info["bound"] != len(cand.records0):
         raise PipelineFailed("fixed_point_bound",
                              f"bound {matrix_info['bound']} != fixed point "
@@ -245,11 +237,8 @@ def _report_from_candidate(k: int, cand: _Candidate,
             "orbit_residual0": cand.orbit_report0.max_residual,
             "orbit_residual_star": cand.orbit_report_star.max_residual,
         },
-        salem_poly=salem,
         salem_cert=cert,
-        entropy=entropy,
         sections=sections,
-        principal=0,
         matrix_info=matrix_info,
         strict_evidence=evidence,
     )

@@ -89,13 +89,13 @@ def report_to_dict(report: CertificationReport, config: RunConfig) -> dict:
         "family": report.family,
         "parameters": _plain(report.parameters),
         "salem": {
-            "coeffs": [int(c) for c in report.salem_poly.coeffs],
+            "coeffs": [int(c) for c in cert.poly.coeffs],
             "roots": roots,
             "lambda": ball(cert.lam),
-            "entropy": report.entropy,
+            "entropy": cert.entropy,
         },
         "sections": [{"delta": ball(sec.delta)} for sec in report.sections],
-        "principal": report.principal,
+        "principal": 0,
         "fixed_points": fixed_points,
         "verdicts": verdicts,
         "matrix": report.matrix_info,

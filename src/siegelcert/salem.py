@@ -43,8 +43,6 @@ class SalemCertificate:
     lam: ComplexBall                      # the root with |.| > 1 (real)
     inv_lam: ComplexBall                  # its reciprocal partner
     circle_roots: tuple[ComplexBall, ...]  # certified |z| = 1, sorted by argument
-    n_circle_roots: int
-    reciprocal: bool
     poly: IntPolynomial
 
     def __bool__(self):
@@ -113,7 +111,5 @@ def is_salem(p: IntPolynomial) -> SalemCertificate | SalemRejection:
         lam=lam,
         inv_lam=inside[0],
         circle_roots=tuple(sort_roots(straddle)),
-        n_circle_roots=len(straddle),
-        reciprocal=True,
         poly=p,
     )

@@ -27,9 +27,11 @@ import math
 from dataclasses import dataclass
 
 from .balls import ComplexBall, Verdict, ball_in_interval
-from .certifier import (FixedPointRecord, Location, record_from_jacobian)
-from .errors import (BudgetExhausted, CheckFailed, DegenerateSpectrum,
-                     Indeterminate, NoSalemFactor, OffUnitCircle,
+from .certifier import (FixedPointRecord, Location, _safe_sqrt,
+                        record_from_jacobian)
+from .errors import (BoundaryUndecidable, BudgetExhausted, CheckFailed,
+                     ClusterUnresolved, DegenerateSpectrum, Indeterminate,
+                     NonConvergence, NoSalemFactor, OffUnitCircle,
                      PerturbationFailed, PoleAtParameter, PoleHit, PoleInFormula,
                      SearchFailed)
 from .geometry import ProjectivePoint, chart_jacobian
@@ -568,7 +570,6 @@ def fixed_points_tl(params: ThreeLinesParams,
     for va, vb in zip(ab, bb):
         ratio = ratio * va / vb
     disc = (ratio - 2) * (ratio - 2) - 4
-    from .certifier import _safe_sqrt
     sq = _safe_sqrt(disc)
     half = ComplexBall.exact(0.5)
     ratio_in = realize and \
@@ -623,7 +624,6 @@ def infinity_eigen_data(delta, ratio: ComplexBall, on_circle: bool = False):
     """
     db = ComplexBall.exact(delta)
     disc = (ratio - 2) * (ratio - 2) - 4
-    from .certifier import _safe_sqrt
     sq = _safe_sqrt(disc)
     half = ComplexBall.exact(0.5)
     realize = on_circle and \
@@ -911,8 +911,6 @@ def approx_parameters(c0: ThreeLinesParams, cstar: ThreeLinesParams, eps: float,
     used_m: set[int] = set()
     m_head = _joint_pick(a_value, c0.a[:-1], cstar.a[:-1], d0, dstar,
                          used_m, rank=n_rank, window=window) if N > 1 else []
-
-    from .errors import BoundaryUndecidable, ClusterUnresolved, NonConvergence
 
     for mN in range(1, mN_cap + 1):
         if mN in used_m:

@@ -233,6 +233,15 @@ def test_criterion_10_theorem1_desk_scale(k):
     w0 = [v for rec, v in zip(sec.records, sec.verdicts)
           if rec.location is Location.CURVE_SINGULAR]
     assert len(w0) == 1 and w0[0].verdict is PointVerdict.NOT_ROTATION
+    # every witness is a non-singular fixed point over delta* whose s is
+    # CertifiedOut of [0,4]
+    star = rep.sections[1]
+    for v in sec.verdicts:
+        if v.verdict is PointVerdict.SIEGEL_CERTIFIED:
+            assert v.witness.delta == star.delta
+            conj = star.records[v.witness.point_index]
+            assert conj.location is not Location.CURVE_SINGULAR
+            assert ball_in_interval(conj.s, 0.0, 4.0) is Verdict.CERTIFIED_OUT
     assert rep.entropy > 0
     _report(10, f"k={k}: exactly {k} SiegelCertified, w0 NotRotation, "
                 f"entropy {rep.entropy:.4f} > 0, {elapsed:.1f}s < 300s")

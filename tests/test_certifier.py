@@ -87,46 +87,51 @@ def _record(s_center, s_radius=1e-12, location=Location.AFFINE_DIAGONAL):
                             ComplexBall.exact(2), one, s, eig)
 
 
-def test_certify_verdict_table(salem8, salem8_cert):
+def test_certify_verdict_table(salem8_cert):
     witness_delta = salem8_cert.circle_roots[2]
     out_conj = [(witness_delta, 0, _record(5.91))]
     in_conj = [(witness_delta, 0, _record(1.0))]
 
-    assert certify_fixed_point(_record(5.91), out_conj, salem8).verdict \
+    assert certify_fixed_point(_record(5.91), out_conj, salem8_cert).verdict \
         is PointVerdict.NOT_ROTATION
-    v = certify_fixed_point(_record(2.0), out_conj, salem8)
+    v = certify_fixed_point(_record(2.0), out_conj, salem8_cert)
     assert v.verdict is PointVerdict.SIEGEL_CERTIFIED
     assert v.witness is not None and v.witness.margin > 1.5
-    assert certify_fixed_point(_record(2.0), in_conj, salem8).verdict \
+    assert certify_fixed_point(_record(2.0), in_conj, salem8_cert).verdict \
         is PointVerdict.INCONCLUSIVE
-    assert certify_fixed_point(_record(2.0), [], salem8).verdict \
+    assert certify_fixed_point(_record(2.0), [], salem8_cert).verdict \
         is PointVerdict.INCONCLUSIVE
     # boundary-straddling rotation number
-    assert certify_fixed_point(_record(4.0, 1e-3), out_conj, salem8).verdict \
+    assert certify_fixed_point(_record(4.0, 1e-3), out_conj, salem8_cert).verdict \
+        is PointVerdict.INCONCLUSIVE
+    # a conjugate s with a positive distance margin that ball_in_interval
+    # still calls Unknown is no witness
+    near_conj = [(witness_delta, 0, _record(4 + 1e-3 + 1e-15, 1e-3))]
+    assert certify_fixed_point(_record(2.0), near_conj, salem8_cert).verdict \
         is PointVerdict.INCONCLUSIVE
     # strict-mode failure downgrades instead of blocking
-    assert certify_fixed_point(_record(2.0), out_conj, salem8,
+    assert certify_fixed_point(_record(2.0), out_conj, salem8_cert,
                                strict_ok=False).verdict \
         is PointVerdict.INCONCLUSIVE
     # the singular point of the invariant curve is never a rotation
     assert certify_fixed_point(_record(1.0, location=Location.CURVE_SINGULAR),
-                               out_conj, salem8).verdict \
+                               out_conj, salem8_cert).verdict \
         is PointVerdict.NOT_ROTATION
 
 
-def test_certify_picks_max_margin_witness(salem8, salem8_cert):
+def test_certify_picks_max_margin_witness(salem8_cert):
     d1 = salem8_cert.circle_roots[1]
     d2 = salem8_cert.circle_roots[2]
     conj = [(d1, 0, _record(13.85)), (d2, 1, _record(31.78))]
-    v = certify_fixed_point(_record(2.0), conj, salem8)
+    v = certify_fixed_point(_record(2.0), conj, salem8_cert)
     assert v.witness.delta is d2 and v.witness.point_index == 1
 
 
-def test_cyclotomic_witness_never_certifies():
+def test_witness_outside_circle_roots_raises(salem8_cert):
+    # a root of unity (cyclotomic(5)) is not a certified circle root
     z = ComplexBall.exact(cmath.exp(2j * cmath.pi / 5))
-    conj = [(z, 0, _record(6.0))]
-    v = certify_fixed_point(_record(2.0), conj, cyclotomic(5))
-    assert v.verdict is PointVerdict.INCONCLUSIVE
+    with pytest.raises(WitnessMismatch):
+        certify_fixed_point(_record(2.0), [(z, 0, _record(6.0))], salem8_cert)
 
 
 def test_report_counts_sum(salem8_cert):
