@@ -121,7 +121,8 @@ def certify_fixed_point(rec: FixedPointRecord,
     """Verdict for one fixed point given its Galois-conjugate records.
 
     conjugates holds (delta*, index, record) triples for unit-circle conjugate
-    parameters; all fixed points of one map share them.  A conjugate is a
+    parameters, index being the record's index among the fixed points over
+    delta*; all fixed points of one map share them.  A conjugate is a
     witness when its s is CertifiedOut of [0,4]; the certified distance only
     ranks witnesses.  The chosen witness's delta* must be one of
     cert.circle_roots, which proves it is not a root of unity; any other
@@ -171,35 +172,36 @@ class RootSection:
         return sum(1 for v in self.verdicts if v.verdict is verdict)
 
 
-def certify_sections(cert: SalemCertificate, records_per_root,
-                     strict_ok: bool = True) -> list[RootSection]:
-    """One RootSection per unit-circle root of cert, with verdicts for its
-    records_per_root entry.
-
-    The conjugates of a root are the fixed points over every other root;
-    record p over root j gets witness index j * len(records_per_root[j]) + p.
-    """
-    roots = cert.circle_roots
-    sections = []
-    for i, delta in enumerate(roots):
-        conjugates = []
-        for j, (other, recs) in enumerate(zip(roots, records_per_root)):
-            if j != i:
-                conjugates += [(other, j * len(recs) + p, rec)
-                               for p, rec in enumerate(recs)]
-        recs = list(records_per_root[i])
-        verdicts = [certify_fixed_point(rec, conjugates, cert, strict_ok)
-                    for rec in recs]
-        sections.append(RootSection(delta, recs, verdicts))
-    return sections
-
-
 @dataclass
 class StrictEvidence:
     resultant_degree: int          # degree of the raw eliminated resultant
     candidate_degree: int          # degree of its squarefree part
     prime: int | None
     irreducible: bool
+
+
+def certify_sections(cert: SalemCertificate, records_by_root: dict,
+                     evidence: StrictEvidence | None) -> list[RootSection]:
+    """One RootSection per key of records_by_root, in insertion order, with
+    verdicts for that root's records.
+
+    Keys are unit-circle roots of cert.  The conjugates of a root are the
+    records over every other key; a witness's point_index is the index of its
+    record inside the witness root's own section.  evidence is the run's
+    strict-mode evidence (None outside strict mode); when it fails, every
+    in-range verdict is Inconclusive.
+    """
+    strict_ok = evidence is None or evidence.irreducible
+    roots = list(records_by_root.items())
+    sections = []
+    for i, (delta, recs) in enumerate(roots):
+        conjugates = [(other, p, rec)
+                      for j, (other, others) in enumerate(roots) if j != i
+                      for p, rec in enumerate(others)]
+        verdicts = [certify_fixed_point(rec, conjugates, cert, strict_ok)
+                    for rec in recs]
+        sections.append(RootSection(delta, list(recs), verdicts))
+    return sections
 
 
 @dataclass

@@ -247,8 +247,7 @@ def abscissa_resultant(salem: IntPolynomial) -> IntPolynomial:
     return resultant(salem, q_by_power).primitive_positive()
 
 
-def strict_mode_evidence(salem: IntPolynomial,
-                         prime_budget: int = 25) -> StrictEvidence:
+def strict_mode_evidence(salem: IntPolynomial) -> StrictEvidence:
     """Mod-p irreducibility evidence for the eliminated abscissa polynomial.
 
     The raw resultant is a square (delta and 1/delta share the same fixed
@@ -258,7 +257,7 @@ def strict_mode_evidence(salem: IntPolynomial,
     stand-in for conjugacy of all (delta, fixed point) pairs; failure at every
     prime is recorded, not fatal.
     """
-    return squarefree_evidence(abscissa_resultant(salem), prime_budget)
+    return squarefree_evidence(abscissa_resultant(salem))
 
 
 def certify_cuspidal(n: int, strict: bool = False,
@@ -277,16 +276,12 @@ def certify_cuspidal(n: int, strict: bool = False,
         raise NoSalemFactor(f"non-cyclotomic part fails the Salem pattern: "
                             f"{cert.reason}")
 
-    evidence = None
-    strict_ok = True
-    if strict:
-        evidence = strict_mode_evidence(salem)
-        strict_ok = evidence.irreducible
-
+    evidence = strict_mode_evidence(salem) if strict else None
     # |delta| = 1 certified by the Salem pattern, so tau is exactly real
-    records = [_records_for_delta(delta, (delta + delta.inverse()).realize_real())
-               for delta in cert.circle_roots]
-    sections = certify_sections(cert, records, strict_ok)
+    records = {delta: _records_for_delta(delta,
+                                         (delta + delta.inverse()).realize_real())
+               for delta in cert.circle_roots}
+    sections = certify_sections(cert, records, evidence)
     spectral = spectral_check(quad_action_matrix(n, n, n), cert)
 
     return CertificationReport(

@@ -21,7 +21,8 @@ class ClusterUnresolved(SiegelcertError):
 
 
 class BoundaryUndecidable(SiegelcertError):
-    """A root ball straddles the unit circle; tighten the tolerance and retry."""
+    """A root ball straddles the unit circle: double precision cannot decide
+    the Salem root pattern, and the run exits 1."""
 
 
 class DegreeOverflow(SiegelcertError):

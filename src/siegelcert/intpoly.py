@@ -505,10 +505,10 @@ def _prime_divisors(n: int) -> list[int]:
     return out
 
 
-def admissible_primes(poly: IntPolynomial, count: int, start: int = 2) -> list[int]:
+def admissible_primes(poly: IntPolynomial, count: int) -> list[int]:
     """First `count` primes not dividing the leading coefficient."""
     out = []
-    n = max(2, start)
+    n = 2
     lead = abs(poly.coeffs[-1])
     while len(out) < count:
         if _is_prime(n) and lead % n != 0:

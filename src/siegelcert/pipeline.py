@@ -15,16 +15,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .balls import ComplexBall, Verdict, ball_in_interval
-from .certifier import (CertificationReport, Location, PointVerdict, RootSection,
-                        certify_fixed_point, certify_sections)
+from . import strictmode
+from .balls import Verdict, ball_in_interval
+# certify_fixed_point is not called here; perfbench's tracer tests check
+# that it stays bound in this module
+from .certifier import (CertificationReport, Location, PointVerdict,
+                        certify_fixed_point, certify_sections)  # noqa: F401
 from .cohomology import spectral_check, tl_action_matrix
 from .cuspidal import certify_cuspidal
 from .errors import (BudgetExhausted, OrbitCollision, PipelineFailed,
                      SiegelcertError)
-from .threelines import (ApproxResult, a_value, ab_from_delta, approx_parameters,
-                         b_value, construct_c0, construct_cstar, fixed_points_tl,
-                         orbit_verify, salem_from_orbit)
+from .threelines import (ApproxResult, ab_from_delta, approx_parameters,
+                         construct_c0, construct_cstar, fixed_points_tl,
+                         orbit_verify, param_balls, salem_from_orbit)
 
 D0_TARGET = 0.96  # first design determinant tried for the all-inside target
 DEFAULT_EPS = 1.6
@@ -40,22 +43,6 @@ class _Candidate:
     orbit_report_star: object
 
 
-def _param_balls(delta: ComplexBall, orbit):
-    """Parameter enclosures at a certified unit-circle root.
-
-    |delta| = 1 exactly makes every a_k(delta), b_k(delta) real (they reduce
-    to real trigonometric expressions), so the balls are realized."""
-    a = [a_value(delta, mi).realize_real() for mi in orbit.m]
-    b = [b_value(delta, nj).realize_real() for nj in orbit.n]
-    return a, b
-
-
-def _records_at(delta: ComplexBall, params, orbit):
-    a_balls, b_balls = _param_balls(delta, orbit)
-    return fixed_points_tl(params, delta_ball=delta,
-                           a_balls=a_balls, b_balls=b_balls, on_circle=True)
-
-
 def _pattern_holds(records, want: Verdict) -> bool:
     for rec in records:
         if rec.location is Location.CURVE_SINGULAR:
@@ -66,18 +53,22 @@ def _pattern_holds(records, want: Verdict) -> bool:
 
 
 def _try_candidate(approx: ApproxResult) -> _Candidate | None:
+    """The certification gate, cheapest check first: the In-pattern at
+    delta0, the Out-pattern at delta*, then both orbit verifications."""
+    orbit = approx.orbit
     try:
-        rep0 = orbit_verify(approx.params0, approx.orbit)
-        rep_star = orbit_verify(approx.params_star, approx.orbit)
-        if not (rep0.passed and rep_star.passed):
+        recs0 = fixed_points_tl(approx.params0, param_balls(approx.delta0, orbit))
+        if not _pattern_holds(recs0, Verdict.CERTIFIED_IN):
             return None
-        recs0 = _records_at(approx.delta0, approx.params0, approx.orbit)
-        recs_star = _records_at(approx.delta_star, approx.params_star, approx.orbit)
+        recs_star = fixed_points_tl(approx.params_star,
+                                    param_balls(approx.delta_star, orbit))
+        if not _pattern_holds(recs_star, Verdict.CERTIFIED_OUT):
+            return None
+        rep0 = orbit_verify(approx.params0, orbit)
+        rep_star = orbit_verify(approx.params_star, orbit)
     except SiegelcertError:
         return None
-    if not _pattern_holds(recs0, Verdict.CERTIFIED_IN):
-        return None
-    if not _pattern_holds(recs_star, Verdict.CERTIFIED_OUT):
+    if not (rep0.passed and rep_star.passed):
         return None
     return _Candidate(approx, recs0, recs_star, rep0, rep_star)
 
@@ -93,15 +84,9 @@ def certify_three_lines(orbit, strict: bool = False,
     every run is single-threaded.
     """
     cert = salem_from_orbit(orbit)
-
-    strict_ok = True
-    evidence = None
-    if strict:
-        from .strictmode import three_lines_strict_evidence
-        evidence = three_lines_strict_evidence(cert.poly, orbit)
-        strict_ok = evidence.irreducible
-
-    records = []
+    evidence = (strictmode.three_lines_strict_evidence(cert.poly, orbit)
+                if strict else None)
+    records = {}
     for root in cert.circle_roots:
         params = ab_from_delta(root.center, orbit)
         rep = orbit_verify(params, orbit)
@@ -110,8 +95,8 @@ def certify_three_lines(orbit, strict: bool = False,
                 f"orbit conditions failed at root {root.center:.6f}: "
                 f"max residual {rep.max_residual:.2e}, "
                 f"{len(rep.collisions)} collision(s)")
-        records.append(_records_at(root, params, orbit))
-    sections = certify_sections(cert, records, strict_ok)
+        records[root] = fixed_points_tl(params, param_balls(root, orbit))
+    sections = certify_sections(cert, records, evidence)
     spectral = spectral_check(tl_action_matrix(orbit), cert)
     return CertificationReport(
         family="three_lines",
@@ -195,27 +180,18 @@ def _report_from_candidate(k: int, cand: _Candidate,
     n = approx.orbit.N
     cert = approx.salem_cert
 
-    evidence = None
-    strict_ok = True
-    if strict:
-        from .strictmode import three_lines_strict_evidence
-        evidence = three_lines_strict_evidence(cert.poly, approx.orbit)
-        strict_ok = evidence.irreducible
+    evidence = (strictmode.three_lines_strict_evidence(cert.poly, approx.orbit)
+                if strict else None)
+    sections = certify_sections(cert, {approx.delta0: cand.records0,
+                                       approx.delta_star: cand.records_star},
+                                evidence)
 
-    conjugates = [(approx.delta_star, i, rec)
-                  for i, rec in enumerate(cand.records_star)]
-    verdicts0 = [certify_fixed_point(rec, conjugates, cert, strict_ok)
-                 for rec in cand.records0]
-    verdicts_star = [certify_fixed_point(rec, [], cert, strict_ok)
-                     for rec in cand.records_star]
-    sections = [RootSection(approx.delta0, cand.records0, verdicts0),
-                RootSection(approx.delta_star, cand.records_star, verdicts_star)]
-
-    certified = sections[0].count(PointVerdict.SIEGEL_CERTIFIED)
-    if strict_ok and certified != k:
+    principal = sections[0]
+    certified = principal.count(PointVerdict.SIEGEL_CERTIFIED)
+    if (evidence is None or evidence.irreducible) and certified != k:
         raise PipelineFailed("certification",
                              f"expected {k} certified centers, got {certified}")
-    w0_verdicts = [v for rec, v in zip(cand.records0, verdicts0)
+    w0_verdicts = [v for rec, v in zip(principal.records, principal.verdicts)
                    if rec.location is Location.CURVE_SINGULAR]
     if len(w0_verdicts) != 1 or w0_verdicts[0].verdict is not PointVerdict.NOT_ROTATION:
         raise PipelineFailed("certification", "singular point not NotRotation")

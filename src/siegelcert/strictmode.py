@@ -17,6 +17,8 @@ from .intpoly import (IntPolynomial, admissible_primes, irreducible_mod_p,
                       resultant, squarefree_part, x_pow_minus_one,
                       x_pow_plus_one)
 
+PRIME_BUDGET = 25  # admissible primes tried before the evidence fails
+
 
 class _BivarX:
     """Polynomial in x whose coefficients live in Z[delta]."""
@@ -96,23 +98,21 @@ def abscissa_resultant_tl(salem: IntPolynomial, orbit) -> IntPolynomial:
     return eliminated.primitive_positive()
 
 
-def three_lines_strict_evidence(salem: IntPolynomial, orbit,
-                                prime_budget: int = 25) -> StrictEvidence:
+def three_lines_strict_evidence(salem: IntPolynomial, orbit) -> StrictEvidence:
     """Mod-p irreducibility evidence for the eliminated abscissa polynomial.
 
     As in the cuspidal case the minimal-polynomial candidate is the squarefree
     part of the resultant (reciprocal pairs of delta-roots produce repeated
     abscissa factors)."""
-    return squarefree_evidence(abscissa_resultant_tl(salem, orbit), prime_budget)
+    return squarefree_evidence(abscissa_resultant_tl(salem, orbit))
 
 
-def squarefree_evidence(eliminated: IntPolynomial,
-                        prime_budget: int = 25) -> StrictEvidence:
+def squarefree_evidence(eliminated: IntPolynomial) -> StrictEvidence:
     """Evidence from a delta-eliminated resultant: its squarefree part, and
-    the first admissible prime (of prime_budget) modulo which that part is
+    the first of PRIME_BUDGET admissible primes modulo which that part is
     irreducible, if any."""
     candidate = squarefree_part(eliminated)
-    for p in admissible_primes(candidate, prime_budget):
+    for p in admissible_primes(candidate, PRIME_BUDGET):
         if irreducible_mod_p(candidate, p):
             return StrictEvidence(eliminated.degree, candidate.degree, p, True)
     return StrictEvidence(eliminated.degree, candidate.degree, None, False)

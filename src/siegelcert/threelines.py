@@ -515,32 +515,42 @@ def _realized_record(rec: FixedPointRecord) -> FixedPointRecord:
                             rec.s.realize_real(), rec.eigenvalues)
 
 
+def param_balls(root: ComplexBall, orbit: OrbitData):
+    """(delta, a_balls, b_balls) at a certified unit-circle root: the balls
+    argument of fixed_points_tl.
+
+    |delta| = 1 exactly makes every a_k(delta), b_k(delta) real (they reduce
+    to real trigonometric expressions), so the parameter balls are realized."""
+    return (root, [a_value(root, mi).realize_real() for mi in orbit.m],
+            [b_value(root, nj).realize_real() for nj in orbit.n])
+
+
 def fixed_points_tl(params: ThreeLinesParams,
-                    delta_ball: ComplexBall | None = None,
-                    a_balls=None, b_balls=None,
-                    on_circle: bool = False) -> list[FixedPointRecord]:
+                    balls=None) -> list[FixedPointRecord]:
     """All N+3 isolated fixed points with certified derivative data.
 
     Order: the singular point of the line triple, the N affine diagonal
     points (sorted by abscissa), then the two points on the line at infinity.
-    When delta_ball (and optionally parameter balls) are given, every record
-    is certified relative to those enclosures; otherwise the plain parameter
-    values are treated as exact.
+    Without balls the plain parameter values are treated as exact.
 
-    on_circle asserts that |delta| = 1 holds exactly (certified upstream, e.g.
-    Salem circle roots) and that the parameter balls enclose real values.  In
-    that case the rotation numbers that are provably real get exactly real
-    ball centers: always at the singular point (s = 1 identically), at affine
-    points whose abscissa is certified real by conjugate pairing, and at the
-    infinity points when beta0/alpha0 is certified inside [0, 4].
+    balls is param_balls(root, orbit) at a certified unit-circle root
+    (|delta| = 1 exactly, real parameters).  Every record is then certified
+    relative to those enclosures, and the rotation numbers that are provably
+    real get exactly real ball centers: at affine points whose abscissa is
+    certified real by conjugate pairing, and at the infinity points when
+    beta0/alpha0 is certified inside [0, 4].  As a soundness guard nothing is
+    realized when a parameter ball has a non-real center.  The singular point
+    (s = 1 identically) is realized in every case.
     """
-    db = delta_ball if delta_ball is not None else ComplexBall.exact(params.delta)
-    ab = a_balls if a_balls is not None else [ComplexBall.exact(v) for v in params.a]
-    bb = b_balls if b_balls is not None else [ComplexBall.exact(v) for v in params.b]
+    if balls is None:
+        db = ComplexBall.exact(params.delta)
+        ab = [ComplexBall.exact(v) for v in params.a]
+        bb = [ComplexBall.exact(v) for v in params.b]
+        realize = False
+    else:
+        db, ab, bb = balls
+        realize = all(b.center.imag == 0.0 for b in [*ab, *bb])
     tlm_ball = TLMap.ball_map(db, ab, bb)
-    params_real = all(b.center.imag == 0.0 for b in ab) and \
-        all(b.center.imag == 0.0 for b in bb)
-    realize = on_circle and params_real
 
     w0 = record_from_jacobian(
         Location.CURVE_SINGULAR, ProjectivePoint(0, 0, 1),
@@ -566,16 +576,12 @@ def fixed_points_tl(params: ThreeLinesParams,
         records.append(rec)
 
     # infinity points: alpha0 x^2 + delta (2 alpha0 - beta0) x + alpha0 delta^2
-    ratio = ComplexBall.exact(1)
-    for va, vb in zip(ab, bb):
-        ratio = ratio * va / vb
-    disc = (ratio - 2) * (ratio - 2) - 4
-    sq = _safe_sqrt(disc)
+    ratio = _parameter_ratio(ab, bb)
     half = ComplexBall.exact(0.5)
     ratio_in = realize and \
         ball_in_interval(ratio, 0.0, 4.0) is Verdict.CERTIFIED_IN
-    for sign in (1, -1):
-        x = db * (ratio - 2 + sign * sq) * half
+    for num in _infinity_numerators(ratio):
+        x = db * num * half
         w = ProjectivePoint(x.center, 1, 0)
         jac = chart_jacobian(tlm_ball, w, point_radius=x.radius)
         rec = record_from_jacobian(Location.INFINITY, w, jac)
@@ -613,32 +619,44 @@ def trace_affine(params: ThreeLinesParams, x_l) -> ComplexBall:
     return (ComplexBall.exact(params.delta) + 1) * total
 
 
-def infinity_eigen_data(delta, ratio: ComplexBall, on_circle: bool = False):
+def _parameter_ratio(ab, bb) -> ComplexBall:
+    """beta0/alpha0 = prod a_i/b_i over the parameter balls."""
+    ratio = ComplexBall.exact(1)
+    for va, vb in zip(ab, bb):
+        ratio = ratio * va / vb
+    return ratio
+
+
+def _infinity_numerators(ratio: ComplexBall) -> list[ComplexBall]:
+    """ratio - 2 +- sqrt((ratio - 2)^2 - 4): twice the two roots t of
+    t^2 + (2 - ratio) t + 1 = 0, the in-line eigenvalue at infinity."""
+    disc = (ratio - 2) * (ratio - 2) - 4
+    sq = _safe_sqrt(disc)
+    return [ratio - 2 + sign * sq for sign in (1, -1)]
+
+
+def infinity_eigen_data(delta, ratio: ComplexBall):
     """Rotation numbers at both infinity fixed points from the eigenvalue route.
 
     The in-line eigenvalue t solves t^2 + (2 - ratio) t + 1 = 0 and the full
     eigenvalue pair is (delta t, 1/t), so s = 2 + delta t^2 + 1/(delta t^2).
-    When on_circle is asserted (|delta| = 1 as a design hypothesis) and the
-    real ratio is certified inside [0,4], t lies on the unit circle exactly
-    and s = 2 + 2 Re(delta t^2) is real; those balls get real centers.
+    |delta| = 1 is a hypothesis of this route: when the real ratio is
+    certified inside [0,4], t lies on the unit circle exactly and
+    s = 2 + 2 Re(delta t^2) is real; those balls get real centers.
     """
     db = ComplexBall.exact(delta)
-    disc = (ratio - 2) * (ratio - 2) - 4
-    sq = _safe_sqrt(disc)
     half = ComplexBall.exact(0.5)
-    realize = on_circle and \
-        ball_in_interval(ratio, 0.0, 4.0) is Verdict.CERTIFIED_IN
+    realize = ball_in_interval(ratio, 0.0, 4.0) is Verdict.CERTIFIED_IN
     out = []
-    for sign in (1, -1):
-        tt = (ratio - 2 + sign * sq) * half
+    for num in _infinity_numerators(ratio):
+        tt = num * half
         w = db * tt * tt
         s = 2 + w + w.inverse()
         out.append(s.realize_real() if realize else s)
     return tuple(out)
 
 
-def infinity_criterion(params: ThreeLinesParams,
-                       delta_ball: ComplexBall | None = None) -> Verdict:
+def infinity_criterion(params: ThreeLinesParams) -> Verdict:
     """Rotation verdict at the two infinity fixed points via beta0/alpha0.
 
     Requires |delta| = 1; the membership beta0/alpha0 in [0,4] is equivalent
@@ -648,15 +666,13 @@ def infinity_criterion(params: ThreeLinesParams,
     """
     if abs(abs(params.delta) - 1) > 1e-9:
         raise OffUnitCircle(f"|delta| = {abs(params.delta)}")
-    ratio = ComplexBall.exact(1)
-    for va, vb in zip(params.a, params.b):
-        ratio = ratio * ComplexBall.exact(va) / ComplexBall.exact(vb)
+    ratio = _parameter_ratio([ComplexBall.exact(v) for v in params.a],
+                             [ComplexBall.exact(v) for v in params.b])
     if all(v.imag == 0.0 for v in params.a + params.b):
         ratio = ratio.realize_real()  # product of reals
     verdict = ball_in_interval(ratio, 0.0, 4.0)
-    db = delta_ball if delta_ball is not None else ComplexBall.exact(params.delta)
     eigen = [ball_in_interval(s, 0.0, 4.0)
-             for s in infinity_eigen_data(db, ratio, on_circle=True)]
+             for s in infinity_eigen_data(params.delta, ratio)]
     for ev in eigen:
         if {verdict, ev} == {Verdict.CERTIFIED_IN, Verdict.CERTIFIED_OUT}:
             raise CheckFailed(
@@ -772,10 +788,7 @@ def design_rotation_numbers(a, b, d: float) -> tuple[list[ComplexBall], ComplexB
         for va, vb in zip(ab, bb):
             corr = corr + (1 - x / vb).inverse() - (1 - x / va).inverse()
         svals.append(da * corr * corr)
-    ratio = ComplexBall.exact(1)
-    for va, vb in zip(ab, bb):
-        ratio = ratio * va / vb
-    return svals, ratio.realize_real()
+    return svals, _parameter_ratio(ab, bb).realize_real()
 
 
 def _require_pattern(a, b, d: float, inside: bool, what: str):

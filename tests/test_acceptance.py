@@ -25,7 +25,7 @@ from siegelcert.roots import ComplexPolynomial, poly_roots
 from siegelcert.threelines import (OrbitData, TLMap, ab_from_delta,
                                    fixed_points_tl, h_iterate,
                                    infinity_eigen_data, lambda_by_bisection,
-                                   orbit_verify, salem_from_orbit)
+                                   orbit_verify, param_balls, salem_from_orbit)
 
 
 def _report(n: int, text: str):
@@ -118,7 +118,7 @@ def test_criterion_06_three_lines_consistency():
             assert abs(params.c - 1) < 1e-10                      # (a)
             rep = orbit_verify(params, orbit)
             assert rep.passed and rep.max_residual < 1e-8          # (b)
-            recs = fixed_points_tl(params, delta_ball=root, on_circle=True)
+            recs = fixed_points_tl(params, param_balls(root, orbit))
             assert len(recs) == orbit.N + 3                        # (d) count
         m = tl_action_matrix(orbit)
         sd = spectral_data(m)
@@ -169,7 +169,7 @@ def test_criterion_07_eigenvalue_formulas(salem8_cert):
     db = salem8_cert.circle_roots[0]
     for rec in _records_for_delta(db, (db + db.inverse()).realize_real()):
         assert abs(rec.det.center - db.center) < 1e-8
-    recs = fixed_points_tl(params, delta_ball=droot, on_circle=True)
+    recs = fixed_points_tl(params, param_balls(droot, orbit))
     for rec in recs:
         if rec.location is not Location.CURVE_SINGULAR:
             assert abs(rec.det.center - droot.center) < 1e-8
@@ -187,7 +187,7 @@ def test_criterion_08_infinity_equivalence():
         ratio_val = rng.uniform(-2.0, 8.0)
         ratio = ComplexBall.exact(ratio_val)
         v_ratio = ball_in_interval(ratio, 0.0, 4.0)
-        for s in infinity_eigen_data(delta, ratio, on_circle=True):
+        for s in infinity_eigen_data(delta, ratio):
             ve = ball_in_interval(s, 0.0, 4.0)
             if {v_ratio, ve} == {Verdict.CERTIFIED_IN, Verdict.CERTIFIED_OUT}:
                 contradictions += 1

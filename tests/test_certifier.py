@@ -5,16 +5,18 @@ import random
 
 import pytest
 
-from siegelcert.balls import ComplexBall
+from siegelcert.balls import (ComplexBall, Verdict, ball_in_interval,
+                              certified_out_margin)
 from siegelcert.certifier import (FixedPointRecord, Location, PointVerdict,
                                   certify_fixed_point, not_root_of_unity,
                                   record_from_jacobian)
-from siegelcert.cuspidal import CuspidalParams, QuadMap
+from siegelcert.cuspidal import CuspidalParams, QuadMap, certify_cuspidal
 from siegelcert.errors import WitnessMismatch
 from siegelcert.geometry import (ProjectivePoint, chart_jacobian,
                                  fd_chart_jacobian)
 from siegelcert.intpoly import cyclotomic
-from siegelcert.threelines import TLMap, ThreeLinesParams
+from siegelcert.pipeline import certify_three_lines, theorem1_pipeline
+from siegelcert.threelines import OrbitData, TLMap, ThreeLinesParams
 
 
 def _fd_match(family_map, pt, chart=None, tol=1e-6):
@@ -132,6 +134,29 @@ def test_witness_outside_circle_roots_raises(salem8_cert):
     z = ComplexBall.exact(cmath.exp(2j * cmath.pi / 5))
     with pytest.raises(WitnessMismatch):
         certify_fixed_point(_record(2.0), [(z, 0, _record(6.0))], salem8_cert)
+
+
+@pytest.mark.parametrize("run", [
+    lambda: certify_cuspidal(8),
+    lambda: certify_three_lines(OrbitData((2,), (1,))),
+    lambda: certify_three_lines(OrbitData((1, 2), (1, 1))),
+    lambda: theorem1_pipeline(3),
+], ids=["cuspidal-8", "three-lines-2-1", "three-lines-12-11", "theorem1-3"])
+def test_witness_resolves_in_its_own_section(run):
+    rep = run()
+    certified = 0
+    for sec in rep.sections:
+        for v in sec.verdicts:
+            if v.verdict is not PointVerdict.SIEGEL_CERTIFIED:
+                continue
+            home = [s for s in rep.sections if s.delta == v.witness.delta]
+            assert len(home) == 1 and home[0] is not sec
+            rec = home[0].records[v.witness.point_index]
+            assert rec.location is not Location.CURVE_SINGULAR
+            assert ball_in_interval(rec.s, 0.0, 4.0) is Verdict.CERTIFIED_OUT
+            assert v.witness.margin == certified_out_margin(rec.s, 0.0, 4.0)
+            certified += 1
+    assert certified > 0
 
 
 def test_report_counts_sum(salem8_cert):

@@ -358,7 +358,7 @@ def test_infinity_ratio_matches_eigen_route_sampled():
         ratio_val = rng.uniform(-2.0, 8.0)
         ratio = ComplexBall.exact(ratio_val)
         v_ratio = ball_in_interval(ratio, 0.0, 4.0)
-        svals = infinity_eigen_data(delta, ratio, on_circle=True)
+        svals = infinity_eigen_data(delta, ratio)
         v_eigen = [ball_in_interval(s, 0.0, 4.0) for s in svals]
         for ve in v_eigen:
             if {v_ratio, ve} == {Verdict.CERTIFIED_IN, Verdict.CERTIFIED_OUT}:
