@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .balls import ComplexBall, Verdict, ball_in_interval, certified_out_margin
-from .errors import BallDomainError, CheckFailed, WitnessMismatch
+from .errors import BallDomainError, CheckFailed, NoSalemFactor, WitnessMismatch
 from .geometry import ProjectivePoint
 from .intpoly import IntPolynomial
 from .salem import SalemCertificate, is_salem
@@ -83,7 +83,11 @@ def _safe_sqrt(ball: ComplexBall) -> ComplexBall:
 
 @functools.cache
 def _salem_verdict(coeffs: tuple[int, ...]) -> bool:
-    return bool(is_salem(IntPolynomial(coeffs)))
+    try:
+        is_salem(IntPolynomial(coeffs))
+    except NoSalemFactor:
+        return False
+    return True
 
 
 def not_root_of_unity(delta: ComplexBall, witness_poly: IntPolynomial) -> bool:

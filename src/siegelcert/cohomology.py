@@ -8,8 +8,10 @@ verifies exact form preservation M^T J M = J on construction, with the same
 exact integer product (_mat_mul) that computes the characteristic polynomial.
 Characteristic polynomials are computed exactly over Python bigints
 (Faddeev-LeVerrier), never in floating point, so cyclotomic stripping and
-Salem-factor comparisons are integer identities.  spectral_data works at any
-dimension; the one size cap, CHARPOLY_DIM_CAP, is applied by spectral_check.
+Salem-factor comparisons are integer identities.  spectral_data hands the
+non-cyclotomic part to is_salem, whose NoSalemFactor propagates; it works at
+any dimension, and the one size cap, CHARPOLY_DIM_CAP, is applied by
+spectral_check.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .balls import ComplexBall
-from .errors import CheckFailed, MixedFactor, PipelineFailed
+from .errors import CheckFailed, PipelineFailed
 from .intpoly import IntPolynomial, strip_cyclotomic
 from .salem import SalemCertificate, is_salem
 
@@ -226,14 +228,12 @@ class SpectralData:
 
 def spectral_data(m: ActionMatrix) -> SpectralData:
     """Exact char poly, cyclotomic/Salem split, spectral radius and entropy,
-    at every dimension (the size cap is spectral_check's choice)."""
+    at every dimension (the size cap is spectral_check's choice).  A
+    non-cyclotomic part that is not Salem raises is_salem's NoSalemFactor."""
     rest, cyclo = strip_cyclotomic(m.char_poly)
     if rest.degree < 1:
         return SpectralData(ComplexBall.exact(1), 0.0, rest, tuple(cyclo))
     cert = is_salem(rest)
-    if not cert:
-        raise MixedFactor(f"non-cyclotomic factor of degree {rest.degree} "
-                          f"fails the Salem pattern: {cert.reason}")
     return SpectralData(cert.lam, cert.entropy, rest, tuple(cyclo))
 
 

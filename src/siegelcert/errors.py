@@ -52,7 +52,8 @@ class PoleAtTau(SiegelcertError):
 
 
 class NoSalemFactor(SiegelcertError):
-    """Polynomial has no Salem factor after cyclotomic stripping."""
+    """Polynomial is not a Salem polynomial, or has no Salem factor after
+    cyclotomic stripping; the message names the failed check."""
 
 
 # ---- three-lines family ----
@@ -94,10 +95,6 @@ class BudgetExhausted(SiegelcertError):
 
 
 # ---- cohomology / certification ----
-
-class MixedFactor(SiegelcertError):
-    """Non-cyclotomic char-poly factor failed the Salem certificate (bug surface)."""
-
 
 class WitnessMismatch(SiegelcertError):
     """A witness value is not a certified unit-circle root of the run's Salem

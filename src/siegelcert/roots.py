@@ -12,9 +12,9 @@ by a running Horner error bound (and by coefficient radii, when the input
 coefficients are themselves only known up to a ball), so the disks are valid
 for the exact polynomial, not just its floating image.
 
-The sweep has one stopping rule for every caller: every correction below
-DEFAULT_TOL times the root scale, or DEFAULT_MAX_ITER sweeps from each start
-circle.  The disks are valid wherever the sweep stops; a tighter stop only
+The sweep starts on one circle and has one stopping rule for every caller:
+every correction below DEFAULT_TOL times the root scale, or DEFAULT_MAX_ITER
+sweeps.  The disks are valid wherever the sweep stops; a tighter stop only
 makes them smaller, and so more often disjoint.
 """
 
@@ -109,43 +109,37 @@ def poly_roots(p: ComplexPolynomial, *,
     n = p.degree
     lc = coeffs[-1]
 
-    # start radii: geometric mean of the root moduli first (spot on for
-    # reciprocal polynomials, whose roots crowd the unit circle), then
-    # Cauchy-bound-flavored fallbacks
+    # one start circle at the geometric mean of the root moduli: spot on for
+    # reciprocal polynomials, whose roots crowd the unit circle
     bound = 1.0 + float(max(abs(coeffs[:-1] / lc))) if n else 1.0
     gmean = abs(coeffs[0] / lc) ** (1.0 / n) if coeffs[0] != 0 else 0.5
-    gmean = min(max(gmean, 1e-3), bound)
-    starts = (1.02 * gmean, 0.93 * gmean, 0.5 * (1.0 + bound), 1.01 * bound)
+    r0 = 1.02 * min(max(gmean, 1e-3), bound)
 
     scale = max(1.0, bound)
     k = np.arange(n)
     converged = False
-    z = None
+    z = r0 * np.exp(2j * np.pi * (k + 0.37) / n)
     with np.errstate(all="ignore"):
-        for attempt, r0 in enumerate(starts):
-            z = r0 * np.exp(2j * np.pi * (k + 0.37 + 0.13 * attempt) / n)
-            for sweep in range(DEFAULT_MAX_ITER):
-                pz = _horner_vec(coeffs, z)
-                diff = z[:, None] - z[None, :]
-                np.fill_diagonal(diff, 1.0)
-                denom = lc * diff.prod(axis=1)
-                w = pz / denom
-                bad = ~np.isfinite(w)
-                if bad.any():
-                    w = np.where(bad, 0.0, w)
-                z = z - w
-                # reseed exploded or non-finite iterates deterministically
-                wild = (~np.isfinite(z)) | (np.abs(z) > 16.0 * scale)
-                if wild.any():
-                    z = np.where(
-                        wild,
-                        0.83 * r0 * np.exp(2j * np.pi * (k + 0.11 * (sweep + 2)) / n),
-                        z)
-                    continue
-                if not bad.any() and np.max(np.abs(w)) < DEFAULT_TOL * scale:
-                    converged = True
-                    break
-            if converged:
+        for sweep in range(DEFAULT_MAX_ITER):
+            pz = _horner_vec(coeffs, z)
+            diff = z[:, None] - z[None, :]
+            np.fill_diagonal(diff, 1.0)
+            denom = lc * diff.prod(axis=1)
+            w = pz / denom
+            bad = ~np.isfinite(w)
+            if bad.any():
+                w = np.where(bad, 0.0, w)
+            z = z - w
+            # reseed exploded or non-finite iterates deterministically
+            wild = (~np.isfinite(z)) | (np.abs(z) > 16.0 * scale)
+            if wild.any():
+                z = np.where(
+                    wild,
+                    0.83 * r0 * np.exp(2j * np.pi * (k + 0.11 * (sweep + 2)) / n),
+                    z)
+                continue
+            if not bad.any() and np.max(np.abs(w)) < DEFAULT_TOL * scale:
+                converged = True
                 break
 
     balls, clusters = _certify(p, [complex(v) for v in z], coeff_radii)
@@ -218,6 +212,27 @@ def _certify(p: ComplexPolynomial, pts: list[complex],
     clusters = [tuple(g) for g in groups.values() if len(g) > 1]
     clusters.sort()
     return balls, clusters
+
+
+def self_paired(balls, image) -> set[int]:
+    """Indices i whose image disk image(balls[i]) meets balls[i] and no other
+    disk.
+
+    The lemma: let balls be a simple root enclosure (each disk holds exactly
+    one root) of a polynomial whose root set is invariant under an involution
+    sigma, and let image(B) enclose sigma(B).  If image(B_i) meets no other
+    disk, sigma of B_i's root is a root lying in image(B_i), hence in B_i, and
+    so equals the root itself: the disk holds a root that sigma fixes.  With
+    sigma(z) = conj(z) (real coefficients) that root is real; with
+    sigma(z) = 1/conj(z) (real palindromic coefficients) it has |z| = 1.
+    """
+    out = set()
+    for i, b in enumerate(balls):
+        im = image(b)
+        if not im.disjoint(b) and all(
+                im.disjoint(o) for j, o in enumerate(balls) if j != i):
+            out.add(i)
+    return out
 
 
 def sort_roots(balls) -> list[ComplexBall]:

@@ -8,15 +8,17 @@ ball arithmetic throughout:
   * no cyclotomic polynomial divides (exact integer division);
   * exactly one root disk certifiably outside the closed unit disk and exactly
     one certifiably inside;
-  * every remaining root disk is matched to itself under z -> 1/conj(z).
+  * every remaining root disk is self-paired (roots.self_paired) under
+    z -> 1/conj(z), which the real palindromic coefficients make a symmetry of
+    the roots; by the lemma stated there, each such disk holds a root with
+    |z| = 1 exactly.
 
-The self-matching step is what certifies |z| = 1 exactly: the coefficients are
-real and palindromic, so 1/conj(z) is again a root; if the image disk of a
-one-root disk B meets no *other* root disk, that root's conjugate-inverse lies
-in B and hence equals the root itself.  Once the pattern holds, the polynomial
-is irreducible (a proper monic factor would either split lambda from 1/lambda,
-forcing a non-integer constant term, or have all roots on the circle and be
-cyclotomic), so its unit-circle roots are provably not roots of unity.
+Once the pattern holds, the polynomial is irreducible (a proper monic factor
+would either split lambda from 1/lambda, forcing a non-integer constant term,
+or have all roots on the circle and be cyclotomic), so its unit-circle roots
+are provably not roots of unity.  A polynomial that fails a structural or
+pattern check raises NoSalemFactor with the reason; one whose pattern double
+precision cannot decide raises BoundaryUndecidable.
 """
 
 from __future__ import annotations
@@ -25,17 +27,9 @@ import math
 from dataclasses import dataclass
 
 from .balls import ComplexBall
-from .errors import BoundaryUndecidable
+from .errors import BoundaryUndecidable, NoSalemFactor
 from .intpoly import IntPolynomial, strip_cyclotomic
-from .roots import ComplexPolynomial, RootSet, poly_roots, sort_roots
-
-
-@dataclass(frozen=True)
-class SalemRejection:
-    reason: str
-
-    def __bool__(self):
-        return False
+from .roots import ComplexPolynomial, RootSet, poly_roots, self_paired, sort_roots
 
 
 @dataclass(frozen=True)
@@ -45,71 +39,71 @@ class SalemCertificate:
     circle_roots: tuple[ComplexBall, ...]  # certified |z| = 1, sorted by argument
     poly: IntPolynomial
 
-    def __bool__(self):
-        return True
-
     @property
     def entropy(self) -> float:
         return math.log(self.lam.center.real)
 
 
-def is_salem(p: IntPolynomial) -> SalemCertificate | SalemRejection:
-    """Salem certificate for p, or a rejection carrying the reason.
+def is_salem(p: IntPolynomial) -> SalemCertificate:
+    """Salem certificate for p; raises NoSalemFactor with the reason when p
+    is not a Salem polynomial.
 
     The roots are isolated once, at the default tolerance of poly_roots.  A
     root disk that straddles the unit circle without resolving the pattern
     raises BoundaryUndecidable: double precision cannot decide it.
     """
     if p.is_zero or not p.is_monic:
-        return SalemRejection("not monic")
+        raise NoSalemFactor("not monic")
     if p.degree < 4:
-        return SalemRejection(f"degree {p.degree} < 4")
+        raise NoSalemFactor(f"degree {p.degree} < 4")
     if p.degree % 2 != 0:
-        return SalemRejection(f"odd degree {p.degree}")
+        raise NoSalemFactor(f"odd degree {p.degree}")
     if not p.is_palindromic:
-        return SalemRejection("not reciprocal")
+        raise NoSalemFactor("not reciprocal")
     rest, cyclo = strip_cyclotomic(p)
     if cyclo:
-        return SalemRejection(f"cyclotomic factor(s) {cyclo}")
+        raise NoSalemFactor(f"cyclotomic factor(s) {cyclo}")
 
     rs: RootSet = poly_roots(ComplexPolynomial(tuple(map(float, p.coeffs))))
     if not rs.is_simple:
         raise BoundaryUndecidable("root disks overlap; cannot classify pattern")
     outside, inside, straddle = [], [], []
-    for b in rs.balls:
+    for i, b in enumerate(rs.balls):
         lo, hi = b.abs_bounds()
         if lo > 1.0:
             outside.append(b)
         elif hi < 1.0:
             inside.append(b)
         else:
-            straddle.append(b)
+            straddle.append(i)
     if len(outside) != 1 or len(inside) != 1:
         if straddle and (len(outside) > 1 or len(inside) > 1):
             raise BoundaryUndecidable(
                 f"{len(straddle)} disk(s) straddle the unit circle")
-        return SalemRejection(
+        raise NoSalemFactor(
             f"root pattern: {len(outside)} outside, {len(inside)} inside, "
             f"{len(straddle)} straddling")
-    # certify each straddler is self-matched under z -> 1/conj(z)
-    for b in straddle:
-        image = b.conjugate().inverse()
-        for other in rs.balls:
-            if other is b:
-                continue
-            if not image.disjoint(other):
-                raise BoundaryUndecidable(
-                    "conjugate-inverse image of a boundary disk meets another disk")
-        # the conjugate-inverse root lies in some disk and only B qualifies
-        if image.disjoint(b):
-            raise BoundaryUndecidable(
-                "conjugate-inverse image of a boundary disk escapes every disk")
+    on_circle = self_paired(rs.balls, lambda b: b.conjugate().inverse())
+    if not on_circle.issuperset(straddle):
+        raise BoundaryUndecidable(
+            "a boundary disk is not self-paired under z -> 1/conj(z)")
     lam = outside[0]
     if not (lam.center.real - lam.radius > 1.0 and lam.meets_real_axis()):
-        return SalemRejection("dominant root not certified real > 1")
+        raise NoSalemFactor("dominant root not certified real > 1")
     return SalemCertificate(
         lam=lam,
         inv_lam=inside[0],
-        circle_roots=tuple(sort_roots(straddle)),
+        circle_roots=tuple(sort_roots(rs.balls[i] for i in straddle)),
         poly=p,
     )
+
+
+def salem_factor(p: IntPolynomial) -> SalemCertificate:
+    """Salem certificate for the non-cyclotomic part of p; raises
+    NoSalemFactor when that part has degree < 4 or is not Salem."""
+    rest, cyclo = strip_cyclotomic(p)
+    if rest.degree < 4:
+        raise NoSalemFactor(
+            f"non-cyclotomic part has degree {rest.degree} < 4 "
+            f"(cyclotomic factors {cyclo})")
+    return is_salem(rest)

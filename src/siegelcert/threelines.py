@@ -35,10 +35,9 @@ from .errors import (BoundaryUndecidable, BudgetExhausted, CheckFailed,
                      PerturbationFailed, PoleAtParameter, PoleHit, PoleInFormula,
                      SearchFailed)
 from .geometry import ProjectivePoint, chart_jacobian
-from .intpoly import (ONE, IntPolynomial, strip_cyclotomic, x_pow_minus_one,
-                      x_pow_plus_one)
-from .roots import ComplexPolynomial, poly_roots
-from .salem import SalemCertificate, is_salem
+from .intpoly import ONE, IntPolynomial, x_pow_minus_one, x_pow_plus_one
+from .roots import ComplexPolynomial, poly_roots, self_paired
+from .salem import SalemCertificate, salem_factor
 
 INDETERMINACY_TOL = 1e-10
 RESIDUAL_TOL = 1e-8  # chordal distance of a fixed point from its image
@@ -356,17 +355,7 @@ def cleared_chi_polynomial(orbit: OrbitData) -> IntPolynomial:
 def salem_from_orbit(orbit: OrbitData) -> SalemCertificate:
     """Salem certificate for the non-cyclotomic factor of the cleared chi
     constraint; the factor itself is cert.poly."""
-    rest, _cyclo = strip_cyclotomic(cleared_chi_polynomial(orbit))
-    if rest.degree < 4:
-        raise NoSalemFactor(
-            f"cleared chi polynomial at {orbit} has no Salem factor; "
-            "this contradicts the lift theory and signals a bug")
-    cert = is_salem(rest)
-    if not cert:
-        raise NoSalemFactor(
-            f"non-cyclotomic chi factor fails the Salem pattern ({rest.degree}): "
-            f"{cert.reason}")
-    return cert
+    return salem_factor(cleared_chi_polynomial(orbit))
 
 
 def lambda_by_bisection(orbit: OrbitData, lo: float = 1.0 + 1e-9,
@@ -466,26 +455,10 @@ def orbit_verify(params: ThreeLinesParams, orbit: OrbitData) -> OrbitReport:
 # fixed points
 # ---------------------------------------------------------------------------
 
-def _certified_real_indices(balls) -> set[int]:
-    """Root enclosures containing a provably real root.
-
-    For a polynomial with (exactly) real coefficients the conjugate of a root
-    is a root; if a disk meets the real axis, contains exactly one root, and
-    its conjugate disk meets no other disk, that root equals its own conjugate.
-    """
-    out = set()
-    for i, b in enumerate(balls):
-        if not b.meets_real_axis():
-            continue
-        cb = b.conjugate()
-        if all(cb.disjoint(o) for j, o in enumerate(balls) if j != i):
-            out.add(i)
-    return out
-
-
 def _abscissa_roots(d: ComplexBall, ab, bb) -> tuple[list[ComplexBall], set[int]]:
     """Roots of the degree-N abscissa polynomial sum_k (d ga_k - gb_k) x^k,
-    sorted by rounded center, and the indices of the certified-real ones.
+    sorted by rounded center, and the indices of the certified-real ones:
+    the disks self-paired under z -> conj(z) (roots.self_paired).
 
     ga, gb are the symmetric coefficients of the inverse parameters.  The
     real indices mean something only when d and the parameters are exactly
@@ -504,7 +477,7 @@ def _abscissa_roots(d: ComplexBall, ab, bb) -> tuple[list[ComplexBall], set[int]
         raise DegenerateSpectrum("abscissa polynomial has clustered roots")
     xs = sorted(roots.balls, key=lambda bl: (round(bl.center.real, 10),
                                              round(bl.center.imag, 10)))
-    return xs, _certified_real_indices(xs)
+    return xs, self_paired(xs, ComplexBall.conjugate)
 
 
 def _realized_record(rec: FixedPointRecord) -> FixedPointRecord:

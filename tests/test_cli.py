@@ -4,10 +4,9 @@ import json
 
 import pytest
 
-from siegelcert import cli, cuspidal, strictmode
+from siegelcert import cuspidal, strictmode
 from siegelcert.certifier import StrictEvidence
 from siegelcert.cli import main
-from siegelcert.cuspidal import CuspidalParams, fixed_points_cuspidal
 from siegelcert.intpoly import IntPolynomial
 
 
@@ -93,13 +92,8 @@ def test_precision_flags_are_usage_errors(capsys):
     assert "--tol" in capsys.readouterr().err
 
 
-def test_check_failure_is_a_json_error(capsys, monkeypatch, salem8_cert):
-    def failing_run(n, **kwargs):
-        par = CuspidalParams(salem8_cert.circle_roots[0].center)
-        fixed_points_cuspidal(par)
-
+def test_check_failure_is_a_json_error(capsys, monkeypatch):
     monkeypatch.setattr(cuspidal, "RESIDUAL_TOL", 1e-300)
-    monkeypatch.setattr(cli, "certify_cuspidal", failing_run)
     code, out = _run(capsys, "cuspidal", "--n", "8")
     assert code == 1
     assert json.loads(out)["error"]["stage"] == "CheckFailed"

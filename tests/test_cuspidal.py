@@ -157,6 +157,12 @@ def test_fixed_point_residual_check_raises_typed_error(salem8_cert,
         fixed_points_cuspidal(par)
 
 
+def test_certify_cuspidal_checks_fixed_point_residuals(monkeypatch):
+    monkeypatch.setattr(cuspidal, "RESIDUAL_TOL", 1e-300)
+    with pytest.raises(CheckFailed, match="fixed-point residual"):
+        certify_cuspidal(8)
+
+
 def test_s_value_reference_endpoints():
     cases = [
         ((1.219, 0.022), 2.05, Verdict.CERTIFIED_IN),

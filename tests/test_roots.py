@@ -4,8 +4,10 @@ import random
 
 import pytest
 
+from siegelcert.balls import ComplexBall
 from siegelcert.errors import ClusterUnresolved
-from siegelcert.roots import ComplexPolynomial, poly_roots, sort_roots
+from siegelcert.roots import (ComplexPolynomial, poly_roots, self_paired,
+                              sort_roots)
 
 LISTED_ROOTS = (
     1.9940 + 0.0j,
@@ -100,3 +102,20 @@ def test_sort_roots_deterministic_order():
     assert abs(args[1] - 1j) < 1e-12
     assert abs(args[2] + 1) < 1e-12
     assert abs(args[3] + 1j) < 1e-12
+
+
+def test_self_paired_under_conjugation():
+    balls = [
+        ComplexBall(0.5 + 1e-12j, 1e-10),   # a real root
+        ComplexBall(1 + 2j, 1e-10),         # a conjugate pair: each disk's
+        ComplexBall(1 - 2j, 1e-10),         # image is the other disk
+        ComplexBall(3 + 1e-3j, 1e-2),       # two overlapping disks on the
+        ComplexBall(3.005 - 1e-3j, 1e-2),   # axis: each image meets both
+    ]
+    assert self_paired(balls, ComplexBall.conjugate) == {0}
+
+
+def test_self_paired_under_conjugate_inverse():
+    balls = [ComplexBall(2.0, 1e-10), ComplexBall(0.5, 1e-10),
+             ComplexBall(0.6 + 0.8j, 1e-10), ComplexBall(0.6 - 0.8j, 1e-10)]
+    assert self_paired(balls, lambda b: b.conjugate().inverse()) == {2, 3}

@@ -2,9 +2,9 @@
 
 import pytest
 
-from siegelcert.errors import BoundaryUndecidable
+from siegelcert.errors import BoundaryUndecidable, NoSalemFactor
 from siegelcert.intpoly import IntPolynomial, cyclotomic
-from siegelcert.salem import SalemCertificate, is_salem
+from siegelcert.salem import SalemCertificate, is_salem, salem_factor
 
 
 def test_salem8_certificate(salem8, salem8_cert):
@@ -27,24 +27,38 @@ def test_circle_roots_certified_on_circle(salem8_cert):
 
 def test_rejects_every_cyclotomic_up_to_30():
     for k in range(1, 31):
-        verdict = is_salem(cyclotomic(k))
-        assert not verdict, f"Phi_{k} accepted"
+        with pytest.raises(NoSalemFactor, match="degree|cyclotomic"):
+            is_salem(cyclotomic(k))
 
 
 def test_rejects_structural_defects(salem8):
-    assert "monic" in is_salem(2 * salem8).reason
-    assert "degree" in is_salem(IntPolynomial((1, -3, 1))).reason
+    with pytest.raises(NoSalemFactor, match="monic"):
+        is_salem(2 * salem8)
+    with pytest.raises(NoSalemFactor, match="degree"):
+        is_salem(IntPolynomial((1, -3, 1)))
     odd = IntPolynomial((1, -2, 0, -2, 1)) * IntPolynomial((1, 1))
-    assert "degree" in is_salem(odd).reason  # odd after multiplying by t+1
-    assert "reciprocal" in is_salem(IntPolynomial((2, -2, 1, -2, 1, -2, 1, -2, 1))).reason
+    with pytest.raises(NoSalemFactor, match="degree"):
+        is_salem(odd)  # odd after multiplying by t+1
+    with pytest.raises(NoSalemFactor, match="reciprocal"):
+        is_salem(IntPolynomial((2, -2, 1, -2, 1, -2, 1, -2, 1)))
 
 
 def test_rejects_cyclotomic_multiple(salem8):
     # Salem times Phi_4 has the right outside/inside pattern but a cyclotomic
     # factor; accepting it would break the not-a-root-of-unity conclusion
-    verdict = is_salem(salem8 * cyclotomic(4))
-    assert not verdict
-    assert "cyclotomic" in verdict.reason
+    with pytest.raises(NoSalemFactor, match="cyclotomic"):
+        is_salem(salem8 * cyclotomic(4))
+
+
+def test_salem_factor_strips_cyclotomic_part(salem8):
+    cert = salem_factor(salem8 * cyclotomic(4))
+    assert isinstance(cert, SalemCertificate)
+    assert cert.poly == salem8
+
+
+def test_salem_factor_rejects_cyclotomic_product():
+    with pytest.raises(NoSalemFactor, match="degree 0 < 4"):
+        salem_factor(cyclotomic(1) * cyclotomic(4) * cyclotomic(12))
 
 
 def test_lehmer_degree_case_vs_chi_bisection():
@@ -67,7 +81,7 @@ def test_salem_certificate_implies_not_root_of_unity(salem8_cert):
 
 def test_double_roots_are_boundary_undecidable():
     lehmer = IntPolynomial((1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1))
-    assert is_salem(lehmer)
+    assert isinstance(is_salem(lehmer), SalemCertificate)
     # L^2 passes every exact check; its double roots give overlapping disks,
     # which the one classification pass cannot resolve
     with pytest.raises(BoundaryUndecidable):
