@@ -1,9 +1,10 @@
 """Exact integer-coefficient polynomial algebra.
 
 Coefficients are Python bigints, index = degree of the term.  Everything here
-is exact: cyclotomic stripping is trial exact division, resultants are
-fraction-free Sylvester determinants over Z[x], and the mod-p irreducibility
-test works over GF(p).  No floating point enters except in eval_ball, which
+is exact: cyclotomic stripping is trial exact division, resultants over Z[x]
+are subresultant PRS values at integer points interpolated exactly in Z[x],
+and the mod-p irreducibility test runs Rabin's criterion on the Frobenius
+matrix over GF(p).  No floating point enters except in eval_ball, which
 wraps honest conversion error for coefficients beyond 2^53.
 """
 
@@ -268,7 +269,7 @@ def rebuild(rest: IntPolynomial, factors: list[int]) -> IntPolynomial:
 
 
 # ---------------------------------------------------------------------------
-# resultants (Sylvester determinant, fraction-free over Z[x])
+# resultants (evaluation at integers, subresultant PRS, exact interpolation)
 # ---------------------------------------------------------------------------
 
 SYLVESTER_DIM_CAP = 192
@@ -281,8 +282,10 @@ def resultant(p: IntPolynomial, q_coeffs: list[IntPolynomial],
     p is a polynomial in the eliminated variable t; q is given by its t-power
     coefficients, each an IntPolynomial in x.  Returns the Sylvester resultant
     with the q-rows placed first, i.e. lc_t(q)^deg(p) * prod_{q(b,x)=0} p(b),
-    as an exact polynomial in x.  Bareiss fraction-free elimination keeps all
-    intermediate entries in Z[x].
+    as an exact polynomial in x.  Only the deg(p) q-rows depend on x, so its
+    x-degree is at most deg_x(q) * deg(p).  It is evaluated at that many plus
+    one integers (0, 1, -1, 2, ..., skipping the roots of lc_t(q)) by the
+    subresultant PRS and interpolated exactly in Z[x].
     """
     if p.is_zero:
         raise ValueError("p must be nonzero")
@@ -298,42 +301,71 @@ def resultant(p: IntPolynomial, q_coeffs: list[IntPolynomial],
         raise DegreeOverflow(f"Sylvester dimension {dim} exceeds cap {dim_cap}")
     if dim == 0:
         return ONE
-    zero = IntPolynomial(())
-    rows: list[list[IntPolynomial]] = []
-    qrev = list(reversed(qc))  # leading first
-    for i in range(m):
-        rows.append([zero] * i + qrev + [zero] * (dim - n - 1 - i))
-    prev = list(reversed([IntPolynomial((c,)) for c in p.coeffs]))
-    for i in range(n):
-        rows.append([zero] * i + prev + [zero] * (dim - m - 1 - i))
-    return _bareiss_det(rows)
+    need = m * max(c.degree for c in qc) + 1
+    xs, ys = [], []
+    x0 = 0
+    while len(xs) < need:
+        if qc[-1].eval_int(x0):
+            xs.append(x0)
+            ys.append(_int_resultant(
+                IntPolynomial(tuple(c.eval_int(x0) for c in qc)), p))
+        x0 = -x0 if x0 > 0 else 1 - x0
+    return _interpolate(xs, ys)
 
 
-def _bareiss_det(rows: list[list[IntPolynomial]]) -> IntPolynomial:
-    n = len(rows)
-    sign = 1
-    denom = ONE
-    for k in range(n - 1):
-        if rows[k][k].is_zero:
-            for i in range(k + 1, n):
-                if not rows[i][k].is_zero:
-                    rows[k], rows[i] = rows[i], rows[k]
-                    sign = -sign
-                    break
-            else:
-                return IntPolynomial(())
-        pivot = rows[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = rows[i][j] * pivot - rows[i][k] * rows[k][j]
-                q = num.try_exact_div(denom)
-                if q is None:
-                    raise CheckFailed("Bareiss exact division failed")
-                rows[i][j] = q
-            rows[i][k] = IntPolynomial(())
-        denom = pivot
-    det = rows[n - 1][n - 1]
-    return det if sign == 1 else -det
+def _int_resultant(a: IntPolynomial, b: IntPolynomial) -> int:
+    """Sylvester resultant of nonzero a, b in Z[t], a-rows first, by the
+    subresultant PRS (Collins, J. ACM 18, 1971)."""
+    if a.degree == 0 or b.degree == 0:
+        return a.coeffs[0] ** b.degree * b.coeffs[0] ** a.degree
+    ca, cb = a.content(), b.content()
+    t = ca ** b.degree * cb ** a.degree
+    a = IntPolynomial(tuple(c // ca for c in a.coeffs))
+    b = IntPolynomial(tuple(c // cb for c in b.coeffs))
+    s = g = h = 1
+    if a.degree < b.degree:
+        a, b = b, a
+        if a.degree % 2 and b.degree % 2:
+            s = -1
+    while b.degree > 0:
+        delta = a.degree - b.degree
+        if a.degree % 2 and b.degree % 2:
+            s = -s
+        r = _pseudo_rem(a, b)
+        div = g * h ** delta
+        a, b = b, IntPolynomial(tuple(_exact_div(c, div) for c in r.coeffs))
+        g = a.coeffs[-1]
+        h = _exact_div(g ** delta, h ** (delta - 1)) if delta else h
+    if b.is_zero:
+        return 0
+    return s * t * _exact_div(b.coeffs[0] ** a.degree, h ** (a.degree - 1))
+
+
+def _exact_div(num: int, den: int) -> int:
+    q, r = divmod(num, den)
+    if r:
+        raise CheckFailed("subresultant exact division failed")
+    return q
+
+
+def _interpolate(xs: list[int], ys: list[int]) -> IntPolynomial:
+    """The polynomial of degree < len(xs) through (xs, ys), by Newton divided
+    differences.  At distinct integer nodes these are all integers exactly
+    when the interpolant lies in Z[x]; CheckFailed otherwise."""
+    dd = list(ys)
+    for k in range(1, len(xs)):
+        for i in range(len(xs) - 1, k - 1, -1):
+            q, r = divmod(dd[i] - dd[i - 1], xs[i] - xs[i - k])
+            if r:
+                raise CheckFailed("resultant interpolant is not integral")
+            dd[i] = q
+    out: list[int] = []
+    for xk, ck in zip(reversed(xs), reversed(dd)):
+        out = [0] + out                      # out * x ...
+        for i in range(len(out) - 1):
+            out[i] -= xk * out[i + 1]        # ... - xk * out
+        out[0] += ck
+    return IntPolynomial(tuple(out))
 
 
 # ---------------------------------------------------------------------------
@@ -346,10 +378,12 @@ def _pseudo_rem(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
         raise ZeroDivisionError("pseudo-remainder by zero")
     r = a
     lead = b.coeffs[-1]
+    steps = a.degree - b.degree + 1
     while not r.is_zero and r.degree >= b.degree:
         shift = r.degree - b.degree
         r = r * lead - (b * r.coeffs[-1]).scale_pow(shift)
-    return r
+        steps -= 1
+    return r * lead ** steps if steps > 0 else r
 
 
 def poly_gcd(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
@@ -459,10 +493,13 @@ def _gf_powmod_x(e: int, mod: list[int], p: int) -> list[int]:
 def irreducible_mod_p(poly: IntPolynomial, prime: int) -> bool:
     """Whether poly mod prime is irreducible over GF(prime).
 
-    Distinct-degree style test: for f of degree n, f is irreducible iff
-    x^(p^n) = x mod f and gcd(x^(p^(n/l)) - x, f) = 1 for every prime l | n.
-    Irreducibility mod a prime not dividing the leading coefficient is a
-    sufficient (not necessary) condition for irreducibility over Q.
+    Rabin's test: f of degree n is irreducible iff x^(p^n) = x mod f and
+    gcd(x^(p^(n/l)) - x, f) = 1 for every prime l | n.  The iterates come
+    from the Frobenius matrix (Berlekamp 1970): row i holds x^(i p) mod f,
+    built from one x^p mod f, and since g^p = g(x^p) over GF(p) each
+    x^(p^(k+1)) is the vector of x^(p^k) times that matrix.  Irreducibility
+    mod a prime not dividing the leading coefficient is a sufficient (not
+    necessary) condition for irreducibility over Q.
     """
     if not _is_prime(prime):
         raise BadPrime(f"{prime} is not prime")
@@ -474,21 +511,25 @@ def irreducible_mod_p(poly: IntPolynomial, prime: int) -> bool:
         return False
     if n == 1:
         return True
-    # x^(p^n) == x mod f
-    top = _gf_powmod_x(prime ** n, f, prime)
-    if _gf_trim(top) != [0, 1]:
-        return False
-    for ell in _prime_divisors(n):
-        e = prime ** (n // ell)
-        xe = _gf_powmod_x(e, f, prime)
-        diff = list(xe)
-        while len(diff) < 2:
-            diff.append(0)
-        diff[1] = (diff[1] - 1) % prime
-        g = _gf_gcd(diff, f, prime)
-        if len(g) - 1 != 0:
-            return False
-    return True
+    xp = _gf_powmod_x(prime, f, prime)
+    frob = [[1]]
+    for _ in range(n - 1):
+        frob.append(_gf_mulmod(frob[-1], xp, f, prime))
+    checks = {n // ell for ell in _prime_divisors(n)}
+    xk = [0, 1]                                  # x^(p^k), from k = 0
+    for k in range(1, n + 1):
+        acc = [0] * n
+        for c, row in zip(xk, frob):
+            if c:
+                for j, r in enumerate(row):
+                    acc[j] += c * r
+        xk = _gf_trim([a % prime for a in acc])
+        if k in checks:
+            diff = xk + [0] * (2 - len(xk))
+            diff[1] = (diff[1] - 1) % prime
+            if len(_gf_gcd(diff, f, prime)) != 1:
+                return False
+    return xk == [0, 1]
 
 
 def _prime_divisors(n: int) -> list[int]:

@@ -4,8 +4,7 @@ import json
 
 import pytest
 
-from siegelcert import cuspidal, strictmode
-from siegelcert.certifier import StrictEvidence
+from siegelcert import cuspidal
 from siegelcert.cli import main
 from siegelcert.intpoly import IntPolynomial
 
@@ -107,14 +106,15 @@ def test_failed_exact_division_is_a_json_error(capsys, monkeypatch):
     assert json.loads(out)["error"]["stage"] == "CheckFailed"
 
 
-def test_theorem1_strict_failed_evidence_is_inconclusive(capsys, monkeypatch):
-    # stands in for the slow Z[x] resultant, whose k = 3 evidence also fails
-    monkeypatch.setattr(strictmode, "three_lines_strict_evidence",
-                        lambda salem, orbit: StrictEvidence(0, 0, None, False))
+def test_theorem1_strict_failed_evidence_is_inconclusive(capsys):
+    # the real k = 3 evidence: no admissible prime proves the squarefree part
+    # of the degree-50 resultant irreducible
     code, out = _run(capsys, "theorem1", "--k", "3", "--strict")
     assert code == 2
     doc = json.loads(out)
-    assert doc["evidence"]["strict"]["irreducible"] is False
+    assert doc["evidence"]["strict"] == {"resultant_degree": 50,
+                                         "candidate_degree": 25,
+                                         "prime": None, "irreducible": False}
     principal = [v["verdict"] for v in doc["verdicts"]
                  if v["section"] == doc["principal"]]
     assert "SiegelCertified" not in principal

@@ -1,5 +1,6 @@
 """Integer polynomial algebra: cyclotomics, stripping, resultants, mod p."""
 
+import itertools
 import random
 
 import pytest
@@ -120,6 +121,78 @@ def test_resultant_dim_cap():
         resultant(p, q, dim_cap=64)
 
 
+def _sylvester_det_at(p, q_coeffs, x):
+    """Determinant of the integer Sylvester matrix of p(t) and q(t, x) at an
+    integer x, q-rows first, by elimination over Fractions."""
+    from fractions import Fraction
+    qrev = [c.eval_int(x) for c in reversed(q_coeffs)]
+    prev = list(reversed(p.coeffs))
+    m, n = p.degree, len(q_coeffs) - 1
+    dim = m + n
+    rows = ([[0] * i + qrev + [0] * (m - 1 - i) for i in range(m)]
+            + [[0] * i + prev + [0] * (n - 1 - i) for i in range(n)])
+    a = [[Fraction(v) for v in row] for row in rows]
+    det = Fraction(1)
+    for k in range(dim):
+        piv = next((i for i in range(k, dim) if a[i][k]), None)
+        if piv is None:
+            return 0
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            det = -det
+        det *= a[k][k]
+        for i in range(k + 1, dim):
+            f = a[i][k] / a[k][k]
+            if f:
+                a[i] = [u - f * v for u, v in zip(a[i], a[k])]
+    assert det.denominator == 1
+    return int(det)
+
+
+def _assert_resultant_matches_sylvester(p, q):
+    res = resultant(p, q)
+    # the roots of lc_t(q) are skipped by the evaluation scheme; check them too
+    lc_roots = [x for x in range(-6, 7) if q[-1].eval_int(x) == 0]
+    for x in list(range(-3, 4)) + [11, -17] + lc_roots:
+        assert res.eval_int(x) == _sylvester_det_at(p, q, x), (p, q, x)
+    return res
+
+
+def test_resultant_matches_sylvester_determinant_random():
+    rng = random.Random(8)
+    for _ in range(60):
+        m, n, dx = rng.randint(1, 5), rng.randint(1, 3), rng.randint(0, 2)
+        p = IntPolynomial(tuple(rng.randint(-3, 3) for _ in range(m))
+                          + (rng.choice((1, -1, 2, 3)),))
+        q = [IntPolynomial(tuple(rng.randint(-2, 2) for _ in range(dx + 1)))
+             for _ in range(n)]
+        # leading t-coefficient with integer roots, e.g. (x - 1)(x + 2)
+        q.append(IntPolynomial((-rng.randint(-2, 2), 1))
+                 * IntPolynomial((rng.randint(-2, 2), 1)))
+        _assert_resultant_matches_sylvester(p, q)
+
+
+def test_resultant_special_operands():
+    x = IntPolynomial((0, 1))
+    # shared root t = 1 for every x: the resultant is zero
+    p = IntPolynomial((-1, 0, 1))                        # t^2 - 1
+    q = [IntPolynomial((3,)) - x, IntPolynomial((-3,)), x]  # (t - 1)(x t + x - 3)
+    assert _assert_resultant_matches_sylvester(p, q).is_zero
+    # p linear: res_t(q, t - 2) = q(2, x)
+    p = IntPolynomial((-2, 1))
+    q = [x * x, IntPolynomial((1, 1)), IntPolynomial((-1, 0, 3))]
+    assert _assert_resultant_matches_sylvester(p, q) == (
+        x * x + IntPolynomial((2, 2)) + IntPolynomial((-4, 0, 12)))
+    # q constant in t: res_t(x + 1, t^2 + 1) = (x + 1)^2
+    q = [IntPolynomial((1, 1))]
+    assert _assert_resultant_matches_sylvester(IntPolynomial((1, 0, 1)), q) \
+        == IntPolynomial((1, 2, 1))
+    # p constant: res_t(t^2 + x, 3) = 3^2
+    q = [x, IntPolynomial(()), IntPolynomial((1,))]
+    assert _assert_resultant_matches_sylvester(IntPolynomial((3,)), q) \
+        == IntPolynomial((9,))
+
+
 def test_irreducible_mod_p_examples():
     assert irreducible_mod_p(IntPolynomial((1, 0, 1)), 3) is True
     assert irreducible_mod_p(IntPolynomial((-1, 0, 1)), 7) is False
@@ -137,6 +210,33 @@ def test_irreducible_mod_p_vs_exhaustive_factor_search(salem8):
     p = admissible_primes(elim, 1)[0]
     got = irreducible_mod_p(elim, p)
     assert got == _exhaustive_irreducible(elim, p)
+
+
+def test_irreducible_mod_p_vs_exhaustive_all_small_degrees():
+    for p in (2, 3, 5):
+        for deg in range(2, 5):
+            for tail in itertools.product(range(p), repeat=deg):
+                for lead in range(1, p):
+                    f = IntPolynomial(tail + (lead,))
+                    assert irreducible_mod_p(f, p) == \
+                        _exhaustive_irreducible(f, p), (f, p)
+
+
+def test_irreducible_mod_p_rejects_squares_and_equal_degree_products():
+    # x^(p^n) = x mod g*h when deg g = deg h; only the gcd step rejects it
+    cases = [
+        (2, (1, 1, 1), (1, 1, 1)),            # g^2, g = x^2 + x + 1
+        (2, (1, 1, 0, 1), (1, 0, 1, 1)),      # two irreducible cubics
+        (3, (1, 0, 1), (2, 1, 1)),            # two irreducible quadratics
+        (3, (1, 2, 0, 1), (1, 2, 0, 1)),      # g^2, g = x^3 + 2x + 1
+        (5, (2, 0, 1), (3, 0, 1)),            # x^2 + 2 and x^2 + 3
+    ]
+    for p, g, h in cases:
+        g, h = IntPolynomial(g), IntPolynomial(h)
+        assert irreducible_mod_p(g, p) and irreducible_mod_p(h, p)
+        f = g * h
+        assert irreducible_mod_p(f, p) is False
+        assert _exhaustive_irreducible(f, p) is False
 
 
 def _exhaustive_irreducible(poly: IntPolynomial, p: int) -> bool:
