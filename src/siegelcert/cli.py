@@ -8,13 +8,14 @@ Subcommands:
   matrix       plain-text dump of an action matrix
 
 Reports are JSON on stdout (optionally also written to --out).  Exit codes:
-0 full certification, 1 hard error (JSON error object on stdout), 2 when any
-verdict is Inconclusive.  --strict adds conjugacy evidence to every run
-command; when the evidence fails, the verdicts it would back become
-Inconclusive and the report still prints.  Identical configurations produce
-byte-identical reports.  There are no precision flags: each Salem polynomial
-is certified once at the fixed tolerance of roots.poly_roots, and a pattern
-that double precision cannot decide is a BoundaryUndecidable error (exit 1).
+0 full certification, 1 hard error (JSON error object on stdout, also when
+--out cannot be written), 2 when any verdict is Inconclusive.  --strict adds
+conjugacy evidence to every run command; when the evidence fails, the
+verdicts it would back become Inconclusive and the report still prints.
+Identical configurations produce byte-identical reports.  There are no
+precision flags: each Salem polynomial is certified once at the fixed
+tolerance of roots.poly_roots, and a pattern that double precision cannot
+decide is a BoundaryUndecidable error (exit 1).
 """
 
 from __future__ import annotations
@@ -93,10 +94,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(text: str, out_path: str | None):
-    sys.stdout.write(text)
+    # the file first: an unwritable --out leaves stdout to the error object
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)
+    sys.stdout.write(text)
 
 
 def _finish(report: CertificationReport, config: RunConfig) -> int:
@@ -143,7 +145,7 @@ def main(argv: list[str] | None = None) -> int:
                 m = tl_action_matrix(OrbitData(args.m, args.n))
             _emit(m.to_text(), args.out)
             return 0
-    except (SiegelcertError, ValueError) as exc:
+    except (SiegelcertError, ValueError, OSError) as exc:
         sys.stdout.write(json.dumps(
             {"error": {"stage": type(exc).__name__, "message": str(exc)}},
             sort_keys=True, indent=2) + "\n")

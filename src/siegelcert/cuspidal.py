@@ -222,17 +222,11 @@ def abscissa_resultant(salem: IntPolynomial) -> IntPolynomial:
 
         27 delta^2 x^2 - 9 delta (delta-1)^2 x + (delta^2-delta+1)(delta-1)^2.
     """
-    sq = IntPolynomial((0, 0, 27))       # 27 x^2
-    lin = IntPolynomial((0, -9))         # -9 x
-    # (delta^2-delta+1)(delta-1)^2 = delta^4 - 3 delta^3 + 4 delta^2 - 3 delta + 1
-    q_by_power = [
-        IntPolynomial((1,)),                       # delta^0
-        lin + IntPolynomial((-3,)),                # delta^1
-        sq + (-2 * lin) + IntPolynomial((4,)),     # delta^2
-        lin + IntPolynomial((-3,)),                # delta^3
-        IntPolynomial((1,)),                       # delta^4
-    ]
-    return resultant(salem, q_by_power).primitive_positive()
+    sq = IntPolynomial((1, -2, 1))                    # (delta-1)^2
+    q = [IntPolynomial((1, -1, 1)) * sq,              # x^0
+         IntPolynomial((0, -9)) * sq,                 # x^1
+         IntPolynomial((0, 0, 27))]                   # x^2
+    return resultant(salem, q).primitive_positive()
 
 
 def strict_mode_evidence(salem: IntPolynomial) -> StrictEvidence:

@@ -25,10 +25,6 @@ class BoundaryUndecidable(SiegelcertError):
     the Salem root pattern, and the run exits 1."""
 
 
-class DegreeOverflow(SiegelcertError):
-    """Sylvester elimination would exceed the configured size cap."""
-
-
 class BadPrime(SiegelcertError):
     """Modulus is not prime or divides the leading coefficient."""
 

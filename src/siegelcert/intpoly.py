@@ -1,11 +1,14 @@
 """Exact integer-coefficient polynomial algebra.
 
 Coefficients are Python bigints, index = degree of the term.  Everything here
-is exact: cyclotomic stripping is trial exact division, resultants over Z[x]
-are subresultant PRS values at integer points interpolated exactly in Z[x],
-and the mod-p irreducibility test runs Rabin's criterion on the Frobenius
-matrix over GF(p).  No floating point enters except in eval_ball, which
-wraps honest conversion error for coefficients beyond 2^53.
+is exact: cyclotomic stripping is trial exact division, and the mod-p
+irreducibility test runs Rabin's criterion on the Frobenius matrix over GF(p).
+The resultant eliminates t from p(t) and q(t, x), with q given by powers of x
+(q[k] is the Z[t] coefficient of x^k).  Its x-degree is at most
+(len(q) - 1) * deg p, and its sign is that of the Sylvester determinant with
+the q-rows first.  It is computed by the subresultant PRS at integer points
+and interpolated exactly in Z[x].  No floating point enters except in
+eval_ball, which wraps honest conversion error for coefficients beyond 2^53.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 from .balls import ComplexBall
-from .errors import BadPrime, CheckFailed, DegreeOverflow
+from .errors import BadPrime, CheckFailed
 
 
 @dataclass(frozen=True)
@@ -272,43 +275,36 @@ def rebuild(rest: IntPolynomial, factors: list[int]) -> IntPolynomial:
 # resultants (evaluation at integers, subresultant PRS, exact interpolation)
 # ---------------------------------------------------------------------------
 
-SYLVESTER_DIM_CAP = 192
-
-
-def resultant(p: IntPolynomial, q_coeffs: list[IntPolynomial],
-              dim_cap: int = SYLVESTER_DIM_CAP) -> IntPolynomial:
+def resultant(p: IntPolynomial, q: list[IntPolynomial]) -> IntPolynomial:
     """Eliminate t from p(t) = 0 and q(t, x) = 0.
 
-    p is a polynomial in the eliminated variable t; q is given by its t-power
-    coefficients, each an IntPolynomial in x.  Returns the Sylvester resultant
+    p is a polynomial in the eliminated variable t; q is given by powers of x,
+    q[k] being the Z[t] coefficient of x^k.  Returns the Sylvester resultant
     with the q-rows placed first, i.e. lc_t(q)^deg(p) * prod_{q(b,x)=0} p(b),
     as an exact polynomial in x.  Only the deg(p) q-rows depend on x, so its
-    x-degree is at most deg_x(q) * deg(p).  It is evaluated at that many plus
-    one integers (0, 1, -1, 2, ..., skipping the roots of lc_t(q)) by the
-    subresultant PRS and interpolated exactly in Z[x].
+    x-degree is at most (len(q) - 1) * deg(p).  It is evaluated at that many
+    plus one integers (0, 1, -1, 2, ..., skipping each x0 where q(t, x0) drops
+    below deg_t(q), i.e. the roots of lc_t(q)) by the subresultant PRS and
+    interpolated exactly in Z[x].
     """
     if p.is_zero:
         raise ValueError("p must be nonzero")
-    qc = list(q_coeffs)
-    while qc and qc[-1].is_zero:
-        qc.pop()
-    if not qc:
+    q = list(q)
+    while q and q[-1].is_zero:
+        q.pop()
+    if not q:
         raise ValueError("q must be nonzero")
-    m = p.degree          # rows of q
-    n = len(qc) - 1       # rows of p
-    dim = m + n
-    if dim > dim_cap:
-        raise DegreeOverflow(f"Sylvester dimension {dim} exceeds cap {dim_cap}")
-    if dim == 0:
-        return ONE
-    need = m * max(c.degree for c in qc) + 1
+    deg_t = max(c.degree for c in q)
+    need = p.degree * (len(q) - 1) + 1
     xs, ys = [], []
     x0 = 0
     while len(xs) < need:
-        if qc[-1].eval_int(x0):
+        powers = [x0 ** k for k in range(len(q))]
+        q0 = IntPolynomial(tuple(sum(w * c[d] for w, c in zip(powers, q))
+                                 for d in range(deg_t + 1)))
+        if q0.degree == deg_t:
             xs.append(x0)
-            ys.append(_int_resultant(
-                IntPolynomial(tuple(c.eval_int(x0) for c in qc)), p))
+            ys.append(_int_resultant(q0, p))
         x0 = -x0 if x0 > 0 else 1 - x0
     return _interpolate(xs, ys)
 

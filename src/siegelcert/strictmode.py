@@ -1,4 +1,4 @@
-"""Strict-mode Galois evidence for the three-lines family.
+"""Strict-mode Galois evidence for both families.
 
 Default certification treats all fixed points over the roots of one Salem
 factor as a single conjugate family (the fixed-point equations have
@@ -13,56 +13,24 @@ Inconclusive; it never blocks a run.
 from __future__ import annotations
 
 from .certifier import StrictEvidence
-from .intpoly import (IntPolynomial, admissible_primes, irreducible_mod_p,
-                      resultant, squarefree_part, x_pow_minus_one,
-                      x_pow_plus_one)
+from .intpoly import (ONE, IntPolynomial, admissible_primes,
+                      irreducible_mod_p, resultant, squarefree_part,
+                      x_pow_minus_one, x_pow_plus_one)
 
 PRIME_BUDGET = 25  # admissible primes tried before the evidence fails
 
 
-class _BivarX:
-    """Polynomial in x whose coefficients live in Z[delta]."""
-
-    def __init__(self, coeffs_by_x: list[IntPolynomial]):
-        c = list(coeffs_by_x)
-        while c and c[-1].is_zero:
-            c.pop()
-        self.c = c
-
-    @staticmethod
-    def const(p: IntPolynomial) -> "_BivarX":
-        return _BivarX([p])
-
-    @staticmethod
-    def linear(const_part: IntPolynomial, x_part: IntPolynomial) -> "_BivarX":
-        return _BivarX([const_part, x_part])
-
-    def __mul__(self, other: "_BivarX") -> "_BivarX":
-        if not self.c or not other.c:
-            return _BivarX([])
-        out = [IntPolynomial(()) for _ in range(len(self.c) + len(other.c) - 1)]
-        for i, a in enumerate(self.c):
-            if a.is_zero:
-                continue
-            for j, b in enumerate(other.c):
-                out[i + j] = out[i + j] + a * b
-        return _BivarX(out)
-
-    def __sub__(self, other: "_BivarX") -> "_BivarX":
-        n = max(len(self.c), len(other.c))
-        def at(poly, k):
-            return poly.c[k] if k < len(poly.c) else IntPolynomial(())
-        return _BivarX([at(self, k) - at(other, k) for k in range(n)])
-
-    def by_delta_power(self) -> list[IntPolynomial]:
-        """Transpose to delta-major: entry d is the x-polynomial at delta^d."""
-        if not self.c:
-            return []
-        dmax = max(p.degree for p in self.c if not p.is_zero)
-        out = []
-        for d in range(dmax + 1):
-            out.append(IntPolynomial(tuple(p[d] for p in self.c)))
-        return out
+def _x_product(factors: list[list[IntPolynomial]]) -> list[IntPolynomial]:
+    """Product of polynomials in x with Z[delta] coefficients, each given by
+    powers of x."""
+    out = [ONE]
+    for f in factors:
+        prod = [IntPolynomial(())] * (len(out) + len(f) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(f):
+                prod[i + j] = prod[i + j] + a * b
+        out = prod
+    return out
 
 
 def abscissa_resultant_tl(salem: IntPolynomial, orbit) -> IntPolynomial:
@@ -79,22 +47,16 @@ def abscissa_resultant_tl(salem: IntPolynomial, orbit) -> IntPolynomial:
     resultant against the Salem polynomial eliminates delta exactly.
     """
     d3 = x_pow_minus_one(3)
-    lhs = _BivarX.const(IntPolynomial((1, 2, 1)))  # (1+delta)^2
-    for mi in orbit.m:
-        p_i = x_pow_minus_one(3 * mi).scale_pow(1)
-        q_i = d3 * x_pow_plus_one(3 * mi - 1)
-        lhs = lhs * _BivarX.linear(q_i, p_i)
-    rhs = _BivarX.const(IntPolynomial((0, 1)))     # delta
-    for nj in orbit.n:
-        r_j = x_pow_minus_one(3 * nj).scale_pow(2)
-        t_j = d3 * x_pow_plus_one(3 * nj + 1)
-        rhs = rhs * _BivarX.linear(t_j, -1 * r_j)
-    for nj in orbit.n:
-        lhs = lhs * _BivarX.const(d3 * x_pow_plus_one(3 * nj + 1))
-    for mi in orbit.m:
-        rhs = rhs * _BivarX.const(d3 * x_pow_plus_one(3 * mi - 1))
-    cleared = lhs - rhs
-    eliminated = resultant(salem, cleared.by_delta_power())
+    p = [x_pow_minus_one(3 * mi).scale_pow(1) for mi in orbit.m]
+    q = [d3 * x_pow_plus_one(3 * mi - 1) for mi in orbit.m]
+    r = [x_pow_minus_one(3 * nj).scale_pow(2) for nj in orbit.n]
+    t = [d3 * x_pow_plus_one(3 * nj + 1) for nj in orbit.n]
+    lhs = _x_product([[IntPolynomial((1, 2, 1))],       # (1+delta)^2
+                      *([qi, pi] for qi, pi in zip(q, p)), *([tj] for tj in t)])
+    rhs = _x_product([[IntPolynomial((0, 1))],          # delta
+                      *([tj, -rj] for tj, rj in zip(t, r)), *([qi] for qi in q)])
+    cleared = [a - b for a, b in zip(lhs, rhs)]
+    eliminated = resultant(salem, cleared)
     return eliminated.primitive_positive()
 
 

@@ -168,3 +168,17 @@ def test_matrix_dump_three_lines(capsys):
 def test_matrix_dump_bad_args(capsys):
     code, out = _run(capsys, "matrix", "--family", "quad", "--n", "2,3")
     assert code == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("three-lines", "--m", "2", "--n", "1"),
+    ("matrix", "--family", "quad", "--n", "2,3,4"),
+])
+def test_unwritable_out_is_a_json_error(capsys, tmp_path, argv):
+    # the file is written before stdout, so a failed write leaves stdout to
+    # exactly one error object
+    code, out = _run(capsys, *argv, "--out", str(tmp_path / "missing" / "r.json"))
+    assert code == 1
+    doc = json.loads(out)
+    assert list(doc) == ["error"]
+    assert doc["error"]["stage"] == "FileNotFoundError"

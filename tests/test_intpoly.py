@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from siegelcert.errors import BadPrime, DegreeOverflow
+from siegelcert.errors import BadPrime
 from siegelcert.intpoly import (IntPolynomial, admissible_primes, cyclotomic,
                                 cyclotomic_indices, irreducible_mod_p, rebuild,
                                 resultant, strip_cyclotomic)
@@ -84,16 +84,16 @@ def test_strip_exact_reconstruction_random():
 
 
 def test_resultant_linear_elimination():
-    # res_t(t - 2, t - x) = x - 2
+    # res_t(t - 2, t - x) = x - 2; q by powers of x
     p = IntPolynomial((-2, 1))
-    q = [IntPolynomial((0, -1)), IntPolynomial((1,))]
+    q = [IntPolynomial((0, 1)), IntPolynomial((-1,))]
     assert resultant(p, q) == IntPolynomial((-2, 1))
 
 
 def test_resultant_quadratic_square():
     # res_t(t^2 - 2, x - t^2) = (x - 2)^2
     p = IntPolynomial((-2, 0, 1))
-    q = [IntPolynomial((0, 1)), IntPolynomial(()), IntPolynomial((-1,))]
+    q = [IntPolynomial((0, 0, -1)), IntPolynomial((1,))]
     assert resultant(p, q) == IntPolynomial((4, -4, 1))
 
 
@@ -114,20 +114,16 @@ def test_resultant_degree16_vanishes_at_fixed_abscissas(salem8):
             assert rel < 1e-6
 
 
-def test_resultant_dim_cap():
-    p = IntPolynomial(tuple([1] * 130))
-    q = [IntPolynomial((0, 1))] * 130
-    with pytest.raises(DegreeOverflow):
-        resultant(p, q, dim_cap=64)
-
-
-def _sylvester_det_at(p, q_coeffs, x):
+def _sylvester_det_at(p, q, x):
     """Determinant of the integer Sylvester matrix of p(t) and q(t, x) at an
-    integer x, q-rows first, by elimination over Fractions."""
+    integer x, q-rows first, by elimination over Fractions.  q is given by
+    powers of x; its t-coefficients at x are summed here."""
     from fractions import Fraction
-    qrev = [c.eval_int(x) for c in reversed(q_coeffs)]
+    n = max(c.degree for c in q)
+    qrev = [sum(c[d] * x ** k for k, c in enumerate(q))
+            for d in range(n, -1, -1)]
     prev = list(reversed(p.coeffs))
-    m, n = p.degree, len(q_coeffs) - 1
+    m = p.degree
     dim = m + n
     rows = ([[0] * i + qrev + [0] * (m - 1 - i) for i in range(m)]
             + [[0] * i + prev + [0] * (n - 1 - i) for i in range(n)])
@@ -152,7 +148,9 @@ def _sylvester_det_at(p, q_coeffs, x):
 def _assert_resultant_matches_sylvester(p, q):
     res = resultant(p, q)
     # the roots of lc_t(q) are skipped by the evaluation scheme; check them too
-    lc_roots = [x for x in range(-6, 7) if q[-1].eval_int(x) == 0]
+    deg_t = max(c.degree for c in q)
+    lc = IntPolynomial(tuple(c[deg_t] for c in q))
+    lc_roots = [x for x in range(-6, 7) if lc.eval_int(x) == 0]
     for x in list(range(-3, 4)) + [11, -17] + lc_roots:
         assert res.eval_int(x) == _sylvester_det_at(p, q, x), (p, q, x)
     return res
@@ -164,31 +162,34 @@ def test_resultant_matches_sylvester_determinant_random():
         m, n, dx = rng.randint(1, 5), rng.randint(1, 3), rng.randint(0, 2)
         p = IntPolynomial(tuple(rng.randint(-3, 3) for _ in range(m))
                           + (rng.choice((1, -1, 2, 3)),))
-        q = [IntPolynomial(tuple(rng.randint(-2, 2) for _ in range(dx + 1)))
-             for _ in range(n)]
         # leading t-coefficient with integer roots, e.g. (x - 1)(x + 2)
-        q.append(IntPolynomial((-rng.randint(-2, 2), 1))
-                 * IntPolynomial((rng.randint(-2, 2), 1)))
+        lc = (IntPolynomial((-rng.randint(-2, 2), 1))
+              * IntPolynomial((rng.randint(-2, 2), 1)))
+        # q by powers of x: lower t-coefficients of x-degree at most dx
+        q = [IntPolynomial(tuple(rng.randint(-2, 2) if k <= dx else 0
+                                 for _ in range(n)) + (lc[k],))
+             for k in range(3)]
         _assert_resultant_matches_sylvester(p, q)
 
 
 def test_resultant_special_operands():
+    # q is given by powers of x throughout
     x = IntPolynomial((0, 1))
     # shared root t = 1 for every x: the resultant is zero
     p = IntPolynomial((-1, 0, 1))                        # t^2 - 1
-    q = [IntPolynomial((3,)) - x, IntPolynomial((-3,)), x]  # (t - 1)(x t + x - 3)
+    q = [IntPolynomial((3, -3)), IntPolynomial((-1, 0, 1))]  # (t - 1)(x t + x - 3)
     assert _assert_resultant_matches_sylvester(p, q).is_zero
-    # p linear: res_t(q, t - 2) = q(2, x)
+    # p linear: res_t(q, t - 2) = q(2, x), q = x^2 + (1 + x) t + (3 x^2 - 1) t^2
     p = IntPolynomial((-2, 1))
-    q = [x * x, IntPolynomial((1, 1)), IntPolynomial((-1, 0, 3))]
+    q = [IntPolynomial((0, 1, -1)), IntPolynomial((0, 1)), IntPolynomial((1, 0, 3))]
     assert _assert_resultant_matches_sylvester(p, q) == (
         x * x + IntPolynomial((2, 2)) + IntPolynomial((-4, 0, 12)))
     # q constant in t: res_t(x + 1, t^2 + 1) = (x + 1)^2
-    q = [IntPolynomial((1, 1))]
+    q = [IntPolynomial((1,)), IntPolynomial((1,))]
     assert _assert_resultant_matches_sylvester(IntPolynomial((1, 0, 1)), q) \
         == IntPolynomial((1, 2, 1))
     # p constant: res_t(t^2 + x, 3) = 3^2
-    q = [x, IntPolynomial(()), IntPolynomial((1,))]
+    q = [IntPolynomial((0, 0, 1)), IntPolynomial((1,))]
     assert _assert_resultant_matches_sylvester(IntPolynomial((3,)), q) \
         == IntPolynomial((9,))
 

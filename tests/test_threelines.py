@@ -20,7 +20,8 @@ from siegelcert.threelines import (OrbitData, ThreeLinesParams,
                                    h_iterate, indeterminacy,
                                    infinity_criterion, infinity_eigen_data,
                                    lambda_by_bisection, orbit_verify,
-                                   salem_from_orbit, tl_map_eval, trace_affine)
+                                   param_balls, salem_from_orbit, tl_map_eval,
+                                   trace_affine)
 
 
 def _oracle_affine(params, x, y):
@@ -288,6 +289,32 @@ def test_fixed_points_equal_parameter_closed_form():
     # the closed form uses one branch of d^(1/N); match as sets
     for g in got:
         assert min(abs(g - w) for w in want) < 1e-8
+
+
+def test_strict_evidence_n2_cross_terms():
+    """N = 2 reaches the cross terms of the x-product in the cleared
+    fixed-point equation.  The eliminated polynomial must vanish at every
+    certified diagonal fixed abscissa, an oracle independent of the
+    elimination code."""
+    from siegelcert.certifier import StrictEvidence
+    from siegelcert.strictmode import (abscissa_resultant_tl,
+                                       three_lines_strict_evidence)
+    orb = OrbitData((2, 3), (2, 3))
+    cert = salem_from_orbit(orb)
+    assert three_lines_strict_evidence(cert.poly, orb) == \
+        StrictEvidence(56, 28, 43, True)
+    elim = abscissa_resultant_tl(cert.poly, orb)
+    scale = sum(abs(c) for c in elim.coeffs)
+    assert len(cert.circle_roots) == 26
+    for root in cert.circle_roots:
+        recs = fixed_points_tl(ab_from_delta(root.center, orb),
+                               param_balls(root, orb))
+        aff = [r for r in recs if r.location is Location.AFFINE_DIAGONAL]
+        assert len(aff) == orb.N
+        for r in aff:
+            x = r.coords.x / r.coords.z
+            rel = abs(elim.eval_complex(x)) / (scale * max(1.0, abs(x)) ** elim.degree)
+            assert rel < 1e-9
 
 
 def test_trace_affine_formula_and_fd():
