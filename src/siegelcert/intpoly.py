@@ -3,23 +3,30 @@
 Coefficients are Python bigints, index = degree of the term.  Everything here
 is exact: cyclotomic stripping is trial exact division, and the mod-p
 irreducibility test runs Rabin's criterion on the Frobenius matrix over GF(p).
+Stripping tries the indices k with euler_phi(k) <= deg p, found below the
+Rosser-Schoenfeld bound n / phi(n) < e^gamma ln ln n + 3 / ln ln n, and a
+float screen (p nearly vanishing at a primitive k-th root of unity, all k
+in one numpy pass) only decides which exact divisions are attempted.
 The resultant eliminates t from p(t) and q(t, x), with q given by powers of x
 (q[k] is the Z[t] coefficient of x^k).  Its x-degree is at most
 (len(q) - 1) * deg p, and its sign is that of the Sylvester determinant with
 the q-rows first.  It is computed by the subresultant PRS at integer points
-and interpolated exactly in Z[x].  No floating point enters except in
-eval_ball, which wraps honest conversion error for coefficients beyond 2^53.
+and interpolated exactly in Z[x].  No floating point enters a result except
+in eval_ball, which wraps honest conversion error for coefficients beyond 2^53.
 """
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .balls import ComplexBall
 from .errors import BadPrime, CheckFailed
+
+_E_GAMMA = math.exp(0.5772156649015329)  # e to the Euler-Mascheroni constant
 
 
 @dataclass(frozen=True)
@@ -209,12 +216,43 @@ def _totient_table(limit: int) -> tuple[int, ...]:
     return tuple(phi)
 
 
+def _totient_exceeds_from(d: int) -> int:
+    """An n0 >= 3 with euler_phi(n) > d for every n >= n0 (2043 at d = 400,
+    where the largest k with euler_phi(k) <= 400 is 1680).
+
+    Rosser and Schoenfeld (1962, Theorem 15) give n / phi(n) < e^gamma ln ln n
+    + 2.51 / ln ln n for n >= 3, so phi(n) > g(n) = n / (e^gamma L + 3 / L)
+    with L = ln ln n > 0.  g increases for n >= 3: with f = e^gamma L + 3 / L,
+    n g'(n) / g(n) = 1 - n f'(n) / f, where n f'(n) = (e^gamma - 3 / L^2) / ln n
+    is at most e^gamma / ln 3 < 1.7 and f >= 2 sqrt(3 e^gamma) > 4.6.  So
+    phi(n) > d for every n >= n0 once g(n0) > d + 1; the extra 1 absorbs the
+    rounding of g in floating point.  n0 is found by doubling, then bisection.
+    """
+    def g(n: int) -> float:
+        lnln = math.log(math.log(n))
+        return n / (_E_GAMMA * lnln + 3.0 / lnln)
+
+    hi = 6  # g(6) < 1, so the loop runs at least once
+    while g(hi) <= d + 1:
+        hi *= 2
+    lo = hi // 2  # the last hi with g(hi) <= d + 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if g(mid) > d + 1:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 def cyclotomic_indices(max_degree: int) -> list[int]:
-    """All k with euler_phi(k) <= max_degree, ascending."""
+    """All k with euler_phi(k) <= max_degree, ascending.
+
+    The totients are sieved below _totient_exceeds_from(max_degree), the
+    Rosser-Schoenfeld bound past which euler_phi(k) > max_degree."""
     if max_degree < 1:
         return [1, 2] if max_degree >= 0 else []
-    # phi(k) >= sqrt(k/2), so phi(k) > d for all k > 2 d^2 + 1
-    limit = 2 * max_degree * max_degree + 2
+    limit = _totient_exceeds_from(max_degree) - 1
     phi = _totient_table(limit)
     return [k for k in range(1, limit + 1) if phi[k] <= max_degree]
 
@@ -225,15 +263,33 @@ def strip_cyclotomic(p: IntPolynomial) -> tuple[IntPolynomial, list[int]]:
     Returns (rest, factors) with rest * prod(cyclotomic(k) for k in factors) == p
     exactly; factors lists the cyclotomic indices in ascending order, repeated
     per multiplicity.  Candidate indices are the k with euler_phi(k) <= deg p.
-    A cheap numeric screen (vanishing at one primitive k-th root of unity)
-    gates the exact divisions; divisibility itself is always proved exactly.
+
+    A numeric screen gates the exact divisions for k > 2: one numpy Horner
+    pass evaluates p at a primitive k-th root of unity for every candidate k
+    at once, and k survives when |p(z_k)| <= 1e-8 * max(sum |c|, 1).  That is
+    a necessary condition for cyclotomic(k) to divide any remaining cofactor,
+    since the cofactor divides p and p(z_k) = 0 exactly; float error at
+    degree <= 4096 and coefficients <= 2^48 stays far below the tolerance.
+    Larger inputs pass the screen unconditionally.  Divisibility itself is
+    always decided by exact division.
     """
     if p.is_zero:
         raise ValueError("zero polynomial")
+    indices = cyclotomic_indices(p.degree)
+    screened = set(indices)
+    if p.degree <= 4096 and max(abs(c) for c in p.coeffs) <= 2 ** 48:
+        high = np.array([k for k in indices if k > 2], dtype=float)
+        z = np.exp(2j * np.pi / high)
+        val = np.zeros_like(z)
+        for c in reversed(p.coeffs):
+            val *= z
+            val += c
+        tol = 1e-8 * max(float(sum(abs(c) for c in p.coeffs)), 1.0)
+        screened = {1, 2} | {int(k) for k in high[np.abs(val) <= tol]}
     rest = p
     factors: list[int] = []
-    for k in cyclotomic_indices(p.degree):
-        if k > 2 and not _unity_root_screen(rest, k):
+    for k in indices:
+        if k not in screened:
             continue
         phi_k = cyclotomic(k)
         if phi_k.degree > rest.degree:
@@ -247,21 +303,6 @@ def strip_cyclotomic(p: IntPolynomial) -> tuple[IntPolynomial, list[int]]:
             if rest.degree < phi_k.degree:
                 break
     return rest, factors
-
-
-def _unity_root_screen(p: IntPolynomial, k: int) -> bool:
-    """Fast necessary condition for cyclotomic(k) | p: p nearly vanishes at a
-    primitive k-th root of unity.  Degrees or coefficients too large for a
-    trustworthy float evaluation pass the screen unconditionally."""
-    if p.degree > 4096 or max(abs(c) for c in p.coeffs) > 2 ** 48:
-        return True
-    z = cmath.exp(2j * cmath.pi / k)
-    val = 0j
-    scale = 0.0
-    for c in reversed(p.coeffs):
-        val = val * z + c
-        scale = scale + abs(c)
-    return abs(val) <= 1e-8 * max(scale, 1.0)
 
 
 def rebuild(rest: IntPolynomial, factors: list[int]) -> IntPolynomial:

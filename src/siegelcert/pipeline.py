@@ -13,6 +13,7 @@ positive entropy from the action matrix.
 
 from __future__ import annotations
 
+import collections
 from dataclasses import dataclass
 
 from . import strictmode
@@ -32,6 +33,7 @@ from .threelines import (ApproxResult, ab_from_delta, approx_parameters,
 D0_TARGET = 0.96  # first design determinant tried for the all-inside target
 DEFAULT_EPS = 1.6
 DEFAULT_MN_CAP = 18
+DENSITY_RANKS = 4  # n_rank values the search walks before it gives up
 
 
 @dataclass
@@ -52,25 +54,64 @@ def _pattern_holds(records, want: Verdict) -> bool:
     return True
 
 
-def _try_candidate(approx: ApproxResult) -> _Candidate | None:
+_PATTERNS = {"delta0": Verdict.CERTIFIED_IN, "delta*": Verdict.CERTIFIED_OUT}
+
+
+def _pattern_step(orbit, root, params, side: str):
+    """Certified fixed points at one root, kept when the side's pattern holds:
+    (records, None), or (None, the rejection reason)."""
+    recs = fixed_points_tl(params, param_balls(root, orbit))
+    if _pattern_holds(recs, _PATTERNS[side]):
+        return recs, None
+    return None, f"{side} pattern"
+
+
+def _orbit_step(orbit, params):
+    rep = orbit_verify(params, orbit)
+    return (rep, None) if rep.passed else (None, "orbit check")
+
+
+def _memoised(memo: dict, step, *args):
+    """step(*args) once per (step, *args).  A SiegelcertError is kept as a
+    rejection whose reason is the error's type name."""
+    key = (step, *args)
+    if key not in memo:
+        try:
+            memo[key] = step(*args)
+        except SiegelcertError as exc:
+            memo[key] = None, type(exc).__name__
+    return memo[key]
+
+
+def _try_candidate(approx: ApproxResult, memo: dict,
+                   rejections: collections.Counter) -> _Candidate | None:
     """The certification gate, cheapest check first: the In-pattern at
-    delta0, the Out-pattern at delta*, then both orbit verifications."""
+    delta0, the Out-pattern at delta*, then both orbit verifications.
+
+    memo is created by theorem1_pipeline and lives for that one call; no
+    other search shares it.  Within the search many (delta0, delta*) pairs
+    share a root, so it holds each (orbit, root, side)'s certified fixed
+    points with its pattern result, and each (orbit, root)'s orbit report
+    (keyed by its parameters, which the root fixes); every check runs once
+    per key and a repeated pair costs lookups only.  A rejected
+    candidate adds one to rejections under the reason of its first failing
+    check: "delta0 pattern", "delta* pattern", "orbit check", or the type
+    name of the SiegelcertError that check raised.
+    """
     orbit = approx.orbit
-    try:
-        recs0 = fixed_points_tl(approx.params0, param_balls(approx.delta0, orbit))
-        if not _pattern_holds(recs0, Verdict.CERTIFIED_IN):
+    values = []
+    for step, args in (
+            (_pattern_step, (orbit, approx.delta0, approx.params0, "delta0")),
+            (_pattern_step, (orbit, approx.delta_star, approx.params_star,
+                             "delta*")),
+            (_orbit_step, (orbit, approx.params0)),
+            (_orbit_step, (orbit, approx.params_star))):
+        value, reason = _memoised(memo, step, *args)
+        if reason is not None:
+            rejections[reason] += 1
             return None
-        recs_star = fixed_points_tl(approx.params_star,
-                                    param_balls(approx.delta_star, orbit))
-        if not _pattern_holds(recs_star, Verdict.CERTIFIED_OUT):
-            return None
-        rep0 = orbit_verify(approx.params0, orbit)
-        rep_star = orbit_verify(approx.params_star, orbit)
-    except SiegelcertError:
-        return None
-    if not (rep0.passed and rep_star.passed):
-        return None
-    return _Candidate(approx, recs0, recs_star, rep0, rep_star)
+        values.append(value)
+    return _Candidate(approx, *values)
 
 
 def certify_three_lines(orbit, strict: bool = False,
@@ -152,16 +193,18 @@ def theorem1_pipeline(k: int, strict: bool = False, workers: int = 1,
         raise PipelineFailed("construct_cstar", str(exc))
 
     found: list[_Candidate] = []
+    memo: dict = {}
+    rejections: collections.Counter = collections.Counter()
 
     def gate(approx: ApproxResult) -> bool:
-        cand = _try_candidate(approx)
+        cand = _try_candidate(approx, memo, rejections)
         if cand is None:
             return False
         found.append(cand)
         return True
 
     approx_err = None
-    for rank in range(4):
+    for rank in range(DENSITY_RANKS):
         try:
             approx_parameters(c0, cstar, eps, mN_cap=mN_cap, accept=gate,
                               n_rank=rank)
@@ -169,9 +212,20 @@ def theorem1_pipeline(k: int, strict: bool = False, workers: int = 1,
         except BudgetExhausted as exc:
             approx_err = exc
     if not found:
-        raise PipelineFailed("approx_parameters", str(approx_err))
+        raise PipelineFailed("approx_parameters",
+                             f"{approx_err}; {_rejection_summary(rejections)}")
     cand = found[0]
     return _report_from_candidate(k, cand, strict)
+
+
+def _rejection_summary(rejections: collections.Counter) -> str:
+    total = sum(rejections.values())
+    if not total:
+        return f"over {DENSITY_RANKS} density ranks no candidate reached the gate"
+    reasons = ", ".join(f"{n} {reason}" for reason, n in
+                        sorted(rejections.items(), key=lambda kv: (-kv[1], kv[0])))
+    return (f"over {DENSITY_RANKS} density ranks the gate rejected {total} "
+            f"candidate(s): {reasons}")
 
 
 def _report_from_candidate(k: int, cand: _Candidate,

@@ -211,22 +211,25 @@ class TLMap:
             (z * delta * h, z * delta * ty, delta * (t + z * tz)),
         )
 
+    def image(self, pt):
+        """Image of an affine pair or a ProjectivePoint (same kind returned)."""
+        if isinstance(pt, ProjectivePoint):
+            comps = self.components(*pt.coords)
+            if max(abs(c) for c in comps) < INDETERMINACY_TOL:
+                raise Indeterminate(f"{pt} is an indeterminacy point")
+            return ProjectivePoint(*comps)
+        x, y = pt
+        comps = self.components(*ProjectivePoint.affine(x, y).coords)
+        if max(abs(c) for c in comps) < INDETERMINACY_TOL:
+            raise Indeterminate(f"({x}, {y}) is an indeterminacy point")
+        if abs(comps[2]) <= INDETERMINACY_TOL * max(abs(comps[0]), abs(comps[1])):
+            raise PoleHit(f"image of ({x}, {y}) lies on the line at infinity")
+        return (comps[0] / comps[2], comps[1] / comps[2])
+
 
 def tl_map_eval(params: ThreeLinesParams, pt):
     """Image of an affine pair or a ProjectivePoint (same kind returned)."""
-    tlm = TLMap.from_params(params)
-    if isinstance(pt, ProjectivePoint):
-        comps = tlm.components(*pt.coords)
-        if max(abs(c) for c in comps) < INDETERMINACY_TOL:
-            raise Indeterminate(f"{pt} is an indeterminacy point")
-        return ProjectivePoint(*comps)
-    x, y = pt
-    comps = tlm.components(*ProjectivePoint.affine(x, y).coords)
-    if max(abs(c) for c in comps) < INDETERMINACY_TOL:
-        raise Indeterminate(f"({x}, {y}) is an indeterminacy point")
-    if abs(comps[2]) <= INDETERMINACY_TOL * max(abs(comps[0]), abs(comps[1])):
-        raise PoleHit(f"image of ({x}, {y}) lies on the line at infinity")
-    return (comps[0] / comps[2], comps[1] / comps[2])
+    return TLMap.from_params(params).image(pt)
 
 
 @dataclass(frozen=True)
@@ -433,6 +436,7 @@ def orbit_verify(params: ThreeLinesParams, orbit: OrbitData) -> OrbitReport:
     for j, nj in enumerate(orbit.n):
         plan.append((f"b{j + 1}", ind.backward_b[j], 3 * nj, ind.forward_b[j]))
 
+    tlm = TLMap.from_params(params)
     checks = []
     for label, start, steps, target in plan:
         pt = start
@@ -442,7 +446,7 @@ def orbit_verify(params: ThreeLinesParams, orbit: OrbitData) -> OrbitReport:
                 collision = k
                 break
             try:
-                pt = tl_map_eval(params, pt)
+                pt = tlm.image(pt)
             except Indeterminate:
                 collision = k
                 break
@@ -564,8 +568,9 @@ def fixed_points_tl(params: ThreeLinesParams,
             rec = _realized_record(rec)
         records.append(rec)
 
+    tlm = TLMap.from_params(params)
     for rec in records:
-        img_comps = TLMap.from_params(params).components(*rec.coords.coords)
+        img_comps = tlm.components(*rec.coords.coords)
         if max(abs(c) for c in img_comps) < INDETERMINACY_TOL:
             raise CheckFailed(f"fixed point {rec.coords} hits indeterminacy")
         resid = rec.coords.distance(ProjectivePoint(*img_comps))
@@ -879,10 +884,13 @@ def approx_parameters(c0: ThreeLinesParams, cstar: ThreeLinesParams, eps: float,
     is checked all the same).  `accept`, when given, may reject a candidate
     (the caller's certification gate) and the sweep continues; n_rank > 0
     shifts the density choice to later-ranked indices.  Raises BudgetExhausted
-    when m_N exceeds its cap.
+    when m_N exceeds its cap, and ValueError unless eps is finite and > 0 and
+    mN_cap >= 1.
     """
-    if eps <= 0:
-        raise ValueError("eps must be > 0")
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError(f"eps must be finite and > 0, got {eps}")
+    if mN_cap < 1:
+        raise ValueError(f"mN_cap must be >= 1, got {mN_cap}")
     N = c0.N
     if cstar.N != N:
         raise ValueError("target families have different N")
@@ -898,6 +906,7 @@ def approx_parameters(c0: ThreeLinesParams, cstar: ThreeLinesParams, eps: float,
     m_head = _joint_pick(a_value, c0.a[:-1], cstar.a[:-1], d0, dstar,
                          used_m, rank=n_rank, window=window) if N > 1 else []
 
+    offered = 0
     for mN in range(1, mN_cap + 1):
         if mN in used_m:
             continue
@@ -934,6 +943,11 @@ def approx_parameters(c0: ThreeLinesParams, cstar: ThreeLinesParams, eps: float,
                 result = ApproxResult(orbit, cand0, cand_star, p0, ps, cert)
                 if accept is None or accept(result):
                     return result
+                offered += 1
+    if offered:
+        raise BudgetExhausted(f"m_N sweep exceeded {mN_cap} at eps={eps}: "
+                              f"{offered} candidate(s) hit both targets, "
+                              "none accepted")
     raise BudgetExhausted(f"m_N sweep exceeded {mN_cap} without hitting both "
                           f"targets at eps={eps}")
 

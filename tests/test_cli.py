@@ -84,6 +84,18 @@ def test_theorem1_k1_usage_error(capsys):
     assert json.loads(out)["error"]["stage"] == "PipelineFailed"
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--eps", "nan", "eps must be finite and > 0"),
+    ("--eps", "inf", "eps must be finite and > 0"),
+    ("--mn-cap", "0", "mN_cap must be >= 1"),
+])
+def test_theorem1_rejects_bad_search_arguments(capsys, flag, value, message):
+    code, out = _run(capsys, "theorem1", "--k", "3", flag, value)
+    assert code == 1
+    err = json.loads(out)["error"]
+    assert err["stage"] == "ValueError" and message in err["message"]
+
+
 def test_precision_flags_are_usage_errors(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["cuspidal", "--n", "8", "--tol", "1e-12"])

@@ -1,5 +1,7 @@
 """Integer polynomial algebra: cyclotomics, stripping, resultants, mod p."""
 
+import cmath
+import functools
 import itertools
 import random
 
@@ -45,6 +47,92 @@ def test_cyclotomic_indices_bound():
     assert all(cyclotomic(k).degree <= 8 for k in idx)
     assert 30 in idx  # phi(30) = 8
     assert 17 not in idx  # phi(17) = 16
+
+
+def _sieve_indices(max_degree: int) -> list[int]:
+    """cyclotomic_indices as it sieved before the Rosser-Schoenfeld bound:
+    every k <= 2 d^2 + 2, from phi(k) >= sqrt(k / 2)."""
+    if max_degree < 1:
+        return [1, 2] if max_degree >= 0 else []
+    limit = 2 * max_degree * max_degree + 2
+    phi = _totients()
+    return [k for k in range(1, limit + 1) if phi[k] <= max_degree]
+
+
+@functools.cache
+def _totients(limit: int = 2 * 400 * 400 + 2) -> list[int]:
+    phi = list(range(limit + 1))
+    for i in range(2, limit + 1):
+        if phi[i] == i:
+            for j in range(i, limit + 1, i):
+                phi[j] -= phi[j] // i
+    return phi
+
+
+def test_cyclotomic_indices_match_the_quadratic_sieve():
+    # every k with phi(k) <= 400 lies below 2 * 400^2 + 2, so filtering that
+    # short list by each d's old limit reproduces the old sieve exactly
+    phi = _totients()
+    small = [k for k in range(1, len(phi)) if phi[k] <= 400]
+    for d in range(0, 401):
+        want = ([1, 2] if d == 0 else
+                [k for k in small if phi[k] <= d and k <= 2 * d * d + 2])
+        assert cyclotomic_indices(d) == want, d
+    assert cyclotomic_indices(-1) == []
+
+
+def _scalar_strip(p: IntPolynomial) -> tuple[IntPolynomial, list[int]]:
+    """strip_cyclotomic with the screen it had before the numpy pass: one
+    root of unity at a time, on the current cofactor."""
+    def screen(q, k):
+        if q.degree > 4096 or max(abs(c) for c in q.coeffs) > 2 ** 48:
+            return True
+        z = cmath.exp(2j * cmath.pi / k)
+        val, scale = 0j, 0.0
+        for c in reversed(q.coeffs):
+            val = val * z + c
+            scale = scale + abs(c)
+        return abs(val) <= 1e-8 * max(scale, 1.0)
+
+    rest, factors = p, []
+    for k in _sieve_indices(p.degree):
+        if k > 2 and not screen(rest, k):
+            continue
+        phi_k = cyclotomic(k)
+        if phi_k.degree > rest.degree:
+            continue
+        while True:
+            q = rest.try_exact_div(phi_k)
+            if q is None:
+                break
+            rest = q
+            factors.append(k)
+            if rest.degree < phi_k.degree:
+                break
+    return rest, factors
+
+
+def _strip_inputs():
+    from siegelcert.cuspidal import orbit_polynomial
+    from siegelcert.threelines import OrbitData, cleared_chi_polynomial
+    yield from (orbit_polynomial(n) for n in range(4, 61))
+    rng = random.Random(2015)
+    for _ in range(12):
+        N = rng.randint(1, 3)
+        m = tuple(rng.randint(1, 7) for _ in range(N))
+        n = tuple(rng.randint(1, 7) for _ in range(N))
+        if (m, n) != ((1,), (1,)):
+            yield cleared_chi_polynomial(OrbitData(m, n))
+    base = IntPolynomial((1, -2, 1, -2, 1, -2, 1, -2, 1))
+    yield rebuild(base, [1, 1, 2, 3, 3, 3, 12, 30])
+    yield rebuild(IntPolynomial((3, 0, 1)), [5, 5, 7, 7, 105])
+    # one coefficient beyond 2^48: the screen passes every index
+    yield rebuild(IntPolynomial((2 ** 49 + 1, 1)), [4, 6, 6, 9])
+
+
+def test_strip_matches_the_scalar_screen():
+    for p in _strip_inputs():
+        assert strip_cyclotomic(p) == _scalar_strip(p), p
 
 
 def test_strip_examples(salem8):

@@ -1,0 +1,57 @@
+"""The theorem1 search gate: one certification per root, and why it rejects."""
+
+import collections
+
+import pytest
+
+from siegelcert import pipeline
+from siegelcert.errors import PipelineFailed
+
+
+def test_search_certifies_each_orbit_root_side_once(monkeypatch):
+    # the gate sees many (delta0, delta*) pairs that share a root; each
+    # (orbit, root, side) must get its fixed points certified exactly once
+    current = []
+    calls = collections.Counter()
+    real_fixed_points = pipeline.fixed_points_tl
+    real_approx = pipeline.approx_parameters
+
+    def fixed_points(params, balls):
+        approx = current[-1]
+        side = "delta0" if balls[0] == approx.delta0 else "delta*"
+        calls[(approx.orbit, balls[0], side)] += 1
+        return real_fixed_points(params, balls)
+
+    def approx_parameters(*args, accept, **kwargs):
+        def gate(approx):
+            current.append(approx)
+            return accept(approx)
+        return real_approx(*args, accept=gate, **kwargs)
+
+    monkeypatch.setattr(pipeline, "fixed_points_tl", fixed_points)
+    monkeypatch.setattr(pipeline, "approx_parameters", approx_parameters)
+    pipeline.theorem1_pipeline(3)
+    pairs = len(current)
+    distinct_roots0 = len({(a.orbit, a.delta0) for a in current})
+    assert distinct_roots0 < pairs  # pairs do share roots
+    assert calls and max(calls.values()) == 1
+    assert sum(calls.values()) == len(calls)
+
+
+def test_failed_search_names_the_gate_rejections():
+    with pytest.raises(PipelineFailed) as exc:
+        pipeline.theorem1_pipeline(3, mN_cap=4)
+    msg = str(exc.value)
+    assert "none accepted" in msg
+    assert "the gate rejected 18 candidate(s)" in msg
+    assert "delta0 pattern" in msg and "delta* pattern" in msg
+
+
+def test_rejection_summary_orders_reasons_by_count():
+    counts = collections.Counter({"orbit check": 1, "delta0 pattern": 3,
+                                  "BallDomainError": 1})
+    assert pipeline._rejection_summary(counts) == (
+        "over 4 density ranks the gate rejected 5 candidate(s): "
+        "3 delta0 pattern, 1 BallDomainError, 1 orbit check")
+    assert "no candidate reached the gate" in \
+        pipeline._rejection_summary(collections.Counter())
