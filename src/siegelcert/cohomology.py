@@ -4,27 +4,27 @@ The basis is the line class H followed by one exceptional class per blown-up
 orbit point, each orbit listed oldest step first; the intersection form is
 diag(1, -1, ..., -1).  Both constructors build the pullback action for their
 map family on one shared orbit-lattice scaffold, and every ActionMatrix
-verifies exact form preservation M^T J M = J on construction, with the same
-exact integer product (_mat_mul) that computes the characteristic polynomial.
-Characteristic polynomials are computed exactly over Python bigints
-(Faddeev-LeVerrier), never in floating point, so cyclotomic stripping and
-Salem-factor comparisons are integer identities.  spectral_data hands the
-non-cyclotomic part to is_salem, whose NoSalemFactor propagates; it works at
-any dimension, and the one size cap, CHARPOLY_DIM_CAP, is applied by
-spectral_check.
+verifies exact form preservation M^T J M = J on construction, summed over
+each row's nonzeros.  Characteristic polynomials are exact over Python
+bigints, never in floating point: most columns of an action matrix are unit
+vectors that shift a class one step down its orbit, so the matrix
+determinant lemma reduces det(t I - M) to an r x r determinant over Z[1/t],
+with r = 4 for the cuspidal family and 2N + 2 for three-lines.  Cyclotomic
+stripping and Salem-factor comparisons are therefore integer identities, and
+spectral_check compares the non-cyclotomic part with the run's Salem
+certificate at every dimension.
 """
 
 from __future__ import annotations
 
+import collections
 from dataclasses import dataclass
 from functools import cached_property
 
 from .balls import ComplexBall
 from .errors import CheckFailed, PipelineFailed
-from .intpoly import IntPolynomial, strip_cyclotomic
+from .intpoly import ONE, IntPolynomial, strip_cyclotomic
 from .salem import SalemCertificate, is_salem
-
-CHARPOLY_DIM_CAP = 96
 
 
 @dataclass(frozen=True)
@@ -52,10 +52,19 @@ class ActionMatrix:
         return (1,) + (-1,) * (self.dim - 1)
 
     def preserves_form(self) -> bool:
-        """Exact integer check of M^T J M = J."""
-        form = _diagonal(self.form_signs)
-        transpose = tuple(zip(*self.entries))
-        return _mat_mul(transpose, _mat_mul(form, self.entries)) == form
+        """Exact integer check of M^T J M = J.  Row k adds J_k M[k][i] M[k][j]
+        to entry (i, j) for each pair of its nonzeros; the diagonal must then
+        equal the form signs and every other entry must be 0."""
+        signs = self.form_signs
+        gram = collections.Counter()
+        for sign, row in zip(signs, self.entries):
+            nonzeros = [(j, v) for j, v in enumerate(row) if v]
+            for i, v in nonzeros:
+                for j, w in nonzeros:
+                    gram[i, j] += sign * v * w
+        return (all(gram.pop((i, i), 0) == sign
+                    for i, sign in enumerate(signs))
+                and not any(gram.values()))
 
     def trace(self) -> int:
         return sum(self.entries[i][i] for i in range(self.dim))
@@ -73,7 +82,12 @@ class ActionMatrix:
     @cached_property
     def char_poly(self) -> IntPolynomial:
         """Exact monic characteristic polynomial det(t I - M)."""
-        return _char_poly_exact(self.entries)
+        columns = [[] for _ in range(self.dim)]
+        for i, row in enumerate(self.entries):
+            for j, v in enumerate(row):
+                if v:
+                    columns[j].append((i, v))
+        return _char_poly_lattice(columns)
 
     def to_text(self) -> str:
         """Stable plain-text export: label header row, then the integer grid."""
@@ -85,44 +99,69 @@ class ActionMatrix:
         return head + "\n" + body + "\n"
 
 
-def _char_poly_exact(entries) -> IntPolynomial:
-    """Faddeev-LeVerrier over bigints: all divisions are exact."""
-    n = len(entries)
-    aux = [[0] * n for _ in range(n)]
-    coeffs = [0] * n + [1]
-    for k in range(1, n + 1):
-        for i in range(n):
-            aux[i][i] += coeffs[n - k + 1]
-        aux = _mat_mul(entries, aux)
-        tr = sum(aux[i][i] for i in range(n))
-        if tr % k:
-            raise CheckFailed("Faddeev-LeVerrier trace not divisible")
-        coeffs[n - k] = -tr // k
-    return IntPolynomial(tuple(coeffs))
+def _char_poly_lattice(columns) -> IntPolynomial:
+    """det(t I - M) by the matrix determinant lemma over the column split.
 
-
-def _diagonal(values) -> list[list[int]]:
-    out = [[0] * len(values) for _ in values]
-    for i, v in enumerate(values):
-        out[i][i] = v
-    return out
-
-
-def _mat_mul(a, b):
-    """Exact product of square integer matrices; zero entries of a are
-    skipped, so sparse left factors cost little."""
-    n = len(a)
-    out = [[0] * n for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        oi = out[i]
-        for k in range(n):
-            v = ai[k]
-            if v:
-                bk = b[k]
-                for j in range(n):
-                    oi[j] += v * bk[j]
-    return out
+    columns[j] lists the nonzero (row, value) entries of column j.  A unit
+    column e_i with i != j sends j to its successor i; S holds every other
+    column plus one column of each successor cycle, so the unit columns
+    outside S form a nilpotent P and M = P + U E_S^T with r = |S|.  Each
+    j outside S walks to a terminal a(j) in S in d(j) >= 1 steps, and with
+    s = 1/t, K_ab(s) = s (M[a][b] + sum over a(j) = a of M[j][b] s^d(j)), so
+    det(t I - M) = t^n det(I_r - K(1/t)).  D(s) = det(I_r - K(s)) comes from
+    fraction-free Bareiss over Z[s]; each pivot is a leading principal minor
+    with constant term 1, so none is zero, and a failed exact division or
+    D(0) != 1 raises CheckFailed.  The coefficients of the characteristic
+    polynomial are those of D, reversed.
+    """
+    n = len(columns)
+    succ = {j: col[0][0] for j, col in enumerate(columns)
+            if len(col) == 1 and col[0][1] == 1 and col[0][0] != j}
+    reach = {}  # j outside S -> (a(j), d(j))
+    for start in range(n):
+        path = {}  # the walk from start, in order
+        j = start
+        while j in succ and j not in reach and j not in path:
+            path[j] = None
+            j = succ[j]
+        if j in path:  # a new successor cycle: its column j joins S
+            del succ[j]
+        a, d = reach[j] if j in reach else (j, 0)
+        for k in reversed(path):
+            if k not in succ:
+                a, d = k, 0
+                continue
+            d += 1
+            reach[k] = a, d
+    split = [j for j in range(n) if j not in succ]
+    pos = {a: p for p, a in enumerate(split)}
+    r = len(split)
+    # entry[a][b] maps each power of s to its coefficient in (I_r - K(s))_ab
+    entry = [[{0: 1} if a == b else {} for b in range(r)] for a in range(r)]
+    for b, col in enumerate(split):
+        for j, v in columns[col]:
+            a, d = reach.get(j, (j, 0))
+            powers = entry[pos[a]][b]
+            powers[d + 1] = powers.get(d + 1, 0) - v
+    rows = [[IntPolynomial(tuple(powers.get(k, 0)
+                                 for k in range(max(powers, default=-1) + 1)))
+             for powers in row] for row in entry]
+    prev = ONE
+    for k in range(r - 1):
+        pivot = rows[k][k]
+        for i in range(k + 1, r):
+            lead = rows[i][k]
+            for j in range(k + 1, r):
+                q = (pivot * rows[i][j] - lead * rows[k][j]).try_exact_div(prev)
+                if q is None:
+                    raise CheckFailed("Bareiss division over Z[s] not exact")
+                rows[i][j] = q
+        prev = pivot
+    det = rows[-1][-1]
+    if det[0] != 1 or det.degree > n:
+        raise CheckFailed("determinant-lemma polynomial is not 1 + O(s) "
+                          f"of degree <= {n}")
+    return IntPolynomial(tuple(det[n - k] for k in range(n + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -226,14 +265,25 @@ class SpectralData:
     cyclo_parts: tuple[int, ...]
 
 
-def spectral_data(m: ActionMatrix) -> SpectralData:
-    """Exact char poly, cyclotomic/Salem split, spectral radius and entropy,
-    at every dimension (the size cap is spectral_check's choice).  A
-    non-cyclotomic part that is not Salem raises is_salem's NoSalemFactor."""
+def spectral_data(m: ActionMatrix,
+                  cert: SalemCertificate | None = None) -> SpectralData:
+    """Exact char poly, cyclotomic/Salem split, spectral radius and entropy.
+
+    Given cert, the non-cyclotomic part must equal cert.poly (else
+    PipelineFailed), and the spectral radius and entropy are cert's: a second
+    Salem certificate of the same polynomial would prove nothing new.
+    Without cert the part is certified here, and one that is not Salem raises
+    is_salem's NoSalemFactor.
+    """
     rest, cyclo = strip_cyclotomic(m.char_poly)
-    if rest.degree < 1:
+    if cert is not None:
+        if rest != cert.poly:
+            raise PipelineFailed("spectral_data", "action-matrix Salem factor "
+                                 "differs from the orbit's Salem polynomial")
+    elif rest.degree < 1:
         return SpectralData(ComplexBall.exact(1), 0.0, rest, tuple(cyclo))
-    cert = is_salem(rest)
+    else:
+        cert = is_salem(rest)
     return SpectralData(cert.lam, cert.entropy, rest, tuple(cyclo))
 
 
@@ -253,25 +303,15 @@ def delta_eigen_check(m: ActionMatrix, delta) -> ComplexBall:
 @dataclass(frozen=True)
 class SpectralCheck:
     matrix_info: dict               # dim, trace and fixed-point bound
-    data: SpectralData | None       # None when the dimension exceeded the cap
+    data: SpectralData
 
 
-def spectral_check(m: ActionMatrix, cert: SalemCertificate,
-                   dim_cap: int | None = CHARPOLY_DIM_CAP) -> SpectralCheck:
+def spectral_check(m: ActionMatrix, cert: SalemCertificate) -> SpectralCheck:
     """Matrix data for a report whose Salem factor is cert.poly.
 
-    Up to dim_cap (None: every dimension) the exact characteristic polynomial
-    must split off exactly cert.poly (else PipelineFailed), so the report's
-    entropy, cert.entropy, is the action's; above the cap nothing is
-    cross-checked and data is None.  This is the only place the cap is read:
-    it bounds the Faddeev-LeVerrier cost of per-item runs, while theorem1
-    passes None.
+    At every dimension the exact characteristic polynomial must split off
+    exactly cert.poly (spectral_data raises PipelineFailed otherwise), so the
+    report's entropy, cert.entropy, is the action's.
     """
     info = {"dim": m.dim, "trace": m.trace(), "bound": fixed_point_bound(m)}
-    if dim_cap is not None and m.dim > dim_cap:
-        return SpectralCheck(info, None)
-    sd = spectral_data(m)
-    if sd.salem_part != cert.poly:
-        raise PipelineFailed("spectral_data", "action-matrix Salem factor "
-                             "differs from the orbit's Salem polynomial")
-    return SpectralCheck(info, sd)
+    return SpectralCheck(info, spectral_data(m, cert))

@@ -250,7 +250,7 @@ def _report_from_candidate(k: int, cand: _Candidate,
     if len(w0_verdicts) != 1 or w0_verdicts[0].verdict is not PointVerdict.NOT_ROTATION:
         raise PipelineFailed("certification", "singular point not NotRotation")
 
-    spectral = spectral_check(tl_action_matrix(approx.orbit), cert, dim_cap=None)
+    spectral = spectral_check(tl_action_matrix(approx.orbit), cert)
     matrix_info = dict(spectral.matrix_info,
                        salem_degree=spectral.data.salem_part.degree,
                        cyclotomic_factors=list(spectral.data.cyclo_parts))

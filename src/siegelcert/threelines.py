@@ -23,6 +23,7 @@ the approximation search.
 from __future__ import annotations
 
 import cmath
+import collections
 import math
 from dataclasses import dataclass
 
@@ -883,9 +884,11 @@ def approx_parameters(c0: ThreeLinesParams, cstar: ThreeLinesParams, eps: float,
     (the last a-coordinate closes automatically through the chi identity but
     is checked all the same).  `accept`, when given, may reject a candidate
     (the caller's certification gate) and the sweep continues; n_rank > 0
-    shifts the density choice to later-ranked indices.  Raises BudgetExhausted
-    when m_N exceeds its cap, and ValueError unless eps is finite and > 0 and
-    mN_cap >= 1.
+    shifts the density choice to later-ranked indices.  Orbit data whose Salem
+    certificate fails (NoSalemFactor, BoundaryUndecidable, ClusterUnresolved,
+    NonConvergence) are skipped and counted by error type.  Raises
+    BudgetExhausted, naming those counts, when m_N exceeds its cap, and
+    ValueError unless eps is finite and > 0 and mN_cap >= 1.
     """
     if not (math.isfinite(eps) and eps > 0):
         raise ValueError(f"eps must be finite and > 0, got {eps}")
@@ -907,6 +910,7 @@ def approx_parameters(c0: ThreeLinesParams, cstar: ThreeLinesParams, eps: float,
                          used_m, rank=n_rank, window=window) if N > 1 else []
 
     offered = 0
+    skipped: collections.Counter = collections.Counter()  # error type -> count
     for mN in range(1, mN_cap + 1):
         if mN in used_m:
             continue
@@ -918,9 +922,10 @@ def approx_parameters(c0: ThreeLinesParams, cstar: ThreeLinesParams, eps: float,
         try:
             cert = salem_from_orbit(orbit)
         except (NoSalemFactor, BoundaryUndecidable, ClusterUnresolved,
-                NonConvergence):
+                NonConvergence) as exc:
             # non-generic orbit data (e.g. a reducible non-cyclotomic part);
             # not a lift candidate, keep sweeping
+            skipped[type(exc).__name__] += 1
             continue
         near0 = _roots_within(cert.circle_roots, d0, eps)
         near_star = _roots_within(cert.circle_roots, dstar, eps)
@@ -944,12 +949,18 @@ def approx_parameters(c0: ThreeLinesParams, cstar: ThreeLinesParams, eps: float,
                 if accept is None or accept(result):
                     return result
                 offered += 1
+    if skipped:
+        reasons = ", ".join(f"{count} {name}"
+                            for name, count in skipped.most_common())
+        skip_note = f" ({sum(skipped.values())} orbit data skipped: {reasons})"
+    else:
+        skip_note = ""
     if offered:
         raise BudgetExhausted(f"m_N sweep exceeded {mN_cap} at eps={eps}: "
                               f"{offered} candidate(s) hit both targets, "
-                              "none accepted")
+                              f"none accepted{skip_note}")
     raise BudgetExhausted(f"m_N sweep exceeded {mN_cap} without hitting both "
-                          f"targets at eps={eps}")
+                          f"targets at eps={eps}{skip_note}")
 
 
 def _roots_within(circle_roots, target: complex, eps: float, cap: int = 12):

@@ -13,6 +13,8 @@ from siegelcert.errors import PipelineFailed
 from siegelcert.intpoly import IntPolynomial, strip_cyclotomic
 from siegelcert.threelines import OrbitData, lambda_by_bisection, salem_from_orbit
 
+from oracles import char_poly_faddeev_leverrier
+
 PERMS = [(0, 1, 2), (1, 2, 0), (2, 0, 1), (0, 2, 1), (1, 0, 2), (2, 1, 0)]
 
 
@@ -127,22 +129,53 @@ def test_delta_eigen_check_large_matrix_exact():
     assert not delta_eigen_check(m, ComplexBall.exact(2.5 + 0.1j)).contains_zero()
 
 
-def test_spectral_check_dim_cap():
+def test_spectral_check_every_dimension():
     orbit = OrbitData((30,), (3,))
     m = tl_action_matrix(orbit)
+    assert m.dim == 103
     cert = salem_from_orbit(orbit)
-    exact = spectral_check(m, cert, dim_cap=None)
-    assert exact.data.salem_part == cert.poly
-    assert exact.data.entropy == cert.entropy
-    assert exact.matrix_info == {"dim": 103, "trace": m.trace(),
+    check = spectral_check(m, cert)
+    assert check.data.salem_part == cert.poly
+    assert check.data.entropy == cert.entropy
+    assert check.data.lam == cert.lam
+    assert check.matrix_info == {"dim": 103, "trace": m.trace(),
                                  "bound": fixed_point_bound(m)}
-    capped = spectral_check(m, cert)
-    assert capped.data is None
-    assert capped.matrix_info == exact.matrix_info
-    # a mismatched Salem factor is caught only on the exact path
+    # the default call cross-checks at dim 103 and catches a mismatch
     other = salem_from_orbit(OrbitData((2,), (1,)))
-    with pytest.raises(PipelineFailed):
-        spectral_check(m, other, dim_cap=None)
+    with pytest.raises(PipelineFailed) as info:
+        spectral_check(m, other)
+    assert info.value.stage == "spectral_data"
+
+
+def test_char_poly_matches_faddeev_leverrier():
+    mats = [quad_action_matrix(*ns, sigma=sigma)
+            for sigma in PERMS for ns in ((0, 0, 0), (1, 4, 2), (9, 7, 12))]
+    mats += [quad_action_matrix(38, 38, 39, sigma) for sigma in PERMS[:2]]
+    orbits = [((2,), (1,)), ((1,), (5,)), ((30,), (3,)),
+              ((1, 2), (1, 1)), ((7, 6), (5, 9)), ((12, 10), (8, 6)),
+              ((1, 1, 1), (1, 1, 1)), ((3, 4, 5), (2, 3, 4)),
+              ((5, 6, 7), (4, 5, 6))]
+    mats += [tl_action_matrix(OrbitData(*o)) for o in orbits]
+    assert max(m.dim for m in mats) == 119
+    for m in mats:
+        assert m.char_poly == char_poly_faddeev_leverrier(m.entries), m.dim
+
+
+def test_char_poly_of_unit_column_cycles():
+    # every unit column of the identity sits on the diagonal, so all of them
+    # are kept in the split
+    ident = ActionMatrix(
+        tuple(tuple(1 if i == j else 0 for j in range(4)) for i in range(4)),
+        ("H", "E1", "E2", "E3"))
+    assert ident.char_poly == IntPolynomial((1, -4, 6, -4, 1))  # (t - 1)^4
+    # H fixed and E1 -> E2 -> E3 -> E1: one cycle of unit columns, cut once
+    cycle = ActionMatrix(((1, 0, 0, 0), (0, 0, 0, 1), (0, 1, 0, 0),
+                          (0, 0, 1, 0)), ("H", "E1", "E2", "E3"))
+    assert cycle.char_poly == IntPolynomial((-1, 1)) * IntPolynomial((-1, 0, 0, 1))
+    assert cycle.char_poly == char_poly_faddeev_leverrier(cycle.entries)
+    sd = spectral_data(cycle)
+    assert sd.entropy == 0.0
+    assert sd.cyclo_parts == (1, 1, 3)
 
 
 def test_matrix_text_export_stable():

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from siegelcert import cuspidal
+from siegelcert import certifier, cohomology, cuspidal, salem
 from siegelcert.balls import ComplexBall, Verdict, ball_in_interval
 from siegelcert.certifier import PointVerdict
 from siegelcert.cuspidal import (CurvePoint, CuspidalParams, QuadMap,
@@ -161,6 +161,30 @@ def test_certify_cuspidal_checks_fixed_point_residuals(monkeypatch):
     monkeypatch.setattr(cuspidal, "RESIDUAL_TOL", 1e-300)
     with pytest.raises(CheckFailed, match="fixed-point residual"):
         certify_cuspidal(8)
+
+
+def test_certify_cuspidal_certifies_the_salem_factor_once(monkeypatch):
+    # dim 124: the action matrix is cross-checked against the run's
+    # certificate, and that certificate is the only is_salem call
+    salem_calls, spectral_calls = [], []
+    real_is_salem, real_spectral = salem.is_salem, cohomology.spectral_data
+
+    def counted_is_salem(p):
+        salem_calls.append(p)
+        return real_is_salem(p)
+
+    def counted_spectral(m, cert=None):
+        spectral_calls.append(cert)
+        return real_spectral(m, cert)
+
+    for module in (salem, cohomology, certifier, cuspidal):
+        monkeypatch.setattr(module, "is_salem", counted_is_salem)
+    monkeypatch.setattr(cohomology, "spectral_data", counted_spectral)
+    report = certify_cuspidal(40)
+    assert report.matrix_info["dim"] == 124
+    assert len(salem_calls) == 1
+    assert len(spectral_calls) == 1
+    assert spectral_calls[0] is report.salem_cert
 
 
 def test_s_value_reference_endpoints():

@@ -4,8 +4,8 @@ import collections
 
 import pytest
 
-from siegelcert import pipeline
-from siegelcert.errors import PipelineFailed
+from siegelcert import pipeline, threelines
+from siegelcert.errors import NoSalemFactor, PipelineFailed
 
 
 def test_search_certifies_each_orbit_root_side_once(monkeypatch):
@@ -45,6 +45,20 @@ def test_failed_search_names_the_gate_rejections():
     assert "none accepted" in msg
     assert "the gate rejected 18 candidate(s)" in msg
     assert "delta0 pattern" in msg and "delta* pattern" in msg
+
+
+def test_failed_search_names_the_skipped_orbit_data(monkeypatch):
+    real = threelines.salem_from_orbit
+
+    def salem(orbit):
+        if orbit.m[-1] == 2:
+            raise NoSalemFactor("injected")
+        return real(orbit)
+
+    monkeypatch.setattr(threelines, "salem_from_orbit", salem)
+    with pytest.raises(PipelineFailed) as exc:
+        pipeline.theorem1_pipeline(3, mN_cap=4)
+    assert "(1 orbit data skipped: 1 NoSalemFactor)" in str(exc.value)
 
 
 def test_rejection_summary_orders_reasons_by_count():

@@ -6,10 +6,12 @@ import random
 
 import pytest
 
+from siegelcert import threelines
 from siegelcert.balls import ComplexBall, Verdict, ball_in_interval
 from siegelcert.certifier import Location
-from siegelcert.errors import (BudgetExhausted, Indeterminate,
-                               PoleAtParameter, PoleInFormula, SearchFailed)
+from siegelcert.errors import (BoundaryUndecidable, BudgetExhausted,
+                               Indeterminate, NoSalemFactor, PoleAtParameter,
+                               PoleInFormula, SearchFailed)
 from siegelcert.geometry import ProjectivePoint
 from siegelcert.threelines import (OrbitData, ThreeLinesParams,
                                    a_value, ab_from_delta, approx_parameters,
@@ -465,6 +467,28 @@ def test_approx_parameters_budget_exhausted():
     cs = construct_cstar(1)
     with pytest.raises(BudgetExhausted):
         approx_parameters(c0, cs, eps=1e-9, mN_cap=3)
+
+
+def test_approx_parameters_counts_skipped_orbit_data(monkeypatch):
+    c0 = construct_c0(1, 0.96)
+    cs = construct_cstar(1)
+    errors = {2: NoSalemFactor, 3: BoundaryUndecidable, 5: NoSalemFactor}
+    real = threelines.salem_from_orbit
+
+    def salem(orbit):
+        if orbit.m[-1] in errors:
+            raise errors[orbit.m[-1]]("injected")
+        return real(orbit)
+
+    monkeypatch.setattr(threelines, "salem_from_orbit", salem)
+    with pytest.raises(BudgetExhausted, match=(
+            r"without hitting both targets at eps=1e-09 \(3 orbit data "
+            r"skipped: 2 NoSalemFactor, 1 BoundaryUndecidable\)$")):
+        approx_parameters(c0, cs, eps=1e-9, mN_cap=5)
+    with pytest.raises(BudgetExhausted, match=(
+            r"none accepted \(3 orbit data skipped: 2 NoSalemFactor, "
+            r"1 BoundaryUndecidable\)$")):
+        approx_parameters(c0, cs, eps=1.6, mN_cap=18, accept=lambda r: False)
 
 
 def test_equidistribution_statistic_decreases():
