@@ -5,7 +5,7 @@ __version__ = "0.1.0"
 
 from .balls import ComplexBall, Verdict, ball_in_interval
 from .certifier import (CertificationReport, FixedPointRecord, Location,
-                        PointVerdict, certify_fixed_point, not_root_of_unity)
+                        PointVerdict, certify_fixed_point)
 from .cohomology import (ActionMatrix, delta_eigen_check, fixed_point_bound,
                          quad_action_matrix, spectral_data, tl_action_matrix)
 from .cuspidal import (CuspidalParams, CurvePoint, certify_cuspidal,
@@ -18,7 +18,6 @@ from .pipeline import theorem1_pipeline
 from .roots import ComplexPolynomial, RootSet, poly_roots
 from .salem import SalemCertificate, is_salem, salem_factor
 from .threelines import (OrbitData, ThreeLinesParams, ab_from_delta,
-                         approx_parameters, chi, construct_c0, construct_cstar,
-                         fixed_points_tl, h_iterate, indeterminacy,
-                         infinity_criterion, orbit_verify, salem_from_orbit,
-                         tl_map_eval, trace_affine)
+                         approx_parameters, construct_c0, construct_cstar,
+                         fixed_points_tl, indeterminacy, orbit_verify,
+                         salem_from_orbit, tl_map_eval, trace_affine)

@@ -74,10 +74,6 @@ class ComplexBall:
         return (self.center.real - self.radius * (1.0 + _EPS),
                 self.center.real + self.radius * (1.0 + _EPS))
 
-    def imag_bounds(self) -> tuple[float, float]:
-        return (self.center.imag - self.radius * (1.0 + _EPS),
-                self.center.imag + self.radius * (1.0 + _EPS))
-
     def contains(self, z: complex) -> bool:
         return abs(z - self.center) <= self.radius * (1.0 + _EPS) + _TINY
 

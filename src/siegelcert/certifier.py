@@ -11,13 +11,15 @@ s-value forces the eigenvalue ratio off the unit circle at the conjugate,
 which upgrades "eigenvalues on the circle" to "multiplicatively independent
 eigenvalues"; transcendence theory then provides the Siegel disk, so
 multiplicative independence is the entire computable content of the
-certificate.
+certificate.  The witness is a fact about its root alone, so each root's
+best witness is decided once per run.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -90,20 +92,6 @@ def _salem_verdict(coeffs: tuple[int, ...]) -> bool:
     return True
 
 
-def not_root_of_unity(delta: ComplexBall, witness_poly: IntPolynomial) -> bool:
-    """True when a Salem certificate for witness_poly vouches for delta.
-
-    Salem polynomials are irreducible and not cyclotomic, so none of their
-    roots is a root of unity.  Raises WitnessMismatch when witness_poly does
-    not vanish on the delta ball.
-    """
-    value = witness_poly.eval_ball(delta)
-    if not value.contains_zero():
-        raise WitnessMismatch(
-            f"witness polynomial does not vanish at {delta.center}")
-    return _salem_verdict(witness_poly.coeffs)
-
-
 @dataclass(frozen=True)
 class Witness:
     delta: ComplexBall
@@ -118,22 +106,19 @@ class CertifiedVerdict:
     note: str = ""
 
 
-def certify_fixed_point(rec: FixedPointRecord,
-                        conjugates: list[tuple[ComplexBall, int, FixedPointRecord]],
+def certify_fixed_point(rec: FixedPointRecord, witness: Witness | None,
                         cert: SalemCertificate,
-                        strict_ok: bool = True) -> CertifiedVerdict:
-    """Verdict for one fixed point given its Galois-conjugate records.
+                        strict_ok: bool) -> CertifiedVerdict:
+    """Verdict for one fixed point given the best witness among its Galois
+    conjugates, or None when none is CertifiedOut (see certify_sections).
 
-    conjugates holds (delta*, index, record) triples for unit-circle conjugate
-    parameters, index being the record's index among the fixed points over
-    delta*; all fixed points of one map share them.  A conjugate is a
-    witness when its s is CertifiedOut of [0,4]; the certified distance only
-    ranks witnesses.  The chosen witness's delta* must be one of
-    cert.circle_roots, which proves it is not a root of unity; any other
-    value raises WitnessMismatch.  The curve-singular fixed point is decided
-    directly: its eigenvalue ratio is a primitive cube root of unity, so the
-    eigenvalues are multiplicatively dependent and no Siegel disk can be
-    centered there, even though its s-value is 1.
+    The witness's delta* must be one of cert.circle_roots, which proves it
+    is not a root of unity; where the point would use any other value,
+    WitnessMismatch is raised.  strict_ok is False when strict-mode evidence
+    failed.  The curve-singular fixed point is decided directly: its
+    eigenvalue ratio is a primitive cube root of unity, so the eigenvalues
+    are multiplicatively dependent and no Siegel disk can be centered there,
+    even though its s-value is 1.
     """
     if rec.location is Location.CURVE_SINGULAR:
         return CertifiedVerdict(PointVerdict.NOT_ROTATION,
@@ -146,22 +131,13 @@ def certify_fixed_point(rec: FixedPointRecord,
     if not strict_ok:
         return CertifiedVerdict(PointVerdict.INCONCLUSIVE,
                                 note="strict-mode conjugacy evidence failed")
-    best: Witness | None = None
-    for delta_star, idx, conj in conjugates:
-        if conj.location is Location.CURVE_SINGULAR:
-            continue
-        if ball_in_interval(conj.s, 0.0, 4.0) is not Verdict.CERTIFIED_OUT:
-            continue
-        margin = certified_out_margin(conj.s, 0.0, 4.0)
-        if best is None or margin > best.margin:
-            best = Witness(delta_star, idx, margin)
-    if best is None:
+    if witness is None:
         return CertifiedVerdict(PointVerdict.INCONCLUSIVE,
                                 note="no conjugate with s outside [0,4]")
-    if best.delta not in cert.circle_roots:
+    if witness.delta not in cert.circle_roots:
         raise WitnessMismatch(
-            f"witness delta {best.delta.center} is not a certified circle root")
-    return CertifiedVerdict(PointVerdict.SIEGEL_CERTIFIED, witness=best)
+            f"witness delta {witness.delta.center} is not a certified circle root")
+    return CertifiedVerdict(PointVerdict.SIEGEL_CERTIFIED, witness=witness)
 
 
 @dataclass
@@ -189,20 +165,30 @@ def certify_sections(cert: SalemCertificate, records_by_root: dict,
     """One RootSection per key of records_by_root, in insertion order, with
     verdicts for that root's records.
 
-    Keys are unit-circle roots of cert.  The conjugates of a root are the
-    records over every other key; a witness's point_index is the index of its
-    record inside the witness root's own section.  evidence is the run's
-    strict-mode evidence (None outside strict mode); when it fails, every
-    in-range verdict is Inconclusive.
+    Keys are unit-circle roots of cert.  A record is a witness when it is
+    not the curve-singular point and its s is CertifiedOut of [0,4]; the
+    certified distance only ranks witnesses.  Each root's best witness is
+    decided once (the first of largest margin, in record order), and a
+    root's points share the first best of the other roots, in root order:
+    the first maximum over all their records.  A witness's point_index is
+    the index of its record inside the witness root's own section.
+    evidence is the run's strict-mode evidence (None outside strict mode);
+    when it fails, every in-range verdict is Inconclusive.
     """
     strict_ok = evidence is None or evidence.irreducible
+    margin = operator.attrgetter("margin")
     roots = list(records_by_root.items())
+    best = [max((Witness(delta, p, certified_out_margin(rec.s, 0.0, 4.0))
+                 for p, rec in enumerate(recs)
+                 if rec.location is not Location.CURVE_SINGULAR
+                 and ball_in_interval(rec.s, 0.0, 4.0) is Verdict.CERTIFIED_OUT),
+                key=margin, default=None)
+            for delta, recs in roots]
     sections = []
     for i, (delta, recs) in enumerate(roots):
-        conjugates = [(other, p, rec)
-                      for j, (other, others) in enumerate(roots) if j != i
-                      for p, rec in enumerate(others)]
-        verdicts = [certify_fixed_point(rec, conjugates, cert, strict_ok)
+        witness = max((w for j, w in enumerate(best) if j != i and w is not None),
+                      key=margin, default=None)
+        verdicts = [certify_fixed_point(rec, witness, cert, strict_ok)
                     for rec in recs]
         sections.append(RootSection(delta, list(recs), verdicts))
     return sections

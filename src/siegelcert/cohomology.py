@@ -10,9 +10,9 @@ bigints, never in floating point: most columns of an action matrix are unit
 vectors that shift a class one step down its orbit, so the matrix
 determinant lemma reduces det(t I - M) to an r x r determinant over Z[1/t],
 with r = 4 for the cuspidal family and 2N + 2 for three-lines.  Cyclotomic
-stripping and Salem-factor comparisons are therefore integer identities, and
-spectral_check compares the non-cyclotomic part with the run's Salem
-certificate at every dimension.
+stripping and Salem-factor comparisons are therefore integer identities:
+spectral_data divides the characteristic polynomial by the run's certified
+Salem factor exactly, at every dimension, and strips only the quotient.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from functools import cached_property
 from .balls import ComplexBall
 from .errors import CheckFailed, PipelineFailed
 from .intpoly import ONE, IntPolynomial, strip_cyclotomic
-from .salem import SalemCertificate, is_salem
+from .salem import SalemCertificate
 
 
 @dataclass(frozen=True)
@@ -257,34 +257,27 @@ def tl_action_matrix(orbit) -> ActionMatrix:
 # spectral data
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SpectralData:
-    lam: ComplexBall
-    entropy: float
-    salem_part: IntPolynomial
-    cyclo_parts: tuple[int, ...]
+def spectral_data(m: ActionMatrix, cert: SalemCertificate) -> tuple[int, ...]:
+    """Cyclotomic indices of m's characteristic polynomial once cert.poly is
+    divided out exactly, ascending and repeated per multiplicity.
 
-
-def spectral_data(m: ActionMatrix,
-                  cert: SalemCertificate | None = None) -> SpectralData:
-    """Exact char poly, cyclotomic/Salem split, spectral radius and entropy.
-
-    Given cert, the non-cyclotomic part must equal cert.poly (else
-    PipelineFailed), and the spectral radius and entropy are cert's: a second
-    Salem certificate of the same polynomial would prove nothing new.
-    Without cert the part is certified here, and one that is not Salem raises
-    is_salem's NoSalemFactor.
+    The non-cyclotomic part must be cert.poly itself, so that the report's
+    entropy, cert.entropy, is the action's: an inexact division or a
+    quotient with a non-cyclotomic factor raises PipelineFailed.  Only the
+    quotient is stripped; cert.poly is Salem, hence has no cyclotomic factor.
     """
-    rest, cyclo = strip_cyclotomic(m.char_poly)
-    if cert is not None:
-        if rest != cert.poly:
-            raise PipelineFailed("spectral_data", "action-matrix Salem factor "
-                                 "differs from the orbit's Salem polynomial")
-    elif rest.degree < 1:
-        return SpectralData(ComplexBall.exact(1), 0.0, rest, tuple(cyclo))
-    else:
-        cert = is_salem(rest)
-    return SpectralData(cert.lam, cert.entropy, rest, tuple(cyclo))
+    rest = m.char_poly.try_exact_div(cert.poly)
+    if rest is not None:
+        rest, cyclo = strip_cyclotomic(rest)
+    if rest != ONE:
+        raise PipelineFailed("spectral_data", "action-matrix Salem factor "
+                             "differs from the orbit's Salem polynomial")
+    return tuple(cyclo)
+
+
+def matrix_info(m: ActionMatrix) -> dict:
+    """The report's matrix block: dimension, trace and fixed-point bound."""
+    return {"dim": m.dim, "trace": m.trace(), "bound": fixed_point_bound(m)}
 
 
 def fixed_point_bound(m: ActionMatrix) -> int:
@@ -298,20 +291,3 @@ def delta_eigen_check(m: ActionMatrix, delta) -> ComplexBall:
     zero."""
     value = m.char_poly.eval_ball(ComplexBall.exact(delta))
     return ComplexBall(complex(abs(value.center), 0.0), value.radius)
-
-
-@dataclass(frozen=True)
-class SpectralCheck:
-    matrix_info: dict               # dim, trace and fixed-point bound
-    data: SpectralData
-
-
-def spectral_check(m: ActionMatrix, cert: SalemCertificate) -> SpectralCheck:
-    """Matrix data for a report whose Salem factor is cert.poly.
-
-    At every dimension the exact characteristic polynomial must split off
-    exactly cert.poly (spectral_data raises PipelineFailed otherwise), so the
-    report's entropy, cert.entropy, is the action's.
-    """
-    info = {"dim": m.dim, "trace": m.trace(), "bound": fixed_point_bound(m)}
-    return SpectralCheck(info, spectral_data(m, cert))

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from .balls import ComplexBall
 from .certifier import (CertificationReport, FixedPointRecord, Location,
                         StrictEvidence, certify_sections, record_from_jacobian)
-from .cohomology import quad_action_matrix, spectral_check
+from .cohomology import matrix_info, quad_action_matrix, spectral_data
 from .errors import CheckFailed, DegenerateTau, Indeterminate, PoleAtTau
 from .geometry import ProjectivePoint, chart_jacobian
 from .intpoly import IntPolynomial, resultant
@@ -259,14 +259,15 @@ def certify_cuspidal(n: int, strict: bool = False,
                                          (delta + delta.inverse()).realize_real())
                for delta in cert.circle_roots}
     sections = certify_sections(cert, records, evidence)
-    spectral = spectral_check(quad_action_matrix(n, n, n), cert)
+    m = quad_action_matrix(n, n, n)
+    spectral_data(m, cert)
 
     return CertificationReport(
         family="cuspidal",
         parameters={"n": n, "strict": strict},
         salem_cert=cert,
         sections=sections,
-        matrix_info=spectral.matrix_info,
+        matrix_info=matrix_info(m),
         strict_evidence=evidence,
         siegel_cap=2,
     )

@@ -74,10 +74,6 @@ class DegenerateSpectrum(SiegelcertError):
     """Fixed-point abscissa polynomial has (numerically) multiple roots."""
 
 
-class OffUnitCircle(SiegelcertError):
-    """Operation requires |delta| = 1."""
-
-
 class SearchFailed(SiegelcertError):
     """Parameter construction could not satisfy its bounds; message names the bound."""
 

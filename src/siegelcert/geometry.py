@@ -124,33 +124,3 @@ def chart_jacobian(family_map, point: ProjectivePoint,
             row.append(num * inv_den * inv_den)
         rows.append(tuple(row))
     return tuple(rows)
-
-
-def fd_chart_jacobian(family_map, point: ProjectivePoint,
-                      chart: int | None = None, h: float = 1e-5):
-    """Finite-difference Jacobian oracle with one Richardson refinement.
-
-    Central differences at steps h and h/2 combined as (4*D2 - D1)/3; used in
-    tests against the closed-form chart_jacobian.
-    """
-    if chart is None:
-        chart = point.pivot_index
-    u0, v0 = chart_point(point, chart)
-    i, j = _CHART_LOCALS[chart]
-
-    def phi(u, v):
-        comps = family_map.components(*embed_chart(u, v, chart))
-        return (comps[i] / comps[chart], comps[j] / comps[chart])
-
-    def diff(step):
-        cols = []
-        for du, dv in ((step, 0.0), (0.0, step)):
-            fp = phi(u0 + du, v0 + dv)
-            fm = phi(u0 - du, v0 - dv)
-            cols.append(((fp[0] - fm[0]) / (2 * step), (fp[1] - fm[1]) / (2 * step)))
-        return cols
-
-    d1, d2 = diff(h), diff(h / 2)
-    cols = [((4 * b[0] - a[0]) / 3, (4 * b[1] - a[1]) / 3) for a, b in zip(d1, d2)]
-    # columns are d/du, d/dv; transpose to rows = outputs
-    return ((cols[0][0], cols[1][0]), (cols[0][1], cols[1][1]))

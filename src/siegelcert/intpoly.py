@@ -157,22 +157,6 @@ class IntPolynomial:
             out = out * z + ComplexBall.exact(c)
         return out
 
-    def __str__(self):
-        if self.is_zero:
-            return "0"
-        parts = []
-        for k in range(self.degree, -1, -1):
-            c = self[k]
-            if not c:
-                continue
-            term = "1" if (abs(c) == 1 and k > 0) else str(abs(c))
-            if k == 1:
-                term += "*t" if term != "1" else "t"
-            elif k > 1:
-                term = (term + "*" if term != "1" else "") + f"t^{k}"
-            parts.append(("- " if c < 0 else "+ " if parts else "") + term)
-        return " ".join(parts)
-
 
 ONE = IntPolynomial((1,))
 

@@ -22,7 +22,7 @@ from .balls import Verdict, ball_in_interval
 # that it stays bound in this module
 from .certifier import (CertificationReport, Location, PointVerdict,
                         certify_fixed_point, certify_sections)  # noqa: F401
-from .cohomology import spectral_check, tl_action_matrix
+from .cohomology import matrix_info, spectral_data, tl_action_matrix
 from .cuspidal import certify_cuspidal
 from .errors import (BudgetExhausted, OrbitCollision, PipelineFailed,
                      SiegelcertError)
@@ -138,14 +138,15 @@ def certify_three_lines(orbit, strict: bool = False,
                 f"{len(rep.collisions)} collision(s)")
         records[root] = fixed_points_tl(params, param_balls(root, orbit))
     sections = certify_sections(cert, records, evidence)
-    spectral = spectral_check(tl_action_matrix(orbit), cert)
+    m = tl_action_matrix(orbit)
+    spectral_data(m, cert)
     return CertificationReport(
         family="three_lines",
         parameters={"m": list(orbit.m), "n": list(orbit.n), "N": orbit.N,
                     "strict": strict},
         salem_cert=cert,
         sections=sections,
-        matrix_info=spectral.matrix_info,
+        matrix_info=matrix_info(m),
         strict_evidence=evidence,
     )
 
@@ -250,13 +251,12 @@ def _report_from_candidate(k: int, cand: _Candidate,
     if len(w0_verdicts) != 1 or w0_verdicts[0].verdict is not PointVerdict.NOT_ROTATION:
         raise PipelineFailed("certification", "singular point not NotRotation")
 
-    spectral = spectral_check(tl_action_matrix(approx.orbit), cert)
-    matrix_info = dict(spectral.matrix_info,
-                       salem_degree=spectral.data.salem_part.degree,
-                       cyclotomic_factors=list(spectral.data.cyclo_parts))
-    if matrix_info["bound"] != len(cand.records0):
+    m = tl_action_matrix(approx.orbit)
+    info = dict(matrix_info(m), salem_degree=cert.poly.degree,
+                cyclotomic_factors=list(spectral_data(m, cert)))
+    if info["bound"] != len(cand.records0):
         raise PipelineFailed("fixed_point_bound",
-                             f"bound {matrix_info['bound']} != fixed point "
+                             f"bound {info['bound']} != fixed point "
                              f"count {len(cand.records0)}")
 
     return CertificationReport(
@@ -269,6 +269,6 @@ def _report_from_candidate(k: int, cand: _Candidate,
         },
         salem_cert=cert,
         sections=sections,
-        matrix_info=matrix_info,
+        matrix_info=info,
         strict_evidence=evidence,
     )

@@ -26,7 +26,6 @@ class RunConfig:
     arguments: dict = field(default_factory=dict)
     strict: bool = False
     out: str | None = None
-    version: str = __version__
 
     def to_dict(self) -> dict:
         return {
@@ -34,7 +33,7 @@ class RunConfig:
             "family": self.family,
             "arguments": self.arguments,
             "strict": self.strict,
-            "version": self.version,
+            "version": __version__,
         }
 
 

@@ -53,12 +53,6 @@ class ComplexPolynomial:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def eval(self, z: complex) -> complex:
-        out = 0j
-        for c in reversed(self.coeffs):
-            out = out * z + c
-        return out
-
     def eval_with_error(self, z: complex) -> tuple[complex, float]:
         """Horner value plus a running bound on its floating-point error."""
         out = 0j

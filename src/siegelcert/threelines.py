@@ -22,7 +22,6 @@ the approximation search.
 
 from __future__ import annotations
 
-import cmath
 import collections
 import math
 from dataclasses import dataclass
@@ -32,7 +31,7 @@ from .certifier import (FixedPointRecord, Location, _safe_sqrt,
                         record_from_jacobian)
 from .errors import (BoundaryUndecidable, BudgetExhausted, CheckFailed,
                      ClusterUnresolved, DegenerateSpectrum, Indeterminate,
-                     NonConvergence, NoSalemFactor, OffUnitCircle,
+                     NonConvergence, NoSalemFactor,
                      PerturbationFailed, PoleAtParameter, PoleHit, PoleInFormula,
                      SearchFailed)
 from .geometry import ProjectivePoint, chart_jacobian
@@ -105,20 +104,6 @@ class ThreeLinesParams:
     @property
     def c(self) -> complex:
         return self.beta - self.alpha
-
-    @property
-    def alpha0(self) -> complex:
-        out = 1 + 0j
-        for v in self.a:
-            out /= v
-        return out
-
-    @property
-    def beta0(self) -> complex:
-        out = 1 + 0j
-        for v in self.b:
-            out /= v
-        return out
 
     @property
     def d(self) -> complex:
@@ -246,10 +231,6 @@ class IndeterminacySet:
     def forward(self) -> tuple[ProjectivePoint, ...]:
         return self.forward_a + self.forward_b + (self.forward_0,)
 
-    @property
-    def backward(self) -> tuple[ProjectivePoint, ...]:
-        return self.backward_a + self.backward_b + (self.backward_0,)
-
 
 def indeterminacy(params: ThreeLinesParams) -> IndeterminacySet:
     d = params.delta
@@ -262,22 +243,6 @@ def indeterminacy(params: ThreeLinesParams) -> IndeterminacySet:
         backward_0=ProjectivePoint(0, 1, 0),
     )
 
-
-def h_iterate(params: ThreeLinesParams, k: int, x: complex) -> complex:
-    """Closed-form Moebius iterate governing the triple-step line dynamics.
-
-    h_k(x) = x / (delta^{3k} + p (1 - delta^{3k}) x), p = delta c / (delta^3 - 1);
-    this is 1/(delta^{3k} (1/x - p) + p) continued through x = 0.
-    """
-    delta = params.delta
-    if abs(delta ** 3 - 1) < 1e-12:
-        raise PoleInFormula("delta^3 - 1 vanishes")
-    p = delta * params.c / (delta ** 3 - 1)
-    pw = delta ** (3 * k)
-    den = pw + p * (1 - pw) * x
-    if abs(den) < 1e-14 * (1 + abs(pw)):
-        raise PoleHit(f"Moebius denominator vanishes at x={x}")
-    return x / den
 
 
 # ---------------------------------------------------------------------------
@@ -320,23 +285,6 @@ def ab_from_delta(delta: complex, orbit: OrbitData) -> ThreeLinesParams:
     )
 
 
-def chi(delta, orbit: OrbitData) -> ComplexBall:
-    """Certified value of the rational orbit constraint (equals 1 at lift
-    parameters)."""
-    if not isinstance(delta, ComplexBall):
-        _check_poles(complex(delta), orbit)
-        delta = ComplexBall.exact(delta)
-    d3 = delta ** 3 - 1
-    total = ComplexBall.exact(0)
-    for nj in orbit.n:
-        total = total + (delta * delta * (delta ** (3 * nj) - 1)) / \
-            (d3 * (delta ** (3 * nj + 1) + 1))
-    for mi in orbit.m:
-        total = total + (delta * (delta ** (3 * mi) - 1)) / \
-            (d3 * (delta ** (3 * mi - 1) + 1))
-    return total
-
-
 def cleared_chi_polynomial(orbit: OrbitData) -> IntPolynomial:
     """Integer polynomial obtained by clearing denominators of chi = 1."""
     a_dens = [x_pow_plus_one(3 * mi - 1) for mi in orbit.m]
@@ -361,32 +309,6 @@ def salem_from_orbit(orbit: OrbitData) -> SalemCertificate:
     constraint; the factor itself is cert.poly."""
     return salem_factor(cleared_chi_polynomial(orbit))
 
-
-def lambda_by_bisection(orbit: OrbitData, lo: float = 1.0 + 1e-9,
-                        hi: float = 64.0, iters: int = 200) -> float:
-    """Root of chi = 1 on (1, inf) by bisection; independent spectral oracle."""
-    def val(t: float) -> float:
-        return chi(complex(t), orbit).center.real - 1.0
-
-    flo = val(lo)
-    while val(hi) > 0:
-        hi *= 2
-        if hi > 2 ** 40:
-            raise SearchFailed("chi - 1 has no sign change on (1, inf)")
-    if flo < 0:
-        # move lo just above the pole region near 1
-        while flo < 0:
-            lo = 1 + (lo - 1) * 2
-            flo = val(lo)
-            if lo > hi:
-                raise SearchFailed("no bracketing interval for chi = 1")
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if val(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 # ---------------------------------------------------------------------------
@@ -635,31 +557,6 @@ def infinity_eigen_data(delta, ratio: ComplexBall):
     return tuple(out)
 
 
-def infinity_criterion(params: ThreeLinesParams) -> Verdict:
-    """Rotation verdict at the two infinity fixed points via beta0/alpha0.
-
-    Requires |delta| = 1; the membership beta0/alpha0 in [0,4] is equivalent
-    to both rotation numbers lying in [0,4] there.  The eigenvalue route is
-    evaluated as a cross-check and a contradiction raises (it would mean a
-    broken equivalence, not a data issue).
-    """
-    if abs(abs(params.delta) - 1) > 1e-9:
-        raise OffUnitCircle(f"|delta| = {abs(params.delta)}")
-    ratio = _parameter_ratio([ComplexBall.exact(v) for v in params.a],
-                             [ComplexBall.exact(v) for v in params.b])
-    if all(v.imag == 0.0 for v in params.a + params.b):
-        ratio = ratio.realize_real()  # product of reals
-    verdict = ball_in_interval(ratio, 0.0, 4.0)
-    eigen = [ball_in_interval(s, 0.0, 4.0)
-             for s in infinity_eigen_data(params.delta, ratio)]
-    for ev in eigen:
-        if {verdict, ev} == {Verdict.CERTIFIED_IN, Verdict.CERTIFIED_OUT}:
-            raise CheckFailed(
-                f"infinity criterion contradiction: ratio {verdict} vs eigen {ev}")
-    if verdict is Verdict.UNKNOWN and eigen[0] is eigen[1] != Verdict.UNKNOWN:
-        return eigen[0]
-    return verdict
-
 
 # ---------------------------------------------------------------------------
 # parameter constructions
@@ -672,7 +569,7 @@ def _delta_on_circle(d: float) -> complex:
     return complex((d - 2.0) / 2.0, math.sqrt(d * (4.0 - d)) / 2.0)
 
 
-def construct_c0(N: int, d_target: float = 0.99) -> ThreeLinesParams:
+def construct_c0(N: int, d_target: float) -> ThreeLinesParams:
     """Real interleaved parameters with every rotation number inside (0, 4).
 
     Seeds a_i = i and places the diagonal fixed abscissas at the midpoints
@@ -972,19 +869,3 @@ def _roots_within(circle_roots, target: complex, eps: float, cap: int = 12):
 
 def _within(values, targets, eps: float) -> bool:
     return all(abs(v - t) < eps for v, t in zip(values, targets))
-
-
-def equidistribution_stat(orbit: OrbitData, bins: int = 12) -> float:
-    """Per-root chi-square of the circle-root angle histogram vs uniform.
-
-    Diagnostic for the asymptotic equidistribution of the non-dominant roots;
-    decreases as the orbit lengths grow.
-    """
-    cert = salem_from_orbit(orbit)
-    angles = [cmath.phase(r.center) % (2 * math.pi) for r in cert.circle_roots]
-    counts = [0] * bins
-    for t in angles:
-        counts[min(int(t / (2 * math.pi) * bins), bins - 1)] += 1
-    expected = len(angles) / bins
-    chi2 = sum((c - expected) ** 2 / expected for c in counts)
-    return chi2 / len(angles)

@@ -1,10 +1,25 @@
 """Reference computations that the tests compare the library against.
 
 They are slow and simple on purpose: each is a textbook algorithm with no
-structure assumed of its input.
+structure assumed of its input, or a closed form that the library's
+production path does not use.
 """
 
+import cmath
+import math
+
+from siegelcert.balls import (ComplexBall, Verdict, ball_in_interval,
+                              certified_out_margin)
+from siegelcert.certifier import (CertifiedVerdict, Location, PointVerdict,
+                                  Witness)
+from siegelcert.errors import (CheckFailed, PoleHit, PoleInFormula,
+                               SearchFailed, SiegelcertError, WitnessMismatch)
+from siegelcert.geometry import (_CHART_LOCALS, ProjectivePoint, chart_point,
+                                 embed_chart)
 from siegelcert.intpoly import IntPolynomial
+from siegelcert.threelines import (OrbitData, ThreeLinesParams, _check_poles,
+                                   _parameter_ratio, infinity_eigen_data,
+                                   salem_from_orbit)
 
 
 def mat_mul(a, b):
@@ -38,3 +53,198 @@ def char_poly_faddeev_leverrier(entries) -> IntPolynomial:
         assert tr % k == 0, "Faddeev-LeVerrier trace not divisible"
         coeffs[n - k] = -tr // k
     return IntPolynomial(tuple(coeffs))
+
+
+# ---------------------------------------------------------------------------
+# the conjugate witness, by scanning every conjugate record for every point
+# ---------------------------------------------------------------------------
+
+def certify_fixed_point_scan(rec, conjugates, cert,
+                             strict_ok: bool = True) -> CertifiedVerdict:
+    """Verdict for one fixed point from its (delta*, index, record)
+    conjugate triples: the witness is the first CertifiedOut record of
+    largest certified margin, the curve-singular point skipped."""
+    if rec.location is Location.CURVE_SINGULAR:
+        return CertifiedVerdict(PointVerdict.NOT_ROTATION,
+                                note="eigenvalue ratio is a root of unity")
+    v = ball_in_interval(rec.s, 0.0, 4.0)
+    if v is Verdict.CERTIFIED_OUT:
+        return CertifiedVerdict(PointVerdict.NOT_ROTATION)
+    if v is not Verdict.CERTIFIED_IN:
+        return CertifiedVerdict(PointVerdict.INCONCLUSIVE, note="s straddles [0,4]")
+    if not strict_ok:
+        return CertifiedVerdict(PointVerdict.INCONCLUSIVE,
+                                note="strict-mode conjugacy evidence failed")
+    best = None
+    for delta_star, idx, conj in conjugates:
+        if conj.location is Location.CURVE_SINGULAR:
+            continue
+        if ball_in_interval(conj.s, 0.0, 4.0) is not Verdict.CERTIFIED_OUT:
+            continue
+        margin = certified_out_margin(conj.s, 0.0, 4.0)
+        if best is None or margin > best.margin:
+            best = Witness(delta_star, idx, margin)
+    if best is None:
+        return CertifiedVerdict(PointVerdict.INCONCLUSIVE,
+                                note="no conjugate with s outside [0,4]")
+    if best.delta not in cert.circle_roots:
+        raise WitnessMismatch(
+            f"witness delta {best.delta.center} is not a certified circle root")
+    return CertifiedVerdict(PointVerdict.SIEGEL_CERTIFIED, witness=best)
+
+
+def certify_sections_scan(cert, records_by_root: dict, evidence):
+    """Verdict lists, one per root in insertion order; a root's conjugates
+    are the records over every other root, in root then record order."""
+    strict_ok = evidence is None or evidence.irreducible
+    roots = list(records_by_root.items())
+    out = []
+    for i, (delta, recs) in enumerate(roots):
+        conjugates = [(other, p, rec)
+                      for j, (other, others) in enumerate(roots) if j != i
+                      for p, rec in enumerate(others)]
+        out.append([certify_fixed_point_scan(rec, conjugates, cert, strict_ok)
+                    for rec in recs])
+    return out
+
+
+# ---------------------------------------------------------------------------
+# closed forms and diagnostics of the three-lines family, and a
+# finite-difference Jacobian
+# ---------------------------------------------------------------------------
+
+class OffUnitCircle(SiegelcertError):
+    """Operation requires |delta| = 1."""
+
+
+def h_iterate(params: ThreeLinesParams, k: int, x: complex) -> complex:
+    """Closed-form Moebius iterate governing the triple-step line dynamics.
+
+    h_k(x) = x / (delta^{3k} + p (1 - delta^{3k}) x), p = delta c / (delta^3 - 1);
+    this is 1/(delta^{3k} (1/x - p) + p) continued through x = 0.
+    """
+    delta = params.delta
+    if abs(delta ** 3 - 1) < 1e-12:
+        raise PoleInFormula("delta^3 - 1 vanishes")
+    p = delta * params.c / (delta ** 3 - 1)
+    pw = delta ** (3 * k)
+    den = pw + p * (1 - pw) * x
+    if abs(den) < 1e-14 * (1 + abs(pw)):
+        raise PoleHit(f"Moebius denominator vanishes at x={x}")
+    return x / den
+
+
+def chi(delta, orbit: OrbitData) -> ComplexBall:
+    """Certified value of the rational orbit constraint (equals 1 at lift
+    parameters)."""
+    if not isinstance(delta, ComplexBall):
+        _check_poles(complex(delta), orbit)
+        delta = ComplexBall.exact(delta)
+    d3 = delta ** 3 - 1
+    total = ComplexBall.exact(0)
+    for nj in orbit.n:
+        total = total + (delta * delta * (delta ** (3 * nj) - 1)) / \
+            (d3 * (delta ** (3 * nj + 1) + 1))
+    for mi in orbit.m:
+        total = total + (delta * (delta ** (3 * mi) - 1)) / \
+            (d3 * (delta ** (3 * mi - 1) + 1))
+    return total
+
+
+def lambda_by_bisection(orbit: OrbitData, lo: float = 1.0 + 1e-9,
+                        hi: float = 64.0, iters: int = 200) -> float:
+    """Root of chi = 1 on (1, inf) by bisection; independent spectral oracle."""
+    def val(t: float) -> float:
+        return chi(complex(t), orbit).center.real - 1.0
+
+    flo = val(lo)
+    while val(hi) > 0:
+        hi *= 2
+        if hi > 2 ** 40:
+            raise SearchFailed("chi - 1 has no sign change on (1, inf)")
+    if flo < 0:
+        # move lo just above the pole region near 1
+        while flo < 0:
+            lo = 1 + (lo - 1) * 2
+            flo = val(lo)
+            if lo > hi:
+                raise SearchFailed("no bracketing interval for chi = 1")
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        if val(mid) > 0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def infinity_criterion(params: ThreeLinesParams) -> Verdict:
+    """Rotation verdict at the two infinity fixed points via beta0/alpha0.
+
+    Requires |delta| = 1; the membership beta0/alpha0 in [0,4] is equivalent
+    to both rotation numbers lying in [0,4] there.  The eigenvalue route is
+    evaluated as a cross-check and a contradiction raises (it would mean a
+    broken equivalence, not a data issue).
+    """
+    if abs(abs(params.delta) - 1) > 1e-9:
+        raise OffUnitCircle(f"|delta| = {abs(params.delta)}")
+    ratio = _parameter_ratio([ComplexBall.exact(v) for v in params.a],
+                             [ComplexBall.exact(v) for v in params.b])
+    if all(v.imag == 0.0 for v in params.a + params.b):
+        ratio = ratio.realize_real()  # product of reals
+    verdict = ball_in_interval(ratio, 0.0, 4.0)
+    eigen = [ball_in_interval(s, 0.0, 4.0)
+             for s in infinity_eigen_data(params.delta, ratio)]
+    for ev in eigen:
+        if {verdict, ev} == {Verdict.CERTIFIED_IN, Verdict.CERTIFIED_OUT}:
+            raise CheckFailed(
+                f"infinity criterion contradiction: ratio {verdict} vs eigen {ev}")
+    if verdict is Verdict.UNKNOWN and eigen[0] is eigen[1] != Verdict.UNKNOWN:
+        return eigen[0]
+    return verdict
+
+
+def equidistribution_stat(orbit: OrbitData, bins: int = 12) -> float:
+    """Per-root chi-square of the circle-root angle histogram vs uniform.
+
+    Diagnostic for the asymptotic equidistribution of the non-dominant roots;
+    decreases as the orbit lengths grow.
+    """
+    cert = salem_from_orbit(orbit)
+    angles = [cmath.phase(r.center) % (2 * math.pi) for r in cert.circle_roots]
+    counts = [0] * bins
+    for t in angles:
+        counts[min(int(t / (2 * math.pi) * bins), bins - 1)] += 1
+    expected = len(angles) / bins
+    chi2 = sum((c - expected) ** 2 / expected for c in counts)
+    return chi2 / len(angles)
+
+
+def fd_chart_jacobian(family_map, point: ProjectivePoint,
+                      chart: int | None = None, h: float = 1e-5):
+    """Finite-difference Jacobian oracle with one Richardson refinement.
+
+    Central differences at steps h and h/2 combined as (4*D2 - D1)/3; used in
+    tests against the closed-form chart_jacobian.
+    """
+    if chart is None:
+        chart = point.pivot_index
+    u0, v0 = chart_point(point, chart)
+    i, j = _CHART_LOCALS[chart]
+
+    def phi(u, v):
+        comps = family_map.components(*embed_chart(u, v, chart))
+        return (comps[i] / comps[chart], comps[j] / comps[chart])
+
+    def diff(step):
+        cols = []
+        for du, dv in ((step, 0.0), (0.0, step)):
+            fp = phi(u0 + du, v0 + dv)
+            fm = phi(u0 - du, v0 - dv)
+            cols.append(((fp[0] - fm[0]) / (2 * step), (fp[1] - fm[1]) / (2 * step)))
+        return cols
+
+    d1, d2 = diff(h), diff(h / 2)
+    cols = [((4 * b[0] - a[0]) / 3, (4 * b[1] - a[1]) / 3) for a, b in zip(d1, d2)]
+    # columns are d/du, d/dv; transpose to rows = outputs
+    return ((cols[0][0], cols[1][0]), (cols[0][1], cols[1][1]))

@@ -16,16 +16,18 @@ from siegelcert.balls import ComplexBall, Verdict, ball_in_interval
 from siegelcert.certifier import Location, PointVerdict
 from siegelcert.cli import main
 from siegelcert.cohomology import (fixed_point_bound, quad_action_matrix,
-                                   spectral_data, tl_action_matrix)
+                                   tl_action_matrix)
 from siegelcert.cuspidal import QuadMap, closure_residual, s_value
-from siegelcert.geometry import ProjectivePoint, chart_jacobian, fd_chart_jacobian
+from siegelcert.geometry import ProjectivePoint, chart_jacobian
 from siegelcert.intpoly import strip_cyclotomic
 from siegelcert.pipeline import theorem1_pipeline
 from siegelcert.roots import ComplexPolynomial, poly_roots
+from siegelcert.salem import salem_factor
 from siegelcert.threelines import (OrbitData, TLMap, ab_from_delta,
-                                   fixed_points_tl, h_iterate,
-                                   infinity_eigen_data, lambda_by_bisection,
+                                   fixed_points_tl, infinity_eigen_data,
                                    orbit_verify, param_balls, salem_from_orbit)
+
+from oracles import fd_chart_jacobian, h_iterate, lambda_by_bisection
 
 
 def _report(n: int, text: str):
@@ -52,11 +54,11 @@ def test_criterion_01_salem_roots_and_tau(salem8):
 
 def test_criterion_02_entropy_and_exact_charpoly(salem8):
     m = quad_action_matrix(8, 8, 8)
-    sd = spectral_data(m)
-    assert abs(sd.entropy - 0.6901) < 1e-3
+    cert = salem_factor(m.char_poly)
+    assert abs(cert.entropy - 0.6901) < 1e-3
     rest, _ = strip_cyclotomic(m.char_poly)
     assert rest == salem8
-    _report(2, f"entropy {sd.entropy:.6f} within 1e-3 of 0.6901; "
+    _report(2, f"entropy {cert.entropy:.6f} within 1e-3 of 0.6901; "
                "stripped char poly equals the Salem polynomial exactly")
 
 
@@ -121,8 +123,8 @@ def test_criterion_06_three_lines_consistency():
             recs = fixed_points_tl(params, param_balls(root, orbit))
             assert len(recs) == orbit.N + 3                        # (d) count
         m = tl_action_matrix(orbit)
-        sd = spectral_data(m)
-        assert abs(sd.lam.center.real - lambda_by_bisection(orbit)) < 1e-9  # (c)
+        lam = salem_factor(m.char_poly).lam
+        assert abs(lam.center.real - lambda_by_bisection(orbit)) < 1e-9  # (c)
         assert fixed_point_bound(m) == orbit.N + 3                 # (d) bound
     elapsed = time.time() - t0
     assert elapsed < 30.0

@@ -8,15 +8,15 @@ import pytest
 from siegelcert.balls import (ComplexBall, Verdict, ball_in_interval,
                               certified_out_margin)
 from siegelcert.certifier import (FixedPointRecord, Location, PointVerdict,
-                                  certify_fixed_point, not_root_of_unity,
-                                  record_from_jacobian)
+                                  Witness, certify_fixed_point,
+                                  certify_sections, record_from_jacobian)
 from siegelcert.cuspidal import CuspidalParams, QuadMap, certify_cuspidal
 from siegelcert.errors import WitnessMismatch
-from siegelcert.geometry import (ProjectivePoint, chart_jacobian,
-                                 fd_chart_jacobian)
-from siegelcert.intpoly import cyclotomic
+from siegelcert.geometry import ProjectivePoint, chart_jacobian
 from siegelcert.pipeline import certify_three_lines, theorem1_pipeline
 from siegelcert.threelines import OrbitData, TLMap, ThreeLinesParams
+
+from oracles import certify_sections_scan, fd_chart_jacobian
 
 
 def _fd_match(family_map, pt, chart=None, tol=1e-6):
@@ -73,14 +73,6 @@ def test_w0_eigenvalues_cube_root_pair():
     assert abs(rec.s.center - 1.0) < 1e-9
 
 
-def test_not_root_of_unity(salem8, salem8_cert):
-    assert not_root_of_unity(salem8_cert.circle_roots[0], salem8) is True
-    z6 = ComplexBall.exact(cmath.exp(2j * cmath.pi / 6))
-    assert not_root_of_unity(z6, cyclotomic(6)) is False
-    with pytest.raises(WitnessMismatch):
-        not_root_of_unity(ComplexBall.exact(0.5 + 0.5j), salem8)
-
-
 def _record(s_center, s_radius=1e-12, location=Location.AFFINE_DIAGONAL):
     one = ComplexBall.exact(1)
     s = ComplexBall(complex(s_center), s_radius)
@@ -89,51 +81,96 @@ def _record(s_center, s_radius=1e-12, location=Location.AFFINE_DIAGONAL):
                             ComplexBall.exact(2), one, s, eig)
 
 
+def _probe(cert, records):
+    """certify_sections' verdict for an in-range point over circle root 0
+    whose only conjugate root, circle root 2, carries records."""
+    sections = certify_sections(cert, {cert.circle_roots[0]: [_record(2.0)],
+                                       cert.circle_roots[2]: records}, None)
+    return sections[0].verdicts[0]
+
+
 def test_certify_verdict_table(salem8_cert):
     witness_delta = salem8_cert.circle_roots[2]
-    out_conj = [(witness_delta, 0, _record(5.91))]
-    in_conj = [(witness_delta, 0, _record(1.0))]
+    out_w = _probe(salem8_cert, [_record(5.91)]).witness
+    assert out_w.delta is witness_delta and out_w.point_index == 0
 
-    assert certify_fixed_point(_record(5.91), out_conj, salem8_cert).verdict \
-        is PointVerdict.NOT_ROTATION
-    v = certify_fixed_point(_record(2.0), out_conj, salem8_cert)
+    assert certify_fixed_point(_record(5.91), out_w, salem8_cert,
+                               True).verdict is PointVerdict.NOT_ROTATION
+    v = certify_fixed_point(_record(2.0), out_w, salem8_cert, True)
     assert v.verdict is PointVerdict.SIEGEL_CERTIFIED
     assert v.witness is not None and v.witness.margin > 1.5
-    assert certify_fixed_point(_record(2.0), in_conj, salem8_cert).verdict \
-        is PointVerdict.INCONCLUSIVE
-    assert certify_fixed_point(_record(2.0), [], salem8_cert).verdict \
+    # an in-range conjugate is no witness
+    v = _probe(salem8_cert, [_record(1.0)])
+    assert v.verdict is PointVerdict.INCONCLUSIVE and v.witness is None
+    assert certify_fixed_point(_record(2.0), None, salem8_cert, True).verdict \
         is PointVerdict.INCONCLUSIVE
     # boundary-straddling rotation number
-    assert certify_fixed_point(_record(4.0, 1e-3), out_conj, salem8_cert).verdict \
-        is PointVerdict.INCONCLUSIVE
-    # a conjugate s with a positive distance margin that ball_in_interval
-    # still calls Unknown is no witness
-    near_conj = [(witness_delta, 0, _record(4 + 1e-3 + 1e-15, 1e-3))]
-    assert certify_fixed_point(_record(2.0), near_conj, salem8_cert).verdict \
-        is PointVerdict.INCONCLUSIVE
+    assert certify_fixed_point(_record(4.0, 1e-3), out_w, salem8_cert,
+                               True).verdict is PointVerdict.INCONCLUSIVE
     # strict-mode failure downgrades instead of blocking
-    assert certify_fixed_point(_record(2.0), out_conj, salem8_cert,
-                               strict_ok=False).verdict \
-        is PointVerdict.INCONCLUSIVE
+    assert certify_fixed_point(_record(2.0), out_w, salem8_cert,
+                               False).verdict is PointVerdict.INCONCLUSIVE
     # the singular point of the invariant curve is never a rotation
     assert certify_fixed_point(_record(1.0, location=Location.CURVE_SINGULAR),
-                               out_conj, salem8_cert).verdict \
+                               out_w, salem8_cert, True).verdict \
         is PointVerdict.NOT_ROTATION
+
+
+def test_witness_needs_a_certified_out_record(salem8_cert):
+    # a conjugate s with a positive distance margin that ball_in_interval
+    # still calls Unknown is no witness
+    near = _record(4 + 1e-3 + 1e-15, 1e-3)
+    assert certified_out_margin(near.s, 0.0, 4.0) > 0
+    assert ball_in_interval(near.s, 0.0, 4.0) is Verdict.UNKNOWN
+    v = _probe(salem8_cert, [near])
+    assert v.verdict is PointVerdict.INCONCLUSIVE and v.witness is None
+    # the curve-singular point is never a witness, whatever its s
+    singular = _record(6.0, location=Location.CURVE_SINGULAR)
+    assert _probe(salem8_cert, [singular]).witness is None
+    v = _probe(salem8_cert, [singular, near, _record(5.0)])
+    assert v.verdict is PointVerdict.SIEGEL_CERTIFIED
+    assert v.witness.point_index == 2
 
 
 def test_certify_picks_max_margin_witness(salem8_cert):
     d1 = salem8_cert.circle_roots[1]
     d2 = salem8_cert.circle_roots[2]
-    conj = [(d1, 0, _record(13.85)), (d2, 1, _record(31.78))]
-    v = certify_fixed_point(_record(2.0), conj, salem8_cert)
+    probe = _record(2.0)
+    sections = certify_sections(
+        salem8_cert, {salem8_cert.circle_roots[0]: [probe],
+                      d1: [_record(13.85)], d2: [_record(1.0), _record(31.78)]},
+        None)
+    v = sections[0].verdicts[0]
     assert v.witness.delta is d2 and v.witness.point_index == 1
+
+
+def test_equal_margins_first_witness_wins(salem8_cert):
+    d0, d1, d2 = salem8_cert.circle_roots[:3]
+    # within one root the first record wins, across roots the first root
+    sections = certify_sections(
+        salem8_cert, {d0: [_record(2.0)],
+                      d1: [_record(1.0), _record(7.0), _record(7.0)],
+                      d2: [_record(7.0)]}, None)
+    w = sections[0].verdicts[0].witness
+    assert w.delta is d1 and w.point_index == 1
+    assert w.margin == certified_out_margin(_record(7.0).s, 0.0, 4.0)
+    # the points over d1 see only d0 and d2, so d2's record is theirs
+    assert sections[1].verdicts[0].witness.delta is d2
 
 
 def test_witness_outside_circle_roots_raises(salem8_cert):
     # a root of unity (cyclotomic(5)) is not a certified circle root
     z = ComplexBall.exact(cmath.exp(2j * cmath.pi / 5))
+    witness = Witness(z, 0, certified_out_margin(_record(6.0).s, 0.0, 4.0))
     with pytest.raises(WitnessMismatch):
-        certify_fixed_point(_record(2.0), [(z, 0, _record(6.0))], salem8_cert)
+        certify_fixed_point(_record(2.0), witness, salem8_cert, True)
+    with pytest.raises(WitnessMismatch):
+        certify_sections(salem8_cert, {salem8_cert.circle_roots[0]:
+                                       [_record(2.0)], z: [_record(6.0)]},
+                         None)
+    # a point that would not use the witness does not check it
+    assert certify_fixed_point(_record(5.0), witness, salem8_cert,
+                               True).verdict is PointVerdict.NOT_ROTATION
 
 
 @pytest.mark.parametrize("run", [
@@ -157,6 +194,39 @@ def test_witness_resolves_in_its_own_section(run):
             assert v.witness.margin == certified_out_margin(rec.s, 0.0, 4.0)
             certified += 1
     assert certified > 0
+
+
+def _reports_for_scan():
+    for n in range(4, 41):
+        yield f"cuspidal-{n}", certify_cuspidal(n)
+    for m, n, strict in (((1, 2), (1, 1), False), ((2, 3), (2, 3), False),
+                         ((5,), (5,), False), ((2,), (1,), True)):
+        yield f"three-lines-{m}-{n}", certify_three_lines(OrbitData(m, n),
+                                                          strict=strict)
+    yield "theorem1-3", theorem1_pipeline(3)
+
+
+def test_certify_sections_matches_the_conjugate_scan():
+    """One witness per root gives the verdicts, notes and witnesses of
+    scanning every conjugate record for every point."""
+    certified = 0
+    for name, rep in _reports_for_scan():
+        records = {sec.delta: sec.records for sec in rep.sections}
+        want = certify_sections_scan(rep.salem_cert, records,
+                                     rep.strict_evidence)
+        assert len(want) == len(rep.sections), name
+        for sec, verdicts in zip(rep.sections, want):
+            assert len(sec.verdicts) == len(verdicts), name
+            for got, ref in zip(sec.verdicts, verdicts):
+                assert (got.verdict, got.note) == (ref.verdict, ref.note), name
+                if ref.witness is None:
+                    assert got.witness is None, name
+                    continue
+                certified += 1
+                assert got.witness.delta is ref.witness.delta, name
+                assert got.witness.point_index == ref.witness.point_index, name
+                assert got.witness.margin == ref.witness.margin, name
+    assert certified > 800
 
 
 def test_report_counts_sum(salem8_cert):

@@ -1,19 +1,21 @@
 """Action matrices: form preservation, exact char polys, spectral data."""
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
 from siegelcert.balls import ComplexBall
 from siegelcert.cohomology import (ActionMatrix, delta_eigen_check,
-                                   fixed_point_bound, quad_action_matrix,
-                                   spectral_check, spectral_data,
+                                   fixed_point_bound, matrix_info,
+                                   quad_action_matrix, spectral_data,
                                    tl_action_matrix)
-from siegelcert.errors import PipelineFailed
-from siegelcert.intpoly import IntPolynomial, strip_cyclotomic
-from siegelcert.threelines import OrbitData, lambda_by_bisection, salem_from_orbit
+from siegelcert.errors import NoSalemFactor, PipelineFailed
+from siegelcert.intpoly import IntPolynomial, cyclotomic, strip_cyclotomic
+from siegelcert.salem import salem_factor
+from siegelcert.threelines import OrbitData, salem_from_orbit
 
-from oracles import char_poly_faddeev_leverrier
+from oracles import char_poly_faddeev_leverrier, lambda_by_bisection
 
 PERMS = [(0, 1, 2), (1, 2, 0), (2, 0, 1), (0, 2, 1), (1, 0, 2), (2, 1, 0)]
 
@@ -48,11 +50,12 @@ def test_quad_888_charpoly_and_entropy(salem8):
     assert fixed_point_bound(m) == 4
     rest, cyclo = strip_cyclotomic(m.char_poly)
     assert rest == salem8
-    sd = spectral_data(m)
-    assert abs(sd.entropy - 0.6901) < 1e-3
-    assert sd.lam.contains(1.994004199185754)
-    assert sd.salem_part == salem8
-    assert tuple(sorted(sd.cyclo_parts)) == tuple(sd.cyclo_parts)
+    cert = salem_factor(m.char_poly)
+    assert abs(cert.entropy - 0.6901) < 1e-3
+    assert cert.lam.contains(1.994004199185754)
+    assert cert.poly == salem8
+    cyclo_parts = spectral_data(m, cert)
+    assert tuple(sorted(cyclo_parts)) == cyclo_parts == tuple(cyclo)
 
 
 def test_quad_fixes_canonical_class():
@@ -68,9 +71,9 @@ def test_tl_matrices_match_bisection_and_bound():
         assert m.trace() == orbit.N + 1
         assert fixed_point_bound(m) == orbit.N + 3
         assert m.apply(m.canonical_vector) == m.canonical_vector
-        sd = spectral_data(m)
-        assert abs(sd.lam.center.real - lambda_by_bisection(orbit)) < 1e-9
-        assert sd.salem_part == salem_from_orbit(orbit).poly
+        cert = salem_factor(m.char_poly)
+        assert abs(cert.lam.center.real - lambda_by_bisection(orbit)) < 1e-9
+        assert cert.poly == salem_from_orbit(orbit).poly
 
 
 def test_charpoly_reciprocal_up_to_sign():
@@ -86,10 +89,11 @@ def test_identity_matrix_spectral_data():
     ident = ActionMatrix(
         tuple(tuple(1 if i == j else 0 for j in range(4)) for i in range(4)),
         ("H", "E1", "E2", "E3"))
-    sd = spectral_data(ident)
-    assert sd.entropy == 0.0
-    assert sd.lam.contains(1.0)
-    assert sd.salem_part == IntPolynomial((1,))
+    # (t - 1)^4 is all cyclotomic: no Salem part, so no entropy
+    assert strip_cyclotomic(ident.char_poly) == (IntPolynomial((1,)),
+                                                 [1, 1, 1, 1])
+    with pytest.raises(NoSalemFactor, match="degree 0 < 4"):
+        salem_factor(ident.char_poly)
     assert fixed_point_bound(ident) == 6
     one = ActionMatrix(((1,),), ("H",))
     assert fixed_point_bound(one) == 3
@@ -134,17 +138,35 @@ def test_spectral_check_every_dimension():
     m = tl_action_matrix(orbit)
     assert m.dim == 103
     cert = salem_from_orbit(orbit)
-    check = spectral_check(m, cert)
-    assert check.data.salem_part == cert.poly
-    assert check.data.entropy == cert.entropy
-    assert check.data.lam == cert.lam
-    assert check.matrix_info == {"dim": 103, "trace": m.trace(),
-                                 "bound": fixed_point_bound(m)}
-    # the default call cross-checks at dim 103 and catches a mismatch
+    rest, cyclo = strip_cyclotomic(m.char_poly)
+    assert rest == cert.poly
+    assert spectral_data(m, cert) == tuple(cyclo)
+    assert matrix_info(m) == {"dim": 103, "trace": m.trace(),
+                              "bound": fixed_point_bound(m)}
+    # the check runs at dim 103 and catches a mismatch
     other = salem_from_orbit(OrbitData((2,), (1,)))
     with pytest.raises(PipelineFailed) as info:
-        spectral_check(m, other)
+        spectral_data(m, other)
     assert info.value.stage == "spectral_data"
+
+
+def test_spectral_data_failure_branches():
+    m = quad_action_matrix(8, 8, 8)
+    message = ("spectral_data: action-matrix Salem factor differs from the "
+               "orbit's Salem polynomial")
+    # the division by a foreign Salem polynomial is not exact
+    lehmer = salem_from_orbit(OrbitData((2,), (1,)))
+    assert m.char_poly.try_exact_div(lehmer.poly) is None
+    with pytest.raises(PipelineFailed) as info:
+        spectral_data(m, lehmer)
+    assert str(info.value) == message
+    # t - 1 divides exactly, but the quotient keeps the Salem factor
+    linear = SimpleNamespace(poly=cyclotomic(1))
+    quotient = m.char_poly.try_exact_div(linear.poly)
+    assert quotient is not None and strip_cyclotomic(quotient)[0].degree == 8
+    with pytest.raises(PipelineFailed) as info:
+        spectral_data(m, linear)
+    assert str(info.value) == message
 
 
 def test_char_poly_matches_faddeev_leverrier():
@@ -173,9 +195,10 @@ def test_char_poly_of_unit_column_cycles():
                           (0, 0, 1, 0)), ("H", "E1", "E2", "E3"))
     assert cycle.char_poly == IntPolynomial((-1, 1)) * IntPolynomial((-1, 0, 0, 1))
     assert cycle.char_poly == char_poly_faddeev_leverrier(cycle.entries)
-    sd = spectral_data(cycle)
-    assert sd.entropy == 0.0
-    assert sd.cyclo_parts == (1, 1, 3)
+    # all cyclotomic: no Salem part, so no entropy
+    assert strip_cyclotomic(cycle.char_poly) == (IntPolynomial((1,)), [1, 1, 3])
+    with pytest.raises(NoSalemFactor):
+        salem_factor(cycle.char_poly)
 
 
 def test_matrix_text_export_stable():

@@ -62,7 +62,8 @@ def test_salem_factor_rejects_cyclotomic_product():
 
 
 def test_lehmer_degree_case_vs_chi_bisection():
-    from siegelcert.threelines import OrbitData, lambda_by_bisection, salem_from_orbit
+    from oracles import lambda_by_bisection
+    from siegelcert.threelines import OrbitData, salem_from_orbit
     orbit = OrbitData((2,), (1,))
     cert = salem_from_orbit(orbit)
     assert isinstance(cert, SalemCertificate)

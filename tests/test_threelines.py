@@ -15,15 +15,14 @@ from siegelcert.errors import (BoundaryUndecidable, BudgetExhausted,
 from siegelcert.geometry import ProjectivePoint
 from siegelcert.threelines import (OrbitData, ThreeLinesParams,
                                    a_value, ab_from_delta, approx_parameters,
-                                   b_value, chi,
-                                   construct_c0, construct_cstar,
-                                   design_rotation_numbers,
-                                   equidistribution_stat, fixed_points_tl,
-                                   h_iterate, indeterminacy,
-                                   infinity_criterion, infinity_eigen_data,
-                                   lambda_by_bisection, orbit_verify,
-                                   param_balls, salem_from_orbit, tl_map_eval,
-                                   trace_affine)
+                                   b_value, construct_c0, construct_cstar,
+                                   design_rotation_numbers, fixed_points_tl,
+                                   indeterminacy, infinity_eigen_data,
+                                   orbit_verify, param_balls, salem_from_orbit,
+                                   tl_map_eval, trace_affine)
+
+from oracles import (OffUnitCircle, chi, equidistribution_stat, h_iterate,
+                     infinity_criterion, lambda_by_bisection)
 
 
 def _oracle_affine(params, x, y):
@@ -371,7 +370,6 @@ def test_infinity_criterion_examples():
     # boundary ratio = 4: unknown, never a contradiction
     par = ThreeLinesParams(1j, (2.0,), (0.5,))
     assert infinity_criterion(par) is Verdict.UNKNOWN
-    from siegelcert.errors import OffUnitCircle
     with pytest.raises(OffUnitCircle):
         infinity_criterion(ThreeLinesParams(2.0, (1.0,), (0.5,)))
 
