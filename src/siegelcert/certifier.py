@@ -57,7 +57,7 @@ class FixedPointRecord:
         e1, e2 = self.eigenvalues
         if not (e1 + e2).disjoint(tr) and not (e1 * e2).disjoint(dt):
             return
-        raise ValueError("eigenvalue sum/product inconsistent with trace/det")
+        raise CheckFailed("eigenvalue sum/product inconsistent with trace/det")
 
 
 def record_from_jacobian(location: Location, coords: ProjectivePoint,

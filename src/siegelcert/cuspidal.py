@@ -70,33 +70,31 @@ class QuadMap:
 
     def __init__(self, delta, d=None):
         self.delta = delta
-        self.d = d if d is not None else (1 - delta) / (3 * delta)
+        self.d = d = d if d is not None else (1 - delta) / (3 * delta)
+        # the powers every record needs, in the association the formulas use
+        self.d2 = d2 = d * d
+        self.d3 = d3 = d2 * d
+        self.d4 = d2 * d2
+        self.d6 = d3 * d3
+        self.delta3 = delta * delta * delta
 
     def components(self, x, y, z):
-        delta, d = self.delta, self.d
-        d2 = d * d
-        d3 = d2 * d
-        d4 = d2 * d2
-        d6 = d3 * d3
+        delta, d, d2, d3, d4 = self.delta, self.d, self.d2, self.d3, self.d4
         fx = delta * (x * y - 2 * d * y * z + 2 * d3 * x * z - d4 * z * z)
-        fy = delta * delta * delta * (y * y - 3 * d2 * x * y + 3 * d4 * x * x - d6 * z * z)
+        fy = self.delta3 * (y * y - 3 * d2 * x * y + 3 * d4 * x * x - self.d6 * z * z)
         fz = y * z - 3 * d * x * x + 3 * d2 * x * z - d3 * z * z
         return (fx, fy, fz)
 
     def partials(self, x, y, z):
-        delta, d = self.delta, self.d
-        d2 = d * d
-        d3 = d2 * d
-        d4 = d2 * d2
-        d6 = d3 * d3
-        delta3 = delta * delta * delta
+        delta, d, d2, d3, d4 = self.delta, self.d, self.d2, self.d3, self.d4
+        delta3 = self.delta3
         return (
             (delta * (y + 2 * d3 * z),
              delta * (x - 2 * d * z),
              delta * (-2 * d * y + 2 * d3 * x - 2 * d4 * z)),
             (delta3 * (-3 * d2 * y + 6 * d4 * x),
              delta3 * (2 * y - 3 * d2 * x),
-             delta3 * (-2 * d6 * z)),
+             delta3 * (-2 * self.d6 * z)),
             (-6 * d * x + 3 * d2 * z,
              z,
              y + 3 * d2 * x - 2 * d3 * z),

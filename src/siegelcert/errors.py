@@ -30,7 +30,8 @@ class BadPrime(SiegelcertError):
 
 
 class BallDomainError(SiegelcertError):
-    """Ball operation undefined (division or sqrt through a ball containing 0)."""
+    """Ball operation undefined (division or sqrt through a ball containing 0)
+    or out of double range (an arithmetic result overflowed)."""
 
 
 # ---- cuspidal family ----

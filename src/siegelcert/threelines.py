@@ -129,27 +129,36 @@ def _sym_coeffs(invs):
     return c
 
 
-def _eval_homog(coeffs, y, z):
-    deg = len(coeffs) - 1
+def _powers(y, z, deg):
+    """Power tables [1, y, y^2, ...] and [1, z, z^2, ...] up to deg, built by
+    repeated multiplication from 1 (for balls, 1 * y pads y's radius)."""
     ypow = [1]
     zpow = [1]
     for _ in range(deg):
         ypow.append(ypow[-1] * y)
         zpow.append(zpow[-1] * z)
+    return ypow, zpow
+
+
+def _eval_homog(coeffs, ypow, zpow):
+    """The homogeneous form sum_k coeffs[k] y^k z^(deg-k) from power tables;
+    the empty list is the zero form."""
+    if not coeffs:
+        return 0
+    deg = len(coeffs) - 1
     out = coeffs[0] * zpow[deg]
     for k in range(1, deg + 1):
         out = out + coeffs[k] * ypow[k] * zpow[deg - k]
     return out
 
 
-def _eval_dy(coeffs, y, z):
-    dcoeffs = [k * coeffs[k] for k in range(1, len(coeffs))]
-    return _eval_homog(dcoeffs, y, z) if dcoeffs else 0
+def _dy_coeffs(coeffs):
+    return [k * coeffs[k] for k in range(1, len(coeffs))]
 
-def _eval_dz(coeffs, y, z):
+
+def _dz_coeffs(coeffs):
     deg = len(coeffs) - 1
-    dcoeffs = [(deg - k) * coeffs[k] for k in range(0, deg)]
-    return _eval_homog(dcoeffs, y, z) if dcoeffs else 0
+    return [(deg - k) * coeffs[k] for k in range(0, deg)]
 
 
 class TLMap:
@@ -162,6 +171,9 @@ class TLMap:
         g2 = _sym_coeffs(inv_b)
         # (G2 - G1)/y: constant y-terms cancel since both products are monic in z
         self.h = [g2[k] - self.g1[k] for k in range(1, self.N + 1)]
+        # derivative forms; an empty list (h when N = 1) is the zero form
+        self.g1y, self.g1z = _dy_coeffs(self.g1), _dz_coeffs(self.g1)
+        self.hy, self.hz = _dy_coeffs(self.h), _dz_coeffs(self.h)
 
     @staticmethod
     def from_params(params: ThreeLinesParams) -> "TLMap":
@@ -175,19 +187,18 @@ class TLMap:
 
     def components(self, x, y, z):
         delta = self.delta
-        g1 = _eval_homog(self.g1, y, z)
-        h = _eval_homog(self.h, y, z)
+        ypow, zpow = _powers(y, z, self.N)
+        g1 = _eval_homog(self.g1, ypow, zpow)
+        h = _eval_homog(self.h, ypow, zpow)
         t = h * x - delta * g1
         return (y * delta * t, g1 * (x + delta * y), z * delta * t)
 
     def partials(self, x, y, z):
         delta = self.delta
-        g1 = _eval_homog(self.g1, y, z)
-        g1y = _eval_dy(self.g1, y, z)
-        g1z = _eval_dz(self.g1, y, z)
-        h = _eval_homog(self.h, y, z)
-        hy = _eval_dy(self.h, y, z)
-        hz = _eval_dz(self.h, y, z)
+        ypow, zpow = _powers(y, z, self.N)
+        g1, g1y, g1z, h, hy, hz = (
+            _eval_homog(coeffs, ypow, zpow)
+            for coeffs in (self.g1, self.g1y, self.g1z, self.h, self.hy, self.hz))
         t = h * x - delta * g1
         ty = hy * x - delta * g1y
         tz = hz * x - delta * g1z

@@ -8,8 +8,8 @@ production path does not use.
 import cmath
 import math
 
-from siegelcert.balls import (ComplexBall, Verdict, ball_in_interval,
-                              certified_out_margin)
+from siegelcert.balls import (_EPS, _TINY, ComplexBall, Verdict,
+                              ball_in_interval, certified_out_margin)
 from siegelcert.certifier import (CertifiedVerdict, Location, PointVerdict,
                                   Witness)
 from siegelcert.errors import (CheckFailed, PoleHit, PoleInFormula,
@@ -53,6 +53,53 @@ def char_poly_faddeev_leverrier(entries) -> IntPolynomial:
         assert tr % k == 0, "Faddeev-LeVerrier trace not divisible"
         coeffs[n - k] = -tr // k
     return IntPolynomial(tuple(coeffs))
+
+
+# ---------------------------------------------------------------------------
+# ball +, - and * as the frozen-dataclass kernel computed them, every operand
+# through ComplexBall.exact; each returns the result's (center, radius)
+# ---------------------------------------------------------------------------
+
+def _pad(center, radius):
+    return radius * (1.0 + _EPS) + abs(center) * _EPS + _TINY
+
+
+def _exact_parts(z):
+    if isinstance(z, ComplexBall):
+        return z.center, z.radius
+    if isinstance(z, int) and abs(z) > 2 ** 52:
+        c = float(z)
+        return complex(c, 0.0), abs(z - int(c)) * (1.0 + _EPS) + _TINY
+    return complex(z), 0.0
+
+
+def ball_add_reference(a: ComplexBall, other):
+    """a + other, and other + a (the old __radd__ was __add__)."""
+    oc, orad = _exact_parts(other)
+    c = a.center + oc
+    return c, _pad(c, a.radius + orad)
+
+
+def ball_sub_reference(a: ComplexBall, other):
+    """a - other, computed as a + (-exact(other))."""
+    oc, orad = _exact_parts(other)
+    c = a.center + (-oc)
+    return c, _pad(c, a.radius + orad)
+
+
+def ball_rsub_reference(a: ComplexBall, other):
+    """other - a, computed as exact(other) + (-a)."""
+    oc, orad = _exact_parts(other)
+    c = oc + (-a.center)
+    return c, _pad(c, orad + a.radius)
+
+
+def ball_mul_reference(a: ComplexBall, other):
+    """a * other, and other * a (the old __rmul__ was __mul__)."""
+    oc, orad = _exact_parts(other)
+    c = a.center * oc
+    r = abs(a.center) * orad + abs(oc) * a.radius + a.radius * orad
+    return c, _pad(c, r)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from siegelcert.certifier import (FixedPointRecord, Location, PointVerdict,
                                   Witness, certify_fixed_point,
                                   certify_sections, record_from_jacobian)
 from siegelcert.cuspidal import CuspidalParams, QuadMap, certify_cuspidal
-from siegelcert.errors import WitnessMismatch
+from siegelcert.errors import CheckFailed, WitnessMismatch
 from siegelcert.geometry import ProjectivePoint, chart_jacobian
 from siegelcert.pipeline import certify_three_lines, theorem1_pipeline
 from siegelcert.threelines import OrbitData, TLMap, ThreeLinesParams
@@ -260,3 +260,16 @@ def test_eigenvalue_trace_det_consistency(salem8_cert):
         assert not (e1 * e2).disjoint(rec.det)
         s_check = rec.trace * rec.trace / rec.det
         assert not s_check.disjoint(rec.s)
+
+
+def test_record_with_inconsistent_eigenvalues_fails_its_check():
+    """Eigenvalues whose sum misses the trace, or whose product misses the
+    det, are a failed consistency check of the construction."""
+    one, two = ComplexBall.exact(1), ComplexBall.exact(2)
+    s = ComplexBall(2.0 + 0j, 1e-12)
+    pt = ProjectivePoint(0.5, 0.5, 1)
+    FixedPointRecord(Location.GENERIC, pt, two, one, s, (one, one))
+    with pytest.raises(CheckFailed, match="inconsistent"):
+        FixedPointRecord(Location.GENERIC, pt, two, one, s, (one, two))
+    with pytest.raises(CheckFailed, match="inconsistent"):
+        FixedPointRecord(Location.GENERIC, pt, two, two, s, (one, one))
