@@ -16,7 +16,7 @@ disks, which certify_cuspidal establishes through the conjugate criterion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .balls import ComplexBall
 from .certifier import (CertificationReport, FixedPointRecord, Location,
@@ -202,9 +202,7 @@ def _records_for_delta(delta: ComplexBall,
                              point_radius=max(x.radius, y.radius))
         rec = record_from_jacobian(Location.GENERIC, w, jac)
         # the closed-form rotation number is the tighter certificate; keep it
-        s = s_value(tau, x)
-        records.append(FixedPointRecord(rec.location, rec.coords, rec.trace,
-                                        rec.det, s, rec.eigenvalues))
+        records.append(replace(rec, s=s_value(tau, x)))
     return records
 
 

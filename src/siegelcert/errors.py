@@ -17,7 +17,7 @@ class NonConvergence(SiegelcertError):
 
 
 class ClusterUnresolved(SiegelcertError):
-    """Root disks overlap and the caller demanded pairwise-simple roots."""
+    """Root disks overlap where the caller needs pairwise-simple roots."""
 
 
 class BoundaryUndecidable(SiegelcertError):

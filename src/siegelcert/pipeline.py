@@ -3,18 +3,20 @@ Siegel-disk centers.
 
 k = 2 is the cuspidal-cubic run at orbit length 8.  For k >= 3 the three-lines
 family with N = k - 2 is driven through: build the all-inside and all-outside
-parameter targets, search orbit data whose Salem polynomial has unit-circle
-roots near both targets, verify the orbit conditions by direct iteration,
-compute the N+3 isolated fixed points, and certify each off-curve point by the
-conjugate criterion with the outside root as witness family.  The report shows
-exactly k SiegelCertified points, the singular point as NotRotation, and
-positive entropy from the action matrix.
+parameter targets, then search orbit data whose Salem polynomial has
+unit-circle roots delta0, delta* near both targets.  A gate checks each
+candidate: the N+3 isolated fixed points at delta0 must certify the inside
+pattern and those at delta* the outside pattern, and only then are the orbit
+conditions at both roots verified by direct iteration.  Each off-curve point of
+the accepted candidate is certified by the conjugate criterion with the outside
+root as witness family.  The report shows exactly k SiegelCertified points, the
+singular point as NotRotation, and positive entropy from the action matrix.
 """
 
 from __future__ import annotations
 
 import collections
-from dataclasses import dataclass
+import functools
 
 from . import strictmode
 from .balls import Verdict, ball_in_interval
@@ -27,22 +29,14 @@ from .cuspidal import certify_cuspidal
 from .errors import (BudgetExhausted, OrbitCollision, PipelineFailed,
                      SiegelcertError)
 from .threelines import (ApproxResult, ab_from_delta, approx_parameters,
-                         construct_c0, construct_cstar, fixed_points_tl,
-                         orbit_verify, param_balls, salem_from_orbit)
+                         check_search_arguments, construct_c0, construct_cstar,
+                         fixed_points_tl, orbit_verify, param_balls,
+                         salem_from_orbit)
 
 D0_TARGET = 0.96  # first design determinant tried for the all-inside target
 DEFAULT_EPS = 1.6
 DEFAULT_MN_CAP = 18
 DENSITY_RANKS = 4  # n_rank values the search walks before it gives up
-
-
-@dataclass
-class _Candidate:
-    approx: ApproxResult
-    records0: list
-    records_star: list
-    orbit_report0: object
-    orbit_report_star: object
 
 
 def _pattern_holds(records, want: Verdict) -> bool:
@@ -83,10 +77,20 @@ def _memoised(memo: dict, step, *args):
     return memo[key]
 
 
+def _gate_steps(approx: ApproxResult):
+    """The gate's checks as (step, args), cheapest first: the In-pattern at
+    delta0, the Out-pattern at delta*, then both orbit verifications."""
+    orbit = approx.orbit
+    return ((_pattern_step, (orbit, approx.delta0, approx.params0, "delta0")),
+            (_pattern_step, (orbit, approx.delta_star, approx.params_star,
+                             "delta*")),
+            (_orbit_step, (orbit, approx.params0)),
+            (_orbit_step, (orbit, approx.params_star)))
+
+
 def _try_candidate(approx: ApproxResult, memo: dict,
-                   rejections: collections.Counter) -> _Candidate | None:
-    """The certification gate, cheapest check first: the In-pattern at
-    delta0, the Out-pattern at delta*, then both orbit verifications.
+                   rejections: collections.Counter) -> bool:
+    """The certification gate: every step of _gate_steps passes.
 
     memo is created by theorem1_pipeline and lives for that one call; no
     other search shares it.  Within the search many (delta0, delta*) pairs
@@ -98,20 +102,12 @@ def _try_candidate(approx: ApproxResult, memo: dict,
     check: "delta0 pattern", "delta* pattern", "orbit check", or the type
     name of the SiegelcertError that check raised.
     """
-    orbit = approx.orbit
-    values = []
-    for step, args in (
-            (_pattern_step, (orbit, approx.delta0, approx.params0, "delta0")),
-            (_pattern_step, (orbit, approx.delta_star, approx.params_star,
-                             "delta*")),
-            (_orbit_step, (orbit, approx.params0)),
-            (_orbit_step, (orbit, approx.params_star))):
-        value, reason = _memoised(memo, step, *args)
+    for step, args in _gate_steps(approx):
+        _, reason = _memoised(memo, step, *args)
         if reason is not None:
             rejections[reason] += 1
-            return None
-        values.append(value)
-    return _Candidate(approx, *values)
+            return False
+    return True
 
 
 def certify_three_lines(orbit, strict: bool = False,
@@ -158,12 +154,15 @@ def theorem1_pipeline(k: int, strict: bool = False, workers: int = 1,
 
     With strict=True the report carries the conjugacy evidence; when that
     evidence fails, the verdicts at delta0 become Inconclusive and the report
-    is returned as it stands.  workers is accepted and ignored.
+    is returned as it stands.  workers is accepted and ignored.  eps and
+    mN_cap are checked for every k, although only the k >= 3 search uses
+    them: ValueError unless eps is finite and > 0 and mN_cap >= 1.
     """
     if k < 2:
         raise PipelineFailed(
             "arguments", f"k = {k} is handled by prior constructions "
             "(degree-2 maps on other cubics); this pipeline needs k >= 2")
+    check_search_arguments(eps, mN_cap)
     if k == 2:
         report = certify_cuspidal(8, strict=strict)
         count = report.principal_section.count(PointVerdict.SIEGEL_CERTIFIED)
@@ -173,50 +172,34 @@ def theorem1_pipeline(k: int, strict: bool = False, workers: int = 1,
         return report
 
     n = k - 2
-    c0 = None
-    c0_err: Exception | None = None
     d_try = D0_TARGET
-    while d_try < 1.0:
+    while True:
         try:
             c0 = construct_c0(n, d_target=d_try)
             break
         except SiegelcertError as exc:
             # the sufficient bounds need d closer to 1; walk the target up
-            c0_err = exc
             d_try = 1.0 - 0.5 * (1.0 - d_try)
             if 1.0 - d_try < 1e-4:
-                break
-    if c0 is None:
-        raise PipelineFailed("construct_c0", str(c0_err))
+                raise PipelineFailed("construct_c0", str(exc))
     try:
         cstar = construct_cstar(n)
     except SiegelcertError as exc:
         raise PipelineFailed("construct_cstar", str(exc))
 
-    found: list[_Candidate] = []
     memo: dict = {}
     rejections: collections.Counter = collections.Counter()
-
-    def gate(approx: ApproxResult) -> bool:
-        cand = _try_candidate(approx, memo, rejections)
-        if cand is None:
-            return False
-        found.append(cand)
-        return True
-
-    approx_err = None
+    gate = functools.partial(_try_candidate, memo=memo, rejections=rejections)
     for rank in range(DENSITY_RANKS):
         try:
-            approx_parameters(c0, cstar, eps, mN_cap=mN_cap, accept=gate,
-                              n_rank=rank)
-            break
+            approx = approx_parameters(c0, cstar, eps, mN_cap=mN_cap,
+                                       accept=gate, n_rank=rank)
         except BudgetExhausted as exc:
             approx_err = exc
-    if not found:
-        raise PipelineFailed("approx_parameters",
-                             f"{approx_err}; {_rejection_summary(rejections)}")
-    cand = found[0]
-    return _report_from_candidate(k, cand, strict)
+            continue
+        return _report_from_candidate(k, approx, memo, strict)
+    raise PipelineFailed("approx_parameters",
+                         f"{approx_err}; {_rejection_summary(rejections)}")
 
 
 def _rejection_summary(rejections: collections.Counter) -> str:
@@ -229,16 +212,19 @@ def _rejection_summary(rejections: collections.Counter) -> str:
             f"candidate(s): {reasons}")
 
 
-def _report_from_candidate(k: int, cand: _Candidate,
+def _report_from_candidate(k: int, approx: ApproxResult, memo: dict,
                            strict: bool) -> CertificationReport:
-    approx = cand.approx
+    """The report for the candidate the gate accepted; its fixed points and
+    orbit reports are read back from the gate's memo, not computed again."""
+    records0, records_star, orbit_report0, orbit_report_star = (
+        _memoised(memo, step, *args)[0] for step, args in _gate_steps(approx))
     n = approx.orbit.N
     cert = approx.salem_cert
 
     evidence = (strictmode.three_lines_strict_evidence(cert.poly, approx.orbit)
                 if strict else None)
-    sections = certify_sections(cert, {approx.delta0: cand.records0,
-                                       approx.delta_star: cand.records_star},
+    sections = certify_sections(cert, {approx.delta0: records0,
+                                       approx.delta_star: records_star},
                                 evidence)
 
     principal = sections[0]
@@ -254,18 +240,18 @@ def _report_from_candidate(k: int, cand: _Candidate,
     m = tl_action_matrix(approx.orbit)
     info = dict(matrix_info(m), salem_degree=cert.poly.degree,
                 cyclotomic_factors=list(spectral_data(m, cert)))
-    if info["bound"] != len(cand.records0):
+    if info["bound"] != len(records0):
         raise PipelineFailed("fixed_point_bound",
                              f"bound {info['bound']} != fixed point "
-                             f"count {len(cand.records0)}")
+                             f"count {len(records0)}")
 
     return CertificationReport(
         family="three_lines",
         parameters={
             "k": k, "N": n,
             "m": list(approx.orbit.m), "n": list(approx.orbit.n),
-            "orbit_residual0": cand.orbit_report0.max_residual,
-            "orbit_residual_star": cand.orbit_report_star.max_residual,
+            "orbit_residual0": orbit_report0.max_residual,
+            "orbit_residual_star": orbit_report_star.max_residual,
         },
         salem_cert=cert,
         sections=sections,

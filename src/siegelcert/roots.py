@@ -22,12 +22,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .balls import ComplexBall
-from .errors import ClusterUnresolved, NonConvergence
+from .errors import NonConvergence
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 500
@@ -68,16 +68,13 @@ class ComplexPolynomial:
 class RootSet:
     """Certified root enclosures: one ball per root (with multiplicity).
 
-    clusters lists index tuples of overlapping disks; for such a component only
-    the *union* is certified to hold exactly len(component) roots.
+    is_simple says the disks are pairwise disjoint, so each holds exactly one
+    root.  When it is False, only the union of each connected component of
+    overlapping disks is certified, to hold as many roots as it has disks.
     """
 
     balls: tuple[ComplexBall, ...]
-    clusters: tuple[tuple[int, ...], ...] = field(default=())
-
-    @property
-    def is_simple(self) -> bool:
-        return not self.clusters
+    is_simple: bool
 
     def __iter__(self):
         return iter(self.balls)
@@ -87,15 +84,13 @@ class RootSet:
 
 
 def poly_roots(p: ComplexPolynomial, *,
-               coeff_radii: tuple[float, ...] | None = None,
-               require_simple: bool = False) -> RootSet:
+               coeff_radii: tuple[float, ...] | None = None) -> RootSet:
     """All roots of p with certified error disks.
 
     coeff_radii, when given, widens the certificates so they hold for every
     polynomial whose k-th coefficient lies within coeff_radii[k] of coeffs[k].
-    require_simple raises ClusterUnresolved instead of returning flagged
-    clusters.  Raises NonConvergence if the sweep stalls without producing a
-    cluster explanation.
+    Raises NonConvergence if the sweep stalls and the disks are nonetheless
+    pairwise disjoint (no overlap explains the stall).
     """
     if p.degree < 1:
         raise ValueError("degree must be >= 1")
@@ -136,15 +131,14 @@ def poly_roots(p: ComplexPolynomial, *,
                 converged = True
                 break
 
-    balls, clusters = _certify(p, [complex(v) for v in z], coeff_radii)
-    if not converged and not clusters:
+    balls = _certify(p, [complex(v) for v in z], coeff_radii)
+    is_simple = all(balls[i].disjoint(balls[j]) for i in range(n)
+                    for j in range(i + 1, n))
+    if not converged and is_simple:
         raise NonConvergence(
             f"no convergence after {DEFAULT_MAX_ITER} iterations "
             f"at tol={DEFAULT_TOL:g}")
-    if require_simple and clusters:
-        raise ClusterUnresolved(
-            f"{len(clusters)} root cluster(s) at tol={DEFAULT_TOL:g}")
-    return RootSet(tuple(balls), tuple(clusters))
+    return RootSet(balls, is_simple)
 
 
 def _horner_vec(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -155,7 +149,7 @@ def _horner_vec(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 
 def _certify(p: ComplexPolynomial, pts: list[complex],
-             coeff_radii) -> tuple[list[ComplexBall], list[tuple[int, ...]]]:
+             coeff_radii) -> tuple[ComplexBall, ...]:
     n = p.degree
     lc_low = abs(p.coeffs[-1])
     if coeff_radii is not None:
@@ -181,31 +175,11 @@ def _certify(p: ComplexPolynomial, pts: list[complex],
         else:
             radius = n * (abs(val) + err) / (lc_low * prod)
         if not math.isfinite(radius):
-            # pathological; make the component explicit with a huge disk
+            # pathological; a huge disk makes the overlap explicit
             radius = 2.0 * (1.0 + max(abs(q) for q in pts if math.isfinite(abs(q))))
         balls.append(ComplexBall(zi, radius * (1.0 + 2 ** -40) + 1e-300))
 
-    # connected components of the overlap graph
-    parent = list(range(len(balls)))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for i in range(len(balls)):
-        for j in range(i + 1, len(balls)):
-            if not balls[i].disjoint(balls[j]):
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
-    groups: dict[int, list[int]] = {}
-    for i in range(len(balls)):
-        groups.setdefault(find(i), []).append(i)
-    clusters = [tuple(g) for g in groups.values() if len(g) > 1]
-    clusters.sort()
-    return balls, clusters
+    return tuple(balls)
 
 
 def self_paired(balls, image) -> set[int]:

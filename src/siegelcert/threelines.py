@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import collections
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .balls import ComplexBall, Verdict, ball_in_interval
 from .certifier import (FixedPointRecord, Location, _safe_sqrt,
@@ -94,16 +94,9 @@ class ThreeLinesParams:
         return len(self.a)
 
     @property
-    def alpha(self) -> complex:
-        return sum(1 / v for v in self.a)
-
-    @property
-    def beta(self) -> complex:
-        return sum(1 / v for v in self.b)
-
-    @property
     def c(self) -> complex:
-        return self.beta - self.alpha
+        """beta - alpha, with alpha = sum 1/a_i and beta = sum 1/b_j."""
+        return sum(1 / v for v in self.b) - sum(1 / v for v in self.a)
 
     @property
     def d(self) -> complex:
@@ -418,14 +411,6 @@ def _abscissa_roots(d: ComplexBall, ab, bb) -> tuple[list[ComplexBall], set[int]
     return xs, self_paired(xs, ComplexBall.conjugate)
 
 
-def _realized_record(rec: FixedPointRecord) -> FixedPointRecord:
-    """Record with the rotation number realized to an exactly real ball.
-
-    Only called where reality of the true s is certified (see call sites)."""
-    return FixedPointRecord(rec.location, rec.coords, rec.trace, rec.det,
-                            rec.s.realize_real(), rec.eigenvalues)
-
-
 def param_balls(root: ComplexBall, orbit: OrbitData):
     """(delta, a_balls, b_balls) at a certified unit-circle root: the balls
     argument of fixed_points_tl.
@@ -468,7 +453,7 @@ def fixed_points_tl(params: ThreeLinesParams,
         chart_jacobian(tlm_ball, ProjectivePoint(0, 0, 1), chart=2))
     # Tr^2/Det at the singular point is identically 1 (eigenvalue pair
     # (w/delta, 1/(w delta)) with w a primitive cube root of unity)
-    records = [_realized_record(w0)]
+    records = [replace(w0, s=w0.s.realize_real())]
 
     # affine diagonal points: roots of the degree-N abscissa polynomial
     d_ball = (1 + db) * (1 + db) / db
@@ -483,7 +468,7 @@ def fixed_points_tl(params: ThreeLinesParams,
         rec = record_from_jacobian(Location.AFFINE_DIAGONAL, w, jac)
         if i in real_idx:
             # real parameters, real d, certified-real abscissa: s is real
-            rec = _realized_record(rec)
+            rec = replace(rec, s=rec.s.realize_real())
         records.append(rec)
 
     # infinity points: alpha0 x^2 + delta (2 alpha0 - beta0) x + alpha0 delta^2
@@ -499,7 +484,7 @@ def fixed_points_tl(params: ThreeLinesParams,
         if ratio_in:
             # real ratio in [0,4] puts the in-line eigenvalue t on the unit
             # circle, so s = 2 + 2 Re(delta t^2) is real for |delta| = 1
-            rec = _realized_record(rec)
+            rec = replace(rec, s=rec.s.realize_real())
         records.append(rec)
 
     tlm = TLMap.from_params(params)
@@ -607,7 +592,9 @@ def construct_c0(N: int, d_target: float) -> ThreeLinesParams:
     nodes = [0.0] + xs
     values = [1.0] + [g(x) for x in xs]
     coeffs = _lagrange_coeffs(nodes, values)
-    roots = poly_roots(ComplexPolynomial(tuple(coeffs)), require_simple=True)
+    roots = poly_roots(ComplexPolynomial(tuple(coeffs)))
+    if not roots.is_simple:
+        raise ClusterUnresolved("interpolated b-polynomial has clustered roots")
     b = sorted(r.center.real for r in roots.balls)
     if any(abs(r.center.imag) > 1e-9 for r in roots.balls):
         raise SearchFailed("interpolated b-polynomial has non-real roots")
@@ -781,6 +768,14 @@ def _joint_pick(formula, targets0, targets_star, d0, dstar,
     return picks
 
 
+def check_search_arguments(eps: float, mN_cap: int):
+    """ValueError unless eps is finite and > 0 and mN_cap >= 1."""
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError(f"eps must be finite and > 0, got {eps}")
+    if mN_cap < 1:
+        raise ValueError(f"mN_cap must be >= 1, got {mN_cap}")
+
+
 def approx_parameters(c0: ThreeLinesParams, cstar: ThreeLinesParams, eps: float,
                       *, mN_cap: int, accept=None,
                       n_rank: int = 0) -> ApproxResult:
@@ -793,15 +788,12 @@ def approx_parameters(c0: ThreeLinesParams, cstar: ThreeLinesParams, eps: float,
     is checked all the same).  `accept`, when given, may reject a candidate
     (the caller's certification gate) and the sweep continues; n_rank > 0
     shifts the density choice to later-ranked indices.  Orbit data whose Salem
-    certificate fails (NoSalemFactor, BoundaryUndecidable, ClusterUnresolved,
-    NonConvergence) are skipped and counted by error type.  Raises
-    BudgetExhausted, naming those counts, when m_N exceeds its cap, and
-    ValueError unless eps is finite and > 0 and mN_cap >= 1.
+    certificate fails (NoSalemFactor, BoundaryUndecidable, NonConvergence)
+    are skipped and counted by error type.  Raises BudgetExhausted, naming
+    those counts, when m_N exceeds its cap, and the ValueError of
+    check_search_arguments.
     """
-    if not (math.isfinite(eps) and eps > 0):
-        raise ValueError(f"eps must be finite and > 0, got {eps}")
-    if mN_cap < 1:
-        raise ValueError(f"mN_cap must be >= 1, got {mN_cap}")
+    check_search_arguments(eps, mN_cap)
     N = c0.N
     if cstar.N != N:
         raise ValueError("target families have different N")
@@ -829,8 +821,7 @@ def approx_parameters(c0: ThreeLinesParams, cstar: ThreeLinesParams, eps: float,
         orbit = OrbitData(m, n)
         try:
             cert = salem_from_orbit(orbit)
-        except (NoSalemFactor, BoundaryUndecidable, ClusterUnresolved,
-                NonConvergence) as exc:
+        except (NoSalemFactor, BoundaryUndecidable, NonConvergence) as exc:
             # non-generic orbit data (e.g. a reducible non-cyclotomic part);
             # not a lift candidate, keep sweeping
             skipped[type(exc).__name__] += 1

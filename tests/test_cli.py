@@ -90,10 +90,12 @@ def test_theorem1_k1_usage_error(capsys):
     ("--mn-cap", "0", "mN_cap must be >= 1"),
 ])
 def test_theorem1_rejects_bad_search_arguments(capsys, flag, value, message):
-    code, out = _run(capsys, "theorem1", "--k", "3", flag, value)
-    assert code == 1
-    err = json.loads(out)["error"]
-    assert err["stage"] == "ValueError" and message in err["message"]
+    # k = 2 runs no search, but its arguments are checked all the same
+    for k in ("2", "3"):
+        code, out = _run(capsys, "theorem1", "--k", k, flag, value)
+        assert code == 1
+        err = json.loads(out)["error"]
+        assert err["stage"] == "ValueError" and message in err["message"]
 
 
 def test_precision_flags_are_usage_errors(capsys):

@@ -5,7 +5,6 @@ import random
 import pytest
 
 from siegelcert.balls import ComplexBall
-from siegelcert.errors import ClusterUnresolved
 from siegelcert.roots import (ComplexPolynomial, poly_roots, self_paired,
                               sort_roots)
 
@@ -38,15 +37,9 @@ def test_salem8_roots_match_listed_values(salem8):
 def test_triple_root_cluster_flagged():
     p = ComplexPolynomial((-27.0, 27.0, -9.0, 1.0))  # (t-3)^3
     rs = poly_roots(p)
-    assert len(rs.clusters) == 1 and len(rs.clusters[0]) == 3
+    assert len(rs) == 3 and not rs.is_simple
     for b in rs.balls:
         assert abs(b.center - 3.0) < 1e-3
-
-
-def test_triple_root_require_simple_raises():
-    p = ComplexPolynomial((-27.0, 27.0, -9.0, 1.0))
-    with pytest.raises(ClusterUnresolved):
-        poly_roots(p, require_simple=True)
 
 
 def test_reexpansion_matches_coefficients():

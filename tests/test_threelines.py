@@ -10,9 +10,11 @@ from siegelcert import threelines
 from siegelcert.balls import ComplexBall, Verdict, ball_in_interval
 from siegelcert.certifier import Location
 from siegelcert.errors import (BoundaryUndecidable, BudgetExhausted,
-                               Indeterminate, NoSalemFactor, PoleAtParameter,
-                               PoleInFormula, SearchFailed)
+                               ClusterUnresolved, Indeterminate,
+                               NoSalemFactor, PoleAtParameter, PoleInFormula,
+                               SearchFailed)
 from siegelcert.geometry import ProjectivePoint
+from siegelcert.roots import RootSet
 from siegelcert.threelines import (OrbitData, ThreeLinesParams,
                                    a_value, ab_from_delta, approx_parameters,
                                    b_value, construct_c0, construct_cstar,
@@ -250,6 +252,24 @@ def test_orbit_verify_negative_control():
     assert not rep.passed
 
 
+def test_orbit_verify_reports_a_collision():
+    # a_1 = a_2 makes the a2 orbit pass a1's forward point after one step,
+    # one step short of its own schedule; b = 2 / (1 + 2/a_1) keeps c = 1
+    delta = 0.6 + 0.3j
+    a1 = a_value(delta, 1)
+    b = 2 / (1 + 2 / a1)
+    par = ThreeLinesParams(delta, (a1, a1), (b, b))
+    assert abs(par.c - 1) < 1e-14
+    rep = orbit_verify(par, OrbitData((1, 2), (1, 1)))
+    assert not rep.passed and rep.max_residual == math.inf
+    checks = {c.label: c for c in rep.checks}
+    assert rep.collisions == (checks["a2"],)
+    assert checks["a2"].collision_step == 1
+    for label in ("a1", "p0"):
+        assert checks[label].collision_step is None
+        assert checks[label].residual < 1e-14
+
+
 def test_fixed_points_count_and_w0():
     orb = OrbitData((1, 2), (1, 1))
     cert = salem_from_orbit(orb)
@@ -420,6 +440,14 @@ def test_construct_c0_rejects_far_d():
         construct_c0(2, 0.5)
     with pytest.raises(ValueError):
         construct_c0(1, 1.5)
+
+
+def test_construct_c0_rejects_clustered_b_roots(monkeypatch):
+    real = threelines.poly_roots
+    monkeypatch.setattr(threelines, "poly_roots",
+                        lambda p: RootSet(real(p).balls, is_simple=False))
+    with pytest.raises(ClusterUnresolved):
+        construct_c0(2, 0.99)
 
 
 def test_construct_cstar_all_outside():
