@@ -86,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="quad: n1,n2,n3; three-lines: n_1,..,n_N")
     p.add_argument("--m", type=_int_list, default=None,
                    help="three-lines only: m_1,..,m_N")
-    p.add_argument("--sigma", type=_int_list, default=(0, 1, 2),
+    p.add_argument("--sigma", type=_int_list, default=None,
                    help="quad only: permutation matching orbits to forward "
                         "points (default 0,1,2)")
     p.add_argument("--out", type=str, default=None)
@@ -138,8 +138,12 @@ def main(argv: list[str] | None = None) -> int:
             if args.family == "quad":
                 if len(args.n) != 3:
                     raise SiegelcertError("quad needs --n n1,n2,n3")
-                m = quad_action_matrix(*args.n, sigma=tuple(args.sigma))
+                if args.m is not None:
+                    raise SiegelcertError("--m is for the three-lines family")
+                m = quad_action_matrix(*args.n, sigma=args.sigma or (0, 1, 2))
             else:
+                if args.sigma is not None:
+                    raise SiegelcertError("--sigma is for the quad family")
                 if args.m is None or len(args.m) != len(args.n):
                     raise SiegelcertError("three-lines needs --m and --n of equal length")
                 m = tl_action_matrix(OrbitData(args.m, args.n))

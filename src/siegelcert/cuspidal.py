@@ -68,9 +68,9 @@ class CurvePoint:
 class QuadMap:
     """Homogeneous components and partials; scalars may be complex or balls."""
 
-    def __init__(self, delta, d=None):
+    def __init__(self, delta):
         self.delta = delta
-        self.d = d = d if d is not None else (1 - delta) / (3 * delta)
+        self.d = d = (1 - delta) / (3 * delta)
         # the powers every record needs, in the association the formulas use
         self.d2 = d2 = d * d
         self.d3 = d3 = d2 * d
@@ -103,7 +103,7 @@ class QuadMap:
 
 def quad_map_eval(params: CuspidalParams, pt: ProjectivePoint) -> ProjectivePoint:
     """Image of pt; raises Indeterminate at the indeterminacy points."""
-    comps = QuadMap(params.delta, params.d).components(*pt.coords)
+    comps = QuadMap(params.delta).components(*pt.coords)
     if max(abs(c) for c in comps) < INDETERMINACY_TOL:
         raise Indeterminate(f"{pt} is an indeterminacy point")
     return ProjectivePoint(*comps)
@@ -189,7 +189,7 @@ def _records_for_delta(delta: ComplexBall,
     for bad in (-1.0, 2.0):
         if (tau - bad).contains_zero():
             raise DegenerateTau(f"tau ball meets {bad}")
-    qm = QuadMap(delta, (1 - delta) * (3 * delta).inverse())
+    qm = QuadMap(delta)
     params = CuspidalParams(delta.center)
     records = []
     for x in _tau_quadratic_roots(tau):

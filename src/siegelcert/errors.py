@@ -16,10 +16,6 @@ class NonConvergence(SiegelcertError):
     """Root iteration hit its cap without meeting the tolerance."""
 
 
-class ClusterUnresolved(SiegelcertError):
-    """Root disks overlap where the caller needs pairwise-simple roots."""
-
-
 class BoundaryUndecidable(SiegelcertError):
     """A root ball straddles the unit circle: double precision cannot decide
     the Salem root pattern, and the run exits 1."""

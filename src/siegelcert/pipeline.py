@@ -178,7 +178,7 @@ def theorem1_pipeline(k: int, strict: bool = False, workers: int = 1,
             c0 = construct_c0(n, d_target=d_try)
             break
         except SiegelcertError as exc:
-            # the sufficient bounds need d closer to 1; walk the target up
+            # the In-pattern certificate failed at d; walk the target up
             d_try = 1.0 - 0.5 * (1.0 - d_try)
             if 1.0 - d_try < 1e-4:
                 raise PipelineFailed("construct_c0", str(exc))

@@ -86,7 +86,7 @@ def report_to_dict(report: CertificationReport, config: RunConfig) -> dict:
     return {
         "config": config.to_dict(),
         "family": report.family,
-        "parameters": _plain(report.parameters),
+        "parameters": report.parameters,
         "salem": {
             "coeffs": [int(c) for c in cert.poly.coeffs],
             "roots": roots,
@@ -100,16 +100,6 @@ def report_to_dict(report: CertificationReport, config: RunConfig) -> dict:
         "matrix": report.matrix_info,
         "evidence": evidence,
     }
-
-
-def _plain(obj):
-    if isinstance(obj, dict):
-        return {k: _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, complex):
-        return cplx(obj)
-    return obj
 
 
 def render(doc: dict) -> str:

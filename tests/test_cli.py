@@ -180,8 +180,14 @@ def test_matrix_dump_three_lines(capsys):
 
 
 def test_matrix_dump_bad_args(capsys):
-    code, out = _run(capsys, "matrix", "--family", "quad", "--n", "2,3")
-    assert code == 1
+    # each option of the other family is rejected, not ignored
+    for argv in (("--family", "quad", "--n", "2,3"),
+                 ("--family", "three-lines", "--m", "2", "--n", "1",
+                  "--sigma", "1,0,2"),
+                 ("--family", "quad", "--n", "2,3,4", "--m", "1")):
+        code, out = _run(capsys, "matrix", *argv)
+        assert code == 1
+        assert list(json.loads(out)) == ["error"]
 
 
 @pytest.mark.parametrize("argv", [

@@ -5,7 +5,7 @@ import collections
 import pytest
 
 from siegelcert import pipeline, threelines
-from siegelcert.errors import NoSalemFactor, PipelineFailed
+from siegelcert.errors import NoSalemFactor, PerturbationFailed, PipelineFailed
 
 
 def test_search_certifies_each_orbit_root_side_once(monkeypatch):
@@ -36,6 +36,25 @@ def test_search_certifies_each_orbit_root_side_once(monkeypatch):
     assert distinct_roots0 < pairs  # pairs do share roots
     assert calls and max(calls.values()) == 1
     assert sum(calls.values()) == len(calls)
+
+
+def test_theorem1_constructs_the_inside_target_once(monkeypatch):
+    # the In-pattern certificate holds at the first design determinant
+    tried = []
+    real = pipeline.construct_c0
+
+    def construct_c0(n, d_target):
+        tried.append(d_target)
+        return real(n, d_target=d_target)
+
+    def construct_cstar(n):
+        raise PerturbationFailed("stop after the targets")
+
+    monkeypatch.setattr(pipeline, "construct_c0", construct_c0)
+    monkeypatch.setattr(pipeline, "construct_cstar", construct_cstar)
+    with pytest.raises(PipelineFailed, match="construct_cstar"):
+        pipeline.theorem1_pipeline(4)
+    assert tried == [pipeline.D0_TARGET]
 
 
 def test_failed_search_names_the_gate_rejections():

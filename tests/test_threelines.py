@@ -10,11 +10,9 @@ from siegelcert import threelines
 from siegelcert.balls import ComplexBall, Verdict, ball_in_interval
 from siegelcert.certifier import Location
 from siegelcert.errors import (BoundaryUndecidable, BudgetExhausted,
-                               ClusterUnresolved, Indeterminate,
-                               NoSalemFactor, PoleAtParameter, PoleInFormula,
-                               SearchFailed)
+                               Indeterminate, NoSalemFactor, PoleAtParameter,
+                               PoleInFormula, SearchFailed)
 from siegelcert.geometry import ProjectivePoint
-from siegelcert.roots import RootSet
 from siegelcert.threelines import (OrbitData, ThreeLinesParams,
                                    a_value, ab_from_delta, approx_parameters,
                                    b_value, construct_c0, construct_cstar,
@@ -46,6 +44,10 @@ def test_orbit_data_validation():
         OrbitData((0,), (2,))
     with pytest.raises(ValueError):
         OrbitData((1, 2), (1,))
+    with pytest.raises(ValueError):
+        OrbitData((2.7,), (1,))
+    with pytest.raises(ValueError):
+        OrbitData((2, 3), (1, 1.5))
     orb = OrbitData((2,), (1,))
     assert orb.N == 1 and orb.blowup_count == 3 + 5 + 4
 
@@ -442,12 +444,16 @@ def test_construct_c0_rejects_far_d():
         construct_c0(1, 1.5)
 
 
-def test_construct_c0_rejects_clustered_b_roots(monkeypatch):
-    real = threelines.poly_roots
-    monkeypatch.setattr(threelines, "poly_roots",
-                        lambda p: RootSet(real(p).balls, is_simple=False))
-    with pytest.raises(ClusterUnresolved):
-        construct_c0(2, 0.99)
+@pytest.mark.parametrize("N, d", [(2, 0.96), (3, 0.98)])
+def test_construct_c0_certified_where_sufficient_bounds_fail(N, d):
+    # the paper's correction bound fails at these designs; the In-pattern
+    # certificate of all N+2 rotation numbers holds
+    par = construct_c0(N, d)
+    assert par.N == N and abs(par.c - 1) < 1e-12
+    svals, ratio = design_rotation_numbers(par.a, par.b, d)
+    assert len(svals) == N
+    for s in svals + [ratio]:
+        assert ball_in_interval(s, 0.0, 4.0) is Verdict.CERTIFIED_IN
 
 
 def test_construct_cstar_all_outside():
