@@ -16,6 +16,39 @@ from .balls import ComplexBall
 from .errors import ChartFailure
 
 
+def pivot_index(coords) -> int:
+    """Index of the first coordinate of largest modulus."""
+    mags = list(map(abs, coords))
+    return mags.index(max(mags))
+
+
+def normalize(coords) -> tuple[complex, complex, complex]:
+    """A homogeneous triple divided by its pivot_index coordinate; ValueError
+    when all three vanish."""
+    coords = (complex(coords[0]), complex(coords[1]), complex(coords[2]))
+    pivot = coords[pivot_index(coords)]
+    if pivot == 0:
+        raise ValueError("all coordinates zero")
+    x, y, z = coords
+    return (x / pivot, y / pivot, z / pivot)
+
+
+def norm(p) -> float:
+    """Euclidean norm of a homogeneous triple."""
+    p0, p1, p2 = p
+    return math.sqrt(sum((abs(p0) ** 2, abs(p1) ** 2, abs(p2) ** 2)))
+
+
+def chordal_distance(p, q, p_norm: float, q_norm: float) -> float:
+    """Chordal distance of two triples whose norms are given: the norm of
+    their cross product over the product of their norms."""
+    p0, p1, p2 = p
+    q0, q1, q2 = q
+    return math.sqrt(sum((abs(p1 * q2 - p2 * q1) ** 2,
+                          abs(p2 * q0 - p0 * q2) ** 2,
+                          abs(p0 * q1 - p1 * q0) ** 2))) / (p_norm * q_norm)
+
+
 @dataclass(frozen=True)
 class ProjectivePoint:
     """Homogeneous coordinates, normalized so the largest-modulus one is 1."""
@@ -25,16 +58,10 @@ class ProjectivePoint:
     z: complex
 
     def __post_init__(self):
-        coords = (complex(self.x), complex(self.y), complex(self.z))
-        mags = [abs(c) for c in coords]
-        m = max(mags)
-        if m == 0.0:
-            raise ValueError("all coordinates zero")
-        pivot = coords[mags.index(m)]
-        coords = tuple(c / pivot for c in coords)
-        object.__setattr__(self, "x", coords[0])
-        object.__setattr__(self, "y", coords[1])
-        object.__setattr__(self, "z", coords[2])
+        x, y, z = normalize((self.x, self.y, self.z))
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "z", z)
 
     @staticmethod
     def affine(x: complex, y: complex) -> "ProjectivePoint":
@@ -46,19 +73,12 @@ class ProjectivePoint:
 
     @property
     def pivot_index(self) -> int:
-        mags = [abs(c) for c in self.coords]
-        return mags.index(max(mags))
+        return pivot_index(self.coords)
 
     def distance(self, other: "ProjectivePoint") -> float:
         """Chordal distance: norm of the cross product of unit representatives."""
         p, q = self.coords, other.coords
-        cross = (p[1] * q[2] - p[2] * q[1],
-                 p[2] * q[0] - p[0] * q[2],
-                 p[0] * q[1] - p[1] * q[0])
-        num = math.sqrt(sum(abs(c) ** 2 for c in cross))
-        den = math.sqrt(sum(abs(c) ** 2 for c in p)) * \
-            math.sqrt(sum(abs(c) ** 2 for c in q))
-        return num / den
+        return chordal_distance(p, q, norm(p), norm(q))
 
     def __repr__(self):
         def fmt(c):

@@ -33,7 +33,8 @@ from .errors import (BoundaryUndecidable, BudgetExhausted, CheckFailed,
                      DegenerateSpectrum, Indeterminate, NonConvergence,
                      NoSalemFactor, PerturbationFailed, PoleAtParameter,
                      PoleHit, PoleInFormula, SearchFailed)
-from .geometry import ProjectivePoint, chart_jacobian
+from .geometry import (ProjectivePoint, chart_jacobian, chordal_distance,
+                       norm, normalize)
 from .intpoly import ONE, IntPolynomial, x_pow_minus_one, x_pow_plus_one
 from .roots import ComplexPolynomial, poly_roots, self_paired
 from .salem import SalemCertificate, salem_factor
@@ -155,6 +156,12 @@ def _dz_coeffs(coeffs):
     return [(deg - k) * coeffs[k] for k in range(0, deg)]
 
 
+def _vanishes(comps) -> bool:
+    """The image components all lie below INDETERMINACY_TOL: the point is
+    taken for an indeterminacy point."""
+    return max(map(abs, comps)) < INDETERMINACY_TOL
+
+
 class TLMap:
     """Homogeneous components and partials; scalars may be complex or balls."""
 
@@ -206,12 +213,12 @@ class TLMap:
         """Image of an affine pair or a ProjectivePoint (same kind returned)."""
         if isinstance(pt, ProjectivePoint):
             comps = self.components(*pt.coords)
-            if max(abs(c) for c in comps) < INDETERMINACY_TOL:
+            if _vanishes(comps):
                 raise Indeterminate(f"{pt} is an indeterminacy point")
             return ProjectivePoint(*comps)
         x, y = pt
         comps = self.components(*ProjectivePoint.affine(x, y).coords)
-        if max(abs(c) for c in comps) < INDETERMINACY_TOL:
+        if _vanishes(comps):
             raise Indeterminate(f"({x}, {y}) is an indeterminacy point")
         if abs(comps[2]) <= INDETERMINACY_TOL * max(abs(comps[0]), abs(comps[1])):
             raise PoleHit(f"image of ({x}, {y}) lies on the line at infinity")
@@ -355,31 +362,41 @@ def orbit_verify(params: ThreeLinesParams, orbit: OrbitData) -> OrbitReport:
 
     Each backward indeterminacy point must reach its forward partner in the
     scheduled number of steps without meeting I(f) earlier; early hits are
-    reported as collisions (non-generic parameters), not raised.
+    reported as collisions (non-generic parameters), not raised.  The orbits
+    are iterated as normalized coordinate triples.  The 2N+1 forward points'
+    norms are computed once per call, and each iterate's norm once per step,
+    for its chordal distances to all of them.
     """
     ind = indeterminacy(params)
-    fwd = ind.forward
+    fwd = [(q.coords, norm(q.coords)) for q in ind.forward]
     plan = [("p0", ind.backward_0, 2, ind.forward_0)]
     for i, mi in enumerate(orbit.m):
         plan.append((f"a{i + 1}", ind.backward_a[i], 3 * mi - 2, ind.forward_a[i]))
     for j, nj in enumerate(orbit.n):
         plan.append((f"b{j + 1}", ind.backward_b[j], 3 * nj, ind.forward_b[j]))
 
-    tlm = TLMap.from_params(params)
+    components = TLMap.from_params(params).components
     checks = []
     for label, start, steps, target in plan:
-        pt = start
+        pt = start.coords
         collision = None
         for k in range(steps):
-            if any(pt.distance(q) < COLLISION_TOL for q in fwd):
-                collision = k
-                break
-            try:
-                pt = tlm.image(pt)
-            except Indeterminate:
-                collision = k
-                break
-        residual = pt.distance(target) if collision is None else math.inf
+            pt_norm = norm(pt)
+            for q, q_norm in fwd:
+                if chordal_distance(pt, q, pt_norm, q_norm) < COLLISION_TOL:
+                    break  # pt meets a forward point
+            else:
+                comps = components(*pt)
+                if not _vanishes(comps):
+                    pt = normalize(comps)
+                    continue
+            collision = k  # pt met a forward point or is indeterminate
+            break
+        if collision is None:
+            residual = chordal_distance(pt, target.coords, norm(pt),
+                                        norm(target.coords))
+        else:
+            residual = math.inf
         checks.append(OrbitCheck(label, steps, residual, collision))
     return OrbitReport(tuple(checks))
 
@@ -810,23 +827,12 @@ def approx_parameters(c0: ThreeLinesParams, cstar: ThreeLinesParams, eps: float,
             # not a lift candidate, keep sweeping
             skipped[type(exc).__name__] += 1
             continue
-        near0 = _roots_within(cert.circle_roots, d0, eps)
-        near_star = _roots_within(cert.circle_roots, dstar, eps)
-        for cand0 in near0:
-            try:
-                p0 = ab_from_delta(cand0.center, orbit)
-            except PoleInFormula:
-                continue
-            if not (_within(p0.a, c0.a, eps) and _within(p0.b, c0.b, eps)):
-                continue
-            for cand_star in near_star:
+        near_star = None  # built when the first delta0 candidate passes
+        for cand0, p0 in _candidates(cert.circle_roots, orbit, c0, eps):
+            if near_star is None:
+                near_star = list(_candidates(cert.circle_roots, orbit, cstar, eps))
+            for cand_star, ps in near_star:
                 if cand0.center == cand_star.center:
-                    continue
-                try:
-                    ps = ab_from_delta(cand_star.center, orbit)
-                except PoleInFormula:
-                    continue
-                if not (_within(ps.a, cstar.a, eps) and _within(ps.b, cstar.b, eps)):
                     continue
                 result = ApproxResult(orbit, cand0, cand_star, p0, ps, cert)
                 if accept is None or accept(result):
@@ -851,6 +857,20 @@ def _roots_within(circle_roots, target: complex, eps: float):
     ranked = sorted(circle_roots, key=lambda r: abs(r.center - target))
     out = [r for r in ranked if abs(r.center - target) < eps]
     return out[:12]
+
+
+def _candidates(circle_roots, orbit: OrbitData, target: ThreeLinesParams,
+                eps: float):
+    """(root, parameters) for the circle roots of _roots_within eps of the
+    target's delta whose parameters also lie within eps of the target's, in
+    that order; a root at a pole of the parameter formulas is skipped."""
+    for root in _roots_within(circle_roots, target.delta, eps):
+        try:
+            params = ab_from_delta(root.center, orbit)
+        except PoleInFormula:
+            continue
+        if _within(params.a, target.a, eps) and _within(params.b, target.b, eps):
+            yield root, params
 
 
 def _within(values, targets, eps: float) -> bool:

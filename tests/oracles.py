@@ -12,13 +12,16 @@ from siegelcert.balls import (_EPS, _TINY, ComplexBall, Verdict,
                               ball_in_interval, certified_out_margin)
 from siegelcert.certifier import (CertifiedVerdict, Location, PointVerdict,
                                   Witness)
-from siegelcert.errors import (CheckFailed, PoleHit, PoleInFormula,
-                               SearchFailed, SiegelcertError, WitnessMismatch)
+from siegelcert.errors import (CheckFailed, Indeterminate, PoleHit,
+                               PoleInFormula, SearchFailed, SiegelcertError,
+                               WitnessMismatch)
 from siegelcert.geometry import (_CHART_LOCALS, ProjectivePoint, chart_point,
                                  embed_chart)
 from siegelcert.intpoly import IntPolynomial
-from siegelcert.threelines import (OrbitData, ThreeLinesParams, _check_poles,
-                                   _parameter_ratio, infinity_eigen_data,
+from siegelcert.threelines import (COLLISION_TOL, OrbitCheck, OrbitData,
+                                   OrbitReport, ThreeLinesParams, TLMap,
+                                   _check_poles, _parameter_ratio,
+                                   indeterminacy, infinity_eigen_data,
                                    salem_from_orbit)
 
 
@@ -153,6 +156,64 @@ def certify_sections_scan(cert, records_by_root: dict, evidence):
         out.append([certify_fixed_point_scan(rec, conjugates, cert, strict_ok)
                     for rec in recs])
     return out
+
+
+# ---------------------------------------------------------------------------
+# projective normalization, chordal distance and orbit verification written
+# out per point: every iterate a ProjectivePoint, every distance from scratch
+# ---------------------------------------------------------------------------
+
+def normalize_reference(coords) -> tuple[complex, complex, complex]:
+    """Homogeneous coordinates scaled so the largest-modulus one is 1."""
+    coords = (complex(coords[0]), complex(coords[1]), complex(coords[2]))
+    mags = [abs(c) for c in coords]
+    m = max(mags)
+    if m == 0.0:
+        raise ValueError("all coordinates zero")
+    pivot = coords[mags.index(m)]
+    return tuple(c / pivot for c in coords)
+
+
+def distance_reference(p, q) -> float:
+    """Chordal distance: norm of the cross product of unit representatives."""
+    cross = (p[1] * q[2] - p[2] * q[1],
+             p[2] * q[0] - p[0] * q[2],
+             p[0] * q[1] - p[1] * q[0])
+    num = math.sqrt(sum(abs(c) ** 2 for c in cross))
+    den = math.sqrt(sum(abs(c) ** 2 for c in p)) * \
+        math.sqrt(sum(abs(c) ** 2 for c in q))
+    return num / den
+
+
+def orbit_verify_reference(params: ThreeLinesParams,
+                           orbit: OrbitData) -> OrbitReport:
+    """threelines.orbit_verify iterating ProjectivePoints through
+    TLMap.image and measuring each step with ProjectivePoint.distance."""
+    ind = indeterminacy(params)
+    fwd = ind.forward
+    plan = [("p0", ind.backward_0, 2, ind.forward_0)]
+    for i, mi in enumerate(orbit.m):
+        plan.append((f"a{i + 1}", ind.backward_a[i], 3 * mi - 2, ind.forward_a[i]))
+    for j, nj in enumerate(orbit.n):
+        plan.append((f"b{j + 1}", ind.backward_b[j], 3 * nj, ind.forward_b[j]))
+
+    tlm = TLMap.from_params(params)
+    checks = []
+    for label, start, steps, target in plan:
+        pt = start
+        collision = None
+        for k in range(steps):
+            if any(pt.distance(q) < COLLISION_TOL for q in fwd):
+                collision = k
+                break
+            try:
+                pt = tlm.image(pt)
+            except Indeterminate:
+                collision = k
+                break
+        residual = pt.distance(target) if collision is None else math.inf
+        checks.append(OrbitCheck(label, steps, residual, collision))
+    return OrbitReport(tuple(checks))
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,68 @@
+"""Projective normalization and chordal distance on coordinate triples."""
+
+import random
+
+import pytest
+
+from siegelcert.geometry import (ProjectivePoint, chordal_distance, norm,
+                                 normalize, pivot_index)
+
+from oracles import distance_reference, normalize_reference
+
+
+def _bits(values):
+    """Exact bits of complex or float values; tells -0.0 from 0.0."""
+    out = []
+    for v in values:
+        v = complex(v)
+        out.append((v.real.hex(), v.imag.hex()))
+    return out
+
+
+def _triples():
+    rng = random.Random(16)
+
+    def z():
+        return complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+
+    triples = [(z(), z(), z()) for _ in range(300)]
+    # the line at infinity, and its coordinate points
+    triples += [(z(), z(), 0) for _ in range(50)]
+    triples += [(1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0j, -2.5)]
+    # tied largest moduli, exact in binary: the first index must be the pivot
+    triples += [(1, 1j, 0.5), (0.25, -1, 1), (3 + 4j, 5, 4j - 3),
+                (2, -2, 2j), (-1j, 0, 1j), (0, 0.5, -0.5j)]
+    # ints and floats as well as complex entries, and tiny and huge scales
+    triples += [(1, 2, 3), (1e-200 + 1e-200j, 3e-200, 0), (1e200, -1e200j, 1)]
+    return triples
+
+
+def test_normalize_matches_the_reference_bits():
+    for t in _triples():
+        got = normalize(t)
+        assert _bits(got) == _bits(normalize_reference(t)), t
+        assert _bits(ProjectivePoint(*t).coords) == _bits(got)
+
+
+def test_pivot_is_the_first_coordinate_of_largest_modulus():
+    assert pivot_index((1, 1j, 0.5)) == 0
+    assert pivot_index((0.25, -1, 1)) == 1
+    assert pivot_index((3 + 4j, 5, 4j - 3)) == 0
+    assert pivot_index((0, 0.5, -0.5j)) == 1
+    assert normalize((0, 0.5, -0.5j)) == (0, 1, -1j)
+    assert ProjectivePoint(0.25, -1, 1).pivot_index == 1
+    with pytest.raises(ValueError):
+        normalize((0, 0j, 0.0))
+
+
+def test_chordal_distance_matches_the_reference_bits():
+    pts = [ProjectivePoint(*t) for t in _triples()]
+    rng = random.Random(7)
+    pairs = [(rng.choice(pts), rng.choice(pts)) for _ in range(600)]
+    # a point against itself and against its coordinate neighbours
+    pairs += [(p, p) for p in pts[-13:]] + list(zip(pts[-13:], pts[-12:]))
+    for pp, qq in pairs:
+        p, q = pp.coords, qq.coords
+        want = distance_reference(p, q).hex()
+        assert chordal_distance(p, q, norm(p), norm(q)).hex() == want, (p, q)
+        assert pp.distance(qq).hex() == want

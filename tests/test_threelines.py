@@ -22,7 +22,8 @@ from siegelcert.threelines import (OrbitData, ThreeLinesParams,
                                    tl_map_eval, trace_affine)
 
 from oracles import (OffUnitCircle, chi, equidistribution_stat, h_iterate,
-                     infinity_criterion, lambda_by_bisection)
+                     infinity_criterion, lambda_by_bisection,
+                     orbit_verify_reference)
 
 
 def _oracle_affine(params, x, y):
@@ -255,14 +256,9 @@ def test_orbit_verify_negative_control():
 
 
 def test_orbit_verify_reports_a_collision():
-    # a_1 = a_2 makes the a2 orbit pass a1's forward point after one step,
-    # one step short of its own schedule; b = 2 / (1 + 2/a_1) keeps c = 1
-    delta = 0.6 + 0.3j
-    a1 = a_value(delta, 1)
-    b = 2 / (1 + 2 / a1)
-    par = ThreeLinesParams(delta, (a1, a1), (b, b))
+    par, orbit = _collision_case()
     assert abs(par.c - 1) < 1e-14
-    rep = orbit_verify(par, OrbitData((1, 2), (1, 1)))
+    rep = orbit_verify(par, orbit)
     assert not rep.passed and rep.max_residual == math.inf
     checks = {c.label: c for c in rep.checks}
     assert rep.collisions == (checks["a2"],)
@@ -270,6 +266,37 @@ def test_orbit_verify_reports_a_collision():
     for label in ("a1", "p0"):
         assert checks[label].collision_step is None
         assert checks[label].residual < 1e-14
+
+
+def _collision_case():
+    # a_1 = a_2 makes the a2 orbit pass a1's forward point after one step,
+    # one step short of its own schedule; b = 2 / (1 + 2/a_1) keeps c = 1
+    delta = 0.6 + 0.3j
+    a1 = a_value(delta, 1)
+    b = 2 / (1 + 2 / a1)
+    return ThreeLinesParams(delta, (a1, a1), (b, b)), OrbitData((1, 2), (1, 1))
+
+
+def test_orbit_verify_equals_the_per_point_reference():
+    """Every report field, residual bits included, equals the loop that
+    iterates ProjectivePoints: at every circle root of the acceptance orbit
+    data and of ((6,5),(5,7)), whose residuals of 1.18e-8 and 1.15e-8 fail,
+    at the collision case and at the negative control."""
+    cases = []
+    for orbit in (OrbitData((2,), (1,)), OrbitData((1, 2), (1, 1)),
+                  OrbitData((6, 5), (5, 7))):
+        cases += [(ab_from_delta(root.center, orbit), orbit)
+                  for root in salem_from_orbit(orbit).circle_roots]
+    cases.append(_collision_case())
+    orb = OrbitData((2,), (1,))
+    cases.append((ab_from_delta(0.83 + 0.61j, orb), orb))
+    reports = [orbit_verify(par, orbit) for par, orbit in cases]
+    assert reports == [orbit_verify_reference(par, orbit) for par, orbit in cases]
+    outcomes = [rep.passed for rep in reports]
+    # the conjugate pair of (6,5),(5,7), the collision and the control fail
+    assert outcomes.count(False) == 4
+    assert max(rep.max_residual for rep, ok in zip(reports, outcomes)
+               if ok) < 1e-8
 
 
 def test_fixed_points_count_and_w0():
