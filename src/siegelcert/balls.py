@@ -270,18 +270,23 @@ def _ball(c, r) -> ComplexBall:
         f"ball arithmetic overflowed: center {c!r}, radius {r!r}")
 
 
-def ball_in_interval(x: ComplexBall, lo: float, hi: float) -> Verdict:
-    """Membership of a ball value in the real segment [lo, hi].
+# The rotation-number interval: a fixed point's s = Tr^2/Det lies in [0, 4]
+# exactly when its eigenvalues have equal modulus, and the parameter ratio
+# beta0/alpha0 of the three-lines family is tested against the same segment.
+ROTATION_INTERVAL = (0.0, 4.0)
+
+
+def ball_in_interval(x: ComplexBall) -> Verdict:
+    """Membership of a ball value in the real segment ROTATION_INTERVAL.
 
     CERTIFIED_OUT: the ball is disjoint from the segment, so the true value is
     certainly outside it.  CERTIFIED_IN demands an exactly real center (the
     realize_real gate, applied only where reality of the true value has been
     certified: conjugate-paired root enclosures, parameter identities at
-    certified unit-circle values) with the real range strictly inside [lo, hi].
+    certified unit-circle values) with the real range strictly inside it.
     Anything else is UNKNOWN.
     """
-    if lo > hi:
-        raise ValueError("lo must be <= hi")
+    lo, hi = ROTATION_INTERVAL
     # distance from center to the segment [lo, hi] x {0}
     cx, cy = x.center.real, x.center.imag
     dx = max(lo - cx, 0.0, cx - hi)
@@ -295,8 +300,10 @@ def ball_in_interval(x: ComplexBall, lo: float, hi: float) -> Verdict:
     return Verdict.UNKNOWN
 
 
-def certified_out_margin(x: ComplexBall, lo: float, hi: float) -> float:
-    """Certified distance from the ball to [lo, hi]; positive iff CERTIFIED_OUT."""
+def certified_out_margin(x: ComplexBall) -> float:
+    """Certified distance from the ball to ROTATION_INTERVAL; positive iff
+    CERTIFIED_OUT."""
+    lo, hi = ROTATION_INTERVAL
     cx, cy = x.center.real, x.center.imag
     dx = max(lo - cx, 0.0, cx - hi)
     dist = math.hypot(dx, cy)

@@ -123,7 +123,7 @@ def certify_fixed_point(rec: FixedPointRecord, witness: Witness | None,
     if rec.location is Location.CURVE_SINGULAR:
         return CertifiedVerdict(PointVerdict.NOT_ROTATION,
                                 note="eigenvalue ratio is a root of unity")
-    v = ball_in_interval(rec.s, 0.0, 4.0)
+    v = ball_in_interval(rec.s)
     if v is Verdict.CERTIFIED_OUT:
         return CertifiedVerdict(PointVerdict.NOT_ROTATION)
     if v is not Verdict.CERTIFIED_IN:
@@ -178,10 +178,10 @@ def certify_sections(cert: SalemCertificate, records_by_root: dict,
     strict_ok = evidence is None or evidence.irreducible
     margin = operator.attrgetter("margin")
     roots = list(records_by_root.items())
-    best = [max((Witness(delta, p, certified_out_margin(rec.s, 0.0, 4.0))
+    best = [max((Witness(delta, p, certified_out_margin(rec.s))
                  for p, rec in enumerate(recs)
                  if rec.location is not Location.CURVE_SINGULAR
-                 and ball_in_interval(rec.s, 0.0, 4.0) is Verdict.CERTIFIED_OUT),
+                 and ball_in_interval(rec.s) is Verdict.CERTIFIED_OUT),
                 key=margin, default=None)
             for delta, recs in roots]
     sections = []

@@ -9,13 +9,15 @@ Subcommands:
 
 Reports are JSON on stdout (optionally also written to --out).  Exit codes:
 0 full certification, 1 hard error (JSON error object on stdout, also when
---out cannot be written), 2 when any verdict is Inconclusive.  --strict adds
-conjugacy evidence to every run command; when the evidence fails, the
-verdicts it would back become Inconclusive and the report still prints.
-Identical configurations produce byte-identical reports.  There are no
-precision flags: each Salem polynomial is certified once at the fixed
-tolerance of roots.poly_roots, and a pattern that double precision cannot
-decide is a BoundaryUndecidable error (exit 1).
+--out cannot be written), 2 when any verdict is Inconclusive.  Exit code 2 is
+also argparse's usage error: then stdout is empty and the usage goes to
+stderr.  --strict adds conjugacy evidence to every run command; when the
+evidence fails, the verdicts it would back become Inconclusive and the report
+still prints.  Identical configurations produce byte-identical reports.
+There are no precision flags: each Salem polynomial is certified once at the
+fixed tolerance of roots.poly_roots, and a pattern that double precision
+cannot decide is a BoundaryUndecidable error (exit 1).  Nor are there search
+flags: theorem1's search budget is fixed (threelines.approx_parameters).
 """
 
 from __future__ import annotations
@@ -28,8 +30,7 @@ from .certifier import CertificationReport
 from .cohomology import quad_action_matrix, tl_action_matrix
 from .cuspidal import certify_cuspidal
 from .errors import SiegelcertError
-from .pipeline import (DEFAULT_EPS, DEFAULT_MN_CAP, certify_three_lines,
-                       theorem1_pipeline)
+from .pipeline import certify_three_lines, theorem1_pipeline
 from .report import RunConfig, exit_code_for, render, report_to_dict
 from .threelines import OrbitData
 
@@ -73,11 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="number of Siegel centers; k >= 2 (k = 0, 1 are covered "
                         "by earlier degree-2 constructions on other cubics and "
                         "are out of scope here)")
-    p.add_argument("--eps", type=float, default=DEFAULT_EPS,
-                   help="target-locality radius for the orbit-data search "
-                        "(default %(default)g)")
-    p.add_argument("--mn-cap", type=int, default=DEFAULT_MN_CAP,
-                   help="cap on the swept orbit length (default %(default)d)")
     common(p)
 
     p = sub.add_parser("matrix", help="plain-text action-matrix dump")
@@ -126,12 +122,9 @@ def main(argv: list[str] | None = None) -> int:
             return _finish(report, config)
 
         if args.command == "theorem1":
-            config = RunConfig("theorem1", "theorem1",
-                               {"k": args.k, "eps": args.eps,
-                                "mn_cap": args.mn_cap},
+            config = RunConfig("theorem1", "theorem1", {"k": args.k},
                                args.strict, args.out)
-            report = theorem1_pipeline(args.k, strict=args.strict,
-                                       eps=args.eps, mN_cap=args.mn_cap)
+            report = theorem1_pipeline(args.k, strict=args.strict)
             return _finish(report, config)
 
         if args.command == "matrix":

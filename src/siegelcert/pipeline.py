@@ -28,14 +28,14 @@ from .cohomology import matrix_info, spectral_data, tl_action_matrix
 from .cuspidal import certify_cuspidal
 from .errors import (BudgetExhausted, OrbitCollision, PipelineFailed,
                      SiegelcertError)
-from .threelines import (ApproxResult, ab_from_delta, approx_parameters,
-                         check_search_arguments, construct_c0, construct_cstar,
-                         fixed_points_tl, orbit_verify, param_balls,
-                         salem_from_orbit)
+# DEFAULT_EPS and DEFAULT_MN_CAP are not used here; perfbench's workloads
+# read them from this module for the theorem1 run config
+from .threelines import (DEFAULT_EPS, DEFAULT_MN_CAP,  # noqa: F401
+                         ApproxResult, ab_from_delta, approx_parameters,
+                         construct_c0, construct_cstar, fixed_points_tl,
+                         orbit_verify, param_balls, salem_from_orbit)
 
 D0_TARGET = 0.96  # first design determinant tried for the all-inside target
-DEFAULT_EPS = 1.6
-DEFAULT_MN_CAP = 18
 DENSITY_RANKS = 4  # n_rank values the search walks before it gives up
 
 
@@ -43,7 +43,7 @@ def _pattern_holds(records, want: Verdict) -> bool:
     for rec in records:
         if rec.location is Location.CURVE_SINGULAR:
             continue
-        if ball_in_interval(rec.s, 0.0, 4.0) is not want:
+        if ball_in_interval(rec.s) is not want:
             return False
     return True
 
@@ -147,22 +147,20 @@ def certify_three_lines(orbit, strict: bool = False,
     )
 
 
-def theorem1_pipeline(k: int, strict: bool = False, workers: int = 1,
-                      eps: float = DEFAULT_EPS, mN_cap: int = DEFAULT_MN_CAP
-                      ) -> CertificationReport:
+def theorem1_pipeline(k: int, strict: bool = False,
+                      workers: int = 1) -> CertificationReport:
     """Certification report with exactly k Siegel-certified fixed points.
 
     With strict=True the report carries the conjugacy evidence; when that
     evidence fails, the verdicts at delta0 become Inconclusive and the report
-    is returned as it stands.  workers is accepted and ignored.  eps and
-    mN_cap are checked for every k, although only the k >= 3 search uses
-    them: ValueError unless eps is finite and > 0 and mN_cap >= 1.
+    is returned as it stands.  workers is accepted and ignored.  The k >= 3
+    search runs with the fixed budget of approx_parameters over
+    DENSITY_RANKS density ranks.
     """
     if k < 2:
         raise PipelineFailed(
             "arguments", f"k = {k} is handled by prior constructions "
             "(degree-2 maps on other cubics); this pipeline needs k >= 2")
-    check_search_arguments(eps, mN_cap)
     if k == 2:
         report = certify_cuspidal(8, strict=strict)
         count = report.principal_section.count(PointVerdict.SIEGEL_CERTIFIED)
@@ -192,8 +190,7 @@ def theorem1_pipeline(k: int, strict: bool = False, workers: int = 1,
     gate = functools.partial(_try_candidate, memo=memo, rejections=rejections)
     for rank in range(DENSITY_RANKS):
         try:
-            approx = approx_parameters(c0, cstar, eps, mN_cap=mN_cap,
-                                       accept=gate, n_rank=rank)
+            approx = approx_parameters(c0, cstar, accept=gate, n_rank=rank)
         except BudgetExhausted as exc:
             approx_err = exc
             continue

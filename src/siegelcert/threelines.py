@@ -43,6 +43,8 @@ INDETERMINACY_TOL = 1e-10
 RESIDUAL_TOL = 1e-8  # chordal distance of a fixed point from its image
 COLLISION_TOL = 1e-7
 K_SEARCH = 64  # orbit lengths 1..K_SEARCH ranked by the density search
+DEFAULT_EPS = 1.6  # search radius around both targets, roots and parameters
+DEFAULT_MN_CAP = 18  # the m_N sweep stops after this orbit length
 
 
 @dataclass(frozen=True)
@@ -494,7 +496,7 @@ def fixed_points_tl(params: ThreeLinesParams,
     ratio = _parameter_ratio(ab, bb)
     half = ComplexBall.exact(0.5)
     ratio_in = realize and \
-        ball_in_interval(ratio, 0.0, 4.0) is Verdict.CERTIFIED_IN
+        ball_in_interval(ratio) is Verdict.CERTIFIED_IN
     for num in _infinity_numerators(ratio):
         x = db * num * half
         w = ProjectivePoint(x.center, 1, 0)
@@ -562,7 +564,7 @@ def infinity_eigen_data(delta, ratio: ComplexBall):
     """
     db = ComplexBall.exact(delta)
     half = ComplexBall.exact(0.5)
-    realize = ball_in_interval(ratio, 0.0, 4.0) is Verdict.CERTIFIED_IN
+    realize = ball_in_interval(ratio) is Verdict.CERTIFIED_IN
     out = []
     for num in _infinity_numerators(ratio):
         tt = num * half
@@ -673,11 +675,11 @@ def _require_pattern(a, b, d: float, inside: bool, what: str):
     want = Verdict.CERTIFIED_IN if inside else Verdict.CERTIFIED_OUT
     err = SearchFailed if inside else PerturbationFailed
     for s in svals:
-        v = ball_in_interval(s, 0.0, 4.0)
+        v = ball_in_interval(s)
         if v is not want:
             raise err(f"{what}: affine rotation number {s.center:.4f} "
                       f"is {v.value}, wanted {want.value}")
-    v = ball_in_interval(ratio, 0.0, 4.0)
+    v = ball_in_interval(ratio)
     if v is not want:
         raise err(f"{what}: beta0/alpha0 = {ratio.center.real:.4f} "
                   f"is {v.value}, wanted {want.value}")
@@ -722,17 +724,6 @@ class ApproxResult:
     salem_cert: SalemCertificate
 
 
-def _mult_independent(d0: complex, dstar: complex) -> bool:
-    """False when d0^k dstar^l = 1 within 1e-9 for some |k|, |l| <= 12."""
-    for k in range(-12, 13):
-        for el in range(-12, 13):
-            if (k, el) == (0, 0):
-                continue
-            if abs(d0 ** k * dstar ** el - 1) < 1e-9:
-                return False
-    return True
-
-
 def _joint_pick(formula, targets0, targets_star, d0, dstar,
                 used: set[int], rank: int, window: float) -> list[int]:
     """Greedy density choice for each target pair.
@@ -769,38 +760,26 @@ def _joint_pick(formula, targets0, targets_star, d0, dstar,
     return picks
 
 
-def check_search_arguments(eps: float, mN_cap: int):
-    """ValueError unless eps is finite and > 0 and mN_cap >= 1."""
-    if not (math.isfinite(eps) and eps > 0):
-        raise ValueError(f"eps must be finite and > 0, got {eps}")
-    if mN_cap < 1:
-        raise ValueError(f"mN_cap must be >= 1, got {mN_cap}")
-
-
-def approx_parameters(c0: ThreeLinesParams, cstar: ThreeLinesParams, eps: float,
-                      *, mN_cap: int, accept=None,
-                      n_rank: int = 0) -> ApproxResult:
+def approx_parameters(c0: ThreeLinesParams, cstar: ThreeLinesParams, *,
+                      accept=None, n_rank: int = 0) -> ApproxResult:
     """Orbit data and two unit-circle Salem roots approximating both targets.
 
     n_1..n_N and m_1..m_{N-1} are fixed by the joint density argument at the
     two target determinants; m_N then sweeps upward.  A candidate passes when
-    both roots and all parameter coordinates land within eps of their targets
-    (the last a-coordinate closes automatically through the chi identity but
-    is checked all the same).  `accept`, when given, may reject a candidate
-    (the caller's certification gate) and the sweep continues; n_rank > 0
-    shifts the density choice to later-ranked indices.  Orbit data whose Salem
-    certificate fails (NoSalemFactor, BoundaryUndecidable, NonConvergence)
-    are skipped and counted by error type.  Raises BudgetExhausted, naming
-    those counts, when m_N exceeds its cap, and the ValueError of
-    check_search_arguments.
+    both roots and all parameter coordinates land within DEFAULT_EPS of their
+    targets (the last a-coordinate closes automatically through the chi
+    identity but is checked all the same).  `accept`, when given, may reject a
+    candidate (the caller's certification gate) and the sweep continues;
+    n_rank > 0 shifts the density choice to later-ranked indices.  Orbit data
+    whose Salem certificate fails (NoSalemFactor, BoundaryUndecidable,
+    NonConvergence) are skipped and counted by error type.  Raises
+    BudgetExhausted, naming those counts, when m_N exceeds DEFAULT_MN_CAP.
     """
-    check_search_arguments(eps, mN_cap)
+    eps, mN_cap = DEFAULT_EPS, DEFAULT_MN_CAP
     N = c0.N
     if cstar.N != N:
         raise ValueError("target families have different N")
     d0, dstar = c0.delta, cstar.delta
-    if not _mult_independent(d0, dstar):
-        raise SearchFailed("target determinants are multiplicatively dependent")
 
     window = 0.9 * eps
     used: set[int] = set()

@@ -117,7 +117,7 @@ def certify_fixed_point_scan(rec, conjugates, cert,
     if rec.location is Location.CURVE_SINGULAR:
         return CertifiedVerdict(PointVerdict.NOT_ROTATION,
                                 note="eigenvalue ratio is a root of unity")
-    v = ball_in_interval(rec.s, 0.0, 4.0)
+    v = ball_in_interval(rec.s)
     if v is Verdict.CERTIFIED_OUT:
         return CertifiedVerdict(PointVerdict.NOT_ROTATION)
     if v is not Verdict.CERTIFIED_IN:
@@ -129,9 +129,9 @@ def certify_fixed_point_scan(rec, conjugates, cert,
     for delta_star, idx, conj in conjugates:
         if conj.location is Location.CURVE_SINGULAR:
             continue
-        if ball_in_interval(conj.s, 0.0, 4.0) is not Verdict.CERTIFIED_OUT:
+        if ball_in_interval(conj.s) is not Verdict.CERTIFIED_OUT:
             continue
-        margin = certified_out_margin(conj.s, 0.0, 4.0)
+        margin = certified_out_margin(conj.s)
         if best is None or margin > best.margin:
             best = Witness(delta_star, idx, margin)
     if best is None:
@@ -300,8 +300,8 @@ def infinity_criterion(params: ThreeLinesParams) -> Verdict:
                              [ComplexBall.exact(v) for v in params.b])
     if all(v.imag == 0.0 for v in params.a + params.b):
         ratio = ratio.realize_real()  # product of reals
-    verdict = ball_in_interval(ratio, 0.0, 4.0)
-    eigen = [ball_in_interval(s, 0.0, 4.0)
+    verdict = ball_in_interval(ratio)
+    eigen = [ball_in_interval(s)
              for s in infinity_eigen_data(params.delta, ratio)]
     for ev in eigen:
         if {verdict, ev} == {Verdict.CERTIFIED_IN, Verdict.CERTIFIED_OUT}:

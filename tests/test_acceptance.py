@@ -65,13 +65,13 @@ def test_criterion_02_entropy_and_exact_charpoly(salem8):
 def test_criterion_03_interval_certification():
     s1 = s_value(1.219, 0.022)
     assert s1.center.real + s1.radius < 2.05
-    v1 = ball_in_interval(s1, 0.0, 4.0)
+    v1 = ball_in_interval(s1)
     s2 = s_value(1.220, -0.283)
     assert s2.center.real + s2.radius < 3.12
-    v2 = ball_in_interval(s2, 0.0, 4.0)
+    v2 = ball_in_interval(s2)
     s3 = s_value(-1.495, -0.710)
     assert s3.center.real - s3.radius > 5.91
-    v3 = ball_in_interval(s3, 0.0, 4.0)
+    v3 = ball_in_interval(s3)
     assert v1 is Verdict.CERTIFIED_IN
     assert v2 is Verdict.CERTIFIED_IN
     assert v3 is Verdict.CERTIFIED_OUT
@@ -188,15 +188,15 @@ def test_criterion_08_infinity_equivalence():
         delta = cmath.rect(1.0, theta)
         ratio_val = rng.uniform(-2.0, 8.0)
         ratio = ComplexBall.exact(ratio_val)
-        v_ratio = ball_in_interval(ratio, 0.0, 4.0)
+        v_ratio = ball_in_interval(ratio)
         for s in infinity_eigen_data(delta, ratio):
-            ve = ball_in_interval(s, 0.0, 4.0)
+            ve = ball_in_interval(s)
             if {v_ratio, ve} == {Verdict.CERTIFIED_IN, Verdict.CERTIFIED_OUT}:
                 contradictions += 1
             if Verdict.UNKNOWN not in (v_ratio, ve):
                 decided_pairs += 1
         # boundary handling: exactly 4 must stay consistent (never contradict)
-    b4 = ball_in_interval(ComplexBall.exact(4.0), 0.0, 4.0)
+    b4 = ball_in_interval(ComplexBall.exact(4.0))
     assert b4 in (Verdict.UNKNOWN, Verdict.CERTIFIED_IN)
     assert contradictions == 0
     assert decided_pairs > 200
@@ -230,6 +230,10 @@ def test_criterion_10_theorem1_desk_scale(k):
     rep = theorem1_pipeline(k)
     elapsed = time.time() - t0
     assert elapsed < 300.0
+    # the orbit data and Salem degree the fixed search budget accepts
+    m, n, degree = {3: ([14], [3], 50), 4: ([4, 11], [4, 5], 70)}[k]
+    assert (rep.parameters["m"], rep.parameters["n"]) == (m, n)
+    assert rep.salem_cert.poly.degree == degree
     sec = rep.principal_section
     assert sec.count(PointVerdict.SIEGEL_CERTIFIED) == k
     w0 = [v for rec, v in zip(sec.records, sec.verdicts)
@@ -243,7 +247,7 @@ def test_criterion_10_theorem1_desk_scale(k):
             assert v.witness.delta == star.delta
             conj = star.records[v.witness.point_index]
             assert conj.location is not Location.CURVE_SINGULAR
-            assert ball_in_interval(conj.s, 0.0, 4.0) is Verdict.CERTIFIED_OUT
+            assert ball_in_interval(conj.s) is Verdict.CERTIFIED_OUT
     assert rep.entropy > 0
     _report(10, f"k={k}: exactly {k} SiegelCertified, w0 NotRotation, "
                 f"entropy {rep.entropy:.4f} > 0, {elapsed:.1f}s < 300s")

@@ -197,25 +197,20 @@ def test_overflow_raises_ball_domain_error():
 
 
 def test_ball_interval_examples():
-    assert ball_in_interval(ComplexBall(2.0 + 0j, 1e-9), 0, 4) is Verdict.CERTIFIED_IN
-    assert ball_in_interval(ComplexBall(5.91 + 0j, 1e-3), 0, 4) is Verdict.CERTIFIED_OUT
-    assert ball_in_interval(ComplexBall(4.0 + 0j, 1e-3), 0, 4) is Verdict.UNKNOWN
+    assert ball_in_interval(ComplexBall(2.0 + 0j, 1e-9)) is Verdict.CERTIFIED_IN
+    assert ball_in_interval(ComplexBall(5.91 + 0j, 1e-3)) is Verdict.CERTIFIED_OUT
+    assert ball_in_interval(ComplexBall(4.0 + 0j, 1e-3)) is Verdict.UNKNOWN
 
 
 def test_ball_interval_complex_cases():
     # far off the axis: certainly outside the segment
-    assert ball_in_interval(ComplexBall(2 + 1j, 0.5), 0, 4) is Verdict.CERTIFIED_OUT
+    assert ball_in_interval(ComplexBall(2 + 1j, 0.5)) is Verdict.CERTIFIED_OUT
     # meets the axis inside the segment but center not exactly real: the
     # reality gate (realize_real after a reality certificate) has not run
-    assert ball_in_interval(ComplexBall(2 + 0.1j, 0.2), 0, 4) is Verdict.UNKNOWN
-    assert ball_in_interval(ComplexBall(2 + 1e-15j, 1e-9), 0, 4) is Verdict.UNKNOWN
+    assert ball_in_interval(ComplexBall(2 + 0.1j, 0.2)) is Verdict.UNKNOWN
+    assert ball_in_interval(ComplexBall(2 + 1e-15j, 1e-9)) is Verdict.UNKNOWN
     assert ball_in_interval(
-        ComplexBall(2 + 1e-15j, 1e-9).realize_real(), 0, 4) is Verdict.CERTIFIED_IN
-
-
-def test_interval_requires_ordering():
-    with pytest.raises(ValueError):
-        ball_in_interval(ComplexBall(0j, 0.0), 1.0, 0.0)
+        ComplexBall(2 + 1e-15j, 1e-9).realize_real()) is Verdict.CERTIFIED_IN
 
 
 def test_division_through_zero_rejected():

@@ -120,8 +120,8 @@ def test_witness_needs_a_certified_out_record(salem8_cert):
     # a conjugate s with a positive distance margin that ball_in_interval
     # still calls Unknown is no witness
     near = _record(4 + 1e-3 + 1e-15, 1e-3)
-    assert certified_out_margin(near.s, 0.0, 4.0) > 0
-    assert ball_in_interval(near.s, 0.0, 4.0) is Verdict.UNKNOWN
+    assert certified_out_margin(near.s) > 0
+    assert ball_in_interval(near.s) is Verdict.UNKNOWN
     v = _probe(salem8_cert, [near])
     assert v.verdict is PointVerdict.INCONCLUSIVE and v.witness is None
     # the curve-singular point is never a witness, whatever its s
@@ -153,7 +153,7 @@ def test_equal_margins_first_witness_wins(salem8_cert):
                       d2: [_record(7.0)]}, None)
     w = sections[0].verdicts[0].witness
     assert w.delta is d1 and w.point_index == 1
-    assert w.margin == certified_out_margin(_record(7.0).s, 0.0, 4.0)
+    assert w.margin == certified_out_margin(_record(7.0).s)
     # the points over d1 see only d0 and d2, so d2's record is theirs
     assert sections[1].verdicts[0].witness.delta is d2
 
@@ -161,7 +161,7 @@ def test_equal_margins_first_witness_wins(salem8_cert):
 def test_witness_outside_circle_roots_raises(salem8_cert):
     # a root of unity (cyclotomic(5)) is not a certified circle root
     z = ComplexBall.exact(cmath.exp(2j * cmath.pi / 5))
-    witness = Witness(z, 0, certified_out_margin(_record(6.0).s, 0.0, 4.0))
+    witness = Witness(z, 0, certified_out_margin(_record(6.0).s))
     with pytest.raises(WitnessMismatch):
         certify_fixed_point(_record(2.0), witness, salem8_cert, True)
     with pytest.raises(WitnessMismatch):
@@ -190,8 +190,8 @@ def test_witness_resolves_in_its_own_section(run):
             assert len(home) == 1 and home[0] is not sec
             rec = home[0].records[v.witness.point_index]
             assert rec.location is not Location.CURVE_SINGULAR
-            assert ball_in_interval(rec.s, 0.0, 4.0) is Verdict.CERTIFIED_OUT
-            assert v.witness.margin == certified_out_margin(rec.s, 0.0, 4.0)
+            assert ball_in_interval(rec.s) is Verdict.CERTIFIED_OUT
+            assert v.witness.margin == certified_out_margin(rec.s)
             certified += 1
     assert certified > 0
 

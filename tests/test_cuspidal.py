@@ -201,7 +201,7 @@ def test_s_value_reference_endpoints():
             assert s.center.real + s.radius < bound
         else:
             assert s.center.real - s.radius > bound
-        assert ball_in_interval(s, 0.0, 4.0) is want
+        assert ball_in_interval(s) is want
 
 
 def test_s_value_pole():

@@ -57,9 +57,10 @@ def test_theorem1_constructs_the_inside_target_once(monkeypatch):
     assert tried == [pipeline.D0_TARGET]
 
 
-def test_failed_search_names_the_gate_rejections():
+def test_failed_search_names_the_gate_rejections(monkeypatch):
+    monkeypatch.setattr(threelines, "DEFAULT_MN_CAP", 4)
     with pytest.raises(PipelineFailed) as exc:
-        pipeline.theorem1_pipeline(3, mN_cap=4)
+        pipeline.theorem1_pipeline(3)
     msg = str(exc.value)
     assert "none accepted" in msg
     assert "the gate rejected 18 candidate(s)" in msg
@@ -75,8 +76,9 @@ def test_failed_search_names_the_skipped_orbit_data(monkeypatch):
         return real(orbit)
 
     monkeypatch.setattr(threelines, "salem_from_orbit", salem)
+    monkeypatch.setattr(threelines, "DEFAULT_MN_CAP", 4)
     with pytest.raises(PipelineFailed) as exc:
-        pipeline.theorem1_pipeline(3, mN_cap=4)
+        pipeline.theorem1_pipeline(3)
     assert "(1 orbit data skipped: 1 NoSalemFactor)" in str(exc.value)
 
 

@@ -433,9 +433,9 @@ def test_infinity_ratio_matches_eigen_route_sampled():
         delta = cmath.rect(1.0, theta)
         ratio_val = rng.uniform(-2.0, 8.0)
         ratio = ComplexBall.exact(ratio_val)
-        v_ratio = ball_in_interval(ratio, 0.0, 4.0)
+        v_ratio = ball_in_interval(ratio)
         svals = infinity_eigen_data(delta, ratio)
-        v_eigen = [ball_in_interval(s, 0.0, 4.0) for s in svals]
+        v_eigen = [ball_in_interval(s) for s in svals]
         for ve in v_eigen:
             if {v_ratio, ve} == {Verdict.CERTIFIED_IN, Verdict.CERTIFIED_OUT}:
                 contradictions += 1
@@ -480,7 +480,7 @@ def test_construct_c0_certified_where_sufficient_bounds_fail(N, d):
     svals, ratio = design_rotation_numbers(par.a, par.b, d)
     assert len(svals) == N
     for s in svals + [ratio]:
-        assert ball_in_interval(s, 0.0, 4.0) is Verdict.CERTIFIED_IN
+        assert ball_in_interval(s) is Verdict.CERTIFIED_IN
 
 
 def test_construct_cstar_all_outside():
@@ -490,8 +490,8 @@ def test_construct_cstar_all_outside():
         svals, ratio = design_rotation_numbers(
             [v / par.c for v in par.a], [v / par.c for v in par.b], 1.0 / 16.0)
         for s in svals:
-            assert ball_in_interval(s, 0.0, 4.0) is Verdict.CERTIFIED_OUT
-        assert ball_in_interval(ratio, 0.0, 4.0) is Verdict.CERTIFIED_OUT
+            assert ball_in_interval(s) is Verdict.CERTIFIED_OUT
+        assert ball_in_interval(ratio) is Verdict.CERTIFIED_OUT
 
 
 def test_g_function_identity_small_n():
@@ -512,7 +512,7 @@ def test_g_function_identity_small_n():
 def test_approx_parameters_n1():
     c0 = construct_c0(1, 0.96)
     cs = construct_cstar(1)
-    res = approx_parameters(c0, cs, eps=1.6, mN_cap=18)
+    res = approx_parameters(c0, cs)
     assert abs(res.delta0.center - c0.delta) < 1.6
     assert abs(res.delta_star.center - cs.delta) < 1.6
     assert abs(res.params0.c - 1) < 1e-9
@@ -521,11 +521,13 @@ def test_approx_parameters_n1():
     assert abs(chi(res.delta0.center, res.orbit).center - 1) < 1e-9
 
 
-def test_approx_parameters_budget_exhausted():
+def test_approx_parameters_budget_exhausted(monkeypatch):
     c0 = construct_c0(1, 0.96)
     cs = construct_cstar(1)
+    monkeypatch.setattr(threelines, "DEFAULT_EPS", 1e-9)
+    monkeypatch.setattr(threelines, "DEFAULT_MN_CAP", 3)
     with pytest.raises(BudgetExhausted):
-        approx_parameters(c0, cs, eps=1e-9, mN_cap=3)
+        approx_parameters(c0, cs)
 
 
 def test_approx_parameters_counts_skipped_orbit_data(monkeypatch):
@@ -541,13 +543,15 @@ def test_approx_parameters_counts_skipped_orbit_data(monkeypatch):
 
     monkeypatch.setattr(threelines, "salem_from_orbit", salem)
     with pytest.raises(BudgetExhausted, match=(
-            r"without hitting both targets at eps=1e-09 \(3 orbit data "
-            r"skipped: 2 NoSalemFactor, 1 BoundaryUndecidable\)$")):
-        approx_parameters(c0, cs, eps=1e-9, mN_cap=5)
-    with pytest.raises(BudgetExhausted, match=(
             r"none accepted \(3 orbit data skipped: 2 NoSalemFactor, "
             r"1 BoundaryUndecidable\)$")):
-        approx_parameters(c0, cs, eps=1.6, mN_cap=18, accept=lambda r: False)
+        approx_parameters(c0, cs, accept=lambda r: False)
+    monkeypatch.setattr(threelines, "DEFAULT_EPS", 1e-9)
+    monkeypatch.setattr(threelines, "DEFAULT_MN_CAP", 5)
+    with pytest.raises(BudgetExhausted, match=(
+            r"without hitting both targets at eps=1e-09 \(3 orbit data "
+            r"skipped: 2 NoSalemFactor, 1 BoundaryUndecidable\)$")):
+        approx_parameters(c0, cs)
 
 
 def test_equidistribution_statistic_decreases():
