@@ -31,7 +31,6 @@ from .salem import is_salem, salem_factor  # noqa: F401
 from .strictmode import squarefree_evidence
 
 INDETERMINACY_TOL = 1e-10
-RESIDUAL_TOL = 1e-9  # chordal distance of a fixed point from its image
 
 
 @dataclass(frozen=True)
@@ -180,9 +179,14 @@ def _records_for_delta(delta: ComplexBall,
 
     When tau is supplied it must be a certified-real ball for delta + 1/delta
     (sound when |delta| = 1 exactly); otherwise tau is computed as a plain
-    ball.  Degenerate tau in {-1, 2} is rejected.  Each record's coordinates
-    are verified by one application of the map at delta's center (residual
-    below RESIDUAL_TOL in chordal distance, else CheckFailed).
+    ball.  Degenerate tau in {-1, 2} is rejected.
+
+    Lemma: at a circle root delta of a certified Salem factor both points
+    are fixed (the quadratic and r_tau are the fixed-point equations off the
+    cubic) and miss I(f) = {p(d)}, which lies on the cubic.  Eliminating x
+    from them and r_tau(x) = x^3 leaves (tau - 2)^3 (tau + 1) (tau + 2)^2
+    (tau^2 - 6 tau + 11): tau in {2, -1, -2} makes delta a root of unity,
+    and the last factor has no real root, while tau = 2 Re(delta) is real.
     """
     if tau is None:
         tau = delta + delta.inverse()
@@ -190,14 +194,10 @@ def _records_for_delta(delta: ComplexBall,
         if (tau - bad).contains_zero():
             raise DegenerateTau(f"tau ball meets {bad}")
     qm = QuadMap(delta)
-    params = CuspidalParams(delta.center)
     records = []
     for x in _tau_quadratic_roots(tau):
         y = _r_tau(tau, x)
         w = ProjectivePoint(x.center, y.center, 1.0)
-        residual = w.distance(quad_map_eval(params, w))
-        if residual > RESIDUAL_TOL:
-            raise CheckFailed(f"fixed-point residual {residual:.2e} at {w}")
         jac = chart_jacobian(qm, w, chart=2,
                              point_radius=max(x.radius, y.radius))
         rec = record_from_jacobian(Location.GENERIC, w, jac)

@@ -51,10 +51,6 @@ class NoSalemFactor(SiegelcertError):
 
 # ---- three-lines family ----
 
-class PoleInFormula(SiegelcertError):
-    """A parameter formula denominator vanishes; message names the factor."""
-
-
 class PoleAtParameter(SiegelcertError):
     """A fixed abscissa coincides with one of the map parameters."""
 
@@ -96,7 +92,7 @@ class ChartFailure(SiegelcertError):
 
 class CheckFailed(SiegelcertError):
     """A computed result failed a consistency check that the construction
-    guarantees (fixed-point residual, indeterminacy, criterion agreement,
+    guarantees (an exact division, eigenvalues against trace and det, the
     Siegel cap); the message names the check."""
 
 

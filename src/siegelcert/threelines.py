@@ -29,10 +29,10 @@ from dataclasses import dataclass, replace
 from .balls import ComplexBall, Verdict, ball_in_interval
 from .certifier import (FixedPointRecord, Location, _safe_sqrt,
                         record_from_jacobian)
-from .errors import (BoundaryUndecidable, BudgetExhausted, CheckFailed,
-                     DegenerateSpectrum, Indeterminate, NonConvergence,
-                     NoSalemFactor, PerturbationFailed, PoleAtParameter,
-                     PoleHit, PoleInFormula, SearchFailed)
+from .errors import (BoundaryUndecidable, BudgetExhausted, DegenerateSpectrum,
+                     Indeterminate, NonConvergence, NoSalemFactor,
+                     PerturbationFailed, PoleAtParameter, PoleHit,
+                     SearchFailed)
 from .geometry import (ProjectivePoint, chart_jacobian, chordal_distance,
                        norm, normalize)
 from .intpoly import ONE, IntPolynomial, x_pow_minus_one, x_pow_plus_one
@@ -40,7 +40,6 @@ from .roots import ComplexPolynomial, poly_roots, self_paired
 from .salem import SalemCertificate, salem_factor
 
 INDETERMINACY_TOL = 1e-10
-RESIDUAL_TOL = 1e-8  # chordal distance of a fixed point from its image
 COLLISION_TOL = 1e-7
 K_SEARCH = 64  # orbit lengths 1..K_SEARCH ranked by the density search
 DEFAULT_EPS = 1.6  # search radius around both targets, roots and parameters
@@ -273,26 +272,16 @@ def b_value(delta, k: int):
     return ((delta ** 3 - 1) * (delta ** (3 * k + 1) + 1)) / (delta * delta * (delta ** (3 * k) - 1))
 
 
-def _check_poles(delta: complex, orbit: OrbitData):
-    tol = 1e-9
-    if abs(delta ** 3 - 1) < tol:
-        raise PoleInFormula("delta^3 - 1")
-    for mi in orbit.m:
-        if abs(delta ** (3 * mi) - 1) < tol:
-            raise PoleInFormula(f"delta^(3*{mi}) - 1")
-        if abs(delta ** (3 * mi - 1) + 1) < tol:
-            raise PoleInFormula(f"delta^(3*{mi}-1) + 1")
-    for nj in orbit.n:
-        if abs(delta ** (3 * nj) - 1) < tol:
-            raise PoleInFormula(f"delta^(3*{nj}) - 1")
-        if abs(delta ** (3 * nj + 1) + 1) < tol:
-            raise PoleInFormula(f"delta^(3*{nj}+1) + 1")
-
-
 def ab_from_delta(delta: complex, orbit: OrbitData) -> ThreeLinesParams:
     """Parameters realizing the orbit conditions at delta; normalizes c to 1
-    when delta satisfies the chi constraint."""
-    _check_poles(delta, orbit)
+    when delta satisfies the chi constraint.
+
+    Lemma: no denominator vanishes at a circle root delta of a certified
+    Salem factor.  delta^3 - 1, delta^(3k) - 1 and delta^(3k +- 1) + 1
+    vanish only at roots of unity, and delta's minimal polynomial is not
+    cyclotomic.  param_balls divides balls: a denominator ball containing 0
+    raises BallDomainError there.
+    """
     return ThreeLinesParams(
         delta,
         tuple(a_value(delta, mi) for mi in orbit.m),
@@ -458,6 +447,13 @@ def fixed_points_tl(params: ThreeLinesParams,
     beta0/alpha0 is certified inside [0, 4].  As a soundness guard nothing is
     realized when a parameter ball has a non-real center.  The singular point
     (s = 1 identically) is realized in every case.
+
+    Lemma: at a circle root delta of a certified Salem factor every point
+    is fixed by construction ([0:0:1] maps to [0:0:-delta^2]; the abscissas
+    solve d g1 = g2 and the quadratic of f on z = 0) and none lies in
+    I(f) = {[0:a_i:1], [-b_j delta:b_j:1], [1:0:0]}.  The points [x:1:0]
+    miss it, and [0:0:1] or a diagonal point meets it only if some a_i or
+    b_j is 0 or delta = -1, each a root-of-unity case (see ab_from_delta).
     """
     if balls is None:
         db = ComplexBall.exact(params.delta)
@@ -507,16 +503,6 @@ def fixed_points_tl(params: ThreeLinesParams,
             # circle, so s = 2 + 2 Re(delta t^2) is real for |delta| = 1
             rec = replace(rec, s=rec.s.realize_real())
         records.append(rec)
-
-    tlm = TLMap.from_params(params)
-    for rec in records:
-        img_comps = tlm.components(*rec.coords.coords)
-        if max(abs(c) for c in img_comps) < INDETERMINACY_TOL:
-            raise CheckFailed(f"fixed point {rec.coords} hits indeterminacy")
-        resid = rec.coords.distance(ProjectivePoint(*img_comps))
-        if resid > RESIDUAL_TOL:
-            raise CheckFailed(
-                f"fixed-point residual {resid:.2e} at {rec.coords}")
     return records
 
 
@@ -842,12 +828,9 @@ def _candidates(circle_roots, orbit: OrbitData, target: ThreeLinesParams,
                 eps: float):
     """(root, parameters) for the circle roots of _roots_within eps of the
     target's delta whose parameters also lie within eps of the target's, in
-    that order; a root at a pole of the parameter formulas is skipped."""
+    that order."""
     for root in _roots_within(circle_roots, target.delta, eps):
-        try:
-            params = ab_from_delta(root.center, orbit)
-        except PoleInFormula:
-            continue
+        params = ab_from_delta(root.center, orbit)
         if _within(params.a, target.a, eps) and _within(params.b, target.b, eps):
             yield root, params
 

@@ -7,20 +7,22 @@ production path does not use.
 
 import cmath
 import math
+from dataclasses import dataclass
+
+import mpmath
 
 from siegelcert.balls import (_EPS, _TINY, ComplexBall, Verdict,
                               ball_in_interval, certified_out_margin)
-from siegelcert.certifier import (CertifiedVerdict, Location, PointVerdict,
-                                  Witness)
+from siegelcert.certifier import (CertifiedVerdict, FixedPointRecord,
+                                  Location, PointVerdict, Witness)
 from siegelcert.errors import (CheckFailed, Indeterminate, PoleHit,
-                               PoleInFormula, SearchFailed, SiegelcertError,
-                               WitnessMismatch)
+                               SearchFailed, SiegelcertError, WitnessMismatch)
 from siegelcert.geometry import (_CHART_LOCALS, ProjectivePoint, chart_point,
                                  embed_chart)
 from siegelcert.intpoly import IntPolynomial
 from siegelcert.threelines import (COLLISION_TOL, OrbitCheck, OrbitData,
                                    OrbitReport, ThreeLinesParams, TLMap,
-                                   _check_poles, _parameter_ratio,
+                                   _parameter_ratio,
                                    indeterminacy, infinity_eigen_data,
                                    salem_from_orbit)
 
@@ -225,6 +227,10 @@ class OffUnitCircle(SiegelcertError):
     """Operation requires |delta| = 1."""
 
 
+class FormulaPole(SiegelcertError):
+    """A denominator of a closed form vanishes at delta; message names it."""
+
+
 def h_iterate(params: ThreeLinesParams, k: int, x: complex) -> complex:
     """Closed-form Moebius iterate governing the triple-step line dynamics.
 
@@ -233,7 +239,7 @@ def h_iterate(params: ThreeLinesParams, k: int, x: complex) -> complex:
     """
     delta = params.delta
     if abs(delta ** 3 - 1) < 1e-12:
-        raise PoleInFormula("delta^3 - 1 vanishes")
+        raise FormulaPole("delta^3 - 1 vanishes")
     p = delta * params.c / (delta ** 3 - 1)
     pw = delta ** (3 * k)
     den = pw + p * (1 - pw) * x
@@ -246,7 +252,15 @@ def chi(delta, orbit: OrbitData) -> ComplexBall:
     """Certified value of the rational orbit constraint (equals 1 at lift
     parameters)."""
     if not isinstance(delta, ComplexBall):
-        _check_poles(complex(delta), orbit)
+        delta = complex(delta)
+        dens = {"delta^3 - 1": delta ** 3 - 1}
+        dens.update((f"delta^(3*{nj}+1) + 1", delta ** (3 * nj + 1) + 1)
+                    for nj in orbit.n)
+        dens.update((f"delta^(3*{mi}-1) + 1", delta ** (3 * mi - 1) + 1)
+                    for mi in orbit.m)
+        for name, value in dens.items():
+            if abs(value) < 1e-9:
+                raise FormulaPole(name)
         delta = ComplexBall.exact(delta)
     d3 = delta ** 3 - 1
     total = ComplexBall.exact(0)
@@ -356,3 +370,194 @@ def fd_chart_jacobian(family_map, point: ProjectivePoint,
     cols = [((4 * b[0] - a[0]) / 3, (4 * b[1] - a[1]) / 3) for a, b in zip(d1, d2)]
     # columns are d/du, d/dv; transpose to rows = outputs
     return ((cols[0][0], cols[1][0]), (cols[0][1], cols[1][1]))
+
+
+# ---------------------------------------------------------------------------
+# every fixed-point record recomputed at 50 digits: the circle root, the lift
+# parameters, each stratum's fixed points from its defining equation, and the
+# chart-map Jacobian, all in mpmath
+# ---------------------------------------------------------------------------
+
+DIGITS = 50
+
+
+def _mpc(z) -> mpmath.mpc:
+    return mpmath.mpc(z.real, z.imag)
+
+
+def circle_root_50(poly: IntPolynomial, seed: complex) -> mpmath.mpc:
+    """The root of poly that Newton's method reaches from seed."""
+    coeffs = poly.coeffs[::-1]
+    return mpmath.findroot(lambda t: mpmath.polyval(coeffs, t), _mpc(seed),
+                           df=lambda t: mpmath.polyval(coeffs, t,
+                                                       derivative=True)[1])
+
+
+def _form(coeffs, y, z):
+    """sum_k coeffs[k] y^k z^(deg - k), deg = len(coeffs) - 1."""
+    deg = len(coeffs) - 1
+    return mpmath.fsum(c * y ** k * z ** (deg - k) for k, c in enumerate(coeffs))
+
+
+def _product_form(roots):
+    """Coefficients of prod (z - y w) over w in roots, by power of y."""
+    c = [mpmath.mpc(1)]
+    for w in roots:
+        c = [hi - w * lo for hi, lo in zip(c + [0], [0] + c)]
+    return c
+
+
+def three_lines_50(delta: mpmath.mpc, orbit: OrbitData):
+    """(map, degree, fixed points by Location) of the three-lines family at
+    delta, with a_k and b_k from their formulas in delta.
+
+    The map is [y delta T : G1 (x + delta y) : z delta T], T = H x - delta G1,
+    H = (G2 - G1)/y.  The fixed points: the singular point [0:0:1]; the
+    diagonal points (x, x), where d g1(x) = g2(x) with d = (1+delta)^2/delta;
+    the points [x:1:0], where f restricted to z = 0 gives
+    alpha0 x^2 + delta (2 alpha0 - beta0) x + alpha0 delta^2 = 0 with
+    alpha0 = prod 1/a_i, beta0 = prod 1/b_j.
+    """
+    d3 = delta ** 3 - 1
+    a = [-d3 * (delta ** (3 * k - 1) + 1) / (delta * (delta ** (3 * k) - 1))
+         for k in orbit.m]
+    b = [d3 * (delta ** (3 * k + 1) + 1) / (delta ** 2 * (delta ** (3 * k) - 1))
+         for k in orbit.n]
+    g1 = _product_form([1 / v for v in a])
+    g2 = _product_form([1 / v for v in b])
+    h = [g2[k] - g1[k] for k in range(1, len(g1))]
+
+    def fmap(x, y, z):
+        G1 = _form(g1, y, z)
+        t = _form(h, y, z) * x - delta * G1
+        return (y * delta * t, G1 * (x + delta * y), z * delta * t)
+
+    d = (1 + delta) ** 2 / delta
+    diagonal = mpmath.polyroots([d * u - v for u, v in zip(g1, g2)][::-1],
+                                maxsteps=200, extraprec=2 * DIGITS)
+    alpha0 = mpmath.fprod(1 / v for v in a)
+    beta0 = mpmath.fprod(1 / v for v in b)
+    infinity = mpmath.polyroots([alpha0, delta * (2 * alpha0 - beta0),
+                                 alpha0 * delta ** 2], extraprec=2 * DIGITS)
+    one, zero = mpmath.mpc(1), mpmath.mpc(0)
+    points = {Location.CURVE_SINGULAR: [(zero, zero, one)],
+              Location.AFFINE_DIAGONAL: [(x, x, one) for x in diagonal],
+              Location.INFINITY: [(x, one, zero) for x in infinity]}
+    return fmap, orbit.N + 1, points
+
+
+def cuspidal_50(delta: mpmath.mpc):
+    """(map, degree, fixed points by Location) of the cuspidal family at
+    delta: the map of the module formula, and the two points off the cubic,
+    27 x^2 - 9 (tau-2) x + (tau-1)(tau-2) = 0 and
+    y = (tau-2) x/(3(tau+1)) - (tau-2)^2/(27(tau+1)), tau = delta + 1/delta."""
+    d = (1 - delta) / (3 * delta)
+
+    def fmap(x, y, z):
+        return (delta * (x * y - 2 * d * y * z + 2 * d ** 3 * x * z - d ** 4 * z * z),
+                delta ** 3 * (y * y - 3 * d ** 2 * x * y + 3 * d ** 4 * x * x
+                              - d ** 6 * z * z),
+                y * z - 3 * d * x * x + 3 * d ** 2 * x * z - d ** 3 * z * z)
+
+    tau = delta + 1 / delta
+    xs = mpmath.polyroots([27, -9 * (tau - 2), (tau - 1) * (tau - 2)],
+                          extraprec=2 * DIGITS)
+    points = [(x, (tau - 2) * x / (3 * (tau + 1))
+               - (tau - 2) ** 2 / (27 * (tau + 1)), mpmath.mpc(1)) for x in xs]
+    return fmap, 2, {Location.GENERIC: points}
+
+
+def _norm(p):
+    return mpmath.sqrt(mpmath.fsum(abs(c) ** 2 for c in p))
+
+
+def chordal_50(p, q):
+    """Chordal distance: |p x q| / (|p| |q|)."""
+    cross = (p[1] * q[2] - p[2] * q[1], p[2] * q[0] - p[0] * q[2],
+             p[0] * q[1] - p[1] * q[0])
+    return _norm(cross) / (_norm(p) * _norm(q))
+
+
+def image_size(fmap, degree: int, p):
+    """|f(p)| / |p|^degree: zero exactly at the indeterminacy points."""
+    return _norm(fmap(*p)) / _norm(p) ** degree
+
+
+def rotation_number_50(fmap, p):
+    """tr^2/det of the chart expression of fmap at the fixed point p, the
+    chart being p's largest coordinate; central differences at step 1e-20."""
+    c = max(range(3), key=lambda i: abs(p[i]))
+    i, j = (k for k in range(3) if k != c)
+
+    def phi(u, v):
+        q = [p[c]] * 3
+        q[i], q[j] = u * p[c], v * p[c]
+        img = fmap(*q)
+        return img[i] / img[c], img[j] / img[c]
+
+    u0, v0 = p[i] / p[c], p[j] / p[c]
+    step = mpmath.mpf(10) ** -20
+    cols = []
+    for du, dv in ((step, 0), (0, step)):
+        hi, lo = phi(u0 + du, v0 + dv), phi(u0 - du, v0 - dv)
+        cols.append([(hi[r] - lo[r]) / (2 * step) for r in range(2)])
+    tr = cols[0][0] + cols[1][1]
+    det = cols[0][0] * cols[1][1] - cols[1][0] * cols[0][1]
+    return tr * tr / det
+
+
+def by_stratum(records, points: dict):
+    """(record, point) pairs: within each Location, records and points in
+    sorted order of their abscissa x/z, or x/y on the line at infinity."""
+    def key(coords):
+        x = coords[0] / (coords[2] if coords[2] != 0 else coords[1])
+        return round(float(x.real), 6), round(float(x.imag), 6)
+
+    pairs = []
+    for loc, pts in points.items():
+        recs = [r for r in records if r.location is loc]
+        if len(recs) != len(pts):
+            raise ValueError(f"{loc}: {len(recs)} records, {len(pts)} points")
+        pairs += zip(sorted(recs, key=lambda r: key(r.coords.coords)),
+                     sorted(pts, key=key))
+    if len(pairs) != len(records):
+        raise ValueError("records outside the computed strata")
+    return pairs
+
+
+@dataclass(frozen=True)
+class Record50:
+    """A report's record beside its fixed point recomputed at 50 digits."""
+
+    label: str
+    record: FixedPointRecord
+    fixed_residual: mpmath.mpf      # chordal distance of P from f(P)
+    image_size: mpmath.mpf          # |f(P)| / |P|^deg, 0 on I(f)
+    distance: mpmath.mpf            # chordal distance of P from the record
+    s_error: mpmath.mpf             # |tr^2/det at P - the s ball's center|
+    delta_error: mpmath.mpf         # |root - the section's delta center|
+    delta_radius: float
+
+
+def records_at_50_digits(report) -> list[Record50]:
+    """Every record of a cuspidal or three-lines report against its 50-digit
+    fixed point: each section's root refined from its center, then the
+    stratum's points from their defining equations (three_lines_50,
+    cuspidal_50), matched to the records by by_stratum."""
+    if report.family != "cuspidal":
+        orbit = OrbitData(report.parameters["m"], report.parameters["n"])
+    out = []
+    with mpmath.workdps(DIGITS):
+        for i, sec in enumerate(report.sections):
+            delta = circle_root_50(report.salem_cert.poly, sec.delta.center)
+            fmap, degree, points = (cuspidal_50(delta)
+                                    if report.family == "cuspidal"
+                                    else three_lines_50(delta, orbit))
+            for rec, p in by_stratum(sec.records, points):
+                out.append(Record50(
+                    f"section {i} {rec.location.value} {rec.coords}", rec,
+                    chordal_50(p, fmap(*p)), image_size(fmap, degree, p),
+                    chordal_50(p, [_mpc(c) for c in rec.coords.coords]),
+                    abs(rotation_number_50(fmap, p) - _mpc(rec.s.center)),
+                    abs(delta - _mpc(sec.delta.center)), sec.delta.radius))
+    return out

@@ -4,7 +4,6 @@ import json
 
 import pytest
 
-from siegelcert import cuspidal
 from siegelcert.cli import main
 from siegelcert.intpoly import IntPolynomial
 
@@ -98,13 +97,6 @@ def test_precision_flags_are_usage_errors(capsys, argv):
     captured = capsys.readouterr()
     assert flag in captured.err
     assert captured.out == ""
-
-
-def test_check_failure_is_a_json_error(capsys, monkeypatch):
-    monkeypatch.setattr(cuspidal, "RESIDUAL_TOL", 1e-300)
-    code, out = _run(capsys, "cuspidal", "--n", "8")
-    assert code == 1
-    assert json.loads(out)["error"]["stage"] == "CheckFailed"
 
 
 def test_failed_exact_division_is_a_json_error(capsys, monkeypatch):

@@ -11,7 +11,7 @@ from siegelcert.balls import ComplexBall, Verdict, ball_in_interval
 from siegelcert.certifier import Location
 from siegelcert.errors import (BoundaryUndecidable, BudgetExhausted,
                                Indeterminate, NoSalemFactor, PoleAtParameter,
-                               PoleInFormula, SearchFailed)
+                               SearchFailed)
 from siegelcert.geometry import ProjectivePoint
 from siegelcert.threelines import (OrbitData, ThreeLinesParams,
                                    a_value, ab_from_delta, approx_parameters,
@@ -21,8 +21,8 @@ from siegelcert.threelines import (OrbitData, ThreeLinesParams,
                                    orbit_verify, param_balls, salem_from_orbit,
                                    tl_map_eval, trace_affine)
 
-from oracles import (OffUnitCircle, chi, equidistribution_stat, h_iterate,
-                     infinity_criterion, lambda_by_bisection,
+from oracles import (FormulaPole, OffUnitCircle, chi, equidistribution_stat,
+                     h_iterate, infinity_criterion, lambda_by_bisection,
                      orbit_verify_reference)
 
 
@@ -181,12 +181,12 @@ def test_ab_real_form_on_circle():
         assert abs(got_b.real - want_b) < 1e-9
 
 
-def test_ab_from_delta_pole_detection():
-    with pytest.raises(PoleInFormula):
-        ab_from_delta(1.0, OrbitData((2,), (1,)))
-    with pytest.raises(PoleInFormula):
-        # delta^5 = -1 kills the first a-denominator for m = 2
-        ab_from_delta(cmath.exp(1j * cmath.pi / 5), OrbitData((2,), (1,)))
+def test_chi_guards_its_own_poles():
+    with pytest.raises(FormulaPole, match=r"delta\^3 - 1"):
+        chi(1.0, OrbitData((2,), (1,)))
+    with pytest.raises(FormulaPole, match=r"delta\^\(3\*2-1\) \+ 1"):
+        # delta^5 = -1 kills the a-denominator for m = 2
+        chi(cmath.exp(1j * cmath.pi / 5), OrbitData((2,), (1,)))
 
 
 def test_chi_limits_and_roots():
