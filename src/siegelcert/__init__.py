@@ -10,7 +10,7 @@ from .cohomology import (ActionMatrix, delta_eigen_check, fixed_point_bound,
                          quad_action_matrix, spectral_data, tl_action_matrix)
 from .cuspidal import (CuspidalParams, CurvePoint, certify_cuspidal,
                        curve_restriction, fixed_points_cuspidal,
-                       orbit_polynomial, quad_map_eval, s_value)
+                       orbit_polynomial, s_value)
 from .geometry import ProjectivePoint
 from .intpoly import (IntPolynomial, cyclotomic, irreducible_mod_p, resultant,
                       strip_cyclotomic)

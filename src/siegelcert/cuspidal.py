@@ -22,7 +22,7 @@ from .balls import ComplexBall
 from .certifier import (CertificationReport, FixedPointRecord, Location,
                         StrictEvidence, certify_sections, record_from_jacobian)
 from .cohomology import matrix_info, quad_action_matrix, spectral_data
-from .errors import CheckFailed, DegenerateTau, Indeterminate, PoleAtTau
+from .errors import CheckFailed, DegenerateTau, PoleAtTau
 from .geometry import ProjectivePoint, chart_jacobian
 from .intpoly import IntPolynomial, resultant
 # is_salem is not called here; perfbench's tracer tests check that it stays
@@ -30,7 +30,7 @@ from .intpoly import IntPolynomial, resultant
 from .salem import is_salem, salem_factor  # noqa: F401
 from .strictmode import squarefree_evidence
 
-INDETERMINACY_TOL = 1e-10
+DEGENERATE_DELTA_TOL = 1e-12  # CuspidalParams rejects delta this near 0 or 1
 
 
 @dataclass(frozen=True)
@@ -41,7 +41,7 @@ class CuspidalParams:
 
     def __post_init__(self):
         d = complex(self.delta)
-        if abs(d) < 1e-12 or abs(d - 1) < 1e-12:
+        if abs(d) < DEGENERATE_DELTA_TOL or abs(d - 1) < DEGENERATE_DELTA_TOL:
             raise ValueError("delta must avoid 0 and 1")
         object.__setattr__(self, "delta", d)
 
@@ -98,14 +98,6 @@ class QuadMap:
              z,
              y + 3 * d2 * x - 2 * d3 * z),
         )
-
-
-def quad_map_eval(params: CuspidalParams, pt: ProjectivePoint) -> ProjectivePoint:
-    """Image of pt; raises Indeterminate at the indeterminacy points."""
-    comps = QuadMap(params.delta).components(*pt.coords)
-    if max(abs(c) for c in comps) < INDETERMINACY_TOL:
-        raise Indeterminate(f"{pt} is an indeterminacy point")
-    return ProjectivePoint(*comps)
 
 
 def curve_restriction(params: CuspidalParams, t: CurvePoint) -> CurvePoint:

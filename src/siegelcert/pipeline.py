@@ -7,10 +7,15 @@ parameter targets, then search orbit data whose Salem polynomial has
 unit-circle roots delta0, delta* near both targets.  A gate checks each
 candidate: the N+3 isolated fixed points at delta0 must certify the inside
 pattern and those at delta* the outside pattern, and only then are the orbit
-conditions at both roots verified by direct iteration.  Each off-curve point of
-the accepted candidate is certified by the conjugate criterion with the outside
-root as witness family.  The report shows exactly k SiegelCertified points, the
-singular point as NotRotation, and positive entropy from the action matrix.
+conditions at both roots verified by direct iteration.  The gate is a filter
+and computes only what its answer needs: a root whose beta0/alpha0 is
+certified on the wrong side of [0, 4] is rejected before any fixed point,
+and the records are built one at a time up to the first that breaks the
+pattern.  A root that passes gets all N+3 records, the same list
+certify_three_lines builds.  Each off-curve point of the accepted candidate
+is certified by the conjugate criterion with the outside root as witness
+family.  The report shows exactly k SiegelCertified points, the singular
+point as NotRotation, and positive entropy from the action matrix.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import collections
 import functools
 
 from . import strictmode
-from .balls import Verdict, ball_in_interval
+from .balls import Verdict
 # certify_fixed_point is not called here; perfbench's tracer tests check
 # that it stays bound in this module
 from .certifier import (CertificationReport, Location, PointVerdict,
@@ -39,25 +44,19 @@ D0_TARGET = 0.96  # first design determinant tried for the all-inside target
 DENSITY_RANKS = 4  # n_rank values the search walks before it gives up
 
 
-def _pattern_holds(records, want: Verdict) -> bool:
-    for rec in records:
-        if rec.location is Location.CURVE_SINGULAR:
-            continue
-        if ball_in_interval(rec.s) is not want:
-            return False
-    return True
-
-
 _PATTERNS = {"delta0": Verdict.CERTIFIED_IN, "delta*": Verdict.CERTIFIED_OUT}
 
 
 def _pattern_step(orbit, root, params, side: str):
     """Certified fixed points at one root, kept when the side's pattern holds:
-    (records, None), or (None, the rejection reason)."""
-    recs = fixed_points_tl(params, param_balls(root, orbit))
-    if _pattern_holds(recs, _PATTERNS[side]):
-        return recs, None
-    return None, f"{side} pattern"
+    (records, None), or (None, the rejection reason).  fixed_points_tl stops
+    at the first record that breaks the pattern, or before any record when
+    beta0/alpha0 rules the pattern out."""
+    recs = fixed_points_tl(params, param_balls(root, orbit),
+                           want=_PATTERNS[side])
+    if recs is None:
+        return None, f"{side} pattern"
+    return recs, None
 
 
 def _orbit_step(orbit, params):
@@ -92,6 +91,10 @@ def _try_candidate(approx: ApproxResult, memo: dict,
                    rejections: collections.Counter) -> bool:
     """The certification gate: every step of _gate_steps passes.
 
+    A pattern step stops at the first failing record, so a candidate is
+    rejected under the first failure in record order (diagonal points, then
+    infinity, then the singular point), and one rejected by beta0/alpha0
+    alone counts as a pattern failure; see threelines.fixed_points_tl.
     memo is created by theorem1_pipeline and lives for that one call; no
     other search shares it.  Within the search many (delta0, delta*) pairs
     share a root, so it holds each (orbit, root, side)'s certified fixed

@@ -20,19 +20,21 @@ makes them smaller, and so more often disjoint.
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .balls import ComplexBall
+from .balls import _EPS, ComplexBall
 from .errors import NonConvergence
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 500
 
 _U = 2.0 ** -53
+_SWEEP_SLACK = 1.0 + 2.0 ** -40  # covers the roundings of _undecided_pairs
 
 
 @dataclass(frozen=True)
@@ -132,8 +134,7 @@ def poly_roots(p: ComplexPolynomial, *,
                 break
 
     balls = _certify(p, [complex(v) for v in z], coeff_radii)
-    is_simple = all(balls[i].disjoint(balls[j]) for i in range(n)
-                    for j in range(i + 1, n))
+    is_simple = pairwise_disjoint(balls)
     if not converged and is_simple:
         raise NonConvergence(
             f"no convergence after {DEFAULT_MAX_ITER} iterations "
@@ -182,6 +183,13 @@ def _certify(p: ComplexPolynomial, pts: list[complex],
     return tuple(balls)
 
 
+def pairwise_disjoint(balls) -> bool:
+    """Every two of the disks are disjoint (ComplexBall.disjoint)."""
+    return all(balls[i].disjoint(balls[j])
+               for i, near in enumerate(_undecided_pairs(balls, balls))
+               for j in near if j > i)
+
+
 def self_paired(balls, image) -> set[int]:
     """Indices i whose image disk image(balls[i]) meets balls[i] and no other
     disk.
@@ -194,12 +202,57 @@ def self_paired(balls, image) -> set[int]:
     sigma(z) = conj(z) (real coefficients) that root is real; with
     sigma(z) = 1/conj(z) (real palindromic coefficients) it has |z| = 1.
     """
+    images = [image(b) for b in balls]
+    nears = _undecided_pairs(images, balls)
     out = set()
-    for i, b in enumerate(balls):
-        im = image(b)
-        if not im.disjoint(b) and all(
-                im.disjoint(o) for j, o in enumerate(balls) if j != i):
+    for i, (im, near) in enumerate(zip(images, nears)):
+        if not im.disjoint(balls[i]) and all(
+                im.disjoint(balls[j]) for j in near if j != i):
             out.add(i)
+    return out
+
+
+def _undecided_pairs(queries, balls) -> list[list[int]]:
+    """For each query disk, the indices of the balls it may meet: every ball
+    left out is one that ComplexBall.disjoint finds disjoint from it.
+
+    One sort of the balls by the real part of their centers, then a sweep
+    outward from each query's real part.  The inequality that leaves a pair
+    out: with M >= the computed |center| of every disk, h = radius +
+    _EPS (M + 1/2) and dx the float difference of the two real parts,
+
+        |dx| > (h_q + h_b) (1 + 2^-40)
+
+    makes disjoint(q, b) True.  Its float |c_q - c_b| is at least |dx| up to
+    one rounding of hypot, the radius sum and the tolerance
+    _EPS (|c_q| + |c_b| + 1) <= _EPS (2 M + 1) exceed their exact values
+    by a few roundings at most, and each rounding is a relative 2^-52 at
+    most: 2^-40 covers them all many times over.  Every other pair goes to
+    disjoint itself, so a caller's booleans are those of the full pair loop.
+    """
+    if not balls:
+        return [[] for _ in queries]
+    pad = _EPS * (max(abs(b.center) for b in (*queries, *balls)) + 0.5)
+    order = sorted(range(len(balls)), key=lambda j: balls[j].center.real)
+    xs = [balls[j].center.real for j in order]
+    hs = [balls[j].radius + pad for j in order]
+    h_max = max(hs)
+    out = []
+    for q in queries:
+        x, h = q.center.real, q.radius + pad
+        reach = (h + h_max) * _SWEEP_SLACK
+        near = []
+        start = bisect.bisect_left(xs, x)
+        # rightward then leftward: |dx| grows monotonically in each direction
+        for ks, sign in ((range(start, len(xs)), 1.0),
+                         (range(start - 1, -1, -1), -1.0)):
+            for k in ks:
+                dx = (xs[k] - x) * sign
+                if dx > reach:
+                    break
+                if dx <= (h + hs[k]) * _SWEEP_SLACK:
+                    near.append(order[k])
+        out.append(near)
     return out
 
 

@@ -41,6 +41,8 @@ from .salem import SalemCertificate, salem_factor
 
 INDETERMINACY_TOL = 1e-10
 COLLISION_TOL = 1e-7
+ORBIT_RESIDUAL_TOL = 1e-8  # an orbit check passes below this chordal residual
+NONZERO_TOL = 1e-300  # |delta|, |a_i|, |b_j| and |beta - alpha| must reach it
 K_SEARCH = 64  # orbit lengths 1..K_SEARCH ranked by the density search
 DEFAULT_EPS = 1.6  # search radius around both targets, roots and parameters
 DEFAULT_MN_CAP = 18  # the m_N sweep stops after this orbit length
@@ -89,7 +91,8 @@ class ThreeLinesParams:
         object.__setattr__(self, "b", tuple(complex(v) for v in self.b))
         if len(self.a) != len(self.b) or not self.a:
             raise ValueError("a and b must be nonempty and of equal length")
-        if abs(self.delta) < 1e-300 or any(abs(v) < 1e-300 for v in self.a + self.b):
+        if abs(self.delta) < NONZERO_TOL or any(
+                abs(v) < NONZERO_TOL for v in self.a + self.b):
             raise ValueError("delta, a_i, b_j must be nonzero")
 
     @property
@@ -108,7 +111,7 @@ class ThreeLinesParams:
     def normalized(self) -> "ThreeLinesParams":
         """Conjugate rescaling making beta - alpha = 1."""
         c = self.c
-        if abs(c) < 1e-300:
+        if abs(c) < NONZERO_TOL:
             raise ValueError("c = beta - alpha vanishes; cannot normalize")
         return ThreeLinesParams(self.delta, tuple(v * c for v in self.a),
                                 tuple(v * c for v in self.b))
@@ -328,7 +331,7 @@ class OrbitCheck:
 
     @property
     def ok(self) -> bool:
-        return self.collision_step is None and self.residual < 1e-8
+        return self.collision_step is None and self.residual < ORBIT_RESIDUAL_TOL
 
 
 @dataclass(frozen=True)
@@ -431,8 +434,9 @@ def param_balls(root: ComplexBall, orbit: OrbitData):
             [b_value(root, nj).realize_real() for nj in orbit.n])
 
 
-def fixed_points_tl(params: ThreeLinesParams,
-                    balls=None) -> list[FixedPointRecord]:
+def fixed_points_tl(params: ThreeLinesParams, balls=None,
+                    want: Verdict | None = None
+                    ) -> list[FixedPointRecord] | None:
     """All N+3 isolated fixed points with certified derivative data.
 
     Order: the singular point of the line triple, the N affine diagonal
@@ -447,6 +451,26 @@ def fixed_points_tl(params: ThreeLinesParams,
     beta0/alpha0 is certified inside [0, 4].  As a soundness guard nothing is
     realized when a parameter ball has a non-real center.  The singular point
     (s = 1 identically) is realized in every case.
+
+    want (Verdict.CERTIFIED_IN or CERTIFIED_OUT) asks for a pattern: the
+    records come back only if every non-singular s has that verdict, and
+    None comes back as soon as one does not.  The non-singular records are
+    built in the order above and the singular one last, only when the
+    pattern holds; the list returned is the one want=None returns.  Before
+    any record, a pattern that the ratio beta0/alpha0 = prod a_i/b_i rules
+    out returns None:
+
+    Ratio lemma.  The in-line eigenvalue t at an infinity point solves
+    t^2 + (2 - ratio) t + 1 = 0, and s = 2 + delta t^2 + 1/(delta t^2).
+    With real parameters and |delta| = 1 the ratio is real.  If it lies
+    outside [0, 4], the discriminant ratio (ratio - 4) is positive, so t is
+    real with |t| != 1; then w = delta t^2 has |w| != 1, and s - 2 = w + 1/w
+    is not in [-2, 2] (w + 1/w = c in [-2, 2] forces w^2 - c w + 1 = 0, whose
+    roots have modulus 1).  So s is not in [0, 4], and the In pattern is
+    false: a ratio certified Out rules out want = CERTIFIED_IN.  If the ratio
+    lies inside [0, 4], t is on the unit circle and s = 2 + 2 Re(delta t^2)
+    lies in [0, 4], so no enclosure of s is disjoint from [0, 4]: a ratio
+    certified In rules out want = CERTIFIED_OUT.
 
     Lemma: at a circle root delta of a certified Salem factor every point
     is fixed by construction ([0:0:1] maps to [0:0:-delta^2]; the abscissas
@@ -464,14 +488,36 @@ def fixed_points_tl(params: ThreeLinesParams,
         db, ab, bb = balls
         realize = all(b.center.imag == 0.0 for b in [*ab, *bb])
     tlm_ball = TLMap.ball_map(db, ab, bb)
+    ratio = _parameter_ratio(ab, bb)
+    # the ratio's verdict means something only for exactly real parameters
+    ratio_verdict = ball_in_interval(ratio) if realize else Verdict.UNKNOWN
+    nonsingular = _nonsingular_records(tlm_ball, db, ab, bb, realize, ratio,
+                                       ratio_verdict is Verdict.CERTIFIED_IN)
+    if want is None:
+        return [_singular_record(tlm_ball), *nonsingular]
+    if ratio_verdict not in (want, Verdict.UNKNOWN):
+        return None  # the ratio lemma: certified on the other side
+    records = []
+    for rec in nonsingular:
+        if ball_in_interval(rec.s) is not want:
+            return None
+        records.append(rec)
+    return [_singular_record(tlm_ball), *records]
 
+
+def _singular_record(tlm_ball: TLMap) -> FixedPointRecord:
     w0 = record_from_jacobian(
         Location.CURVE_SINGULAR, ProjectivePoint(0, 0, 1),
         chart_jacobian(tlm_ball, ProjectivePoint(0, 0, 1), chart=2))
     # Tr^2/Det at the singular point is identically 1 (eigenvalue pair
     # (w/delta, 1/(w delta)) with w a primitive cube root of unity)
-    records = [replace(w0, s=w0.s.realize_real())]
+    return replace(w0, s=w0.s.realize_real())
 
+
+def _nonsingular_records(tlm_ball: TLMap, db: ComplexBall, ab, bb,
+                         realize: bool, ratio: ComplexBall, ratio_in: bool):
+    """The N diagonal records, then the two at infinity, built one at a time
+    as the caller asks for them."""
     # affine diagonal points: roots of the degree-N abscissa polynomial
     d_ball = (1 + db) * (1 + db) / db
     if realize:
@@ -486,13 +532,10 @@ def fixed_points_tl(params: ThreeLinesParams,
         if i in real_idx:
             # real parameters, real d, certified-real abscissa: s is real
             rec = replace(rec, s=rec.s.realize_real())
-        records.append(rec)
+        yield rec
 
     # infinity points: alpha0 x^2 + delta (2 alpha0 - beta0) x + alpha0 delta^2
-    ratio = _parameter_ratio(ab, bb)
     half = ComplexBall.exact(0.5)
-    ratio_in = realize and \
-        ball_in_interval(ratio) is Verdict.CERTIFIED_IN
     for num in _infinity_numerators(ratio):
         x = db * num * half
         w = ProjectivePoint(x.center, 1, 0)
@@ -502,8 +545,7 @@ def fixed_points_tl(params: ThreeLinesParams,
             # real ratio in [0,4] puts the in-line eigenvalue t on the unit
             # circle, so s = 2 + 2 Re(delta t^2) is real for |delta| = 1
             rec = replace(rec, s=rec.s.realize_real())
-        records.append(rec)
-    return records
+        yield rec
 
 
 def trace_affine(params: ThreeLinesParams, x_l) -> ComplexBall:

@@ -15,6 +15,7 @@ from siegelcert.balls import (_EPS, _TINY, ComplexBall, Verdict,
                               ball_in_interval, certified_out_margin)
 from siegelcert.certifier import (CertifiedVerdict, FixedPointRecord,
                                   Location, PointVerdict, Witness)
+from siegelcert.cuspidal import CuspidalParams, QuadMap
 from siegelcert.errors import (CheckFailed, Indeterminate, PoleHit,
                                SearchFailed, SiegelcertError, WitnessMismatch)
 from siegelcert.geometry import (_CHART_LOCALS, ProjectivePoint, chart_point,
@@ -22,9 +23,9 @@ from siegelcert.geometry import (_CHART_LOCALS, ProjectivePoint, chart_point,
 from siegelcert.intpoly import IntPolynomial
 from siegelcert.threelines import (COLLISION_TOL, OrbitCheck, OrbitData,
                                    OrbitReport, ThreeLinesParams, TLMap,
-                                   _parameter_ratio,
+                                   _parameter_ratio, fixed_points_tl,
                                    indeterminacy, infinity_eigen_data,
-                                   salem_from_orbit)
+                                   param_balls, salem_from_orbit)
 
 
 def mat_mul(a, b):
@@ -158,6 +159,60 @@ def certify_sections_scan(cert, records_by_root: dict, evidence):
         out.append([certify_fixed_point_scan(rec, conjugates, cert, strict_ok)
                     for rec in recs])
     return out
+
+
+# ---------------------------------------------------------------------------
+# the theorem1 gate as it was before fixed_points_tl learned to stop early:
+# every record built, then the pattern checked
+# ---------------------------------------------------------------------------
+
+def pattern_step_reference(orbit, root, params, side: str):
+    """pipeline._pattern_step from the full record list: (records, None)
+    when every non-singular s has the side's verdict, else (None, reason)."""
+    recs = fixed_points_tl(params, param_balls(root, orbit))
+    want = {"delta0": Verdict.CERTIFIED_IN, "delta*": Verdict.CERTIFIED_OUT}[side]
+    if all(ball_in_interval(rec.s) is want for rec in recs
+           if rec.location is not Location.CURVE_SINGULAR):
+        return recs, None
+    return None, f"{side} pattern"
+
+
+# ---------------------------------------------------------------------------
+# root-disk pair tests over every pair
+# ---------------------------------------------------------------------------
+
+def pairwise_disjoint_reference(balls) -> bool:
+    """roots.pairwise_disjoint by the loop over all i < j."""
+    n = len(balls)
+    return all(balls[i].disjoint(balls[j]) for i in range(n)
+               for j in range(i + 1, n))
+
+
+def self_paired_reference(balls, image) -> set[int]:
+    """roots.self_paired testing each image against every disk."""
+    out = set()
+    for i, b in enumerate(balls):
+        im = image(b)
+        if not im.disjoint(b) and all(
+                im.disjoint(o) for j, o in enumerate(balls) if j != i):
+            out.add(i)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# the cuspidal map on points, with a float indeterminacy test
+# ---------------------------------------------------------------------------
+
+QUAD_INDETERMINACY_TOL = 1e-10
+
+
+def quad_map_eval(params: CuspidalParams, pt: ProjectivePoint) -> ProjectivePoint:
+    """Image of pt; raises Indeterminate when every image component lies
+    below QUAD_INDETERMINACY_TOL."""
+    comps = QuadMap(params.delta).components(*pt.coords)
+    if max(abs(c) for c in comps) < QUAD_INDETERMINACY_TOL:
+        raise Indeterminate(f"{pt} is an indeterminacy point")
+    return ProjectivePoint(*comps)
 
 
 # ---------------------------------------------------------------------------
@@ -407,6 +462,16 @@ def _product_form(roots):
     return c
 
 
+def _ab_50(delta: mpmath.mpc, orbit: OrbitData):
+    """a_k and b_k from their formulas in delta."""
+    d3 = delta ** 3 - 1
+    a = [-d3 * (delta ** (3 * k - 1) + 1) / (delta * (delta ** (3 * k) - 1))
+         for k in orbit.m]
+    b = [d3 * (delta ** (3 * k + 1) + 1) / (delta ** 2 * (delta ** (3 * k) - 1))
+         for k in orbit.n]
+    return a, b
+
+
 def three_lines_50(delta: mpmath.mpc, orbit: OrbitData):
     """(map, degree, fixed points by Location) of the three-lines family at
     delta, with a_k and b_k from their formulas in delta.
@@ -418,11 +483,7 @@ def three_lines_50(delta: mpmath.mpc, orbit: OrbitData):
     alpha0 x^2 + delta (2 alpha0 - beta0) x + alpha0 delta^2 = 0 with
     alpha0 = prod 1/a_i, beta0 = prod 1/b_j.
     """
-    d3 = delta ** 3 - 1
-    a = [-d3 * (delta ** (3 * k - 1) + 1) / (delta * (delta ** (3 * k) - 1))
-         for k in orbit.m]
-    b = [d3 * (delta ** (3 * k + 1) + 1) / (delta ** 2 * (delta ** (3 * k) - 1))
-         for k in orbit.n]
+    a, b = _ab_50(delta, orbit)
     g1 = _product_form([1 / v for v in a])
     g2 = _product_form([1 / v for v in b])
     h = [g2[k] - g1[k] for k in range(1, len(g1))]
@@ -561,3 +622,17 @@ def records_at_50_digits(report) -> list[Record50]:
                     abs(rotation_number_50(fmap, p) - _mpc(rec.s.center)),
                     abs(delta - _mpc(sec.delta.center)), sec.delta.radius))
     return out
+
+
+def ratio_lemma_50(poly: IntPolynomial, root: ComplexBall, orbit: OrbitData):
+    """The ratio lemma's two sides at 50 digits, at the root of poly that
+    Newton reaches from root's center: beta0/alpha0 = prod a_i/b_i, and the
+    s of both points at infinity from the chart-map Jacobian
+    (rotation_number_50), not from the lemma's eigenvalue formula."""
+    with mpmath.workdps(DIGITS):
+        delta = circle_root_50(poly, root.center)
+        a, b = _ab_50(delta, orbit)
+        ratio = mpmath.fprod(va / vb for va, vb in zip(a, b))
+        fmap, _, points = three_lines_50(delta, orbit)
+        return ratio, [rotation_number_50(fmap, p)
+                       for p in points[Location.INFINITY]]

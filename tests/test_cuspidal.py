@@ -11,7 +11,7 @@ from siegelcert.certifier import PointVerdict
 from siegelcert.cuspidal import (CurvePoint, CuspidalParams, QuadMap,
                                  certify_cuspidal, closure_residual,
                                  curve_restriction, fixed_points_cuspidal,
-                                 orbit_polynomial, quad_map_eval, s_value,
+                                 orbit_polynomial, s_value,
                                  _records_for_delta)
 from siegelcert.errors import (DegenerateTau, Indeterminate, NoSalemFactor,
                                PoleAtTau)
@@ -19,7 +19,7 @@ from siegelcert.geometry import ProjectivePoint, chart_jacobian
 from siegelcert.intpoly import IntPolynomial
 from siegelcert.roots import ComplexPolynomial, poly_roots
 
-from oracles import fd_chart_jacobian
+from oracles import fd_chart_jacobian, quad_map_eval
 
 DELTA0 = 0.6098 + 0.7925j
 

@@ -2,10 +2,15 @@
 
 import collections
 
+import mpmath
 import pytest
 
 from siegelcert import pipeline, threelines
-from siegelcert.errors import NoSalemFactor, PerturbationFailed, PipelineFailed
+from siegelcert.balls import Verdict, ball_in_interval
+from siegelcert.errors import (NoSalemFactor, PerturbationFailed,
+                               PipelineFailed, SiegelcertError)
+
+import oracles
 
 
 def test_search_certifies_each_orbit_root_side_once(monkeypatch):
@@ -16,11 +21,11 @@ def test_search_certifies_each_orbit_root_side_once(monkeypatch):
     real_fixed_points = pipeline.fixed_points_tl
     real_approx = pipeline.approx_parameters
 
-    def fixed_points(params, balls):
+    def fixed_points(params, balls, want):
         approx = current[-1]
         side = "delta0" if balls[0] == approx.delta0 else "delta*"
         calls[(approx.orbit, balls[0], side)] += 1
-        return real_fixed_points(params, balls)
+        return real_fixed_points(params, balls, want=want)
 
     def approx_parameters(*args, accept, **kwargs):
         def gate(approx):
@@ -36,6 +41,62 @@ def test_search_certifies_each_orbit_root_side_once(monkeypatch):
     assert distinct_roots0 < pairs  # pairs do share roots
     assert calls and max(calls.values()) == 1
     assert sum(calls.values()) == len(calls)
+
+
+def _segment_distance(z) -> mpmath.mpf:
+    """Distance from z to the segment [0, 4] of the real axis."""
+    return abs(z - min(max(z.real, 0), 4))
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_gate_decides_like_the_full_record_gate(monkeypatch, k):
+    # every (orbit, root, side) the search meets gets the same accept or
+    # reject, and the same records, as from the gate that builds them all;
+    # where beta0/alpha0 alone rules the pattern out, the ratio lemma holds
+    # at 50 digits
+    real_step = pipeline._pattern_step
+    decided = {}
+    screened = []
+
+    def step(orbit, root, params, side):
+        try:
+            got = real_step(orbit, root, params, side)
+        except SiegelcertError as exc:
+            got = exc
+        try:
+            ref = oracles.pattern_step_reference(orbit, root, params, side)[0]
+        except SiegelcertError:
+            ref = None
+        records = None if isinstance(got, Exception) else got[0]
+        assert records == ref, (orbit, root, side)
+        decided[(orbit, root, side)] = records is not None
+        _, ab, bb = threelines.param_balls(root, orbit)
+        ratio = ball_in_interval(threelines._parameter_ratio(ab, bb))
+        if ratio not in (pipeline._PATTERNS[side], Verdict.UNKNOWN):
+            assert records is None
+            screened.append((orbit, root, side))
+        if isinstance(got, Exception):
+            raise got
+        return got
+
+    monkeypatch.setattr(pipeline, "_pattern_step", step)
+    pipeline.theorem1_pipeline(k)
+    assert sum(decided.values()) >= 2  # the accepted pair's two sides
+    assert screened
+
+    polys = {}
+    for orbit, root, side in screened:
+        if orbit not in polys:
+            polys[orbit] = threelines.salem_from_orbit(orbit).poly
+        ratio, s_values = oracles.ratio_lemma_50(polys[orbit], root, orbit)
+        assert abs(ratio.imag) < 1e-40  # real, as |delta| = 1 makes it
+        for s in s_values:
+            if side == "delta0":  # ratio outside [0, 4]: each s is too
+                assert _segment_distance(ratio.real) > 0
+                assert _segment_distance(s) > 1e-20
+            else:  # ratio inside [0, 4]: each s is real and in [0, 4]
+                assert _segment_distance(ratio.real) == 0
+                assert _segment_distance(s) < 1e-30
 
 
 def test_theorem1_constructs_the_inside_target_once(monkeypatch):

@@ -14,11 +14,15 @@ import siegelcert
 KEPT = {
     # when the root iteration stops; the disks it returns are certified
     "roots.DEFAULT_TOL",
-    # the float orbit check, until orbit conditions are decided exactly
+    # the float orbit check, until orbit conditions are decided exactly:
+    # collisions, indeterminacy and the closing residual
     "threelines.COLLISION_TOL",
     "threelines.INDETERMINACY_TOL",
-    # quad_map_eval's indeterminacy test; no certification run calls it
-    "cuspidal.INDETERMINACY_TOL",
+    "threelines.ORBIT_RESIDUAL_TOL",
+    # input guards on float parameters: they reject a degenerate argument
+    # before it reaches a formula; no certificate reads them
+    "threelines.NONZERO_TOL",
+    "cuspidal.DEGENERATE_DELTA_TOL",
 }
 
 
