@@ -8,9 +8,7 @@ from .certifier import (CertificationReport, FixedPointRecord, Location,
                         PointVerdict, certify_fixed_point)
 from .cohomology import (ActionMatrix, delta_eigen_check, fixed_point_bound,
                          quad_action_matrix, spectral_data, tl_action_matrix)
-from .cuspidal import (CuspidalParams, CurvePoint, certify_cuspidal,
-                       curve_restriction, fixed_points_cuspidal,
-                       orbit_polynomial, s_value)
+from .cuspidal import certify_cuspidal, orbit_polynomial, s_value
 from .geometry import ProjectivePoint
 from .intpoly import (IntPolynomial, cyclotomic, irreducible_mod_p, resultant,
                       strip_cyclotomic)
@@ -20,4 +18,4 @@ from .salem import SalemCertificate, is_salem, salem_factor
 from .threelines import (OrbitData, ThreeLinesParams, ab_from_delta,
                          approx_parameters, construct_c0, construct_cstar,
                          fixed_points_tl, indeterminacy, orbit_verify,
-                         salem_from_orbit, tl_map_eval, trace_affine)
+                         salem_from_orbit, trace_affine)

@@ -16,7 +16,7 @@ disks, which certify_cuspidal establishes through the conjugate criterion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 from .balls import ComplexBall
 from .certifier import (CertificationReport, FixedPointRecord, Location,
@@ -29,40 +29,6 @@ from .intpoly import IntPolynomial, resultant
 # bound in this module
 from .salem import is_salem, salem_factor  # noqa: F401
 from .strictmode import squarefree_evidence
-
-DEGENERATE_DELTA_TOL = 1e-12  # CuspidalParams rejects delta this near 0 or 1
-
-
-@dataclass(frozen=True)
-class CuspidalParams:
-    """Map parameter delta with the derived quantities recomputed on access."""
-
-    delta: complex
-
-    def __post_init__(self):
-        d = complex(self.delta)
-        if abs(d) < DEGENERATE_DELTA_TOL or abs(d - 1) < DEGENERATE_DELTA_TOL:
-            raise ValueError("delta must avoid 0 and 1")
-        object.__setattr__(self, "delta", d)
-
-    @property
-    def d(self) -> complex:
-        return (1 - self.delta) / (3 * self.delta)
-
-    @property
-    def tau(self) -> complex:
-        return self.delta + 1 / self.delta
-
-
-@dataclass(frozen=True)
-class CurvePoint:
-    """Parameter t of the smooth-locus point [t : t^3 : 1]."""
-
-    t: complex
-
-    def embed(self) -> ProjectivePoint:
-        return ProjectivePoint(self.t, self.t ** 3, 1.0)
-
 
 class QuadMap:
     """Homogeneous components and partials; scalars may be complex or balls."""
@@ -100,11 +66,6 @@ class QuadMap:
         )
 
 
-def curve_restriction(params: CuspidalParams, t: CurvePoint) -> CurvePoint:
-    """Restriction to the smooth locus: t -> delta (t + d); total."""
-    return CurvePoint(params.delta * (t.t + params.d))
-
-
 def orbit_polynomial(n: int) -> IntPolynomial:
     """Integer polynomial whose roots close the indeterminacy orbit at step n.
 
@@ -120,12 +81,6 @@ def orbit_polynomial(n: int) -> IntPolynomial:
     if q is None:
         raise CheckFailed(f"t - 1 does not divide the orbit polynomial at n={n}")
     return q
-
-
-def closure_residual(delta: complex, n: int) -> float:
-    """|(-delta^(n+1) d + (1 - delta^n)/3) - d| for the orbit-closure identity."""
-    d = (1 - delta) / (3 * delta)
-    return abs(-delta ** (n + 1) * d + (1 - delta ** n) / 3 - d)
 
 
 # ---------------------------------------------------------------------------
@@ -160,18 +115,12 @@ def s_value(tau, x) -> ComplexBall:
     return inner * inner / pole
 
 
-def fixed_points_cuspidal(params: CuspidalParams) -> list[FixedPointRecord]:
-    """The two fixed points off the cubic, with certified derivative data."""
-    return _records_for_delta(ComplexBall.exact(params.delta))
+def _records_for_delta(delta: ComplexBall) -> list[FixedPointRecord]:
+    """The two fixed points off the cubic, with certified derivative data.
 
-
-def _records_for_delta(delta: ComplexBall,
-                       tau: ComplexBall | None = None) -> list[FixedPointRecord]:
-    """Fixed-point records for a (possibly ball) parameter value.
-
-    When tau is supplied it must be a certified-real ball for delta + 1/delta
-    (sound when |delta| = 1 exactly); otherwise tau is computed as a plain
-    ball.  Degenerate tau in {-1, 2} is rejected.
+    Precondition: delta is a circle root of a certified Salem factor, so
+    |delta| = 1 and tau = delta + 1/delta is realized.  Degenerate tau in
+    {-1, 2} is rejected.
 
     Lemma: at a circle root delta of a certified Salem factor both points
     are fixed (the quadratic and r_tau are the fixed-point equations off the
@@ -180,8 +129,7 @@ def _records_for_delta(delta: ComplexBall,
     (tau^2 - 6 tau + 11): tau in {2, -1, -2} makes delta a root of unity,
     and the last factor has no real root, while tau = 2 Re(delta) is real.
     """
-    if tau is None:
-        tau = delta + delta.inverse()
+    tau = (delta + delta.inverse()).realize_real()
     for bad in (-1.0, 2.0):
         if (tau - bad).contains_zero():
             raise DegenerateTau(f"tau ball meets {bad}")
@@ -242,10 +190,7 @@ def certify_cuspidal(n: int, strict: bool = False,
     """
     cert = salem_factor(orbit_polynomial(n))
     evidence = strict_mode_evidence(cert.poly) if strict else None
-    # |delta| = 1 certified by the Salem pattern, so tau is exactly real
-    records = {delta: _records_for_delta(delta,
-                                         (delta + delta.inverse()).realize_real())
-               for delta in cert.circle_roots}
+    records = {delta: _records_for_delta(delta) for delta in cert.circle_roots}
     sections = certify_sections(cert, records, evidence)
     m = quad_action_matrix(n, n, n)
     spectral_data(m, cert)

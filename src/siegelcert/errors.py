@@ -32,10 +32,6 @@ class BallDomainError(SiegelcertError):
 
 # ---- cuspidal family ----
 
-class Indeterminate(SiegelcertError):
-    """Point is an indeterminacy point of the map."""
-
-
 class DegenerateTau(SiegelcertError):
     """tau in {-1, 2}: the off-curve fixed-point data degenerates."""
 
@@ -53,10 +49,6 @@ class NoSalemFactor(SiegelcertError):
 
 class PoleAtParameter(SiegelcertError):
     """A fixed abscissa coincides with one of the map parameters."""
-
-
-class PoleHit(SiegelcertError):
-    """Moebius iterate denominator vanished."""
 
 
 class OrbitCollision(SiegelcertError):

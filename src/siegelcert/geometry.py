@@ -63,10 +63,6 @@ class ProjectivePoint:
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "z", z)
 
-    @staticmethod
-    def affine(x: complex, y: complex) -> "ProjectivePoint":
-        return ProjectivePoint(x, y, 1.0)
-
     @property
     def coords(self) -> tuple[complex, complex, complex]:
         return (self.x, self.y, self.z)

@@ -38,7 +38,7 @@ from .errors import (BudgetExhausted, OrbitCollision, PipelineFailed,
 from .threelines import (DEFAULT_EPS, DEFAULT_MN_CAP,  # noqa: F401
                          ApproxResult, ab_from_delta, approx_parameters,
                          construct_c0, construct_cstar, fixed_points_tl,
-                         orbit_verify, param_balls, salem_from_orbit)
+                         orbit_verify, salem_from_orbit)
 
 D0_TARGET = 0.96  # first design determinant tried for the all-inside target
 DENSITY_RANKS = 4  # n_rank values the search walks before it gives up
@@ -47,20 +47,19 @@ DENSITY_RANKS = 4  # n_rank values the search walks before it gives up
 _PATTERNS = {"delta0": Verdict.CERTIFIED_IN, "delta*": Verdict.CERTIFIED_OUT}
 
 
-def _pattern_step(orbit, root, params, side: str):
+def _pattern_step(orbit, root, side: str):
     """Certified fixed points at one root, kept when the side's pattern holds:
     (records, None), or (None, the rejection reason).  fixed_points_tl stops
     at the first record that breaks the pattern, or before any record when
     beta0/alpha0 rules the pattern out."""
-    recs = fixed_points_tl(params, param_balls(root, orbit),
-                           want=_PATTERNS[side])
+    recs = fixed_points_tl(root, orbit, want=_PATTERNS[side])
     if recs is None:
         return None, f"{side} pattern"
     return recs, None
 
 
-def _orbit_step(orbit, params):
-    rep = orbit_verify(params, orbit)
+def _orbit_step(orbit, root):
+    rep = orbit_verify(ab_from_delta(root.center, orbit), orbit)
     return (rep, None) if rep.passed else (None, "orbit check")
 
 
@@ -80,11 +79,10 @@ def _gate_steps(approx: ApproxResult):
     """The gate's checks as (step, args), cheapest first: the In-pattern at
     delta0, the Out-pattern at delta*, then both orbit verifications."""
     orbit = approx.orbit
-    return ((_pattern_step, (orbit, approx.delta0, approx.params0, "delta0")),
-            (_pattern_step, (orbit, approx.delta_star, approx.params_star,
-                             "delta*")),
-            (_orbit_step, (orbit, approx.params0)),
-            (_orbit_step, (orbit, approx.params_star)))
+    return ((_pattern_step, (orbit, approx.delta0, "delta0")),
+            (_pattern_step, (orbit, approx.delta_star, "delta*")),
+            (_orbit_step, (orbit, approx.delta0)),
+            (_orbit_step, (orbit, approx.delta_star)))
 
 
 def _try_candidate(approx: ApproxResult, memo: dict,
@@ -98,12 +96,11 @@ def _try_candidate(approx: ApproxResult, memo: dict,
     memo is created by theorem1_pipeline and lives for that one call; no
     other search shares it.  Within the search many (delta0, delta*) pairs
     share a root, so it holds each (orbit, root, side)'s certified fixed
-    points with its pattern result, and each (orbit, root)'s orbit report
-    (keyed by its parameters, which the root fixes); every check runs once
-    per key and a repeated pair costs lookups only.  A rejected
-    candidate adds one to rejections under the reason of its first failing
-    check: "delta0 pattern", "delta* pattern", "orbit check", or the type
-    name of the SiegelcertError that check raised.
+    points with its pattern result, and each (orbit, root)'s orbit report;
+    every check runs once per key and a repeated pair costs lookups only.
+    A rejected candidate adds one to rejections under the reason of its
+    first failing check: "delta0 pattern", "delta* pattern", "orbit check",
+    or the type name of the SiegelcertError that check raised.
     """
     for step, args in _gate_steps(approx):
         _, reason = _memoised(memo, step, *args)
@@ -135,7 +132,7 @@ def certify_three_lines(orbit, strict: bool = False,
                 f"orbit conditions failed at root {root.center:.6f}: "
                 f"max residual {rep.max_residual:.2e}, "
                 f"{len(rep.collisions)} collision(s)")
-        records[root] = fixed_points_tl(params, param_balls(root, orbit))
+        records[root] = fixed_points_tl(root, orbit)
     sections = certify_sections(cert, records, evidence)
     m = tl_action_matrix(orbit)
     spectral_data(m, cert)

@@ -30,9 +30,8 @@ from .balls import ComplexBall, Verdict, ball_in_interval
 from .certifier import (FixedPointRecord, Location, _safe_sqrt,
                         record_from_jacobian)
 from .errors import (BoundaryUndecidable, BudgetExhausted, DegenerateSpectrum,
-                     Indeterminate, NonConvergence, NoSalemFactor,
-                     PerturbationFailed, PoleAtParameter, PoleHit,
-                     SearchFailed)
+                     NonConvergence, NoSalemFactor, PerturbationFailed,
+                     PoleAtParameter, SearchFailed)
 from .geometry import (ProjectivePoint, chart_jacobian, chordal_distance,
                        norm, normalize)
 from .intpoly import ONE, IntPolynomial, x_pow_minus_one, x_pow_plus_one
@@ -103,10 +102,6 @@ class ThreeLinesParams:
     def c(self) -> complex:
         """beta - alpha, with alpha = sum 1/a_i and beta = sum 1/b_j."""
         return sum(1 / v for v in self.b) - sum(1 / v for v in self.a)
-
-    @property
-    def d(self) -> complex:
-        return (1 + self.delta) ** 2 / self.delta
 
     def normalized(self) -> "ThreeLinesParams":
         """Conjugate rescaling making beta - alpha = 1."""
@@ -212,26 +207,6 @@ class TLMap:
             (g1, g1y * (x + delta * y) + delta * g1, g1z * (x + delta * y)),
             (z * delta * h, z * delta * ty, delta * (t + z * tz)),
         )
-
-    def image(self, pt):
-        """Image of an affine pair or a ProjectivePoint (same kind returned)."""
-        if isinstance(pt, ProjectivePoint):
-            comps = self.components(*pt.coords)
-            if _vanishes(comps):
-                raise Indeterminate(f"{pt} is an indeterminacy point")
-            return ProjectivePoint(*comps)
-        x, y = pt
-        comps = self.components(*ProjectivePoint.affine(x, y).coords)
-        if _vanishes(comps):
-            raise Indeterminate(f"({x}, {y}) is an indeterminacy point")
-        if abs(comps[2]) <= INDETERMINACY_TOL * max(abs(comps[0]), abs(comps[1])):
-            raise PoleHit(f"image of ({x}, {y}) lies on the line at infinity")
-        return (comps[0] / comps[2], comps[1] / comps[2])
-
-
-def tl_map_eval(params: ThreeLinesParams, pt):
-    """Image of an affine pair or a ProjectivePoint (same kind returned)."""
-    return TLMap.from_params(params).image(pt)
 
 
 @dataclass(frozen=True)
@@ -406,7 +381,7 @@ def _abscissa_roots(d: ComplexBall, ab, bb) -> tuple[list[ComplexBall], set[int]
 
     ga, gb are the symmetric coefficients of the inverse parameters.  The
     real indices mean something only when d and the parameters are exactly
-    real; callers gate on that.
+    real, as both callers' are.
     """
     ga = _sym_coeffs([v.inverse() for v in ab])
     gb = _sym_coeffs([v.inverse() for v in bb])
@@ -425,8 +400,8 @@ def _abscissa_roots(d: ComplexBall, ab, bb) -> tuple[list[ComplexBall], set[int]
 
 
 def param_balls(root: ComplexBall, orbit: OrbitData):
-    """(delta, a_balls, b_balls) at a certified unit-circle root: the balls
-    argument of fixed_points_tl.
+    """(delta, a_balls, b_balls) at a certified unit-circle root, the
+    parameter balls of fixed_points_tl.
 
     |delta| = 1 exactly makes every a_k(delta), b_k(delta) real (they reduce
     to real trigonometric expressions), so the parameter balls are realized."""
@@ -434,23 +409,21 @@ def param_balls(root: ComplexBall, orbit: OrbitData):
             [b_value(root, nj).realize_real() for nj in orbit.n])
 
 
-def fixed_points_tl(params: ThreeLinesParams, balls=None,
+def fixed_points_tl(root: ComplexBall, orbit: OrbitData,
                     want: Verdict | None = None
                     ) -> list[FixedPointRecord] | None:
     """All N+3 isolated fixed points with certified derivative data.
 
+    Precondition: root is a circle root of salem_from_orbit(orbit).
+
     Order: the singular point of the line triple, the N affine diagonal
     points (sorted by abscissa), then the two points on the line at infinity.
-    Without balls the plain parameter values are treated as exact.
-
-    balls is param_balls(root, orbit) at a certified unit-circle root
-    (|delta| = 1 exactly, real parameters).  Every record is then certified
-    relative to those enclosures, and the rotation numbers that are provably
+    Every record is certified relative to param_balls(root, orbit), whose
+    centers are exactly real, and the rotation numbers that are provably
     real get exactly real ball centers: at affine points whose abscissa is
     certified real by conjugate pairing, and at the infinity points when
-    beta0/alpha0 is certified inside [0, 4].  As a soundness guard nothing is
-    realized when a parameter ball has a non-real center.  The singular point
-    (s = 1 identically) is realized in every case.
+    beta0/alpha0 is certified inside [0, 4].  The singular point (s = 1
+    identically) is realized in every case.
 
     want (Verdict.CERTIFIED_IN or CERTIFIED_OUT) asks for a pattern: the
     records come back only if every non-singular s has that verdict, and
@@ -479,19 +452,11 @@ def fixed_points_tl(params: ThreeLinesParams, balls=None,
     miss it, and [0:0:1] or a diagonal point meets it only if some a_i or
     b_j is 0 or delta = -1, each a root-of-unity case (see ab_from_delta).
     """
-    if balls is None:
-        db = ComplexBall.exact(params.delta)
-        ab = [ComplexBall.exact(v) for v in params.a]
-        bb = [ComplexBall.exact(v) for v in params.b]
-        realize = False
-    else:
-        db, ab, bb = balls
-        realize = all(b.center.imag == 0.0 for b in [*ab, *bb])
+    db, ab, bb = param_balls(root, orbit)
     tlm_ball = TLMap.ball_map(db, ab, bb)
     ratio = _parameter_ratio(ab, bb)
-    # the ratio's verdict means something only for exactly real parameters
-    ratio_verdict = ball_in_interval(ratio) if realize else Verdict.UNKNOWN
-    nonsingular = _nonsingular_records(tlm_ball, db, ab, bb, realize, ratio,
+    ratio_verdict = ball_in_interval(ratio)
+    nonsingular = _nonsingular_records(tlm_ball, db, ab, bb, ratio,
                                        ratio_verdict is Verdict.CERTIFIED_IN)
     if want is None:
         return [_singular_record(tlm_ball), *nonsingular]
@@ -515,16 +480,13 @@ def _singular_record(tlm_ball: TLMap) -> FixedPointRecord:
 
 
 def _nonsingular_records(tlm_ball: TLMap, db: ComplexBall, ab, bb,
-                         realize: bool, ratio: ComplexBall, ratio_in: bool):
+                         ratio: ComplexBall, ratio_in: bool):
     """The N diagonal records, then the two at infinity, built one at a time
     as the caller asks for them."""
-    # affine diagonal points: roots of the degree-N abscissa polynomial
-    d_ball = (1 + db) * (1 + db) / db
-    if realize:
-        d_ball = d_ball.realize_real()  # (1+delta)^2/delta real for |delta| = 1
+    # affine diagonal points: roots of the degree-N abscissa polynomial;
+    # d = (1+delta)^2/delta is real for |delta| = 1
+    d_ball = ((1 + db) * (1 + db) / db).realize_real()
     xs, real_idx = _abscissa_roots(d_ball, ab, bb)
-    if not realize:
-        real_idx = set()  # complex coefficients: conjugate pairing proves nothing
     for i, x in enumerate(xs):
         w = ProjectivePoint(x.center, x.center, 1)
         jac = chart_jacobian(tlm_ball, w, chart=2, point_radius=x.radius)
@@ -747,8 +709,6 @@ class ApproxResult:
     orbit: OrbitData
     delta0: ComplexBall
     delta_star: ComplexBall
-    params0: ThreeLinesParams
-    params_star: ThreeLinesParams
     salem_cert: SalemCertificate
 
 
@@ -835,13 +795,13 @@ def approx_parameters(c0: ThreeLinesParams, cstar: ThreeLinesParams, *,
             skipped[type(exc).__name__] += 1
             continue
         near_star = None  # built when the first delta0 candidate passes
-        for cand0, p0 in _candidates(cert.circle_roots, orbit, c0, eps):
+        for cand0 in _candidates(cert.circle_roots, orbit, c0, eps):
             if near_star is None:
                 near_star = list(_candidates(cert.circle_roots, orbit, cstar, eps))
-            for cand_star, ps in near_star:
+            for cand_star in near_star:
                 if cand0.center == cand_star.center:
                     continue
-                result = ApproxResult(orbit, cand0, cand_star, p0, ps, cert)
+                result = ApproxResult(orbit, cand0, cand_star, cert)
                 if accept is None or accept(result):
                     return result
                 offered += 1
@@ -868,13 +828,12 @@ def _roots_within(circle_roots, target: complex, eps: float):
 
 def _candidates(circle_roots, orbit: OrbitData, target: ThreeLinesParams,
                 eps: float):
-    """(root, parameters) for the circle roots of _roots_within eps of the
-    target's delta whose parameters also lie within eps of the target's, in
-    that order."""
+    """The circle roots of _roots_within eps of the target's delta whose
+    parameters also lie within eps of the target's, in that order."""
     for root in _roots_within(circle_roots, target.delta, eps):
         params = ab_from_delta(root.center, orbit)
         if _within(params.a, target.a, eps) and _within(params.b, target.b, eps):
-            yield root, params
+            yield root
 
 
 def _within(values, targets, eps: float) -> bool:

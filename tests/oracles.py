@@ -15,17 +15,17 @@ from siegelcert.balls import (_EPS, _TINY, ComplexBall, Verdict,
                               ball_in_interval, certified_out_margin)
 from siegelcert.certifier import (CertifiedVerdict, FixedPointRecord,
                                   Location, PointVerdict, Witness)
-from siegelcert.cuspidal import CuspidalParams, QuadMap
-from siegelcert.errors import (CheckFailed, Indeterminate, PoleHit,
-                               SearchFailed, SiegelcertError, WitnessMismatch)
+from siegelcert.cuspidal import QuadMap
+from siegelcert.errors import (CheckFailed, SearchFailed, SiegelcertError,
+                               WitnessMismatch)
 from siegelcert.geometry import (_CHART_LOCALS, ProjectivePoint, chart_point,
                                  embed_chart)
 from siegelcert.intpoly import IntPolynomial
 from siegelcert.threelines import (COLLISION_TOL, OrbitCheck, OrbitData,
                                    OrbitReport, ThreeLinesParams, TLMap,
-                                   _parameter_ratio, fixed_points_tl,
-                                   indeterminacy, infinity_eigen_data,
-                                   param_balls, salem_from_orbit)
+                                   _parameter_ratio, _vanishes,
+                                   fixed_points_tl, indeterminacy,
+                                   infinity_eigen_data, salem_from_orbit)
 
 
 def mat_mul(a, b):
@@ -166,10 +166,10 @@ def certify_sections_scan(cert, records_by_root: dict, evidence):
 # every record built, then the pattern checked
 # ---------------------------------------------------------------------------
 
-def pattern_step_reference(orbit, root, params, side: str):
+def pattern_step_reference(orbit, root, side: str):
     """pipeline._pattern_step from the full record list: (records, None)
     when every non-singular s has the side's verdict, else (None, reason)."""
-    recs = fixed_points_tl(params, param_balls(root, orbit))
+    recs = fixed_points_tl(root, orbit)
     want = {"delta0": Verdict.CERTIFIED_IN, "delta*": Verdict.CERTIFIED_OUT}[side]
     if all(ball_in_interval(rec.s) is want for rec in recs
            if rec.location is not Location.CURVE_SINGULAR):
@@ -200,19 +200,31 @@ def self_paired_reference(balls, image) -> set[int]:
 
 
 # ---------------------------------------------------------------------------
-# the cuspidal map on points, with a float indeterminacy test
+# the cuspidal map on points, with a float indeterminacy test, and the
+# orbit-closure identity
 # ---------------------------------------------------------------------------
 
 QUAD_INDETERMINACY_TOL = 1e-10
 
 
-def quad_map_eval(params: CuspidalParams, pt: ProjectivePoint) -> ProjectivePoint:
-    """Image of pt; raises Indeterminate when every image component lies
-    below QUAD_INDETERMINACY_TOL."""
-    comps = QuadMap(params.delta).components(*pt.coords)
+class QuadIndeterminate(SiegelcertError):
+    """Every image component of a point lies below QUAD_INDETERMINACY_TOL."""
+
+
+def quad_map_eval(delta: complex, pt: ProjectivePoint) -> ProjectivePoint:
+    """Image of pt; raises QuadIndeterminate when every image component
+    lies below QUAD_INDETERMINACY_TOL."""
+    comps = QuadMap(delta).components(*pt.coords)
     if max(abs(c) for c in comps) < QUAD_INDETERMINACY_TOL:
-        raise Indeterminate(f"{pt} is an indeterminacy point")
+        raise QuadIndeterminate(f"{pt} is an indeterminacy point")
     return ProjectivePoint(*comps)
+
+
+def closure_residual(delta: complex, n: int) -> float:
+    """|(-delta^(n+1) d + (1 - delta^n)/3) - d| for the orbit-closure
+    identity, d = (1 - delta)/(3 delta)."""
+    d = (1 - delta) / (3 * delta)
+    return abs(-delta ** (n + 1) * d + (1 - delta ** n) / 3 - d)
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +257,7 @@ def distance_reference(p, q) -> float:
 def orbit_verify_reference(params: ThreeLinesParams,
                            orbit: OrbitData) -> OrbitReport:
     """threelines.orbit_verify iterating ProjectivePoints through
-    TLMap.image and measuring each step with ProjectivePoint.distance."""
+    TLMap.components and measuring each step with ProjectivePoint.distance."""
     ind = indeterminacy(params)
     fwd = ind.forward
     plan = [("p0", ind.backward_0, 2, ind.forward_0)]
@@ -254,7 +266,7 @@ def orbit_verify_reference(params: ThreeLinesParams,
     for j, nj in enumerate(orbit.n):
         plan.append((f"b{j + 1}", ind.backward_b[j], 3 * nj, ind.forward_b[j]))
 
-    tlm = TLMap.from_params(params)
+    components = TLMap.from_params(params).components
     checks = []
     for label, start, steps, target in plan:
         pt = start
@@ -263,11 +275,11 @@ def orbit_verify_reference(params: ThreeLinesParams,
             if any(pt.distance(q) < COLLISION_TOL for q in fwd):
                 collision = k
                 break
-            try:
-                pt = tlm.image(pt)
-            except Indeterminate:
+            comps = components(*pt.coords)
+            if _vanishes(comps):
                 collision = k
                 break
+            pt = ProjectivePoint(*comps)
         residual = pt.distance(target) if collision is None else math.inf
         checks.append(OrbitCheck(label, steps, residual, collision))
     return OrbitReport(tuple(checks))
@@ -299,7 +311,7 @@ def h_iterate(params: ThreeLinesParams, k: int, x: complex) -> complex:
     pw = delta ** (3 * k)
     den = pw + p * (1 - pw) * x
     if abs(den) < 1e-14 * (1 + abs(pw)):
-        raise PoleHit(f"Moebius denominator vanishes at x={x}")
+        raise FormulaPole(f"Moebius denominator vanishes at x={x}")
     return x / den
 
 
@@ -591,7 +603,9 @@ class Record50:
     """A report's record beside its fixed point recomputed at 50 digits."""
 
     label: str
+    section: int                    # index of the record's section
     record: FixedPointRecord
+    s: mpmath.mpc                   # tr^2/det at P
     fixed_residual: mpmath.mpf      # chordal distance of P from f(P)
     image_size: mpmath.mpf          # |f(P)| / |P|^deg, 0 on I(f)
     distance: mpmath.mpf            # chordal distance of P from the record
@@ -615,11 +629,12 @@ def records_at_50_digits(report) -> list[Record50]:
                                     if report.family == "cuspidal"
                                     else three_lines_50(delta, orbit))
             for rec, p in by_stratum(sec.records, points):
+                s = rotation_number_50(fmap, p)
                 out.append(Record50(
-                    f"section {i} {rec.location.value} {rec.coords}", rec,
-                    chordal_50(p, fmap(*p)), image_size(fmap, degree, p),
+                    f"section {i} {rec.location.value} {rec.coords}", i, rec,
+                    s, chordal_50(p, fmap(*p)), image_size(fmap, degree, p),
                     chordal_50(p, [_mpc(c) for c in rec.coords.coords]),
-                    abs(rotation_number_50(fmap, p) - _mpc(rec.s.center)),
+                    abs(s - _mpc(rec.s.center)),
                     abs(delta - _mpc(sec.delta.center)), sec.delta.radius))
     return out
 

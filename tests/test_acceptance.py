@@ -17,7 +17,7 @@ from siegelcert.certifier import Location, PointVerdict
 from siegelcert.cli import main
 from siegelcert.cohomology import (fixed_point_bound, quad_action_matrix,
                                    tl_action_matrix)
-from siegelcert.cuspidal import QuadMap, closure_residual, s_value
+from siegelcert.cuspidal import QuadMap, s_value
 from siegelcert.geometry import ProjectivePoint, chart_jacobian
 from siegelcert.intpoly import strip_cyclotomic
 from siegelcert.pipeline import theorem1_pipeline
@@ -25,9 +25,10 @@ from siegelcert.roots import ComplexPolynomial, poly_roots
 from siegelcert.salem import salem_factor
 from siegelcert.threelines import (OrbitData, TLMap, ab_from_delta,
                                    fixed_points_tl, infinity_eigen_data,
-                                   orbit_verify, param_balls, salem_from_orbit)
+                                   orbit_verify, salem_from_orbit)
 
-from oracles import fd_chart_jacobian, h_iterate, lambda_by_bisection
+from oracles import (closure_residual, fd_chart_jacobian, h_iterate,
+                     lambda_by_bisection)
 
 
 def _report(n: int, text: str):
@@ -120,7 +121,7 @@ def test_criterion_06_three_lines_consistency():
             assert abs(params.c - 1) < 1e-10                      # (a)
             rep = orbit_verify(params, orbit)
             assert rep.passed and rep.max_residual < 1e-8          # (b)
-            recs = fixed_points_tl(params, param_balls(root, orbit))
+            recs = fixed_points_tl(root, orbit)
             assert len(recs) == orbit.N + 3                        # (d) count
         m = tl_action_matrix(orbit)
         lam = salem_factor(m.char_poly).lam
@@ -169,9 +170,9 @@ def test_criterion_07_eigenvalue_formulas(salem8_cert):
     # Det Df = delta at every isolated fixed point off the invariant curve
     from siegelcert.cuspidal import _records_for_delta
     db = salem8_cert.circle_roots[0]
-    for rec in _records_for_delta(db, (db + db.inverse()).realize_real()):
+    for rec in _records_for_delta(db):
         assert abs(rec.det.center - db.center) < 1e-8
-    recs = fixed_points_tl(params, param_balls(droot, orbit))
+    recs = fixed_points_tl(droot, orbit)
     for rec in recs:
         if rec.location is not Location.CURVE_SINGULAR:
             assert abs(rec.det.center - droot.center) < 1e-8

@@ -10,7 +10,7 @@ from siegelcert.balls import (ComplexBall, Verdict, ball_in_interval,
 from siegelcert.certifier import (FixedPointRecord, Location, PointVerdict,
                                   Witness, certify_fixed_point,
                                   certify_sections, record_from_jacobian)
-from siegelcert.cuspidal import CuspidalParams, QuadMap, certify_cuspidal
+from siegelcert.cuspidal import QuadMap, certify_cuspidal
 from siegelcert.errors import CheckFailed, WitnessMismatch
 from siegelcert.geometry import ProjectivePoint, chart_jacobian
 from siegelcert.pipeline import certify_three_lines, theorem1_pipeline
@@ -30,8 +30,7 @@ def _fd_match(family_map, pt, chart=None, tol=1e-6):
 
 def test_jacobian_vs_fd_cuspidal_random_points():
     rng = random.Random(31)
-    par = CuspidalParams(0.6098 + 0.7925j)
-    qm = QuadMap(par.delta)
+    qm = QuadMap(0.6098 + 0.7925j)
     checked = 0
     while checked < 100:
         pt = ProjectivePoint(complex(rng.uniform(-2, 2), rng.uniform(-2, 2)),
@@ -254,7 +253,7 @@ def test_chart_failure_when_denominator_vanishes():
 def test_eigenvalue_trace_det_consistency(salem8_cert):
     from siegelcert.cuspidal import _records_for_delta
     d0 = salem8_cert.circle_roots[0]
-    for rec in _records_for_delta(d0, (d0 + d0.inverse()).realize_real()):
+    for rec in _records_for_delta(d0):
         e1, e2 = rec.eigenvalues
         assert not (e1 + e2).disjoint(rec.trace)
         assert not (e1 * e2).disjoint(rec.det)

@@ -8,20 +8,27 @@ import pytest
 from siegelcert import certifier, cuspidal, salem
 from siegelcert.balls import ComplexBall, Verdict, ball_in_interval
 from siegelcert.certifier import PointVerdict
-from siegelcert.cuspidal import (CurvePoint, CuspidalParams, QuadMap,
-                                 certify_cuspidal, closure_residual,
-                                 curve_restriction, fixed_points_cuspidal,
-                                 orbit_polynomial, s_value,
-                                 _records_for_delta)
-from siegelcert.errors import (DegenerateTau, Indeterminate, NoSalemFactor,
-                               PoleAtTau)
+from siegelcert.cuspidal import (QuadMap, certify_cuspidal, orbit_polynomial,
+                                 s_value, _records_for_delta)
+from siegelcert.errors import DegenerateTau, NoSalemFactor, PoleAtTau
 from siegelcert.geometry import ProjectivePoint, chart_jacobian
 from siegelcert.intpoly import IntPolynomial
 from siegelcert.roots import ComplexPolynomial, poly_roots
+from siegelcert.salem import salem_factor
 
-from oracles import fd_chart_jacobian, quad_map_eval
+from oracles import (QuadIndeterminate, closure_residual, fd_chart_jacobian,
+                     quad_map_eval)
 
 DELTA0 = 0.6098 + 0.7925j
+
+
+def _d(delta):
+    return (1 - delta) / (3 * delta)
+
+
+def _curve_point(t) -> ProjectivePoint:
+    """The smooth-locus point [t : t^3 : 1]."""
+    return ProjectivePoint(t, t ** 3, 1.0)
 
 
 def _oracle_components(delta, pt):
@@ -34,40 +41,26 @@ def _oracle_components(delta, pt):
     return (fx, fy, fz)
 
 
-def test_params_derived_quantities():
-    p = CuspidalParams(2.0 + 0j)
-    assert p.d == (1 - 2) / 6
-    assert p.tau == 2.5
-    with pytest.raises(ValueError):
-        CuspidalParams(1.0)
-    with pytest.raises(ValueError):
-        CuspidalParams(0.0)
-
-
 def test_origin_maps_to_curve_point():
-    par = CuspidalParams(DELTA0)
-    img = quad_map_eval(par, ProjectivePoint(0, 0, 1))
-    expect = CurvePoint(par.delta * par.d).embed()
-    assert img.distance(expect) < 1e-12
+    img = quad_map_eval(DELTA0, ProjectivePoint(0, 0, 1))
+    assert img.distance(_curve_point(DELTA0 * _d(DELTA0))) < 1e-12
 
 
 def test_curve_equivariance_at_listed_root():
-    par = CuspidalParams(DELTA0)
-    t = CurvePoint(1.0)
-    img = quad_map_eval(par, t.embed())
-    assert img.distance(curve_restriction(par, t).embed()) < 1e-12
+    # the restriction to the smooth locus is t -> delta (t + d)
+    t = 1.0
+    img = quad_map_eval(DELTA0, _curve_point(t))
+    assert img.distance(_curve_point(DELTA0 * (t + _d(DELTA0)))) < 1e-12
 
 
 def test_direct_formula_oracle():
-    par = CuspidalParams(1j)
-    img = quad_map_eval(par, ProjectivePoint(1, 1, 1))
+    img = quad_map_eval(1j, ProjectivePoint(1, 1, 1))
     assert img.distance(ProjectivePoint(*_oracle_components(1j, (1, 1, 1)))) < 1e-14
 
 
 def test_indeterminacy_at_forward_point():
-    par = CuspidalParams(DELTA0)
-    with pytest.raises(Indeterminate):
-        quad_map_eval(par, CurvePoint(par.d).embed())
+    with pytest.raises(QuadIndeterminate):
+        quad_map_eval(DELTA0, _curve_point(_d(DELTA0)))
 
 
 def test_equivariance_property_random():
@@ -76,20 +69,13 @@ def test_equivariance_property_random():
         delta = cmath.rect(rng.uniform(0.3, 2.0), rng.uniform(0, 2 * cmath.pi))
         if abs(delta - 1) < 0.1:
             continue
-        par = CuspidalParams(delta)
         for _ in range(20):
-            t = CurvePoint(complex(rng.uniform(-2, 2), rng.uniform(-2, 2)))
+            t = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
             try:
-                img = quad_map_eval(par, t.embed())
-            except Indeterminate:
+                img = quad_map_eval(delta, _curve_point(t))
+            except QuadIndeterminate:
                 continue
-            assert img.distance(curve_restriction(par, t).embed()) < 1e-9
-
-
-def test_curve_restriction_total_at_indeterminacy():
-    par = CuspidalParams(DELTA0)
-    out = curve_restriction(par, CurvePoint(par.d))
-    assert abs(out.t - par.delta * 2 * par.d) < 1e-15
+            assert img.distance(_curve_point(delta * (t + _d(delta)))) < 1e-9
 
 
 def test_orbit_polynomial_instances(salem8):
@@ -110,16 +96,15 @@ def test_backward_orbit_parameter_reaches_forward(salem8):
     """Eight curve-restriction steps from the backward abscissa hit d."""
     roots = poly_roots(ComplexPolynomial(tuple(map(float, salem8.coeffs))))
     for b in roots:
-        par = CuspidalParams(b.center)
-        t = CurvePoint(-par.delta * par.d)
+        delta, d = b.center, _d(b.center)
+        t = -delta * d
         for _ in range(8):
-            t = curve_restriction(par, t)
-        assert abs(t.t - par.d) < 1e-10
+            t = delta * (t + d)
+        assert abs(t - d) < 1e-10
 
 
 def test_fixed_points_at_tau0_intervals(salem8_cert):
-    d0 = salem8_cert.circle_roots[0]
-    recs = _records_for_delta(d0, (d0 + d0.inverse()).realize_real())
+    recs = _records_for_delta(salem8_cert.circle_roots[0])
     xs = sorted(r.coords.x.real for r in recs)
     assert -0.283 <= xs[0] <= -0.282
     assert 0.022 <= xs[1] <= 0.023
@@ -129,7 +114,7 @@ def test_fixed_point_at_tau_star_interval(salem8_cert):
     dstar = salem8_cert.circle_roots[2]
     tau = (dstar + dstar.inverse()).realize_real()
     assert -1.496 <= tau.center.real <= -1.495
-    recs = _records_for_delta(dstar, tau)
+    recs = _records_for_delta(dstar)
     xs = sorted(r.coords.x.real for r in recs)
     assert -0.711 <= xs[0] <= -0.710
 
@@ -138,17 +123,17 @@ def test_degenerate_tau_rejected():
     # delta a primitive cube root of unity gives tau = -1
     omega = cmath.exp(2j * cmath.pi / 3)
     with pytest.raises(DegenerateTau):
-        fixed_points_cuspidal(CuspidalParams(omega))
+        _records_for_delta(ComplexBall.exact(omega))
 
 
 def test_fixed_point_records_verified(salem8_cert):
-    par = CuspidalParams(salem8_cert.circle_roots[0].center)
-    recs = fixed_points_cuspidal(par)
+    root = salem8_cert.circle_roots[0]
+    recs = _records_for_delta(root)
     assert len(recs) == 2
     for rec in recs:
-        img = quad_map_eval(par, rec.coords)
+        img = quad_map_eval(root.center, rec.coords)
         assert rec.coords.distance(img) < 1e-9
-        assert rec.det.contains(par.delta)
+        assert rec.det.contains(root.center)
 
 
 def test_certify_cuspidal_certifies_the_salem_factor_once(monkeypatch):
@@ -198,7 +183,7 @@ def test_s_value_pole():
 def test_s_value_matches_record_ball(salem8_cert):
     d0 = salem8_cert.circle_roots[0]
     tau = (d0 + d0.inverse()).realize_real()
-    for rec in _records_for_delta(d0, tau):
+    for rec in _records_for_delta(d0):
         via_formula = s_value(tau, ComplexBall.exact(rec.coords.x))
         assert abs(via_formula.center - rec.s.center) < 1e-9
 
@@ -262,14 +247,10 @@ def test_certify_cuspidal_strict_evidence():
 
 
 def test_fixed_points_sampled_tau_residuals():
-    rng = random.Random(5)
+    # tau sampled at the circle roots of the orbit polynomials n = 8..10
     checked = 0
-    while checked < 10:
-        theta = rng.uniform(0.3, 2.8)
-        delta = cmath.rect(1.0, theta)
-        tau = 2 * cmath.cos(theta)
-        if min(abs(tau - 2), abs(tau + 1), abs(tau + 2)) < 0.2:
-            continue
-        recs = fixed_points_cuspidal(CuspidalParams(delta))
-        assert len(recs) == 2
-        checked += 1
+    for n in (8, 9, 10):
+        for root in salem_factor(orbit_polynomial(n)).circle_roots:
+            assert len(_records_for_delta(root)) == 2
+            checked += 1
+    assert checked >= 10

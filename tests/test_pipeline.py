@@ -15,17 +15,28 @@ import oracles
 
 def test_search_certifies_each_orbit_root_side_once(monkeypatch):
     # the gate sees many (delta0, delta*) pairs that share a root; each
-    # (orbit, root, side) must get its fixed points certified exactly once
+    # (orbit, root, side) must get its fixed points certified exactly once,
+    # and each (orbit, root) its orbit conditions verified exactly once
     current = []
     calls = collections.Counter()
+    verified = collections.Counter()
     real_fixed_points = pipeline.fixed_points_tl
+    real_orbit_verify = pipeline.orbit_verify
     real_approx = pipeline.approx_parameters
 
-    def fixed_points(params, balls, want):
+    def fixed_points(root, orbit, want):
         approx = current[-1]
-        side = "delta0" if balls[0] == approx.delta0 else "delta*"
-        calls[(approx.orbit, balls[0], side)] += 1
-        return real_fixed_points(params, balls, want=want)
+        assert orbit == approx.orbit
+        side = "delta0" if root == approx.delta0 else "delta*"
+        calls[(orbit, root, side)] += 1
+        return real_fixed_points(root, orbit, want=want)
+
+    def orbit_verify(params, orbit):
+        approx = current[-1]
+        root, = (r for r in (approx.delta0, approx.delta_star)
+                 if r.center == params.delta)
+        verified[(orbit, root)] += 1
+        return real_orbit_verify(params, orbit)
 
     def approx_parameters(*args, accept, **kwargs):
         def gate(approx):
@@ -34,6 +45,7 @@ def test_search_certifies_each_orbit_root_side_once(monkeypatch):
         return real_approx(*args, accept=gate, **kwargs)
 
     monkeypatch.setattr(pipeline, "fixed_points_tl", fixed_points)
+    monkeypatch.setattr(pipeline, "orbit_verify", orbit_verify)
     monkeypatch.setattr(pipeline, "approx_parameters", approx_parameters)
     pipeline.theorem1_pipeline(3)
     pairs = len(current)
@@ -41,6 +53,7 @@ def test_search_certifies_each_orbit_root_side_once(monkeypatch):
     assert distinct_roots0 < pairs  # pairs do share roots
     assert calls and max(calls.values()) == 1
     assert sum(calls.values()) == len(calls)
+    assert verified and set(verified.values()) == {1}
 
 
 def _segment_distance(z) -> mpmath.mpf:
@@ -58,13 +71,13 @@ def test_gate_decides_like_the_full_record_gate(monkeypatch, k):
     decided = {}
     screened = []
 
-    def step(orbit, root, params, side):
+    def step(orbit, root, side):
         try:
-            got = real_step(orbit, root, params, side)
+            got = real_step(orbit, root, side)
         except SiegelcertError as exc:
             got = exc
         try:
-            ref = oracles.pattern_step_reference(orbit, root, params, side)[0]
+            ref = oracles.pattern_step_reference(orbit, root, side)[0]
         except SiegelcertError:
             ref = None
         records = None if isinstance(got, Exception) else got[0]

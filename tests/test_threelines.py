@@ -10,16 +10,15 @@ from siegelcert import threelines
 from siegelcert.balls import ComplexBall, Verdict, ball_in_interval
 from siegelcert.certifier import Location
 from siegelcert.errors import (BoundaryUndecidable, BudgetExhausted,
-                               Indeterminate, NoSalemFactor, PoleAtParameter,
-                               SearchFailed)
+                               NoSalemFactor, PoleAtParameter, SearchFailed)
 from siegelcert.geometry import ProjectivePoint
-from siegelcert.threelines import (OrbitData, ThreeLinesParams,
-                                   a_value, ab_from_delta, approx_parameters,
-                                   b_value, construct_c0, construct_cstar,
-                                   design_rotation_numbers, fixed_points_tl,
-                                   indeterminacy, infinity_eigen_data,
-                                   orbit_verify, param_balls, salem_from_orbit,
-                                   tl_map_eval, trace_affine)
+from siegelcert.threelines import (OrbitData, ThreeLinesParams, TLMap,
+                                   _vanishes, a_value, ab_from_delta,
+                                   approx_parameters, b_value, construct_c0,
+                                   construct_cstar, design_rotation_numbers,
+                                   fixed_points_tl, indeterminacy,
+                                   infinity_eigen_data, orbit_verify,
+                                   salem_from_orbit, trace_affine)
 
 from oracles import (FormulaPole, OffUnitCircle, chi, equidistribution_stat,
                      h_iterate, infinity_criterion, lambda_by_bisection,
@@ -36,6 +35,17 @@ def _oracle_affine(params, x, y):
         g2 *= 1 - y / bj
     delta = params.delta
     return (y, g1 * (x + delta * y) / (delta * ((g2 - g1) * x / y - delta * g1)))
+
+
+def _image(params, pt: ProjectivePoint) -> ProjectivePoint:
+    """f(pt) from the homogeneous components."""
+    return ProjectivePoint(*TLMap.from_params(params).components(*pt.coords))
+
+
+def _affine_image(params, x, y):
+    """The affine coordinates of f(x, y), from the homogeneous components."""
+    fx, fy, fz = TLMap.from_params(params).components(x, y, 1)
+    return fx / fz, fy / fz
 
 
 def test_orbit_data_validation():
@@ -55,20 +65,20 @@ def test_orbit_data_validation():
 
 def test_line_images():
     par = ThreeLinesParams(1j, (2,), (1,))
-    x, y = tl_map_eval(par, (0.0, 0.7))
+    x, y = _affine_image(par, 0.0, 0.7)
     assert abs(x - 0.7) < 1e-14 and abs(y - (-0.7 / 1j)) < 1e-14
-    assert tl_map_eval(par, (0.0, 0.0)) == (0, 0)
-    x, y = tl_map_eval(par, (-1j * 0.3, 0.3))
+    assert _affine_image(par, 0.0, 0.0) == (0, 0)
+    x, y = _affine_image(par, -1j * 0.3, 0.3)
     assert abs(x - 0.3) < 1e-14 and abs(y) < 1e-14
     x0 = 0.45
-    x, y = tl_map_eval(par, (x0, 0.0))
+    x, y = _affine_image(par, x0, 0.0)
     assert abs(x) < 1e-14
     assert abs(y - (-x0 / (1j ** 2 + 1j * par.c * x0))) < 1e-14
 
 
 def test_affine_formula_oracle():
     par = ThreeLinesParams(1j, (2,), (1,))
-    got = tl_map_eval(par, (1.0, 1.0))
+    got = _affine_image(par, 1.0, 1.0)
     want = _oracle_affine(par, 1.0, 1.0)
     assert abs(got[0] - want[0]) < 1e-12 and abs(got[1] - want[1]) < 1e-12
 
@@ -80,17 +90,15 @@ def test_line_cycle_property():
             cmath.rect(rng.uniform(0.5, 1.5), rng.uniform(0.1, 6.0)),
             tuple(rng.uniform(0.5, 3) for _ in range(2)),
             tuple(rng.uniform(0.5, 3) for _ in range(2)))
+        tlm = TLMap.from_params(par)
         for _ in range(20):
             y = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-            try:
-                # L1 -> L2
-                x1, y1 = tl_map_eval(par, (0.0, y))
-                assert abs(x1 + par.delta * y1) < 1e-9 * (1 + abs(x1))
-                # L2 -> L3
-                x2, y2 = tl_map_eval(par, (-par.delta * y, y))
-                assert abs(y2) < 1e-9 * (1 + abs(x2))
-            except (Indeterminate, Exception):
-                continue
+            # L1 -> L2: x + delta y = 0 on the image
+            x1, y1, z1 = tlm.components(0.0, y, 1)
+            assert abs(x1 + par.delta * y1) < 1e-9 * (abs(z1) + abs(x1))
+            # L2 -> L3: y = 0 on the image
+            x2, y2, z2 = tlm.components(-par.delta * y, y, 1)
+            assert abs(y2) < 1e-9 * (abs(z2) + abs(x2))
 
 
 def test_indeterminacy_table():
@@ -105,10 +113,13 @@ def test_indeterminacy_table():
     assert ind.backward_b[0].distance(ProjectivePoint(1, 1j, 1)) < 1e-15
 
 
-def test_indeterminate_eval_raises():
-    par = ThreeLinesParams(1j, (2,), (1,))
-    with pytest.raises(Indeterminate):
-        tl_map_eval(par, ProjectivePoint(0, 2, 1))
+def test_components_vanish_at_forward_indeterminacy():
+    # the indeterminacy test orbit_verify relies on
+    for par in (ThreeLinesParams(1j, (2,), (1,)),
+                ThreeLinesParams(cmath.rect(1.0, 1.1), (1.3, 2.2), (0.9, 1.7))):
+        tlm = TLMap.from_params(par)
+        assert all(_vanishes(tlm.components(*q.coords))
+                   for q in indeterminacy(par).forward)
 
 
 def test_h_iterate_identity_and_semigroup():
@@ -139,9 +150,10 @@ def test_h_iterate_matches_direct_iteration():
         y = complex(rng.uniform(0.2, 1.5), rng.uniform(-1, 1))
         for k in range(1, 5):
             try:
-                pt = (0.0, y)
+                pt = ProjectivePoint(0.0, y, 1)
                 for _ in range(3 * k):
-                    pt = tl_map_eval(par, pt)
+                    pt = _image(par, pt)
+                pt = (pt.x / pt.z, pt.y / pt.z)
                 hk = h_iterate(par, k, y)
             except Exception:
                 break
@@ -227,9 +239,9 @@ def test_orbit_verify_hand_checked_infinity_orbit():
     par = ab_from_delta(d, orb)
     # [0:1:0] -> [-delta:1:0] -> [1:0:0] via the infinity-line formula
     p = ProjectivePoint(0, 1, 0)
-    p1 = tl_map_eval(par, p)
+    p1 = _image(par, p)
     assert p1.distance(ProjectivePoint(-d, 1, 0)) < 1e-12
-    p2 = tl_map_eval(par, p1)
+    p2 = _image(par, p1)
     assert p2.distance(ProjectivePoint(1, 0, 0)) < 1e-12
 
 
@@ -242,7 +254,7 @@ def test_orbit_verify_at_real_salem_root():
     a1 = par.a[0]
     pt = ProjectivePoint(a1, 0, 1)
     for _ in range(4):
-        pt = tl_map_eval(par, pt)
+        pt = _image(par, pt)
     assert pt.distance(ProjectivePoint(0, a1, 1)) < 1e-8
     rep = orbit_verify(par, orb)
     assert rep.passed and rep.max_residual < 1e-8
@@ -302,8 +314,7 @@ def test_orbit_verify_equals_the_per_point_reference():
 def test_fixed_points_count_and_w0():
     orb = OrbitData((1, 2), (1, 1))
     cert = salem_from_orbit(orb)
-    par = ab_from_delta(cert.circle_roots[0].center, orb)
-    recs = fixed_points_tl(par)
+    recs = fixed_points_tl(cert.circle_roots[0], orb)
     assert len(recs) == orb.N + 3
     assert recs[0].location is Location.CURVE_SINGULAR
     assert sum(1 for r in recs if r.location is Location.AFFINE_DIAGONAL) == orb.N
@@ -311,34 +322,41 @@ def test_fixed_points_count_and_w0():
 
 
 def test_fixed_points_n1_linear_oracle():
-    par = ThreeLinesParams(0.3 + 1.1j, (1.4,), (0.8,))
-    d = par.d
-    x1 = (d - 1) / (d / par.a[0] - 1 / par.b[0])
-    recs = fixed_points_tl(par)
-    aff = [r for r in recs if r.location is Location.AFFINE_DIAGONAL]
-    assert len(aff) == 1
-    assert abs(aff[0].coords.x / aff[0].coords.z - x1) < 1e-9
+    # d (1 - x/a) = 1 - x/b at every circle root of (2),(1)
+    orb = OrbitData((2,), (1,))
+    roots = salem_from_orbit(orb).circle_roots
+    assert roots
+    for root in roots:
+        par = ab_from_delta(root.center, orb)
+        d = (1 + par.delta) ** 2 / par.delta
+        x1 = (d - 1) / (d / par.a[0] - 1 / par.b[0])
+        recs = fixed_points_tl(root, orb)
+        aff = [r for r in recs if r.location is Location.AFFINE_DIAGONAL]
+        assert len(aff) == 1
+        assert abs(aff[0].coords.x / aff[0].coords.z - x1) < 1e-9
 
 
 def test_fixed_points_equal_parameter_closed_form():
+    # equal orbit lengths give equal parameters a_i = a0, b_i = b0, at each
+    # of the 6 circle roots of (2,2,2),(1,1,1)
     n = 3
-    a0, b0 = 2.0, 1.0
-    delta = cmath.rect(1.0, 1.9)
-    d = (1 + delta) ** 2 / delta
-    par = ThreeLinesParams(delta, (a0,) * n, (b0,) * n)
-    lam = d ** (1.0 / n)
-    eps_n = cmath.exp(2j * cmath.pi / n)
-    want = sorted(
-        (a0 * b0 * (1 - lam * eps_n ** el) / (a0 - b0 * lam * eps_n ** el)
-         for el in range(1, n + 1)),
-        key=lambda z: (round(z.real, 8), round(z.imag, 8)))
-    recs = fixed_points_tl(par)
-    got = sorted((r.coords.x / r.coords.z
-                  for r in recs if r.location is Location.AFFINE_DIAGONAL),
-                 key=lambda z: (round(z.real, 8), round(z.imag, 8)))
-    # the closed form uses one branch of d^(1/N); match as sets
-    for g in got:
-        assert min(abs(g - w) for w in want) < 1e-8
+    orb = OrbitData((2,) * n, (1,) * n)
+    roots = salem_from_orbit(orb).circle_roots
+    assert len(roots) == 6
+    for root in roots:
+        par = ab_from_delta(root.center, orb)
+        a0, b0 = par.a[0], par.b[0]
+        lam = ((1 + par.delta) ** 2 / par.delta) ** (1.0 / n)
+        eps_n = cmath.exp(2j * cmath.pi / n)
+        want = [a0 * b0 * (1 - lam * eps_n ** el) / (a0 - b0 * lam * eps_n ** el)
+                for el in range(1, n + 1)]
+        recs = fixed_points_tl(root, orb)
+        got = [r.coords.x / r.coords.z
+               for r in recs if r.location is Location.AFFINE_DIAGONAL]
+        assert len(got) == n
+        # the closed form uses one branch of d^(1/N); match as sets
+        for g in got:
+            assert min(abs(g - w) for w in want) < 1e-8
 
 
 def test_strict_evidence_n2_cross_terms():
@@ -357,8 +375,7 @@ def test_strict_evidence_n2_cross_terms():
     scale = sum(abs(c) for c in elim.coeffs)
     assert len(cert.circle_roots) == 26
     for root in cert.circle_roots:
-        recs = fixed_points_tl(ab_from_delta(root.center, orb),
-                               param_balls(root, orb))
+        recs = fixed_points_tl(root, orb)
         aff = [r for r in recs if r.location is Location.AFFINE_DIAGONAL]
         assert len(aff) == orb.N
         for r in aff:
@@ -368,33 +385,28 @@ def test_strict_evidence_n2_cross_terms():
 
 
 def test_trace_affine_formula_and_fd():
-    rng = random.Random(21)
+    # at the circle roots of pool orbit data with N = 2
     checked = 0
-    while checked < 6:
-        par = ThreeLinesParams(
-            cmath.rect(rng.uniform(0.7, 1.3), rng.uniform(0.3, 6.0)),
-            tuple(rng.uniform(0.8, 3) for _ in range(2)),
-            tuple(rng.uniform(0.8, 3) for _ in range(2)))
-        try:
-            recs = fixed_points_tl(par)
-        except Exception:
-            continue
-        for rec in recs:
-            if rec.location is not Location.AFFINE_DIAGONAL:
-                continue
-            x = rec.coords.x / rec.coords.z
-            tr = trace_affine(par, x)
-            if abs(tr.center) > 50:
-                continue  # fixed point grazing a parameter pole
-            assert abs(tr.center - rec.trace.center) < 1e-8 * (1 + abs(tr.center))
-            # Richardson-refined central differences of f2 in y
-            def f2(xx, yy):
-                return tl_map_eval(par, (xx, yy))[1]
-            def diff(h):
-                return (f2(x, x + h) - f2(x, x - h)) / (2 * h)
-            fd = (4 * diff(5e-6) - diff(1e-5)) / 3
-            assert abs(fd - tr.center) < 1e-6 * (1 + abs(tr.center))
-        checked += 1
+    for orb in (OrbitData((1, 2), (1, 1)), OrbitData((2, 3), (2, 3))):
+        for root in salem_from_orbit(orb).circle_roots:
+            par = ab_from_delta(root.center, orb)
+            for rec in fixed_points_tl(root, orb):
+                if rec.location is not Location.AFFINE_DIAGONAL:
+                    continue
+                x = rec.coords.x / rec.coords.z
+                tr = trace_affine(par, x)
+                if abs(tr.center) > 50:
+                    continue  # fixed point grazing a parameter pole
+                assert abs(tr.center - rec.trace.center) < 1e-8 * (1 + abs(tr.center))
+                # Richardson-refined central differences of f2 in y
+                def f2(xx, yy):
+                    return _affine_image(par, xx, yy)[1]
+                def diff(h):
+                    return (f2(x, x + h) - f2(x, x - h)) / (2 * h)
+                fd = (4 * diff(5e-6) - diff(1e-5)) / 3
+                assert abs(fd - tr.center) < 1e-6 * (1 + abs(tr.center))
+                checked += 1
+    assert checked >= 12
 
 
 def test_trace_affine_formal_zero_value():
@@ -515,8 +527,8 @@ def test_approx_parameters_n1():
     res = approx_parameters(c0, cs)
     assert abs(res.delta0.center - c0.delta) < 1.6
     assert abs(res.delta_star.center - cs.delta) < 1.6
-    assert abs(res.params0.c - 1) < 1e-9
-    assert abs(res.params_star.c - 1) < 1e-9
+    assert abs(ab_from_delta(res.delta0.center, res.orbit).c - 1) < 1e-9
+    assert abs(ab_from_delta(res.delta_star.center, res.orbit).c - 1) < 1e-9
     # returned roots satisfy the constraint
     assert abs(chi(res.delta0.center, res.orbit).center - 1) < 1e-9
 

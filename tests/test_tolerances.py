@@ -19,10 +19,9 @@ KEPT = {
     "threelines.COLLISION_TOL",
     "threelines.INDETERMINACY_TOL",
     "threelines.ORBIT_RESIDUAL_TOL",
-    # input guards on float parameters: they reject a degenerate argument
-    # before it reaches a formula; no certificate reads them
+    # input guard on float parameters: it rejects a degenerate argument
+    # before it reaches a formula; no certificate reads it
     "threelines.NONZERO_TOL",
-    "cuspidal.DEGENERATE_DELTA_TOL",
 }
 
 
