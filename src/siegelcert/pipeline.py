@@ -3,7 +3,8 @@ Siegel-disk centers.
 
 k = 2 is the cuspidal-cubic run at orbit length 8.  For k >= 3 the three-lines
 family with N = k - 2 is driven through: build the all-inside and all-outside
-parameter targets, then search orbit data whose Salem polynomial has
+parameter targets, then one threelines.approx_parameters call, which holds
+the whole search policy, offers orbit data whose Salem polynomial has
 unit-circle roots delta0, delta* near both targets.  A gate checks each
 candidate: the N+3 isolated fixed points at delta0 must certify the inside
 pattern and those at delta* the outside pattern, and only then are the orbit
@@ -38,10 +39,7 @@ from .errors import (BudgetExhausted, OrbitCollision, PipelineFailed,
 from .threelines import (DEFAULT_EPS, DEFAULT_MN_CAP,  # noqa: F401
                          ApproxResult, ab_from_delta, approx_parameters,
                          construct_c0, construct_cstar, fixed_points_tl,
-                         orbit_verify, salem_from_orbit)
-
-D0_TARGET = 0.96  # first design determinant tried for the all-inside target
-DENSITY_RANKS = 4  # n_rank values the search walks before it gives up
+                         format_counts, orbit_verify, salem_from_orbit)
 
 
 _PATTERNS = {"delta0": Verdict.CERTIFIED_IN, "delta*": Verdict.CERTIFIED_OUT}
@@ -153,9 +151,9 @@ def theorem1_pipeline(k: int, strict: bool = False,
 
     With strict=True the report carries the conjugacy evidence; when that
     evidence fails, the verdicts at delta0 become Inconclusive and the report
-    is returned as it stands.  workers is accepted and ignored.  The k >= 3
-    search runs with the fixed budget of approx_parameters over
-    DENSITY_RANKS density ranks.
+    is returned as it stands.  workers is accepted and ignored.  For k >= 3 a
+    failed search raises PipelineFailed with approx_parameters' totals over
+    all density ranks, then the gate's rejections by reason.
     """
     if k < 2:
         raise PipelineFailed(
@@ -170,16 +168,10 @@ def theorem1_pipeline(k: int, strict: bool = False,
         return report
 
     n = k - 2
-    d_try = D0_TARGET
-    while True:
-        try:
-            c0 = construct_c0(n, d_target=d_try)
-            break
-        except SiegelcertError as exc:
-            # the In-pattern certificate failed at d; walk the target up
-            d_try = 1.0 - 0.5 * (1.0 - d_try)
-            if 1.0 - d_try < 1e-4:
-                raise PipelineFailed("construct_c0", str(exc))
+    try:
+        c0 = construct_c0(n)
+    except SiegelcertError as exc:
+        raise PipelineFailed("construct_c0", str(exc))
     try:
         cstar = construct_cstar(n)
     except SiegelcertError as exc:
@@ -188,25 +180,13 @@ def theorem1_pipeline(k: int, strict: bool = False,
     memo: dict = {}
     rejections: collections.Counter = collections.Counter()
     gate = functools.partial(_try_candidate, memo=memo, rejections=rejections)
-    for rank in range(DENSITY_RANKS):
-        try:
-            approx = approx_parameters(c0, cstar, accept=gate, n_rank=rank)
-        except BudgetExhausted as exc:
-            approx_err = exc
-            continue
-        return _report_from_candidate(k, approx, memo, strict)
-    raise PipelineFailed("approx_parameters",
-                         f"{approx_err}; {_rejection_summary(rejections)}")
-
-
-def _rejection_summary(rejections: collections.Counter) -> str:
-    total = sum(rejections.values())
-    if not total:
-        return f"over {DENSITY_RANKS} density ranks no candidate reached the gate"
-    reasons = ", ".join(f"{n} {reason}" for reason, n in
-                        sorted(rejections.items(), key=lambda kv: (-kv[1], kv[0])))
-    return (f"over {DENSITY_RANKS} density ranks the gate rejected {total} "
-            f"candidate(s): {reasons}")
+    try:
+        approx = approx_parameters(c0, cstar, accept=gate)
+    except BudgetExhausted as exc:
+        reasons = (f"; the gate rejected them: {format_counts(rejections)}"
+                   if rejections else "")
+        raise PipelineFailed("approx_parameters", f"{exc}{reasons}")
+    return _report_from_candidate(k, approx, memo, strict)
 
 
 def _report_from_candidate(k: int, approx: ApproxResult, memo: dict,

@@ -31,7 +31,7 @@ from .certifier import (FixedPointRecord, Location, _safe_sqrt,
                         record_from_jacobian)
 from .errors import (BoundaryUndecidable, BudgetExhausted, DegenerateSpectrum,
                      NonConvergence, NoSalemFactor, PerturbationFailed,
-                     PoleAtParameter, SearchFailed)
+                     PoleAtParameter, SearchFailed, SiegelcertError)
 from .geometry import (ProjectivePoint, chart_jacobian, chordal_distance,
                        norm, normalize)
 from .intpoly import ONE, IntPolynomial, x_pow_minus_one, x_pow_plus_one
@@ -43,8 +43,10 @@ COLLISION_TOL = 1e-7
 ORBIT_RESIDUAL_TOL = 1e-8  # an orbit check passes below this chordal residual
 NONZERO_TOL = 1e-300  # |delta|, |a_i|, |b_j| and |beta - alpha| must reach it
 K_SEARCH = 64  # orbit lengths 1..K_SEARCH ranked by the density search
+DENSITY_RANKS = 4  # density ranks the search walks before it gives up
 DEFAULT_EPS = 1.6  # search radius around both targets, roots and parameters
 DEFAULT_MN_CAP = 18  # the m_N sweep stops after this orbit length
+D0_TARGET = 0.96  # first design determinant construct_c0 tries
 
 
 @dataclass(frozen=True)
@@ -576,8 +578,25 @@ def _delta_on_circle(d: float) -> complex:
     return complex((d - 2.0) / 2.0, math.sqrt(d * (4.0 - d)) / 2.0)
 
 
-def construct_c0(N: int, d_target: float) -> ThreeLinesParams:
-    """Real parameters with every rotation number inside (0, 4).
+def construct_c0(N: int) -> ThreeLinesParams:
+    """Real parameters with every rotation number inside (0, 4): the first
+    design_c0(N, d) that certifies as d walks up from D0_TARGET, each rung
+    halving 1 - d.  Any SiegelcertError moves to the next rung; after nine
+    rungs (1 - d >= 1e-4) the walk raises SearchFailed naming the last error.
+    """
+    d = D0_TARGET
+    while True:
+        try:
+            return design_c0(N, d)
+        except SiegelcertError as exc:
+            d = 1.0 - 0.5 * (1.0 - d)
+            if 1.0 - d < 1e-4:
+                raise SearchFailed(f"no design determinant worked for N={N}: "
+                                   f"{exc}") from exc
+
+
+def design_c0(N: int, d: float) -> ThreeLinesParams:
+    """The all-inside design at one determinant d in (0, 1).
 
     Seeds a_i = i and places the diagonal fixed abscissas at the midpoints
     (a_{i-1} + a_i)/2 by interpolating the b-side product through them.  The
@@ -586,13 +605,12 @@ def construct_c0(N: int, d_target: float) -> ThreeLinesParams:
     paper's sufficient bounds, which could only reject certified designs.
     The result is rescaled so beta - alpha = 1.
     """
-    if not 0.0 < d_target < 1.0:
-        raise ValueError("d_target must lie in (0, 1)")
+    if not 0.0 < d < 1.0:
+        raise ValueError("d must lie in (0, 1)")
     if N < 1:
         raise ValueError("N must be >= 1")
     a = [float(i) for i in range(1, N + 1)]
     xs = [i - 0.5 for i in range(1, N + 1)]
-    d = d_target
 
     def g(x: float) -> float:
         out = d
@@ -608,7 +626,7 @@ def construct_c0(N: int, d_target: float) -> ThreeLinesParams:
     b = sorted(r.center.real for r in roots.balls)
     # rotation numbers are invariant under the c = 1 rescaling, so the design
     # check runs on the raw real values
-    _require_pattern(a, b, d, inside=True, what="construct_c0")
+    _require_pattern(a, b, d, inside=True, what="design_c0")
     return ThreeLinesParams(_delta_on_circle(d), tuple(a), tuple(b)).normalized()
 
 
@@ -719,7 +737,10 @@ def _joint_pick(formula, targets0, targets_star, d0, dstar,
     Indices whose joint approximation error stays below `window` are ranked by
     size (small orbits keep the blowup count low); if none qualify the ranking
     falls back to the raw error.  rank > 0 walks down the ladder
-    deterministically."""
+    deterministically.  No formula value divides by zero: a target delta
+    has cos(arg delta) = d/2 - 1 rational in (-1, -1/2), so by Niven's
+    theorem it is no root of unity (and at the ten target determinants the
+    float denominators are nonzero for k <= K_SEARCH)."""
     picks = []
     for t0, ts in zip(targets0, targets_star):
         inside = []
@@ -727,12 +748,7 @@ def _joint_pick(formula, targets0, targets_star, d0, dstar,
         for k in range(1, K_SEARCH + 1):
             if k in used:
                 continue
-            try:
-                v0 = formula(d0, k)
-                vs = formula(dstar, k)
-            except ZeroDivisionError:
-                continue
-            err = max(abs(v0 - t0), abs(vs - ts))
+            err = max(abs(formula(d0, k) - t0), abs(formula(dstar, k) - ts))
             scored.append((err, k))
             if err < window:
                 inside.append(k)
@@ -748,93 +764,93 @@ def _joint_pick(formula, targets0, targets_star, d0, dstar,
     return picks
 
 
-def approx_parameters(c0: ThreeLinesParams, cstar: ThreeLinesParams, *,
-                      accept=None, n_rank: int = 0) -> ApproxResult:
-    """Orbit data and two unit-circle Salem roots approximating both targets.
+def _rank_orbits(c0: ThreeLinesParams, cstar: ThreeLinesParams, rank: int):
+    """The orbit data of one density rank, in sweep order.
 
     n_1..n_N and m_1..m_{N-1} are fixed by the joint density argument at the
-    two target determinants; m_N then sweeps upward.  A candidate passes when
-    both roots and all parameter coordinates land within DEFAULT_EPS of their
-    targets (the last a-coordinate closes automatically through the chi
-    identity but is checked all the same).  `accept`, when given, may reject a
-    candidate (the caller's certification gate) and the sweep continues;
-    n_rank > 0 shifts the density choice to later-ranked indices.  Orbit data
-    whose Salem certificate fails (NoSalemFactor, BoundaryUndecidable,
-    NonConvergence) are skipped and counted by error type.  Raises
-    BudgetExhausted, naming those counts, when m_N exceeds DEFAULT_MN_CAP.
-    """
-    eps, mN_cap = DEFAULT_EPS, DEFAULT_MN_CAP
-    N = c0.N
-    if cstar.N != N:
-        raise ValueError("target families have different N")
+    two target determinants; m_N then sweeps 1..DEFAULT_MN_CAP, passing over
+    the m-values already picked and the excluded ((1,), (1,))."""
     d0, dstar = c0.delta, cstar.delta
-
-    window = 0.9 * eps
-    used: set[int] = set()
-    n_pick = _joint_pick(b_value, c0.b, cstar.b, d0, dstar, used,
-                         rank=n_rank, window=window)
+    window = 0.9 * DEFAULT_EPS
+    n = tuple(_joint_pick(b_value, c0.b, cstar.b, d0, dstar, set(),
+                          rank, window))
     used_m: set[int] = set()
     m_head = _joint_pick(a_value, c0.a[:-1], cstar.a[:-1], d0, dstar,
-                         used_m, rank=n_rank, window=window) if N > 1 else []
-
-    offered = 0
-    skipped: collections.Counter = collections.Counter()  # error type -> count
-    for mN in range(1, mN_cap + 1):
-        if mN in used_m:
-            continue
+                         used_m, rank, window)
+    for mN in range(1, DEFAULT_MN_CAP + 1):
         m = tuple(m_head + [mN])
-        n = tuple(n_pick)
-        if m == (1,) and n == (1,):
-            continue
-        orbit = OrbitData(m, n)
-        try:
-            cert = salem_from_orbit(orbit)
-        except (NoSalemFactor, BoundaryUndecidable, NonConvergence) as exc:
-            # non-generic orbit data (e.g. a reducible non-cyclotomic part);
-            # not a lift candidate, keep sweeping
-            skipped[type(exc).__name__] += 1
-            continue
-        near_star = None  # built when the first delta0 candidate passes
-        for cand0 in _candidates(cert.circle_roots, orbit, c0, eps):
-            if near_star is None:
-                near_star = list(_candidates(cert.circle_roots, orbit, cstar, eps))
-            for cand_star in near_star:
-                if cand0.center == cand_star.center:
-                    continue
-                result = ApproxResult(orbit, cand0, cand_star, cert)
-                if accept is None or accept(result):
-                    return result
-                offered += 1
-    if skipped:
-        reasons = ", ".join(f"{count} {name}"
-                            for name, count in skipped.most_common())
-        skip_note = f" ({sum(skipped.values())} orbit data skipped: {reasons})"
-    else:
-        skip_note = ""
-    if offered:
-        raise BudgetExhausted(f"m_N sweep exceeded {mN_cap} at eps={eps}: "
-                              f"{offered} candidate(s) hit both targets, "
-                              f"none accepted{skip_note}")
-    raise BudgetExhausted(f"m_N sweep exceeded {mN_cap} without hitting both "
-                          f"targets at eps={eps}{skip_note}")
+        if mN not in used_m and (m, n) != ((1,), (1,)):
+            yield OrbitData(m, n)
 
 
-def _roots_within(circle_roots, target: complex, eps: float):
-    """Circle roots within eps of the target, nearest first, at most 12."""
-    ranked = sorted(circle_roots, key=lambda r: abs(r.center - target))
-    out = [r for r in ranked if abs(r.center - target) < eps]
-    return out[:12]
+def format_counts(counts: collections.Counter) -> str:
+    """Counts as "3 A, 1 B, 1 C": largest first, ties by name."""
+    return ", ".join(f"{n} {name}" for name, n in
+                     sorted(counts.items(), key=lambda kv: (-kv[1], kv[0])))
 
 
-def _candidates(circle_roots, orbit: OrbitData, target: ThreeLinesParams,
-                eps: float):
-    """The circle roots of _roots_within eps of the target's delta whose
-    parameters also lie within eps of the target's, in that order."""
-    for root in _roots_within(circle_roots, target.delta, eps):
+def approx_parameters(c0: ThreeLinesParams, cstar: ThreeLinesParams, *,
+                      accept) -> ApproxResult:
+    """The first candidate that accept (the caller's certification gate)
+    takes: orbit data and two unit-circle Salem roots approximating both
+    targets.
+
+    The search walks the DENSITY_RANKS density ranks in order and, inside
+    each, the m_N sweep of _rank_orbits.  A candidate is offered to accept
+    when both roots and all parameter coordinates land within DEFAULT_EPS of
+    their targets (the last a-coordinate closes automatically through the
+    chi identity but is checked all the same).  Orbit data whose Salem
+    certificate fails (NoSalemFactor, BoundaryUndecidable, NonConvergence)
+    are skipped and counted by error type.  When no rank yields an accepted
+    candidate, raises BudgetExhausted with the totals over all ranks: orbit
+    data tried, orbit data skipped by error type, candidates offered.
+    """
+    if cstar.N != c0.N:
+        raise ValueError("target families have different N")
+    tried = offered = 0
+    skipped: collections.Counter = collections.Counter()  # error type -> count
+    for rank in range(DENSITY_RANKS):
+        for orbit in _rank_orbits(c0, cstar, rank):
+            tried += 1
+            try:
+                cert = salem_from_orbit(orbit)
+            except (NoSalemFactor, BoundaryUndecidable, NonConvergence) as exc:
+                # non-generic orbit data (e.g. a reducible non-cyclotomic
+                # part); not a lift candidate, keep sweeping
+                skipped[type(exc).__name__] += 1
+                continue
+            near_star = None  # built when the first delta0 candidate passes
+            for cand0 in _candidates(cert.circle_roots, orbit, c0):
+                if near_star is None:
+                    near_star = list(_candidates(cert.circle_roots, orbit,
+                                                 cstar))
+                for cand_star in near_star:
+                    if cand0.center == cand_star.center:
+                        continue
+                    result = ApproxResult(orbit, cand0, cand_star, cert)
+                    if accept(result):
+                        return result
+                    offered += 1
+    skip_note = (f" ({sum(skipped.values())} skipped: {format_counts(skipped)})"
+                 if skipped else "")
+    raise BudgetExhausted(
+        f"no candidate accepted over {DENSITY_RANKS} density ranks with m_N "
+        f"<= {DEFAULT_MN_CAP} at eps={DEFAULT_EPS}: {tried} orbit data "
+        f"tried{skip_note}, {offered} candidate(s) offered")
+
+
+def _candidates(circle_roots, orbit: OrbitData, target: ThreeLinesParams):
+    """Of the 12 circle roots nearest the target's delta and within
+    DEFAULT_EPS of it, nearest first, those whose parameters also lie within
+    DEFAULT_EPS of the target's."""
+    near = sorted((r for r in circle_roots
+                   if abs(r.center - target.delta) < DEFAULT_EPS),
+                  key=lambda r: abs(r.center - target.delta))
+    for root in near[:12]:
         params = ab_from_delta(root.center, orbit)
-        if _within(params.a, target.a, eps) and _within(params.b, target.b, eps):
+        if _within(params.a, target.a) and _within(params.b, target.b):
             yield root
 
 
-def _within(values, targets, eps: float) -> bool:
-    return all(abs(v - t) < eps for v, t in zip(values, targets))
+def _within(values, targets) -> bool:
+    return all(abs(v - t) < DEFAULT_EPS for v, t in zip(values, targets))

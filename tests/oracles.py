@@ -639,6 +639,62 @@ def records_at_50_digits(report) -> list[Record50]:
     return out
 
 
+def point_failures(row: Record50) -> list[str]:
+    """The 50-digit point must be fixed (relative cross product below 1e-40)
+    and determinate (its image is no zero vector)."""
+    failures = []
+    if not row.fixed_residual < 1e-40:
+        failures.append(f"{row.label}: not fixed ({row.fixed_residual})")
+    if not row.image_size > 1e-20:
+        failures.append(f"{row.label}: on I(f) ({row.image_size})")
+    return failures
+
+
+def enclosure_failures(row: Record50) -> list[str]:
+    """The record must enclose its 50-digit values: the section's delta ball
+    holds the root, the point lies within 1e-9 chordal, the s ball holds s."""
+    failures = []
+    if not row.delta_error <= row.delta_radius:
+        failures.append(f"{row.label}: delta outside its ball")
+    if not row.distance < 1e-9:
+        failures.append(f"{row.label}: point {row.distance} away")
+    if not row.s_error <= row.record.s.radius:
+        failures.append(f"{row.label}: s outside its ball")
+    return failures
+
+
+def verdict_failures(report, rows: list[Record50]) -> tuple[list[str], int]:
+    """Every SiegelCertified verdict at 50 digits, and how many there are.
+
+    The point's s lies in (0, 4).  Its witness is the record at point_index
+    in the witness root's section, another section of the report; the
+    certified margin bounds the 50-digit distance of the witness's s from
+    [0, 4] from below, up to 1e-12."""
+    s_50 = {(row.section, id(row.record)): row.s for row in rows}
+    section_of = {sec.delta: j for j, sec in enumerate(report.sections)}
+    failures = []
+    certified = 0
+    for i, sec in enumerate(report.sections):
+        for rec, v in zip(sec.records, sec.verdicts):
+            if v.verdict is not PointVerdict.SIEGEL_CERTIFIED:
+                continue
+            certified += 1
+            s = s_50[(i, id(rec))]
+            if not (abs(s.imag) < 1e-30 and 0 < s.real < 4):
+                failures.append(f"section {i} {rec.coords}: s = {s}")
+            j = section_of.get(v.witness.delta)
+            if j is None or j == i:
+                failures.append(f"section {i} {rec.coords}: witness section {j}")
+                continue
+            witness = report.sections[j].records[v.witness.point_index]
+            s_star = s_50[(j, id(witness))]
+            distance = abs(s_star - min(max(s_star.real, 0), 4))
+            if not (distance > 0 and distance >= v.witness.margin - 1e-12):
+                failures.append(f"section {j} {witness.coords}: witness s = "
+                                f"{s_star}, margin {v.witness.margin}")
+    return failures, certified
+
+
 def ratio_lemma_50(poly: IntPolynomial, root: ComplexBall, orbit: OrbitData):
     """The ratio lemma's two sides at 50 digits, at the root of poly that
     Newton reaches from root's center: beta0/alpha0 = prod a_i/b_i, and the

@@ -115,30 +115,30 @@ def test_gate_decides_like_the_full_record_gate(monkeypatch, k):
 def test_theorem1_constructs_the_inside_target_once(monkeypatch):
     # the In-pattern certificate holds at the first design determinant
     tried = []
-    real = pipeline.construct_c0
+    real = threelines.design_c0
 
-    def construct_c0(n, d_target):
-        tried.append(d_target)
-        return real(n, d_target=d_target)
+    def design_c0(n, d):
+        tried.append(d)
+        return real(n, d)
 
     def construct_cstar(n):
         raise PerturbationFailed("stop after the targets")
 
-    monkeypatch.setattr(pipeline, "construct_c0", construct_c0)
+    monkeypatch.setattr(threelines, "design_c0", design_c0)
     monkeypatch.setattr(pipeline, "construct_cstar", construct_cstar)
     with pytest.raises(PipelineFailed, match="construct_cstar"):
         pipeline.theorem1_pipeline(4)
-    assert tried == [pipeline.D0_TARGET]
+    assert tried == [threelines.D0_TARGET]
 
 
 def test_failed_search_names_the_gate_rejections(monkeypatch):
     monkeypatch.setattr(threelines, "DEFAULT_MN_CAP", 4)
     with pytest.raises(PipelineFailed) as exc:
         pipeline.theorem1_pipeline(3)
-    msg = str(exc.value)
-    assert "none accepted" in msg
-    assert "the gate rejected 18 candidate(s)" in msg
-    assert "delta0 pattern" in msg and "delta* pattern" in msg
+    assert str(exc.value) == (
+        "approx_parameters: no candidate accepted over 4 density ranks with "
+        "m_N <= 4 at eps=1.6: 15 orbit data tried, 18 candidate(s) offered; "
+        "the gate rejected them: 10 delta* pattern, 8 delta0 pattern")
 
 
 def test_failed_search_names_the_skipped_orbit_data(monkeypatch):
@@ -153,14 +153,50 @@ def test_failed_search_names_the_skipped_orbit_data(monkeypatch):
     monkeypatch.setattr(threelines, "DEFAULT_MN_CAP", 4)
     with pytest.raises(PipelineFailed) as exc:
         pipeline.theorem1_pipeline(3)
-    assert "(1 orbit data skipped: 1 NoSalemFactor)" in str(exc.value)
+    # m_N = 2 is swept once in each of the four density ranks
+    assert "15 orbit data tried (4 skipped: 4 NoSalemFactor)" in str(exc.value)
+
+
+def test_failed_search_reports_totals_over_all_ranks(monkeypatch):
+    # a skip at density rank 1 and the candidates of every rank stay in the
+    # account, which the last rank alone would not show
+    rank_one = threelines.OrbitData((3,), (2,))
+    seen = []
+    offered = []
+    real_salem = threelines.salem_from_orbit
+    real_approx = pipeline.approx_parameters
+
+    def salem(orbit):
+        seen.append(orbit)
+        if orbit == rank_one:
+            raise NoSalemFactor("injected")
+        return real_salem(orbit)
+
+    def approx_parameters(*args, accept, **kwargs):
+        def gate(approx):
+            offered.append(approx.orbit)
+            return accept(approx)
+        return real_approx(*args, accept=gate, **kwargs)
+
+    monkeypatch.setattr(threelines, "salem_from_orbit", salem)
+    monkeypatch.setattr(threelines, "DEFAULT_MN_CAP", 4)
+    monkeypatch.setattr(pipeline, "approx_parameters", approx_parameters)
+    with pytest.raises(PipelineFailed) as exc:
+        pipeline.theorem1_pipeline(3)
+    msg = str(exc.value)
+    assert {orbit.n for orbit in seen} == {(1,), (2,), (3,), (4,)}
+    assert rank_one.n == (2,) and seen[-1].n == (4,)
+    assert {orbit.n for orbit in offered} != {(4,)}
+    assert (f"{len(seen)} orbit data tried (1 skipped: 1 NoSalemFactor), "
+            f"{len(offered)} candidate(s) offered; the gate rejected them: "
+            in msg)
+    rejected = msg.rsplit("the gate rejected them: ", 1)[1]
+    assert sum(int(part.split()[0]) for part in rejected.split(", ")) == \
+        len(offered)
 
 
 def test_rejection_summary_orders_reasons_by_count():
     counts = collections.Counter({"orbit check": 1, "delta0 pattern": 3,
                                   "BallDomainError": 1})
-    assert pipeline._rejection_summary(counts) == (
-        "over 4 density ranks the gate rejected 5 candidate(s): "
+    assert threelines.format_counts(counts) == (
         "3 delta0 pattern, 1 BallDomainError, 1 orbit check")
-    assert "no candidate reached the gate" in \
-        pipeline._rejection_summary(collections.Counter())

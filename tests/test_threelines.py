@@ -15,7 +15,8 @@ from siegelcert.geometry import ProjectivePoint
 from siegelcert.threelines import (OrbitData, ThreeLinesParams, TLMap,
                                    _vanishes, a_value, ab_from_delta,
                                    approx_parameters, b_value, construct_c0,
-                                   construct_cstar, design_rotation_numbers,
+                                   construct_cstar, design_c0,
+                                   design_rotation_numbers,
                                    fixed_points_tl, indeterminacy,
                                    infinity_eigen_data, orbit_verify,
                                    salem_from_orbit, trace_affine)
@@ -122,24 +123,6 @@ def test_components_vanish_at_forward_indeterminacy():
                    for q in indeterminacy(par).forward)
 
 
-def test_h_iterate_identity_and_semigroup():
-    rng = random.Random(9)
-    par = ThreeLinesParams(0.4 + 1.1j, (1.7,), (0.6,))
-    assert h_iterate(par, 0, 0.37 + 0.2j) == 0.37 + 0.2j
-    checked = 0
-    while checked < 200:
-        k = rng.randint(0, 5)
-        el = rng.randint(0, 5)
-        x = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-        try:
-            lhs = h_iterate(par, k + el, x)
-            rhs = h_iterate(par, k, h_iterate(par, el, x))
-        except Exception:
-            continue
-        assert abs(lhs - rhs) < 1e-8 * (1 + abs(lhs))
-        checked += 1
-
-
 def test_h_iterate_matches_direct_iteration():
     rng = random.Random(13)
     checked = 0
@@ -155,7 +138,7 @@ def test_h_iterate_matches_direct_iteration():
                     pt = _image(par, pt)
                 pt = (pt.x / pt.z, pt.y / pt.z)
                 hk = h_iterate(par, k, y)
-            except Exception:
+            except FormulaPole:
                 break
             assert abs(pt[0]) < 1e-8 * (1 + abs(pt[1]))
             assert abs(pt[1] - hk) < 1e-8 * (1 + abs(hk))
@@ -458,7 +441,7 @@ def test_infinity_ratio_matches_eigen_route_sampled():
 
 
 def test_construct_c0_reference_case():
-    par = construct_c0(2, 0.99)
+    par = design_c0(2, 0.99)
     assert par.N == 2
     assert abs(par.c - 1) < 1e-12
     assert abs(abs(par.delta) - 1) < 1e-12
@@ -471,23 +454,48 @@ def test_construct_c0_reference_case():
 def test_construct_c0_b_approaches_a_with_d():
     gaps = []
     for d in (0.9, 0.95, 0.99):
-        par = construct_c0(1, d)
+        par = design_c0(1, d)
         gaps.append(abs(par.a[0] / par.b[0]) - 1.0)
     assert gaps[0] > gaps[1] > gaps[2] > 0
 
 
 def test_construct_c0_rejects_far_d():
     with pytest.raises((SearchFailed, ValueError)):
-        construct_c0(2, 0.5)
+        design_c0(2, 0.5)
     with pytest.raises(ValueError):
-        construct_c0(1, 1.5)
+        design_c0(1, 1.5)
+
+
+def test_construct_c0_walks_the_determinant_ladder(monkeypatch):
+    # a failed design moves to the next rung, halving 1 - d; the first design
+    # that certifies is returned, and after nine rungs the walk gives up
+    tried = []
+    failing = 3
+
+    def design(N, d):
+        tried.append(d)
+        if len(tried) <= failing:
+            raise NoSalemFactor("injected")
+        return design_c0(N, d)
+
+    monkeypatch.setattr(threelines, "design_c0", design)
+    assert construct_c0(1) == design_c0(1, tried[-1])
+    assert tried[0] == threelines.D0_TARGET and len(tried) == failing + 1
+    for d, nxt in zip(tried, tried[1:]):
+        assert nxt == 1.0 - 0.5 * (1.0 - d)
+    tried.clear()
+    failing = 100
+    with pytest.raises(SearchFailed, match="no design determinant worked "
+                                           "for N=1: injected"):
+        construct_c0(1)
+    assert len(tried) == 9 and 1.0 - tried[-1] >= 1e-4
 
 
 @pytest.mark.parametrize("N, d", [(2, 0.96), (3, 0.98)])
 def test_construct_c0_certified_where_sufficient_bounds_fail(N, d):
     # the paper's correction bound fails at these designs; the In-pattern
     # certificate of all N+2 rotation numbers holds
-    par = construct_c0(N, d)
+    par = design_c0(N, d)
     assert par.N == N and abs(par.c - 1) < 1e-12
     svals, ratio = design_rotation_numbers(par.a, par.b, d)
     assert len(svals) == N
@@ -522,9 +530,9 @@ def test_g_function_identity_small_n():
 
 
 def test_approx_parameters_n1():
-    c0 = construct_c0(1, 0.96)
+    c0 = construct_c0(1)
     cs = construct_cstar(1)
-    res = approx_parameters(c0, cs)
+    res = approx_parameters(c0, cs, accept=lambda r: True)
     assert abs(res.delta0.center - c0.delta) < 1.6
     assert abs(res.delta_star.center - cs.delta) < 1.6
     assert abs(ab_from_delta(res.delta0.center, res.orbit).c - 1) < 1e-9
@@ -534,16 +542,18 @@ def test_approx_parameters_n1():
 
 
 def test_approx_parameters_budget_exhausted(monkeypatch):
-    c0 = construct_c0(1, 0.96)
+    c0 = construct_c0(1)
     cs = construct_cstar(1)
     monkeypatch.setattr(threelines, "DEFAULT_EPS", 1e-9)
     monkeypatch.setattr(threelines, "DEFAULT_MN_CAP", 3)
-    with pytest.raises(BudgetExhausted):
-        approx_parameters(c0, cs)
+    with pytest.raises(BudgetExhausted, match=r", 0 candidate\(s\) offered$"):
+        approx_parameters(c0, cs, accept=lambda r: True)
 
 
 def test_approx_parameters_counts_skipped_orbit_data(monkeypatch):
-    c0 = construct_c0(1, 0.96)
+    # the counts are totals over the four density ranks: each rank sweeps
+    # m_N = 1..cap (rank 0 passes over the excluded ((1,), (1,)))
+    c0 = construct_c0(1)
     cs = construct_cstar(1)
     errors = {2: NoSalemFactor, 3: BoundaryUndecidable, 5: NoSalemFactor}
     real = threelines.salem_from_orbit
@@ -555,15 +565,16 @@ def test_approx_parameters_counts_skipped_orbit_data(monkeypatch):
 
     monkeypatch.setattr(threelines, "salem_from_orbit", salem)
     with pytest.raises(BudgetExhausted, match=(
-            r"none accepted \(3 orbit data skipped: 2 NoSalemFactor, "
-            r"1 BoundaryUndecidable\)$")):
+            r"over 4 density ranks with m_N <= 18 at eps=1.6: 71 orbit data "
+            r"tried \(12 skipped: 8 NoSalemFactor, 4 BoundaryUndecidable\), "
+            r"196 candidate\(s\) offered$")):
         approx_parameters(c0, cs, accept=lambda r: False)
     monkeypatch.setattr(threelines, "DEFAULT_EPS", 1e-9)
     monkeypatch.setattr(threelines, "DEFAULT_MN_CAP", 5)
     with pytest.raises(BudgetExhausted, match=(
-            r"without hitting both targets at eps=1e-09 \(3 orbit data "
-            r"skipped: 2 NoSalemFactor, 1 BoundaryUndecidable\)$")):
-        approx_parameters(c0, cs)
+            r"at eps=1e-09: 20 orbit data tried \(13 skipped: 8 NoSalemFactor, "
+            r"5 BoundaryUndecidable\), 0 candidate\(s\) offered$")):
+        approx_parameters(c0, cs, accept=lambda r: True)
 
 
 def test_equidistribution_statistic_decreases():
