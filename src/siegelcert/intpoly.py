@@ -61,27 +61,36 @@ class IntPolynomial:
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
 
     def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return IntPolynomial(tuple(self[k] + other[k] for k in range(n)))
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for k, c in enumerate(b):
+            out[k] += c
+        return _int_poly(out)
 
     def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return IntPolynomial(tuple(self[k] - other[k] for k in range(n)))
+        out = list(self.coeffs) + [0] * (len(other.coeffs) - len(self.coeffs))
+        for k, c in enumerate(other.coeffs):
+            out[k] -= c
+        return _int_poly(out)
 
     def __neg__(self) -> "IntPolynomial":
-        return IntPolynomial(tuple(-c for c in self.coeffs))
+        return _int_poly([-c for c in self.coeffs])
 
     def __mul__(self, other) -> "IntPolynomial":
         if isinstance(other, int):
-            return IntPolynomial(tuple(c * other for c in self.coeffs))
+            return _int_poly([c * other for c in self.coeffs])
         if self.is_zero or other.is_zero:
-            return IntPolynomial(())
+            return _int_poly([])
+        # the x^k +- 1 factors and most cyclotomic divisors are sparse
+        terms = [(j, b) for j, b in enumerate(other.coeffs) if b]
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
-                for j, b in enumerate(other.coeffs):
+                for j, b in terms:
                     out[i + j] += a * b
-        return IntPolynomial(tuple(out))
+        return _int_poly(out)
 
     __rmul__ = __mul__
 
@@ -89,19 +98,22 @@ class IntPolynomial:
         """Multiply by x^k."""
         if self.is_zero:
             return self
-        return IntPolynomial((0,) * k + self.coeffs)
+        return _int_poly([0] * k + list(self.coeffs))
 
     def try_exact_div(self, divisor: "IntPolynomial"):
         """Quotient if divisor divides self exactly over Z, else None."""
         if divisor.is_zero:
             raise ZeroDivisionError("division by zero polynomial")
         if self.is_zero:
-            return IntPolynomial(())
+            return _int_poly([])
         if self.degree < divisor.degree:
             return None
         rem = list(self.coeffs)
         dc = divisor.coeffs
         lead = dc[-1]
+        # the leading term is left out: it only cancels rem's top entry,
+        # which is never read again
+        terms = [(j, d) for j, d in enumerate(dc[:-1]) if d]
         qdeg = self.degree - divisor.degree
         q = [0] * (qdeg + 1)
         for k in range(qdeg, -1, -1):
@@ -111,11 +123,11 @@ class IntPolynomial:
             f = c // lead
             q[k] = f
             if f:
-                for j, d in enumerate(dc):
+                for j, d in terms:
                     rem[k + j] -= f * d
         if any(rem[: len(dc) - 1]):
             return None
-        return IntPolynomial(tuple(q))
+        return _int_poly(q)
 
     def derivative(self) -> "IntPolynomial":
         return IntPolynomial(tuple(k * c for k, c in enumerate(self.coeffs))[1:])
@@ -156,6 +168,16 @@ class IntPolynomial:
         for c in reversed(self.coeffs):
             out = out * z + ComplexBall.exact(c)
         return out
+
+
+def _int_poly(coeffs: list[int]) -> IntPolynomial:
+    """Trusted constructor for arithmetic results, as balls._ball: coeffs is
+    a fresh list of ints, so only its trailing zeros are dropped."""
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    out = object.__new__(IntPolynomial)
+    object.__setattr__(out, "coeffs", tuple(coeffs))
+    return out
 
 
 ONE = IntPolynomial((1,))

@@ -55,16 +55,6 @@ class ComplexPolynomial:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def eval_with_error(self, z: complex) -> tuple[complex, float]:
-        """Horner value plus a running bound on its floating-point error."""
-        out = 0j
-        s = 0.0
-        az = abs(z)
-        for c in reversed(self.coeffs):
-            out = out * z + c
-            s = s * az + abs(c)
-        return out, 4.0 * len(self.coeffs) * _U * s
-
 
 @dataclass(frozen=True)
 class RootSet:
@@ -113,23 +103,23 @@ def poly_roots(p: ComplexPolynomial, *,
     with np.errstate(all="ignore"):
         for sweep in range(DEFAULT_MAX_ITER):
             pz = _horner_vec(coeffs, z)
-            diff = z[:, None] - z[None, :]
-            np.fill_diagonal(diff, 1.0)
+            diff = np.subtract.outer(z, z)
+            diff.flat[::n + 1] = 1.0
             denom = lc * diff.prod(axis=1)
             w = pz / denom
-            bad = ~np.isfinite(w)
-            if bad.any():
-                w = np.where(bad, 0.0, w)
+            finite = np.isfinite(w).all()
+            if not finite:
+                w = np.where(np.isfinite(w), w, 0.0)
             z = z - w
-            # reseed exploded or non-finite iterates deterministically
-            wild = (~np.isfinite(z)) | (np.abs(z) > 16.0 * scale)
-            if wild.any():
+            # reseed exploded or non-finite iterates deterministically: a
+            # NaN modulus fails the comparison too
+            tame = np.abs(z) <= 16.0 * scale
+            if not tame.all():
                 z = np.where(
-                    wild,
-                    0.83 * r0 * np.exp(2j * np.pi * (k + 0.11 * (sweep + 2)) / n),
-                    z)
+                    tame, z,
+                    0.83 * r0 * np.exp(2j * np.pi * (k + 0.11 * (sweep + 2)) / n))
                 continue
-            if not bad.any() and np.max(np.abs(w)) < DEFAULT_TOL * scale:
+            if finite and np.abs(w).max() < DEFAULT_TOL * scale:
                 converged = True
                 break
 
@@ -143,9 +133,12 @@ def poly_roots(p: ComplexPolynomial, *,
 
 
 def _horner_vec(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(z)
+    out = np.zeros(len(z), complex)
     for c in coeffs[::-1]:
-        out = out * z + c
+        # the add runs in place; an in-place multiply would round differently
+        # on length-1 arrays
+        out = out * z
+        out += c
     return out
 
 
@@ -157,19 +150,31 @@ def _certify(p: ComplexPolynomial, pts: list[complex],
         lc_low -= coeff_radii[-1]
         if lc_low <= 0:
             raise ValueError("leading coefficient ball contains 0")
+    rev = p.coeffs[::-1]
+    abs_rev = [abs(c) for c in rev]
+    horner_err = 4.0 * len(rev) * _U
+    # |z_i - z_j| once per pair: fl(z_j - z_i) = -fl(z_i - z_j) exactly
+    upper = [[abs(zi - zj) for zj in pts[i + 1:]] for i, zi in enumerate(pts)]
     balls = []
     for i, zi in enumerate(pts):
-        val, err = p.eval_with_error(zi)
+        # Horner value plus a running bound on its floating-point error
+        val = 0j
+        s = 0.0
+        azi = abs(zi)
+        for c, ac in zip(rev, abs_rev):
+            val = val * zi + c
+            s = s * azi + ac
+        err = horner_err * s
         if coeff_radii is not None:
-            azi = abs(zi)
             s = 0.0
             for r in reversed(coeff_radii):
                 s = s * azi + r
             err += s
         prod = 1.0
-        for j, zj in enumerate(pts):
-            if j != i:
-                prod *= abs(zi - zj)
+        for j in range(i):
+            prod *= upper[j][i - j - 1]
+        for dist in upper[i]:
+            prod *= dist
         if prod == 0.0 or not math.isfinite(prod):
             # coincident iterates: fall back to a crude containment disk
             radius = math.inf

@@ -170,9 +170,9 @@ class TLMap:
         self.delta = delta
         self.N = len(inv_a)
         self.g1 = _sym_coeffs(inv_a)
-        g2 = _sym_coeffs(inv_b)
+        self.g2 = _sym_coeffs(inv_b)
         # (G2 - G1)/y: constant y-terms cancel since both products are monic in z
-        self.h = [g2[k] - self.g1[k] for k in range(1, self.N + 1)]
+        self.h = [self.g2[k] - self.g1[k] for k in range(1, self.N + 1)]
         # derivative forms; an empty list (h when N = 1) is the zero form
         self.g1y, self.g1z = _dy_coeffs(self.g1), _dz_coeffs(self.g1)
         self.hy, self.hz = _dy_coeffs(self.h), _dz_coeffs(self.h)
@@ -376,17 +376,15 @@ def orbit_verify(params: ThreeLinesParams, orbit: OrbitData) -> OrbitReport:
 # fixed points
 # ---------------------------------------------------------------------------
 
-def _abscissa_roots(d: ComplexBall, ab, bb) -> tuple[list[ComplexBall], set[int]]:
+def _abscissa_roots(d: ComplexBall, ga, gb) -> tuple[list[ComplexBall], set[int]]:
     """Roots of the degree-N abscissa polynomial sum_k (d ga_k - gb_k) x^k,
     sorted by rounded center, and the indices of the certified-real ones:
     the disks self-paired under z -> conj(z) (roots.self_paired).
 
-    ga, gb are the symmetric coefficients of the inverse parameters.  The
-    real indices mean something only when d and the parameters are exactly
-    real, as both callers' are.
+    ga, gb are the symmetric coefficients of the inverse parameters (a TLMap's
+    g1 and g2).  The real indices mean something only when d and the
+    parameters are exactly real, as both callers' are.
     """
-    ga = _sym_coeffs([v.inverse() for v in ab])
-    gb = _sym_coeffs([v.inverse() for v in bb])
     coeffs = [d * ga[k] - gb[k] for k in range(len(ga))]
     centers = tuple(c.center for c in coeffs)
     radii = tuple(c.radius for c in coeffs)
@@ -458,7 +456,7 @@ def fixed_points_tl(root: ComplexBall, orbit: OrbitData,
     tlm_ball = TLMap.ball_map(db, ab, bb)
     ratio = _parameter_ratio(ab, bb)
     ratio_verdict = ball_in_interval(ratio)
-    nonsingular = _nonsingular_records(tlm_ball, db, ab, bb, ratio,
+    nonsingular = _nonsingular_records(tlm_ball, db, ratio,
                                        ratio_verdict is Verdict.CERTIFIED_IN)
     if want is None:
         return [_singular_record(tlm_ball), *nonsingular]
@@ -481,14 +479,14 @@ def _singular_record(tlm_ball: TLMap) -> FixedPointRecord:
     return replace(w0, s=w0.s.realize_real())
 
 
-def _nonsingular_records(tlm_ball: TLMap, db: ComplexBall, ab, bb,
+def _nonsingular_records(tlm_ball: TLMap, db: ComplexBall,
                          ratio: ComplexBall, ratio_in: bool):
     """The N diagonal records, then the two at infinity, built one at a time
     as the caller asks for them."""
     # affine diagonal points: roots of the degree-N abscissa polynomial;
     # d = (1+delta)^2/delta is real for |delta| = 1
     d_ball = ((1 + db) * (1 + db) / db).realize_real()
-    xs, real_idx = _abscissa_roots(d_ball, ab, bb)
+    xs, real_idx = _abscissa_roots(d_ball, tlm_ball.g1, tlm_ball.g2)
     for i, x in enumerate(xs):
         w = ProjectivePoint(x.center, x.center, 1)
         jac = chart_jacobian(tlm_ball, w, chart=2, point_radius=x.radius)
@@ -665,7 +663,8 @@ def design_rotation_numbers(a, b, d: float) -> tuple[list[ComplexBall], ComplexB
     da = ComplexBall.exact(float(d))
     ab = [ComplexBall.exact(complex(v)) for v in a]
     bb = [ComplexBall.exact(complex(v)) for v in b]
-    xs, real_idx = _abscissa_roots(da, ab, bb)
+    xs, real_idx = _abscissa_roots(da, _sym_coeffs([v.inverse() for v in ab]),
+                                   _sym_coeffs([v.inverse() for v in bb]))
     svals = []
     for i, x in enumerate(xs):
         if i in real_idx:

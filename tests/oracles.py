@@ -10,6 +10,7 @@ import math
 from dataclasses import dataclass
 
 import mpmath
+import numpy as np
 
 from siegelcert.balls import (_EPS, _TINY, ComplexBall, Verdict,
                               ball_in_interval, certified_out_margin)
@@ -106,6 +107,106 @@ def ball_mul_reference(a: ComplexBall, other):
     c = a.center * oc
     r = abs(a.center) * orad + abs(oc) * a.radius + a.radius * orad
     return c, _pad(c, r)
+
+
+# ---------------------------------------------------------------------------
+# Z[x] arithmetic and the root-disk certificate as the dense kernels computed
+# them: every result through the validating IntPolynomial constructor, every
+# product over all coefficients, every |z_i - z_j| and |c_k| once per root
+# ---------------------------------------------------------------------------
+
+def int_add_reference(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
+    n = max(len(a.coeffs), len(b.coeffs))
+    return IntPolynomial(tuple(a[k] + b[k] for k in range(n)))
+
+
+def int_sub_reference(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
+    n = max(len(a.coeffs), len(b.coeffs))
+    return IntPolynomial(tuple(a[k] - b[k] for k in range(n)))
+
+
+def int_mul_reference(a: IntPolynomial, b) -> IntPolynomial:
+    if isinstance(b, int):
+        return IntPolynomial(tuple(c * b for c in a.coeffs))
+    if a.is_zero or b.is_zero:
+        return IntPolynomial(())
+    out = [0] * (len(a.coeffs) + len(b.coeffs) - 1)
+    for i, x in enumerate(a.coeffs):
+        if x:
+            for j, y in enumerate(b.coeffs):
+                out[i + j] += x * y
+    return IntPolynomial(tuple(out))
+
+
+def try_exact_div_reference(a: IntPolynomial, divisor: IntPolynomial):
+    if divisor.is_zero:
+        raise ZeroDivisionError("division by zero polynomial")
+    if a.is_zero:
+        return IntPolynomial(())
+    if a.degree < divisor.degree:
+        return None
+    rem = list(a.coeffs)
+    dc = divisor.coeffs
+    lead = dc[-1]
+    qdeg = a.degree - divisor.degree
+    q = [0] * (qdeg + 1)
+    for k in range(qdeg, -1, -1):
+        c = rem[k + len(dc) - 1]
+        if c % lead != 0:
+            return None
+        f = c // lead
+        q[k] = f
+        if f:
+            for j, d in enumerate(dc):
+                rem[k + j] -= f * d
+    if any(rem[: len(dc) - 1]):
+        return None
+    return IntPolynomial(tuple(q))
+
+
+def horner_vec_reference(coeffs, z):
+    out = np.zeros_like(z)
+    for c in coeffs[::-1]:
+        out = out * z + c
+    return out
+
+
+def certify_reference(p, pts: list[complex], coeff_radii) -> tuple[ComplexBall, ...]:
+    """roots._certify's disks: Weierstrass radius n (|p(z_i)| + err) /
+    (|lc| prod_j |z_i - z_j|), with a running Horner error bound."""
+    n = p.degree
+    lc_low = abs(p.coeffs[-1])
+    if coeff_radii is not None:
+        lc_low -= coeff_radii[-1]
+        if lc_low <= 0:
+            raise ValueError("leading coefficient ball contains 0")
+    balls = []
+    for i, zi in enumerate(pts):
+        val = 0j
+        s = 0.0
+        az = abs(zi)
+        for c in reversed(p.coeffs):
+            val = val * zi + c
+            s = s * az + abs(c)
+        err = 4.0 * len(p.coeffs) * 2.0 ** -53 * s
+        if coeff_radii is not None:
+            azi = abs(zi)
+            s = 0.0
+            for r in reversed(coeff_radii):
+                s = s * azi + r
+            err += s
+        prod = 1.0
+        for j, zj in enumerate(pts):
+            if j != i:
+                prod *= abs(zi - zj)
+        if prod == 0.0 or not math.isfinite(prod):
+            radius = math.inf
+        else:
+            radius = n * (abs(val) + err) / (lc_low * prod)
+        if not math.isfinite(radius):
+            radius = 2.0 * (1.0 + max(abs(q) for q in pts if math.isfinite(abs(q))))
+        balls.append(ComplexBall(zi, radius * (1.0 + 2 ** -40) + 1e-300))
+    return tuple(balls)
 
 
 # ---------------------------------------------------------------------------
@@ -558,7 +659,12 @@ def image_size(fmap, degree: int, p):
 
 def rotation_number_50(fmap, p):
     """tr^2/det of the chart expression of fmap at the fixed point p, the
-    chart being p's largest coordinate; central differences at step 1e-20."""
+    chart being p's largest coordinate.
+
+    Central differences at step 10^-DIGITS, worked at 2 DIGITS: their
+    truncation error (step^2) and rounding error (10^-2 DIGITS / step) both
+    stay near 10^-DIGITS, the accuracy of p itself.  At DIGITS with step
+    1e-20, the rounding alone left |Im s| near 1e-30 at real s."""
     c = max(range(3), key=lambda i: abs(p[i]))
     i, j = (k for k in range(3) if k != c)
 
@@ -568,15 +674,16 @@ def rotation_number_50(fmap, p):
         img = fmap(*q)
         return img[i] / img[c], img[j] / img[c]
 
-    u0, v0 = p[i] / p[c], p[j] / p[c]
-    step = mpmath.mpf(10) ** -20
-    cols = []
-    for du, dv in ((step, 0), (0, step)):
-        hi, lo = phi(u0 + du, v0 + dv), phi(u0 - du, v0 - dv)
-        cols.append([(hi[r] - lo[r]) / (2 * step) for r in range(2)])
-    tr = cols[0][0] + cols[1][1]
-    det = cols[0][0] * cols[1][1] - cols[1][0] * cols[0][1]
-    return tr * tr / det
+    with mpmath.workdps(2 * DIGITS):
+        u0, v0 = p[i] / p[c], p[j] / p[c]
+        step = mpmath.mpf(10) ** -DIGITS
+        cols = []
+        for du, dv in ((step, 0), (0, step)):
+            hi, lo = phi(u0 + du, v0 + dv), phi(u0 - du, v0 - dv)
+            cols.append([(hi[r] - lo[r]) / (2 * step) for r in range(2)])
+        tr = cols[0][0] + cols[1][1]
+        det = cols[0][0] * cols[1][1] - cols[1][0] * cols[0][1]
+        return tr * tr / det
 
 
 def by_stratum(records, points: dict):

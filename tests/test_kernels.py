@@ -1,0 +1,143 @@
+"""The Z[x] and root-disk kernels against their dense references.
+
+The sparse products and divisions of IntPolynomial, and the root
+certificate that takes each |z_i - z_j| once, must give exactly what the
+dense kernels of oracles.py give: the same coefficient tuples, and disks
+with the same center and radius bits.  The root kernels are checked on
+every call that the theorem1 searches for k = 3 and k = 4 and a three-lines
+run make: the Salem polynomials of the searched orbit data, and the
+abscissa polynomials of the fixed points, whose ball coefficients come with
+coeff_radii.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+
+from siegelcert import roots
+from siegelcert.intpoly import IntPolynomial, cyclotomic, x_pow_minus_one
+from siegelcert.pipeline import certify_three_lines, theorem1_pipeline
+from siegelcert.roots import ComplexPolynomial
+from siegelcert.threelines import OrbitData, cleared_chi_polynomial
+
+from oracles import (certify_reference, horner_vec_reference,
+                     int_add_reference, int_mul_reference, int_sub_reference,
+                     try_exact_div_reference)
+
+BIG = 2 ** 64 + 13
+
+OPERANDS = [
+    IntPolynomial(()),                                   # zero
+    IntPolynomial((1,)),
+    IntPolynomial((-3,)),
+    IntPolynomial((1, 0, 0, 0, 0, 0, 0, 1)),             # sparse: x^7 + 1
+    x_pow_minus_one(9).scale_pow(2),                     # sparse, shifted
+    IntPolynomial((-1, 2, -3, 4, -5)),                   # negative, dense
+    IntPolynomial((0, 0, -7, 0, 5)),
+    IntPolynomial((BIG, -BIG * BIG, 0, 3)),              # beyond 2^64
+    cyclotomic(105),
+    cleared_chi_polynomial(OrbitData((2, 3), (1, 2))),
+]
+
+
+def _bits(balls):
+    return [(b.center.real.hex(), b.center.imag.hex(), b.radius.hex())
+            for b in balls]
+
+
+def test_add_sub_mul_match_the_dense_kernels():
+    for a, b in itertools.product(OPERANDS, repeat=2):
+        assert (a + b).coeffs == int_add_reference(a, b).coeffs
+        assert (a - b).coeffs == int_sub_reference(a, b).coeffs
+        assert (a * b).coeffs == int_mul_reference(a, b).coeffs
+    for a, k in itertools.product(OPERANDS, (0, 1, -2, BIG)):
+        assert (a * k).coeffs == int_mul_reference(a, k).coeffs
+        assert (k * a).coeffs == int_mul_reference(a, k).coeffs
+
+
+def test_results_trim_to_the_validated_form():
+    a = IntPolynomial((1, 2, 3))
+    for got in (a - a, a + (-a), a * 0, IntPolynomial(()).scale_pow(3)):
+        assert got == IntPolynomial(()) and got.coeffs == ()
+    assert (a - IntPolynomial((0, 0, 3))).coeffs == (1, 2)
+    assert all(type(c) is int for c in (a * True).coeffs)
+
+
+def test_exact_division_matches_the_dense_kernel():
+    divisors = [d for d in OPERANDS if not d.is_zero] + [
+        cyclotomic(k) for k in (1, 2, 3, 12, 30)]
+    for a, d in itertools.product(OPERANDS, divisors):
+        for num in (a, a * d, a * d + IntPolynomial((1,))):
+            got = num.try_exact_div(d)
+            want = try_exact_div_reference(num, d)
+            assert (got is None) == (want is None), (num, d)
+            if got is not None:
+                assert got.coeffs == want.coeffs
+    with pytest.raises(ZeroDivisionError):
+        OPERANDS[1].try_exact_div(IntPolynomial(()))
+
+
+@pytest.fixture(scope="module")
+def root_calls():
+    """Every _certify and _horner_vec call of theorem1 (k = 3, 4) and of
+    three-lines (1,2),(1,1), each beside its reference result."""
+    certify, horner = roots._certify, roots._horner_vec
+    calls = {"certify": [], "horner": []}
+
+    def both_certify(p, pts, coeff_radii):
+        got = certify(p, pts, coeff_radii)
+        want = certify_reference(p, pts, coeff_radii)
+        calls["certify"].append((coeff_radii is not None, got, want))
+        return got
+
+    def both_horner(coeffs, z):
+        got = horner(coeffs, z)
+        calls["horner"].append((len(z), got, horner_vec_reference(coeffs, z)))
+        return got
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(roots, "_certify", both_certify)
+        mp.setattr(roots, "_horner_vec", both_horner)
+        theorem1_pipeline(3)
+        theorem1_pipeline(4)
+        certify_three_lines(OrbitData((1, 2), (1, 1)))
+    return calls
+
+
+def test_certify_matches_the_reference_bit_for_bit(root_calls):
+    calls = root_calls["certify"]
+    # the Salem polynomials and the abscissa ball polynomials both occur
+    assert {radii for radii, _, _ in calls} == {False, True}
+    assert len(calls) > 100
+    for _, got, want in calls:
+        assert _bits(got) == _bits(want)
+
+
+def test_horner_matches_the_reference_bit_for_bit(root_calls):
+    calls = root_calls["horner"]
+    # abscissa polynomials of degree 1 and 2, Salem polynomials beyond
+    sizes = {n for n, _, _ in calls}
+    assert {1, 2} <= sizes and max(sizes) >= 10
+    for _, got, want in calls:
+        assert got.tobytes() == want.tobytes()
+
+
+def test_certify_with_coincident_iterates():
+    """Coincident points zero the distance product: the radius = inf branch
+    falls back to the crude containment disk, identically."""
+    p = ComplexPolynomial((-27.0, 27.0, -9.0, 1.0))  # (t - 3)^3
+    for pts, radii in (([3.0 + 0j, 3.0 + 0j, 3.1 + 0j], None),
+                       ([3.0 + 0j, 2.9 - 0.1j, 3.0 + 0j], (1e-9, 0.0, 0.0, 0.0))):
+        got = roots._certify(p, pts, radii)
+        assert _bits(got) == _bits(certify_reference(p, pts, radii))
+        assert got[0].radius > 6.0
+
+
+def test_horner_on_length_one_arrays():
+    rng = np.random.default_rng(2015)
+    for _ in range(2000):
+        coeffs = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+        z = rng.standard_normal(1) + 1j * rng.standard_normal(1)
+        assert (roots._horner_vec(coeffs, z).tobytes()
+                == horner_vec_reference(coeffs, z).tobytes())
