@@ -14,7 +14,7 @@ from .intpoly import (IntPolynomial, cyclotomic, irreducible_mod_p, resultant,
                       strip_cyclotomic)
 from .pipeline import theorem1_pipeline
 from .roots import ComplexPolynomial, RootSet, poly_roots
-from .salem import SalemCertificate, is_salem, salem_factor
+from .salem import SalemCertificate, is_salem
 from .threelines import (OrbitData, ThreeLinesParams, ab_from_delta,
                          approx_parameters, construct_c0, construct_cstar,
                          fixed_points_tl, indeterminacy, orbit_verify,

@@ -83,6 +83,8 @@ def _safe_sqrt(ball: ComplexBall) -> ComplexBall:
         return ComplexBall(0j, math.sqrt(hi) * (1 + 2 ** -40) + 1e-300)
 
 
+# no library path calls this; perfbench's clear_caches still clears it.  It
+# reads True for a Salem polynomial times cyclotomic factors too
 @functools.cache
 def _salem_verdict(coeffs: tuple[int, ...]) -> bool:
     try:

@@ -285,6 +285,7 @@ def fixed_point_bound(m: ActionMatrix) -> int:
     return m.trace() + 2
 
 
+# no library path calls this; perfbench's tracer still lists it as a layer
 def delta_eigen_check(m: ActionMatrix, delta) -> ComplexBall:
     """Certified ball for |det(delta I - M)|, the exact characteristic
     polynomial evaluated at the ball; eigenvalue claims demand it contain

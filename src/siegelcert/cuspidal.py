@@ -25,9 +25,7 @@ from .cohomology import matrix_info, quad_action_matrix, spectral_data
 from .errors import CheckFailed, DegenerateTau, PoleAtTau
 from .geometry import ProjectivePoint, chart_jacobian
 from .intpoly import IntPolynomial, resultant
-# is_salem is not called here; perfbench's tracer tests check that it stays
-# bound in this module
-from .salem import is_salem, salem_factor  # noqa: F401
+from .salem import is_salem
 from .strictmode import squarefree_evidence
 
 class QuadMap:
@@ -188,7 +186,7 @@ def certify_cuspidal(n: int, strict: bool = False,
     s-value from [0,4], ties broken by root order).  workers is accepted
     and ignored: every run is single-threaded.
     """
-    cert = salem_factor(orbit_polynomial(n))
+    cert = is_salem(orbit_polynomial(n))
     evidence = strict_mode_evidence(cert.poly) if strict else None
     records = {delta: _records_for_delta(delta) for delta in cert.circle_roots}
     sections = certify_sections(cert, records, evidence)

@@ -4,8 +4,8 @@ A Salem number is an algebraic unit lambda > 1 whose conjugates include
 1/lambda and otherwise lie on the unit circle.  The certificate checks, with
 ball arithmetic throughout:
 
-  * monic, even degree >= 4, palindromic coefficients;
-  * no cyclotomic polynomial divides (exact integer division);
+  * cyclotomic factors are divided out exactly first, and the rest is
+    monic, of even degree >= 4, with palindromic coefficients;
   * exactly one root disk certifiably outside the closed unit disk and exactly
     one certifiably inside;
   * every remaining root disk is self-paired (roots.self_paired) under
@@ -13,12 +13,13 @@ ball arithmetic throughout:
     the roots; by the lemma stated there, each such disk holds a root with
     |z| = 1 exactly.
 
-Once the pattern holds, the polynomial is irreducible (a proper monic factor
-would either split lambda from 1/lambda, forcing a non-integer constant term,
-or have all roots on the circle and be cyclotomic), so its unit-circle roots
-are provably not roots of unity.  A polynomial that fails a structural or
-pattern check raises NoSalemFactor with the reason; one whose pattern double
-precision cannot decide raises BoundaryUndecidable.
+The rest is cert.poly, the certified polynomial.  Once the pattern holds,
+it is irreducible (a proper monic factor would either split lambda from
+1/lambda, forcing a non-integer constant term, or have all roots on the
+circle and be cyclotomic, which the exact division ruled out), so its
+unit-circle roots are provably not roots of unity.  A polynomial that fails
+a structural or pattern check raises NoSalemFactor with the reason; one
+whose pattern double precision cannot decide raises BoundaryUndecidable.
 """
 
 from __future__ import annotations
@@ -45,26 +46,30 @@ class SalemCertificate:
 
 
 def is_salem(p: IntPolynomial) -> SalemCertificate:
-    """Salem certificate for p; raises NoSalemFactor with the reason when p
-    is not a Salem polynomial.
+    """Salem certificate for the non-cyclotomic part of p; raises
+    NoSalemFactor with the reason when that part is not a Salem polynomial.
 
-    The roots are isolated once, at the default tolerance of poly_roots.  A
-    root disk that straddles the unit circle without resolving the pattern
-    raises BoundaryUndecidable: double precision cannot decide it.
+    The cyclotomic factors of p are divided out once, exactly; the rest is
+    the certified polynomial cert.poly, not p.  Its roots are isolated once,
+    at the default tolerance of poly_roots.  A root disk that straddles the
+    unit circle without resolving the pattern raises BoundaryUndecidable:
+    double precision cannot decide it.
     """
-    if p.is_zero or not p.is_monic:
-        raise NoSalemFactor("not monic")
-    if p.degree < 4:
-        raise NoSalemFactor(f"degree {p.degree} < 4")
-    if p.degree % 2 != 0:
-        raise NoSalemFactor(f"odd degree {p.degree}")
-    if not p.is_palindromic:
-        raise NoSalemFactor("not reciprocal")
+    if p.is_zero:
+        raise NoSalemFactor("zero polynomial")
     rest, cyclo = strip_cyclotomic(p)
-    if cyclo:
-        raise NoSalemFactor(f"cyclotomic factor(s) {cyclo}")
+    if rest.degree < 4:
+        raise NoSalemFactor(
+            f"non-cyclotomic part has degree {rest.degree} < 4 "
+            f"(cyclotomic factors {cyclo})")
+    if not rest.is_monic:
+        raise NoSalemFactor("not monic")
+    if rest.degree % 2 != 0:
+        raise NoSalemFactor(f"odd degree {rest.degree}")
+    if not rest.is_palindromic:
+        raise NoSalemFactor("not reciprocal")
 
-    rs: RootSet = poly_roots(ComplexPolynomial(tuple(map(float, p.coeffs))))
+    rs: RootSet = poly_roots(ComplexPolynomial(tuple(map(float, rest.coeffs))))
     if not rs.is_simple:
         raise BoundaryUndecidable("root disks overlap; cannot classify pattern")
     outside, inside, straddle = [], [], []
@@ -94,16 +99,5 @@ def is_salem(p: IntPolynomial) -> SalemCertificate:
         lam=lam,
         inv_lam=inside[0],
         circle_roots=tuple(sort_roots(rs.balls[i] for i in straddle)),
-        poly=p,
+        poly=rest,
     )
-
-
-def salem_factor(p: IntPolynomial) -> SalemCertificate:
-    """Salem certificate for the non-cyclotomic part of p; raises
-    NoSalemFactor when that part has degree < 4 or is not Salem."""
-    rest, cyclo = strip_cyclotomic(p)
-    if rest.degree < 4:
-        raise NoSalemFactor(
-            f"non-cyclotomic part has degree {rest.degree} < 4 "
-            f"(cyclotomic factors {cyclo})")
-    return is_salem(rest)

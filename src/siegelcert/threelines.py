@@ -36,7 +36,7 @@ from .geometry import (ProjectivePoint, chart_jacobian, chordal_distance,
                        norm, normalize)
 from .intpoly import ONE, IntPolynomial, x_pow_minus_one, x_pow_plus_one
 from .roots import ComplexPolynomial, poly_roots, self_paired
-from .salem import SalemCertificate, salem_factor
+from .salem import SalemCertificate, is_salem
 
 INDETERMINACY_TOL = 1e-10
 COLLISION_TOL = 1e-7
@@ -291,7 +291,7 @@ def cleared_chi_polynomial(orbit: OrbitData) -> IntPolynomial:
 def salem_from_orbit(orbit: OrbitData) -> SalemCertificate:
     """Salem certificate for the non-cyclotomic factor of the cleared chi
     constraint; the factor itself is cert.poly."""
-    return salem_factor(cleared_chi_polynomial(orbit))
+    return is_salem(cleared_chi_polynomial(orbit))
 
 
 

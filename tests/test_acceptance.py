@@ -22,7 +22,7 @@ from siegelcert.geometry import ProjectivePoint, chart_jacobian
 from siegelcert.intpoly import strip_cyclotomic
 from siegelcert.pipeline import theorem1_pipeline
 from siegelcert.roots import ComplexPolynomial, poly_roots
-from siegelcert.salem import salem_factor
+from siegelcert.salem import is_salem
 from siegelcert.threelines import (OrbitData, TLMap, ab_from_delta,
                                    fixed_points_tl, infinity_eigen_data,
                                    orbit_verify, salem_from_orbit)
@@ -55,7 +55,7 @@ def test_criterion_01_salem_roots_and_tau(salem8):
 
 def test_criterion_02_entropy_and_exact_charpoly(salem8):
     m = quad_action_matrix(8, 8, 8)
-    cert = salem_factor(m.char_poly)
+    cert = is_salem(m.char_poly)
     assert abs(cert.entropy - 0.6901) < 1e-3
     rest, _ = strip_cyclotomic(m.char_poly)
     assert rest == salem8
@@ -124,7 +124,7 @@ def test_criterion_06_three_lines_consistency():
             recs = fixed_points_tl(root, orbit)
             assert len(recs) == orbit.N + 3                        # (d) count
         m = tl_action_matrix(orbit)
-        lam = salem_factor(m.char_poly).lam
+        lam = is_salem(m.char_poly).lam
         assert abs(lam.center.real - lambda_by_bisection(orbit)) < 1e-9  # (c)
         assert fixed_point_bound(m) == orbit.N + 3                 # (d) bound
     elapsed = time.time() - t0

@@ -272,3 +272,20 @@ def test_record_with_inconsistent_eigenvalues_fails_its_check():
         FixedPointRecord(Location.GENERIC, pt, two, one, s, (one, two))
     with pytest.raises(CheckFailed, match="inconsistent"):
         FixedPointRecord(Location.GENERIC, pt, two, two, s, (one, one))
+
+
+def test_zero_discriminant_takes_the_sqrt_fallback():
+    """A discriminant ball that contains 0 has no analytic square root; one
+    disk around 0 encloses both branches.  Two exact double roots reach it:
+    the eigenvalue 1 of [[1, 1], [0, 1]] (trace 2, det 1) and the root t = 1
+    of t^2 - 2t + 1 behind the ratio 4 at infinity."""
+    from siegelcert.threelines import _infinity_numerators
+    one, zero = ComplexBall.exact(1), ComplexBall.exact(0)
+    # building the record runs its own eigenvalue trace/det check
+    rec = record_from_jacobian(Location.GENERIC, ProjectivePoint(0.5, 0.5, 1),
+                               ((one, one), (zero, one)))
+    assert rec.trace.contains(2) and rec.det.contains(1)
+    assert all(e.contains(1) for e in rec.eigenvalues)
+    nums = _infinity_numerators(ComplexBall.exact(4.0))
+    assert len(nums) == 2
+    assert all(num.contains(2) for num in nums)

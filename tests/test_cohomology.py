@@ -12,7 +12,7 @@ from siegelcert.cohomology import (ActionMatrix, delta_eigen_check,
                                    tl_action_matrix)
 from siegelcert.errors import NoSalemFactor, PipelineFailed
 from siegelcert.intpoly import IntPolynomial, cyclotomic, strip_cyclotomic
-from siegelcert.salem import salem_factor
+from siegelcert.salem import is_salem
 from siegelcert.threelines import OrbitData, salem_from_orbit
 
 from oracles import char_poly_faddeev_leverrier, lambda_by_bisection
@@ -50,7 +50,7 @@ def test_quad_888_charpoly_and_entropy(salem8):
     assert fixed_point_bound(m) == 4
     rest, cyclo = strip_cyclotomic(m.char_poly)
     assert rest == salem8
-    cert = salem_factor(m.char_poly)
+    cert = is_salem(m.char_poly)
     assert abs(cert.entropy - 0.6901) < 1e-3
     assert cert.lam.contains(1.994004199185754)
     assert cert.poly == salem8
@@ -71,7 +71,7 @@ def test_tl_matrices_match_bisection_and_bound():
         assert m.trace() == orbit.N + 1
         assert fixed_point_bound(m) == orbit.N + 3
         assert m.apply(m.canonical_vector) == m.canonical_vector
-        cert = salem_factor(m.char_poly)
+        cert = is_salem(m.char_poly)
         assert abs(cert.lam.center.real - lambda_by_bisection(orbit)) < 1e-9
         assert cert.poly == salem_from_orbit(orbit).poly
 
@@ -93,7 +93,7 @@ def test_identity_matrix_spectral_data():
     assert strip_cyclotomic(ident.char_poly) == (IntPolynomial((1,)),
                                                  [1, 1, 1, 1])
     with pytest.raises(NoSalemFactor, match="degree 0 < 4"):
-        salem_factor(ident.char_poly)
+        is_salem(ident.char_poly)
     assert fixed_point_bound(ident) == 6
     one = ActionMatrix(((1,),), ("H",))
     assert fixed_point_bound(one) == 3
@@ -198,7 +198,7 @@ def test_char_poly_of_unit_column_cycles():
     # all cyclotomic: no Salem part, so no entropy
     assert strip_cyclotomic(cycle.char_poly) == (IntPolynomial((1,)), [1, 1, 3])
     with pytest.raises(NoSalemFactor):
-        salem_factor(cycle.char_poly)
+        is_salem(cycle.char_poly)
 
 
 def test_matrix_text_export_stable():

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from siegelcert import certifier, cuspidal, salem
+from siegelcert import certifier, cohomology, cuspidal, salem
 from siegelcert.balls import ComplexBall, Verdict, ball_in_interval
 from siegelcert.certifier import PointVerdict
 from siegelcert.cuspidal import (QuadMap, certify_cuspidal, orbit_polynomial,
@@ -14,7 +14,8 @@ from siegelcert.errors import DegenerateTau, NoSalemFactor, PoleAtTau
 from siegelcert.geometry import ProjectivePoint, chart_jacobian
 from siegelcert.intpoly import IntPolynomial
 from siegelcert.roots import ComplexPolynomial, poly_roots
-from siegelcert.salem import salem_factor
+from siegelcert.salem import is_salem
+from siegelcert.threelines import OrbitData, salem_from_orbit
 
 from oracles import (QuadIndeterminate, closure_residual, fd_chart_jacobian,
                      quad_map_eval)
@@ -138,9 +139,12 @@ def test_fixed_point_records_verified(salem8_cert):
 
 def test_certify_cuspidal_certifies_the_salem_factor_once(monkeypatch):
     # dim 124: the action matrix is cross-checked against the run's
-    # certificate, and that certificate is the only is_salem call
-    salem_calls, spectral_calls = [], []
+    # certificate, and that certificate is the only is_salem call; each
+    # polynomial's cyclotomic factors are stripped once: the certificate's,
+    # and the spectral check's quotient of the char poly by cert.poly
+    salem_calls, spectral_calls, strip_calls = [], [], []
     real_is_salem, real_spectral = salem.is_salem, cuspidal.spectral_data
+    real_strip = salem.strip_cyclotomic
 
     def counted_is_salem(p):
         salem_calls.append(p)
@@ -150,14 +154,25 @@ def test_certify_cuspidal_certifies_the_salem_factor_once(monkeypatch):
         spectral_calls.append(cert)
         return real_spectral(m, cert)
 
+    def counted_strip(p):
+        strip_calls.append(p)
+        return real_strip(p)
+
     for module in (salem, certifier, cuspidal):
         monkeypatch.setattr(module, "is_salem", counted_is_salem)
+    for module in (salem, cohomology):
+        monkeypatch.setattr(module, "strip_cyclotomic", counted_strip)
     monkeypatch.setattr(cuspidal, "spectral_data", counted_spectral)
     report = certify_cuspidal(40)
     assert report.matrix_info["dim"] == 124
     assert len(salem_calls) == 1
     assert len(spectral_calls) == 1
     assert spectral_calls[0] is report.salem_cert
+    assert len(strip_calls) == 2
+
+    strip_calls.clear()
+    salem_from_orbit(OrbitData((2,), (1,)))
+    assert len(strip_calls) == 1
 
 
 def test_s_value_reference_endpoints():
@@ -250,7 +265,7 @@ def test_fixed_points_sampled_tau_residuals():
     # tau sampled at the circle roots of the orbit polynomials n = 8..10
     checked = 0
     for n in (8, 9, 10):
-        for root in salem_factor(orbit_polynomial(n)).circle_roots:
+        for root in is_salem(orbit_polynomial(n)).circle_roots:
             assert len(_records_for_delta(root)) == 2
             checked += 1
     assert checked >= 10

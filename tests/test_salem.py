@@ -4,7 +4,7 @@ import pytest
 
 from siegelcert.errors import BoundaryUndecidable, NoSalemFactor
 from siegelcert.intpoly import IntPolynomial, cyclotomic
-from siegelcert.salem import SalemCertificate, is_salem, salem_factor
+from siegelcert.salem import SalemCertificate, is_salem
 
 
 def test_salem8_certificate(salem8, salem8_cert):
@@ -32,33 +32,34 @@ def test_rejects_every_cyclotomic_up_to_30():
 
 
 def test_rejects_structural_defects(salem8):
+    with pytest.raises(NoSalemFactor, match="zero"):
+        is_salem(IntPolynomial(()))
     with pytest.raises(NoSalemFactor, match="monic"):
         is_salem(2 * salem8)
     with pytest.raises(NoSalemFactor, match="degree"):
         is_salem(IntPolynomial((1, -3, 1)))
-    odd = IntPolynomial((1, -2, 0, -2, 1)) * IntPolynomial((1, 1))
-    with pytest.raises(NoSalemFactor, match="degree"):
-        is_salem(odd)  # odd after multiplying by t+1
+    with pytest.raises(NoSalemFactor, match="odd degree 5"):
+        is_salem(IntPolynomial((-1, -1, 0, 0, 0, 1)))  # t^5 - t - 1
     with pytest.raises(NoSalemFactor, match="reciprocal"):
         is_salem(IntPolynomial((2, -2, 1, -2, 1, -2, 1, -2, 1)))
 
 
-def test_rejects_cyclotomic_multiple(salem8):
-    # Salem times Phi_4 has the right outside/inside pattern but a cyclotomic
-    # factor; accepting it would break the not-a-root-of-unity conclusion
-    with pytest.raises(NoSalemFactor, match="cyclotomic"):
-        is_salem(salem8 * cyclotomic(4))
-
-
-def test_salem_factor_strips_cyclotomic_part(salem8):
-    cert = salem_factor(salem8 * cyclotomic(4))
-    assert isinstance(cert, SalemCertificate)
+def test_certifies_the_salem_part_of_a_cyclotomic_multiple(salem8):
+    # Salem times Phi_4 has the right outside/inside pattern but roots of
+    # unity +-i; certifying them would break the not-a-root-of-unity
+    # conclusion, so the certificate covers the stripped part only
+    cert = is_salem(salem8 * cyclotomic(4))
+    assert cert.poly == salem8
+    for b in cert.circle_roots:
+        assert not b.contains(1j) and not b.contains(-1j)
+    # repeated factors, and an odd-degree multiple, strip the same way
+    cert = is_salem(salem8 * cyclotomic(1) * cyclotomic(6) * cyclotomic(6))
     assert cert.poly == salem8
 
 
-def test_salem_factor_rejects_cyclotomic_product():
+def test_rejects_cyclotomic_product():
     with pytest.raises(NoSalemFactor, match="degree 0 < 4"):
-        salem_factor(cyclotomic(1) * cyclotomic(4) * cyclotomic(12))
+        is_salem(cyclotomic(1) * cyclotomic(4) * cyclotomic(12))
 
 
 def test_lehmer_degree_case_vs_chi_bisection():
