@@ -44,14 +44,20 @@ def test_rejects_structural_defects(salem8):
         is_salem(IntPolynomial((2, -2, 1, -2, 1, -2, 1, -2, 1)))
 
 
-def test_certifies_the_salem_part_of_a_cyclotomic_multiple(salem8):
+def test_rejects_cyclotomic_multiple(salem8):
     # Salem times Phi_4 has the right outside/inside pattern but roots of
     # unity +-i; certifying them would break the not-a-root-of-unity
-    # conclusion, so the certificate covers the stripped part only
+    # conclusion, so no circle-root disk of the certificate may hold them
     cert = is_salem(salem8 * cyclotomic(4))
-    assert cert.poly == salem8
+    assert len(cert.circle_roots) == salem8.degree - 2
     for b in cert.circle_roots:
         assert not b.contains(1j) and not b.contains(-1j)
+
+
+def test_salem_factor_strips_cyclotomic_part(salem8):
+    cert = is_salem(salem8 * cyclotomic(4))
+    assert isinstance(cert, SalemCertificate)
+    assert cert.poly == salem8
     # repeated factors, and an odd-degree multiple, strip the same way
     cert = is_salem(salem8 * cyclotomic(1) * cyclotomic(6) * cyclotomic(6))
     assert cert.poly == salem8
