@@ -13,6 +13,10 @@ eigenvalues"; transcendence theory then provides the Siegel disk, so
 multiplicative independence is the entire computable content of the
 certificate.  The witness is a fact about its root alone, so each root's
 best witness is decided once per run.
+
+certify_run assembles every family's report: the verdicts over the run's
+records, and the action matrix's block once its Salem factor is checked to
+be the certificate's polynomial.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .balls import ComplexBall, Verdict, ball_in_interval, certified_out_margin
+from .cohomology import ActionMatrix, matrix_info, spectral_data
 from .errors import BallDomainError, CheckFailed, NoSalemFactor, WitnessMismatch
 from .geometry import ProjectivePoint
 from .intpoly import IntPolynomial
@@ -204,15 +209,7 @@ class CertificationReport:
     sections: list[RootSection]         # sections[0] is the headline one
     matrix_info: dict = field(default_factory=dict)
     strict_evidence: StrictEvidence | None = None
-    siegel_cap: int | None = None       # hard upper bound on certified centers
-
-    def __post_init__(self):
-        if self.siegel_cap is not None:
-            for sec in self.sections:
-                n = sec.count(PointVerdict.SIEGEL_CERTIFIED)
-                if n > self.siegel_cap:
-                    raise CheckFailed(
-                        f"certified {n} Siegel centers, cap is {self.siegel_cap}")
+    cyclotomic_factors: tuple[int, ...] = ()    # see cohomology.spectral_data
 
     @property
     def entropy(self) -> float:
@@ -225,3 +222,19 @@ class CertificationReport:
     @property
     def has_inconclusive(self) -> bool:
         return any(sec.count(PointVerdict.INCONCLUSIVE) for sec in self.sections)
+
+
+def certify_run(family: str, parameters: dict, cert: SalemCertificate,
+                records_by_root: dict, evidence: StrictEvidence | None,
+                matrix: ActionMatrix) -> CertificationReport:
+    """The report of one certification run, for either family.
+
+    The sections are certify_sections over records_by_root.  spectral_data
+    checks that matrix's Salem factor is cert.poly, so the report's entropy
+    is the action's, and the report keeps the cyclotomic indices of the
+    quotient; the matrix block is matrix_info(matrix).
+    """
+    sections = certify_sections(cert, records_by_root, evidence)
+    cyclotomic = spectral_data(matrix, cert)
+    return CertificationReport(family, parameters, cert, sections,
+                               matrix_info(matrix), evidence, cyclotomic)

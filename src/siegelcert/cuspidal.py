@@ -11,7 +11,8 @@ under the parametrization p(t) = [t : t^3 : 1].  The backward indeterminacy
 orbit closes after n steps exactly when delta is a root of an explicit integer
 polynomial; at n = 8 the non-cyclotomic part is a degree-8 Salem polynomial,
 and for its unit-circle roots both fixed points off the cubic carry Siegel
-disks, which certify_cuspidal establishes through the conjugate criterion.
+disks, which certify_cuspidal establishes through the conjugate criterion;
+certifier.certify_run assembles its report.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from dataclasses import replace
 
 from .balls import ComplexBall
 from .certifier import (CertificationReport, FixedPointRecord, Location,
-                        StrictEvidence, certify_sections, record_from_jacobian)
-from .cohomology import matrix_info, quad_action_matrix, spectral_data
+                        StrictEvidence, certify_run, record_from_jacobian)
+from .cohomology import quad_action_matrix
 from .errors import CheckFailed, DegenerateTau, PoleAtTau
 from .geometry import ProjectivePoint, chart_jacobian
 from .intpoly import IntPolynomial, resultant
@@ -183,22 +184,13 @@ def certify_cuspidal(n: int, strict: bool = False,
     For each unit-circle root delta of the Salem factor: both off-curve fixed
     points, their rotation numbers, and Siegel verdicts with the witness chosen
     among all other unit-circle conjugates (largest certified distance of its
-    s-value from [0,4], ties broken by root order).  workers is accepted
-    and ignored: every run is single-threaded.
+    s-value from [0,4], ties broken by root order).  certifier.certify_run
+    assembles them with quad_action_matrix(n, n, n).  Each section holds
+    the two records of _records_for_delta.  workers is accepted and
+    ignored: every run is single-threaded.
     """
     cert = is_salem(orbit_polynomial(n))
     evidence = strict_mode_evidence(cert.poly) if strict else None
     records = {delta: _records_for_delta(delta) for delta in cert.circle_roots}
-    sections = certify_sections(cert, records, evidence)
-    m = quad_action_matrix(n, n, n)
-    spectral_data(m, cert)
-
-    return CertificationReport(
-        family="cuspidal",
-        parameters={"n": n, "strict": strict},
-        salem_cert=cert,
-        sections=sections,
-        matrix_info=matrix_info(m),
-        strict_evidence=evidence,
-        siegel_cap=2,
-    )
+    return certify_run("cuspidal", {"n": n, "strict": strict}, cert, records,
+                       evidence, quad_action_matrix(n, n, n))

@@ -84,8 +84,8 @@ class ChartFailure(SiegelcertError):
 
 class CheckFailed(SiegelcertError):
     """A computed result failed a consistency check that the construction
-    guarantees (an exact division, eigenvalues against trace and det, the
-    Siegel cap); the message names the check."""
+    guarantees (an exact division, eigenvalues against trace and det); the
+    message names the check."""
 
 
 class PipelineFailed(SiegelcertError):

@@ -13,10 +13,13 @@ and computes only what its answer needs: a root whose beta0/alpha0 is
 certified on the wrong side of [0, 4] is rejected before any fixed point,
 and the records are built one at a time up to the first that breaks the
 pattern.  A root that passes gets all N+3 records, the same list
-certify_three_lines builds.  Each off-curve point of the accepted candidate
-is certified by the conjugate criterion with the outside root as witness
-family.  The report shows exactly k SiegelCertified points, the singular
-point as NotRotation, and positive entropy from the action matrix.
+certify_three_lines builds.  certifier.certify_run assembles the accepted
+candidate's report, as it does every certify_cuspidal and
+certify_three_lines report: each off-curve point is certified by the
+conjugate criterion with the outside root as witness family, and the
+entropy is the action matrix's.  For k = 2 and k >= 3 alike the principal
+section must show exactly k SiegelCertified points unless strict evidence
+failed; for k >= 3 the singular point must also be NotRotation.
 """
 
 from __future__ import annotations
@@ -29,8 +32,8 @@ from .balls import Verdict
 # certify_fixed_point is not called here; perfbench's tracer tests check
 # that it stays bound in this module
 from .certifier import (CertificationReport, Location, PointVerdict,
-                        certify_fixed_point, certify_sections)  # noqa: F401
-from .cohomology import matrix_info, spectral_data, tl_action_matrix
+                        certify_fixed_point, certify_run)  # noqa: F401
+from .cohomology import tl_action_matrix
 from .cuspidal import certify_cuspidal
 from .errors import (BudgetExhausted, OrbitCollision, PipelineFailed,
                      SiegelcertError)
@@ -114,9 +117,10 @@ def certify_three_lines(orbit, strict: bool = False,
 
     Builds the Salem polynomial from the cleared chi constraint, then for
     every unit-circle root: the lift parameters, direct orbit verification,
-    the N+3 fixed points, and Siegel verdicts with witnesses drawn from the
-    other unit-circle roots' fixed points.  workers is accepted and ignored:
-    every run is single-threaded.
+    and the N+3 fixed points.  certifier.certify_run assembles the report:
+    Siegel verdicts with witnesses drawn from the other unit-circle roots'
+    fixed points, and the block of tl_action_matrix(orbit).  workers is
+    accepted and ignored: every run is single-threaded.
     """
     cert = salem_from_orbit(orbit)
     evidence = (strictmode.three_lines_strict_evidence(cert.poly, orbit)
@@ -131,29 +135,23 @@ def certify_three_lines(orbit, strict: bool = False,
                 f"max residual {rep.max_residual:.2e}, "
                 f"{len(rep.collisions)} collision(s)")
         records[root] = fixed_points_tl(root, orbit)
-    sections = certify_sections(cert, records, evidence)
-    m = tl_action_matrix(orbit)
-    spectral_data(m, cert)
-    return CertificationReport(
-        family="three_lines",
-        parameters={"m": list(orbit.m), "n": list(orbit.n), "N": orbit.N,
-                    "strict": strict},
-        salem_cert=cert,
-        sections=sections,
-        matrix_info=matrix_info(m),
-        strict_evidence=evidence,
-    )
+    parameters = {"m": list(orbit.m), "n": list(orbit.n), "N": orbit.N,
+                  "strict": strict}
+    return certify_run("three_lines", parameters, cert, records, evidence,
+                       tl_action_matrix(orbit))
 
 
 def theorem1_pipeline(k: int, strict: bool = False,
                       workers: int = 1) -> CertificationReport:
     """Certification report with exactly k Siegel-certified fixed points.
 
-    With strict=True the report carries the conjugacy evidence; when that
-    evidence fails, the verdicts at delta0 become Inconclusive and the report
-    is returned as it stands.  workers is accepted and ignored.  For k >= 3 a
-    failed search raises PipelineFailed with approx_parameters' totals over
-    all density ranks, then the gate's rejections by reason.
+    The report's principal section must hold exactly k SiegelCertified
+    points, for k = 2 and k >= 3 alike, unless strict evidence failed:
+    with strict=True the report carries the conjugacy evidence, and when
+    that evidence fails the in-range verdicts become Inconclusive and the
+    report is returned as it stands.  workers is accepted and ignored.  For
+    k >= 3 a failed search raises PipelineFailed with approx_parameters'
+    totals over all density ranks, then the gate's rejections by reason.
     """
     if k < 2:
         raise PipelineFailed(
@@ -161,77 +159,67 @@ def theorem1_pipeline(k: int, strict: bool = False,
             "(degree-2 maps on other cubics); this pipeline needs k >= 2")
     if k == 2:
         report = certify_cuspidal(8, strict=strict)
-        count = report.principal_section.count(PointVerdict.SIEGEL_CERTIFIED)
-        if count != 2:
-            raise PipelineFailed("certify_cuspidal",
-                                 f"expected 2 certified centers, got {count}")
-        return report
-
-    n = k - 2
-    try:
-        c0 = construct_c0(n)
-    except SiegelcertError as exc:
-        raise PipelineFailed("construct_c0", str(exc))
-    try:
-        cstar = construct_cstar(n)
-    except SiegelcertError as exc:
-        raise PipelineFailed("construct_cstar", str(exc))
-
-    memo: dict = {}
-    rejections: collections.Counter = collections.Counter()
-    gate = functools.partial(_try_candidate, memo=memo, rejections=rejections)
-    try:
-        approx = approx_parameters(c0, cstar, accept=gate)
-    except BudgetExhausted as exc:
-        reasons = (f"; the gate rejected them: {format_counts(rejections)}"
-                   if rejections else "")
-        raise PipelineFailed("approx_parameters", f"{exc}{reasons}")
-    return _report_from_candidate(k, approx, memo, strict)
+    else:
+        n = k - 2
+        try:
+            c0 = construct_c0(n)
+        except SiegelcertError as exc:
+            raise PipelineFailed("construct_c0", str(exc))
+        try:
+            cstar = construct_cstar(n)
+        except SiegelcertError as exc:
+            raise PipelineFailed("construct_cstar", str(exc))
+        memo: dict = {}
+        rejections: collections.Counter = collections.Counter()
+        gate = functools.partial(_try_candidate, memo=memo,
+                                 rejections=rejections)
+        try:
+            approx = approx_parameters(c0, cstar, accept=gate)
+        except BudgetExhausted as exc:
+            reasons = (f"; the gate rejected them: {format_counts(rejections)}"
+                       if rejections else "")
+            raise PipelineFailed("approx_parameters", f"{exc}{reasons}")
+        report = _report_from_candidate(k, approx, memo, strict)
+    evidence = report.strict_evidence
+    certified = report.principal_section.count(PointVerdict.SIEGEL_CERTIFIED)
+    if (evidence is None or evidence.irreducible) and certified != k:
+        raise PipelineFailed("certification",
+                             f"expected {k} certified centers, got {certified}")
+    return report
 
 
 def _report_from_candidate(k: int, approx: ApproxResult, memo: dict,
                            strict: bool) -> CertificationReport:
     """The report for the candidate the gate accepted; its fixed points and
-    orbit reports are read back from the gate's memo, not computed again."""
+    orbit reports are read back from the gate's memo, not computed again.
+    The matrix block also names the Salem degree and the cyclotomic
+    indices of the report; the postconditions are that the singular point
+    is NotRotation and that the fixed-point bound equals the N+3 records."""
     records0, records_star, orbit_report0, orbit_report_star = (
         _memoised(memo, step, *args)[0] for step, args in _gate_steps(approx))
-    n = approx.orbit.N
-    cert = approx.salem_cert
-
-    evidence = (strictmode.three_lines_strict_evidence(cert.poly, approx.orbit)
+    orbit, cert = approx.orbit, approx.salem_cert
+    evidence = (strictmode.three_lines_strict_evidence(cert.poly, orbit)
                 if strict else None)
-    sections = certify_sections(cert, {approx.delta0: records0,
-                                       approx.delta_star: records_star},
-                                evidence)
+    parameters = {
+        "k": k, "N": orbit.N, "m": list(orbit.m), "n": list(orbit.n),
+        "orbit_residual0": orbit_report0.max_residual,
+        "orbit_residual_star": orbit_report_star.max_residual,
+    }
+    report = certify_run("three_lines", parameters, cert,
+                         {approx.delta0: records0,
+                          approx.delta_star: records_star},
+                         evidence, tl_action_matrix(orbit))
+    info = report.matrix_info
+    info.update(salem_degree=cert.poly.degree,
+                cyclotomic_factors=list(report.cyclotomic_factors))
 
-    principal = sections[0]
-    certified = principal.count(PointVerdict.SIEGEL_CERTIFIED)
-    if (evidence is None or evidence.irreducible) and certified != k:
-        raise PipelineFailed("certification",
-                             f"expected {k} certified centers, got {certified}")
+    principal = report.principal_section
     w0_verdicts = [v for rec, v in zip(principal.records, principal.verdicts)
                    if rec.location is Location.CURVE_SINGULAR]
     if len(w0_verdicts) != 1 or w0_verdicts[0].verdict is not PointVerdict.NOT_ROTATION:
         raise PipelineFailed("certification", "singular point not NotRotation")
-
-    m = tl_action_matrix(approx.orbit)
-    info = dict(matrix_info(m), salem_degree=cert.poly.degree,
-                cyclotomic_factors=list(spectral_data(m, cert)))
     if info["bound"] != len(records0):
         raise PipelineFailed("fixed_point_bound",
                              f"bound {info['bound']} != fixed point "
                              f"count {len(records0)}")
-
-    return CertificationReport(
-        family="three_lines",
-        parameters={
-            "k": k, "N": n,
-            "m": list(approx.orbit.m), "n": list(approx.orbit.n),
-            "orbit_residual0": orbit_report0.max_residual,
-            "orbit_residual_star": orbit_report_star.max_residual,
-        },
-        salem_cert=cert,
-        sections=sections,
-        matrix_info=info,
-        strict_evidence=evidence,
-    )
+    return report

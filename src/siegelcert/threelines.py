@@ -698,7 +698,9 @@ def construct_cstar(N: int) -> ThreeLinesParams:
     Equal-parameter seed b0 = 1, a0 = 4^(1/N), d = 1/16, then a deterministic
     spread to pairwise-distinct values that pushes prod(a_i/b_i) above 4 while
     keeping the diagonal rotation numbers outside; the spread size walks down
-    a ladder until every verdict is CertifiedOut.
+    a ladder until every verdict is CertifiedOut.  Any SiegelcertError moves
+    to the next rung; after the last one the walk raises PerturbationFailed
+    naming the last error.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -712,7 +714,7 @@ def construct_cstar(N: int) -> ThreeLinesParams:
         try:
             _require_pattern(a, b, d, inside=False, what="construct_cstar")
             return ThreeLinesParams(delta, a, b).normalized()
-        except (PerturbationFailed, DegenerateSpectrum) as exc:
+        except SiegelcertError as exc:
             last_err = exc
     raise PerturbationFailed(f"no spread size worked for N={N}: {last_err}")
 

@@ -7,7 +7,7 @@ import pytest
 
 from siegelcert import certifier, cohomology, cuspidal, salem
 from siegelcert.balls import ComplexBall, Verdict, ball_in_interval
-from siegelcert.certifier import PointVerdict
+from siegelcert.certifier import Location, PointVerdict
 from siegelcert.cuspidal import (QuadMap, certify_cuspidal, orbit_polynomial,
                                  s_value, _records_for_delta)
 from siegelcert.errors import DegenerateTau, NoSalemFactor, PoleAtTau
@@ -143,7 +143,7 @@ def test_certify_cuspidal_certifies_the_salem_factor_once(monkeypatch):
     # polynomial's cyclotomic factors are stripped once: the certificate's,
     # and the spectral check's quotient of the char poly by cert.poly
     salem_calls, spectral_calls, strip_calls = [], [], []
-    real_is_salem, real_spectral = salem.is_salem, cuspidal.spectral_data
+    real_is_salem, real_spectral = salem.is_salem, certifier.spectral_data
     real_strip = salem.strip_cyclotomic
 
     def counted_is_salem(p):
@@ -162,7 +162,7 @@ def test_certify_cuspidal_certifies_the_salem_factor_once(monkeypatch):
         monkeypatch.setattr(module, "is_salem", counted_is_salem)
     for module in (salem, cohomology):
         monkeypatch.setattr(module, "strip_cyclotomic", counted_strip)
-    monkeypatch.setattr(cuspidal, "spectral_data", counted_spectral)
+    monkeypatch.setattr(certifier, "spectral_data", counted_spectral)
     report = certify_cuspidal(40)
     assert report.matrix_info["dim"] == 124
     assert len(salem_calls) == 1
@@ -231,6 +231,15 @@ def test_certify_cuspidal_main_instance():
     for sec in rep.sections:
         assert sec.count(PointVerdict.SIEGEL_CERTIFIED) <= 2
     assert not rep.has_inconclusive
+
+
+def test_every_section_holds_the_two_generic_records():
+    # the two fixed points off the cubic are all a section holds, so no
+    # section can certify more than two Siegel centers
+    for n in range(4, 61):
+        for sec in certify_cuspidal(n).sections:
+            assert [rec.location for rec in sec.records] == \
+                [Location.GENERIC] * 2, n
 
 
 def test_certify_cuspidal_conjugation_stability():

@@ -1,12 +1,14 @@
-"""The theorem1 search gate: one certification per root, and why it rejects."""
+"""The theorem1 search gate (one certification per root, and why it
+rejects), and the one report assembly every run goes through."""
 
 import collections
 
 import mpmath
 import pytest
 
-from siegelcert import pipeline, threelines
+from siegelcert import certifier, cuspidal, pipeline, threelines
 from siegelcert.balls import Verdict, ball_in_interval
+from siegelcert.certifier import PointVerdict, StrictEvidence
 from siegelcert.errors import (NoSalemFactor, PerturbationFailed,
                                PipelineFailed, SiegelcertError)
 
@@ -200,3 +202,47 @@ def test_rejection_summary_orders_reasons_by_count():
                                   "BallDomainError": 1})
     assert threelines.format_counts(counts) == (
         "3 delta0 pattern, 1 BallDomainError, 1 orbit check")
+
+
+@pytest.mark.parametrize("run", [
+    lambda: cuspidal.certify_cuspidal(8),
+    lambda: pipeline.certify_three_lines(threelines.OrbitData((1, 2), (1, 1))),
+    lambda: pipeline.theorem1_pipeline(3),
+], ids=["cuspidal", "three-lines", "theorem1"])
+def test_each_run_assembles_its_report_once(monkeypatch, run):
+    # certify_run is the one assembly: it alone calls certify_sections,
+    # spectral_data and matrix_info, once each, and its report is the run's
+    calls = collections.Counter()
+    built = []
+
+    def counted(name, keep=False):
+        real = getattr(certifier, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            result = real(*args)
+            if keep:
+                built.append(result)
+            return result
+        return wrapper
+
+    for name in ("certify_sections", "spectral_data", "matrix_info"):
+        monkeypatch.setattr(certifier, name, counted(name))
+    assemble = counted("certify_run", keep=True)
+    for module in (cuspidal, pipeline):
+        monkeypatch.setattr(module, "certify_run", assemble)
+    report = run()
+    assert calls == {"certify_run": 1, "certify_sections": 1,
+                     "spectral_data": 1, "matrix_info": 1}
+    assert built[0] is report
+
+
+def test_theorem1_k2_with_failed_evidence_returns_its_report(monkeypatch):
+    # as for k >= 3: failed strict evidence leaves the in-range verdicts
+    # Inconclusive, and the report is returned instead of failing its count
+    failed = StrictEvidence(16, 8, None, False)
+    monkeypatch.setattr(cuspidal, "strict_mode_evidence", lambda poly: failed)
+    report = pipeline.theorem1_pipeline(2, strict=True)
+    assert report.strict_evidence is failed
+    verdicts = [v.verdict for v in report.principal_section.verdicts]
+    assert verdicts == [PointVerdict.INCONCLUSIVE] * 2

@@ -10,7 +10,8 @@ from siegelcert import threelines
 from siegelcert.balls import ComplexBall, Verdict, ball_in_interval
 from siegelcert.certifier import Location
 from siegelcert.errors import (BoundaryUndecidable, BudgetExhausted,
-                               NoSalemFactor, PoleAtParameter, SearchFailed)
+                               NoSalemFactor, PerturbationFailed,
+                               PoleAtParameter, SearchFailed)
 from siegelcert.geometry import ProjectivePoint
 from siegelcert.threelines import (OrbitData, ThreeLinesParams, TLMap,
                                    _vanishes, a_value, ab_from_delta,
@@ -512,6 +513,15 @@ def test_construct_cstar_all_outside():
         for s in svals:
             assert ball_in_interval(s) is Verdict.CERTIFIED_OUT
         assert ball_in_interval(ratio) is Verdict.CERTIFIED_OUT
+
+
+def test_construct_cstar_names_the_ladder_when_every_spread_fails():
+    # at N = 7 the small spreads stop converging in the abscissa root
+    # iteration; that error moves to the next rung like any other, so the
+    # failure names the ladder
+    with pytest.raises(PerturbationFailed,
+                       match="no spread size worked for N=7: "):
+        construct_cstar(7)
 
 
 def test_g_function_identity_small_n():
