@@ -23,7 +23,6 @@ flags: theorem1's search budget is fixed (threelines.approx_parameters).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .certifier import CertificationReport
@@ -143,9 +142,8 @@ def main(argv: list[str] | None = None) -> int:
             _emit(m.to_text(), args.out)
             return 0
     except (SiegelcertError, ValueError, OSError) as exc:
-        sys.stdout.write(json.dumps(
-            {"error": {"stage": type(exc).__name__, "message": str(exc)}},
-            sort_keys=True, indent=2) + "\n")
+        sys.stdout.write(render(
+            {"error": {"stage": type(exc).__name__, "message": str(exc)}}))
         return 1
     raise AssertionError("unreachable")
 

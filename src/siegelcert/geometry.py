@@ -24,7 +24,11 @@ def pivot_index(coords) -> int:
 
 def normalize(coords) -> tuple[complex, complex, complex]:
     """A homogeneous triple divided by its pivot_index coordinate; ValueError
-    when all three vanish."""
+    when all three vanish.
+
+    The pivot comes out 1 only up to rounding: complex division can leave
+    pivot / pivot at 1+4e-17j, for instance, so normalizing the result again
+    can change its last bits."""
     coords = (complex(coords[0]), complex(coords[1]), complex(coords[2]))
     pivot = coords[pivot_index(coords)]
     if pivot == 0:
@@ -51,7 +55,9 @@ def chordal_distance(p, q, p_norm: float, q_norm: float) -> float:
 
 @dataclass(frozen=True)
 class ProjectivePoint:
-    """Homogeneous coordinates, normalized so the largest-modulus one is 1."""
+    """Homogeneous coordinates divided by the largest-modulus one, which is
+    then 1 up to rounding (see normalize): rebuilding a point from its
+    coords can change their last bits."""
 
     x: complex
     y: complex

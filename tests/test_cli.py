@@ -42,6 +42,15 @@ def test_cuspidal_no_salem_factor_exit_1(capsys):
     assert doc["error"]["stage"] == "NoSalemFactor"
 
 
+def test_error_object_bytes_are_the_stdlib_canonical_form(capsys):
+    code, out = _run(capsys, "cuspidal", "--n", "1")
+    assert code == 1
+    expected = {"error": {
+        "stage": "NoSalemFactor",
+        "message": "non-cyclotomic part has degree 0 < 4 (cyclotomic factors [6])"}}
+    assert out == json.dumps(expected, sort_keys=True, indent=2) + "\n"
+
+
 def test_cuspidal_strict_adds_evidence(capsys):
     code, out = _run(capsys, "cuspidal", "--n", "8", "--strict")
     doc = json.loads(out)
