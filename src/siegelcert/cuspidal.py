@@ -118,8 +118,8 @@ def _records_for_delta(delta: ComplexBall) -> list[FixedPointRecord]:
     """The two fixed points off the cubic, with certified derivative data.
 
     Precondition: delta is a circle root of a certified Salem factor, so
-    |delta| = 1 and tau = delta + 1/delta is realized.  Degenerate tau in
-    {-1, 2} is rejected.
+    tau = delta + 1/delta = 2 Re(delta), twice the real part of delta's ball
+    (|Re(delta - c)| <= |delta - c|).  Degenerate tau in {-1, 2} is rejected.
 
     Lemma: at a circle root delta of a certified Salem factor both points
     are fixed (the quadratic and r_tau are the fixed-point equations off the
@@ -128,7 +128,7 @@ def _records_for_delta(delta: ComplexBall) -> list[FixedPointRecord]:
     (tau^2 - 6 tau + 11): tau in {2, -1, -2} makes delta a root of unity,
     and the last factor has no real root, while tau = 2 Re(delta) is real.
     """
-    tau = (delta + delta.inverse()).realize_real()
+    tau = 2 * ComplexBall(complex(delta.center.real, 0.0), delta.radius)
     for bad in (-1.0, 2.0):
         if (tau - bad).contains_zero():
             raise DegenerateTau(f"tau ball meets {bad}")

@@ -11,15 +11,15 @@ pattern and those at delta* the outside pattern, and only then are the orbit
 conditions at both roots verified by direct iteration.  The gate is a filter
 and computes only what its answer needs: a root whose beta0/alpha0 is
 certified on the wrong side of [0, 4] is rejected before any fixed point,
-and the records are built one at a time up to the first that breaks the
-pattern.  A root that passes gets all N+3 records, the same list
-certify_three_lines builds.  certifier.certify_run assembles the accepted
-candidate's report, as it does every certify_cuspidal and
-certify_three_lines report: each off-curve point is certified by the
-conjugate criterion with the outside root as witness family, and the
-entropy is the action matrix's.  For k = 2 and k >= 3 alike the principal
-section must show exactly k SiegelCertified points unless strict evidence
-failed; for k >= 3 the singular point must also be NotRotation.
+and the records are built one at a time, the singular point's from its
+lemma first, up to the first that breaks the pattern.  A root that passes
+gets all N+3 records, the same list certify_three_lines builds.
+certifier.certify_run assembles the accepted candidate's report, as it does
+every certify_cuspidal and certify_three_lines report: each off-curve point
+is certified by the conjugate criterion with the outside root as witness
+family, and the entropy is the action matrix's.  For k = 2 and k >= 3 alike
+the principal section must show exactly k SiegelCertified points unless
+strict evidence failed.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from . import strictmode
 from .balls import Verdict
 # certify_fixed_point is not called here; perfbench's tracer tests check
 # that it stays bound in this module
-from .certifier import (CertificationReport, Location, PointVerdict,
+from .certifier import (CertificationReport, PointVerdict,
                         certify_fixed_point, certify_run)  # noqa: F401
 from .cohomology import tl_action_matrix
 from .cuspidal import certify_cuspidal
@@ -91,9 +91,10 @@ def _try_candidate(approx: ApproxResult, memo: dict,
     """The certification gate: every step of _gate_steps passes.
 
     A pattern step stops at the first failing record, so a candidate is
-    rejected under the first failure in record order (diagonal points, then
-    infinity, then the singular point), and one rejected by beta0/alpha0
-    alone counts as a pattern failure; see threelines.fixed_points_tl.
+    rejected under the first failure in record order: the singular point's
+    record comes from its lemma and cannot fail, then the diagonal points,
+    then infinity.  One rejected by beta0/alpha0 alone counts as a pattern
+    failure; see threelines.fixed_points_tl.
     memo is created by theorem1_pipeline and lives for that one call; no
     other search shares it.  Within the search many (delta0, delta*) pairs
     share a root, so it holds each (orbit, root, side)'s certified fixed
@@ -193,8 +194,8 @@ def _report_from_candidate(k: int, approx: ApproxResult, memo: dict,
     """The report for the candidate the gate accepted; its fixed points and
     orbit reports are read back from the gate's memo, not computed again.
     The matrix block also names the Salem degree and the cyclotomic
-    indices of the report; the postconditions are that the singular point
-    is NotRotation and that the fixed-point bound equals the N+3 records."""
+    indices of the report; the postcondition is that the fixed-point bound
+    equals the N+3 records."""
     records0, records_star, orbit_report0, orbit_report_star = (
         _memoised(memo, step, *args)[0] for step, args in _gate_steps(approx))
     orbit, cert = approx.orbit, approx.salem_cert
@@ -212,12 +213,6 @@ def _report_from_candidate(k: int, approx: ApproxResult, memo: dict,
     info = report.matrix_info
     info.update(salem_degree=cert.poly.degree,
                 cyclotomic_factors=list(report.cyclotomic_factors))
-
-    principal = report.principal_section
-    w0_verdicts = [v for rec, v in zip(principal.records, principal.verdicts)
-                   if rec.location is Location.CURVE_SINGULAR]
-    if len(w0_verdicts) != 1 or w0_verdicts[0].verdict is not PointVerdict.NOT_ROTATION:
-        raise PipelineFailed("certification", "singular point not NotRotation")
     if info["bound"] != len(records0):
         raise PipelineFailed("fixed_point_bound",
                              f"bound {info['bound']} != fixed point "

@@ -422,16 +422,15 @@ def fixed_points_tl(root: ComplexBall, orbit: OrbitData,
     centers are exactly real, and the rotation numbers that are provably
     real get exactly real ball centers: at affine points whose abscissa is
     certified real by conjugate pairing, and at the infinity points when
-    beta0/alpha0 is certified inside [0, 4].  The singular point (s = 1
-    identically) is realized in every case.
+    beta0/alpha0 is certified inside [0, 4].  The singular point's record
+    comes from its lemma (see _singular_record): s is the real ball 1.
 
     want (Verdict.CERTIFIED_IN or CERTIFIED_OUT) asks for a pattern: the
     records come back only if every non-singular s has that verdict, and
-    None comes back as soon as one does not.  The non-singular records are
-    built in the order above and the singular one last, only when the
-    pattern holds; the list returned is the one want=None returns.  Before
-    any record, a pattern that the ratio beta0/alpha0 = prod a_i/b_i rules
-    out returns None:
+    None comes back as soon as one does not.  The records are built in the
+    order above, one at a time, so the list returned is the one want=None
+    returns.  Before any record, a pattern that the ratio
+    beta0/alpha0 = prod a_i/b_i rules out returns None:
 
     Ratio lemma.  The in-line eigenvalue t at an infinity point solves
     t^2 + (2 - ratio) t + 1 = 0, and s = 2 + delta t^2 + 1/(delta t^2).
@@ -456,27 +455,31 @@ def fixed_points_tl(root: ComplexBall, orbit: OrbitData,
     tlm_ball = TLMap.ball_map(db, ab, bb)
     ratio = _parameter_ratio(ab, bb)
     ratio_verdict = ball_in_interval(ratio)
-    nonsingular = _nonsingular_records(tlm_ball, db, ratio,
-                                       ratio_verdict is Verdict.CERTIFIED_IN)
-    if want is None:
-        return [_singular_record(tlm_ball), *nonsingular]
-    if ratio_verdict not in (want, Verdict.UNKNOWN):
+    if want is not None and ratio_verdict not in (want, Verdict.UNKNOWN):
         return None  # the ratio lemma: certified on the other side
-    records = []
-    for rec in nonsingular:
-        if ball_in_interval(rec.s) is not want:
+    records = [_singular_record(db)]
+    for rec in _nonsingular_records(tlm_ball, db, ratio,
+                                    ratio_verdict is Verdict.CERTIFIED_IN):
+        if want is not None and ball_in_interval(rec.s) is not want:
             return None
         records.append(rec)
-    return [_singular_record(tlm_ball), *records]
+    return records
 
 
-def _singular_record(tlm_ball: TLMap) -> FixedPointRecord:
-    w0 = record_from_jacobian(
-        Location.CURVE_SINGULAR, ProjectivePoint(0, 0, 1),
-        chart_jacobian(tlm_ball, ProjectivePoint(0, 0, 1), chart=2))
-    # Tr^2/Det at the singular point is identically 1 (eigenvalue pair
-    # (w/delta, 1/(w delta)) with w a primitive cube root of unity)
-    return replace(w0, s=w0.s.realize_real())
+# omega = e^(2 pi i/3) to within 2^-54, and the exact 1 with one rounding pad
+_OMEGA = ComplexBall(complex(-0.5, math.sqrt(3) / 2), 2.0 ** -52)
+_ONE_PADDED = ComplexBall.exact(1) * 1
+
+
+def _singular_record(db: ComplexBall) -> FixedPointRecord:
+    """The record at [0:0:1] from its lemma: g1(0) = g2(0) = 1 gives
+    Df = [[0, 1], [-delta^-2, -delta^-1]] in the chart z = 1, so trace
+    -1/delta, det delta^-2, eigenvalues omega/delta and conj(omega)/delta,
+    and s = 1 exactly (its ball keeps a rounding radius, as any s does)."""
+    inv = db.inverse()
+    return FixedPointRecord(Location.CURVE_SINGULAR, ProjectivePoint(0, 0, 1),
+                            -inv, inv * inv, _ONE_PADDED,
+                            (_OMEGA * inv, _OMEGA.conjugate() * inv))
 
 
 def _nonsingular_records(tlm_ball: TLMap, db: ComplexBall,

@@ -8,11 +8,12 @@ import pytest
 
 from siegelcert import threelines
 from siegelcert.balls import ComplexBall, Verdict, ball_in_interval
-from siegelcert.certifier import Location
+from siegelcert.certifier import Location, record_from_jacobian
 from siegelcert.errors import (BoundaryUndecidable, BudgetExhausted,
                                NoSalemFactor, PerturbationFailed,
                                PoleAtParameter, SearchFailed)
-from siegelcert.geometry import ProjectivePoint
+from siegelcert.geometry import ProjectivePoint, chart_jacobian
+from siegelcert.pipeline import certify_three_lines
 from siegelcert.threelines import (OrbitData, ThreeLinesParams, TLMap,
                                    _vanishes, a_value, ab_from_delta,
                                    approx_parameters, b_value, construct_c0,
@@ -20,7 +21,8 @@ from siegelcert.threelines import (OrbitData, ThreeLinesParams, TLMap,
                                    design_rotation_numbers,
                                    fixed_points_tl, indeterminacy,
                                    infinity_eigen_data, orbit_verify,
-                                   salem_from_orbit, trace_affine)
+                                   param_balls, salem_from_orbit,
+                                   trace_affine)
 
 from oracles import (FormulaPole, OffUnitCircle, chi, equidistribution_stat,
                      h_iterate, infinity_criterion, lambda_by_bisection,
@@ -303,6 +305,45 @@ def test_fixed_points_count_and_w0():
     assert recs[0].location is Location.CURVE_SINGULAR
     assert sum(1 for r in recs if r.location is Location.AFFINE_DIAGONAL) == orb.N
     assert sum(1 for r in recs if r.location is Location.INFINITY) == 2
+
+
+@pytest.mark.parametrize("orb", [OrbitData((2,), (1,)),
+                                 OrbitData((1, 2), (1, 1))])
+def test_singular_record_lemma_meets_the_chart_jacobian_record(orb):
+    # the record from the chart-map Jacobian at [0:0:1] is the oracle: each
+    # lemma ball meets it and is no wider
+    w0 = ProjectivePoint(0, 0, 1)
+    roots = salem_from_orbit(orb).circle_roots
+    assert roots
+    for root in roots:
+        lemma = fixed_points_tl(root, orb)[0]
+        assert lemma.location is Location.CURVE_SINGULAR
+        tlm = TLMap.ball_map(*param_balls(root, orb))
+        chart = record_from_jacobian(Location.CURVE_SINGULAR, w0,
+                                     chart_jacobian(tlm, w0, chart=2))
+        pairs = [(lemma.trace, chart.trace), (lemma.det, chart.det),
+                 (lemma.s, chart.s)]
+        for e in lemma.eigenvalues:
+            pairs.append((e, min(chart.eigenvalues,
+                                 key=lambda c: abs(c.center - e.center))))
+        for got, want in pairs:
+            assert not got.disjoint(want)
+            assert got.radius <= want.radius
+        assert lemma.s.contains(1.0)
+
+
+def test_certify_three_lines_jacobians_only_off_the_singular_point(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return chart_jacobian(*args, **kwargs)
+
+    monkeypatch.setattr(threelines, "chart_jacobian", counting)
+    orb = OrbitData((1, 2), (1, 1))
+    certify_three_lines(orb)
+    roots = salem_from_orbit(orb).circle_roots
+    assert len(calls) == (orb.N + 2) * len(roots)
 
 
 def test_fixed_points_n1_linear_oracle():
