@@ -71,9 +71,15 @@ def record_from_jacobian(location: Location, coords: ProjectivePoint,
     (a, b), (c, d) = jac
     tr = a + d
     det = a * d - b * c
-    s = tr * tr / det
-    disc = tr * tr - 4 * det
-    sq = _safe_sqrt(disc)
+    return record_from_trace(location, coords, tr, det, tr * tr / det)
+
+
+def record_from_trace(location: Location, coords: ProjectivePoint,
+                      tr: ComplexBall, det: ComplexBall,
+                      s: ComplexBall) -> FixedPointRecord:
+    """Build a record from its trace, det and s; the eigenvalues are the
+    roots of t^2 - tr t + det."""
+    sq = _safe_sqrt(tr * tr - 4 * det)
     half = ComplexBall.exact(0.5)
     eig = ((tr + sq) * half, (tr - sq) * half)
     return FixedPointRecord(location, coords, tr, det, s, eig)

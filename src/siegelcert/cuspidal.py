@@ -17,13 +17,11 @@ certifier.certify_run assembles its report.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from .balls import ComplexBall
 from .certifier import (CertificationReport, FixedPointRecord, Location,
-                        StrictEvidence, certify_run, record_from_jacobian)
+                        StrictEvidence, certify_run, record_from_trace)
 from .cohomology import quad_action_matrix
-from .errors import CheckFailed, DegenerateTau, PoleAtTau
+from .errors import DegenerateTau, PoleAtTau
 from .geometry import ProjectivePoint, chart_jacobian
 from .intpoly import IntPolynomial, resultant
 from .salem import is_salem
@@ -69,17 +67,12 @@ def orbit_polynomial(n: int) -> IntPolynomial:
     """Integer polynomial whose roots close the indeterminacy orbit at step n.
 
     The closure identity clears to t^(n+2) - 2 t^(n+1) + 2 t - 1, which always
-    carries the excluded degenerate parameter t = 1 as a root; that single
-    linear factor is divided out exactly.
+    carries the excluded degenerate parameter t = 1 as a root; the quotient
+    by t - 1 is t^(n+1) - t^n - ... - t + 1.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    coeffs = [-1, 2] + [0] * (n - 1) + [-2, 1]
-    cleared = IntPolynomial(tuple(coeffs))
-    q = cleared.try_exact_div(IntPolynomial((-1, 1)))
-    if q is None:
-        raise CheckFailed(f"t - 1 does not divide the orbit polynomial at n={n}")
-    return q
+    return IntPolynomial((1,) + (-1,) * n + (1,))
 
 
 # ---------------------------------------------------------------------------
@@ -120,6 +113,14 @@ def _records_for_delta(delta: ComplexBall) -> list[FixedPointRecord]:
     Precondition: delta is a circle root of a certified Salem factor, so
     tau = delta + 1/delta = 2 Re(delta), twice the real part of delta's ball
     (|Re(delta - c)| <= |delta - c|).  Degenerate tau in {-1, 2} is rejected.
+    The trace comes from the chart Jacobian, det and s from their lemmas,
+    and the eigenvalues are the roots of t^2 - trace t + det.
+
+    2-form lemma: eta = dx dy / (y - x^3) in the chart z = 1 has its poles
+    on the cubic, and f*eta = delta eta, since f acts on the cubic by
+    t -> delta (t + d).  At a fixed point off the cubic this reads
+    det Df = delta, so det is the root ball itself.  s is the closed form
+    s_value(tau, x).
 
     Lemma: at a circle root delta of a certified Salem factor both points
     are fixed (the quadratic and r_tau are the fixed-point equations off the
@@ -137,11 +138,10 @@ def _records_for_delta(delta: ComplexBall) -> list[FixedPointRecord]:
     for x in _tau_quadratic_roots(tau):
         y = _r_tau(tau, x)
         w = ProjectivePoint(x.center, y.center, 1.0)
-        jac = chart_jacobian(qm, w, chart=2,
-                             point_radius=max(x.radius, y.radius))
-        rec = record_from_jacobian(Location.GENERIC, w, jac)
-        # the closed-form rotation number is the tighter certificate; keep it
-        records.append(replace(rec, s=s_value(tau, x)))
+        (a, _), (_, d) = chart_jacobian(qm, w, chart=2,
+                                        point_radius=max(x.radius, y.radius))
+        records.append(record_from_trace(Location.GENERIC, w, a + d, delta,
+                                         s_value(tau, x)))
     return records
 
 

@@ -795,23 +795,25 @@ def format_counts(counts: collections.Counter) -> str:
 
 def approx_parameters(c0: ThreeLinesParams, cstar: ThreeLinesParams, *,
                       accept) -> ApproxResult:
-    """The first candidate that accept (the caller's certification gate)
-    takes: orbit data and two unit-circle Salem roots approximating both
-    targets.
+    """Orbit data and two unit-circle Salem roots approximating both
+    targets, each root taken by accept (the caller's certification gate).
 
     The search walks the DENSITY_RANKS density ranks in order and, inside
-    each, the m_N sweep of _rank_orbits.  A candidate is offered to accept
-    when both roots and all parameter coordinates land within DEFAULT_EPS of
-    their targets (the last a-coordinate closes automatically through the
-    chi identity but is checked all the same).  Orbit data whose Salem
+    each, the m_N sweep of _rank_orbits.  Orbit data whose Salem
     certificate fails (NoSalemFactor, BoundaryUndecidable, NonConvergence)
-    are skipped and counted by error type.  When no rank yields an accepted
-    candidate, raises BudgetExhausted with the totals over all ranks: orbit
-    data tried, orbit data skipped by error type, candidates offered.
+    are skipped and counted by error type.  Otherwise the roots near c0 and
+    those near c* are listed by _candidates, and a datum with an empty list
+    is passed over.  accept((orbit, root, "delta0")) is called on the c0
+    roots nearest first until one is taken, then accept((orbit, root,
+    "delta*")) on the c* roots the same way; the first orbit datum where
+    both sides are taken is the result.  So accept sees each (orbit, root,
+    side) at most once.  When no rank yields a result, raises
+    BudgetExhausted with the totals over all ranks: orbit data tried and
+    orbit data skipped by error type.
     """
     if cstar.N != c0.N:
         raise ValueError("target families have different N")
-    tried = offered = 0
+    tried = 0
     skipped: collections.Counter = collections.Counter()  # error type -> count
     for rank in range(DENSITY_RANKS):
         for orbit in _rank_orbits(c0, cstar, rank):
@@ -823,24 +825,24 @@ def approx_parameters(c0: ThreeLinesParams, cstar: ThreeLinesParams, *,
                 # part); not a lift candidate, keep sweeping
                 skipped[type(exc).__name__] += 1
                 continue
-            near_star = None  # built when the first delta0 candidate passes
-            for cand0 in _candidates(cert.circle_roots, orbit, c0):
-                if near_star is None:
-                    near_star = list(_candidates(cert.circle_roots, orbit,
-                                                 cstar))
-                for cand_star in near_star:
-                    if cand0.center == cand_star.center:
-                        continue
-                    result = ApproxResult(orbit, cand0, cand_star, cert)
-                    if accept(result):
-                        return result
-                    offered += 1
+            near0 = list(_candidates(cert.circle_roots, orbit, c0))
+            near_star = list(_candidates(cert.circle_roots, orbit, cstar))
+            if not (near0 and near_star):
+                continue
+            delta0 = next((root for root in near0
+                           if accept((orbit, root, "delta0"))), None)
+            if delta0 is None:
+                continue
+            delta_star = next((root for root in near_star
+                               if accept((orbit, root, "delta*"))), None)
+            if delta_star is not None:
+                return ApproxResult(orbit, delta0, delta_star, cert)
     skip_note = (f" ({sum(skipped.values())} skipped: {format_counts(skipped)})"
                  if skipped else "")
     raise BudgetExhausted(
         f"no candidate accepted over {DENSITY_RANKS} density ranks with m_N "
         f"<= {DEFAULT_MN_CAP} at eps={DEFAULT_EPS}: {tried} orbit data "
-        f"tried{skip_note}, {offered} candidate(s) offered")
+        f"tried{skip_note}")
 
 
 def _candidates(circle_roots, orbit: OrbitData, target: ThreeLinesParams):

@@ -6,19 +6,22 @@ production path does not use.
 """
 
 import cmath
+import collections
 import math
 from dataclasses import dataclass
 
 import mpmath
 import numpy as np
 
+from siegelcert import threelines
 from siegelcert.balls import (_EPS, _TINY, ComplexBall, Verdict,
                               ball_in_interval, certified_out_margin)
 from siegelcert.certifier import (CertifiedVerdict, FixedPointRecord,
                                   Location, PointVerdict, Witness)
 from siegelcert.cuspidal import QuadMap
-from siegelcert.errors import (CheckFailed, SearchFailed, SiegelcertError,
-                               WitnessMismatch)
+from siegelcert.errors import (BoundaryUndecidable, BudgetExhausted,
+                               CheckFailed, NoSalemFactor, NonConvergence,
+                               SearchFailed, SiegelcertError, WitnessMismatch)
 from siegelcert.geometry import (_CHART_LOCALS, ProjectivePoint, chart_point,
                                  embed_chart)
 from siegelcert.intpoly import IntPolynomial
@@ -264,18 +267,55 @@ def certify_sections_scan(cert, records_by_root: dict, evidence):
 
 # ---------------------------------------------------------------------------
 # the theorem1 gate as it was before fixed_points_tl learned to stop early:
-# every record built, then the pattern checked
+# every record built, then the pattern checked; and the search as it was
+# before it offered roots one side at a time: every (delta0, delta*) pair
 # ---------------------------------------------------------------------------
 
-def pattern_step_reference(orbit, root, side: str):
-    """pipeline._pattern_step from the full record list: (records, None)
-    when every non-singular s has the side's verdict, else (None, reason)."""
+PATTERN_SIDES = {"delta0": Verdict.CERTIFIED_IN, "delta*": Verdict.CERTIFIED_OUT}
+
+
+def pattern_reference(orbit, root, side: str):
+    """The records of fixed_points_tl(root, orbit, want=...) from the full
+    record list: all of them when every non-singular s has the side's
+    verdict, else None."""
     recs = fixed_points_tl(root, orbit)
-    want = {"delta0": Verdict.CERTIFIED_IN, "delta*": Verdict.CERTIFIED_OUT}[side]
+    want = PATTERN_SIDES[side]
     if all(ball_in_interval(rec.s) is want for rec in recs
            if rec.location is not Location.CURVE_SINGULAR):
-        return recs, None
-    return None, f"{side} pattern"
+        return recs
+    return None
+
+
+def pair_search_reference(c0, cstar, accept_pair):
+    """threelines.approx_parameters as the nested loop over (delta0, delta*)
+    root pairs: the first ApproxResult that accept_pair takes.  When none
+    is taken, raises BudgetExhausted with the tail of approx_parameters'
+    message (orbit data tried, and skipped by error type)."""
+    tried = 0
+    skipped = collections.Counter()
+    for rank in range(threelines.DENSITY_RANKS):
+        for orbit in threelines._rank_orbits(c0, cstar, rank):
+            tried += 1
+            try:
+                cert = threelines.salem_from_orbit(orbit)
+            except (NoSalemFactor, BoundaryUndecidable,
+                    NonConvergence) as exc:
+                skipped[type(exc).__name__] += 1
+                continue
+            near0 = list(threelines._candidates(cert.circle_roots, orbit, c0))
+            near_star = list(threelines._candidates(cert.circle_roots, orbit,
+                                                    cstar))
+            for cand0 in near0:
+                for cand_star in near_star:
+                    if cand0.center == cand_star.center:
+                        continue
+                    result = threelines.ApproxResult(orbit, cand0, cand_star,
+                                                     cert)
+                    if accept_pair(result):
+                        return result
+    skip_note = (f" ({sum(skipped.values())} skipped: "
+                 f"{threelines.format_counts(skipped)})" if skipped else "")
+    raise BudgetExhausted(f"{tried} orbit data tried{skip_note}")
 
 
 # ---------------------------------------------------------------------------

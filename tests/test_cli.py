@@ -1,9 +1,11 @@
 """CLI surface: exit codes, report schema, determinism."""
 
+import functools
 import json
 
 import pytest
 
+from siegelcert import intpoly
 from siegelcert.cli import main
 from siegelcert.intpoly import IntPolynomial
 
@@ -109,8 +111,12 @@ def test_precision_flags_are_usage_errors(capsys, argv):
 
 
 def test_failed_exact_division_is_a_json_error(capsys, monkeypatch):
+    # the cyclotomic recursion divides exactly; a fresh cache makes the run
+    # build its cyclotomic polynomials through the failing division
     monkeypatch.setattr(IntPolynomial, "try_exact_div",
                         lambda self, divisor: None)
+    monkeypatch.setattr(intpoly, "cyclotomic",
+                        functools.cache(intpoly.cyclotomic.__wrapped__))
     code, out = _run(capsys, "cuspidal", "--n", "8")
     assert code == 1
     assert json.loads(out)["error"]["stage"] == "CheckFailed"

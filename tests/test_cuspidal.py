@@ -86,6 +86,13 @@ def test_orbit_polynomial_instances(salem8):
         orbit_polynomial(0)
 
 
+def test_orbit_polynomial_times_t_minus_one_is_the_cleared_identity():
+    # the closed-form quotient: (t - 1) q = t^(n+2) - 2 t^(n+1) + 2 t - 1
+    for n in range(1, 61):
+        cleared = IntPolynomial(tuple([-1, 2] + [0] * (n - 1) + [-2, 1]))
+        assert IntPolynomial((-1, 1)) * orbit_polynomial(n) == cleared, n
+
+
 def test_orbit_polynomial_n2_closure_oracle():
     p = orbit_polynomial(2)
     roots = poly_roots(ComplexPolynomial(tuple(map(float, p.coeffs))))
@@ -135,6 +142,29 @@ def test_fixed_point_records_verified(salem8_cert):
         img = quad_map_eval(root.center, rec.coords)
         assert rec.coords.distance(img) < 1e-9
         assert rec.det.contains(root.center)
+
+
+@pytest.mark.parametrize("n", [8, 12, 30])
+def test_record_det_from_the_two_form_lemma_meets_the_chart_record(n):
+    # det Df = delta off the cubic: each record's det is its root ball, and
+    # meets the det of the full chart-Jacobian record; its eigenvalues meet
+    # that record's and are no wider
+    for root in is_salem(orbit_polynomial(n)).circle_roots:
+        qm = QuadMap(root)
+        tau = 2 * ComplexBall(complex(root.center.real, 0.0), root.radius)
+        xs = cuspidal._tau_quadratic_roots(tau)
+        for x, rec in zip(xs, _records_for_delta(root)):
+            assert rec.det == root
+            y = cuspidal._r_tau(tau, x)
+            jac = chart_jacobian(qm, rec.coords, chart=2,
+                                 point_radius=max(x.radius, y.radius))
+            chart = certifier.record_from_jacobian(Location.GENERIC,
+                                                   rec.coords, jac)
+            assert chart.trace == rec.trace
+            assert not chart.det.disjoint(rec.det)
+            for mine, theirs in zip(rec.eigenvalues, chart.eigenvalues):
+                assert not mine.disjoint(theirs)
+                assert mine.radius <= theirs.radius
 
 
 def test_certify_cuspidal_certifies_the_salem_factor_once(monkeypatch):

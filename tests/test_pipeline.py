@@ -2,6 +2,7 @@
 rejects), and the one report assembly every run goes through."""
 
 import collections
+import functools
 
 import mpmath
 import pytest
@@ -9,53 +10,112 @@ import pytest
 from siegelcert import certifier, cuspidal, pipeline, threelines
 from siegelcert.balls import Verdict, ball_in_interval
 from siegelcert.certifier import PointVerdict, StrictEvidence
-from siegelcert.errors import (NoSalemFactor, PerturbationFailed,
-                               PipelineFailed, SiegelcertError)
+from siegelcert.errors import (BudgetExhausted, NoSalemFactor,
+                               PerturbationFailed, PipelineFailed,
+                               SiegelcertError)
 
 import oracles
 
 
+def _offered_roots(monkeypatch) -> list:
+    """Patch theorem1_pipeline's search so that every (candidate, taken)
+    its gate answers is appended to the list returned."""
+    offered = []
+    real_approx = pipeline.approx_parameters
+
+    def approx_parameters(*args, accept, **kwargs):
+        def gate(candidate):
+            taken = accept(candidate)
+            offered.append((candidate, taken))
+            return taken
+        return real_approx(*args, accept=gate, **kwargs)
+
+    monkeypatch.setattr(pipeline, "approx_parameters", approx_parameters)
+    return offered
+
+
 def test_search_certifies_each_orbit_root_side_once(monkeypatch):
-    # the gate sees many (delta0, delta*) pairs that share a root; each
-    # (orbit, root, side) must get its fixed points certified exactly once,
-    # and each (orbit, root) its orbit conditions verified exactly once
-    current = []
-    calls = collections.Counter()
+    # the gate sees each (orbit, root, side) at most once and certifies its
+    # fixed points once; the orbit conditions are verified once at each
+    # root whose pattern holds, and at no other
+    offered = _offered_roots(monkeypatch)
+    patterns = collections.Counter()
+    patterned = set()
     verified = collections.Counter()
     real_fixed_points = pipeline.fixed_points_tl
     real_orbit_verify = pipeline.orbit_verify
-    real_approx = pipeline.approx_parameters
 
     def fixed_points(root, orbit, want):
-        approx = current[-1]
-        assert orbit == approx.orbit
-        side = "delta0" if root == approx.delta0 else "delta*"
-        calls[(orbit, root, side)] += 1
-        return real_fixed_points(root, orbit, want=want)
+        patterns[(orbit, root, want)] += 1
+        records = real_fixed_points(root, orbit, want=want)
+        if records is not None:
+            patterned.add((orbit, root.center))
+        return records
 
     def orbit_verify(params, orbit):
-        approx = current[-1]
-        root, = (r for r in (approx.delta0, approx.delta_star)
-                 if r.center == params.delta)
-        verified[(orbit, root)] += 1
+        verified[(orbit, params.delta)] += 1
         return real_orbit_verify(params, orbit)
-
-    def approx_parameters(*args, accept, **kwargs):
-        def gate(approx):
-            current.append(approx)
-            return accept(approx)
-        return real_approx(*args, accept=gate, **kwargs)
 
     monkeypatch.setattr(pipeline, "fixed_points_tl", fixed_points)
     monkeypatch.setattr(pipeline, "orbit_verify", orbit_verify)
-    monkeypatch.setattr(pipeline, "approx_parameters", approx_parameters)
-    pipeline.theorem1_pipeline(3)
-    pairs = len(current)
-    distinct_roots0 = len({(a.orbit, a.delta0) for a in current})
-    assert distinct_roots0 < pairs  # pairs do share roots
-    assert calls and max(calls.values()) == 1
-    assert sum(calls.values()) == len(calls)
-    assert verified and set(verified.values()) == {1}
+    for k in (3, 4):
+        for seen in (offered, patterns, patterned, verified):
+            seen.clear()
+        report = pipeline.theorem1_pipeline(k)
+        candidates = [candidate for candidate, _ in offered]
+        assert len(set(candidates)) == len(candidates)
+        assert set(patterns.values()) == {1}
+        assert sum(patterns.values()) == len(candidates)
+        assert set(verified.values()) == {1} and set(verified) == patterned
+        # the search ends on the delta* root it takes, at the orbit datum
+        # of the delta0 root taken last; they are the report's two sections
+        (orbit, root_star, side), taken = offered[-1]
+        assert taken and side == "delta*"
+        orbit0, root0, _ = next(c for c, ok in reversed(offered)
+                                if ok and c[2] == "delta0")
+        assert orbit0 == orbit
+        assert report.parameters["m"] == list(orbit.m)
+        assert [sec.delta for sec in report.sections] == [root0, root_star]
+
+
+@pytest.mark.parametrize("k, mn_cap", [(3, None), (4, None), (3, 4), (4, 4),
+                                       (5, 4)])
+def test_search_takes_the_pair_the_pair_loop_accepts(monkeypatch, k, mn_cap):
+    # offering roots one side at a time finds the (orbit, delta0, delta*)
+    # that the nested loop over root pairs accepts first, or fails after
+    # the same orbit data tried and skipped
+    if mn_cap is not None:
+        monkeypatch.setattr(threelines, "DEFAULT_MN_CAP", mn_cap)
+    c0 = threelines.construct_c0(k - 2)
+    cstar = threelines.construct_cstar(k - 2)
+
+    @functools.cache
+    def root_passes(orbit, root, side):
+        try:
+            if oracles.pattern_reference(orbit, root, side) is None:
+                return False
+            params = threelines.ab_from_delta(root.center, orbit)
+            return threelines.orbit_verify(params, orbit).passed
+        except SiegelcertError:
+            return False
+
+    def pair_passes(approx):
+        return (root_passes(approx.orbit, approx.delta0, "delta0")
+                and root_passes(approx.orbit, approx.delta_star, "delta*"))
+
+    gate = functools.partial(pipeline._gate, kept={},
+                             rejections=collections.Counter())
+    try:
+        want = oracles.pair_search_reference(c0, cstar, pair_passes)
+    except BudgetExhausted as exc:
+        with pytest.raises(BudgetExhausted) as got:
+            threelines.approx_parameters(c0, cstar, accept=gate)
+        assert str(got.value).endswith(f": {exc}")
+    else:
+        got = threelines.approx_parameters(c0, cstar, accept=gate)
+        assert (got.orbit, got.delta0, got.delta_star) == (
+            want.orbit, want.delta0, want.delta_star)
+        assert got.salem_cert.poly == want.salem_cert.poly
 
 
 def _segment_distance(z) -> mpmath.mpf:
@@ -69,34 +129,36 @@ def test_gate_decides_like_the_full_record_gate(monkeypatch, k):
     # reject, and the same records, as from the gate that builds them all;
     # where beta0/alpha0 alone rules the pattern out, the ratio lemma holds
     # at 50 digits
-    real_step = pipeline._pattern_step
+    real_fixed_points = pipeline.fixed_points_tl
+    sides = {want: side for side, want in oracles.PATTERN_SIDES.items()}
     decided = {}
     screened = []
 
-    def step(orbit, root, side):
+    def fixed_points(root, orbit, want):
+        side = sides[want]
         try:
-            got = real_step(orbit, root, side)
+            got = real_fixed_points(root, orbit, want=want)
         except SiegelcertError as exc:
             got = exc
         try:
-            ref = oracles.pattern_step_reference(orbit, root, side)[0]
+            ref = oracles.pattern_reference(orbit, root, side)
         except SiegelcertError:
             ref = None
-        records = None if isinstance(got, Exception) else got[0]
+        records = None if isinstance(got, Exception) else got
         assert records == ref, (orbit, root, side)
         decided[(orbit, root, side)] = records is not None
         _, ab, bb = threelines.param_balls(root, orbit)
         ratio = ball_in_interval(threelines._parameter_ratio(ab, bb))
-        if ratio not in (pipeline._PATTERNS[side], Verdict.UNKNOWN):
+        if ratio not in (want, Verdict.UNKNOWN):
             assert records is None
             screened.append((orbit, root, side))
         if isinstance(got, Exception):
             raise got
         return got
 
-    monkeypatch.setattr(pipeline, "_pattern_step", step)
+    monkeypatch.setattr(pipeline, "fixed_points_tl", fixed_points)
     pipeline.theorem1_pipeline(k)
-    assert sum(decided.values()) >= 2  # the accepted pair's two sides
+    assert sum(decided.values()) >= 2  # the two roots taken
     assert screened
 
     polys = {}
@@ -134,13 +196,15 @@ def test_theorem1_constructs_the_inside_target_once(monkeypatch):
 
 
 def test_failed_search_names_the_gate_rejections(monkeypatch):
+    # three delta0 roots are taken, each at an orbit datum where no delta*
+    # root then passes
     monkeypatch.setattr(threelines, "DEFAULT_MN_CAP", 4)
     with pytest.raises(PipelineFailed) as exc:
         pipeline.theorem1_pipeline(3)
     assert str(exc.value) == (
         "approx_parameters: no candidate accepted over 4 density ranks with "
-        "m_N <= 4 at eps=1.6: 15 orbit data tried, 18 candidate(s) offered; "
-        "the gate rejected them: 10 delta* pattern, 8 delta0 pattern")
+        "m_N <= 4 at eps=1.6: 15 orbit data tried; the gate rejected 5 of 8 "
+        "root(s): 5 delta* pattern")
 
 
 def test_failed_search_names_the_skipped_orbit_data(monkeypatch):
@@ -160,13 +224,12 @@ def test_failed_search_names_the_skipped_orbit_data(monkeypatch):
 
 
 def test_failed_search_reports_totals_over_all_ranks(monkeypatch):
-    # a skip at density rank 1 and the candidates of every rank stay in the
-    # account, which the last rank alone would not show
+    # a skip at density rank 1 and the roots offered at every rank stay in
+    # the account, which the last rank alone would not show; its rejection
+    # counts add up to the gate calls less the roots taken
     rank_one = threelines.OrbitData((3,), (2,))
     seen = []
-    offered = []
     real_salem = threelines.salem_from_orbit
-    real_approx = pipeline.approx_parameters
 
     def salem(orbit):
         seen.append(orbit)
@@ -174,27 +237,22 @@ def test_failed_search_reports_totals_over_all_ranks(monkeypatch):
             raise NoSalemFactor("injected")
         return real_salem(orbit)
 
-    def approx_parameters(*args, accept, **kwargs):
-        def gate(approx):
-            offered.append(approx.orbit)
-            return accept(approx)
-        return real_approx(*args, accept=gate, **kwargs)
-
     monkeypatch.setattr(threelines, "salem_from_orbit", salem)
     monkeypatch.setattr(threelines, "DEFAULT_MN_CAP", 4)
-    monkeypatch.setattr(pipeline, "approx_parameters", approx_parameters)
+    offered = _offered_roots(monkeypatch)
     with pytest.raises(PipelineFailed) as exc:
         pipeline.theorem1_pipeline(3)
     msg = str(exc.value)
     assert {orbit.n for orbit in seen} == {(1,), (2,), (3,), (4,)}
     assert rank_one.n == (2,) and seen[-1].n == (4,)
-    assert {orbit.n for orbit in offered} != {(4,)}
-    assert (f"{len(seen)} orbit data tried (1 skipped: 1 NoSalemFactor), "
-            f"{len(offered)} candidate(s) offered; the gate rejected them: "
+    assert {candidate[0].n for candidate, _ in offered} != {(4,)}
+    rejected = sum(not taken for _, taken in offered)
+    assert (f"{len(seen)} orbit data tried (1 skipped: 1 NoSalemFactor); "
+            f"the gate rejected {rejected} of {len(offered)} root(s): "
             in msg)
-    rejected = msg.rsplit("the gate rejected them: ", 1)[1]
-    assert sum(int(part.split()[0]) for part in rejected.split(", ")) == \
-        len(offered)
+    reasons = msg.rsplit(" root(s): ", 1)[1]
+    assert sum(int(part.split()[0]) for part in reasons.split(", ")) == \
+        rejected
 
 
 def test_rejection_summary_orders_reasons_by_count():

@@ -593,12 +593,16 @@ def test_approx_parameters_n1():
 
 
 def test_approx_parameters_budget_exhausted(monkeypatch):
+    # no root lies within eps of both targets, so accept is never called
     c0 = construct_c0(1)
     cs = construct_cstar(1)
+    offered = []
     monkeypatch.setattr(threelines, "DEFAULT_EPS", 1e-9)
     monkeypatch.setattr(threelines, "DEFAULT_MN_CAP", 3)
-    with pytest.raises(BudgetExhausted, match=r", 0 candidate\(s\) offered$"):
-        approx_parameters(c0, cs, accept=lambda r: True)
+    with pytest.raises(BudgetExhausted,
+                       match=r"at eps=1e-09: 12 orbit data tried$"):
+        approx_parameters(c0, cs, accept=offered.append)
+    assert offered == []
 
 
 def test_approx_parameters_counts_skipped_orbit_data(monkeypatch):
@@ -614,18 +618,28 @@ def test_approx_parameters_counts_skipped_orbit_data(monkeypatch):
             raise errors[orbit.m[-1]]("injected")
         return real(orbit)
 
+    def reject(candidate):
+        offered.append(candidate)
+        return False
+
+    offered = []
     monkeypatch.setattr(threelines, "salem_from_orbit", salem)
     with pytest.raises(BudgetExhausted, match=(
             r"over 4 density ranks with m_N <= 18 at eps=1.6: 71 orbit data "
-            r"tried \(12 skipped: 8 NoSalemFactor, 4 BoundaryUndecidable\), "
-            r"196 candidate\(s\) offered$")):
-        approx_parameters(c0, cs, accept=lambda r: False)
+            r"tried \(12 skipped: 8 NoSalemFactor, 4 BoundaryUndecidable\)$")):
+        approx_parameters(c0, cs, accept=reject)
+    # no delta0 root is taken, so no delta* root is offered; each delta0
+    # root near c0 is offered once
+    assert offered and {side for _, _, side in offered} == {"delta0"}
+    assert len(set(offered)) == len(offered)
+    offered.clear()
     monkeypatch.setattr(threelines, "DEFAULT_EPS", 1e-9)
     monkeypatch.setattr(threelines, "DEFAULT_MN_CAP", 5)
     with pytest.raises(BudgetExhausted, match=(
             r"at eps=1e-09: 20 orbit data tried \(13 skipped: 8 NoSalemFactor, "
-            r"5 BoundaryUndecidable\), 0 candidate\(s\) offered$")):
-        approx_parameters(c0, cs, accept=lambda r: True)
+            r"5 BoundaryUndecidable\)$")):
+        approx_parameters(c0, cs, accept=reject)
+    assert offered == []
 
 
 def test_equidistribution_statistic_decreases():
