@@ -34,6 +34,8 @@ from .geometry import ProjectivePoint
 from .intpoly import IntPolynomial
 from .salem import SalemCertificate, is_salem
 
+_HALF = ComplexBall.exact(0.5)
+
 
 class Location(Enum):
     CURVE_SINGULAR = "CurveSingular"
@@ -80,8 +82,7 @@ def record_from_trace(location: Location, coords: ProjectivePoint,
     """Build a record from its trace, det and s; the eigenvalues are the
     roots of t^2 - tr t + det."""
     sq = _safe_sqrt(tr * tr - 4 * det)
-    half = ComplexBall.exact(0.5)
-    eig = ((tr + sq) * half, (tr - sq) * half)
+    eig = ((tr + sq) * _HALF, (tr - sq) * _HALF)
     return FixedPointRecord(location, coords, tr, det, s, eig)
 
 
@@ -147,7 +148,7 @@ def certify_fixed_point(rec: FixedPointRecord, witness: Witness | None,
     if witness is None:
         return CertifiedVerdict(PointVerdict.INCONCLUSIVE,
                                 note="no conjugate with s outside [0,4]")
-    if witness.delta not in cert.circle_roots:
+    if witness.delta not in cert.circle_root_set:
         raise WitnessMismatch(
             f"witness delta {witness.delta.center} is not a certified circle root")
     return CertifiedVerdict(PointVerdict.SIEGEL_CERTIFIED, witness=witness)
@@ -197,10 +198,13 @@ def certify_sections(cert: SalemCertificate, records_by_root: dict,
                  and ball_in_interval(rec.s) is Verdict.CERTIFIED_OUT),
                 key=margin, default=None)
             for delta, recs in roots]
+    # the first best serves every root but its own, which takes the next
+    top = max((w for w in best if w is not None), key=margin, default=None)
+    runner_up = max((w for w in best if w is not None and w is not top),
+                    key=margin, default=None)
     sections = []
-    for i, (delta, recs) in enumerate(roots):
-        witness = max((w for j, w in enumerate(best) if j != i and w is not None),
-                      key=margin, default=None)
+    for (delta, recs), own in zip(roots, best):
+        witness = runner_up if own is top else top
         verdicts = [certify_fixed_point(rec, witness, cert, strict_ok)
                     for rec in recs]
         sections.append(RootSection(delta, list(recs), verdicts))

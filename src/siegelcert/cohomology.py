@@ -51,14 +51,19 @@ class ActionMatrix:
     def form_signs(self) -> tuple[int, ...]:
         return (1,) + (-1,) * (self.dim - 1)
 
+    @cached_property
+    def row_nonzeros(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Each row's nonzero entries as (column, value), from one scan."""
+        return tuple(tuple((j, v) for j, v in enumerate(row) if v)
+                     for row in self.entries)
+
     def preserves_form(self) -> bool:
         """Exact integer check of M^T J M = J.  Row k adds J_k M[k][i] M[k][j]
         to entry (i, j) for each pair of its nonzeros; the diagonal must then
         equal the form signs and every other entry must be 0."""
         signs = self.form_signs
         gram = collections.Counter()
-        for sign, row in zip(signs, self.entries):
-            nonzeros = [(j, v) for j, v in enumerate(row) if v]
+        for sign, nonzeros in zip(signs, self.row_nonzeros):
             for i, v in nonzeros:
                 for j, w in nonzeros:
                     gram[i, j] += sign * v * w
@@ -83,10 +88,9 @@ class ActionMatrix:
     def char_poly(self) -> IntPolynomial:
         """Exact monic characteristic polynomial det(t I - M)."""
         columns = [[] for _ in range(self.dim)]
-        for i, row in enumerate(self.entries):
-            for j, v in enumerate(row):
-                if v:
-                    columns[j].append((i, v))
+        for i, nonzeros in enumerate(self.row_nonzeros):
+            for j, v in nonzeros:
+                columns[j].append((i, v))
         return _char_poly_lattice(columns)
 
     def to_text(self) -> str:

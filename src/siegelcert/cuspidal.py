@@ -28,39 +28,49 @@ from .salem import is_salem
 from .strictmode import squarefree_evidence
 
 class QuadMap:
-    """Homogeneous components and partials; scalars may be complex or balls."""
+    """Homogeneous components and their jet; scalars may be complex or balls.
+    The d-powers and their scalar multiples (2d, 3d^2, ...) are formed once
+    per map, that is once per root; a jet forms (3d^2) x and (2d^3) x once."""
 
     def __init__(self, delta):
         self.delta = delta
         self.d = d = (1 - delta) / (3 * delta)
-        # the powers every record needs, in the association the formulas use
         self.d2 = d2 = d * d
         self.d3 = d3 = d2 * d
-        self.d4 = d2 * d2
-        self.d6 = d3 * d3
+        self.d4 = d4 = d2 * d2
+        self.d6 = d6 = d3 * d3
         self.delta3 = delta * delta * delta
+        self.k2d, self.k3d, self.km2d, self.km6d, self.k3d2, self.km3d2 = (
+            2 * d, 3 * d, -2 * d, -6 * d, 3 * d2, -3 * d2)
+        self.k2d3, self.k2d4, self.k3d4, self.k6d4, self.km2d6 = (
+            2 * d3, 2 * d4, 3 * d4, 6 * d4, -2 * d6)
 
     def components(self, x, y, z):
-        delta, d, d2, d3, d4 = self.delta, self.d, self.d2, self.d3, self.d4
-        fx = delta * (x * y - 2 * d * y * z + 2 * d3 * x * z - d4 * z * z)
-        fy = self.delta3 * (y * y - 3 * d2 * x * y + 3 * d4 * x * x - self.d6 * z * z)
-        fz = y * z - 3 * d * x * x + 3 * d2 * x * z - d3 * z * z
-        return (fx, fy, fz)
+        return self.jet(x, y, z, ())[0]
 
-    def partials(self, x, y, z):
-        delta, d, d2, d3, d4 = self.delta, self.d, self.d2, self.d3, self.d4
-        delta3 = self.delta3
-        return (
-            (delta * (y + 2 * d3 * z),
-             delta * (x - 2 * d * z),
-             delta * (-2 * d * y + 2 * d3 * x - 2 * d4 * z)),
-            (delta3 * (-3 * d2 * y + 6 * d4 * x),
-             delta3 * (2 * y - 3 * d2 * x),
-             delta3 * (-2 * self.d6 * z)),
-            (-6 * d * x + 3 * d2 * z,
-             z,
-             y + 3 * d2 * x - 2 * d3 * z),
-        )
+    def jet(self, x, y, z, cols):
+        """The components and their partials in each coordinate of cols."""
+        delta, delta3, d3, d4 = self.delta, self.delta3, self.d3, self.d4
+        k3d2x, k2d3x = self.k3d2 * x, self.k2d3 * x
+        comps = (
+            delta * (x * y - self.k2d * y * z + k2d3x * z - d4 * z * z),
+            delta3 * (y * y - k3d2x * y + self.k3d4 * x * x - self.d6 * z * z),
+            y * z - self.k3d * x * x + k3d2x * z - d3 * z * z)
+        columns = []
+        for c in cols:
+            if c == 0:
+                columns.append((delta * (y + self.k2d3 * z),
+                                delta3 * (self.km3d2 * y + self.k6d4 * x),
+                                self.km6d * x + self.k3d2 * z))
+            elif c == 1:
+                columns.append((delta * (x - self.k2d * z),
+                                delta3 * (2 * y - k3d2x), z))
+            else:
+                columns.append((delta * (self.km2d * y + k2d3x
+                                         - self.k2d4 * z),
+                                delta3 * (self.km2d6 * z),
+                                y + k3d2x - self.k2d3 * z))
+        return comps, columns
 
 
 def orbit_polynomial(n: int) -> IntPolynomial:
@@ -79,32 +89,25 @@ def orbit_polynomial(n: int) -> IntPolynomial:
 # fixed points off the cubic
 # ---------------------------------------------------------------------------
 
-def _tau_quadratic_roots(tau: ComplexBall) -> tuple[ComplexBall, ComplexBall]:
-    """Ball roots of 27 x^2 - 9 (tau-2) x + (tau-1)(tau-2) = 0."""
-    t2 = tau - 2
-    disc = (81 * t2) * t2 - (108 * (tau - 1)) * t2
-    sq = disc.sqrt()
-    inv54 = ComplexBall.exact(54).inverse()
-    return ((9 * t2 + sq) * inv54, (9 * t2 - sq) * inv54)
-
-
-def _r_tau(tau: ComplexBall, x: ComplexBall) -> ComplexBall:
-    """Ordinate of the fixed point: r_tau(x) = (tau-2)x/(3(tau+1)) - (tau-2)^2/(27(tau+1))."""
-    t2 = tau - 2
-    inv = (3 * (tau + 1)).inverse()
-    return t2 * x * inv - t2 * t2 * inv / 9
-
-
-def s_value(tau, x) -> ComplexBall:
-    """Certified ball for s(tau, x) = (9 (tau-1) x - (tau^2 - 4 tau + 6))^2 / (tau + 2)."""
-    tau = ComplexBall.exact(tau)
-    x = ComplexBall.exact(x)
+def _s_of(tau: ComplexBall):
+    """x -> s(tau, x) (see s_value), with the tau-only balls formed once:
+    the tau + 2 pole check and its inverse, 9 (tau-1) and tau^2 - 4 tau + 6."""
     pole = tau + 2
     lo, _ = pole.abs_bounds()
     if lo <= 0.0:
         raise PoleAtTau("tau + 2 vanishes")
-    inner = 9 * (tau - 1) * x - (tau * tau - 4 * tau + 6)
-    return inner * inner / pole
+    inv_pole, slope, shift = pole.inverse(), 9 * (tau - 1), tau * tau - 4 * tau + 6
+
+    def s(x):
+        inner = slope * x - shift
+        return inner * inner * inv_pole
+    return s
+
+
+def s_value(tau, x) -> ComplexBall:
+    """Certified ball for s(tau, x) = (9 (tau-1) x - (tau^2 - 4 tau + 6))^2 / (tau + 2)."""
+    tau, x = ComplexBall.exact(tau), ComplexBall.exact(x)
+    return _s_of(tau)(x)
 
 
 def _records_for_delta(delta: ComplexBall) -> list[FixedPointRecord]:
@@ -120,7 +123,9 @@ def _records_for_delta(delta: ComplexBall) -> list[FixedPointRecord]:
     on the cubic, and f*eta = delta eta, since f acts on the cubic by
     t -> delta (t + d).  At a fixed point off the cubic this reads
     det Df = delta, so det is the root ball itself.  s is the closed form
-    s_value(tau, x).
+    s_value(tau, x), and the ordinate r_tau(x) = (tau-2) x/(3(tau+1)) -
+    (tau-2)^2/(27(tau+1)).  Their tau-only balls (tau - 2, (3(tau+1))^-1,
+    (tau-2)^2 (3(tau+1))^-1 / 9 and those of _s_of) are formed once per root.
 
     Lemma: at a circle root delta of a certified Salem factor both points
     are fixed (the quadratic and r_tau are the fixed-point equations off the
@@ -134,14 +139,22 @@ def _records_for_delta(delta: ComplexBall) -> list[FixedPointRecord]:
         if (tau - bad).contains_zero():
             raise DegenerateTau(f"tau ball meets {bad}")
     qm = QuadMap(delta)
+    # the abscissas: the roots of 27 x^2 - 9 (tau-2) x + (tau-1)(tau-2)
+    t2 = tau - 2
+    sq = ((81 * t2) * t2 - (108 * (tau - 1)) * t2).sqrt()
+    inv54, t9 = ComplexBall.exact(54).inverse(), 9 * t2
+    xs = ((t9 + sq) * inv54, (t9 - sq) * inv54)
+    inv = (3 * (tau + 1)).inverse()
+    shift = t2 * t2 * inv / 9
+    s_at = _s_of(tau)
     records = []
-    for x in _tau_quadratic_roots(tau):
-        y = _r_tau(tau, x)
+    for x in xs:
+        y = t2 * x * inv - shift
         w = ProjectivePoint(x.center, y.center, 1.0)
         (a, _), (_, d) = chart_jacobian(qm, w, chart=2,
                                         point_radius=max(x.radius, y.radius))
         records.append(record_from_trace(Location.GENERIC, w, a + d, delta,
-                                         s_value(tau, x)))
+                                         s_at(x)))
     return records
 
 

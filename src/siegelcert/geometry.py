@@ -1,10 +1,12 @@
 """Projective points, chordal distance, and affine-chart Jacobians.
 
-A family map object exposes `components(x, y, z)` and `partials(x, y, z)`
-returning the three homogeneous components and their 3x3 partial-derivative
-matrix.  Both are written once and evaluated with either plain complex
-scalars (fast paths, finite-difference oracles) or ComplexBall operands
-(certified paths); only +, -, * and integer powers are used.
+A family map object exposes `jet(x, y, z, cols)`: the three homogeneous
+components and, for each coordinate index in cols (0, 1, 2 for x, y, z),
+their partials in it, every shared product formed once.
+`components(x, y, z)` is the jet with no columns, so each formula is
+written once, evaluated with either plain complex scalars (fast paths,
+finite-difference oracles) or ComplexBall operands (certified paths); only
++, -, * and integer powers are used.
 """
 
 from __future__ import annotations
@@ -118,8 +120,9 @@ def chart_jacobian(family_map, point: ProjectivePoint,
 
     The chart defaults to the pivot coordinate of the (normalized) point; for
     a fixed point the image then lies in the same chart.  Entries follow the
-    quotient rule from the homogeneous components and their partials, all in
-    ball arithmetic, so the returned matrix ball contains the true derivative.
+    quotient rule from one jet of the map: the homogeneous components and
+    their partials in the chart's two local coordinates, all in ball
+    arithmetic, so the returned matrix ball contains the true derivative.
     point_radius widens the two local coordinates, making the result valid for
     every point within that distance (e.g. a root enclosure rather than its
     center).  Raises ChartFailure if the chart's denominator component
@@ -131,18 +134,12 @@ def chart_jacobian(family_map, point: ProjectivePoint,
     i, j = _CHART_LOCALS[chart]
     hom = embed_chart(ComplexBall(complex(u), point_radius),
                       ComplexBall(complex(v), point_radius), chart)
-    comps = family_map.components(*hom)
-    parts = family_map.partials(*hom)
+    comps, columns = family_map.jet(*hom, (i, j))
     den = comps[chart]
     lo, _ = den.abs_bounds()
     if lo <= 0.0:
         raise ChartFailure(f"chart {chart} denominator vanishes at {point}")
     inv_den = den.inverse()
-    rows = []
-    for out_idx in (i, j):
-        row = []
-        for var_idx in (i, j):
-            num = parts[out_idx][var_idx] * den - comps[out_idx] * parts[chart][var_idx]
-            row.append(num * inv_den * inv_den)
-        rows.append(tuple(row))
-    return tuple(rows)
+    return tuple(tuple((col[out] * den - comps[out] * col[chart])
+                       * inv_den * inv_den for col in columns)
+                 for out in (i, j))

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .balls import ComplexBall
 from .errors import BoundaryUndecidable, NoSalemFactor
@@ -43,6 +44,11 @@ class SalemCertificate:
     @property
     def entropy(self) -> float:
         return math.log(self.lam.center.real)
+
+    @cached_property
+    def circle_root_set(self) -> frozenset[ComplexBall]:
+        """circle_roots as a set, built once per certificate."""
+        return frozenset(self.circle_roots)
 
 
 def is_salem(p: IntPolynomial) -> SalemCertificate:

@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .balls import ComplexBall, Verdict, ball_in_interval
-from .certifier import (FixedPointRecord, Location, _safe_sqrt,
+from .certifier import (_HALF, FixedPointRecord, Location, _safe_sqrt,
                         record_from_jacobian)
 from .errors import (BoundaryUndecidable, BudgetExhausted, DegenerateSpectrum,
                      NonConvergence, NoSalemFactor, PerturbationFailed,
@@ -164,7 +164,7 @@ def _vanishes(comps) -> bool:
 
 
 class TLMap:
-    """Homogeneous components and partials; scalars may be complex or balls."""
+    """Homogeneous components and their jet; scalars may be complex or balls."""
 
     def __init__(self, delta, inv_a, inv_b):
         self.delta = delta
@@ -188,27 +188,32 @@ class TLMap:
                      [v.inverse() for v in b_balls])
 
     def components(self, x, y, z):
+        return self.jet(x, y, z, ())[0]
+
+    def jet(self, x, y, z, cols):
+        """The components and their partials in each coordinate of cols; the
+        derivative forms of a coordinate are evaluated only for its column."""
         delta = self.delta
         ypow, zpow = _powers(y, z, self.N)
         g1 = _eval_homog(self.g1, ypow, zpow)
         h = _eval_homog(self.h, ypow, zpow)
-        t = h * x - delta * g1
-        return (y * delta * t, g1 * (x + delta * y), z * delta * t)
-
-    def partials(self, x, y, z):
-        delta = self.delta
-        ypow, zpow = _powers(y, z, self.N)
-        g1, g1y, g1z, h, hy, hz = (
-            _eval_homog(coeffs, ypow, zpow)
-            for coeffs in (self.g1, self.g1y, self.g1z, self.h, self.hy, self.hz))
-        t = h * x - delta * g1
-        ty = hy * x - delta * g1y
-        tz = hz * x - delta * g1z
-        return (
-            (y * delta * h, delta * (t + y * ty), y * delta * tz),
-            (g1, g1y * (x + delta * y) + delta * g1, g1z * (x + delta * y)),
-            (z * delta * h, z * delta * ty, delta * (t + z * tz)),
-        )
+        dg1 = delta * g1
+        t = h * x - dg1
+        yd, zd = y * delta, z * delta
+        xdy = x + delta * y
+        columns = []
+        for c in cols:
+            if c == 0:
+                columns.append((yd * h, g1, zd * h))
+            elif c == 1:
+                g1y = _eval_homog(self.g1y, ypow, zpow)
+                ty = _eval_homog(self.hy, ypow, zpow) * x - delta * g1y
+                columns.append((delta * (t + y * ty), g1y * xdy + dg1, zd * ty))
+            else:
+                g1z = _eval_homog(self.g1z, ypow, zpow)
+                tz = _eval_homog(self.hz, ypow, zpow) * x - delta * g1z
+                columns.append((yd * tz, g1z * xdy, delta * (t + z * tz)))
+        return (yd * t, g1 * xdy, zd * t), columns
 
 
 @dataclass(frozen=True)
@@ -488,7 +493,8 @@ def _nonsingular_records(tlm_ball: TLMap, db: ComplexBall,
     as the caller asks for them."""
     # affine diagonal points: roots of the degree-N abscissa polynomial;
     # d = (1+delta)^2/delta is real for |delta| = 1
-    d_ball = ((1 + db) * (1 + db) / db).realize_real()
+    one_db = 1 + db
+    d_ball = (one_db * one_db / db).realize_real()
     xs, real_idx = _abscissa_roots(d_ball, tlm_ball.g1, tlm_ball.g2)
     for i, x in enumerate(xs):
         w = ProjectivePoint(x.center, x.center, 1)
@@ -500,9 +506,8 @@ def _nonsingular_records(tlm_ball: TLMap, db: ComplexBall,
         yield rec
 
     # infinity points: alpha0 x^2 + delta (2 alpha0 - beta0) x + alpha0 delta^2
-    half = ComplexBall.exact(0.5)
     for num in _infinity_numerators(ratio):
-        x = db * num * half
+        x = db * num * _HALF
         w = ProjectivePoint(x.center, 1, 0)
         jac = chart_jacobian(tlm_ball, w, point_radius=x.radius)
         rec = record_from_jacobian(Location.INFINITY, w, jac)

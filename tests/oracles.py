@@ -17,7 +17,8 @@ from siegelcert import threelines
 from siegelcert.balls import (_EPS, _TINY, ComplexBall, Verdict,
                               ball_in_interval, certified_out_margin)
 from siegelcert.certifier import (CertifiedVerdict, FixedPointRecord,
-                                  Location, PointVerdict, Witness)
+                                  Location, PointVerdict, Witness,
+                                  record_from_trace)
 from siegelcert.cuspidal import QuadMap
 from siegelcert.errors import (BoundaryUndecidable, BudgetExhausted,
                                CheckFailed, NoSalemFactor, NonConvergence,
@@ -578,6 +579,115 @@ def fd_chart_jacobian(family_map, point: ProjectivePoint,
     cols = [((4 * b[0] - a[0]) / 3, (4 * b[1] - a[1]) / 3) for a, b in zip(d1, d2)]
     # columns are d/du, d/dv; transpose to rows = outputs
     return ((cols[0][0], cols[1][0]), (cols[0][1], cols[1][1]))
+
+
+# ---------------------------------------------------------------------------
+# each map's components with its full 3x3 partial matrix, every product
+# formed where it is used; the quotient-rule chart Jacobian over them; and
+# the cuspidal records with r_tau and s formed per point.  These are the
+# library's formulas as they were before the jets, in the same float
+# operations, so the library must match them bit for bit
+# ---------------------------------------------------------------------------
+
+def quad_reference(qm: QuadMap, x, y, z):
+    """QuadMap's components, and its partials: row k holds the partials of
+    component k in x, y and z."""
+    delta, d, d2, d3, d4 = qm.delta, qm.d, qm.d2, qm.d3, qm.d4
+    delta3, d6 = qm.delta3, qm.d6
+    comps = (delta * (x * y - 2 * d * y * z + 2 * d3 * x * z - d4 * z * z),
+             delta3 * (y * y - 3 * d2 * x * y + 3 * d4 * x * x - d6 * z * z),
+             y * z - 3 * d * x * x + 3 * d2 * x * z - d3 * z * z)
+    parts = (
+        (delta * (y + 2 * d3 * z),
+         delta * (x - 2 * d * z),
+         delta * (-2 * d * y + 2 * d3 * x - 2 * d4 * z)),
+        (delta3 * (-3 * d2 * y + 6 * d4 * x),
+         delta3 * (2 * y - 3 * d2 * x),
+         delta3 * (-2 * d6 * z)),
+        (-6 * d * x + 3 * d2 * z,
+         z,
+         y + 3 * d2 * x - 2 * d3 * z),
+    )
+    return comps, parts
+
+
+def tl_reference(tlm: TLMap, x, y, z):
+    """TLMap's components and its partials, as quad_reference."""
+    delta = tlm.delta
+    ypow, zpow = threelines._powers(y, z, tlm.N)
+    g1, g1y, g1z, h, hy, hz = (
+        threelines._eval_homog(coeffs, ypow, zpow)
+        for coeffs in (tlm.g1, tlm.g1y, tlm.g1z, tlm.h, tlm.hy, tlm.hz))
+    t = h * x - delta * g1
+    ty = hy * x - delta * g1y
+    tz = hz * x - delta * g1z
+    comps = (y * delta * t, g1 * (x + delta * y), z * delta * t)
+    parts = (
+        (y * delta * h, delta * (t + y * ty), y * delta * tz),
+        (g1, g1y * (x + delta * y) + delta * g1, g1z * (x + delta * y)),
+        (z * delta * h, z * delta * ty, delta * (t + z * tz)),
+    )
+    return comps, parts
+
+
+def chart_jacobian_reference(family_map, reference, point: ProjectivePoint,
+                             chart: int, point_radius: float = 0.0):
+    """The chart Jacobian by the quotient rule over reference(family_map,
+    x, y, z), quad_reference or tl_reference."""
+    u, v = chart_point(point, chart)
+    i, j = _CHART_LOCALS[chart]
+    hom = embed_chart(ComplexBall(complex(u), point_radius),
+                      ComplexBall(complex(v), point_radius), chart)
+    comps, parts = reference(family_map, *hom)
+    den = comps[chart]
+    inv_den = den.inverse()
+    rows = []
+    for out_idx in (i, j):
+        row = []
+        for var_idx in (i, j):
+            num = (parts[out_idx][var_idx] * den
+                   - comps[out_idx] * parts[chart][var_idx])
+            row.append(num * inv_den * inv_den)
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def tau_quadratic_roots_reference(tau: ComplexBall):
+    """Ball roots of 27 x^2 - 9 (tau-2) x + (tau-1)(tau-2) = 0."""
+    t2 = tau - 2
+    disc = (81 * t2) * t2 - (108 * (tau - 1)) * t2
+    sq = disc.sqrt()
+    inv54 = ComplexBall.exact(54).inverse()
+    return ((9 * t2 + sq) * inv54, (9 * t2 - sq) * inv54)
+
+
+def r_tau_reference(tau: ComplexBall, x: ComplexBall) -> ComplexBall:
+    """r_tau(x) = (tau-2)x/(3(tau+1)) - (tau-2)^2/(27(tau+1))."""
+    t2 = tau - 2
+    inv = (3 * (tau + 1)).inverse()
+    return t2 * x * inv - t2 * t2 * inv / 9
+
+
+def s_value_reference(tau: ComplexBall, x: ComplexBall) -> ComplexBall:
+    """s(tau, x) = (9 (tau-1) x - (tau^2 - 4 tau + 6))^2 / (tau + 2)."""
+    inner = 9 * (tau - 1) * x - (tau * tau - 4 * tau + 6)
+    return inner * inner / (tau + 2)
+
+
+def records_for_delta_reference(delta: ComplexBall) -> list[FixedPointRecord]:
+    """cuspidal._records_for_delta with r_tau, s and the chart Jacobian
+    formed per point, from quad_reference."""
+    tau = 2 * ComplexBall(complex(delta.center.real, 0.0), delta.radius)
+    qm = QuadMap(delta)
+    records = []
+    for x in tau_quadratic_roots_reference(tau):
+        y = r_tau_reference(tau, x)
+        w = ProjectivePoint(x.center, y.center, 1.0)
+        (a, _), (_, d) = chart_jacobian_reference(
+            qm, quad_reference, w, 2, max(x.radius, y.radius))
+        records.append(record_from_trace(Location.GENERIC, w, a + d, delta,
+                                         s_value_reference(tau, x)))
+    return records
 
 
 # ---------------------------------------------------------------------------

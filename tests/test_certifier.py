@@ -38,7 +38,8 @@ def test_jacobian_vs_fd_cuspidal_random_points():
         comps = qm.components(*pt.coords)
         if min(abs(c) for c in comps) < 1e-3:
             continue
-        _fd_match(qm, pt, chart=2)
+        for chart in (0, 1, 2):
+            _fd_match(qm, pt, chart)
         checked += 1
 
 
@@ -53,7 +54,8 @@ def test_jacobian_vs_fd_three_lines_random_points():
         comps = tlm.components(*pt.coords)
         if min(abs(c) for c in comps) < 1e-2:
             continue
-        _fd_match(tlm, pt, chart=2)
+        for chart in (0, 1, 2):
+            _fd_match(tlm, pt, chart)
         checked += 1
 
 
@@ -144,17 +146,20 @@ def test_certify_picks_max_margin_witness(salem8_cert):
 
 
 def test_equal_margins_first_witness_wins(salem8_cert):
-    d0, d1, d2 = salem8_cert.circle_roots[:3]
+    d0, d1, d2, d3 = salem8_cert.circle_roots[:4]
     # within one root the first record wins, across roots the first root
     sections = certify_sections(
         salem8_cert, {d0: [_record(2.0)],
                       d1: [_record(1.0), _record(7.0), _record(7.0)],
-                      d2: [_record(7.0)]}, None)
+                      d2: [_record(7.0)], d3: [_record(7.0), _record(3.0)]},
+        None)
     w = sections[0].verdicts[0].witness
     assert w.delta is d1 and w.point_index == 1
     assert w.margin == certified_out_margin(_record(7.0).s)
-    # the points over d1 see only d0 and d2, so d2's record is theirs
+    # the points over d1 see d0, d2 and d3, so the first of the tied
+    # records of d2 and d3 is theirs; d3's in-range point takes d1's
     assert sections[1].verdicts[0].witness.delta is d2
+    assert sections[3].verdicts[1].witness.delta is d1
 
 
 def test_witness_outside_circle_roots_raises(salem8_cert):

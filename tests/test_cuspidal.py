@@ -18,7 +18,9 @@ from siegelcert.salem import is_salem
 from siegelcert.threelines import OrbitData, salem_from_orbit
 
 from oracles import (QuadIndeterminate, closure_residual, fd_chart_jacobian,
-                     quad_map_eval)
+                     quad_map_eval, r_tau_reference,
+                     records_for_delta_reference,
+                     tau_quadratic_roots_reference)
 
 DELTA0 = 0.6098 + 0.7925j
 
@@ -152,10 +154,10 @@ def test_record_det_from_the_two_form_lemma_meets_the_chart_record(n):
     for root in is_salem(orbit_polynomial(n)).circle_roots:
         qm = QuadMap(root)
         tau = 2 * ComplexBall(complex(root.center.real, 0.0), root.radius)
-        xs = cuspidal._tau_quadratic_roots(tau)
+        xs = tau_quadratic_roots_reference(tau)
         for x, rec in zip(xs, _records_for_delta(root)):
             assert rec.det == root
-            y = cuspidal._r_tau(tau, x)
+            y = r_tau_reference(tau, x)
             jac = chart_jacobian(qm, rec.coords, chart=2,
                                  point_radius=max(x.radius, y.radius))
             chart = certifier.record_from_jacobian(Location.GENERIC,
@@ -165,6 +167,16 @@ def test_record_det_from_the_two_form_lemma_meets_the_chart_record(n):
             for mine, theirs in zip(rec.eigenvalues, chart.eigenvalues):
                 assert not mine.disjoint(theirs)
                 assert mine.radius <= theirs.radius
+
+
+@pytest.mark.parametrize("n", [4, 8, 12, 30, 60])
+def test_records_equal_the_per_point_reference_bit_for_bit(n):
+    # the tau-only balls formed once per root, and the chart Jacobian from
+    # one jet, give the records that r_tau, s and the full partial matrix
+    # formed per point give: every coordinate, trace, det, s and eigenvalue
+    # ball compares equal
+    for root in is_salem(orbit_polynomial(n)).circle_roots:
+        assert _records_for_delta(root) == records_for_delta_reference(root)
 
 
 def test_certify_cuspidal_certifies_the_salem_factor_once(monkeypatch):

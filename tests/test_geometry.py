@@ -1,13 +1,19 @@
-"""Projective normalization and chordal distance on coordinate triples."""
+"""Projective normalization, chordal distance and chart Jacobians."""
 
 import random
 
 import pytest
 
-from siegelcert.geometry import (ProjectivePoint, chordal_distance, norm,
-                                 normalize, pivot_index)
+from siegelcert.cuspidal import QuadMap, orbit_polynomial
+from siegelcert.geometry import (ProjectivePoint, chart_jacobian,
+                                 chordal_distance, norm, normalize,
+                                 pivot_index)
+from siegelcert.salem import is_salem
+from siegelcert.threelines import (OrbitData, TLMap, param_balls,
+                                   salem_from_orbit)
 
-from oracles import distance_reference, normalize_reference
+from oracles import (chart_jacobian_reference, distance_reference,
+                     normalize_reference, quad_reference, tl_reference)
 
 
 def _bits(values):
@@ -66,3 +72,37 @@ def test_chordal_distance_matches_the_reference_bits():
         want = distance_reference(p, q).hex()
         assert chordal_distance(p, q, norm(p), norm(q)).hex() == want, (p, q)
         assert pp.distance(qq).hex() == want
+
+
+def _ball_map(family):
+    """A map with ball coefficients at a certified circle root: the
+    cuspidal map at n = 8, or the three-lines map at N = 1, 2 or 3."""
+    if family == "quad":
+        return QuadMap(is_salem(orbit_polynomial(8)).circle_roots[0]), quad_reference
+    orbit = {"tl1": OrbitData((2,), (1,)), "tl2": OrbitData((1, 2), (1, 1)),
+             "tl3": OrbitData((2, 2, 2), (1, 1, 1))}[family]
+    root = salem_from_orbit(orbit).circle_roots[0]
+    return TLMap.ball_map(*param_balls(root, orbit)), tl_reference
+
+
+@pytest.mark.parametrize("family", ["quad", "tl1", "tl2", "tl3"])
+def test_chart_jacobian_is_the_quotient_rule_over_the_full_partials(family):
+    # one jet per call must give, bit for bit, the Jacobian that the full
+    # 3x3 partial matrix gives, at each chart and for ball points
+    fmap, reference = _ball_map(family)
+    rng = random.Random(28)
+
+    def z():
+        return complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+
+    for _ in range(40):
+        pt = ProjectivePoint(z(), z(), z())
+        for radius in (0.0, 1e-9):
+            for chart in (0, 1, 2):
+                got = chart_jacobian(fmap, pt, chart, radius)
+                want = chart_jacobian_reference(fmap, reference, pt, chart,
+                                                radius)
+                for g_row, w_row in zip(got, want):
+                    for g, w in zip(g_row, w_row):
+                        assert _bits([g.center]) == _bits([w.center])
+                        assert g.radius.hex() == w.radius.hex()
