@@ -2,7 +2,7 @@
 
 Coefficients are Python bigints, index = degree of the term.  Everything here
 is exact: cyclotomic stripping is trial exact division, and the mod-p
-irreducibility test runs Rabin's criterion on the Frobenius matrix over GF(p).
+irreducibility test is Ben-Or's, over GF(p) with a Frobenius matrix.
 Stripping tries the indices k with euler_phi(k) <= deg p, found below the
 Rosser-Schoenfeld bound n / phi(n) < e^gamma ln ln n + 3 / ln ln n, and a
 float screen (p nearly vanishing at a primitive k-th root of unity, all k
@@ -13,6 +13,7 @@ The resultant eliminates t from p(t) and q(t, x), with q given by powers of x
 the q-rows first.  It is computed by the subresultant PRS at integer points
 and interpolated exactly in Z[x].  No floating point enters a result except
 in eval_ball, which wraps honest conversion error for coefficients beyond 2^53.
+The resultant, the gcd and the test mod p run on plain lists of ints.
 """
 
 from __future__ import annotations
@@ -136,18 +137,11 @@ class IntPolynomial:
         return IntPolynomial(tuple(reversed(self.coeffs)))
 
     def content(self) -> int:
-        g = 0
-        for c in self.coeffs:
-            g = math.gcd(g, abs(c))
-        return g
+        return math.gcd(*self.coeffs)
 
     def primitive_positive(self) -> "IntPolynomial":
         """Divide out the content and normalize the leading coefficient > 0."""
-        if self.is_zero:
-            return self
-        g = self.content()
-        sign = 1 if self.coeffs[-1] > 0 else -1
-        return IntPolynomial(tuple(c // (sign * g) for c in self.coeffs))
+        return _int_poly(_primitive_positive(list(self.coeffs)))
 
     # -- evaluation ------------------------------------------------------
 
@@ -319,6 +313,59 @@ def rebuild(rest: IntPolynomial, factors: list[int]) -> IntPolynomial:
 
 
 # ---------------------------------------------------------------------------
+# pseudo-remainders on coefficient lists
+# ---------------------------------------------------------------------------
+# The strict kernels below (the resultant's PRS, the gcd and the test mod p)
+# work on plain lists of ints, index = degree, with no trailing zeros; the
+# zero polynomial is [].
+
+def _trim(a: list[int]) -> list[int]:
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _prem(a: list[int], b: list[int]) -> list[int]:
+    """Pseudo-remainder lc(b)^(deg a - deg b + 1) * a mod b in Z[x], as a new
+    list; b is nonzero.  It is the unique r of degree < deg b with
+    lc(b)^(deg a - deg b + 1) * a - r a multiple of b, so the order of the
+    steps cannot change it.  Each step reads the top coefficient c and forms
+    lc(b) * r - c x^s b; a zero top costs no step, and the powers of lc(b)
+    still owed at the end multiply r then.  For deg a < deg b it is a."""
+    db = len(b) - 1
+    owed = len(a) - db
+    r = a[:]
+    if owed <= 0:
+        return r
+    lead = b[-1]
+    low = b[:-1]
+    for k in range(len(a) - 1, db - 1, -1):
+        c = r.pop()
+        if c:
+            if lead != 1:
+                r = [v * lead for v in r]
+            s = k - db
+            r[s:k] = [v - c * w for v, w in zip(r[s:k], low)]
+            owed -= 1
+    _trim(r)
+    if owed and lead != 1:
+        m = lead ** owed
+        r = [v * m for v in r]
+    return r
+
+
+def _primitive_positive(a: list[int]) -> list[int]:
+    """a divided by its content, with a positive leading coefficient; a
+    itself when that changes nothing."""
+    if not a:
+        return a
+    g = math.gcd(*a)
+    if a[-1] < 0:
+        g = -g
+    return a if g == 1 else [v // g for v in a]
+
+
+# ---------------------------------------------------------------------------
 # resultants (evaluation at integers, subresultant PRS, exact interpolation)
 # ---------------------------------------------------------------------------
 
@@ -341,47 +388,52 @@ def resultant(p: IntPolynomial, q: list[IntPolynomial]) -> IntPolynomial:
         q.pop()
     if not q:
         raise ValueError("q must be nonzero")
-    deg_t = max(c.degree for c in q)
+    width = max(len(c.coeffs) for c in q)  # deg_t(q) + 1
+    rows = [list(c.coeffs) + [0] * (width - len(c.coeffs)) for c in q]
+    pc = list(p.coeffs)
     need = p.degree * (len(q) - 1) + 1
     xs, ys = [], []
     x0 = 0
     while len(xs) < need:
-        powers = [x0 ** k for k in range(len(q))]
-        q0 = IntPolynomial(tuple(sum(w * c[d] for w, c in zip(powers, q))
-                                 for d in range(deg_t + 1)))
-        if q0.degree == deg_t:
+        q0 = rows[-1]
+        for row in reversed(rows[:-1]):      # Horner in x at x0
+            q0 = [v * x0 + c for v, c in zip(q0, row)]
+        if q0[-1]:                           # deg q(t, x0) = deg_t(q)
             xs.append(x0)
-            ys.append(_int_resultant(q0, p))
+            ys.append(_int_resultant(q0, pc))
         x0 = -x0 if x0 > 0 else 1 - x0
     return _interpolate(xs, ys)
 
 
-def _int_resultant(a: IntPolynomial, b: IntPolynomial) -> int:
+def _int_resultant(a: list[int], b: list[int]) -> int:
     """Sylvester resultant of nonzero a, b in Z[t], a-rows first, by the
     subresultant PRS (Collins, J. ACM 18, 1971)."""
-    if a.degree == 0 or b.degree == 0:
-        return a.coeffs[0] ** b.degree * b.coeffs[0] ** a.degree
-    ca, cb = a.content(), b.content()
-    t = ca ** b.degree * cb ** a.degree
-    a = IntPolynomial(tuple(c // ca for c in a.coeffs))
-    b = IntPolynomial(tuple(c // cb for c in b.coeffs))
+    da, db = len(a) - 1, len(b) - 1
+    if da == 0 or db == 0:
+        return a[0] ** db * b[0] ** da
+    ca, cb = math.gcd(*a), math.gcd(*b)
+    t = ca ** db * cb ** da
+    a = [c // ca for c in a]
+    b = [c // cb for c in b]
     s = g = h = 1
-    if a.degree < b.degree:
+    if da < db:
         a, b = b, a
-        if a.degree % 2 and b.degree % 2:
+        if da % 2 and db % 2:
             s = -1
-    while b.degree > 0:
-        delta = a.degree - b.degree
-        if a.degree % 2 and b.degree % 2:
+    while len(b) > 1:
+        da, db = len(a) - 1, len(b) - 1
+        delta = da - db
+        if da % 2 and db % 2:
             s = -s
-        r = _pseudo_rem(a, b)
+        r = _prem(a, b)
         div = g * h ** delta
-        a, b = b, IntPolynomial(tuple(_exact_div(c, div) for c in r.coeffs))
-        g = a.coeffs[-1]
+        a, b = b, (r if div == 1 else [_exact_div(c, div) for c in r])
+        g = a[-1]
         h = _exact_div(g ** delta, h ** (delta - 1)) if delta else h
-    if b.is_zero:
+    if not b:
         return 0
-    return s * t * _exact_div(b.coeffs[0] ** a.degree, h ** (a.degree - 1))
+    da = len(a) - 1
+    return s * t * _exact_div(b[0] ** da, h ** (da - 1))
 
 
 def _exact_div(num: int, den: int) -> int:
@@ -415,30 +467,15 @@ def _interpolate(xs: list[int], ys: list[int]) -> IntPolynomial:
 # gcd and squarefree part over Z[x]
 # ---------------------------------------------------------------------------
 
-def _pseudo_rem(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
-    """Pseudo-remainder: lc(b)^(deg a - deg b + 1) * a reduced by b."""
-    if b.is_zero:
-        raise ZeroDivisionError("pseudo-remainder by zero")
-    r = a
-    lead = b.coeffs[-1]
-    steps = a.degree - b.degree + 1
-    while not r.is_zero and r.degree >= b.degree:
-        shift = r.degree - b.degree
-        r = r * lead - (b * r.coeffs[-1]).scale_pow(shift)
-        steps -= 1
-    return r * lead ** steps if steps > 0 else r
-
-
 def poly_gcd(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
     """Primitive positive gcd in Z[x] (Euclid on pseudo-remainders)."""
-    a = p.primitive_positive()
-    b = q.primitive_positive()
-    if a.is_zero:
-        return b
-    while not b.is_zero:
-        r = _pseudo_rem(a, b)
-        a, b = b, (r.primitive_positive() if not r.is_zero else r)
-    return a.primitive_positive()
+    a = _primitive_positive(list(p.coeffs))
+    b = _primitive_positive(list(q.coeffs))
+    if not a:
+        return _int_poly(b)
+    while b:
+        a, b = b, _primitive_positive(_prem(a, b))
+    return _int_poly(a)
 
 
 def squarefree_part(p: IntPolynomial) -> IntPolynomial:
@@ -460,17 +497,30 @@ def squarefree_part(p: IntPolynomial) -> IntPolynomial:
 # irreducibility over GF(p)
 # ---------------------------------------------------------------------------
 
+# psi_13 (Sorenson and Webster, Math. Comp. 86, 2017): the least integer that
+# is a strong probable prime to every prime base up to 41.  Below it those
+# thirteen bases decide primality exactly; psi_12 = 318665857834031151167461
+# = 399165290221 * 798330580441 passes the twelve bases up to 37.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
+    """Whether n is prime, by Miller-Rabin at the prime bases up to 41, which
+    is exact below _MR_EXACT_BELOW; BadPrime at or above it."""
+    if n >= _MR_EXACT_BELOW:
+        raise BadPrime(f"{n} is beyond the deterministic primality test "
+                       f"(exact below {_MR_EXACT_BELOW})")
     if n < 2:
         return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for q in _MR_BASES:
         if n % q == 0:
             return n == q
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in _MR_BASES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -483,110 +533,139 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _gf_trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
+def _gf_rem(a: list[int], f: list[int], p: int) -> list[int]:
+    """a mod f over GF(p), reduced and trimmed, reusing the list a; f is
+    nonzero with f[-1] a unit mod p.  Each coefficient is reduced once: a
+    top one when it is read, the remainder's at the end."""
+    df = len(f) - 1
+    if len(a) > df:
+        low = f[:-1]
+        inv = pow(f[-1], -1, p)
+        for k in range(len(a) - 1, df - 1, -1):
+            c = a.pop() * inv % p
+            if c:
+                s = k - df
+                a[s:k] = [v - c * w for v, w in zip(a[s:k], low)]
+    return _trim([v % p for v in a])
 
 
-def _gf_mulmod(a: list[int], b: list[int], mod: list[int], p: int) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _gf_rem(out, mod, p)
+class _GFQuotient:
+    """GF(p)[x] / (f), for monic f of degree n >= 2, with Kronecker
+    substitution: a list a of residues packs into the int sum a[i] 2^(8 w i)
+    of w-byte slots, so one int product of two packed lists forms every
+    coefficient of their product.  reduce folds slots n..2n-2 back through
+    the packed x^j mod f, built at its first use.  No slot it sees exceeds
+    2 n p^2 < 2^(8 w), so none carries into the next, and each coefficient
+    is reduced mod p once."""
+
+    __slots__ = ("f", "p", "n", "w", "fold")
+
+    def __init__(self, f: list[int], p: int):
+        self.f, self.p, self.n = f, p, len(f) - 1
+        self.w = ((2 * self.n * p * p).bit_length() + 7) // 8
+        self.fold: list[int] = []
+
+    def pack(self, a: list[int]) -> int:
+        w = self.w
+        return int.from_bytes(b"".join([c.to_bytes(w, "little") for c in a]),
+                              "little")
+
+    def _slots(self, v: int) -> list[int]:
+        w = self.w
+        size = -(-v.bit_length() // (8 * w)) * w
+        buf = v.to_bytes(size, "little")
+        return [int.from_bytes(buf[i:i + w], "little")
+                for i in range(0, size, w)]
+
+    def reduce(self, v: int) -> list[int]:
+        """The residue list of v mod f, for v a product of two packed
+        residue lists or a sum of at most n packed lists times residues."""
+        n, p = self.n, self.p
+        shift = 8 * self.w * n
+        if v >> shift:
+            if not self.fold:
+                f = self.f
+                r = [-c % p for c in f[:-1]]   # x^n mod f
+                for _ in range(n - 1):
+                    self.fold.append(self.pack(r))
+                    top = r.pop()               # x r mod f
+                    r.insert(0, 0)
+                    if top:
+                        r = [(u - top * c) % p for u, c in zip(r, f)]
+            acc = v & ((1 << shift) - 1)
+            for c, r in zip(self._slots(v >> shift), self.fold):
+                c %= p
+                if c:
+                    acc += c * r
+            v = acc
+        return _trim([c % p for c in self._slots(v)])
 
 
-def _gf_rem(a: list[int], mod: list[int], p: int) -> list[int]:
-    a = list(a)
-    dm = len(mod) - 1
-    inv_lead = pow(mod[-1], p - 2, p)
-    for k in range(len(a) - 1, dm - 1, -1):
-        c = a[k]
-        if c:
-            f = c * inv_lead % p
-            for j in range(len(mod)):
-                a[k - dm + j] = (a[k - dm + j] - f * mod[j]) % p
-    del a[dm:]
-    return _gf_trim(a)
-
-def _gf_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    a, b = _gf_trim(list(a)), _gf_trim(list(b))
-    while b:
-        a, b = b, _gf_rem(a, b, p)
-    if a:  # normalize monic
-        inv = pow(a[-1], p - 2, p)
-        a = [c * inv % p for c in a]
-    return a
-
-
-def _gf_powmod_x(e: int, mod: list[int], p: int) -> list[int]:
-    """x^e mod (mod, p) by square and multiply."""
-    result = [1]
-    base = _gf_rem([0, 1], mod, p)
-    while e:
-        if e & 1:
-            result = _gf_mulmod(result, base, mod, p)
-        base = _gf_mulmod(base, base, mod, p)
-        e >>= 1
-    return result
+def _gf_coprime(a: list[int], f: list[int], p: int) -> bool:
+    """Whether gcd(a, f) = 1 over GF(p), by Euclid; a is reduced and
+    deg a < deg f.  a is consumed, f is not."""
+    f = f[:]
+    while a:
+        f, a = a, _gf_rem(f, a, p)
+    return len(f) == 1
 
 
 def irreducible_mod_p(poly: IntPolynomial, prime: int) -> bool:
     """Whether poly mod prime is irreducible over GF(prime).
 
-    Rabin's test: f of degree n is irreducible iff x^(p^n) = x mod f and
-    gcd(x^(p^(n/l)) - x, f) = 1 for every prime l | n.  The iterates come
-    from the Frobenius matrix (Berlekamp 1970): row i holds x^(i p) mod f,
-    built from one x^p mod f, and since g^p = g(x^p) over GF(p) each
-    x^(p^(k+1)) is the vector of x^(p^k) times that matrix.  Irreducibility
-    mod a prime not dividing the leading coefficient is a sufficient (not
-    necessary) condition for irreducibility over Q.
+    Ben-Or's test (FOCS 1981): f of degree n is irreducible over GF(p) if and
+    only if gcd(x^(p^k) - x, f) = 1 for every k = 1..floor(n/2).  Over GF(p),
+    x^(p^k) - x is the product of the monic irreducibles whose degree divides
+    k.  If f is reducible it has an irreducible factor g of degree d <= n/2,
+    and g divides x^(p^d) - x, so the gcd at k = d is not 1.  If f is
+    irreducible, that gcd is 1 or f, and f divides x^(p^k) - x only when n
+    divides k, which no k in 1..n/2 does.
+
+    The test runs on the monic normalisation of f.  It computes x^p mod f by
+    square and multiply, where each multiplication by x is a shift, and
+    checks k = 1 first; most reducible inputs stop there.  Only from k = 2
+    on does it build the Frobenius matrix (Berlekamp 1970): row i holds
+    x^(i p) mod f, and since g^p = g(x^p) over GF(p), x^(p^k) is the vector
+    of x^(p^(k-1)) times that matrix.  Products mod f are Kronecker
+    substitutions (_GFQuotient).  It returns False at the first k whose
+    gcd is not 1.  Irreducibility mod a prime not dividing the leading
+    coefficient is a sufficient (not necessary) condition for
+    irreducibility over Q.
     """
     if not _is_prime(prime):
         raise BadPrime(f"{prime} is not prime")
     if poly.is_zero or poly.coeffs[-1] % prime == 0:
         raise BadPrime(f"{prime} divides the leading coefficient")
-    f = _gf_trim([c % prime for c in poly.coeffs])
-    n = len(f) - 1
-    if n == 0:
-        return False
-    if n == 1:
-        return True
-    xp = _gf_powmod_x(prime, f, prime)
-    frob = [[1]]
-    for _ in range(n - 1):
-        frob.append(_gf_mulmod(frob[-1], xp, f, prime))
-    checks = {n // ell for ell in _prime_divisors(n)}
-    xk = [0, 1]                                  # x^(p^k), from k = 0
-    for k in range(1, n + 1):
-        acc = [0] * n
-        for c, row in zip(xk, frob):
-            if c:
-                for j, r in enumerate(row):
-                    acc[j] += c * r
-        xk = _gf_trim([a % prime for a in acc])
-        if k in checks:
-            diff = xk + [0] * (2 - len(xk))
-            diff[1] = (diff[1] - 1) % prime
-            if len(_gf_gcd(diff, f, prime)) != 1:
-                return False
-    return xk == [0, 1]
-
-
-def _prime_divisors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
+    n = poly.degree
+    if n < 2:
+        return n == 1
+    inv = pow(poly.coeffs[-1], -1, prime)
+    f = [c * inv % prime for c in poly.coeffs]
+    ring = _GFQuotient(f, prime)
+    xk = [0, 1]
+    for bit in bin(prime)[3:]:               # x^p mod f, from x
+        v = ring.pack(xk)
+        xk = ring.reduce(v * v)
+        if bit == "1":
+            xk = _gf_rem([0] + xk, f, prime)
+    rows: list[int] = []                     # packed x^(i p) mod f
+    for k in range(1, n // 2 + 1):
+        if k == 2:
+            xp = ring.pack(xk)
+            rows = [1]
+            for _ in range(n - 1):
+                rows.append(ring.pack(ring.reduce(xp * rows[-1])))
+        if k >= 2:                           # x^(p^k) = x^(p^(k-1)) * matrix
+            acc = 0
+            for c, r in zip(xk, rows):
+                if c:
+                    acc += c * r
+            xk = ring.reduce(acc)
+        diff = xk + [0] * (2 - len(xk))      # x^(p^k) - x
+        diff[1] = (diff[1] - 1) % prime
+        if not _gf_coprime(_trim(diff), f, prime):
+            return False
+    return True
 
 
 def admissible_primes(poly: IntPolynomial, count: int) -> list[int]:

@@ -168,6 +168,173 @@ def try_exact_div_reference(a: IntPolynomial, divisor: IntPolynomial):
     return IntPolynomial(tuple(q))
 
 
+# ---------------------------------------------------------------------------
+# the strict kernels as intpoly computed them on IntPolynomial: a pseudo-
+# remainder that builds a polynomial at every step, under the subresultant
+# PRS and the primitive-PRS gcd, and Rabin's irreducibility test, which
+# builds the whole Frobenius matrix and runs all n of its steps
+# ---------------------------------------------------------------------------
+
+def pseudo_rem_reference(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
+    """Pseudo-remainder: lc(b)^(deg a - deg b + 1) * a reduced by b."""
+    if b.is_zero:
+        raise ZeroDivisionError("pseudo-remainder by zero")
+    r = a
+    lead = b.coeffs[-1]
+    steps = a.degree - b.degree + 1
+    while not r.is_zero and r.degree >= b.degree:
+        shift = r.degree - b.degree
+        r = r * lead - (b * r.coeffs[-1]).scale_pow(shift)
+        steps -= 1
+    return r * lead ** steps if steps > 0 else r
+
+
+def _exact_div_reference(num: int, den: int) -> int:
+    q, r = divmod(num, den)
+    if r:
+        raise CheckFailed("subresultant exact division failed")
+    return q
+
+
+def int_resultant_reference(a: IntPolynomial, b: IntPolynomial) -> int:
+    """Sylvester resultant of nonzero a, b in Z[t], a-rows first, by the
+    subresultant PRS (Collins, J. ACM 18, 1971)."""
+    if a.degree == 0 or b.degree == 0:
+        return a.coeffs[0] ** b.degree * b.coeffs[0] ** a.degree
+    ca, cb = a.content(), b.content()
+    t = ca ** b.degree * cb ** a.degree
+    a = IntPolynomial(tuple(c // ca for c in a.coeffs))
+    b = IntPolynomial(tuple(c // cb for c in b.coeffs))
+    s = g = h = 1
+    if a.degree < b.degree:
+        a, b = b, a
+        if a.degree % 2 and b.degree % 2:
+            s = -1
+    while b.degree > 0:
+        delta = a.degree - b.degree
+        if a.degree % 2 and b.degree % 2:
+            s = -s
+        r = pseudo_rem_reference(a, b)
+        div = g * h ** delta
+        a, b = b, IntPolynomial(tuple(_exact_div_reference(c, div)
+                                      for c in r.coeffs))
+        g = a.coeffs[-1]
+        h = _exact_div_reference(g ** delta, h ** (delta - 1)) if delta else h
+    if b.is_zero:
+        return 0
+    return s * t * _exact_div_reference(b.coeffs[0] ** a.degree,
+                                        h ** (a.degree - 1))
+
+
+def poly_gcd_reference(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
+    """Primitive positive gcd in Z[x] (Euclid on pseudo-remainders)."""
+    a = p.primitive_positive()
+    b = q.primitive_positive()
+    if a.is_zero:
+        return b
+    while not b.is_zero:
+        r = pseudo_rem_reference(a, b)
+        a, b = b, (r.primitive_positive() if not r.is_zero else r)
+    return a.primitive_positive()
+
+
+def _gf_trim(a: list[int]) -> list[int]:
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _gf_mulmod(a: list[int], b: list[int], mod: list[int], p: int) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] = (out[i + j] + ai * bj) % p
+    return _gf_rem(out, mod, p)
+
+
+def _gf_rem(a: list[int], mod: list[int], p: int) -> list[int]:
+    a = list(a)
+    dm = len(mod) - 1
+    inv_lead = pow(mod[-1], p - 2, p)
+    for k in range(len(a) - 1, dm - 1, -1):
+        c = a[k]
+        if c:
+            f = c * inv_lead % p
+            for j in range(len(mod)):
+                a[k - dm + j] = (a[k - dm + j] - f * mod[j]) % p
+    del a[dm:]
+    return _gf_trim(a)
+
+
+def _gf_gcd(a: list[int], b: list[int], p: int) -> list[int]:
+    a, b = _gf_trim(list(a)), _gf_trim(list(b))
+    while b:
+        a, b = b, _gf_rem(a, b, p)
+    if a:  # normalize monic
+        inv = pow(a[-1], p - 2, p)
+        a = [c * inv % p for c in a]
+    return a
+
+
+def _gf_powmod_x(e: int, mod: list[int], p: int) -> list[int]:
+    """x^e mod (mod, p) by square and multiply."""
+    result = [1]
+    base = _gf_rem([0, 1], mod, p)
+    while e:
+        if e & 1:
+            result = _gf_mulmod(result, base, mod, p)
+        base = _gf_mulmod(base, base, mod, p)
+        e >>= 1
+    return result
+
+
+def _prime_divisors(n: int) -> list[int]:
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def irreducible_mod_p_reference(poly: IntPolynomial, prime: int) -> bool:
+    """Rabin's test: f of degree n is irreducible iff x^(p^n) = x mod f and
+    gcd(x^(p^(n/l)) - x, f) = 1 for every prime l | n, with each x^(p^k)
+    from the Frobenius matrix (row i holds x^(i p) mod f).  prime must be a
+    prime not dividing the leading coefficient."""
+    f = _gf_trim([c % prime for c in poly.coeffs])
+    n = len(f) - 1
+    if n == 0:
+        return False
+    if n == 1:
+        return True
+    xp = _gf_powmod_x(prime, f, prime)
+    frob = [[1]]
+    for _ in range(n - 1):
+        frob.append(_gf_mulmod(frob[-1], xp, f, prime))
+    checks = {n // ell for ell in _prime_divisors(n)}
+    xk = [0, 1]                                  # x^(p^k), from k = 0
+    for k in range(1, n + 1):
+        acc = [0] * n
+        for c, row in zip(xk, frob):
+            if c:
+                for j, r in enumerate(row):
+                    acc[j] += c * r
+        xk = _gf_trim([a % prime for a in acc])
+        if k in checks:
+            diff = xk + [0] * (2 - len(xk))
+            diff[1] = (diff[1] - 1) % prime
+            if len(_gf_gcd(diff, f, prime)) != 1:
+                return False
+    return xk == [0, 1]
+
+
 def horner_vec_reference(coeffs, z):
     out = np.zeros_like(z)
     for c in coeffs[::-1]:

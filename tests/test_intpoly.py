@@ -7,11 +7,15 @@ import random
 
 import pytest
 
+from siegelcert import intpoly
 from siegelcert.errors import BadPrime
-from siegelcert.intpoly import (IntPolynomial, admissible_primes, cyclotomic,
-                                cyclotomic_indices, irreducible_mod_p, rebuild,
-                                resultant, strip_cyclotomic)
+from siegelcert.intpoly import (IntPolynomial, _is_prime, admissible_primes,
+                                cyclotomic, cyclotomic_indices,
+                                irreducible_mod_p, rebuild, resultant,
+                                squarefree_part, strip_cyclotomic)
 from siegelcert.roots import ComplexPolynomial, poly_roots
+
+from oracles import irreducible_mod_p_reference
 
 
 def test_basic_arithmetic_and_division():
@@ -302,30 +306,113 @@ def test_irreducible_mod_p_vs_exhaustive_factor_search(salem8):
 
 
 def test_irreducible_mod_p_vs_exhaustive_all_small_degrees():
-    for p in (2, 3, 5):
-        for deg in range(2, 5):
+    # every polynomial of degree 2..8 over GF(2) and 2..4 over GF(3), GF(5),
+    # also against Rabin's test
+    for p, top in ((2, 8), (3, 4), (5, 4)):
+        for deg in range(2, top + 1):
             for tail in itertools.product(range(p), repeat=deg):
                 for lead in range(1, p):
                     f = IntPolynomial(tail + (lead,))
-                    assert irreducible_mod_p(f, p) == \
-                        _exhaustive_irreducible(f, p), (f, p)
+                    got = irreducible_mod_p(f, p)
+                    assert got == _exhaustive_irreducible(f, p), (f, p)
+                    assert got == irreducible_mod_p_reference(f, p), (f, p)
 
 
-def test_irreducible_mod_p_rejects_squares_and_equal_degree_products():
-    # x^(p^n) = x mod g*h when deg g = deg h; only the gcd step rejects it
+def test_irreducible_mod_p_rejects_squares_and_equal_degree_products(
+        monkeypatch):
+    # g * h with irreducible g, h of degree n/2: every gcd before k = n/2
+    # is 1, so only Ben-Or's last step rejects it
     cases = [
         (2, (1, 1, 1), (1, 1, 1)),            # g^2, g = x^2 + x + 1
         (2, (1, 1, 0, 1), (1, 0, 1, 1)),      # two irreducible cubics
+        (2, (1, 1, 0, 0, 1), (1, 0, 0, 1, 1)),  # x^4 + x + 1, x^4 + x^3 + 1
         (3, (1, 0, 1), (2, 1, 1)),            # two irreducible quadratics
         (3, (1, 2, 0, 1), (1, 2, 0, 1)),      # g^2, g = x^3 + 2x + 1
         (5, (2, 0, 1), (3, 0, 1)),            # x^2 + 2 and x^2 + 3
+        (7, (3, 0, 0, 1), (5, 0, 0, 1)),      # x^3 + 3 and x^3 + 5
     ]
     for p, g, h in cases:
         g, h = IntPolynomial(g), IntPolynomial(h)
-        assert irreducible_mod_p(g, p) and irreducible_mod_p(h, p)
-        f = g * h
-        assert irreducible_mod_p(f, p) is False
-        assert _exhaustive_irreducible(f, p) is False
+        assert _exhaustive_irreducible(g, p) and _exhaustive_irreducible(h, p)
+        got, steps = _ben_or_steps(monkeypatch, g * h, p)
+        assert got is False and _exhaustive_irreducible(g * h, p) is False
+        assert steps == [True] * (g.degree - 1) + [False], (g, h, p)
+
+
+def _ben_or_steps(monkeypatch, f, p):
+    """irreducible_mod_p(f, p) and the gcd results of its steps k = 1, 2, ..."""
+    steps = []
+    coprime = intpoly._gf_coprime
+
+    def spy(*args):
+        steps.append(coprime(*args))
+        return steps[-1]
+
+    monkeypatch.setattr(intpoly, "_gf_coprime", spy)
+    return irreducible_mod_p(f, p), steps
+
+
+def test_ben_or_stops_at_the_first_step_with_a_common_factor(monkeypatch):
+    # a root mod p: the k = 1 gcd is not 1, and no Frobenius row is built
+    f = IntPolynomial((-1, 1)) * IntPolynomial((3, 1, 0, 0, 4, 0, 2, 1))
+    got, steps = _ben_or_steps(monkeypatch, f, 5)
+    assert got is False and steps == [False]
+
+
+def test_ben_or_sees_a_square_mod_p_of_a_squarefree_polynomial(monkeypatch):
+    # squarefree over Z, but a square mod p: (x + 1)^2 mod 2, and
+    # x^4 + 2 x^2 + 3 x + 1 = (x^2 + 1)^2 mod 3 with x^2 + 1 irreducible
+    for f, p, want in (((1, 0, 1), 2, [False]),
+                       ((1, 3, 2, 0, 1), 3, [True, False])):
+        f = IntPolynomial(f)
+        assert squarefree_part(f) == f
+        got, steps = _ben_or_steps(monkeypatch, f, p)
+        assert got is False and steps == want
+
+
+def test_ben_or_at_degrees_two_and_three_takes_one_step(monkeypatch):
+    for f, p, want in (((1, 0, 1), 3, True), ((-1, 0, 1), 7, False),
+                       ((1, 1, 0, 1), 2, True), ((1, 0, 0, 1), 2, False),
+                       ((2, 0, 0, 1), 7, True), ((1, 0, 0, 1), 7, False)):
+        f = IntPolynomial(f)
+        got, steps = _ben_or_steps(monkeypatch, f, p)
+        assert got is want and steps == [want], (f, p)
+        assert want is _exhaustive_irreducible(f, p)
+
+
+PSI_12 = 318665857834031151167461   # least strong pseudoprime to bases 2..37
+PSI_13 = 3317044064679887385961981  # least strong pseudoprime to bases 2..41
+
+
+def test_is_prime_is_exact_below_psi_13():
+    assert PSI_12 == 399165290221 * 798330580441
+    assert _is_prime(399165290221) and _is_prime(798330580441)
+    assert not _is_prime(PSI_12)
+    with pytest.raises(BadPrime, match="not prime"):
+        irreducible_mod_p(IntPolynomial((1, 0, 1)), PSI_12)
+    for n in (PSI_13, PSI_13 + 2, 2 ** 100 + 277):
+        with pytest.raises(BadPrime, match="deterministic"):
+            irreducible_mod_p(IntPolynomial((1, 0, 1)), n)
+    sieve = [True] * 5000
+    sieve[0] = sieve[1] = False
+    for i in range(2, 71):
+        for j in range(i * i, 5000, i):
+            sieve[j] = False
+    assert [n for n in range(5000) if _is_prime(n)] == \
+        [n for n in range(5000) if sieve[n]]
+
+
+def test_irreducible_mod_p_at_an_80_bit_prime():
+    p = 2 ** 80 - 65                     # prime, and 3 mod 4
+    assert _is_prime(p) and p < PSI_13
+    # -1 is a non-residue mod p = 3 mod 4, so x^2 + 1 is irreducible
+    assert irreducible_mod_p(IntPolynomial((1, 0, 1)), p) is True
+    rng = random.Random(80)
+    for deg in (3, 4, 6, 9):
+        f = IntPolynomial(tuple(rng.randrange(p) for _ in range(deg)) + (1,))
+        assert irreducible_mod_p(f, p) is irreducible_mod_p_reference(f, p)
+        g = f * IntPolynomial((rng.randrange(p), rng.randrange(p), 1))
+        assert irreducible_mod_p(g, p) is False
 
 
 def _exhaustive_irreducible(poly: IntPolynomial, p: int) -> bool:

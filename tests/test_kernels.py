@@ -7,7 +7,10 @@ with the same center and radius bits.  The root kernels are checked on
 every call that the theorem1 searches for k = 3 and k = 4 and a three-lines
 run make: the Salem polynomials of the searched orbit data, and the
 abscissa polynomials of the fixed points, whose ball coefficients come with
-coeff_radii.
+coeff_radii.  The strict kernels (the subresultant resultant, the gcd and
+Ben-Or's test mod p, all on lists of ints) are checked the same way against
+the IntPolynomial kernels and Rabin's test they replaced, on every call of
+the strict runs of the benchmark's strict-evidence pool.
 """
 
 import itertools
@@ -15,14 +18,17 @@ import itertools
 import numpy as np
 import pytest
 
-from siegelcert import roots
+from siegelcert import intpoly, roots, strictmode
+from siegelcert.cuspidal import certify_cuspidal
 from siegelcert.intpoly import IntPolynomial, cyclotomic, x_pow_minus_one
 from siegelcert.pipeline import certify_three_lines, theorem1_pipeline
 from siegelcert.roots import ComplexPolynomial
 from siegelcert.threelines import OrbitData, cleared_chi_polynomial
 
 from oracles import (certify_reference, horner_vec_reference,
-                     int_add_reference, int_mul_reference, int_sub_reference,
+                     int_add_reference, int_mul_reference,
+                     int_resultant_reference, int_sub_reference,
+                     irreducible_mod_p_reference, poly_gcd_reference,
                      try_exact_div_reference)
 
 BIG = 2 ** 64 + 13
@@ -141,3 +147,61 @@ def test_horner_on_length_one_arrays():
         z = rng.standard_normal(1) + 1j * rng.standard_normal(1)
         assert (roots._horner_vec(coeffs, z).tobytes()
                 == horner_vec_reference(coeffs, z).tobytes())
+
+
+@pytest.fixture(scope="module")
+def strict_calls():
+    """Every _int_resultant, poly_gcd and irreducible_mod_p call of the strict
+    runs in the strict-evidence pool: cuspidal n = 8..20, three-lines N = 1
+    with entries <= 3 (but (1), (1)) and (1,1), (1,1), with its arguments and
+    result."""
+    resultant, gcd = intpoly._int_resultant, intpoly.poly_gcd
+    irreducible = strictmode.irreducible_mod_p
+    calls = {"resultant": [], "gcd": [], "irreducible": []}
+
+    def record(name, fn):
+        def wrapped(*args):
+            out = fn(*args)
+            calls[name].append((args, out))
+            return out
+        return wrapped
+
+    orbits = [OrbitData((m,), (n,)) for m in (1, 2, 3) for n in (1, 2, 3)
+              if (m, n) != (1, 1)] + [OrbitData((1, 1), (1, 1))]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(intpoly, "_int_resultant", record("resultant", resultant))
+        mp.setattr(intpoly, "poly_gcd", record("gcd", gcd))
+        mp.setattr(strictmode, "irreducible_mod_p",
+                   record("irreducible", irreducible))
+        for n in range(8, 21):
+            certify_cuspidal(n, strict=True)
+        for orbit in orbits:
+            certify_three_lines(orbit, strict=True)
+    return calls
+
+
+def test_strict_resultants_match_the_polynomial_prs(strict_calls):
+    calls = strict_calls["resultant"]
+    assert len(calls) > 400
+    for (a, b), out in calls:
+        assert type(out) is int
+        assert out == int_resultant_reference(IntPolynomial(a), IntPolynomial(b))
+
+
+def test_strict_gcds_match_the_polynomial_prs(strict_calls):
+    calls = strict_calls["gcd"]
+    assert len(calls) == 22  # one squarefree part per strict run
+    for (p, q), out in calls:
+        assert out.coeffs == poly_gcd_reference(p, q).coeffs
+    # most resultants are squares: their gcd with the derivative is big
+    assert max(out.degree for _, out in calls) >= 8
+
+
+def test_strict_irreducibility_matches_rabins_test(strict_calls):
+    calls = strict_calls["irreducible"]
+    assert len(calls) > 100
+    # 21 of the 22 runs find a prime, after rejections at many others
+    assert {out for _, out in calls} == {False, True}
+    assert sum(out for _, out in calls) == 21
+    for (f, p), out in calls:
+        assert out is irreducible_mod_p_reference(f, p)
