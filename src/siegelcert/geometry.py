@@ -3,8 +3,10 @@
 A family map object exposes `jet(x, y, z, cols)`: the three homogeneous
 components and, for each coordinate index in cols (0, 1, 2 for x, y, z),
 their partials in it, every shared product formed once.
-`components(x, y, z)` is the jet with no columns, so each formula is
-written once, evaluated with either plain complex scalars (fast paths,
+`components(x, y, z)` gives the jet's components with no columns, bit for
+bit (QuadMap takes them from the jet; TLMap computes them on a path of its
+own for the orbit check, with the same operations in the same order).  The
+formulas are evaluated with either plain complex scalars (fast paths,
 finite-difference oracles) or ComplexBall operands (certified paths); only
 +, -, * and integer powers are used.
 """
@@ -12,31 +14,36 @@ finite-difference oracles) or ComplexBall operands (certified paths); only
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .balls import ComplexBall
 from .errors import ChartFailure
 
 
 def pivot_index(coords) -> int:
-    """Index of the first coordinate of largest modulus."""
-    mags = list(map(abs, coords))
-    return mags.index(max(mags))
+    """Index of the first coordinate of largest modulus of a triple, as
+    max() and list.index pick it (NaN moduli included)."""
+    m0, m1, m2 = map(abs, coords)
+    i, top = (1, m1) if m1 > m0 else (0, m0)
+    return 2 if m2 > top else i
 
 
-def normalize(coords) -> tuple[complex, complex, complex]:
-    """A homogeneous triple divided by its pivot_index coordinate; ValueError
-    when all three vanish.
+def divide_by_pivot(coords) -> tuple[tuple[complex, complex, complex], int]:
+    """A homogeneous triple divided by its pivot_index coordinate, and that
+    index i; ValueError when all three coordinates vanish.
 
     The pivot comes out 1 only up to rounding: complex division can leave
     pivot / pivot at 1+4e-17j, for instance, so normalizing the result again
-    can change its last bits."""
+    can change its last bits.  Read i from here, not from pivot_index of the
+    result: the quotients can tie in modulus (|x| = |y| gives |y/x| = 1),
+    and pivot_index may then pick a coordinate that is a phase, not 1."""
     coords = (complex(coords[0]), complex(coords[1]), complex(coords[2]))
-    pivot = coords[pivot_index(coords)]
+    i = pivot_index(coords)
+    pivot = coords[i]
     if pivot == 0:
         raise ValueError("all coordinates zero")
     x, y, z = coords
-    return (x / pivot, y / pivot, z / pivot)
+    return (x / pivot, y / pivot, z / pivot), i
 
 
 def norm(p) -> float:
@@ -58,18 +65,21 @@ def chordal_distance(p, q, p_norm: float, q_norm: float) -> float:
 @dataclass(frozen=True)
 class ProjectivePoint:
     """Homogeneous coordinates divided by the largest-modulus one, which is
-    then 1 up to rounding (see normalize): rebuilding a point from its
+    then 1 up to rounding (see divide_by_pivot): rebuilding a point from its
     coords can change their last bits."""
 
     x: complex
     y: complex
     z: complex
+    # the index of the coordinate the input was divided by (divide_by_pivot)
+    divided_by: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        x, y, z = normalize((self.x, self.y, self.z))
+        (x, y, z), i = divide_by_pivot((self.x, self.y, self.z))
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "z", z)
+        object.__setattr__(self, "divided_by", i)
 
     @property
     def coords(self) -> tuple[complex, complex, complex]:

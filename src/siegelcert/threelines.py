@@ -33,7 +33,7 @@ from .errors import (BoundaryUndecidable, BudgetExhausted, DegenerateSpectrum,
                      NonConvergence, NoSalemFactor, PerturbationFailed,
                      PoleAtParameter, SearchFailed, SiegelcertError)
 from .geometry import (ProjectivePoint, chart_jacobian, chordal_distance,
-                       norm, normalize)
+                       divide_by_pivot, norm)
 from .intpoly import ONE, IntPolynomial, x_pow_minus_one, x_pow_plus_one
 from .roots import ComplexPolynomial, poly_roots, self_paired
 from .salem import SalemCertificate, is_salem
@@ -188,7 +188,23 @@ class TLMap:
                      [v.inverse() for v in b_balls])
 
     def components(self, x, y, z):
-        return self.jet(x, y, z, ())[0]
+        """jet(x, y, z, ())[0] without the columns, bit for bit: the same
+        operations in the same order (_powers' tables from the int 1, then
+        _eval_homog's sums for g1 and h, then t = h x - delta g1)."""
+        delta, n = self.delta, self.N
+        g1c, hc = self.g1, self.h
+        ypow, zpow = [1], [1]
+        for _ in range(n):
+            ypow.append(ypow[-1] * y)
+            zpow.append(zpow[-1] * z)
+        g1 = g1c[0] * zpow[n]
+        h = hc[0] * zpow[n - 1]
+        for k in range(1, n):
+            g1 = g1 + g1c[k] * ypow[k] * zpow[n - k]
+            h = h + hc[k] * ypow[k] * zpow[n - 1 - k]
+        g1 = g1 + g1c[n] * ypow[n] * zpow[0]
+        t = h * x - delta * g1
+        return (y * delta * t, g1 * (x + delta * y), z * delta * t)
 
     def jet(self, x, y, z, cols):
         """The components and their partials in each coordinate of cols; the
@@ -326,7 +342,10 @@ class OrbitReport:
 
     @property
     def max_residual(self) -> float:
-        return max(c.residual for c in self.checks)
+        """The largest residual, or NaN when any residual is NaN (max()
+        would pass over it and report a failed check's residual as small)."""
+        residuals = [c.residual for c in self.checks]
+        return math.nan if any(map(math.isnan, residuals)) else max(residuals)
 
     @property
     def collisions(self) -> tuple[OrbitCheck, ...]:
@@ -339,12 +358,38 @@ def orbit_verify(params: ThreeLinesParams, orbit: OrbitData) -> OrbitReport:
     Each backward indeterminacy point must reach its forward partner in the
     scheduled number of steps without meeting I(f) earlier; early hits are
     reported as collisions (non-generic parameters), not raised.  The orbits
-    are iterated as normalized coordinate triples.  The 2N+1 forward points'
-    norms are computed once per call, and each iterate's norm once per step,
-    for its chordal distances to all of them.
+    are iterated as normalized coordinate triples, each with the index of
+    the coordinate it was divided by (geometry.divide_by_pivot).
+
+    Screen lemma.  Let p and q be triples divided by a coordinate of
+    largest modulus, p by index i and q by index j, each divisor of modulus
+    at least INDETERMINACY_TOL (an iterate divides an image that _vanishes
+    passed; the start and forward points have a coordinate 1).  Then every
+    coordinate has modulus at most 1 + u and the divided-by one is within u
+    of 1, where u, a few units in the last place, bounds the rounding of the
+    complex division.  So |p| |q| <= 3 (1 + u)^2, and the chordal distance
+    |p x q| / (|p| |q|) is at least |p_a q_b - p_b q_a| / (3 (1 + u)^2) for
+    any a != b.  If i = j, the component at (i, k) is q_k - p_k up to 2u.  If
+    i != j, the component at (i, j) has modulus at least
+    1 - |p_j| |q_i| - 2u; only moduli enter, so a tie in modulus, where p_j
+    or q_i is a phase, does no harm.  When that lower bound reaches
+    4 COLLISION_TOL, the computed distance lies above COLLISION_TOL with room
+    for every rounding error (each below 1e-14), and q is skipped.  (A
+    triple with a NaN or infinite coordinate has NaN distances, never a
+    collision, so skipping it changes nothing.)  Otherwise the step falls
+    through to the chordal distance itself, with pt's norm computed on the
+    first fall-through of the step, so every decision and every residual
+    bit is that of measuring all 2N+1 distances (tests/oracles.py,
+    orbit_verify_reference).
+
+    The tie.  The index must be the one the normalization divided by: on
+    |delta| = 1 each forward_b point [-b delta : b : 1] has |x| = |y|, and
+    pivot_index of its normalized coordinates can pick -1/delta, a phase and
+    not 1.
     """
     ind = indeterminacy(params)
-    fwd = [(q.coords, norm(q.coords)) for q in ind.forward]
+    fwd = [(q.coords, q.divided_by, tuple(map(abs, q.coords)), norm(q.coords))
+           for q in ind.forward]
     plan = [("p0", ind.backward_0, 2, ind.forward_0)]
     for i, mi in enumerate(orbit.m):
         plan.append((f"a{i + 1}", ind.backward_a[i], 3 * mi - 2, ind.forward_a[i]))
@@ -352,19 +397,32 @@ def orbit_verify(params: ThreeLinesParams, orbit: OrbitData) -> OrbitReport:
         plan.append((f"b{j + 1}", ind.backward_b[j], 3 * nj, ind.forward_b[j]))
 
     components = TLMap.from_params(params).components
+    far = 4 * COLLISION_TOL  # a screened component at least this far is safe
+    near = 1 - far
+    others = ((1, 2), (0, 2), (0, 1))
     checks = []
     for label, start, steps, target in plan:
-        pt = start.coords
+        pt, i = start.coords, start.divided_by
         collision = None
         for k in range(steps):
-            pt_norm = norm(pt)
-            for q, q_norm in fwd:
+            a, b = others[i]
+            pa, pb = pt[a], pt[b]
+            mags = (abs(pt[0]), abs(pt[1]), abs(pt[2]))
+            pt_norm = None
+            for q, j, q_mags, q_norm in fwd:
+                if j == i:
+                    if abs(q[a] - pa) >= far or abs(q[b] - pb) >= far:
+                        continue
+                elif mags[j] * q_mags[i] <= near:
+                    continue
+                if pt_norm is None:
+                    pt_norm = norm(pt)
                 if chordal_distance(pt, q, pt_norm, q_norm) < COLLISION_TOL:
                     break  # pt meets a forward point
             else:
                 comps = components(*pt)
                 if not _vanishes(comps):
-                    pt = normalize(comps)
+                    pt, i = divide_by_pivot(comps)
                     continue
             collision = k  # pt met a forward point or is indeterminate
             break

@@ -1,12 +1,14 @@
 """Projective normalization, chordal distance and chart Jacobians."""
 
+import itertools
+import math
 import random
 
 import pytest
 
 from siegelcert.cuspidal import QuadMap, orbit_polynomial
 from siegelcert.geometry import (ProjectivePoint, chart_jacobian,
-                                 chordal_distance, norm, normalize,
+                                 chordal_distance, divide_by_pivot, norm,
                                  pivot_index)
 from siegelcert.salem import is_salem
 from siegelcert.threelines import (OrbitData, TLMap, param_balls,
@@ -44,10 +46,33 @@ def _triples():
 
 
 def test_normalize_matches_the_reference_bits():
+    """divide_by_pivot gives the reference's bits and the index it divided
+    by; ProjectivePoint keeps both."""
     for t in _triples():
-        got = normalize(t)
+        got, i = divide_by_pivot(t)
         assert _bits(got) == _bits(normalize_reference(t)), t
-        assert _bits(ProjectivePoint(*t).coords) == _bits(got)
+        mags = [abs(complex(c)) for c in t]
+        assert i == mags.index(max(mags)), t
+        point = ProjectivePoint(*t)
+        assert _bits(point.coords) == _bits(got) and point.divided_by == i
+
+
+def test_the_divisor_index_is_not_read_off_the_result():
+    # |x| = |y| = 2 at |delta| = 1, divided by x; the quotient y/x = -1/delta
+    # is a phase whose computed modulus exceeds the 1 at x by rounding
+    delta = complex(0.0625, math.sqrt(1 - 0.0625 ** 2))
+    coords, i = divide_by_pivot((-2 * delta, 2, 1))
+    assert i == 0 and pivot_index(coords) == 1
+    assert ProjectivePoint(-2 * delta, 2, 1).divided_by == 0
+
+
+def test_pivot_index_scan_equals_max_and_index():
+    nan = float("nan")
+    values = (0, 0.0, -0.0, 1, -1, 1j, 0.5, 2, 3 + 4j, 5, nan,
+              complex(nan, 0), float("inf"), 1e-300)
+    for t in itertools.product(values, repeat=3):
+        mags = list(map(abs, t))
+        assert pivot_index(t) == mags.index(max(mags)), t
 
 
 def test_pivot_is_the_first_coordinate_of_largest_modulus():
@@ -55,10 +80,10 @@ def test_pivot_is_the_first_coordinate_of_largest_modulus():
     assert pivot_index((0.25, -1, 1)) == 1
     assert pivot_index((3 + 4j, 5, 4j - 3)) == 0
     assert pivot_index((0, 0.5, -0.5j)) == 1
-    assert normalize((0, 0.5, -0.5j)) == (0, 1, -1j)
+    assert divide_by_pivot((0, 0.5, -0.5j)) == ((0, 1, -1j), 1)
     assert ProjectivePoint(0.25, -1, 1).pivot_index == 1
     with pytest.raises(ValueError):
-        normalize((0, 0j, 0.0))
+        divide_by_pivot((0, 0j, 0.0))
 
 
 def test_chordal_distance_matches_the_reference_bits():

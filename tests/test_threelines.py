@@ -1,6 +1,7 @@
 """Three-lines family: map identities, parameter formulas, constructions."""
 
 import cmath
+import itertools
 import math
 import random
 
@@ -12,9 +13,11 @@ from siegelcert.certifier import Location, record_from_jacobian
 from siegelcert.errors import (BoundaryUndecidable, BudgetExhausted,
                                NoSalemFactor, PerturbationFailed,
                                PoleAtParameter, SearchFailed)
-from siegelcert.geometry import ProjectivePoint, chart_jacobian
+from siegelcert.geometry import (ProjectivePoint, chart_jacobian,
+                                 divide_by_pivot)
 from siegelcert.pipeline import certify_three_lines
-from siegelcert.threelines import (OrbitData, ThreeLinesParams, TLMap,
+from siegelcert.threelines import (COLLISION_TOL, OrbitCheck, OrbitData,
+                                   OrbitReport, ThreeLinesParams, TLMap,
                                    _vanishes, a_value, ab_from_delta,
                                    approx_parameters, b_value, construct_c0,
                                    construct_cstar, design_c0,
@@ -275,26 +278,132 @@ def _collision_case():
     return ThreeLinesParams(delta, (a1, a1), (b, b)), OrbitData((1, 2), (1, 1))
 
 
+def _tie_collision_case(x):
+    """A b-orbit that passes within 1e-8 of a forward_b point, |delta| = 1.
+
+    delta = x + i sqrt(1 - x^2) (no libm call, so the bits are the same on
+    every IEEE machine).  The b2 orbit's third iterate is a point
+    [-delta g : g : 1] of the line x = -delta y; b_1 = g (1 + 1e-8) puts
+    forward_b[0] = [-b_1 delta : b_1 : 1] next to it, and a_1 = a_2 keep
+    c = 1.  Both points have |x| = |y| up to rounding: the modulus tie.
+    Returns the parameters, the orbit data and that third iterate with the
+    index it was divided by."""
+    delta = complex(x, math.sqrt(1 - x * x))
+    b2 = b_value(delta, 2)
+
+    def params(b1):
+        a = 2 / (1 / b1 + 1 / b2 - 1)
+        return ThreeLinesParams(delta, (a, a), (b1, b2))
+
+    def third_iterate(par):
+        start = indeterminacy(par).backward_b[1]
+        components = TLMap.from_params(par).components
+        pt, i = start.coords, start.divided_by
+        for _ in range(3):
+            pt, i = divide_by_pivot(components(*pt))
+        return pt, i
+
+    pt, _ = third_iterate(params(b2))
+    par = params(pt[1] / pt[2] * (1 + 1e-8))
+    return par, OrbitData((1, 1), (1, 2)), third_iterate(par)
+
+
+def _check_bits(rep):
+    return [(c.label, c.steps, c.residual.hex(), c.collision_step)
+            for c in rep.checks]
+
+
+@pytest.mark.parametrize("x, indices", [
+    (-25 / 64, (0, 0, 0)),  # same divisor index: the q_k - p_k branch
+    (6 / 64, (0, 0, 1)),    # different divisor indices: the moduli branch
+    # pivot_index of q's normalized coordinates is not the index q was
+    # divided by; taking it for q's index would skip this collision
+    (-7 / 64, (0, 1, 1)),
+    (2 / 64, (1, 0, 0)),
+])
+def test_orbit_verify_screen_at_a_forward_b_tie(x, indices):
+    """Each branch of orbit_verify's collision screen, where the b2 orbit
+    meets forward_b[0] at step 3 with components that do not vanish: only
+    the distance check can report it.  indices = (the index forward_b[0] was
+    divided by, pivot_index of its coordinates, the iterate's index)."""
+    par, orbit, (pt, i) = _tie_collision_case(x)
+    q = indeterminacy(par).forward_b[0]
+    assert (q.divided_by, q.pivot_index, i) == indices
+    assert 1e-10 < q.distance(ProjectivePoint(*pt)) < COLLISION_TOL
+    assert not _vanishes(TLMap.from_params(par).components(*pt))
+    rep = orbit_verify(par, orbit)
+    assert _check_bits(rep) == _check_bits(orbit_verify_reference(par, orbit))
+    checks = {c.label: c for c in rep.checks}
+    assert checks["b2"] in rep.collisions and checks["b2"].collision_step == 3
+
+
 def test_orbit_verify_equals_the_per_point_reference():
     """Every report field, residual bits included, equals the loop that
     iterates ProjectivePoints: at every circle root of the acceptance orbit
-    data and of ((6,5),(5,7)), whose residuals of 1.18e-8 and 1.15e-8 fail,
-    at the collision case and at the negative control."""
+    data, of ((6,5),(5,7)), whose residuals of 1.18e-8 and 1.15e-8 fail, of
+    the N = 3 data ((3,4,5),(2,3,4)) and of two N = 3 data of the benchmark's
+    three-lines pool, at the collision case and at the negative control."""
     cases = []
     for orbit in (OrbitData((2,), (1,)), OrbitData((1, 2), (1, 1)),
-                  OrbitData((6, 5), (5, 7))):
+                  OrbitData((6, 5), (5, 7)), OrbitData((3, 4, 5), (2, 3, 4)),
+                  OrbitData((6, 3, 1), (2, 2, 1)),
+                  OrbitData((2, 5, 6), (2, 2, 4))):
         cases += [(ab_from_delta(root.center, orbit), orbit)
                   for root in salem_from_orbit(orbit).circle_roots]
     cases.append(_collision_case())
     orb = OrbitData((2,), (1,))
     cases.append((ab_from_delta(0.83 + 0.61j, orb), orb))
     reports = [orbit_verify(par, orbit) for par, orbit in cases]
-    assert reports == [orbit_verify_reference(par, orbit) for par, orbit in cases]
+    assert ([_check_bits(rep) for rep in reports]
+            == [_check_bits(orbit_verify_reference(par, orbit))
+                for par, orbit in cases])
     outcomes = [rep.passed for rep in reports]
-    # the conjugate pair of (6,5),(5,7), the collision and the control fail
-    assert outcomes.count(False) == 4
+    # the conjugate pair of (6,5),(5,7), two roots of (3,4,5),(2,3,4), one
+    # of (2,5,6),(2,2,4), the collision and the control fail
+    assert outcomes.count(False) == 7
     assert max(rep.max_residual for rep, ok in zip(reports, outcomes)
                if ok) < 1e-8
+
+
+def test_max_residual_is_nan_when_a_residual_is_nan():
+    checks = tuple(OrbitCheck(f"a{k}", 1, r)
+                   for k, r in enumerate((1e-9, math.nan, 2e-9)))
+    rep = OrbitReport(checks)
+    assert not rep.passed and math.isnan(rep.max_residual)
+    assert OrbitReport(checks[::2]).max_residual == 2e-9
+
+
+def _complex_bits(values):
+    return [(v.real.hex(), v.imag.hex()) for v in values]
+
+
+@pytest.mark.parametrize("orbit", [OrbitData((2,), (1,)),
+                                   OrbitData((1, 2), (1, 1)),
+                                   OrbitData((3, 4, 5), (2, 3, 4))])
+def test_components_equal_the_jet_bit_for_bit(orbit):
+    """TLMap.components has its own path; it gives jet(x, y, z, ())[0] bit
+    for bit, signed zeros included, on complex, float and int inputs and on
+    balls."""
+    root = salem_from_orbit(orbit).circle_roots[0]
+    tlm = TLMap.from_params(ab_from_delta(root.center, orbit))
+    rng = random.Random(30)
+    values = [0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0),
+              0.0, -0.0, 1, 1.0, -2.5 + 1e-300j]
+    values += [complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+               for _ in range(4)]
+    for x, y, z in itertools.product(values, repeat=3):
+        got = [complex(c) for c in tlm.components(x, y, z)]
+        want = [complex(c) for c in tlm.jet(x, y, z, ())[0]]
+        assert _complex_bits(got) == _complex_bits(want), (x, y, z)
+    balls = TLMap.ball_map(*param_balls(root, orbit))
+    for _ in range(20):
+        hom = [ComplexBall(complex(rng.uniform(-2, 2), rng.uniform(-2, 2)),
+                           rng.choice((0.0, 1e-12))) for _ in range(3)]
+        got = balls.components(*hom)
+        want = balls.jet(*hom, ())[0]
+        assert (_complex_bits(c.center for c in got)
+                == _complex_bits(c.center for c in want))
+        assert [c.radius.hex() for c in got] == [c.radius.hex() for c in want]
 
 
 def test_fixed_points_count_and_w0():
