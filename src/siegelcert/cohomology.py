@@ -2,14 +2,18 @@
 
 The basis is the line class H followed by one exceptional class per blown-up
 orbit point, each orbit listed oldest step first; the intersection form is
-diag(1, -1, ..., -1).  Both constructors build the pullback action for their
-map family on one shared orbit-lattice scaffold, and every ActionMatrix
-verifies exact form preservation M^T J M = J on construction, summed over
-each row's nonzeros.  Characteristic polynomials are exact over Python
-bigints, never in floating point: most columns of an action matrix are unit
-vectors that shift a class one step down its orbit, so the matrix
-determinant lemma reduces det(t I - M) to an r x r determinant over Z[1/t],
-with r = 4 for the cuspidal family and 2N + 2 for three-lines.  Cyclotomic
+diag(1, -1, ..., -1).  An ActionMatrix keeps each column's nonzero entries
+(most columns hold one) and never a dim x dim grid: both constructors build
+the pullback action for their map family as columns on one shared
+orbit-lattice scaffold, a dense grid given to the public constructor is
+converted once, and the dense entries are derived on demand for to_text.
+Every ActionMatrix verifies exact form preservation M^T J M = J on
+construction, summed over each row's nonzeros.  Characteristic polynomials
+are exact over Python bigints, never in floating point: most columns of an
+action matrix are unit vectors that shift a class one step down its orbit,
+so the matrix determinant lemma reduces det(t I - M) to an r x r
+determinant over Z[1/t], with r = 4 for the cuspidal family and 2N + 2 for
+three-lines.  Cyclotomic
 stripping and Salem-factor comparisons are therefore integer identities:
 spectral_data divides the characteristic polynomial by the run's certified
 Salem factor exactly, at every dimension, and strips only the quotient.
@@ -27,43 +31,67 @@ from .intpoly import ONE, IntPolynomial, strip_cyclotomic
 from .salem import SalemCertificate
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ActionMatrix:
-    """Pullback matrix: column j holds the image of basis vector j."""
+    """Pullback matrix: column j holds the image of basis vector j, kept as
+    its nonzero entries (row, value) in ascending row order."""
 
-    entries: tuple[tuple[int, ...], ...]
+    columns: tuple[tuple[tuple[int, int], ...], ...]
     labels: tuple[str, ...]
 
-    def __post_init__(self):
-        n = len(self.entries)
-        if n == 0 or any(len(r) != n for r in self.entries):
+    def __init__(self, entries, labels):
+        """The matrix whose row i is entries[i], a square grid."""
+        n = len(entries)
+        if n == 0 or any(len(r) != n for r in entries):
             raise ValueError("entries must be square and nonempty")
-        if len(self.labels) != n:
+        self._assign(tuple(tuple((i, row[j]) for i, row in enumerate(entries)
+                                 if row[j]) for j in range(n)), labels)
+
+    @classmethod
+    def _from_columns(cls, columns, labels) -> "ActionMatrix":
+        """The matrix whose column j has the entries columns[j], a mapping
+        from row to value."""
+        m = cls.__new__(cls)
+        m._assign(tuple(tuple(sorted((i, v) for i, v in col.items() if v))
+                        for col in columns), labels)
+        return m
+
+    def _assign(self, columns, labels):
+        object.__setattr__(self, "columns", columns)
+        object.__setattr__(self, "labels", labels)
+        if len(labels) != len(columns):
             raise ValueError("label count must match dimension")
         if not self.preserves_form():
             raise ValueError("matrix does not preserve the intersection form")
 
     @property
     def dim(self) -> int:
-        return len(self.entries)
+        return len(self.columns)
+
+    @property
+    def entries(self) -> tuple[tuple[int, ...], ...]:
+        """The dense grid: entries[i][j] is row i of column j."""
+        grid = [[0] * self.dim for _ in self.columns]
+        for j, col in enumerate(self.columns):
+            for i, v in col:
+                grid[i][j] = v
+        return tuple(map(tuple, grid))
 
     @property
     def form_signs(self) -> tuple[int, ...]:
         return (1,) + (-1,) * (self.dim - 1)
-
-    @cached_property
-    def row_nonzeros(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Each row's nonzero entries as (column, value), from one scan."""
-        return tuple(tuple((j, v) for j, v in enumerate(row) if v)
-                     for row in self.entries)
 
     def preserves_form(self) -> bool:
         """Exact integer check of M^T J M = J.  Row k adds J_k M[k][i] M[k][j]
         to entry (i, j) for each pair of its nonzeros; the diagonal must then
         equal the form signs and every other entry must be 0."""
         signs = self.form_signs
+        rows = [[] for _ in signs]
+        for j, col in enumerate(self.columns):
+            for i, v in col:
+                rows[i].append((j, v))
         gram = collections.Counter()
-        for sign, nonzeros in zip(signs, self.row_nonzeros):
+        for sign, nonzeros in zip(signs, rows):
             for i, v in nonzeros:
                 for j, w in nonzeros:
                     gram[i, j] += sign * v * w
@@ -72,12 +100,15 @@ class ActionMatrix:
                 and not any(gram.values()))
 
     def trace(self) -> int:
-        return sum(self.entries[i][i] for i in range(self.dim))
+        return sum(v for j, col in enumerate(self.columns)
+                   for i, v in col if i == j)
 
     def apply(self, vec: tuple[int, ...]) -> tuple[int, ...]:
-        n = self.dim
-        return tuple(sum(self.entries[i][j] * vec[j] for j in range(n))
-                     for i in range(n))
+        out = [0] * self.dim
+        for j, col in enumerate(self.columns):
+            for i, v in col:
+                out[i] += v * vec[j]
+        return tuple(out)
 
     @property
     def canonical_vector(self) -> tuple[int, ...]:
@@ -87,19 +118,16 @@ class ActionMatrix:
     @cached_property
     def char_poly(self) -> IntPolynomial:
         """Exact monic characteristic polynomial det(t I - M)."""
-        columns = [[] for _ in range(self.dim)]
-        for i, nonzeros in enumerate(self.row_nonzeros):
-            for j, v in nonzeros:
-                columns[j].append((i, v))
-        return _char_poly_lattice(columns)
+        return _char_poly_lattice(self.columns)
 
     def to_text(self) -> str:
         """Stable plain-text export: label header row, then the integer grid."""
+        entries = self.entries
         width = max(len(s) for s in self.labels)
-        width = max(width, max(len(str(v)) for row in self.entries for v in row))
+        width = max(width, max(len(str(v)) for row in entries for v in row))
         head = " ".join(s.rjust(width) for s in self.labels)
         body = "\n".join(" ".join(str(v).rjust(width) for v in row)
-                         for row in self.entries)
+                         for row in entries)
         return head + "\n" + body + "\n"
 
 
@@ -178,15 +206,16 @@ def _orbit_lattice(chains):
     chains lists (name, length) for each orbit; the basis is H followed by
     the classes "name.k" of every orbit, oldest step first.  Returns the
     labels, index (index[c][k] is the basis position of class k of chain c,
-    so index[c][-1] is the orbit end) and the column grid col[j][i] (row i of
-    column j) with every class k >= 1 already shifted one step down its orbit.
+    so index[c][-1] is the orbit end) and the columns, col[j] mapping each
+    row i to the entry in row i of column j (0 where it has none), with
+    every class k >= 1 already shifted one step down its orbit.
     """
     labels = ["H"]
     index = []
     for name, length in chains:
         index.append(range(len(labels), len(labels) + length))
         labels.extend(f"{name}.{k}" for k in range(length))
-    col = [[0] * len(labels) for _ in labels]
+    col = [collections.defaultdict(int) for _ in labels]
     for idx in index:
         for prev, cur in zip(idx, idx[1:]):
             col[cur][prev] += 1
@@ -222,7 +251,7 @@ def quad_action_matrix(n1: int, n2: int, n3: int,
         for l in range(3):
             if l != inv_sigma[i]:
                 col[j][ends[l]] -= 1
-    return ActionMatrix(tuple(zip(*col)), labels)
+    return ActionMatrix._from_columns(col, labels)
 
 
 def tl_action_matrix(orbit) -> ActionMatrix:
@@ -254,7 +283,7 @@ def tl_action_matrix(orbit) -> ActionMatrix:
         col[idx[0]][0] += 1
         col[idx[0]][end0] -= 1
         col[idx[0]][idx[-1]] -= 1
-    return ActionMatrix(tuple(zip(*col)), labels)
+    return ActionMatrix._from_columns(col, labels)
 
 
 # ---------------------------------------------------------------------------

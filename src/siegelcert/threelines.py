@@ -387,22 +387,28 @@ def orbit_verify(params: ThreeLinesParams, orbit: OrbitData) -> OrbitReport:
     pivot_index of its normalized coordinates can pick -1/delta, a phase and
     not 1.
     """
-    ind = indeterminacy(params)
-    fwd = [(q.coords, q.divided_by, tuple(map(abs, q.coords)), norm(q.coords))
-           for q in ind.forward]
-    plan = [("p0", ind.backward_0, 2, ind.forward_0)]
+    # the points of indeterminacy(params), as (triple, divided-by index)
+    d = params.delta
+    forward_a = [divide_by_pivot((0, ai, 1)) for ai in params.a]
+    forward_b = [divide_by_pivot((-bj * d, bj, 1)) for bj in params.b]
+    forward_0 = divide_by_pivot((1, 0, 0))
+    fwd = [(q, j, tuple(map(abs, q)), norm(q))
+           for q, j in forward_a + forward_b + [forward_0]]
+    plan = [("p0", divide_by_pivot((0, 1, 0)), 2, forward_0)]
     for i, mi in enumerate(orbit.m):
-        plan.append((f"a{i + 1}", ind.backward_a[i], 3 * mi - 2, ind.forward_a[i]))
+        plan.append((f"a{i + 1}", divide_by_pivot((params.a[i], 0, 1)),
+                     3 * mi - 2, forward_a[i]))
     for j, nj in enumerate(orbit.n):
-        plan.append((f"b{j + 1}", ind.backward_b[j], 3 * nj, ind.forward_b[j]))
+        bj = params.b[j]
+        plan.append((f"b{j + 1}", divide_by_pivot((bj, -bj / d, 1)),
+                     3 * nj, forward_b[j]))
 
     components = TLMap.from_params(params).components
     far = 4 * COLLISION_TOL  # a screened component at least this far is safe
     near = 1 - far
     others = ((1, 2), (0, 2), (0, 1))
     checks = []
-    for label, start, steps, target in plan:
-        pt, i = start.coords, start.divided_by
+    for label, (pt, i), steps, (target, _) in plan:
         collision = None
         for k in range(steps):
             a, b = others[i]
@@ -427,8 +433,7 @@ def orbit_verify(params: ThreeLinesParams, orbit: OrbitData) -> OrbitReport:
             collision = k  # pt met a forward point or is indeterminate
             break
         if collision is None:
-            residual = chordal_distance(pt, target.coords, norm(pt),
-                                        norm(target.coords))
+            residual = chordal_distance(pt, target, norm(pt), norm(target))
         else:
             residual = math.inf
         checks.append(OrbitCheck(label, steps, residual, collision))

@@ -67,6 +67,66 @@ def char_poly_faddeev_leverrier(entries) -> IntPolynomial:
 
 
 # ---------------------------------------------------------------------------
+# the action matrices as cohomology built them, on a dense dim x dim grid;
+# each returns (entries, labels) for the dense ActionMatrix constructor
+# ---------------------------------------------------------------------------
+
+def _orbit_lattice_dense(chains):
+    labels = ["H"]
+    index = []
+    for name, length in chains:
+        index.append(range(len(labels), len(labels) + length))
+        labels.extend(f"{name}.{k}" for k in range(length))
+    col = [[0] * len(labels) for _ in labels]
+    for idx in index:
+        for prev, cur in zip(idx, idx[1:]):
+            col[cur][prev] += 1
+    return tuple(labels), index, col
+
+
+def quad_action_entries_reference(n1, n2, n3, sigma=(0, 1, 2)):
+    ns = (n1, n2, n3)
+    labels, index, col = _orbit_lattice_dense(
+        [(f"E{l + 1}", ns[l] + 1) for l in range(3)])
+    ends = [idx[-1] for idx in index]
+    inv_sigma = {sigma[l]: l for l in range(3)}
+    col[0][0] = 2
+    for end in ends:
+        col[0][end] -= 1
+    for i in range(3):
+        j = index[i][0]
+        col[j][0] += 1
+        for l in range(3):
+            if l != inv_sigma[i]:
+                col[j][ends[l]] -= 1
+    return tuple(zip(*col)), labels
+
+
+def tl_action_entries_reference(orbit):
+    N = len(orbit.m)
+    labels, index, col = _orbit_lattice_dense(
+        [("E0", 3)]
+        + [(f"Ea{i + 1}", 3 * mi - 1) for i, mi in enumerate(orbit.m)]
+        + [(f"Eb{j + 1}", 3 * nj + 1) for j, nj in enumerate(orbit.n)])
+    end0 = index[0][-1]
+    other_ends = [idx[-1] for idx in index[1:]]
+
+    def minus_all_ends(column, h_coeff, e0_coeff):
+        column[0] += h_coeff
+        column[end0] -= e0_coeff
+        for end in other_ends:
+            column[end] -= 1
+
+    minus_all_ends(col[0], N + 1, N)
+    minus_all_ends(col[index[0][0]], N, N - 1)
+    for idx in index[1:]:
+        col[idx[0]][0] += 1
+        col[idx[0]][end0] -= 1
+        col[idx[0]][idx[-1]] -= 1
+    return tuple(zip(*col)), labels
+
+
+# ---------------------------------------------------------------------------
 # ball +, - and * as the frozen-dataclass kernel computed them, every operand
 # through ComplexBall.exact; each returns the result's (center, radius)
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Action matrices: form preservation, exact char polys, spectral data."""
 
+import itertools
 import random
 from types import SimpleNamespace
 
@@ -15,7 +16,10 @@ from siegelcert.intpoly import IntPolynomial, cyclotomic, strip_cyclotomic
 from siegelcert.salem import is_salem
 from siegelcert.threelines import OrbitData, salem_from_orbit
 
-from oracles import char_poly_faddeev_leverrier, lambda_by_bisection
+from oracles import (char_poly_faddeev_leverrier, lambda_by_bisection,
+                     quad_action_entries_reference,
+                     tl_action_entries_reference)
+from pools import workloads
 
 PERMS = [(0, 1, 2), (1, 2, 0), (2, 0, 1), (0, 2, 1), (1, 0, 2), (2, 1, 0)]
 
@@ -218,3 +222,35 @@ def test_quad_sigma_changes_matrix_but_not_form():
     b = quad_action_matrix(2, 3, 4, (1, 2, 0))
     assert a.entries != b.entries
     assert a.char_poly.degree == b.char_poly.degree
+
+
+def _assert_equals_dense(m, entries, labels):
+    """m, built from its columns' nonzeros, equals the dense constructor's
+    matrix of entries in every derived value, and its char poly is
+    Faddeev-LeVerrier's."""
+    dense = ActionMatrix(entries, labels)
+    assert m == dense
+    assert m.entries == dense.entries == entries
+    assert m.labels == dense.labels == labels
+    assert m.trace() == dense.trace() == sum(entries[i][i]
+                                             for i in range(len(entries)))
+    assert m.to_text() == dense.to_text()
+    assert m.char_poly == dense.char_poly == char_poly_faddeev_leverrier(entries)
+
+
+def test_quad_matrices_equal_the_dense_construction():
+    cases = [(ns, sigma) for ns in itertools.product(range(7), repeat=3)
+             for sigma in PERMS]
+    cases.append(((60, 60, 60), (0, 1, 2)))  # cuspidal --n 60, dim 184
+    for ns, sigma in cases:
+        _assert_equals_dense(quad_action_matrix(*ns, sigma=sigma),
+                             *quad_action_entries_reference(*ns, sigma))
+
+
+def test_tl_matrices_of_the_pool_equal_the_dense_construction():
+    pool = workloads.WORKLOADS["three-lines-sweep"].pool
+    assert len(pool) == 48
+    for item in pool:
+        orbit = OrbitData(*item.args)
+        _assert_equals_dense(tl_action_matrix(orbit),
+                             *tl_action_entries_reference(orbit))
