@@ -12,10 +12,12 @@ only then are the root's orbit conditions verified by direct iteration.
 The search returns at the first orbit datum where both sides are taken.
 The gate is a filter and computes only what its answer needs: a root whose
 beta0/alpha0 is certified on the wrong side of [0, 4] is rejected before
-any fixed point, and the records are built one at a time, the singular
-point's from its lemma first, up to the first that breaks the pattern.  A
-root that passes gets all N+3 records, the same list certify_three_lines
-builds.
+any fixed point; a delta0 root with N <= 2 is rejected when the closed-form
+s of a diagonal point is certified outside [0, 4], before any root
+isolation or Jacobian; and the records are built one at a time, the
+singular point's from its lemma first, up to the first that breaks the
+pattern.  A root that passes gets all N+3 records, the same list
+certify_three_lines builds.
 certifier.certify_run assembles the report over the two taken roots, as it does
 every certify_cuspidal and certify_three_lines report: each off-curve point
 is certified by the conjugate criterion with the outside root as witness
@@ -55,12 +57,16 @@ def _gate(candidate, kept: dict, rejections: collections.Counter) -> bool:
 
     The root is taken when its fixed points certify the side's pattern
     (fixed_points_tl with want, see _PATTERNS) and then its orbit
-    conditions pass direct iteration.  A pattern check stops at the first
-    failing record, so a root is rejected under the first failure in
-    record order: the singular point's record comes from its lemma and
-    cannot fail, then the diagonal points, then infinity.  One rejected by
-    beta0/alpha0 alone counts as a pattern failure; see
-    threelines.fixed_points_tl.
+    conditions pass direct iteration.  Two screens run before any record:
+    beta0/alpha0 on both sides, and for delta0 with N <= 2 the closed-form
+    s of the diagonal points; a root either screen rules out counts as a
+    pattern failure (see threelines.fixed_points_tl).  Past them, a pattern
+    check stops at the first failing record, so the root is rejected under
+    the first failure in record order: the singular point's record comes
+    from its lemma and cannot fail, then the diagonal points, then
+    infinity.  The accept or reject is that of the full record list either
+    way; a screen can only name the pattern where a record would first
+    have raised.
     kept and rejections are created by theorem1_pipeline and live for that
     one call.  A taken root's records and orbit report are kept under its
     candidate for _report_from_candidate.  A rejected root adds one to

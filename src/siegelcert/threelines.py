@@ -453,7 +453,7 @@ def _abscissa_roots(d: ComplexBall, ga, gb) -> tuple[list[ComplexBall], set[int]
     g1 and g2).  The real indices mean something only when d and the
     parameters are exactly real, as both callers' are.
     """
-    coeffs = [d * ga[k] - gb[k] for k in range(len(ga))]
+    coeffs = _abscissa_coeffs(d, ga, gb)
     centers = tuple(c.center for c in coeffs)
     radii = tuple(c.radius for c in coeffs)
     if abs(centers[-1]) <= radii[-1]:
@@ -465,6 +465,26 @@ def _abscissa_roots(d: ComplexBall, ga, gb) -> tuple[list[ComplexBall], set[int]
     xs = sorted(roots.balls, key=lambda bl: (round(bl.center.real, 10),
                                              round(bl.center.imag, 10)))
     return xs, self_paired(xs, ComplexBall.conjugate)
+
+
+def _abscissa_coeffs(d: ComplexBall, ga, gb) -> list[ComplexBall]:
+    """The coefficients d ga_k - gb_k of the abscissa polynomial, by power."""
+    return [d * ga[k] - gb[k] for k in range(len(ga))]
+
+
+def _closed_form_abscissas(coeffs) -> list[ComplexBall]:
+    """The roots of c0 + c1 x (N = 1) or c0 + c1 x + c2 x^2 (N = 2) by
+    formula: -c0/c1, and (-c1 +- sqrt(c1^2 - 4 c0 c2)) / (2 c2) through
+    ComplexBall.sqrt, whose branch is analytic on its ball.  Each ball
+    encloses a root for every choice of coefficients in their balls; a
+    leading or discriminant ball containing 0 raises BallDomainError."""
+    if len(coeffs) == 2:
+        c0, c1 = coeffs
+        return [-c0 / c1]
+    c0, c1, c2 = coeffs
+    sq = (c1 * c1 - 4 * c0 * c2).sqrt()
+    inv = (2 * c2).inverse()
+    return [(sq - c1) * inv, (-c1 - sq) * inv]
 
 
 def param_balls(root: ComplexBall, orbit: OrbitData):
@@ -512,6 +532,17 @@ def fixed_points_tl(root: ComplexBall, orbit: OrbitData,
     lies in [0, 4], so no enclosure of s is disjoint from [0, 4]: a ratio
     certified In rules out want = CERTIFIED_OUT.
 
+    Then, for want = CERTIFIED_IN and N <= 2 only, the closed-form screen:
+    the abscissas from their formula (_closed_form_abscissas) and s at each
+    from its lemma (diagonal_s), with no root isolation and no Jacobian.
+    Each s ball encloses the true s of a diagonal point, so one certified
+    Out means no record can certify that point In, and None comes back.
+    A SiegelcertError inside the screen gives no verdict, and the records
+    decide as before.  So the records or None are those of the path
+    without the screen; only a root whose record path raises can now come
+    back None instead.  The screen cannot serve want = CERTIFIED_OUT (an In
+    verdict needs the abscissa proved real) nor N >= 3 (no closed form).
+
     Lemma: at a circle root delta of a certified Salem factor every point
     is fixed by construction ([0:0:1] maps to [0:0:-delta^2]; the abscissas
     solve d g1 = g2 and the quadratic of f on z = 0) and none lies in
@@ -520,13 +551,22 @@ def fixed_points_tl(root: ComplexBall, orbit: OrbitData,
     b_j is 0 or delta = -1, each a root-of-unity case (see ab_from_delta).
     """
     db, ab, bb = param_balls(root, orbit)
-    tlm_ball = TLMap.ball_map(db, ab, bb)
     ratio = _parameter_ratio(ab, bb)
     ratio_verdict = ball_in_interval(ratio)
     if want is not None and ratio_verdict not in (want, Verdict.UNKNOWN):
         return None  # the ratio lemma: certified on the other side
+    tlm_ball = TLMap.ball_map(db, ab, bb)
+    d_ball = _diagonal_d(db)
+    if want is Verdict.CERTIFIED_IN and orbit.N <= 2:
+        try:
+            if any(ball_in_interval(s) is Verdict.CERTIFIED_OUT
+                   for _, s in _closed_form_diagonal(d_ball, tlm_ball,
+                                                     ab, bb)):
+                return None  # the closed-form s: a diagonal point is Out
+        except SiegelcertError:
+            pass  # no verdict: the records decide
     records = [_singular_record(db)]
-    for rec in _nonsingular_records(tlm_ball, db, ratio,
+    for rec in _nonsingular_records(tlm_ball, db, d_ball, ratio,
                                     ratio_verdict is Verdict.CERTIFIED_IN):
         if want is not None and ball_in_interval(rec.s) is not want:
             return None
@@ -550,14 +590,26 @@ def _singular_record(db: ComplexBall) -> FixedPointRecord:
                             (_OMEGA * inv, _OMEGA.conjugate() * inv))
 
 
-def _nonsingular_records(tlm_ball: TLMap, db: ComplexBall,
+def _diagonal_d(db: ComplexBall) -> ComplexBall:
+    """d = (1+delta)^2/delta, real for |delta| = 1."""
+    one_db = 1 + db
+    return (one_db * one_db / db).realize_real()
+
+
+def _closed_form_diagonal(d_ball: ComplexBall, tlm_ball: TLMap, ab, bb):
+    """(x, s) at each diagonal point for N <= 2, one at a time: the
+    abscissa x from _closed_form_abscissas and s from diagonal_s, with no
+    root isolation and no Jacobian."""
+    coeffs = _abscissa_coeffs(d_ball, tlm_ball.g1, tlm_ball.g2)
+    for x in _closed_form_abscissas(coeffs):
+        yield x, diagonal_s(x, ab, bb, d_ball)
+
+
+def _nonsingular_records(tlm_ball: TLMap, db: ComplexBall, d_ball: ComplexBall,
                          ratio: ComplexBall, ratio_in: bool):
     """The N diagonal records, then the two at infinity, built one at a time
     as the caller asks for them."""
-    # affine diagonal points: roots of the degree-N abscissa polynomial;
-    # d = (1+delta)^2/delta is real for |delta| = 1
-    one_db = 1 + db
-    d_ball = (one_db * one_db / db).realize_real()
+    # affine diagonal points: roots of the degree-N abscissa polynomial
     xs, real_idx = _abscissa_roots(d_ball, tlm_ball.g1, tlm_ball.g2)
     for i, x in enumerate(xs):
         w = ProjectivePoint(x.center, x.center, 1)
@@ -724,27 +776,48 @@ def _lagrange_coeffs(nodes: list[float], values: list[float]) -> list[float]:
 def design_rotation_numbers(a, b, d: float) -> tuple[list[ComplexBall], ComplexBall]:
     """Rotation-number balls for a real design (a, b, d), plus beta0/alpha0.
 
-    Everything runs through exactly real ball chains: the affine values use
-    the closed trace formula d (1 + sum(1/(1-x/b_i) - 1/(1-x/a_i)))^2 at
-    abscissas whose reality is certified by conjugate pairing; the infinity
-    pair is represented by beta0/alpha0, whose membership in [0,4] is
-    equivalent to both infinity rotation numbers lying there when the design
-    puts delta on the unit circle (that is what d in (0,4) encodes).
+    Everything runs through exactly real ball chains: the affine values are
+    diagonal_s at abscissas whose reality is certified by conjugate pairing;
+    the infinity pair is represented by beta0/alpha0, whose membership in
+    [0,4] is equivalent to both infinity rotation numbers lying there when
+    the design puts delta on the unit circle (that is what d in (0,4)
+    encodes).
     """
     da = ComplexBall.exact(float(d))
     ab = [ComplexBall.exact(complex(v)) for v in a]
     bb = [ComplexBall.exact(complex(v)) for v in b]
     xs, real_idx = _abscissa_roots(da, _sym_coeffs([v.inverse() for v in ab]),
                                    _sym_coeffs([v.inverse() for v in bb]))
-    svals = []
-    for i, x in enumerate(xs):
-        if i in real_idx:
-            x = x.realize_real()
-        corr = ComplexBall.exact(1)
-        for va, vb in zip(ab, bb):
-            corr = corr + (1 - x / vb).inverse() - (1 - x / va).inverse()
-        svals.append(da * corr * corr)
+    svals = [diagonal_s(x.realize_real() if i in real_idx else x, ab, bb, da)
+             for i, x in enumerate(xs)]
     return svals, _parameter_ratio(ab, bb).realize_real()
+
+
+def diagonal_s(x: ComplexBall, ab, bb, d: ComplexBall) -> ComplexBall:
+    """The rotation number s at the diagonal fixed point (x, x) in closed
+    form, d (1 + sum 1/(1 - x/b_j) - sum 1/(1 - x/a_i))^2 with
+    d = (1+delta)^2/delta, over balls for x, the parameters and d.
+
+    Lemma.  The trace of Df at (x, x) is
+    (delta + 1) (1 - sum 1/(1 - x/a_i) + sum 1/(1 - x/b_j)), as in
+    trace_affine.  The determinant is delta: Df = [[0, 1], [F_x, F_y]] with
+    F = g1 (x + delta y) / (delta T), T = h x - delta g1, so det = -F_x
+    = g1 g2 / T^2, and at a diagonal fixed point d g1 = g2 and
+    delta T = (1 + delta) g1 give det = d delta^2/(1 + delta)^2 = delta.
+    So s = tr^2/det = d (1 - sum ... + sum ...)^2, and the ball returned
+    encloses the true s.
+
+    A CertifiedOut verdict needs nothing more: a ball disjoint from [0, 4]
+    puts the true s outside it, real or not.  A CertifiedIn verdict needs an
+    exactly real center (ball_in_interval), sound only once s is proved
+    real: real parameters and d with an abscissa certified real by
+    conjugate pairing, which design_rotation_numbers has and the gate's
+    closed-form abscissas (fixed_points_tl) do not.
+    """
+    corr = ComplexBall.exact(1)
+    for va, vb in zip(ab, bb):
+        corr = corr + (1 - x / vb).inverse() - (1 - x / va).inverse()
+    return d * corr * corr
 
 
 def _require_pattern(a, b, d: float, inside: bool, what: str):

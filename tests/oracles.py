@@ -931,11 +931,21 @@ def _mpc(z) -> mpmath.mpc:
 
 
 def circle_root_50(poly: IntPolynomial, seed: complex) -> mpmath.mpc:
-    """The root of poly that Newton's method reaches from seed."""
+    """The root of poly that Newton's method reaches from seed, iterated
+    until a step falls below 10^(5 - dps) at the working precision; raises
+    ValueError after 50 steps.  (mpmath.findroot's default solver is the secant method, which
+    ignores df: from the seeds x0 and x0 + 1/4 it left the circle root near
+    0.97298 - 0.23089j of the ((1, 5), (4, 7)) Salem factor.)"""
     coeffs = poly.coeffs[::-1]
-    return mpmath.findroot(lambda t: mpmath.polyval(coeffs, t), _mpc(seed),
-                           df=lambda t: mpmath.polyval(coeffs, t,
-                                                       derivative=True)[1])
+    x = _mpc(seed)
+    tol = mpmath.mpf(10) ** (5 - mpmath.mp.dps)
+    for _ in range(50):
+        value, slope = mpmath.polyval(coeffs, x, derivative=True)
+        step = value / slope
+        x -= step
+        if abs(step) < tol:
+            return x
+    raise ValueError(f"Newton did not converge from {seed}")
 
 
 def _form(coeffs, y, z):
@@ -1191,3 +1201,15 @@ def ratio_lemma_50(poly: IntPolynomial, root: ComplexBall, orbit: OrbitData):
         fmap, _, points = three_lines_50(delta, orbit)
         return ratio, [rotation_number_50(fmap, p)
                        for p in points[Location.INFINITY]]
+
+
+def diagonal_s_50(poly: IntPolynomial, root: ComplexBall, orbit: OrbitData):
+    """(x, s) at every diagonal fixed point (x, x) at 50 digits, at the root
+    of poly that Newton reaches from root's center: x from d g1 = g2
+    (three_lines_50), and s from the chart-map Jacobian (rotation_number_50),
+    not from threelines.diagonal_s's closed form."""
+    with mpmath.workdps(DIGITS):
+        delta = circle_root_50(poly, root.center)
+        fmap, _, points = three_lines_50(delta, orbit)
+        return [(p[0], rotation_number_50(fmap, p))
+                for p in points[Location.AFFINE_DIAGONAL]]

@@ -15,6 +15,7 @@ from siegelcert.errors import (BudgetExhausted, NoSalemFactor,
                                SiegelcertError)
 
 import oracles
+import pools
 
 
 def _offered_roots(monkeypatch) -> list:
@@ -123,19 +124,69 @@ def _segment_distance(z) -> mpmath.mpf:
     return abs(z - min(max(z.real, 0), 4))
 
 
+def _screen_spy(monkeypatch) -> list:
+    """Patch fixed_points_tl's closed-form screen so that every (x, s) it
+    yields is appended to the list returned."""
+    points = []
+    real = threelines._closed_form_diagonal
+
+    def screen(*args):
+        for x, s in real(*args):
+            points.append((x, s))
+            yield x, s
+
+    monkeypatch.setattr(threelines, "_closed_form_diagonal", screen)
+    return points
+
+
+def _screen_rejected(points) -> bool:
+    """The screen stops at the first s certified Out and rejects the root."""
+    return bool(points) and ball_in_interval(points[-1][1]) is \
+        Verdict.CERTIFIED_OUT
+
+
+def _closed_form_points(root, orbit) -> list:
+    """Every (x, s) of the closed-form screen at root."""
+    db, ab, bb = threelines.param_balls(root, orbit)
+    tlm = threelines.TLMap.ball_map(db, ab, bb)
+    return list(threelines._closed_form_diagonal(threelines._diagonal_d(db),
+                                                 tlm, ab, bb))
+
+
+def _s_at_50_digits(poly, root, orbit, points) -> list:
+    """The 50-digit s of the diagonal point each (x, s) encloses; x and s
+    must each hold its 50-digit value."""
+    exact = oracles.diagonal_s_50(poly, root, orbit)
+    out = []
+    for x, s in points:
+        x50, s50 = min(exact, key=lambda p: abs(p[0] - x.center))
+        assert abs(x50 - x.center) <= x.radius, (orbit, root, x)
+        assert abs(s50 - s.center) <= s.radius, (orbit, root, s)
+        out.append(s50)
+    return out
+
+
 @pytest.mark.parametrize("k", [3, 4])
 def test_gate_decides_like_the_full_record_gate(monkeypatch, k):
     # every (orbit, root, side) the search meets gets the same accept or
-    # reject, and the same records, as from the gate that builds them all;
-    # where beta0/alpha0 alone rules the pattern out, the ratio lemma holds
-    # at 50 digits
+    # reject, and the same records, as from the gate that builds them all,
+    # and so does every circle root of the pool's orbit data with N = k - 2
+    # on the delta0 side; where beta0/alpha0 alone rules the pattern out,
+    # the ratio lemma holds at 50 digits, and the closed-form s holds there
+    # at every point the screen rejected a root at and at every diagonal
+    # point of the pool's data
     real_fixed_points = pipeline.fixed_points_tl
     sides = {want: side for side, want in oracles.PATTERN_SIDES.items()}
+    points = _screen_spy(monkeypatch)
     decided = {}
     screened = []
+    closed_form_out = []
 
-    def fixed_points(root, orbit, want):
+    def decide(root, orbit, want):
+        """fixed_points_tl's answer, the records, None or the error raised,
+        checked against the full record gate (where a raise is None)."""
         side = sides[want]
+        points.clear()
         try:
             got = real_fixed_points(root, orbit, want=want)
         except SiegelcertError as exc:
@@ -150,8 +201,15 @@ def test_gate_decides_like_the_full_record_gate(monkeypatch, k):
         _, ab, bb = threelines.param_balls(root, orbit)
         ratio = ball_in_interval(threelines._parameter_ratio(ab, bb))
         if ratio not in (want, Verdict.UNKNOWN):
-            assert records is None
+            assert records is None and not points
             screened.append((orbit, root, side))
+        elif _screen_rejected(points):
+            assert side == "delta0" and records is None
+            closed_form_out.append((orbit, root, points[-1]))
+        return got
+
+    def fixed_points(root, orbit, want):
+        got = decide(root, orbit, want)
         if isinstance(got, Exception):
             raise got
         return got
@@ -159,7 +217,7 @@ def test_gate_decides_like_the_full_record_gate(monkeypatch, k):
     monkeypatch.setattr(pipeline, "fixed_points_tl", fixed_points)
     pipeline.theorem1_pipeline(k)
     assert sum(decided.values()) >= 2  # the two roots taken
-    assert screened
+    assert screened and closed_form_out
 
     polys = {}
     for orbit, root, side in screened:
@@ -174,6 +232,64 @@ def test_gate_decides_like_the_full_record_gate(monkeypatch, k):
             else:  # ratio inside [0, 4]: each s is real and in [0, 4]
                 assert _segment_distance(ratio.real) == 0
                 assert _segment_distance(s) < 1e-30
+    for orbit, root, point in closed_form_out:
+        if orbit not in polys:
+            polys[orbit] = threelines.salem_from_orbit(orbit).poly
+        s50, = _s_at_50_digits(polys[orbit], root, orbit, [point])
+        assert _segment_distance(s50) > 1e-20
+
+    pool_roots = 0
+    for item in pools.workloads.three_lines_pool():
+        orbit = threelines.OrbitData(*item.args)
+        if orbit.N != k - 2:
+            continue
+        try:
+            cert = threelines.salem_from_orbit(orbit)
+        except SiegelcertError:
+            continue
+        for root in cert.circle_roots:
+            decide(root, orbit, Verdict.CERTIFIED_IN)
+            found = _closed_form_points(root, orbit)
+            assert len(found) == orbit.N
+            _s_at_50_digits(cert.poly, root, orbit, found)
+            pool_roots += 1
+    assert pool_roots
+
+
+def test_screened_roots_skip_root_isolation_and_jacobians(monkeypatch):
+    # a delta0 root that the closed-form screen rejects costs no abscissa
+    # root isolation and no chart Jacobian; the other gate calls still do
+    points = _screen_spy(monkeypatch)
+    work = collections.Counter()
+    for name in ("_abscissa_roots", "chart_jacobian"):
+        real = getattr(threelines, name)
+
+        def counted(*args, name=name, real=real, **kwargs):
+            work[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(threelines, name, counted)
+    real_fixed_points = pipeline.fixed_points_tl
+    rejected = []
+    total = collections.Counter()
+
+    def fixed_points(root, orbit, want):
+        points.clear()
+        work.clear()
+        records = real_fixed_points(root, orbit, want=want)
+        if _screen_rejected(points):
+            assert want is Verdict.CERTIFIED_IN and records is None
+            assert not work, (orbit, root)
+            rejected.append((orbit, root))
+        total.update(work)
+        return records
+
+    monkeypatch.setattr(pipeline, "fixed_points_tl", fixed_points)
+    for k in (3, 4):
+        rejected.clear()
+        total.clear()
+        pipeline.theorem1_pipeline(k)
+        assert rejected
+        assert total["_abscissa_roots"] and total["chart_jacobian"]
 
 
 def test_theorem1_constructs_the_inside_target_once(monkeypatch):
@@ -197,7 +313,9 @@ def test_theorem1_constructs_the_inside_target_once(monkeypatch):
 
 def test_failed_search_names_the_gate_rejections(monkeypatch):
     # three delta0 roots are taken, each at an orbit datum where no delta*
-    # root then passes
+    # root then passes; every rejection is on the delta* side, which the
+    # closed-form screen of delta0 roots never reaches, so the message is
+    # the one the full record gate gives
     monkeypatch.setattr(threelines, "DEFAULT_MN_CAP", 4)
     with pytest.raises(PipelineFailed) as exc:
         pipeline.theorem1_pipeline(3)
