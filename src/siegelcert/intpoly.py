@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +36,11 @@ class IntPolynomial:
     coeffs: tuple[int, ...]  # coeffs[k] multiplies x^k; leading coeff nonzero
 
     def __post_init__(self):
-        c = tuple(int(v) for v in self.coeffs)
+        try:
+            c = tuple(map(operator.index, self.coeffs))
+        except TypeError:
+            raise ValueError("IntPolynomial coefficients must be integers, "
+                             f"got {self.coeffs!r}") from None
         while c and c[-1] == 0:
             c = c[:-1]
         object.__setattr__(self, "coeffs", c)

@@ -8,35 +8,31 @@ Complex numbers serialize as [re, im] pairs and balls as
 byte-identical output, so everything is emitted with sorted keys and no
 timestamps.
 
-render(doc) returns, byte for byte, what the stdlib json module writes for
-doc with sort_keys=True and indent=2, plus a newline; so json.loads followed
-by that dump reproduces every report and CLI error object.  It does not call
-the stdlib: with an indent, json runs its pure-Python encoder, which took
-more time than any certification layer on a cuspidal report.  render uses
-json's own string primitive and float spellings instead, and writes each
-[re, im] pair of floats and each ball of floats as one string.
-
-A report's rows cost one %-format each.  Each row of a top-level
-fixed_points or verdicts list is written through a template built once at
-import at that row's indentation: one for a fixed point, one for a verdict
-with a witness and one for a verdict whose witness is null.  A row takes
-its template only when it is a dict with the row's exact key set, every
-container has the row's shape (lists of the row's lengths, balls with
-exactly center and radius) and every leaf has the row's type: exactly
-float (finite, tested on the float itself, since a string such as the
-location Infinity may spell a float word), int but not bool, or str.  Any
-other row or doc goes through the general encoder, so the output never
-depends on which path wrote it.  The float repr of the floats is then most
-of what a report costs to write.  Two deviations, reached by no report: a
-dict key that is not a str raises
-TypeError (the stdlib writes a number, bool or null key as a string), and a
-doc that contains itself ends in RecursionError (the stdlib raises
-ValueError).
+render(doc) returns, byte for byte, json.dumps(doc, sort_keys=True,
+indent=2) plus a newline, for every doc; so json.loads followed by that
+dump reproduces every report and CLI error object.  With an indent the
+stdlib runs its pure-Python encoder, which took more time than any
+certification layer on a cuspidal report, so the rows that make up most of
+a report are written by render itself, one %-format each.  Four row kinds
+have templates, built once at import through the stdlib at their
+indentation: a row of the top-level fixed_points list, a verdicts row with
+a witness and one whose witness is null, a sections row, and a ball of
+salem.roots.  A row takes its template only when it is a dict with the
+row's exact key set, every container has the row's shape (lists of the
+row's lengths, balls with exactly center and radius) and every leaf has the
+row's type: exactly float (finite, tested on the float itself, since a
+string such as the location Infinity may spell a float word), int but not
+bool, or str.  The stdlib writes everything else: the other values, any row
+that does not fit, and any doc or salem block that is not a dict with str
+keys.  So the output never depends on which path wrote it, and the float
+repr of the floats is most of what a report costs to write.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
+from functools import partial
 from json.encoder import encode_basestring_ascii as _string
 from math import isfinite
 
@@ -128,67 +124,13 @@ def report_to_dict(report: CertificationReport, config: RunConfig) -> dict:
     }
 
 
-_FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_STDLIB = json.JSONEncoder(sort_keys=True, indent=2)
 
 
-def _float(x: float) -> str:
-    text = float.__repr__(x)
-    return _FLOAT_WORDS.get(text, text)
-
-
-# exact types only: a subclass takes the isinstance chain at the end of _encode
-_SCALARS = {str: _string, int: int.__repr__, float: _float,
-            bool: {True: "true", False: "false"}.__getitem__,
-            type(None): {None: "null"}.__getitem__}
-_BALL_KEYS = {"center", "radius"}
-
-
-def _finite(text: str) -> bool:
-    """False when a float written with %r in text was NaN or infinite: a
-    float's repr has no other letters than e."""
-    return "nan" not in text and "inf" not in text
-
-
-def _encode(o, nl: str) -> str:
-    """o in render's form, at the indentation whose newline and spaces are
-    nl."""
-    scalar = _SCALARS.get(type(o))
-    if scalar is not None:
-        return scalar(o)
-    inner = nl + "  "
-    if type(o) is list and len(o) == 2 and type(o[0]) is float and type(o[1]) is float:
-        text = "[%s%r,%s%r%s]" % (inner, o[0], inner, o[1], nl)
-        if _finite(text):
-            return text
-    elif type(o) is dict and o.keys() == _BALL_KEYS:
-        c, r = o["center"], o["radius"]
-        if (type(c) is list and len(c) == 2 and type(c[0]) is float
-                and type(c[1]) is float and type(r) is float):
-            deep = inner + "  "
-            text = '{%s"center": [%s%r,%s%r%s],%s"radius": %r%s}' % (
-                inner, deep, c[0], deep, c[1], inner, inner, r, nl)
-            if _finite(text):
-                return text
-    if isinstance(o, (list, tuple)):
-        if not o:
-            return "[]"
-        items = [_encode(v, inner) for v in o]
-        return "[" + inner + ("," + inner).join(items) + nl + "]"
-    if isinstance(o, dict):
-        if not o:
-            return "{}"
-        # _string raises TypeError on a key that is not a str
-        items = [_string(k) + ": " + _encode(o[k], inner) for k in sorted(o)]
-        return "{" + inner + ("," + inner).join(items) + nl + "}"
-    # subclasses of str, int and float; bool cannot be subclassed, so it is
-    # always caught by _SCALARS before int
-    if isinstance(o, str):
-        return _string(o)
-    if isinstance(o, int):
-        return int.__repr__(o)
-    if isinstance(o, float):
-        return _float(o)
-    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+def _json(o, nl: str) -> str:
+    """o as the stdlib writes it, at the indentation whose newline and
+    spaces are nl: JSON text has no newline but its indentation's."""
+    return _STDLIB.encode(o).replace("\n", nl)
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +139,13 @@ def _encode(o, nl: str) -> str:
 
 class _Mismatch(Exception):
     """A report row that its template does not fit."""
+
+
+def _dict(d, keys) -> dict:
+    """d, a dict with exactly the given keys."""
+    if type(d) is dict and d.keys() == keys:
+        return d
+    raise _Mismatch
 
 
 def _items(seq, n: int) -> list:
@@ -234,101 +183,116 @@ def _pair(p) -> tuple[float, float]:
     raise _Mismatch
 
 
+_BALL_SLOTS = {"center": ["%r", "%r"], "radius": "%r"}
+_BALL_KEYS = _BALL_SLOTS.keys()
+
+
 def _ball(b) -> tuple[float, float, float]:
     """Center and radius of b, a ball of exact finite floats."""
-    if type(b) is dict and b.keys() == _BALL_KEYS:
-        return (*_pair(b["center"]), _finite_float(b["radius"]))
-    raise _Mismatch
+    b = _dict(b, _BALL_KEYS)
+    return (*_pair(b["center"]), _finite_float(b["radius"]))
 
 
-_ROW_NL = "\n    "  # the indentation of a row of a top-level list
-
-
-def _template(shape: dict) -> str:
-    """A report row's text with a %-slot at each leaf: shape is the row with
-    each leaf replaced by its slot, %r for a float, %d for an int and %s for
-    a string already written as JSON."""
-    text = _encode(shape, _ROW_NL)
+def _template(shape, nl: str) -> str:
+    """A report row's text at the indentation nl with a %-slot at each leaf:
+    shape is the row with each leaf replaced by its slot, %r for a float, %d
+    for an int and %s for a string already written as JSON."""
+    text = _json(shape, nl)
     for slot in ("%r", "%d", "%s"):
         text = text.replace(_string(slot), slot)
     return text
 
 
-_BALL_SLOTS = {"center": ["%r", "%r"], "radius": "%r"}
+_ROW_NL = "\n    "  # the indentation of a row of a top-level list
 _FIXED_POINT = {"coords": [["%r", "%r"]] * 3, "det": _BALL_SLOTS,
                 "eigenvalues": [_BALL_SLOTS] * 2, "index": "%d",
                 "location": "%s", "s": _BALL_SLOTS, "section": "%d",
                 "trace": _BALL_SLOTS}
 _VERDICT = {"index": "%d", "note": "%s", "section": "%d", "verdict": "%s"}
 _WITNESS = {"delta": _BALL_SLOTS, "margin": "%r", "point_index": "%d"}
-_FIXED_POINT_ROW = _template(_FIXED_POINT)
-_VERDICT_ROW_NULL = _template({**_VERDICT, "witness": None})
-_VERDICT_ROW_WITNESS = _template({**_VERDICT, "witness": _WITNESS})
+_SECTION = {"delta": _BALL_SLOTS}
+_FIXED_POINT_ROW = _template(_FIXED_POINT, _ROW_NL)
+_VERDICT_ROW_NULL = _template({**_VERDICT, "witness": None}, _ROW_NL)
+_VERDICT_ROW_WITNESS = _template({**_VERDICT, "witness": _WITNESS}, _ROW_NL)
+_SECTION_ROW = _template(_SECTION, _ROW_NL)
+_ROOT_BALL = _template(_BALL_SLOTS, _ROW_NL + "  ")  # salem.roots is one deeper
 _FIXED_POINT_KEYS = _FIXED_POINT.keys()
 _VERDICT_KEYS = _VERDICT.keys() | {"witness"}
 _WITNESS_KEYS = _WITNESS.keys()
+_SECTION_KEYS = _SECTION.keys()
 
 
-def _fixed_point_row(row) -> str | None:
-    """A fixed_points row through its template; None when it does not fit.
-    The slots follow the sorted keys."""
-    if type(row) is not dict or row.keys() != _FIXED_POINT_KEYS:
-        return None
-    try:
-        c0, c1, c2 = _items(row["coords"], 3)
-        e0, e1 = _items(row["eigenvalues"], 2)
-        return _FIXED_POINT_ROW % (
-            *_pair(c0), *_pair(c1), *_pair(c2), *_ball(row["det"]),
-            *_ball(e0), *_ball(e1), _int(row["index"]),
-            _str(row["location"]), *_ball(row["s"]), _int(row["section"]),
-            *_ball(row["trace"]))
-    except _Mismatch:
-        return None
+def _fixed_point_row(row) -> str:
+    """A fixed_points row through its template.  The slots follow the
+    sorted keys."""
+    row = _dict(row, _FIXED_POINT_KEYS)
+    c0, c1, c2 = _items(row["coords"], 3)
+    e0, e1 = _items(row["eigenvalues"], 2)
+    return _FIXED_POINT_ROW % (
+        *_pair(c0), *_pair(c1), *_pair(c2), *_ball(row["det"]),
+        *_ball(e0), *_ball(e1), _int(row["index"]),
+        _str(row["location"]), *_ball(row["s"]), _int(row["section"]),
+        *_ball(row["trace"]))
 
 
-def _verdict_row(row) -> str | None:
-    """A verdicts row through one of its two templates; None when it fits
-    neither."""
-    if type(row) is not dict or row.keys() != _VERDICT_KEYS:
-        return None
+def _verdict_row(row) -> str:
+    """A verdicts row through one of its two templates."""
+    row = _dict(row, _VERDICT_KEYS)
+    head = (_int(row["index"]), _str(row["note"]), _int(row["section"]),
+            _str(row["verdict"]))
     witness = row["witness"]
-    try:
-        head = (_int(row["index"]), _str(row["note"]), _int(row["section"]),
-                _str(row["verdict"]))
-        if witness is None:
-            return _VERDICT_ROW_NULL % head
-        if type(witness) is dict and witness.keys() == _WITNESS_KEYS:
-            return _VERDICT_ROW_WITNESS % (
-                *head, *_ball(witness["delta"]),
-                _finite_float(witness["margin"]), _int(witness["point_index"]))
-    except _Mismatch:
-        pass
-    return None
+    if witness is None:
+        return _VERDICT_ROW_NULL % head
+    witness = _dict(witness, _WITNESS_KEYS)
+    return _VERDICT_ROW_WITNESS % (
+        *head, *_ball(witness["delta"]), _finite_float(witness["margin"]),
+        _int(witness["point_index"]))
 
 
-_ROWS = {"fixed_points": _fixed_point_row, "verdicts": _verdict_row}
+def _section_row(row) -> str:
+    return _SECTION_ROW % _ball(_dict(row, _SECTION_KEYS)["delta"])
 
 
-def _rows(rows, row_text) -> str:
-    """A top-level list of report rows, each through row_text or, when that
-    gives None, _encode."""
+def _root_ball(b) -> str:
+    return _ROOT_BALL % _ball(b)
+
+
+def _rows(row_text, rows, nl: str) -> str:
+    """A list of report rows at the indentation nl, each through row_text
+    or, when it does not fit, the stdlib."""
     if type(rows) is not list or not rows:
-        return _encode(rows, "\n  ")
-    return ("[" + _ROW_NL
-            + ("," + _ROW_NL).join([row_text(r) or _encode(r, _ROW_NL)
-                                    for r in rows])
-            + "\n  ]")
+        return _json(rows, nl)
+    inner = nl + "  "
+    texts = []
+    for row in rows:
+        try:
+            texts.append(row_text(row))
+        except _Mismatch:
+            texts.append(_json(row, inner))
+    return "[" + inner + ("," + inner).join(texts) + nl + "]"
 
 
-def render(doc: dict) -> str:
-    """doc in the stdlib's sort_keys=True, indent=2 form, with a final
-    newline (see the module docstring for the two deviations)."""
-    if type(doc) is not dict or not doc:
-        return _encode(doc, "\n") + "\n"
-    items = [_string(k) + ": " + (_rows(doc[k], _ROWS[k]) if k in _ROWS
-                                  else _encode(doc[k], "\n  "))
-             for k in sorted(doc)]
-    return "{\n  " + ",\n  ".join(items) + "\n}\n"
+def _object(o, nl: str, fields: dict) -> str:
+    """o at the indentation nl.  A dict with str keys is walked here: the
+    value of a key in fields goes to fields[key] with its indentation, and
+    every other value to the stdlib."""
+    if type(o) is not dict or not o or not all(type(k) is str for k in o):
+        return _json(o, nl)
+    inner = nl + "  "
+    return ("{" + inner + ("," + inner).join(
+        [_string(k) + ": " + fields.get(k, _json)(o[k], inner)
+         for k in sorted(o)]) + nl + "}")
+
+
+_REPORT = {"fixed_points": partial(_rows, _fixed_point_row),
+           "verdicts": partial(_rows, _verdict_row),
+           "sections": partial(_rows, _section_row),
+           "salem": partial(_object, fields={"roots": partial(_rows, _root_ball)})}
+
+
+def render(doc) -> str:
+    """json.dumps(doc, sort_keys=True, indent=2) plus a newline."""
+    return _object(doc, "\n", _REPORT) + "\n"
 
 
 def exit_code_for(report: CertificationReport) -> int:

@@ -81,11 +81,20 @@ def poly_roots(p: ComplexPolynomial, *,
 
     coeff_radii, when given, widens the certificates so they hold for every
     polynomial whose k-th coefficient lies within coeff_radii[k] of coeffs[k].
-    Raises NonConvergence if the sweep stalls and the disks are nonetheless
-    pairwise disjoint (no overlap explains the stall).
+    It holds one finite radius >= 0 per coefficient of p, the leading one
+    included; else ValueError, since a radius on a coefficient that p trims
+    as zero admits roots that no disk holds.  Raises NonConvergence if the
+    sweep stalls and the disks are nonetheless pairwise disjoint (no overlap
+    explains the stall).
     """
     if p.degree < 1:
         raise ValueError("degree must be >= 1")
+    if coeff_radii is not None and (
+            len(coeff_radii) != len(p.coeffs)
+            or not all(0.0 <= r < math.inf for r in coeff_radii)):
+        raise ValueError("coeff_radii must hold one finite radius >= 0 per "
+                         f"coefficient of the degree-{p.degree} polynomial, "
+                         f"got {coeff_radii!r}")
     coeffs = np.array(p.coeffs, dtype=np.complex128)
     n = p.degree
     lc = coeffs[-1]

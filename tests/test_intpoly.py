@@ -5,6 +5,7 @@ import functools
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from siegelcert import intpoly
@@ -26,6 +27,16 @@ def test_basic_arithmetic_and_division():
     assert prod.try_exact_div(p) == q
     assert (p * 0).is_zero
     assert IntPolynomial((1, 1)).try_exact_div(IntPolynomial((0, 2))) is None
+
+
+def test_coefficients_that_are_not_integers_raise():
+    for coeffs in ((0.5, 1.7), ("3", 1), (2.0, 1)):
+        with pytest.raises(ValueError, match="coefficients must be integers"):
+            IntPolynomial(coeffs)
+    # numpy integers and bools are integers; the coefficients become ints
+    p = IntPolynomial((np.int64(-2), True, np.uint8(3), False))
+    assert p == IntPolynomial((-2, 1, 3))
+    assert all(type(c) is int for c in p.coeffs)
 
 
 def test_cyclotomic_degrees_and_values():

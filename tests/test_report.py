@@ -155,12 +155,45 @@ def test_values_the_stdlib_rejects_raise_type_error(value):
 
 
 @pytest.mark.parametrize("key", [1, 1.5, True, None])
-def test_a_key_that_is_not_a_str_raises_type_error(key):
-    # the one deviation: the stdlib writes such a key as a string
-    doc = {"a": {key: 0}}
-    assert json.loads(_stdlib(doc))["a"]
-    with pytest.raises(TypeError):
-        render(doc)
+def test_a_key_that_is_not_a_str_matches_the_stdlib(key):
+    # the stdlib writes a number, bool or null key as a string
+    _assert_parity({key: 0})
+    _assert_parity({"a": {key: 0}})
+    doc = _report_doc()
+    doc["salem"] = {key: doc["salem"]["roots"]}
+    _assert_parity(doc)
+    # mixed with str keys, sorting them raises
+    top, salem = _report_doc(), _report_doc()
+    top[key] = 0
+    salem["salem"][key] = 0
+    for doc in ({key: 0, "a": 1}, {"a": {key: 0, "b": 1}}, top, salem):
+        with pytest.raises(TypeError):
+            _stdlib(doc)
+        with pytest.raises(TypeError):
+            render(doc)
+
+
+def _cycles():
+    """Docs that contain themselves: at the top level, through a row, through
+    a ball of salem.roots and through a plain list."""
+    top = _report_doc()
+    top["self"] = top
+    row = _report_doc()
+    row["fixed_points"][0]["coords"].append(row)
+    root = _report_doc()
+    root["salem"]["roots"].append(root["salem"])
+    seq = []
+    seq.append(seq)
+    return [top, row, root, seq]
+
+
+def test_a_doc_that_contains_itself_raises_the_stdlib_value_error():
+    for doc in _cycles():
+        with pytest.raises(ValueError) as stdlib:
+            _stdlib(doc)
+        with pytest.raises(ValueError) as ours:
+            render(doc)
+        assert str(ours.value) == str(stdlib.value)
 
 
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
@@ -187,6 +220,18 @@ def _fixed_point(doc):
 
 def _with_witness(doc):
     return next(v for v in doc["verdicts"] if v["witness"] is not None)
+
+
+def _section(doc):
+    return doc["sections"][0]
+
+
+def _root(doc):
+    return doc["salem"]["roots"][2]
+
+
+def _salem(doc):
+    return doc["salem"]
 
 
 def _set(path, value):
@@ -255,6 +300,13 @@ ROW_EDITS = {
     "note with % slots": (_with_witness, _set(["note"], "100% %r %s %d %%")),
     "location Infinity": (_fixed_point, _set(["location"], "Infinity")),
     "verdict with quotes": (_with_witness, _set(["verdict"], 'say "\u00e9" \\')),
+    "section radius NaN": (_section, _set(["delta", "radius"], math.nan)),
+    "section center int": (_section, _set(["delta", "center", 0], 1)),
+    "extra section key": (_section, _set(["extra"], None)),
+    "root radius NaN": (_root, _set(["radius"], math.nan)),
+    "root center int": (_root, _set(["center", 1], 0)),
+    "extra root key": (_root, _set(["extra"], 1.0)),
+    "roots tuple": (_salem, lambda salem: salem.update(roots=tuple(salem["roots"]))),
 }
 
 
@@ -266,7 +318,7 @@ def test_edited_report_rows_match_the_stdlib(edit):
     _assert_parity(doc)
 
 
-@pytest.mark.parametrize("rows", ["fixed_points", "verdicts"])
+@pytest.mark.parametrize("rows", ["fixed_points", "sections", "verdicts"])
 def test_row_lists_that_are_not_rows_match_the_stdlib(rows):
     for value in ([], (), {}, None, "rows", [None], [[]], [{}],
                   tuple(_report_doc()[rows])):
@@ -280,30 +332,49 @@ def test_row_lists_that_are_not_rows_match_the_stdlib(rows):
     _assert_parity(OrderedDict(doc))
 
 
+def _inside(o):
+    """o and every value inside it."""
+    yield o
+    if isinstance(o, dict):
+        o = list(o.values())
+    if isinstance(o, (list, tuple)):
+        for v in o:
+            yield from _inside(v)
+
+
 def test_report_rows_take_their_templates(monkeypatch):
-    """No fixed_points or verdicts row of a report reaches _encode, so a row
-    that silently fell back to it fails here."""
+    """No fixed_points, verdicts or sections row and no ball of salem.roots
+    of a report reaches _json, so a row that silently fell back to the
+    stdlib fails here."""
     docs = [run() for run in ACCEPTANCE_RUNS.values()]
-    rows = [row for doc in docs for key in ("fixed_points", "verdicts")
+    rows = [row for doc in docs
+            for key in ("fixed_points", "verdicts", "sections")
             for row in doc[key]]
-    assert len(rows) > 50
+    roots = [b for doc in docs for b in doc["salem"]["roots"]]
+    assert len(rows) > 50 and len(roots) >= 4 * len(docs)
     assert any(row.get("witness") is None for row in rows)
     assert any(row["location"] == "Infinity" for row in rows
                if "location" in row)
-    encoded = []
-    encode = report._encode
+    written = []
+    stdlib = report._json
 
     def spy(o, nl):
-        encoded.append(o)
-        return encode(o, nl)
+        written.append(o)
+        return stdlib(o, nl)
 
-    monkeypatch.setattr(report, "_encode", spy)
+    monkeypatch.setattr(report, "_json", spy)
     for doc in docs:
         _assert_parity(doc)
-    assert encoded
-    assert not any(o is row for o in encoded for row in rows)
-    # a row that does not fit its template does reach _encode
+    assert written
+    # not as themselves, nor inside a list or block written whole
+    reached = {id(v) for o in written for v in _inside(o)}
+    assert not any(id(row) in reached for row in rows + roots)
+    # a row or root that does not fit its template does reach _json
     edited = copy.deepcopy(docs[0])
     edited["fixed_points"][0]["index"] = True
+    edited["sections"][0]["delta"]["radius"] = 0
+    edited["salem"]["roots"][1]["center"][0] = math.inf
     _assert_parity(edited)
-    assert any(o is edited["fixed_points"][0] for o in encoded)
+    for row in (edited["fixed_points"][0], edited["sections"][0],
+                edited["salem"]["roots"][1]):
+        assert any(o is row for o in written)

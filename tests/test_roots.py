@@ -84,6 +84,17 @@ def test_coeff_radii_widen_certificates():
         assert b.radius > 4e-7
 
 
+def test_coeff_radii_need_one_finite_radius_per_coefficient():
+    # (1, 1, 0) trims to 1 + x: a radius on the trimmed x^2 would admit
+    # 1 + x + eps x^2, whose second root near -1/eps lies in no disk
+    p = ComplexPolynomial((1, 1, 0))
+    for radii in ((0.0, 0.0, 0.5), (0.0,), (0.0, -1e-9), (0.0, math.nan),
+                  (math.inf, 0.0)):
+        with pytest.raises(ValueError, match="one finite radius"):
+            poly_roots(p, coeff_radii=radii)
+    assert len(poly_roots(p, coeff_radii=(0.0, 0.5)).balls) == 1
+
+
 def test_large_reciprocal_polynomial_converges():
     from siegelcert.threelines import OrbitData, cleared_chi_polynomial
     from siegelcert.intpoly import strip_cyclotomic
