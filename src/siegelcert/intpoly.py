@@ -286,9 +286,10 @@ def strip_cyclotomic(p: IntPolynomial) -> tuple[IntPolynomial, list[int]]:
         high = np.array([k for k in indices if k > 2], dtype=float)
         z = np.exp(2j * np.pi / high)
         val = np.zeros_like(z)
-        for c in reversed(p.coeffs):
-            val *= z
-            val += c
+        # positional ufunc calls; the multiply stays in place, as `*=` ran
+        for c in np.array(p.coeffs[::-1], dtype=complex):
+            np.multiply(val, z, val)
+            np.add(val, c, val)
         tol = 1e-8 * max(float(sum(abs(c) for c in p.coeffs)), 1.0)
         screened = {1, 2} | {int(k) for k in high[np.abs(val) <= tol]}
     rest = p

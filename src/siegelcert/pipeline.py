@@ -7,9 +7,10 @@ parameter targets, then one threelines.approx_parameters call, which holds
 the whole search policy, walks orbit data whose Salem polynomial has
 unit-circle roots near both targets.  A gate checks each root it offers: a
 root delta0 is taken when the N+3 isolated fixed points over it certify the
-inside pattern, a root delta* when they certify the outside pattern, and
-only then are the root's orbit conditions verified by direct iteration.
-The search returns at the first orbit datum where both sides are taken.
+inside pattern, a root delta* when they certify the outside pattern and
+then the orbit conditions of both roots pass direct iteration.  The search
+returns at the first orbit datum where both sides are taken, so a delta0
+root's orbit check waits until a delta* root of its datum is taken.
 The gate is a filter and computes only what its answer needs: a root whose
 beta0/alpha0 is certified on the wrong side of [0, 4] is rejected before
 any fixed point; a delta0 root with N <= 2 is rejected when the closed-form
@@ -55,9 +56,9 @@ _PATTERNS = {"delta0": Verdict.CERTIFIED_IN, "delta*": Verdict.CERTIFIED_OUT}
 def _gate(candidate, kept: dict, rejections: collections.Counter) -> bool:
     """The certification gate for one (orbit, root, side) of the search.
 
-    The root is taken when its fixed points certify the side's pattern
-    (fixed_points_tl with want, see _PATTERNS) and then its orbit
-    conditions pass direct iteration.  Two screens run before any record:
+    The root's fixed points must certify the side's pattern
+    (fixed_points_tl with want, see _PATTERNS), and its orbit conditions
+    must pass direct iteration.  Two screens run before any record:
     beta0/alpha0 on both sides, and for delta0 with N <= 2 the closed-form
     s of the diagonal points; a root either screen rules out counts as a
     pattern failure (see threelines.fixed_points_tl).  Past them, a pattern
@@ -67,22 +68,35 @@ def _gate(candidate, kept: dict, rejections: collections.Counter) -> bool:
     infinity.  The accept or reject is that of the full record list either
     way; a screen can only name the pattern where a record would first
     have raised.
+    A delta0 root is taken on its pattern; its orbit check waits until a
+    delta* root of its orbit datum passes its own, and a delta* root is
+    taken only when both pass.  A failing delta0 check rejects the datum's
+    delta* roots as "delta0 orbit check" and the search leaves the datum
+    (no run of the benchmark pools or the CLI gets there).
     kept and rejections are created by theorem1_pipeline and live for that
-    one call.  A taken root's records and orbit report are kept under its
-    candidate for _report_from_candidate.  A rejected root adds one to
-    rejections under the reason of its first failing check: "delta0
-    pattern", "delta* pattern", "orbit check", or the type name of the
-    SiegelcertError that check raised.
+    one call.  A taken root's records and orbit report (None while deferred)
+    are kept under its candidate for _report_from_candidate.  A rejected
+    root adds one to rejections under the reason of its first failing
+    check: "delta0 pattern", "delta* pattern", "orbit check", "delta0 orbit
+    check", or the type name of the SiegelcertError that check raised.
     """
     orbit, root, side = candidate
     try:
         records = fixed_points_tl(root, orbit, want=_PATTERNS[side])
         if records is None:
             reason = f"{side} pattern"
+        elif side == "delta0":
+            kept[candidate] = records, None
+            return True
         else:
-            orbit_report = orbit_verify(ab_from_delta(root.center, orbit),
-                                        orbit)
-            reason = None if orbit_report.passed else "orbit check"
+            orbit_report = orbit_verify(ab_from_delta(root.center, orbit), orbit)
+            taken0 = next(c for c in kept if c[0] == orbit and c[2] == "delta0")
+            records0, report0 = kept[taken0]
+            if orbit_report.passed and report0 is None:
+                report0 = orbit_verify(ab_from_delta(taken0[1].center, orbit), orbit)
+                kept[taken0] = records0, report0
+            reason = ("orbit check" if not orbit_report.passed else
+                      None if report0.passed else "delta0 orbit check")
     except SiegelcertError as exc:
         reason = type(exc).__name__
     if reason is not None:

@@ -16,6 +16,12 @@ The sweep starts on one circle and has one stopping rule for every caller:
 every correction below DEFAULT_TOL times the root scale, or DEFAULT_MAX_ITER
 sweeps.  The disks are valid wherever the sweep stops; a tighter stop only
 makes them smaller, and so more often disjoint.
+
+A sweep costs Python dispatch more than arithmetic, so each step is one
+positional numpy call into work arrays allocated once per polynomial, with
+the expression form's operands and so its bits (see poly_roots).  The
+certificate keeps CPython's abs of complex values, which numpy's abs does
+not always match, and bounds Horner's float error at all points at once.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ from __future__ import annotations
 import bisect
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +51,11 @@ class ComplexPolynomial:
     coeffs: tuple[complex, ...]
 
     def __post_init__(self):
-        c = tuple(complex(v) for v in self.coeffs)
+        # complex() would parse a string such as "1+2j"; only numbers pass
+        c = tuple(self.coeffs)
+        if not all(isinstance(v, numbers.Number) for v in c):
+            raise ValueError(f"coefficients must be numbers, got {c!r}")
+        c = tuple(map(complex, c))
         while c and c[-1] == 0:
             c = c[:-1]
         object.__setattr__(self, "coeffs", c)
@@ -109,46 +120,51 @@ def poly_roots(p: ComplexPolynomial, *,
     k = np.arange(n)
     converged = False
     z = r0 * np.exp(2j * np.pi * (k + 0.37) / n)
+    # Work arrays allocated once, each step one positional ufunc call into
+    # them with the operands the expression form gave its kernel, so the bits
+    # are the same.  numpy's complex multiply rounds differently in place on
+    # a length-1 array, so no multiply writes into its own input: Horner
+    # alternates two buffers, and only the adds (exact per part) run in place.
+    zero, even, odd, prod, denom, w, z_next = (np.zeros(n, complex) for _ in range(7))
+    steps = [(np.asarray(c), (even, odd)[i % 2]) for i, c in enumerate(coeffs[::-1])]
+    diff = np.empty((n, n), complex)
+    diagonal = diff.reshape(-1)[::n + 1]
+    lc, modulus, tame = np.asarray(lc), np.empty(n), np.empty(n, bool)
     with np.errstate(all="ignore"):
         for sweep in range(DEFAULT_MAX_ITER):
-            pz = _horner_vec(coeffs, z)
-            diff = np.subtract.outer(z, z)
-            diff.flat[::n + 1] = 1.0
-            denom = lc * diff.prod(axis=1)
-            w = pz / denom
+            pz = zero
+            for c, out in steps:
+                np.multiply(pz, z, out)
+                np.add(out, c, out)
+                pz = out
+            np.subtract.outer(z, z, out=diff)
+            diagonal[:] = 1.0
+            diff.prod(axis=1, out=prod)
+            np.multiply(lc, prod, denom)
+            np.divide(pz, denom, w)
             finite = np.isfinite(w).all()
             if not finite:
                 w = np.where(np.isfinite(w), w, 0.0)
-            z = z - w
+            np.subtract(z, w, z_next)
+            z, z_next = z_next, z
             # reseed exploded or non-finite iterates deterministically: a
             # NaN modulus fails the comparison too
-            tame = np.abs(z) <= 16.0 * scale
+            np.less_equal(np.abs(z, modulus), 16.0 * scale, tame)
             if not tame.all():
                 z = np.where(
                     tame, z,
                     0.83 * r0 * np.exp(2j * np.pi * (k + 0.11 * (sweep + 2)) / n))
                 continue
-            if finite and np.abs(w).max() < DEFAULT_TOL * scale:
+            if finite and np.abs(w, modulus).max() < DEFAULT_TOL * scale:
                 converged = True
                 break
-
-    balls = _certify(p, [complex(v) for v in z], coeff_radii)
+        balls = _certify(p, z.tolist(), coeff_radii)
     is_simple = pairwise_disjoint(balls)
     if not converged and is_simple:
         raise NonConvergence(
             f"no convergence after {DEFAULT_MAX_ITER} iterations "
             f"at tol={DEFAULT_TOL:g}")
     return RootSet(balls, is_simple)
-
-
-def _horner_vec(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
-    out = np.zeros(len(z), complex)
-    for c in coeffs[::-1]:
-        # the add runs in place; an in-place multiply would round differently
-        # on length-1 arrays
-        out = out * z
-        out += c
-    return out
 
 
 def _certify(p: ComplexPolynomial, pts: list[complex],
@@ -160,25 +176,20 @@ def _certify(p: ComplexPolynomial, pts: list[complex],
         if lc_low <= 0:
             raise ValueError("leading coefficient ball contains 0")
     rev = p.coeffs[::-1]
-    abs_rev = [abs(c) for c in rev]
-    horner_err = 4.0 * len(rev) * _U
+    # each Horner value's error bound and the radii's reach at every point at
+    # once: float operations one at a time round as CPython's do, and under
+    # poly_roots' errstate an overflow gives inf silently, as there
+    moduli = np.array([abs(zi) for zi in pts])
+    errs = 4.0 * len(rev) * _U * _horner_bound([abs(c) for c in rev], moduli)
+    if coeff_radii is not None:
+        errs += _horner_bound(coeff_radii[::-1], moduli)
     # |z_i - z_j| once per pair: fl(z_j - z_i) = -fl(z_i - z_j) exactly
     upper = [[abs(zi - zj) for zj in pts[i + 1:]] for i, zi in enumerate(pts)]
     balls = []
-    for i, zi in enumerate(pts):
-        # Horner value plus a running bound on its floating-point error
+    for i, (zi, err) in enumerate(zip(pts, errs.tolist())):
         val = 0j
-        s = 0.0
-        azi = abs(zi)
-        for c, ac in zip(rev, abs_rev):
+        for c in rev:
             val = val * zi + c
-            s = s * azi + ac
-        err = horner_err * s
-        if coeff_radii is not None:
-            s = 0.0
-            for r in reversed(coeff_radii):
-                s = s * azi + r
-            err += s
         prod = 1.0
         for j in range(i):
             prod *= upper[j][i - j - 1]
@@ -195,6 +206,15 @@ def _certify(p: ComplexPolynomial, pts: list[complex],
         balls.append(ComplexBall(zi, radius * (1.0 + 2 ** -40) + 1e-300))
 
     return tuple(balls)
+
+
+def _horner_bound(weights, moduli: np.ndarray) -> np.ndarray:
+    """Horner at every modulus at once, weights highest degree first."""
+    s = np.zeros(len(moduli))
+    for wk in weights:
+        np.multiply(s, moduli, s)
+        np.add(s, wk, s)
+    return s
 
 
 def pairwise_disjoint(balls) -> bool:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import collections
 import math
+import operator
 from dataclasses import dataclass, replace
 
 from .balls import ComplexBall, Verdict, ball_in_interval
@@ -58,10 +59,12 @@ class OrbitData:
     n: tuple[int, ...]
 
     def __post_init__(self):
-        m = tuple(int(v) for v in self.m)
-        n = tuple(int(v) for v in self.n)
-        if m + n != tuple(self.m) + tuple(self.n):
-            raise ValueError("orbit data must be integers")
+        try:
+            m = tuple(map(operator.index, self.m))
+            n = tuple(map(operator.index, self.n))
+        except TypeError:
+            raise ValueError("orbit data must be integers, got "
+                             f"m={self.m!r}, n={self.n!r}") from None
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "n", n)
         if len(m) != len(n) or not m:

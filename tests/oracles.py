@@ -26,6 +26,7 @@ from siegelcert.errors import (BoundaryUndecidable, BudgetExhausted,
 from siegelcert.geometry import (_CHART_LOCALS, ProjectivePoint, chart_point,
                                  embed_chart)
 from siegelcert.intpoly import IntPolynomial
+from siegelcert.roots import DEFAULT_MAX_ITER, DEFAULT_TOL
 from siegelcert.threelines import (COLLISION_TOL, OrbitCheck, OrbitData,
                                    OrbitReport, ThreeLinesParams, TLMap,
                                    _parameter_ratio, _vanishes,
@@ -400,6 +401,59 @@ def horner_vec_reference(coeffs, z):
     for c in coeffs[::-1]:
         out = out * z + c
     return out
+
+
+def durand_kerner_reference(p, reseeds=None) -> tuple[np.ndarray, bool]:
+    """roots.poly_roots' sweep in expression form, every numpy operation
+    into a fresh array: the final iterates and whether every correction
+    fell below DEFAULT_TOL times the root scale.  reseeds, when given, gets
+    the number of each sweep that reseeded exploded iterates."""
+    coeffs = np.array(p.coeffs, dtype=np.complex128)
+    n = p.degree
+    lc = coeffs[-1]
+    bound = 1.0 + float(max(abs(coeffs[:-1] / lc))) if n else 1.0
+    gmean = abs(coeffs[0] / lc) ** (1.0 / n) if coeffs[0] != 0 else 0.5
+    r0 = 1.02 * min(max(gmean, 1e-3), bound)
+    scale = max(1.0, bound)
+    k = np.arange(n)
+    z = r0 * np.exp(2j * np.pi * (k + 0.37) / n)
+    with np.errstate(all="ignore"):
+        for sweep in range(DEFAULT_MAX_ITER):
+            pz = horner_vec_reference(coeffs, z)
+            diff = np.subtract.outer(z, z)
+            diff.flat[::n + 1] = 1.0
+            w = pz / (lc * diff.prod(axis=1))
+            finite = np.isfinite(w).all()
+            if not finite:
+                w = np.where(np.isfinite(w), w, 0.0)
+            z = z - w
+            tame = np.abs(z) <= 16.0 * scale
+            if not tame.all():
+                z = np.where(
+                    tame, z,
+                    0.83 * r0 * np.exp(2j * np.pi * (k + 0.11 * (sweep + 2)) / n))
+                if reseeds is not None:
+                    reseeds.append(sweep)
+                continue
+            if finite and np.abs(w).max() < DEFAULT_TOL * scale:
+                return z, True
+    return z, False
+
+
+def cyclotomic_screen_reference(p: IntPolynomial, indices) -> set[int]:
+    """strip_cyclotomic's numeric screen with augmented assignments: the k
+    of indices whose primitive root of unity z_k has |p(z_k)| <= 1e-8 *
+    max(sum |c|, 1), with 1 and 2, or every k past the screen's range."""
+    if p.degree > 4096 or max(abs(c) for c in p.coeffs) > 2 ** 48:
+        return set(indices)
+    high = np.array([k for k in indices if k > 2], dtype=float)
+    z = np.exp(2j * np.pi / high)
+    val = np.zeros_like(z)
+    for c in reversed(p.coeffs):
+        val *= z
+        val += c
+    tol = 1e-8 * max(float(sum(abs(c) for c in p.coeffs)), 1.0)
+    return {1, 2} | {int(k) for k in high[np.abs(val) <= tol]}
 
 
 def certify_reference(p, pts: list[complex], coeff_radii) -> tuple[ComplexBall, ...]:

@@ -1,13 +1,14 @@
 """The Z[x] and root-disk kernels against their dense references.
 
-The sparse products and divisions of IntPolynomial, and the root
-certificate that takes each |z_i - z_j| once, must give exactly what the
-dense kernels of oracles.py give: the same coefficient tuples, and disks
-with the same center and radius bits.  The root kernels are checked on
-every call that the theorem1 searches for k = 3 and k = 4 and a three-lines
-run make: the Salem polynomials of the searched orbit data, and the
-abscissa polynomials of the fixed points, whose ball coefficients come with
-coeff_radii.  The strict kernels (the subresultant resultant, the gcd and
+The sparse products and divisions of IntPolynomial, the root certificate
+that takes each |z_i - z_j| once, and the Durand-Kerner sweep through fixed
+buffers must give exactly what the dense and expression-form kernels of
+oracles.py give: the same coefficient tuples, and disks with the same
+center and radius bits.  The root kernels are checked on every call that
+the theorem1 searches for k = 3 and k = 4 and a three-lines run make: the
+Salem polynomials of the searched orbit data, and the abscissa polynomials
+of the fixed points, whose ball coefficients come with coeff_radii; the
+sweep also on random polynomials of every degree up to 128.  The strict kernels (the subresultant resultant, the gcd and
 Ben-Or's test mod p, all on lists of ints) are checked the same way against
 the IntPolynomial kernels and Rabin's test they replaced, on every call of
 the strict runs of the benchmark's strict-evidence pool.
@@ -18,17 +19,19 @@ import itertools
 import numpy as np
 import pytest
 
-from siegelcert import intpoly, roots, strictmode
+from siegelcert import intpoly, roots, salem, strictmode, threelines
 from siegelcert.cuspidal import certify_cuspidal
+from siegelcert.errors import NonConvergence
 from siegelcert.intpoly import IntPolynomial, cyclotomic, x_pow_minus_one
 from siegelcert.pipeline import certify_three_lines, theorem1_pipeline
 from siegelcert.roots import ComplexPolynomial
 from siegelcert.threelines import OrbitData, cleared_chi_polynomial
 
-from oracles import (certify_reference, horner_vec_reference,
-                     int_add_reference, int_mul_reference,
-                     int_resultant_reference, int_sub_reference,
-                     irreducible_mod_p_reference, poly_gcd_reference,
+from oracles import (certify_reference, cyclotomic_screen_reference,
+                     durand_kerner_reference, int_add_reference,
+                     int_mul_reference, int_resultant_reference,
+                     int_sub_reference, irreducible_mod_p_reference,
+                     pairwise_disjoint_reference, poly_gcd_reference,
                      try_exact_div_reference)
 
 BIG = 2 ** 64 + 13
@@ -84,12 +87,32 @@ def test_exact_division_matches_the_dense_kernel():
         OPERANDS[1].try_exact_div(IntPolynomial(()))
 
 
+def _roots_outcome(p, coeff_radii=None):
+    """poly_roots' disk bits and is_simple, or the NonConvergence it raised."""
+    try:
+        got = roots.poly_roots(p, coeff_radii=coeff_radii)
+    except NonConvergence:
+        return "NonConvergence"
+    return _bits(got.balls), got.is_simple
+
+
+def _roots_reference(p, coeff_radii=None):
+    """The same from the expression-form sweep and the dense certificate."""
+    z, converged = durand_kerner_reference(p)
+    balls = certify_reference(p, z.tolist(), coeff_radii)
+    is_simple = pairwise_disjoint_reference(balls)
+    if not converged and is_simple:
+        return "NonConvergence"
+    return _bits(balls), is_simple
+
+
 @pytest.fixture(scope="module")
 def root_calls():
-    """Every _certify and _horner_vec call of theorem1 (k = 3, 4) and of
-    three-lines (1,2),(1,1), each beside its reference result."""
-    certify, horner = roots._certify, roots._horner_vec
-    calls = {"certify": [], "horner": []}
+    """Every poly_roots and _certify call of theorem1 (k = 3, 4) and of
+    three-lines (1,2),(1,1); each _certify call beside its reference
+    result."""
+    certify = roots._certify
+    calls = {"certify": [], "roots": []}
 
     def both_certify(p, pts, coeff_radii):
         got = certify(p, pts, coeff_radii)
@@ -97,14 +120,16 @@ def root_calls():
         calls["certify"].append((coeff_radii is not None, got, want))
         return got
 
-    def both_horner(coeffs, z):
-        got = horner(coeffs, z)
-        calls["horner"].append((len(z), got, horner_vec_reference(coeffs, z)))
-        return got
+    def recorded(poly_roots):
+        def wrapped(p, *, coeff_radii=None):
+            calls["roots"].append((p, coeff_radii))
+            return poly_roots(p, coeff_radii=coeff_radii)
+        return wrapped
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(roots, "_certify", both_certify)
-        mp.setattr(roots, "_horner_vec", both_horner)
+        for module in (salem, threelines):
+            mp.setattr(module, "poly_roots", recorded(module.poly_roots))
         theorem1_pipeline(3)
         theorem1_pipeline(4)
         certify_three_lines(OrbitData((1, 2), (1, 1)))
@@ -120,13 +145,53 @@ def test_certify_matches_the_reference_bit_for_bit(root_calls):
         assert _bits(got) == _bits(want)
 
 
-def test_horner_matches_the_reference_bit_for_bit(root_calls):
-    calls = root_calls["horner"]
+def test_sweeps_match_the_reference_bit_for_bit(root_calls):
+    calls = root_calls["roots"]
     # abscissa polynomials of degree 1 and 2, Salem polynomials beyond
-    sizes = {n for n, _, _ in calls}
-    assert {1, 2} <= sizes and max(sizes) >= 10
-    for _, got, want in calls:
-        assert got.tobytes() == want.tobytes()
+    degrees = {p.degree for p, _ in calls}
+    assert {1, 2} <= degrees and max(degrees) >= 10
+    for p, radii in calls:
+        assert _roots_outcome(p, radii) == _roots_reference(p, radii), p
+
+
+def test_sweeps_on_random_polynomials():
+    """Integer and reciprocal integer polynomials of every degree 1..128."""
+    rng = np.random.default_rng(34)
+    for n in range(1, 129):
+        c = rng.integers(-9, 10, n + 1)
+        c[-1] = rng.choice([-2, -1, 1, 3])
+        half = rng.integers(-9, 10, n // 2 + 1)
+        half[0] = 1
+        reciprocal = np.concatenate([half, half[:(n + 1) // 2][::-1]])
+        for coeffs in (c, reciprocal):
+            p = ComplexPolynomial(tuple(map(float, coeffs)))
+            assert _roots_outcome(p) == _roots_reference(p), coeffs
+
+
+def test_sweep_on_length_one_arrays():
+    # numpy's complex multiply rounds differently in place on a length-1
+    # array: the linear polynomials' sweeps must still give the same bits
+    rng = np.random.default_rng(2015)
+    for _ in range(500):
+        c = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        p = ComplexPolynomial(tuple(c))
+        assert _roots_outcome(p) == _roots_reference(p)
+
+
+def test_sweep_through_reseeds_and_failure():
+    """A sweep that reseeds exploded iterates and then converges, and one
+    that keeps reseeding, never converges and ends in overlapping disks."""
+    for coeffs, converges in (((1, 0, -1000, 0, 0, -100000, -5000), True),
+                              ((1, 0, 0, 0, 0, -100000, -5000), False)):
+        p = ComplexPolynomial(tuple(map(float, coeffs)))
+        reseeds = []
+        assert durand_kerner_reference(p, reseeds)[1] is converges
+        assert reseeds
+        want = _roots_reference(p)
+        assert want[1] is converges  # the disks are disjoint iff it converged
+        assert _roots_outcome(p) == want
+    p = ComplexPolynomial((-27.0, 27.0, -9.0, 1.0))  # (t - 3)^3
+    assert _roots_outcome(p) == _roots_reference(p)
 
 
 def test_certify_with_coincident_iterates():
@@ -140,13 +205,33 @@ def test_certify_with_coincident_iterates():
         assert got[0].radius > 6.0
 
 
-def test_horner_on_length_one_arrays():
-    rng = np.random.default_rng(2015)
-    for _ in range(2000):
-        coeffs = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-        z = rng.standard_normal(1) + 1j * rng.standard_normal(1)
-        assert (roots._horner_vec(coeffs, z).tobytes()
-                == horner_vec_reference(coeffs, z).tobytes())
+def test_cyclotomic_screen_keeps_the_same_candidates(monkeypatch):
+    """strip_cyclotomic builds cyclotomic(k) for exactly the k its numeric
+    screen keeps; they must be the k the augmented-assignment loop keeps, on
+    the Salem polynomials of small orbit data and on random products with
+    cyclotomic factors."""
+    rng = np.random.default_rng(7)
+    polys = [cleared_chi_polynomial(OrbitData((m,), (n,)))
+             for m in range(1, 6) for n in range(1, 6) if (m, n) != (1, 1)]
+    for _ in range(60):
+        c = [int(v) for v in rng.integers(-9, 10, rng.integers(2, 60))]
+        c[-1] = 1
+        polys.append(IntPolynomial(tuple(c)) * cyclotomic(int(rng.integers(1, 40))))
+    built = []
+
+    def recorded(k):
+        built.append(k)
+        return cyclotomic(k)
+
+    monkeypatch.setattr(intpoly, "cyclotomic", recorded)
+    beyond = 0
+    for p in polys + OPERANDS[1:]:
+        built.clear()
+        intpoly.strip_cyclotomic(p)
+        indices = intpoly.cyclotomic_indices(p.degree)
+        assert set(built) == cyclotomic_screen_reference(p, indices), p
+        beyond += len(built) > 2
+    assert beyond > 60
 
 
 @pytest.fixture(scope="module")

@@ -3,6 +3,7 @@ rejects), and the one report assembly every run goes through."""
 
 import collections
 import functools
+import types
 
 import mpmath
 import pytest
@@ -38,10 +39,12 @@ def _offered_roots(monkeypatch) -> list:
 def test_search_certifies_each_orbit_root_side_once(monkeypatch):
     # the gate sees each (orbit, root, side) at most once and certifies its
     # fixed points once; the orbit conditions are verified once at each
-    # root whose pattern holds, and at no other
+    # delta* root whose pattern holds and at the delta0 root of the pair
+    # taken, and at no other root: a delta0 root's check waits until a
+    # delta* root of its orbit datum is taken
     offered = _offered_roots(monkeypatch)
     patterns = collections.Counter()
-    patterned = set()
+    patterned = {}
     verified = collections.Counter()
     real_fixed_points = pipeline.fixed_points_tl
     real_orbit_verify = pipeline.orbit_verify
@@ -50,7 +53,7 @@ def test_search_certifies_each_orbit_root_side_once(monkeypatch):
         patterns[(orbit, root, want)] += 1
         records = real_fixed_points(root, orbit, want=want)
         if records is not None:
-            patterned.add((orbit, root.center))
+            patterned[(orbit, root.center)] = want
         return records
 
     def orbit_verify(params, orbit):
@@ -59,6 +62,7 @@ def test_search_certifies_each_orbit_root_side_once(monkeypatch):
 
     monkeypatch.setattr(pipeline, "fixed_points_tl", fixed_points)
     monkeypatch.setattr(pipeline, "orbit_verify", orbit_verify)
+    deferred = 0
     for k in (3, 4):
         for seen in (offered, patterns, patterned, verified):
             seen.clear()
@@ -67,7 +71,6 @@ def test_search_certifies_each_orbit_root_side_once(monkeypatch):
         assert len(set(candidates)) == len(candidates)
         assert set(patterns.values()) == {1}
         assert sum(patterns.values()) == len(candidates)
-        assert set(verified.values()) == {1} and set(verified) == patterned
         # the search ends on the delta* root it takes, at the orbit datum
         # of the delta0 root taken last; they are the report's two sections
         (orbit, root_star, side), taken = offered[-1]
@@ -75,8 +78,16 @@ def test_search_certifies_each_orbit_root_side_once(monkeypatch):
         orbit0, root0, _ = next(c for c, ok in reversed(offered)
                                 if ok and c[2] == "delta0")
         assert orbit0 == orbit
+        star = {key for key, want in patterned.items()
+                if want is Verdict.CERTIFIED_OUT}
+        assert set(verified.values()) == {1}
+        assert set(verified) == star | {(orbit, root0.center)}
+        deferred += len(patterned) - len(verified)
         assert report.parameters["m"] == list(orbit.m)
         assert [sec.delta for sec in report.sections] == [root0, root_star]
+    # at k = 3, delta0 roots are taken at orbit data where no delta* root
+    # then passes, and their orbit conditions are never verified
+    assert deferred > 0
 
 
 @pytest.mark.parametrize("k, mn_cap", [(3, None), (4, None), (3, 4), (4, 4),
@@ -323,6 +334,31 @@ def test_failed_search_names_the_gate_rejections(monkeypatch):
         "approx_parameters: no candidate accepted over 4 density ranks with "
         "m_N <= 4 at eps=1.6: 15 orbit data tried; the gate rejected 5 of 8 "
         "root(s): 5 delta* pattern")
+
+
+def test_failed_deferred_orbit_check_leaves_the_orbit_datum(monkeypatch):
+    # when the orbit check of a taken delta0 root fails, once a delta* root of
+    # its datum has passed its own, that delta* root is rejected under
+    # "delta0 orbit check" and no pair is taken at the datum
+    taken0 = set()
+    real_fixed_points = pipeline.fixed_points_tl
+    real_orbit_verify = pipeline.orbit_verify
+
+    def fixed_points(root, orbit, want):
+        records = real_fixed_points(root, orbit, want=want)
+        if records is not None and want is Verdict.CERTIFIED_IN:
+            taken0.add(root.center)
+        return records
+
+    def orbit_verify(params, orbit):
+        if params.delta in taken0:
+            return types.SimpleNamespace(passed=False)
+        return real_orbit_verify(params, orbit)
+
+    monkeypatch.setattr(pipeline, "fixed_points_tl", fixed_points)
+    monkeypatch.setattr(pipeline, "orbit_verify", orbit_verify)
+    with pytest.raises(PipelineFailed, match="delta0 orbit check"):
+        pipeline.theorem1_pipeline(3)
 
 
 def test_failed_search_names_the_skipped_orbit_data(monkeypatch):

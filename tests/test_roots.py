@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from siegelcert.balls import _EPS, ComplexBall
@@ -72,6 +73,18 @@ def test_reexpansion_matches_coefficients():
 def test_degree_and_tol_validation():
     with pytest.raises(ValueError):
         poly_roots(ComplexPolynomial((1.0,)))
+
+
+def test_coefficients_must_be_numbers():
+    # complex() would parse "1+2j"; strings, bytes and other non-numbers are
+    # rejected with the coefficients named
+    for bad in (("3", "1+2j"), (1.0, b"2"), (None, 1.0), (1, [2])):
+        with pytest.raises(ValueError, match="coefficients must be numbers"):
+            ComplexPolynomial(bad)
+    p = ComplexPolynomial((1, 2.0, 3j, True, np.int64(4), np.float64(5.0),
+                           np.complex128(6j)))
+    assert p.coeffs == (1, 2, 3j, 1, 4, 5, 6j)
+    assert all(type(c) is complex for c in p.coeffs)
 
 
 def test_coeff_radii_widen_certificates():

@@ -5,6 +5,7 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
 from siegelcert import threelines
@@ -68,6 +69,16 @@ def test_orbit_data_validation():
         OrbitData((2, 3), (1, 1.5))
     orb = OrbitData((2,), (1,))
     assert orb.N == 1 and orb.blowup_count == 3 + 5 + 4
+
+
+def test_orbit_data_takes_integers_as_intpolynomial_does():
+    # each entry goes through operator.index: integral floats and strings
+    # are rejected, numpy integers pass
+    for m, n in (((2.0,), (1,)), ((2,), (1.0,)), (("2",), (1,))):
+        with pytest.raises(ValueError, match="orbit data must be integers"):
+            OrbitData(m, n)
+    orb = OrbitData((np.int64(2),), (np.int32(1),))
+    assert orb == OrbitData((2,), (1,)) and type(orb.m[0]) is int
 
 
 def test_line_images():
