@@ -5,20 +5,13 @@ k = 2 is the cuspidal-cubic run at orbit length 8.  For k >= 3 the three-lines
 family with N = k - 2 is driven through: build the all-inside and all-outside
 parameter targets, then one threelines.approx_parameters call, which holds
 the whole search policy, walks orbit data whose Salem polynomial has
-unit-circle roots near both targets.  A gate checks each root it offers: a
-root delta0 is taken when the N+3 isolated fixed points over it certify the
-inside pattern, a root delta* when they certify the outside pattern and
-then the orbit conditions of both roots pass direct iteration.  The search
-returns at the first orbit datum where both sides are taken, so a delta0
-root's orbit check waits until a delta* root of its datum is taken.
-The gate is a filter and computes only what its answer needs: a root whose
-beta0/alpha0 is certified on the wrong side of [0, 4] is rejected before
-any fixed point; a delta0 root with N <= 2 is rejected when the closed-form
-s of a diagonal point is certified outside [0, 4], before any root
-isolation or Jacobian; and the records are built one at a time, the
-singular point's from its lemma first, up to the first that breaks the
-pattern.  A root that passes gets all N+3 records, the same list
-certify_three_lines builds.
+unit-circle roots near both targets.  A gate decides each root it offers
+by its pattern alone: a root delta0 is taken when the N+3 isolated fixed
+points over it certify the inside pattern, a root delta* when they certify
+the outside pattern.  The orbit conditions are algebraic in delta, so they
+do not tell the circle roots of one orbit datum apart: they are checked
+once the search has returned, at the two roots taken, by the step
+certify_three_lines runs at every root (_checked_orbit).
 certifier.certify_run assembles the report over the two taken roots, as it does
 every certify_cuspidal and certify_three_lines report: each off-curve point
 is certified by the conjugate criterion with the outside root as witness
@@ -54,56 +47,41 @@ _PATTERNS = {"delta0": Verdict.CERTIFIED_IN, "delta*": Verdict.CERTIFIED_OUT}
 
 
 def _gate(candidate, kept: dict, rejections: collections.Counter) -> bool:
-    """The certification gate for one (orbit, root, side) of the search.
-
-    The root's fixed points must certify the side's pattern
-    (fixed_points_tl with want, see _PATTERNS), and its orbit conditions
-    must pass direct iteration.  Two screens run before any record:
-    beta0/alpha0 on both sides, and for delta0 with N <= 2 the closed-form
-    s of the diagonal points; a root either screen rules out counts as a
-    pattern failure (see threelines.fixed_points_tl).  Past them, a pattern
-    check stops at the first failing record, so the root is rejected under
-    the first failure in record order: the singular point's record comes
-    from its lemma and cannot fail, then the diagonal points, then
-    infinity.  The accept or reject is that of the full record list either
-    way; a screen can only name the pattern where a record would first
-    have raised.
-    A delta0 root is taken on its pattern; its orbit check waits until a
-    delta* root of its orbit datum passes its own, and a delta* root is
-    taken only when both pass.  A failing delta0 check rejects the datum's
-    delta* roots as "delta0 orbit check" and the search leaves the datum
-    (no run of the benchmark pools or the CLI gets there).
+    """The certification gate for one (orbit, root, side) of the search:
+    the root's fixed points must certify the side's pattern (fixed_points_tl
+    with want, see _PATTERNS).  Its screens and its records stop at the
+    first failing check, so the gate computes only what its answer needs;
+    the accept or reject is that of the full record list either way, and a
+    screen can only name the pattern where a record would first have raised.
     kept and rejections are created by theorem1_pipeline and live for that
-    one call.  A taken root's records and orbit report (None while deferred)
-    are kept under its candidate for _report_from_candidate.  A rejected
-    root adds one to rejections under the reason of its first failing
-    check: "delta0 pattern", "delta* pattern", "orbit check", "delta0 orbit
-    check", or the type name of the SiegelcertError that check raised.
+    one call.  A taken root's records are kept under its candidate for
+    _report_from_candidate; a rejected root adds one to rejections under
+    "delta0 pattern", "delta* pattern", or the type name of the
+    SiegelcertError that fixed_points_tl raised.
     """
     orbit, root, side = candidate
     try:
         records = fixed_points_tl(root, orbit, want=_PATTERNS[side])
-        if records is None:
-            reason = f"{side} pattern"
-        elif side == "delta0":
-            kept[candidate] = records, None
-            return True
-        else:
-            orbit_report = orbit_verify(ab_from_delta(root.center, orbit), orbit)
-            taken0 = next(c for c in kept if c[0] == orbit and c[2] == "delta0")
-            records0, report0 = kept[taken0]
-            if orbit_report.passed and report0 is None:
-                report0 = orbit_verify(ab_from_delta(taken0[1].center, orbit), orbit)
-                kept[taken0] = records0, report0
-            reason = ("orbit check" if not orbit_report.passed else
-                      None if report0.passed else "delta0 orbit check")
     except SiegelcertError as exc:
-        reason = type(exc).__name__
-    if reason is not None:
-        rejections[reason] += 1
+        rejections[type(exc).__name__] += 1
         return False
-    kept[candidate] = records, orbit_report
+    if records is None:
+        rejections[f"{side} pattern"] += 1
+        return False
+    kept[candidate] = records
     return True
+
+
+def _checked_orbit(root, orbit):
+    """The orbit conditions at one circle root, by direct iteration: the
+    OrbitReport, or OrbitCollision when they fail."""
+    rep = orbit_verify(ab_from_delta(root.center, orbit), orbit)
+    if not rep.passed:
+        raise OrbitCollision(
+            f"orbit conditions failed at root {root.center:.6f}: "
+            f"max residual {rep.max_residual:.2e}, "
+            f"{len(rep.collisions)} collision(s)")
+    return rep
 
 
 def certify_three_lines(orbit, strict: bool = False,
@@ -122,13 +100,7 @@ def certify_three_lines(orbit, strict: bool = False,
                 if strict else None)
     records = {}
     for root in cert.circle_roots:
-        params = ab_from_delta(root.center, orbit)
-        rep = orbit_verify(params, orbit)
-        if not rep.passed:
-            raise OrbitCollision(
-                f"orbit conditions failed at root {root.center:.6f}: "
-                f"max residual {rep.max_residual:.2e}, "
-                f"{len(rep.collisions)} collision(s)")
+        _checked_orbit(root, orbit)
         records[root] = fixed_points_tl(root, orbit)
     parameters = {"m": list(orbit.m), "n": list(orbit.n), "N": orbit.N,
                   "strict": strict}
@@ -147,12 +119,14 @@ def theorem1_pipeline(k: int, strict: bool = False,
     report is returned as it stands.  workers is accepted and ignored.  For
     k >= 3 a failed search raises PipelineFailed with approx_parameters'
     totals over all density ranks, then how many of the roots offered the
-    gate rejected, by reason.
+    gate rejected, by reason; a taken pair whose orbit conditions fail
+    raises OrbitCollision.
     """
     if k < 2:
-        raise PipelineFailed(
-            "arguments", f"k = {k} is handled by prior constructions "
-            "(degree-2 maps on other cubics); this pipeline needs k >= 2")
+        why = ("is not a number of Siegel disks" if k < 0 else "is handled by "
+               "prior constructions (degree-2 maps on other cubics)")
+        raise PipelineFailed("arguments",
+                             f"k = {k} {why}; this pipeline needs k >= 2")
     if k == 2:
         report = certify_cuspidal(8, strict=strict)
     else:
@@ -187,24 +161,24 @@ def theorem1_pipeline(k: int, strict: bool = False,
 
 def _report_from_candidate(k: int, approx: ApproxResult, kept: dict,
                            strict: bool) -> CertificationReport:
-    """The report for the roots the gate took; their fixed points and orbit
-    reports are read back from kept, not computed again.  The matrix block
-    also names the Salem degree and the cyclotomic indices of the report."""
+    """The report for the roots the gate took; their fixed points are read
+    back from kept, not computed again.  The orbit conditions are checked
+    here, at delta0 and then at delta* (OrbitCollision when they fail).
+    The matrix block also names the Salem degree and the cyclotomic indices
+    of the report."""
     orbit, cert = approx.orbit, approx.salem_cert
-    records0, orbit_report0 = kept[(orbit, approx.delta0, "delta0")]
-    records_star, orbit_report_star = kept[(orbit, approx.delta_star,
-                                            "delta*")]
+    residual0 = _checked_orbit(approx.delta0, orbit).max_residual
+    residual_star = _checked_orbit(approx.delta_star, orbit).max_residual
+    records = {root: kept[(orbit, root, side)] for root, side in
+               ((approx.delta0, "delta0"), (approx.delta_star, "delta*"))}
     evidence = (strictmode.three_lines_strict_evidence(cert.poly, orbit)
                 if strict else None)
     parameters = {
         "k": k, "N": orbit.N, "m": list(orbit.m), "n": list(orbit.n),
-        "orbit_residual0": orbit_report0.max_residual,
-        "orbit_residual_star": orbit_report_star.max_residual,
+        "orbit_residual0": residual0, "orbit_residual_star": residual_star,
     }
-    report = certify_run("three_lines", parameters, cert,
-                         {approx.delta0: records0,
-                          approx.delta_star: records_star},
-                         evidence, tl_action_matrix(orbit))
+    report = certify_run("three_lines", parameters, cert, records, evidence,
+                         tl_action_matrix(orbit))
     info = report.matrix_info
     info.update(salem_degree=cert.poly.degree,
                 cyclotomic_factors=list(report.cyclotomic_factors))

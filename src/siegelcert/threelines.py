@@ -883,32 +883,22 @@ def _joint_pick(formula, targets0, targets_star, d0, dstar,
     """Greedy density choice for each target pair.
 
     Indices whose joint approximation error stays below `window` are ranked by
-    size (small orbits keep the blowup count low); if none qualify the ranking
-    falls back to the raw error.  rank > 0 walks down the ladder
-    deterministically.  No formula value divides by zero: a target delta
+    size (small orbits keep the blowup count low) and the one at `rank` is
+    picked; a window holding `rank` or fewer unused indices raises
+    SearchFailed.  No formula value divides by zero: a target delta
     has cos(arg delta) = d/2 - 1 rational in (-1, -1/2), so by Niven's
     theorem it is no root of unity (and at the ten target determinants the
     float denominators are nonzero for k <= K_SEARCH)."""
     picks = []
     for t0, ts in zip(targets0, targets_star):
-        inside = []
-        scored = []
-        for k in range(1, K_SEARCH + 1):
-            if k in used:
-                continue
-            err = max(abs(formula(d0, k) - t0), abs(formula(dstar, k) - ts))
-            scored.append((err, k))
-            if err < window:
-                inside.append(k)
-        if not scored:
-            raise SearchFailed("no admissible index left in the density search")
-        if inside:
-            pick = inside[min(rank, len(inside) - 1)]
-        else:
-            scored.sort()
-            pick = scored[min(rank, len(scored) - 1)][1]
-        used.add(pick)
-        picks.append(pick)
+        inside = [k for k in range(1, K_SEARCH + 1) if k not in used and
+                  max(abs(formula(d0, k) - t0),
+                      abs(formula(dstar, k) - ts)) < window]
+        if len(inside) <= rank:
+            raise SearchFailed(f"{len(inside)} indices inside the density "
+                               f"window, too few for rank {rank}")
+        used.add(inside[rank])
+        picks.append(inside[rank])
     return picks
 
 

@@ -94,6 +94,21 @@ def test_theorem1_k1_usage_error(capsys):
     assert json.loads(out)["error"]["stage"] == "PipelineFailed"
 
 
+@pytest.mark.parametrize("k, why", [
+    ("-3", "is not a number of Siegel disks"),
+    ("0", "is handled by prior constructions (degree-2 maps on other cubics)"),
+    ("1", "is handled by prior constructions (degree-2 maps on other cubics)"),
+])
+def test_theorem1_k_below_2_names_why(capsys, k, why):
+    # a negative k is no count of disks; k = 0 and 1 belong to earlier
+    # constructions
+    code, out = _run(capsys, "theorem1", "--k", k)
+    assert code == 1
+    assert json.loads(out)["error"] == {
+        "stage": "PipelineFailed",
+        "message": f"arguments: k = {k} {why}; this pipeline needs k >= 2"}
+
+
 @pytest.mark.parametrize("argv", [
     ["cuspidal", "--n", "8", "--tol", "1e-12"],
     # the theorem1 search budget is fixed

@@ -3,7 +3,6 @@ rejects), and the one report assembly every run goes through."""
 
 import collections
 import functools
-import types
 
 import mpmath
 import pytest
@@ -11,7 +10,8 @@ import pytest
 from siegelcert import certifier, cuspidal, pipeline, threelines
 from siegelcert.balls import Verdict, ball_in_interval
 from siegelcert.certifier import PointVerdict, StrictEvidence
-from siegelcert.errors import (BudgetExhausted, NoSalemFactor,
+from siegelcert.errors import (BallDomainError, BudgetExhausted,
+                               NoSalemFactor, OrbitCollision,
                                PerturbationFailed, PipelineFailed,
                                SiegelcertError)
 
@@ -36,35 +36,47 @@ def _offered_roots(monkeypatch) -> list:
     return offered
 
 
+def _searching(monkeypatch) -> list:
+    """Patch theorem1_pipeline's search so that the list returned holds
+    True while approx_parameters runs and False once it has returned."""
+    state = [False]
+    search = pipeline.approx_parameters
+
+    def approx_parameters(*args, **kwargs):
+        state[0] = True
+        try:
+            return search(*args, **kwargs)
+        finally:
+            state[0] = False
+
+    monkeypatch.setattr(pipeline, "approx_parameters", approx_parameters)
+    return state
+
+
 def test_search_certifies_each_orbit_root_side_once(monkeypatch):
     # the gate sees each (orbit, root, side) at most once and certifies its
-    # fixed points once; the orbit conditions are verified once at each
-    # delta* root whose pattern holds and at the delta0 root of the pair
-    # taken, and at no other root: a delta0 root's check waits until a
-    # delta* root of its orbit datum is taken
+    # fixed points once; the orbit conditions are verified once at each of
+    # the report's two roots, delta0 first, after approx_parameters has
+    # returned, and at no root while the search runs
     offered = _offered_roots(monkeypatch)
+    searching = _searching(monkeypatch)
     patterns = collections.Counter()
-    patterned = {}
-    verified = collections.Counter()
+    verified = []
     real_fixed_points = pipeline.fixed_points_tl
     real_orbit_verify = pipeline.orbit_verify
 
     def fixed_points(root, orbit, want):
         patterns[(orbit, root, want)] += 1
-        records = real_fixed_points(root, orbit, want=want)
-        if records is not None:
-            patterned[(orbit, root.center)] = want
-        return records
+        return real_fixed_points(root, orbit, want=want)
 
     def orbit_verify(params, orbit):
-        verified[(orbit, params.delta)] += 1
+        verified.append((orbit, params.delta, searching[0]))
         return real_orbit_verify(params, orbit)
 
     monkeypatch.setattr(pipeline, "fixed_points_tl", fixed_points)
     monkeypatch.setattr(pipeline, "orbit_verify", orbit_verify)
-    deferred = 0
     for k in (3, 4):
-        for seen in (offered, patterns, patterned, verified):
+        for seen in (offered, patterns, verified):
             seen.clear()
         report = pipeline.theorem1_pipeline(k)
         candidates = [candidate for candidate, _ in offered]
@@ -78,16 +90,10 @@ def test_search_certifies_each_orbit_root_side_once(monkeypatch):
         orbit0, root0, _ = next(c for c, ok in reversed(offered)
                                 if ok and c[2] == "delta0")
         assert orbit0 == orbit
-        star = {key for key, want in patterned.items()
-                if want is Verdict.CERTIFIED_OUT}
-        assert set(verified.values()) == {1}
-        assert set(verified) == star | {(orbit, root0.center)}
-        deferred += len(patterned) - len(verified)
+        assert verified == [(orbit, root0.center, False),
+                            (orbit, root_star.center, False)]
         assert report.parameters["m"] == list(orbit.m)
         assert [sec.delta for sec in report.sections] == [root0, root_star]
-    # at k = 3, delta0 roots are taken at orbit data where no delta* root
-    # then passes, and their orbit conditions are never verified
-    assert deferred > 0
 
 
 @pytest.mark.parametrize("k, mn_cap", [(3, None), (4, None), (3, 4), (4, 4),
@@ -303,6 +309,47 @@ def test_screened_roots_skip_root_isolation_and_jacobians(monkeypatch):
         assert total["_abscissa_roots"] and total["chart_jacobian"]
 
 
+def test_screen_that_raises_leaves_the_decision_to_the_records(monkeypatch):
+    # a SiegelcertError inside the closed-form screen gives no verdict: at
+    # every circle root of the pool's orbit data with N <= 2 where the
+    # screen would reject and no record raises, a screen that raises leaves
+    # the answer to the records, which is the full record gate's
+    screened = []
+    for item in pools.workloads.three_lines_pool():
+        orbit = threelines.OrbitData(*item.args)
+        if orbit.N > 2:
+            continue
+        try:
+            cert = threelines.salem_from_orbit(orbit)
+        except SiegelcertError:
+            continue
+        for root in cert.circle_roots:
+            _, ab, bb = threelines.param_balls(root, orbit)
+            ratio = ball_in_interval(threelines._parameter_ratio(ab, bb))
+            if (ratio is Verdict.CERTIFIED_OUT
+                    or not _screen_rejected(_closed_form_points(root, orbit))):
+                continue
+            try:
+                ref = oracles.pattern_reference(orbit, root, "delta0")
+            except SiegelcertError:
+                continue
+            screened.append((orbit, root, ref))
+    assert len(screened) > 100
+    raised = []
+
+    def closed_form_abscissas(coeffs):
+        raised.append(coeffs)
+        raise BallDomainError("injected")
+
+    monkeypatch.setattr(threelines, "_closed_form_abscissas",
+                        closed_form_abscissas)
+    for orbit, root, ref in screened:
+        raised.clear()
+        got = threelines.fixed_points_tl(root, orbit,
+                                         want=Verdict.CERTIFIED_IN)
+        assert raised and got == ref, (orbit, root)
+
+
 def test_theorem1_constructs_the_inside_target_once(monkeypatch):
     # the In-pattern certificate holds at the first design determinant
     tried = []
@@ -336,13 +383,22 @@ def test_failed_search_names_the_gate_rejections(monkeypatch):
         "root(s): 5 delta* pattern")
 
 
-def test_failed_deferred_orbit_check_leaves_the_orbit_datum(monkeypatch):
-    # when the orbit check of a taken delta0 root fails, once a delta* root of
-    # its datum has passed its own, that delta* root is rejected under
-    # "delta0 orbit check" and no pair is taken at the datum
+def test_failed_orbit_check_of_the_taken_pair_raises(monkeypatch):
+    # when the orbit check fails at the taken delta0 root, theorem1 raises
+    # OrbitCollision naming that root, as certify_three_lines does, and the
+    # search is not resumed
+    offered = _offered_roots(monkeypatch)
+    searches = []
+    real_approx = pipeline.approx_parameters
+
+    def approx_parameters(*args, **kwargs):
+        searches.append(args)
+        return real_approx(*args, **kwargs)
+
     taken0 = set()
     real_fixed_points = pipeline.fixed_points_tl
     real_orbit_verify = pipeline.orbit_verify
+    failed = threelines.OrbitReport((threelines.OrbitCheck("p0", 2, 1.0),))
 
     def fixed_points(root, orbit, want):
         records = real_fixed_points(root, orbit, want=want)
@@ -352,13 +408,20 @@ def test_failed_deferred_orbit_check_leaves_the_orbit_datum(monkeypatch):
 
     def orbit_verify(params, orbit):
         if params.delta in taken0:
-            return types.SimpleNamespace(passed=False)
+            return failed
         return real_orbit_verify(params, orbit)
 
+    monkeypatch.setattr(pipeline, "approx_parameters", approx_parameters)
     monkeypatch.setattr(pipeline, "fixed_points_tl", fixed_points)
     monkeypatch.setattr(pipeline, "orbit_verify", orbit_verify)
-    with pytest.raises(PipelineFailed, match="delta0 orbit check"):
+    with pytest.raises(OrbitCollision) as exc:
         pipeline.theorem1_pipeline(3)
+    (orbit, root_star, side), taken = offered[-1]
+    assert taken and side == "delta*" and len(searches) == 1
+    root0 = next(c[1] for c, ok in reversed(offered) if ok and c[2] == "delta0")
+    assert str(exc.value) == (
+        f"orbit conditions failed at root {root0.center:.6f}: "
+        "max residual 1.00e+00, 0 collision(s)")
 
 
 def test_failed_search_names_the_skipped_orbit_data(monkeypatch):
@@ -410,10 +473,10 @@ def test_failed_search_reports_totals_over_all_ranks(monkeypatch):
 
 
 def test_rejection_summary_orders_reasons_by_count():
-    counts = collections.Counter({"orbit check": 1, "delta0 pattern": 3,
+    counts = collections.Counter({"delta* pattern": 1, "delta0 pattern": 3,
                                   "BallDomainError": 1})
     assert threelines.format_counts(counts) == (
-        "3 delta0 pattern, 1 BallDomainError, 1 orbit check")
+        "3 delta0 pattern, 1 BallDomainError, 1 delta* pattern")
 
 
 @pytest.mark.parametrize("run", [

@@ -714,15 +714,33 @@ def test_approx_parameters_n1():
 
 def test_approx_parameters_budget_exhausted(monkeypatch):
     # no root lies within eps of both targets, so accept is never called
+    # (eps = 0.8 still leaves four indices in each density window)
     c0 = construct_c0(1)
     cs = construct_cstar(1)
     offered = []
-    monkeypatch.setattr(threelines, "DEFAULT_EPS", 1e-9)
+    monkeypatch.setattr(threelines, "DEFAULT_EPS", 0.8)
     monkeypatch.setattr(threelines, "DEFAULT_MN_CAP", 3)
     with pytest.raises(BudgetExhausted,
-                       match=r"at eps=1e-09: 12 orbit data tried$"):
+                       match=r"at eps=0.8: 12 orbit data tried$"):
         approx_parameters(c0, cs, accept=offered.append)
     assert offered == []
+
+
+def test_density_window_too_narrow_for_the_rank_raises():
+    # the pick at rank r is the (r+1)-th smallest unused index inside the
+    # window; a window that holds r or fewer raises SearchFailed
+    c0 = construct_c0(1)
+    cs = construct_cstar(1)
+    args = (threelines.b_value, c0.b, cs.b, c0.delta, cs.delta)
+    assert [threelines._joint_pick(*args, set(), rank, 0.36)
+            for rank in range(3)] == [[16], [37], [58]]
+    assert threelines._joint_pick(*args, {16}, 1, 0.36) == [58]
+    with pytest.raises(SearchFailed, match="^3 indices inside the density "
+                                           "window, too few for rank 3$"):
+        threelines._joint_pick(*args, set(), 3, 0.36)
+    with pytest.raises(SearchFailed, match="^0 indices inside the density "
+                                           "window, too few for rank 0$"):
+        threelines._joint_pick(*args, set(), 0, 1e-9)
 
 
 def test_approx_parameters_counts_skipped_orbit_data(monkeypatch):
@@ -753,11 +771,11 @@ def test_approx_parameters_counts_skipped_orbit_data(monkeypatch):
     assert offered and {side for _, _, side in offered} == {"delta0"}
     assert len(set(offered)) == len(offered)
     offered.clear()
-    monkeypatch.setattr(threelines, "DEFAULT_EPS", 1e-9)
+    monkeypatch.setattr(threelines, "DEFAULT_EPS", 1.2)
     monkeypatch.setattr(threelines, "DEFAULT_MN_CAP", 5)
     with pytest.raises(BudgetExhausted, match=(
-            r"at eps=1e-09: 20 orbit data tried \(13 skipped: 8 NoSalemFactor, "
-            r"5 BoundaryUndecidable\)$")):
+            r"at eps=1.2: 19 orbit data tried \(12 skipped: 8 NoSalemFactor, "
+            r"4 BoundaryUndecidable\)$")):
         approx_parameters(c0, cs, accept=reject)
     assert offered == []
 
