@@ -17,5 +17,4 @@ from .roots import ComplexPolynomial, RootSet, poly_roots
 from .salem import SalemCertificate, is_salem
 from .threelines import (OrbitData, ThreeLinesParams, ab_from_delta,
                          approx_parameters, construct_c0, construct_cstar,
-                         fixed_points_tl, indeterminacy, orbit_verify,
-                         salem_from_orbit, trace_affine)
+                         fixed_points_tl, orbit_verify, salem_from_orbit)

@@ -103,18 +103,6 @@ class ActionMatrix:
         return sum(v for j, col in enumerate(self.columns)
                    for i, v in col if i == j)
 
-    def apply(self, vec: tuple[int, ...]) -> tuple[int, ...]:
-        out = [0] * self.dim
-        for j, col in enumerate(self.columns):
-            for i, v in col:
-                out[i] += v * vec[j]
-        return tuple(out)
-
-    @property
-    def canonical_vector(self) -> tuple[int, ...]:
-        """K = -3 H + sum of all exceptional classes."""
-        return (-3,) + (1,) * (self.dim - 1)
-
     @cached_property
     def char_poly(self) -> IntPolynomial:
         """Exact monic characteristic polynomial det(t I - M)."""

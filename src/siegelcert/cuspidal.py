@@ -45,9 +45,6 @@ class QuadMap:
         self.k2d3, self.k2d4, self.k3d4, self.k6d4, self.km2d6 = (
             2 * d3, 2 * d4, 3 * d4, 6 * d4, -2 * d6)
 
-    def components(self, x, y, z):
-        return self.jet(x, y, z, ())[0]
-
     def jet(self, x, y, z, cols):
         """The components and their partials in each coordinate of cols."""
         delta, delta3, d3, d4 = self.delta, self.delta3, self.d3, self.d4

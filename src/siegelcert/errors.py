@@ -47,10 +47,6 @@ class NoSalemFactor(SiegelcertError):
 
 # ---- three-lines family ----
 
-class PoleAtParameter(SiegelcertError):
-    """A fixed abscissa coincides with one of the map parameters."""
-
-
 class OrbitCollision(SiegelcertError):
     """An indeterminacy orbit hit I(f) before its scheduled step."""
 

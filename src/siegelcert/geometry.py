@@ -1,11 +1,10 @@
 """Projective points, chordal distance, and affine-chart Jacobians.
 
-A family map object exposes `jet(x, y, z, cols)`: the three homogeneous
-components and, for each coordinate index in cols (0, 1, 2 for x, y, z),
-their partials in it, every shared product formed once.
-`components(x, y, z)` gives the jet's components with no columns, bit for
-bit (QuadMap takes them from the jet; TLMap computes them on a path of its
-own for the orbit check, with the same operations in the same order).  The
+A family map object has one evaluator, `jet(x, y, z, cols)`: the three
+homogeneous components and, for each coordinate index in cols (0, 1, 2 for
+x, y, z), their partials in it, every shared product formed once.  The
+components are the same bits for every cols, so `jet(x, y, z, ())[0]` (the
+orbit check's image) and the chart Jacobian evaluate one map.  The
 formulas are evaluated with either plain complex scalars (fast paths,
 finite-difference oracles) or ComplexBall operands (certified paths); only
 +, -, * and integer powers are used.

@@ -150,18 +150,6 @@ class IntPolynomial:
 
     # -- evaluation ------------------------------------------------------
 
-    def eval_int(self, x: int) -> int:
-        out = 0
-        for c in reversed(self.coeffs):
-            out = out * x + c
-        return out
-
-    def eval_complex(self, z: complex) -> complex:
-        out = 0 + 0j
-        for c in reversed(self.coeffs):
-            out = out * z + float(c)
-        return out
-
     def eval_ball(self, z: ComplexBall) -> ComplexBall:
         out = ComplexBall.exact(0)
         for c in reversed(self.coeffs):
@@ -309,13 +297,6 @@ def strip_cyclotomic(p: IntPolynomial) -> tuple[IntPolynomial, list[int]]:
             if rest.degree < phi_k.degree:
                 break
     return rest, factors
-
-
-def rebuild(rest: IntPolynomial, factors: list[int]) -> IntPolynomial:
-    out = rest
-    for k in factors:
-        out = out * cyclotomic(k)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -50,9 +50,10 @@ def _gate(candidate, kept: dict, rejections: collections.Counter) -> bool:
     """The certification gate for one (orbit, root, side) of the search:
     the root's fixed points must certify the side's pattern (fixed_points_tl
     with want, see _PATTERNS).  Its screens and its records stop at the
-    first failing check, so the gate computes only what its answer needs;
-    the accept or reject is that of the full record list either way, and a
-    screen can only name the pattern where a record would first have raised.
+    first failing check, so the gate computes only what its answer needs.
+    A screen can name the pattern where a record would first have raised,
+    and a screen that raises rejects the root under its error's type;
+    otherwise the accept or reject is that of the full record list.
     kept and rejections are created by theorem1_pipeline and live for that
     one call.  A taken root's records are kept under its candidate for
     _report_from_candidate; a rejected root adds one to rejections under

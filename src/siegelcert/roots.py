@@ -21,7 +21,8 @@ A sweep costs Python dispatch more than arithmetic, so each step is one
 positional numpy call into work arrays allocated once per polynomial, with
 the expression form's operands and so its bits (see poly_roots).  The
 certificate keeps CPython's abs of complex values, which numpy's abs does
-not always match, and bounds Horner's float error at all points at once.
+not always match: its distances go through np.hypot, the libm hypot that
+CPython's abs calls.  It bounds Horner's float error at all points at once.
 """
 
 from __future__ import annotations
@@ -183,18 +184,22 @@ def _certify(p: ComplexPolynomial, pts: list[complex],
     errs = 4.0 * len(rev) * _U * _horner_bound([abs(c) for c in rev], moduli)
     if coeff_radii is not None:
         errs += _horner_bound(coeff_radii[::-1], moduli)
-    # |z_i - z_j| once per pair: fl(z_j - z_i) = -fl(z_i - z_j) exactly
-    upper = [[abs(zi - zj) for zj in pts[i + 1:]] for i, zi in enumerate(pts)]
+    # prod_{j != i} |z_i - z_j| as CPython's abs and loop give it: numpy
+    # subtracts complex values part by part, np.hypot is the libm hypot that
+    # abs(complex) calls, and row i multiplies in j order, an exact 1.0 at
+    # j = i, one column at a time
+    z = np.array(pts, dtype=complex)
+    diff = np.subtract.outer(z, z)
+    dists = np.hypot(diff.real, diff.imag)
+    np.fill_diagonal(dists, 1.0)
+    prods = np.ones(len(pts))
+    for col in dists.T:
+        prods *= col
     balls = []
-    for i, (zi, err) in enumerate(zip(pts, errs.tolist())):
+    for zi, err, prod in zip(pts, errs.tolist(), prods.tolist()):
         val = 0j
         for c in rev:
             val = val * zi + c
-        prod = 1.0
-        for j in range(i):
-            prod *= upper[j][i - j - 1]
-        for dist in upper[i]:
-            prod *= dist
         if prod == 0.0 or not math.isfinite(prod):
             # coincident iterates: fall back to a crude containment disk
             radius = math.inf

@@ -32,7 +32,7 @@ from .certifier import (_HALF, FixedPointRecord, Location, _safe_sqrt,
                         record_from_jacobian)
 from .errors import (BoundaryUndecidable, BudgetExhausted, DegenerateSpectrum,
                      NonConvergence, NoSalemFactor, PerturbationFailed,
-                     PoleAtParameter, SearchFailed, SiegelcertError)
+                     SearchFailed, SiegelcertError)
 from .geometry import (ProjectivePoint, chart_jacobian, chordal_distance,
                        divide_by_pivot, norm)
 from .intpoly import ONE, IntPolynomial, x_pow_minus_one, x_pow_plus_one
@@ -77,10 +77,6 @@ class OrbitData:
     @property
     def N(self) -> int:
         return len(self.m)
-
-    @property
-    def blowup_count(self) -> int:
-        return 3 + sum(3 * mi - 1 for mi in self.m) + sum(3 * nj + 1 for nj in self.n)
 
 
 @dataclass(frozen=True)
@@ -128,17 +124,6 @@ def _sym_coeffs(invs):
     return c
 
 
-def _powers(y, z, deg):
-    """Power tables [1, y, y^2, ...] and [1, z, z^2, ...] up to deg, built by
-    repeated multiplication from 1 (for balls, 1 * y pads y's radius)."""
-    ypow = [1]
-    zpow = [1]
-    for _ in range(deg):
-        ypow.append(ypow[-1] * y)
-        zpow.append(zpow[-1] * z)
-    return ypow, zpow
-
-
 def _eval_homog(coeffs, ypow, zpow):
     """The homogeneous form sum_k coeffs[k] y^k z^(deg-k) from power tables;
     the empty list is the zero form."""
@@ -167,7 +152,9 @@ def _vanishes(comps) -> bool:
 
 
 class TLMap:
-    """Homogeneous components and their jet; scalars may be complex or balls."""
+    """The homogeneous map through one evaluator, jet: orbit_verify takes its
+    components, chart_jacobian its columns too; scalars may be complex or
+    balls."""
 
     def __init__(self, delta, inv_a, inv_b):
         self.delta = delta
@@ -190,10 +177,14 @@ class TLMap:
         return TLMap(delta, [v.inverse() for v in a_balls],
                      [v.inverse() for v in b_balls])
 
-    def components(self, x, y, z):
-        """jet(x, y, z, ())[0] without the columns, bit for bit: the same
-        operations in the same order (_powers' tables from the int 1, then
-        _eval_homog's sums for g1 and h, then t = h x - delta g1)."""
+    def jet(self, x, y, z, cols):
+        """The components and their partials in each coordinate of cols; the
+        derivative forms of a coordinate are evaluated only for its column.
+
+        The power tables [1, y, y^2, ...] and [1, z, z^2, ...] are built by
+        repeated multiplication from the int 1 (for balls, 1 * y pads y's
+        radius), and G1 and H are summed in one pass over them in
+        _eval_homog's order."""
         delta, n = self.delta, self.N
         g1c, hc = self.g1, self.h
         ypow, zpow = [1], [1]
@@ -206,16 +197,6 @@ class TLMap:
             g1 = g1 + g1c[k] * ypow[k] * zpow[n - k]
             h = h + hc[k] * ypow[k] * zpow[n - 1 - k]
         g1 = g1 + g1c[n] * ypow[n] * zpow[0]
-        t = h * x - delta * g1
-        return (y * delta * t, g1 * (x + delta * y), z * delta * t)
-
-    def jet(self, x, y, z, cols):
-        """The components and their partials in each coordinate of cols; the
-        derivative forms of a coordinate are evaluated only for its column."""
-        delta = self.delta
-        ypow, zpow = _powers(y, z, self.N)
-        g1 = _eval_homog(self.g1, ypow, zpow)
-        h = _eval_homog(self.h, ypow, zpow)
         dg1 = delta * g1
         t = h * x - dg1
         yd, zd = y * delta, z * delta
@@ -233,33 +214,6 @@ class TLMap:
                 tz = _eval_homog(self.hz, ypow, zpow) * x - delta * g1z
                 columns.append((yd * tz, g1z * xdy, delta * (t + z * tz)))
         return (yd * t, g1 * xdy, zd * t), columns
-
-
-@dataclass(frozen=True)
-class IndeterminacySet:
-    forward_a: tuple[ProjectivePoint, ...]
-    forward_b: tuple[ProjectivePoint, ...]
-    forward_0: ProjectivePoint
-    backward_a: tuple[ProjectivePoint, ...]
-    backward_b: tuple[ProjectivePoint, ...]
-    backward_0: ProjectivePoint
-
-    @property
-    def forward(self) -> tuple[ProjectivePoint, ...]:
-        return self.forward_a + self.forward_b + (self.forward_0,)
-
-
-def indeterminacy(params: ThreeLinesParams) -> IndeterminacySet:
-    d = params.delta
-    return IndeterminacySet(
-        forward_a=tuple(ProjectivePoint(0, ai, 1) for ai in params.a),
-        forward_b=tuple(ProjectivePoint(-bj * d, bj, 1) for bj in params.b),
-        forward_0=ProjectivePoint(1, 0, 0),
-        backward_a=tuple(ProjectivePoint(ai, 0, 1) for ai in params.a),
-        backward_b=tuple(ProjectivePoint(bj, -bj / d, 1) for bj in params.b),
-        backward_0=ProjectivePoint(0, 1, 0),
-    )
-
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +344,7 @@ def orbit_verify(params: ThreeLinesParams, orbit: OrbitData) -> OrbitReport:
     pivot_index of its normalized coordinates can pick -1/delta, a phase and
     not 1.
     """
-    # the points of indeterminacy(params), as (triple, divided-by index)
+    # the indeterminacy points, as (triple, divided-by index)
     d = params.delta
     forward_a = [divide_by_pivot((0, ai, 1)) for ai in params.a]
     forward_b = [divide_by_pivot((-bj * d, bj, 1)) for bj in params.b]
@@ -406,7 +360,7 @@ def orbit_verify(params: ThreeLinesParams, orbit: OrbitData) -> OrbitReport:
         plan.append((f"b{j + 1}", divide_by_pivot((bj, -bj / d, 1)),
                      3 * nj, forward_b[j]))
 
-    components = TLMap.from_params(params).components
+    jet = TLMap.from_params(params).jet
     far = 4 * COLLISION_TOL  # a screened component at least this far is safe
     near = 1 - far
     others = ((1, 2), (0, 2), (0, 1))
@@ -429,7 +383,7 @@ def orbit_verify(params: ThreeLinesParams, orbit: OrbitData) -> OrbitReport:
                 if chordal_distance(pt, q, pt_norm, q_norm) < COLLISION_TOL:
                     break  # pt meets a forward point
             else:
-                comps = components(*pt)
+                comps = jet(*pt, ())[0]
                 if not _vanishes(comps):
                     pt, i = divide_by_pivot(comps)
                     continue
@@ -540,11 +494,9 @@ def fixed_points_tl(root: ComplexBall, orbit: OrbitData,
     from its lemma (diagonal_s), with no root isolation and no Jacobian.
     Each s ball encloses the true s of a diagonal point, so one certified
     Out means no record can certify that point In, and None comes back.
-    A SiegelcertError inside the screen gives no verdict, and the records
-    decide as before.  So the records or None are those of the path
-    without the screen; only a root whose record path raises can now come
-    back None instead.  The screen cannot serve want = CERTIFIED_OUT (an In
-    verdict needs the abscissa proved real) nor N >= 3 (no closed form).
+    A SiegelcertError inside the screen is raised as any record's is.  The
+    screen cannot serve want = CERTIFIED_OUT (an In verdict needs the
+    abscissa proved real) nor N >= 3 (no closed form).
 
     Lemma: at a circle root delta of a certified Salem factor every point
     is fixed by construction ([0:0:1] maps to [0:0:-delta^2]; the abscissas
@@ -560,14 +512,10 @@ def fixed_points_tl(root: ComplexBall, orbit: OrbitData,
         return None  # the ratio lemma: certified on the other side
     tlm_ball = TLMap.ball_map(db, ab, bb)
     d_ball = _diagonal_d(db)
-    if want is Verdict.CERTIFIED_IN and orbit.N <= 2:
-        try:
-            if any(ball_in_interval(s) is Verdict.CERTIFIED_OUT
-                   for _, s in _closed_form_diagonal(d_ball, tlm_ball,
-                                                     ab, bb)):
-                return None  # the closed-form s: a diagonal point is Out
-        except SiegelcertError:
-            pass  # no verdict: the records decide
+    if want is Verdict.CERTIFIED_IN and orbit.N <= 2 and any(
+            ball_in_interval(s) is Verdict.CERTIFIED_OUT
+            for _, s in _closed_form_diagonal(d_ball, tlm_ball, ab, bb)):
+        return None  # the closed-form s: a diagonal point is Out
     records = [_singular_record(db)]
     for rec in _nonsingular_records(tlm_ball, db, d_ball, ratio,
                                     ratio_verdict is Verdict.CERTIFIED_IN):
@@ -636,23 +584,6 @@ def _nonsingular_records(tlm_ball: TLMap, db: ComplexBall, d_ball: ComplexBall,
         yield rec
 
 
-def trace_affine(params: ThreeLinesParams, x_l) -> ComplexBall:
-    """Certified trace at the diagonal fixed point (x_l, x_l):
-
-        (delta + 1) { 1 - sum 1/(1 - x_l/a_i) + sum 1/(1 - x_l/b_j) }.
-    """
-    x = ComplexBall.exact(x_l)
-    for v in params.a + params.b:
-        if (x - v).contains_zero():
-            raise PoleAtParameter(f"x_l meets parameter {v}")
-    total = ComplexBall.exact(1)
-    for v in params.a:
-        total = total - (1 - x / v).inverse()
-    for v in params.b:
-        total = total + (1 - x / v).inverse()
-    return (ComplexBall.exact(params.delta) + 1) * total
-
-
 def _parameter_ratio(ab, bb) -> ComplexBall:
     """beta0/alpha0 = prod a_i/b_i over the parameter balls."""
     ratio = ComplexBall.exact(1)
@@ -667,28 +598,6 @@ def _infinity_numerators(ratio: ComplexBall) -> list[ComplexBall]:
     disc = (ratio - 2) * (ratio - 2) - 4
     sq = _safe_sqrt(disc)
     return [ratio - 2 + sign * sq for sign in (1, -1)]
-
-
-def infinity_eigen_data(delta, ratio: ComplexBall):
-    """Rotation numbers at both infinity fixed points from the eigenvalue route.
-
-    The in-line eigenvalue t solves t^2 + (2 - ratio) t + 1 = 0 and the full
-    eigenvalue pair is (delta t, 1/t), so s = 2 + delta t^2 + 1/(delta t^2).
-    |delta| = 1 is a hypothesis of this route: when the real ratio is
-    certified inside [0,4], t lies on the unit circle exactly and
-    s = 2 + 2 Re(delta t^2) is real; those balls get real centers.
-    """
-    db = ComplexBall.exact(delta)
-    half = ComplexBall.exact(0.5)
-    realize = ball_in_interval(ratio) is Verdict.CERTIFIED_IN
-    out = []
-    for num in _infinity_numerators(ratio):
-        tt = num * half
-        w = db * tt * tt
-        s = 2 + w + w.inverse()
-        out.append(s.realize_real() if realize else s)
-    return tuple(out)
-
 
 
 # ---------------------------------------------------------------------------
@@ -802,8 +711,8 @@ def diagonal_s(x: ComplexBall, ab, bb, d: ComplexBall) -> ComplexBall:
     d = (1+delta)^2/delta, over balls for x, the parameters and d.
 
     Lemma.  The trace of Df at (x, x) is
-    (delta + 1) (1 - sum 1/(1 - x/a_i) + sum 1/(1 - x/b_j)), as in
-    trace_affine.  The determinant is delta: Df = [[0, 1], [F_x, F_y]] with
+    (delta + 1) (1 - sum 1/(1 - x/a_i) + sum 1/(1 - x/b_j)).  The determinant
+    is delta: Df = [[0, 1], [F_x, F_y]] with
     F = g1 (x + delta y) / (delta T), T = h x - delta g1, so det = -F_x
     = g1 g2 / T^2, and at a diagonal fixed point d g1 = g2 and
     delta T = (1 + delta) g1 give det = d delta^2/(1 + delta)^2 = delta.

@@ -29,9 +29,9 @@ from siegelcert.intpoly import IntPolynomial
 from siegelcert.roots import DEFAULT_MAX_ITER, DEFAULT_TOL
 from siegelcert.threelines import (COLLISION_TOL, OrbitCheck, OrbitData,
                                    OrbitReport, ThreeLinesParams, TLMap,
-                                   _parameter_ratio, _vanishes,
-                                   fixed_points_tl, indeterminacy,
-                                   infinity_eigen_data, salem_from_orbit)
+                                   _infinity_numerators, _parameter_ratio,
+                                   _vanishes, fixed_points_tl,
+                                   salem_from_orbit)
 
 
 def mat_mul(a, b):
@@ -637,7 +637,7 @@ class QuadIndeterminate(SiegelcertError):
 def quad_map_eval(delta: complex, pt: ProjectivePoint) -> ProjectivePoint:
     """Image of pt; raises QuadIndeterminate when every image component
     lies below QUAD_INDETERMINACY_TOL."""
-    comps = QuadMap(delta).components(*pt.coords)
+    comps = QuadMap(delta).jet(*pt.coords, ())[0]
     if max(abs(c) for c in comps) < QUAD_INDETERMINACY_TOL:
         raise QuadIndeterminate(f"{pt} is an indeterminacy point")
     return ProjectivePoint(*comps)
@@ -677,10 +677,40 @@ def distance_reference(p, q) -> float:
     return num / den
 
 
+@dataclass(frozen=True)
+class IndeterminacySet:
+    forward_a: tuple[ProjectivePoint, ...]
+    forward_b: tuple[ProjectivePoint, ...]
+    forward_0: ProjectivePoint
+    backward_a: tuple[ProjectivePoint, ...]
+    backward_b: tuple[ProjectivePoint, ...]
+    backward_0: ProjectivePoint
+
+    @property
+    def forward(self) -> tuple[ProjectivePoint, ...]:
+        return self.forward_a + self.forward_b + (self.forward_0,)
+
+
+def indeterminacy(params: ThreeLinesParams) -> IndeterminacySet:
+    """The 2N + 1 points of I(f) and the 2N + 1 of I(f^-1), from their
+    table: [0:a_i:1], [-b_j delta:b_j:1], [1:0:0] forward and [a_i:0:1],
+    [b_j:-b_j/delta:1], [0:1:0] backward."""
+    d = params.delta
+    return IndeterminacySet(
+        forward_a=tuple(ProjectivePoint(0, ai, 1) for ai in params.a),
+        forward_b=tuple(ProjectivePoint(-bj * d, bj, 1) for bj in params.b),
+        forward_0=ProjectivePoint(1, 0, 0),
+        backward_a=tuple(ProjectivePoint(ai, 0, 1) for ai in params.a),
+        backward_b=tuple(ProjectivePoint(bj, -bj / d, 1) for bj in params.b),
+        backward_0=ProjectivePoint(0, 1, 0),
+    )
+
+
 def orbit_verify_reference(params: ThreeLinesParams,
                            orbit: OrbitData) -> OrbitReport:
     """threelines.orbit_verify iterating ProjectivePoints through
-    TLMap.components and measuring each step with ProjectivePoint.distance."""
+    TLMap.jet's components and measuring each step with
+    ProjectivePoint.distance."""
     ind = indeterminacy(params)
     fwd = ind.forward
     plan = [("p0", ind.backward_0, 2, ind.forward_0)]
@@ -689,7 +719,7 @@ def orbit_verify_reference(params: ThreeLinesParams,
     for j, nj in enumerate(orbit.n):
         plan.append((f"b{j + 1}", ind.backward_b[j], 3 * nj, ind.forward_b[j]))
 
-    components = TLMap.from_params(params).components
+    jet = TLMap.from_params(params).jet
     checks = []
     for label, start, steps, target in plan:
         pt = start
@@ -698,7 +728,7 @@ def orbit_verify_reference(params: ThreeLinesParams,
             if any(pt.distance(q) < COLLISION_TOL for q in fwd):
                 collision = k
                 break
-            comps = components(*pt.coords)
+            comps = jet(*pt.coords, ())[0]
             if _vanishes(comps):
                 collision = k
                 break
@@ -816,6 +846,27 @@ def infinity_criterion(params: ThreeLinesParams) -> Verdict:
     return verdict
 
 
+def infinity_eigen_data(delta, ratio: ComplexBall):
+    """Rotation numbers at both infinity fixed points from the eigenvalue route.
+
+    The in-line eigenvalue t solves t^2 + (2 - ratio) t + 1 = 0 and the full
+    eigenvalue pair is (delta t, 1/t), so s = 2 + delta t^2 + 1/(delta t^2).
+    |delta| = 1 is a hypothesis of this route: when the real ratio is
+    certified inside [0,4], t lies on the unit circle exactly and
+    s = 2 + 2 Re(delta t^2) is real; those balls get real centers.
+    """
+    db = ComplexBall.exact(delta)
+    half = ComplexBall.exact(0.5)
+    realize = ball_in_interval(ratio) is Verdict.CERTIFIED_IN
+    out = []
+    for num in _infinity_numerators(ratio):
+        tt = num * half
+        w = db * tt * tt
+        s = 2 + w + w.inverse()
+        out.append(s.realize_real() if realize else s)
+    return tuple(out)
+
+
 def equidistribution_stat(orbit: OrbitData, bins: int = 12) -> float:
     """Per-root chi-square of the circle-root angle histogram vs uniform.
 
@@ -845,7 +896,7 @@ def fd_chart_jacobian(family_map, point: ProjectivePoint,
     i, j = _CHART_LOCALS[chart]
 
     def phi(u, v):
-        comps = family_map.components(*embed_chart(u, v, chart))
+        comps = family_map.jet(*embed_chart(u, v, chart), ())[0]
         return (comps[i] / comps[chart], comps[j] / comps[chart])
 
     def diff(step):
@@ -895,7 +946,10 @@ def quad_reference(qm: QuadMap, x, y, z):
 def tl_reference(tlm: TLMap, x, y, z):
     """TLMap's components and its partials, as quad_reference."""
     delta = tlm.delta
-    ypow, zpow = threelines._powers(y, z, tlm.N)
+    ypow, zpow = [1], [1]
+    for _ in range(tlm.N):
+        ypow.append(ypow[-1] * y)
+        zpow.append(zpow[-1] * z)
     g1, g1y, g1z, h, hy, hz = (
         threelines._eval_homog(coeffs, ypow, zpow)
         for coeffs in (tlm.g1, tlm.g1y, tlm.g1z, tlm.h, tlm.hy, tlm.hz))

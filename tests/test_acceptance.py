@@ -24,11 +24,11 @@ from siegelcert.pipeline import theorem1_pipeline
 from siegelcert.roots import ComplexPolynomial, poly_roots
 from siegelcert.salem import is_salem
 from siegelcert.threelines import (OrbitData, TLMap, ab_from_delta,
-                                   fixed_points_tl, infinity_eigen_data,
-                                   orbit_verify, salem_from_orbit)
+                                   fixed_points_tl, orbit_verify,
+                                   salem_from_orbit)
 
 from oracles import (FormulaPole, closure_residual, fd_chart_jacobian,
-                     h_iterate, lambda_by_bisection)
+                     h_iterate, infinity_eigen_data, lambda_by_bisection)
 
 
 def _report(n: int, text: str):

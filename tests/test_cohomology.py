@@ -62,19 +62,27 @@ def test_quad_888_charpoly_and_entropy(salem8):
     assert tuple(sorted(cyclo_parts)) == cyclo_parts == tuple(cyclo)
 
 
+def _fixes_canonical_class(m) -> bool:
+    """M K = K for K = -3 H + the sum of all exceptional classes."""
+    k = (-3,) + (1,) * (m.dim - 1)
+    return tuple(sum(v * kj for v, kj in zip(row, k))
+                 for row in m.entries) == k
+
+
 def test_quad_fixes_canonical_class():
     for sigma in PERMS:
-        m = quad_action_matrix(3, 5, 2, sigma=sigma)
-        assert m.apply(m.canonical_vector) == m.canonical_vector
+        assert _fixes_canonical_class(quad_action_matrix(3, 5, 2, sigma=sigma))
 
 
 def test_tl_matrices_match_bisection_and_bound():
     for orbit in (OrbitData((2,), (1,)), OrbitData((1, 2), (1, 1))):
         m = tl_action_matrix(orbit)
-        assert m.dim == 1 + orbit.blowup_count
+        # one blowup per point of the N + 1 indeterminacy orbits
+        assert m.dim == 1 + 3 + sum(3 * mi - 1 for mi in orbit.m) + sum(
+            3 * nj + 1 for nj in orbit.n)
         assert m.trace() == orbit.N + 1
         assert fixed_point_bound(m) == orbit.N + 3
-        assert m.apply(m.canonical_vector) == m.canonical_vector
+        assert _fixes_canonical_class(m)
         cert = is_salem(m.char_poly)
         assert abs(cert.lam.center.real - lambda_by_bisection(orbit)) < 1e-9
         assert cert.poly == salem_from_orbit(orbit).poly

@@ -309,32 +309,12 @@ def test_screened_roots_skip_root_isolation_and_jacobians(monkeypatch):
         assert total["_abscissa_roots"] and total["chart_jacobian"]
 
 
-def test_screen_that_raises_leaves_the_decision_to_the_records(monkeypatch):
-    # a SiegelcertError inside the closed-form screen gives no verdict: at
-    # every circle root of the pool's orbit data with N <= 2 where the
-    # screen would reject and no record raises, a screen that raises leaves
-    # the answer to the records, which is the full record gate's
-    screened = []
-    for item in pools.workloads.three_lines_pool():
-        orbit = threelines.OrbitData(*item.args)
-        if orbit.N > 2:
-            continue
-        try:
-            cert = threelines.salem_from_orbit(orbit)
-        except SiegelcertError:
-            continue
-        for root in cert.circle_roots:
-            _, ab, bb = threelines.param_balls(root, orbit)
-            ratio = ball_in_interval(threelines._parameter_ratio(ab, bb))
-            if (ratio is Verdict.CERTIFIED_OUT
-                    or not _screen_rejected(_closed_form_points(root, orbit))):
-                continue
-            try:
-                ref = oracles.pattern_reference(orbit, root, "delta0")
-            except SiegelcertError:
-                continue
-            screened.append((orbit, root, ref))
-    assert len(screened) > 100
+def test_screen_that_raises_rejects_the_root_under_its_type(monkeypatch):
+    # a SiegelcertError inside the closed-form screen is raised as any
+    # record's is: at every circle root of the pool's orbit data with
+    # N <= 2 that the ratio lemma leaves to the screen, fixed_points_tl
+    # raises it for the In pattern and the gate rejects the root under its
+    # type; the Out pattern and N = 3 never reach the screen
     raised = []
 
     def closed_form_abscissas(coeffs):
@@ -343,11 +323,40 @@ def test_screen_that_raises_leaves_the_decision_to_the_records(monkeypatch):
 
     monkeypatch.setattr(threelines, "_closed_form_abscissas",
                         closed_form_abscissas)
-    for orbit, root, ref in screened:
-        raised.clear()
-        got = threelines.fixed_points_tl(root, orbit,
-                                         want=Verdict.CERTIFIED_IN)
-        assert raised and got == ref, (orbit, root)
+    screened = 0
+    for item in pools.workloads.three_lines_pool():
+        orbit = threelines.OrbitData(*item.args)
+        try:
+            cert = threelines.salem_from_orbit(orbit)
+        except SiegelcertError:
+            continue
+        for root in cert.circle_roots:
+            _, ab, bb = threelines.param_balls(root, orbit)
+            ratio = ball_in_interval(threelines._parameter_ratio(ab, bb))
+            if orbit.N > 2 or ratio is Verdict.CERTIFIED_OUT:
+                try:
+                    threelines.fixed_points_tl(root, orbit,
+                                               want=Verdict.CERTIFIED_IN)
+                except SiegelcertError:
+                    pass
+                assert not raised, (orbit, root)
+                continue
+            with pytest.raises(BallDomainError, match="injected"):
+                threelines.fixed_points_tl(root, orbit,
+                                           want=Verdict.CERTIFIED_IN)
+            kept, rejections = {}, collections.Counter()
+            assert not pipeline._gate((orbit, root, "delta0"), kept,
+                                      rejections)
+            assert rejections == {"BallDomainError": 1} and not kept
+            raised.clear()
+            try:
+                threelines.fixed_points_tl(root, orbit,
+                                           want=Verdict.CERTIFIED_OUT)
+            except SiegelcertError:
+                pass
+            assert not raised, (orbit, root)
+            screened += 1
+    assert screened > 100
 
 
 def test_theorem1_constructs_the_inside_target_once(monkeypatch):

@@ -12,8 +12,7 @@ from siegelcert import threelines
 from siegelcert.balls import ComplexBall, Verdict, ball_in_interval
 from siegelcert.certifier import Location, record_from_jacobian
 from siegelcert.errors import (BoundaryUndecidable, BudgetExhausted,
-                               NoSalemFactor, PerturbationFailed,
-                               PoleAtParameter, SearchFailed)
+                               NoSalemFactor, PerturbationFailed, SearchFailed)
 from siegelcert.geometry import (ProjectivePoint, chart_jacobian,
                                  divide_by_pivot)
 from siegelcert.pipeline import certify_three_lines
@@ -23,13 +22,12 @@ from siegelcert.threelines import (COLLISION_TOL, OrbitCheck, OrbitData,
                                    approx_parameters, b_value, construct_c0,
                                    construct_cstar, design_c0,
                                    design_rotation_numbers,
-                                   fixed_points_tl, indeterminacy,
-                                   infinity_eigen_data, orbit_verify,
-                                   param_balls, salem_from_orbit,
-                                   trace_affine)
+                                   fixed_points_tl, orbit_verify, param_balls,
+                                   salem_from_orbit)
 
 from oracles import (FormulaPole, OffUnitCircle, chi, equidistribution_stat,
-                     h_iterate, infinity_criterion, lambda_by_bisection,
+                     h_iterate, indeterminacy, infinity_criterion,
+                     infinity_eigen_data, lambda_by_bisection,
                      orbit_verify_reference)
 
 
@@ -47,12 +45,12 @@ def _oracle_affine(params, x, y):
 
 def _image(params, pt: ProjectivePoint) -> ProjectivePoint:
     """f(pt) from the homogeneous components."""
-    return ProjectivePoint(*TLMap.from_params(params).components(*pt.coords))
+    return ProjectivePoint(*TLMap.from_params(params).jet(*pt.coords, ())[0])
 
 
 def _affine_image(params, x, y):
     """The affine coordinates of f(x, y), from the homogeneous components."""
-    fx, fy, fz = TLMap.from_params(params).components(x, y, 1)
+    fx, fy, fz = TLMap.from_params(params).jet(x, y, 1, ())[0]
     return fx / fz, fy / fz
 
 
@@ -68,7 +66,7 @@ def test_orbit_data_validation():
     with pytest.raises(ValueError):
         OrbitData((2, 3), (1, 1.5))
     orb = OrbitData((2,), (1,))
-    assert orb.N == 1 and orb.blowup_count == 3 + 5 + 4
+    assert orb.N == 1
 
 
 def test_orbit_data_takes_integers_as_intpolynomial_does():
@@ -112,10 +110,10 @@ def test_line_cycle_property():
         for _ in range(20):
             y = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
             # L1 -> L2: x + delta y = 0 on the image
-            x1, y1, z1 = tlm.components(0.0, y, 1)
+            x1, y1, z1 = tlm.jet(0.0, y, 1, ())[0]
             assert abs(x1 + par.delta * y1) < 1e-9 * (abs(z1) + abs(x1))
             # L2 -> L3: y = 0 on the image
-            x2, y2, z2 = tlm.components(-par.delta * y, y, 1)
+            x2, y2, z2 = tlm.jet(-par.delta * y, y, 1, ())[0]
             assert abs(y2) < 1e-9 * (abs(z2) + abs(x2))
 
 
@@ -136,7 +134,7 @@ def test_components_vanish_at_forward_indeterminacy():
     for par in (ThreeLinesParams(1j, (2,), (1,)),
                 ThreeLinesParams(cmath.rect(1.0, 1.1), (1.3, 2.2), (0.9, 1.7))):
         tlm = TLMap.from_params(par)
-        assert all(_vanishes(tlm.components(*q.coords))
+        assert all(_vanishes(tlm.jet(*q.coords, ())[0])
                    for q in indeterminacy(par).forward)
 
 
@@ -308,10 +306,10 @@ def _tie_collision_case(x):
 
     def third_iterate(par):
         start = indeterminacy(par).backward_b[1]
-        components = TLMap.from_params(par).components
+        jet = TLMap.from_params(par).jet
         pt, i = start.coords, start.divided_by
         for _ in range(3):
-            pt, i = divide_by_pivot(components(*pt))
+            pt, i = divide_by_pivot(jet(*pt, ())[0])
         return pt, i
 
     pt, _ = third_iterate(params(b2))
@@ -341,7 +339,7 @@ def test_orbit_verify_screen_at_a_forward_b_tie(x, indices):
     q = indeterminacy(par).forward_b[0]
     assert (q.divided_by, q.pivot_index, i) == indices
     assert 1e-10 < q.distance(ProjectivePoint(*pt)) < COLLISION_TOL
-    assert not _vanishes(TLMap.from_params(par).components(*pt))
+    assert not _vanishes(TLMap.from_params(par).jet(*pt, ())[0])
     rep = orbit_verify(par, orbit)
     assert _check_bits(rep) == _check_bits(orbit_verify_reference(par, orbit))
     checks = {c.label: c for c in rep.checks}
@@ -392,9 +390,9 @@ def _complex_bits(values):
                                    OrbitData((1, 2), (1, 1)),
                                    OrbitData((3, 4, 5), (2, 3, 4))])
 def test_components_equal_the_jet_bit_for_bit(orbit):
-    """TLMap.components has its own path; it gives jet(x, y, z, ())[0] bit
-    for bit, signed zeros included, on complex, float and int inputs and on
-    balls."""
+    """The orbit check takes jet(x, y, z, ())[0] and the chart Jacobian
+    takes the components with the columns: they are the same bits, signed
+    zeros included, on complex, float and int inputs and on balls."""
     root = salem_from_orbit(orbit).circle_roots[0]
     tlm = TLMap.from_params(ab_from_delta(root.center, orbit))
     rng = random.Random(30)
@@ -403,15 +401,15 @@ def test_components_equal_the_jet_bit_for_bit(orbit):
     values += [complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
                for _ in range(4)]
     for x, y, z in itertools.product(values, repeat=3):
-        got = [complex(c) for c in tlm.components(x, y, z)]
-        want = [complex(c) for c in tlm.jet(x, y, z, ())[0]]
+        got = [complex(c) for c in tlm.jet(x, y, z, ())[0]]
+        want = [complex(c) for c in tlm.jet(x, y, z, (0, 1, 2))[0]]
         assert _complex_bits(got) == _complex_bits(want), (x, y, z)
     balls = TLMap.ball_map(*param_balls(root, orbit))
     for _ in range(20):
         hom = [ComplexBall(complex(rng.uniform(-2, 2), rng.uniform(-2, 2)),
                            rng.choice((0.0, 1e-12))) for _ in range(3)]
-        got = balls.components(*hom)
-        want = balls.jet(*hom, ())[0]
+        got = balls.jet(*hom, ())[0]
+        want = balls.jet(*hom, (0, 1, 2))[0]
         assert (_complex_bits(c.center for c in got)
                 == _complex_bits(c.center for c in want))
         assert [c.radius.hex() for c in got] == [c.radius.hex() for c in want]
@@ -525,45 +523,9 @@ def test_strict_evidence_n2_cross_terms():
         assert len(aff) == orb.N
         for r in aff:
             x = r.coords.x / r.coords.z
-            rel = abs(elim.eval_complex(x)) / (scale * max(1.0, abs(x)) ** elim.degree)
+            val = np.polyval([float(c) for c in reversed(elim.coeffs)], x)
+            rel = abs(val) / (scale * max(1.0, abs(x)) ** elim.degree)
             assert rel < 1e-9
-
-
-def test_trace_affine_formula_and_fd():
-    # at the circle roots of pool orbit data with N = 2
-    checked = 0
-    for orb in (OrbitData((1, 2), (1, 1)), OrbitData((2, 3), (2, 3))):
-        for root in salem_from_orbit(orb).circle_roots:
-            par = ab_from_delta(root.center, orb)
-            for rec in fixed_points_tl(root, orb):
-                if rec.location is not Location.AFFINE_DIAGONAL:
-                    continue
-                x = rec.coords.x / rec.coords.z
-                tr = trace_affine(par, x)
-                if abs(tr.center) > 50:
-                    continue  # fixed point grazing a parameter pole
-                assert abs(tr.center - rec.trace.center) < 1e-8 * (1 + abs(tr.center))
-                # Richardson-refined central differences of f2 in y
-                def f2(xx, yy):
-                    return _affine_image(par, xx, yy)[1]
-                def diff(h):
-                    return (f2(x, x + h) - f2(x, x - h)) / (2 * h)
-                fd = (4 * diff(5e-6) - diff(1e-5)) / 3
-                assert abs(fd - tr.center) < 1e-6 * (1 + abs(tr.center))
-                checked += 1
-    assert checked >= 12
-
-
-def test_trace_affine_formal_zero_value():
-    par = ThreeLinesParams(0.5 + 0.8j, (1.0, 2.0), (0.7, 1.5))
-    tr = trace_affine(par, 0.0)
-    assert abs(tr.center - (par.delta + 1)) < 1e-12
-
-
-def test_trace_affine_pole():
-    par = ThreeLinesParams(1j, (2.0,), (1.0,))
-    with pytest.raises(PoleAtParameter):
-        trace_affine(par, 2.0)
 
 
 def test_infinity_criterion_examples():
