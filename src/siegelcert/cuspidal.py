@@ -155,6 +155,29 @@ def _records_for_delta(delta: ComplexBall) -> list[FixedPointRecord]:
     return records
 
 
+def _conjugate_records(records: list[FixedPointRecord],
+                       delta: ComplexBall) -> list[FixedPointRecord]:
+    """The records at delta from _records_for_delta's records at a root
+    ball whose conjugate lies inside delta's ball and holds delta's root.
+
+    Lemma: f's coefficients are polynomials in delta with rational
+    coefficients, so f_conj(delta) = c o f_delta o c, c complex
+    conjugation, and J(conj(delta), conj(w)) = conj J(delta, w).  Both
+    fixed points are real: tau is real and the abscissa quadratic's
+    discriminant is 27 (4 - tau^2) > 0 on the circle, so conj(w) = w, and
+    the fixed point at conj(delta) is the same point with the conjugate
+    trace and the same s, s being a function of tau.  So record i keeps
+    coords and s, conjugates the trace (the same index i: the abscissas
+    depend on tau alone), and takes delta itself as det (the 2-form
+    lemma).  CPython's complex arithmetic and ball arithmetic round
+    symmetrically under conjugation, so these are the bits
+    _records_for_delta gives at the conjugate of the source ball.
+    """
+    return [record_from_trace(Location.GENERIC, rec.coords,
+                              rec.trace.conjugate(), delta, rec.s)
+            for rec in records]
+
+
 # ---------------------------------------------------------------------------
 # certification pipeline for the family
 # ---------------------------------------------------------------------------
@@ -198,9 +221,28 @@ def certify_cuspidal(n: int, strict: bool = False,
     assembles them with quad_action_matrix(n, n, n).  Each section holds
     the two records of _records_for_delta.  workers is accepted and
     ignored: every run is single-threaded.
+
+    Each pair of cert.conjugate_roots runs _records_for_delta once, at the
+    member of smaller radius (the earlier in root order on a tie); the
+    other member's records are _conjugate_records of those.  By the pairing
+    lemma there, the leader's disk conjugated is the concentric disk of the
+    smaller radius around the other member's center, and holds its root.
     """
     cert = is_salem(orbit_polynomial(n))
     evidence = strict_mode_evidence(cert.poly) if strict else None
-    records = {delta: _records_for_delta(delta) for delta in cert.circle_roots}
+    pairs = cert.conjugate_roots
+    records = {}
+    for delta in cert.circle_roots:
+        if delta in records:
+            continue
+        partner = pairs.get(delta)
+        if partner is None:
+            records[delta] = _records_for_delta(delta)
+            continue
+        lead, other = ((partner, delta) if partner.radius < delta.radius
+                       else (delta, partner))
+        records[lead] = _records_for_delta(lead)
+        records[other] = _conjugate_records(records[lead], other)
+    records = {delta: records[delta] for delta in cert.circle_roots}
     return certify_run("cuspidal", {"n": n, "strict": strict}, cert, records,
                        evidence, quad_action_matrix(n, n, n))

@@ -11,7 +11,8 @@ points over it certify the inside pattern, a root delta* when they certify
 the outside pattern.  The orbit conditions are algebraic in delta, so they
 do not tell the circle roots of one orbit datum apart: they are checked
 once the search has returned, at the two roots taken, by the step
-certify_three_lines runs at every root (_checked_orbit).
+certify_three_lines runs at each circle root that is not the exact
+conjugate of an earlier one (_checked_orbit).
 certifier.certify_run assembles the report over the two taken roots, as it does
 every certify_cuspidal and certify_three_lines report: each off-curve point
 is certified by the conjugate criterion with the outside root as witness
@@ -91,7 +92,13 @@ def certify_three_lines(orbit, strict: bool = False,
 
     Builds the Salem polynomial from the cleared chi constraint, then for
     every unit-circle root: the lift parameters, direct orbit verification,
-    and the N+3 fixed points.  certifier.certify_run assembles the report:
+    and the N+3 fixed points.  The orbit check is skipped at a root whose
+    center is the exact conjugate of an earlier root's
+    (cert.conjugate_roots): the parameters are rational in delta, and
+    CPython's complex powers, quotients, abs and pivot choices are
+    symmetric under conjugation, so the iteration at conj(delta) is the
+    bitwise conjugate of the one at delta, with the same residuals and
+    collisions.  certifier.certify_run assembles the report:
     Siegel verdicts with witnesses drawn from the other unit-circle roots'
     fixed points, and the block of tl_action_matrix(orbit).  workers is
     accepted and ignored: every run is single-threaded.
@@ -101,7 +108,8 @@ def certify_three_lines(orbit, strict: bool = False,
                 if strict else None)
     records = {}
     for root in cert.circle_roots:
-        _checked_orbit(root, orbit)
+        if cert.conjugate_roots.get(root) not in records:
+            _checked_orbit(root, orbit)
         records[root] = fixed_points_tl(root, orbit)
     parameters = {"m": list(orbit.m), "n": list(orbit.n), "N": orbit.N,
                   "strict": strict}

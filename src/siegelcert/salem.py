@@ -36,6 +36,11 @@ from .roots import ComplexPolynomial, RootSet, poly_roots, self_paired, sort_roo
 
 @dataclass(frozen=True)
 class SalemCertificate:
+    """A certified Salem polynomial and its root disks.  conjugate_roots
+    pairs the circle roots whose centers are exact float conjugates; the
+    pairing lemma there shows that their roots are conjugate and lie in
+    the smaller of the two radii around each center."""
+
     lam: ComplexBall                      # the root with |.| > 1 (real)
     inv_lam: ComplexBall                  # its reciprocal partner
     circle_roots: tuple[ComplexBall, ...]  # certified |z| = 1, sorted by argument
@@ -49,6 +54,27 @@ class SalemCertificate:
     def circle_root_set(self) -> frozenset[ComplexBall]:
         """circle_roots as a set, built once per certificate."""
         return frozenset(self.circle_roots)
+
+    @cached_property
+    def conjugate_roots(self) -> dict[ComplexBall, ComplexBall]:
+        """Each circle root whose center's exact float conjugate is the
+        center of another circle root, mapped to that root; built once per
+        certificate.
+
+        Pairing lemma: poly has real coefficients, so the conjugate of a
+        root is a root.  Let b.center == a.center.conjugate() and, say,
+        b.radius <= a.radius.  The conjugate of b's root lies in the disk
+        of center a.center and radius b.radius, inside a's disk, which holds
+        exactly one root because the disks are pairwise disjoint (is_salem
+        checks is_simple).  So the two roots are conjugate, and each lies in
+        the disk of its own center and the smaller radius of the two."""
+        by_center = {b.center: b for b in self.circle_roots}
+        pairs = {}
+        for a in self.circle_roots:
+            b = by_center.get(a.center.conjugate())
+            if b is not None and b is not a:
+                pairs[a] = b
+        return pairs
 
 
 def is_salem(p: IntPolynomial) -> SalemCertificate:

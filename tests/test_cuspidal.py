@@ -1,6 +1,8 @@
 """Cuspidal-cubic family: map identities, orbit closure, fixed-point data."""
 
 import cmath
+import dataclasses
+import math
 import random
 
 import pytest
@@ -177,6 +179,107 @@ def test_records_equal_the_per_point_reference_bit_for_bit(n):
     # ball compares equal
     for root in is_salem(orbit_polynomial(n)).circle_roots:
         assert _records_for_delta(root) == records_for_delta_reference(root)
+
+
+def _leaders(cert) -> list:
+    """(lead, other) for each pair of cert.conjugate_roots: the member of
+    smaller radius leads, the earlier in root order on a tie."""
+    order = {root: i for i, root in enumerate(cert.circle_roots)}
+    return [(a, b) for a, b in cert.conjugate_roots.items()
+            if (a.radius, order[a]) < (b.radius, order[b])]
+
+
+def _balls(rec) -> tuple:
+    return (rec.trace, rec.det, rec.s) + rec.eigenvalues
+
+
+def test_conjugate_roots_pair_exact_float_conjugates():
+    for n in (5, 8, 17, 40):
+        cert = is_salem(orbit_polynomial(n))
+        pairs = cert.conjugate_roots
+        assert pairs is cert.conjugate_roots
+        for a, b in pairs.items():
+            assert b.center == a.center.conjugate() and pairs[b] is a
+        unpaired = [r for r in cert.circle_roots if r not in pairs]
+        centers = {r.center for r in cert.circle_roots}
+        assert all(r.center.conjugate() not in centers for r in unpaired)
+
+
+def test_derived_records_are_the_direct_records_at_the_smaller_disk():
+    # over n = 4..60 every pair of exactly conjugate circle roots: the
+    # leader's records are _records_for_delta's at its own ball, and the
+    # other member's records equal _records_for_delta at its own center and
+    # the leader's radius in coords, trace and s, with its own root ball as
+    # det; against the records at its own ball every center is equal and no
+    # radius is larger
+    derived = 0
+    for n in range(4, 61):
+        report = certify_cuspidal(n)
+        sections = {sec.delta: sec.records for sec in report.sections}
+        for lead, other in _leaders(report.salem_cert):
+            assert sections[lead] == _records_for_delta(lead)
+            smaller = _records_for_delta(ComplexBall(other.center, lead.radius))
+            own = _records_for_delta(other)
+            for got, want, direct in zip(sections[other], smaller, own,
+                                         strict=True):
+                assert (got.coords, got.trace, got.s) == \
+                    (want.coords, want.trace, want.s)
+                assert got.det == other == direct.det
+                for mine, theirs in zip(_balls(got), _balls(direct)):
+                    assert mine.center == theirs.center
+                    assert mine.radius <= theirs.radius
+                derived += 1
+    assert derived == 1450
+
+
+def _counted_records(monkeypatch) -> list:
+    """Patch cuspidal._records_for_delta so that each root it runs at is
+    appended to the list returned."""
+    calls = []
+    real = cuspidal._records_for_delta
+
+    def records_for_delta(delta):
+        calls.append(delta)
+        return real(delta)
+
+    monkeypatch.setattr(cuspidal, "_records_for_delta", records_for_delta)
+    return calls
+
+
+def test_records_for_delta_runs_once_per_conjugate_pair(monkeypatch):
+    # at the leader of each pair only; n = 17 has 16 circle roots, all
+    # paired, and the n = 4..60 range has 141 pairs of equal radius
+    calls = _counted_records(monkeypatch)
+    for n in (8, 9, 17, 40):
+        calls.clear()
+        cert = certify_cuspidal(n).salem_cert
+        others = {other for _, other in _leaders(cert)}
+        assert len(others) == len(cert.conjugate_roots) // 2
+        assert len(calls) == len(set(calls))
+        assert set(calls) == set(cert.circle_roots) - others
+        if n == 17:
+            assert len(calls) == 8
+
+
+def test_a_pair_one_ulp_apart_is_computed_directly(monkeypatch):
+    # a circle root whose center is one ulp off its partner's conjugate has
+    # no partner: both members run _records_for_delta
+    cert = is_salem(orbit_polynomial(17))
+    a, b = next(iter(cert.conjugate_roots.items()))
+    nudged = ComplexBall(complex(b.center.real,
+                                 math.nextafter(b.center.imag, math.inf)),
+                         b.radius)
+    off = dataclasses.replace(cert, circle_roots=tuple(
+        nudged if r is b else r for r in cert.circle_roots))
+    assert off.conjugate_roots.keys() == cert.conjugate_roots.keys() - {a, b}
+    calls = _counted_records(monkeypatch)
+    monkeypatch.setattr(cuspidal, "is_salem", lambda p: off)
+    report = certify_cuspidal(17)
+    assert calls.count(a) == calls.count(nudged) == 1
+    assert len(calls) == len(off.circle_roots) // 2 + 1
+    sections = {sec.delta: sec.records for sec in report.sections}
+    assert sections[nudged] == records_for_delta_reference(nudged)
+    assert sections[a] == records_for_delta_reference(a)
 
 
 def test_certify_cuspidal_certifies_the_salem_factor_once(monkeypatch):

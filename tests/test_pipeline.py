@@ -433,6 +433,42 @@ def test_failed_orbit_check_of_the_taken_pair_raises(monkeypatch):
         "max residual 1.00e+00, 0 collision(s)")
 
 
+def test_orbit_check_runs_once_per_exactly_conjugate_pair(monkeypatch):
+    # certify_three_lines skips the orbit check at a root whose center is
+    # the exact conjugate of an earlier checked root's; over the three-lines
+    # pool, the report at each skipped root equals the partner's, bit for
+    # bit, and a direct check there passes
+    checked = []
+    real = pipeline._checked_orbit
+
+    def checked_orbit(root, orbit):
+        checked.append(root)
+        return real(root, orbit)
+
+    monkeypatch.setattr(pipeline, "_checked_orbit", checked_orbit)
+    skipped_total = 0
+    for item in pools.workloads.three_lines_pool():
+        orbit = threelines.OrbitData(*item.args)
+        checked.clear()
+        try:
+            pipeline.certify_three_lines(orbit)
+        except SiegelcertError:
+            continue
+        cert = threelines.salem_from_orbit(orbit)
+        order = {root: i for i, root in enumerate(cert.circle_roots)}
+        assert len(checked) == len(set(checked))
+        for root in cert.circle_roots:
+            if root in checked:
+                continue
+            partner = cert.conjugate_roots[root]
+            assert partner in checked and order[partner] < order[root]
+            direct = real(root, orbit)
+            assert direct == threelines.orbit_verify(
+                threelines.ab_from_delta(partner.center, orbit), orbit)
+            skipped_total += 1
+    assert skipped_total > 100
+
+
 def test_failed_search_names_the_skipped_orbit_data(monkeypatch):
     real = threelines.salem_from_orbit
 
