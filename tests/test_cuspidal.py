@@ -247,8 +247,9 @@ def _counted_records(monkeypatch) -> list:
 
 
 def test_records_for_delta_runs_once_per_conjugate_pair(monkeypatch):
-    # at the leader of each pair only; n = 17 has 16 circle roots, all
-    # paired, and the n = 4..60 range has 141 pairs of equal radius
+    # at the leader of each pair only.  Each n here has pairs of equal
+    # radius (the tie rule), n = 9 and 40 have unpaired roots, and n = 17
+    # has 16 circle roots, all paired
     calls = _counted_records(monkeypatch)
     for n in (8, 9, 17, 40):
         calls.clear()
