@@ -88,6 +88,16 @@ class ProjectivePoint:
     def pivot_index(self) -> int:
         return pivot_index(self.coords)
 
+    def conjugate(self) -> "ProjectivePoint":
+        """The conjugate point: each coordinate conjugated as it stands, with
+        no second division by the pivot, and a real one kept as it is, so a
+        zero imaginary part keeps its sign."""
+        point = object.__new__(ProjectivePoint)
+        for name, c in zip("xyz", self.coords):
+            object.__setattr__(point, name, c.conjugate() if c.imag else c)
+        object.__setattr__(point, "divided_by", self.divided_by)
+        return point
+
     def distance(self, other: "ProjectivePoint") -> float:
         """Chordal distance: norm of the cross product of unit representatives."""
         p, q = self.coords, other.coords

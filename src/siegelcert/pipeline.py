@@ -40,8 +40,9 @@ from .errors import (BudgetExhausted, OrbitCollision, PipelineFailed,
 # read them from this module for the theorem1 run config
 from .threelines import (DEFAULT_EPS, DEFAULT_MN_CAP,  # noqa: F401
                          ApproxResult, ab_from_delta, approx_parameters,
-                         construct_c0, construct_cstar, fixed_points_tl,
-                         format_counts, orbit_verify, salem_from_orbit)
+                         conjugate_fixed_points, construct_c0, construct_cstar,
+                         fixed_points_tl, format_counts, orbit_verify,
+                         salem_from_orbit)
 
 
 _PATTERNS = {"delta0": Verdict.CERTIFIED_IN, "delta*": Verdict.CERTIFIED_OUT}
@@ -92,25 +93,45 @@ def certify_three_lines(orbit, strict: bool = False,
 
     Builds the Salem polynomial from the cleared chi constraint, then for
     every unit-circle root: the lift parameters, direct orbit verification,
-    and the N+3 fixed points.  The orbit check is skipped at a root whose
-    center is the exact conjugate of an earlier root's
-    (cert.conjugate_roots): the parameters are rational in delta, and
-    CPython's complex powers, quotients, abs and pivot choices are
-    symmetric under conjugation, so the iteration at conj(delta) is the
-    bitwise conjugate of the one at delta, with the same residuals and
-    collisions.  certifier.certify_run assembles the report:
+    and the N+3 fixed points.  certifier.certify_run assembles the report:
     Siegel verdicts with witnesses drawn from the other unit-circle roots'
     fixed points, and the block of tl_action_matrix(orbit).  workers is
     accepted and ignored: every run is single-threaded.
+
+    Conjugation lemma.  Every a_k(delta), b_k(delta) is rational in delta
+    with integer coefficients, so f_conj(delta) = c o f_delta o c, c complex
+    conjugation, and the orbit conditions and fixed points at conj(delta)
+    are the conjugates of those at delta.  So each pair of
+    cert.conjugate_roots (exactly conjugate centers) is decided once, when
+    the loop reaches its first member in root order.  The orbit check runs
+    there, before any record: CPython's complex powers, quotients, abs and
+    pivot choices are symmetric under conjugation, so the iteration at the
+    other member is the bitwise conjugate, with the same residuals and
+    collisions.  fixed_points_tl runs at the member of smaller radius (the
+    earlier in root order on a tie), and the other member's records are
+    conjugate_fixed_points of those: by the pairing lemma there, the
+    leader's disk conjugated is the disk of the smaller radius around the
+    other member's center, and holds its root, so no radius grows.
     """
     cert = salem_from_orbit(orbit)
     evidence = (strictmode.three_lines_strict_evidence(cert.poly, orbit)
                 if strict else None)
+    pairs = cert.conjugate_roots
     records = {}
     for root in cert.circle_roots:
-        if cert.conjugate_roots.get(root) not in records:
-            _checked_orbit(root, orbit)
-        records[root] = fixed_points_tl(root, orbit)
+        if root in records:
+            continue
+        _checked_orbit(root, orbit)
+        partner = pairs.get(root)
+        if partner is None:
+            records[root] = fixed_points_tl(root, orbit)
+            continue
+        lead, other = ((partner, root) if partner.radius < root.radius
+                       else (root, partner))
+        records[lead] = fixed_points_tl(lead, orbit)
+        records[other] = conjugate_fixed_points(records[lead], lead, other,
+                                                orbit)
+    records = {root: records[root] for root in cert.circle_roots}
     parameters = {"m": list(orbit.m), "n": list(orbit.n), "N": orbit.N,
                   "strict": strict}
     return certify_run("three_lines", parameters, cert, records, evidence,

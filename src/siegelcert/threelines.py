@@ -36,7 +36,7 @@ from .errors import (BoundaryUndecidable, BudgetExhausted, DegenerateSpectrum,
 from .geometry import (ProjectivePoint, chart_jacobian, chordal_distance,
                        divide_by_pivot, norm)
 from .intpoly import ONE, IntPolynomial, x_pow_minus_one, x_pow_plus_one
-from .roots import ComplexPolynomial, poly_roots, self_paired
+from .roots import ComplexPolynomial, poly_roots
 from .salem import SalemCertificate, is_salem
 
 INDETERMINACY_TOL = 1e-10
@@ -403,12 +403,29 @@ def orbit_verify(params: ThreeLinesParams, orbit: OrbitData) -> OrbitReport:
 
 def _abscissa_roots(d: ComplexBall, ga, gb) -> tuple[list[ComplexBall], set[int]]:
     """Roots of the degree-N abscissa polynomial sum_k (d ga_k - gb_k) x^k,
-    sorted by rounded center, and the indices of the certified-real ones:
-    the disks self-paired under z -> conj(z) (roots.self_paired).
+    as disks that conjugation maps onto one another, in the order of
+    poly_roots' disks sorted by rounded center, and the indices of the
+    certified-real ones: the disks whose conjugate meets them and no other
+    disk (the lemma of roots.self_paired).
 
     ga, gb are the symmetric coefficients of the inverse parameters (a TLMap's
-    g1 and g2).  The real indices mean something only when d and the
-    parameters are exactly real, as both callers' are.
+    g1 and g2).  The real indices and the closing below mean something only
+    when d and the parameters are exactly real, as both callers' are: the
+    polynomial is then real.
+
+    Closing lemma.  poly_roots' disks are pairwise disjoint and hold one
+    root each, and the conjugate of a root is a root.  A real disk of
+    center c holds a real root z, and |z - Re c| = |Re(z - c)| <= |z - c|:
+    the disk of center Re c and the same radius holds z too, and it takes
+    that place.  If the conjugate of a non-real disk B_i meets exactly one
+    disk B_j, j != i, and the conjugate of B_j exactly B_i, the conjugate
+    of B_i's root lies in B_j: the two roots are conjugate, as in the
+    pairing lemma of SalemCertificate.conjugate_roots, and the conjugate of
+    the smaller disk (the earlier on a tie) holds the larger one's root,
+    and takes its place.  Every non-real disk must have such a partner,
+    else DegenerateSpectrum.  So each disk returned holds its poly_roots
+    disk's root with no larger radius, and the conjugate of each disk is
+    exactly a disk returned: the real ones have a real center.
     """
     coeffs = _abscissa_coeffs(d, ga, gb)
     centers = tuple(c.center for c in coeffs)
@@ -421,7 +438,19 @@ def _abscissa_roots(d: ComplexBall, ga, gb) -> tuple[list[ComplexBall], set[int]
         raise DegenerateSpectrum("abscissa polynomial has clustered roots")
     xs = sorted(roots.balls, key=lambda bl: (round(bl.center.real, 10),
                                              round(bl.center.imag, 10)))
-    return xs, self_paired(xs, ComplexBall.conjugate)
+    images = [x.conjugate() for x in xs]
+    met = [[j for j, y in enumerate(xs) if not im.disjoint(y)] for im in images]
+    closed, real_idx = [], set()
+    for i, x in enumerate(xs):
+        if met[i] == [i]:
+            real_idx.add(i)
+            closed.append(ComplexBall(complex(x.center.real, 0.0), x.radius))
+            continue
+        j = met[i][0] if len(met[i]) == 1 else i
+        if j == i or met[j] != [i]:
+            raise DegenerateSpectrum("an abscissa disk has no conjugate partner")
+        closed.append(x if (x.radius, i) <= (xs[j].radius, j) else images[j])
+    return closed, real_idx
 
 
 def _abscissa_coeffs(d: ComplexBall, ga, gb) -> list[ComplexBall]:
@@ -523,6 +552,64 @@ def fixed_points_tl(root: ComplexBall, orbit: OrbitData,
             return None
         records.append(rec)
     return records
+
+
+def conjugate_fixed_points(records: list[FixedPointRecord], lead: ComplexBall,
+                           other: ComplexBall, orbit: OrbitData
+                           ) -> list[FixedPointRecord]:
+    """The N+3 records at other from records = fixed_points_tl(lead, orbit),
+    where other is lead's partner in SalemCertificate.conjugate_roots and
+    lead.radius <= other.radius.
+
+    Conjugation lemma.  Every a_k(delta), b_k(delta) is rational in delta
+    with integer coefficients, so f_conj(delta) = c o f_delta o c, c complex
+    conjugation: a fixed point w of f_delta with chart Jacobian J gives the
+    fixed point conj(w) of f_conj(delta) with Jacobian conj(J), whose trace,
+    det, s and eigenvalues are the conjugates of J's.  By the pairing lemma
+    there, other's root lies in the disk of center other.center and radius
+    lead.radius, the conjugate of lead's.  param_balls gives the same real
+    balls at both roots, so both see one abscissa polynomial and the same
+    disks (_abscissa_roots), which conjugation maps onto one another.
+    CPython's complex arithmetic and ball arithmetic round symmetrically
+    under conjugation, so each record below is what fixed_points_tl gives
+    at ComplexBall(other.center, lead.radius), up to the sign of a zero
+    imaginary part; a ball or coordinate with a real center is kept as it
+    is, so no zero changes sign.
+
+    The singular record is _singular_record at other's own ball: its
+    eigenvalues come omega/delta first, which conjugation would swap.
+    Affine record k is the conjugate of lead's record at the conjugate of
+    coords k: conjugation swaps the two disks of a complex pair.
+
+    Infinity-order lemma.  The two infinity records are conjugated, and
+    swap exactly when the numerators ratio - 2 +- sqrt(disc) of
+    _infinity_numerators are non-real: the ratio is real and the same at
+    both roots, so both compute the same numerators, and then
+    conj(num+) = num-.  This is read from lead's own ratio ball.
+    """
+    n = orbit.N
+    affine = records[1:n + 1]
+    position = {rec.coords: k for k, rec in enumerate(affine)}
+    derived = sorted(map(_conjugate_record, affine),
+                     key=lambda rec: position[rec.coords])
+    infinity = [_conjugate_record(rec) for rec in records[n + 1:]]
+    _, ab, bb = param_balls(lead, orbit)
+    if _infinity_numerators(_parameter_ratio(ab, bb))[0].center.imag:
+        infinity.reverse()
+    return [_singular_record(other), *derived, *infinity]
+
+
+def _conjugate_record(rec: FixedPointRecord) -> FixedPointRecord:
+    """rec with its coordinates and balls conjugated; a ball with a real
+    center is kept as it is (ProjectivePoint.conjugate does the same for a
+    coordinate)."""
+    def conj(b: ComplexBall) -> ComplexBall:
+        return b.conjugate() if b.center.imag else b
+
+    e1, e2 = rec.eigenvalues
+    return FixedPointRecord(rec.location, rec.coords.conjugate(),
+                            conj(rec.trace), conj(rec.det), conj(rec.s),
+                            (conj(e1), conj(e2)))
 
 
 # omega = e^(2 pi i/3) to within 2^-54, and the exact 1 with one rounding pad
@@ -698,10 +785,9 @@ def design_rotation_numbers(a, b, d: float) -> tuple[list[ComplexBall], ComplexB
     da = ComplexBall.exact(float(d))
     ab = [ComplexBall.exact(complex(v)) for v in a]
     bb = [ComplexBall.exact(complex(v)) for v in b]
-    xs, real_idx = _abscissa_roots(da, _sym_coeffs([v.inverse() for v in ab]),
-                                   _sym_coeffs([v.inverse() for v in bb]))
-    svals = [diagonal_s(x.realize_real() if i in real_idx else x, ab, bb, da)
-             for i, x in enumerate(xs)]
+    xs, _ = _abscissa_roots(da, _sym_coeffs([v.inverse() for v in ab]),
+                            _sym_coeffs([v.inverse() for v in bb]))
+    svals = [diagonal_s(x, ab, bb, da) for x in xs]
     return svals, _parameter_ratio(ab, bb).realize_real()
 
 

@@ -1101,9 +1101,7 @@ def three_lines_50(delta: mpmath.mpc, orbit: OrbitData):
         t = _form(h, y, z) * x - delta * G1
         return (y * delta * t, G1 * (x + delta * y), z * delta * t)
 
-    d = (1 + delta) ** 2 / delta
-    diagonal = mpmath.polyroots([d * u - v for u, v in zip(g1, g2)][::-1],
-                                maxsteps=200, extraprec=2 * DIGITS)
+    diagonal = _abscissas(delta, g1, g2)
     alpha0 = mpmath.fprod(1 / v for v in a)
     beta0 = mpmath.fprod(1 / v for v in b)
     infinity = mpmath.polyroots([alpha0, delta * (2 * alpha0 - beta0),
@@ -1113,6 +1111,25 @@ def three_lines_50(delta: mpmath.mpc, orbit: OrbitData):
               Location.AFFINE_DIAGONAL: [(x, x, one) for x in diagonal],
               Location.INFINITY: [(x, one, zero) for x in infinity]}
     return fmap, orbit.N + 1, points
+
+
+def _abscissas(delta, g1, g2):
+    """The roots of d g1 = g2, d = (1+delta)^2/delta: the abscissas x of
+    the diagonal fixed points (x, x)."""
+    d = (1 + delta) ** 2 / delta
+    return mpmath.polyroots([d * u - v for u, v in zip(g1, g2)][::-1],
+                            maxsteps=200, extraprec=2 * DIGITS)
+
+
+def abscissas_50(poly: IntPolynomial, root: ComplexBall, orbit: OrbitData):
+    """The abscissas of the diagonal fixed points at 50 digits, as
+    three_lines_50 takes them, at the root of poly that Newton reaches from
+    root's center."""
+    with mpmath.workdps(DIGITS):
+        delta = circle_root_50(poly, root.center)
+        a, b = _ab_50(delta, orbit)
+        return _abscissas(delta, _product_form([1 / v for v in a]),
+                          _product_form([1 / v for v in b]))
 
 
 def cuspidal_50(delta: mpmath.mpc):

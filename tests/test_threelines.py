@@ -1,34 +1,41 @@
 """Three-lines family: map identities, parameter formulas, constructions."""
 
 import cmath
+import dataclasses
 import itertools
 import math
 import random
 
+import mpmath
 import numpy as np
 import pytest
 
-from siegelcert import threelines
+from siegelcert import pipeline, threelines
 from siegelcert.balls import ComplexBall, Verdict, ball_in_interval
 from siegelcert.certifier import Location, record_from_jacobian
 from siegelcert.errors import (BoundaryUndecidable, BudgetExhausted,
-                               NoSalemFactor, PerturbationFailed, SearchFailed)
+                               NoSalemFactor, PerturbationFailed, SearchFailed,
+                               SiegelcertError)
 from siegelcert.geometry import (ProjectivePoint, chart_jacobian,
                                  divide_by_pivot)
 from siegelcert.pipeline import certify_three_lines
+from siegelcert.roots import pairwise_disjoint, poly_roots
 from siegelcert.threelines import (COLLISION_TOL, OrbitCheck, OrbitData,
                                    OrbitReport, ThreeLinesParams, TLMap,
-                                   _vanishes, a_value, ab_from_delta,
-                                   approx_parameters, b_value, construct_c0,
+                                   _abscissa_roots, _diagonal_d,
+                                   _singular_record, _vanishes, a_value,
+                                   ab_from_delta, approx_parameters, b_value,
+                                   conjugate_fixed_points, construct_c0,
                                    construct_cstar, design_c0,
                                    design_rotation_numbers,
                                    fixed_points_tl, orbit_verify, param_balls,
                                    salem_from_orbit)
 
-from oracles import (FormulaPole, OffUnitCircle, chi, equidistribution_stat,
-                     h_iterate, indeterminacy, infinity_criterion,
-                     infinity_eigen_data, lambda_by_bisection,
-                     orbit_verify_reference)
+from oracles import (FormulaPole, OffUnitCircle, abscissas_50, chi,
+                     equidistribution_stat, h_iterate, indeterminacy,
+                     infinity_criterion, infinity_eigen_data,
+                     lambda_by_bisection, orbit_verify_reference)
+from pools import workloads
 
 
 def _oracle_affine(params, x, y):
@@ -451,6 +458,8 @@ def test_singular_record_lemma_meets_the_chart_jacobian_record(orb):
 
 
 def test_certify_three_lines_jacobians_only_off_the_singular_point(monkeypatch):
+    # N + 2 Jacobians at each root that runs fixed_points_tl: one member of
+    # each exactly conjugate pair, and each unpaired root
     calls = []
 
     def counting(*args, **kwargs):
@@ -460,8 +469,169 @@ def test_certify_three_lines_jacobians_only_off_the_singular_point(monkeypatch):
     monkeypatch.setattr(threelines, "chart_jacobian", counting)
     orb = OrbitData((1, 2), (1, 1))
     certify_three_lines(orb)
-    roots = salem_from_orbit(orb).circle_roots
-    assert len(calls) == (orb.N + 2) * len(roots)
+    cert = salem_from_orbit(orb)
+    pairs = len(cert.conjugate_roots) // 2
+    assert pairs == 2
+    assert len(calls) == (orb.N + 2) * (len(cert.circle_roots) - pairs)
+
+
+def _pool_orbits(n_lines=(1, 2, 3), strict=True) -> list[OrbitData]:
+    """The orbit data of the benchmark's three-lines pool (and of its strict
+    pool), with N in n_lines."""
+    items = workloads.three_lines_pool()
+    if strict:
+        items += workloads.strict_pool()
+    orbits = [OrbitData(*item.args) for item in items
+              if item.kind == "three-lines"]
+    return [orbit for orbit in orbits if orbit.N in n_lines]
+
+
+def _leaders(cert) -> list:
+    """(lead, other) for each pair of cert.conjugate_roots: the member of
+    smaller radius leads, the earlier in root order on a tie."""
+    order = {root: i for i, root in enumerate(cert.circle_roots)}
+    return [(a, b) for a, b in cert.conjugate_roots.items()
+            if (a.radius, order[a]) < (b.radius, order[b])]
+
+
+def _ball_bits(rec) -> list:
+    return [(b.center.real.hex(), b.center.imag.hex(), b.radius.hex())
+            for b in (rec.trace, rec.det, rec.s, *rec.eigenvalues)]
+
+
+def test_derived_records_are_the_direct_records_at_the_smaller_disk():
+    # over every exactly conjugate pair of the three-lines and strict pools
+    # whose leader has records: the singular record is the lemma's at the
+    # other member's own ball, and the N + 2 others are fixed_points_tl's at
+    # the other member's center and the leader's radius, in the same order,
+    # with the same coords and every ball the same bits, signed zeros too
+    derived = 0
+    for orbit in _pool_orbits():
+        try:
+            cert = salem_from_orbit(orbit)
+        except SiegelcertError:
+            continue
+        for lead, other in _leaders(cert):
+            try:
+                records = fixed_points_tl(lead, orbit)
+            except SiegelcertError:
+                continue
+            got = conjugate_fixed_points(records, lead, other, orbit)
+            want = fixed_points_tl(ComplexBall(other.center, lead.radius),
+                                   orbit)
+            assert got[0] == _singular_record(other)
+            for mine, theirs in zip(got[1:], want[1:], strict=True):
+                assert mine.location is theirs.location
+                assert mine.coords == theirs.coords
+                assert _ball_bits(mine) == _ball_bits(theirs)
+            derived += 1
+    assert derived == 424
+
+
+def test_certify_three_lines_sections_are_the_derived_records():
+    orbit = OrbitData((7, 7), (5, 3))
+    report = certify_three_lines(orbit)
+    sections = {sec.delta: sec.records for sec in report.sections}
+    leaders = _leaders(report.salem_cert)
+    assert len(leaders) == 15
+    for lead, other in leaders:
+        assert sections[lead] == fixed_points_tl(lead, orbit)
+        assert sections[other] == conjugate_fixed_points(sections[lead], lead,
+                                                         other, orbit)
+
+
+def _counted_fixed_points(monkeypatch) -> list:
+    """Patch pipeline.fixed_points_tl so that each root it runs at is
+    appended to the list returned."""
+    calls = []
+    real = pipeline.fixed_points_tl
+
+    def fixed_points(root, orbit):
+        calls.append(root)
+        return real(root, orbit)
+
+    monkeypatch.setattr(pipeline, "fixed_points_tl", fixed_points)
+    return calls
+
+
+def test_fixed_points_tl_runs_once_per_conjugate_pair(monkeypatch):
+    # at the leader of each pair only.  Each orbit here has unpaired roots;
+    # (2),(1), (3),(1) and (7,7),(5,3) have a pair of equal radii (the tie
+    # rule)
+    calls = _counted_fixed_points(monkeypatch)
+    for m, n in (((2,), (1,)), ((3,), (1,)), ((1, 2), (1, 1)),
+                 ((7, 7), (5, 3))):
+        calls.clear()
+        cert = certify_three_lines(OrbitData(m, n)).salem_cert
+        others = {other for _, other in _leaders(cert)}
+        assert len(others) == len(cert.conjugate_roots) // 2
+        assert len(calls) == len(set(calls))
+        assert set(calls) == set(cert.circle_roots) - others
+
+
+def test_a_three_lines_pair_one_ulp_apart_is_computed_directly(monkeypatch):
+    # a circle root whose center is one ulp off its partner's conjugate has
+    # no partner: both members run fixed_points_tl
+    orbit = OrbitData((2, 2), (4, 3))
+    cert = salem_from_orbit(orbit)
+    a, b = next(iter(cert.conjugate_roots.items()))
+    nudged = ComplexBall(complex(b.center.real,
+                                 math.nextafter(b.center.imag, math.inf)),
+                         b.radius)
+    off = dataclasses.replace(cert, circle_roots=tuple(
+        nudged if r is b else r for r in cert.circle_roots))
+    assert off.conjugate_roots.keys() == cert.conjugate_roots.keys() - {a, b}
+    calls = _counted_fixed_points(monkeypatch)
+    monkeypatch.setattr(pipeline, "salem_from_orbit", lambda orb: off)
+    certify_three_lines(orbit)
+    assert calls.count(a) == calls.count(nudged) == 1
+    assert len(calls) == len(off.circle_roots) - len(off.conjugate_roots) // 2
+
+
+def test_abscissa_disks_are_closed_under_conjugation(monkeypatch):
+    # at every circle root of the pool's N = 2 and N = 3 orbit data: the
+    # conjugate of each disk is exactly a disk (a real one has a real
+    # center), the disks are pairwise disjoint, each holds a 50-digit
+    # abscissa, and none is larger than poly_roots' disk in its place
+    raw = []
+
+    def capture(*args, **kwargs):
+        raw.append(poly_roots(*args, **kwargs))
+        return raw[-1]
+
+    monkeypatch.setattr(threelines, "poly_roots", capture)
+    moved = checked = 0
+    for orbit in _pool_orbits(n_lines=(2, 3), strict=False):
+        try:
+            cert = salem_from_orbit(orbit)
+        except SiegelcertError:
+            continue
+        truth = {}
+        for root in cert.circle_roots:
+            db, ab, bb = param_balls(root, orbit)
+            tlm = TLMap.ball_map(db, ab, bb)
+            try:
+                xs, real_idx = _abscissa_roots(_diagonal_d(db), tlm.g1, tlm.g2)
+            except SiegelcertError:
+                continue
+            before = sorted(raw[-1].balls, key=lambda b: (
+                round(b.center.real, 10), round(b.center.imag, 10)))
+            assert len(set(xs)) == len(xs) == orbit.N
+            assert set(map(ComplexBall.conjugate, xs)) == set(xs)
+            assert all(xs[i].center.imag == 0 for i in real_idx)
+            assert pairwise_disjoint(xs)
+            assert all(x.radius <= y.radius for x, y in zip(xs, before))
+            moved += sum(x.center != y.center for x, y in zip(xs, before))
+            # the abscissa polynomial is real on the circle: an exactly
+            # conjugate pair of circle roots has one set of abscissas
+            pair = frozenset((root, cert.conjugate_roots.get(root, root)))
+            if pair not in truth:
+                truth[pair] = abscissas_50(cert.poly, root, orbit)
+            for x in xs:
+                center = mpmath.mpc(x.center.real, x.center.imag)
+                assert any(abs(t - center) <= x.radius for t in truth[pair])
+            checked += 1
+    assert checked > 500 and moved > 0
 
 
 def test_fixed_points_n1_linear_oracle():
