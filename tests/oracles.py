@@ -553,6 +553,15 @@ def certify_sections_scan(cert, records_by_root: dict, evidence):
 # before it offered roots one side at a time: every (delta0, delta*) pair
 # ---------------------------------------------------------------------------
 
+def conjugate_leaders(cert) -> list:
+    """(lead, other) for each pair of cert.conjugate_roots, as
+    certify_cuspidal and certify_three_lines choose them: the member of
+    smaller radius leads, the earlier in root order on a tie."""
+    order = {root: i for i, root in enumerate(cert.circle_roots)}
+    return [(a, b) for a, b in cert.conjugate_roots.items()
+            if (a.radius, order[a]) < (b.radius, order[b])]
+
+
 PATTERN_SIDES = {"delta0": Verdict.CERTIFIED_IN, "delta*": Verdict.CERTIFIED_OUT}
 
 

@@ -19,8 +19,8 @@ from siegelcert.roots import ComplexPolynomial, poly_roots
 from siegelcert.salem import is_salem
 from siegelcert.threelines import OrbitData, salem_from_orbit
 
-from oracles import (QuadIndeterminate, closure_residual, fd_chart_jacobian,
-                     quad_map_eval, r_tau_reference,
+from oracles import (QuadIndeterminate, closure_residual, conjugate_leaders,
+                     fd_chart_jacobian, quad_map_eval, r_tau_reference,
                      records_for_delta_reference,
                      tau_quadratic_roots_reference)
 
@@ -181,14 +181,6 @@ def test_records_equal_the_per_point_reference_bit_for_bit(n):
         assert _records_for_delta(root) == records_for_delta_reference(root)
 
 
-def _leaders(cert) -> list:
-    """(lead, other) for each pair of cert.conjugate_roots: the member of
-    smaller radius leads, the earlier in root order on a tie."""
-    order = {root: i for i, root in enumerate(cert.circle_roots)}
-    return [(a, b) for a, b in cert.conjugate_roots.items()
-            if (a.radius, order[a]) < (b.radius, order[b])]
-
-
 def _balls(rec) -> tuple:
     return (rec.trace, rec.det, rec.s) + rec.eigenvalues
 
@@ -216,7 +208,7 @@ def test_derived_records_are_the_direct_records_at_the_smaller_disk():
     for n in range(4, 61):
         report = certify_cuspidal(n)
         sections = {sec.delta: sec.records for sec in report.sections}
-        for lead, other in _leaders(report.salem_cert):
+        for lead, other in conjugate_leaders(report.salem_cert):
             assert sections[lead] == _records_for_delta(lead)
             smaller = _records_for_delta(ComplexBall(other.center, lead.radius))
             own = _records_for_delta(other)
@@ -254,7 +246,7 @@ def test_records_for_delta_runs_once_per_conjugate_pair(monkeypatch):
     for n in (8, 9, 17, 40):
         calls.clear()
         cert = certify_cuspidal(n).salem_cert
-        others = {other for _, other in _leaders(cert)}
+        others = {other for _, other in conjugate_leaders(cert)}
         assert len(others) == len(cert.conjugate_roots) // 2
         assert len(calls) == len(set(calls))
         assert set(calls) == set(cert.circle_roots) - others

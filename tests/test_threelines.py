@@ -32,8 +32,8 @@ from siegelcert.threelines import (COLLISION_TOL, OrbitCheck, OrbitData,
                                    salem_from_orbit)
 
 from oracles import (FormulaPole, OffUnitCircle, abscissas_50, chi,
-                     equidistribution_stat, h_iterate, indeterminacy,
-                     infinity_criterion, infinity_eigen_data,
+                     conjugate_leaders, equidistribution_stat, h_iterate,
+                     indeterminacy, infinity_criterion, infinity_eigen_data,
                      lambda_by_bisection, orbit_verify_reference)
 from pools import workloads
 
@@ -486,14 +486,6 @@ def _pool_orbits(n_lines=(1, 2, 3), strict=True) -> list[OrbitData]:
     return [orbit for orbit in orbits if orbit.N in n_lines]
 
 
-def _leaders(cert) -> list:
-    """(lead, other) for each pair of cert.conjugate_roots: the member of
-    smaller radius leads, the earlier in root order on a tie."""
-    order = {root: i for i, root in enumerate(cert.circle_roots)}
-    return [(a, b) for a, b in cert.conjugate_roots.items()
-            if (a.radius, order[a]) < (b.radius, order[b])]
-
-
 def _ball_bits(rec) -> list:
     return [(b.center.real.hex(), b.center.imag.hex(), b.radius.hex())
             for b in (rec.trace, rec.det, rec.s, *rec.eigenvalues)]
@@ -511,7 +503,7 @@ def test_derived_records_are_the_direct_records_at_the_smaller_disk():
             cert = salem_from_orbit(orbit)
         except SiegelcertError:
             continue
-        for lead, other in _leaders(cert):
+        for lead, other in conjugate_leaders(cert):
             try:
                 records = fixed_points_tl(lead, orbit)
             except SiegelcertError:
@@ -532,7 +524,7 @@ def test_certify_three_lines_sections_are_the_derived_records():
     orbit = OrbitData((7, 7), (5, 3))
     report = certify_three_lines(orbit)
     sections = {sec.delta: sec.records for sec in report.sections}
-    leaders = _leaders(report.salem_cert)
+    leaders = conjugate_leaders(report.salem_cert)
     assert len(leaders) == 15
     for lead, other in leaders:
         assert sections[lead] == fixed_points_tl(lead, orbit)
@@ -563,7 +555,7 @@ def test_fixed_points_tl_runs_once_per_conjugate_pair(monkeypatch):
                  ((7, 7), (5, 3))):
         calls.clear()
         cert = certify_three_lines(OrbitData(m, n)).salem_cert
-        others = {other for _, other in _leaders(cert)}
+        others = {other for _, other in conjugate_leaders(cert)}
         assert len(others) == len(cert.conjugate_roots) // 2
         assert len(calls) == len(set(calls))
         assert set(calls) == set(cert.circle_roots) - others
