@@ -42,7 +42,7 @@ from .threelines import (DEFAULT_EPS, DEFAULT_MN_CAP,  # noqa: F401
                          ApproxResult, ab_from_delta, approx_parameters,
                          conjugate_fixed_points, construct_c0, construct_cstar,
                          fixed_points_tl, format_counts, orbit_verify,
-                         salem_from_orbit)
+                         param_balls, salem_from_orbit)
 
 
 _PATTERNS = {"delta0": Verdict.CERTIFIED_IN, "delta*": Verdict.CERTIFIED_OUT}
@@ -111,7 +111,8 @@ def certify_three_lines(orbit, strict: bool = False,
     earlier in root order on a tie), and the other member's records are
     conjugate_fixed_points of those: by the pairing lemma there, the
     leader's disk conjugated is the disk of the smaller radius around the
-    other member's center, and holds its root, so no radius grows.
+    other member's center, and holds its root, so no radius grows.  The
+    leader's param_balls are computed once, here, and serve both.
     """
     cert = salem_from_orbit(orbit)
     evidence = (strictmode.three_lines_strict_evidence(cert.poly, orbit)
@@ -128,9 +129,9 @@ def certify_three_lines(orbit, strict: bool = False,
             continue
         lead, other = ((partner, root) if partner.radius < root.radius
                        else (root, partner))
-        records[lead] = fixed_points_tl(lead, orbit)
-        records[other] = conjugate_fixed_points(records[lead], lead, other,
-                                                orbit)
+        params = param_balls(lead, orbit)
+        records[lead] = fixed_points_tl(lead, orbit, params=params)
+        records[other] = conjugate_fixed_points(records[lead], other, params)
     records = {root: records[root] for root in cert.circle_roots}
     parameters = {"m": list(orbit.m), "n": list(orbit.n), "N": orbit.N,
                   "strict": strict}

@@ -12,6 +12,19 @@ by a running Horner error bound (and by coefficient radii, when the input
 coefficients are themselves only known up to a ball), so the disks are valid
 for the exact polynomial, not just its floating image.
 
+Degree 2 runs no sweep.  Its centers come from the stable closed form, its
+disks from the same certificate, and then the two-root lemma tightens them:
+if the two disks D(z_i, R_i) are disjoint, each holds exactly one root x_i of
+every polynomial p~ in the coefficient balls, and p~(z_i) = c~2 (z_i - x_i)
+(z_i - x_j) gives
+
+    |z_i - x_i| <= P_i / (lc_low (|z_i - z_j| - R_j)),
+
+with P_i the bound on |p~(z_i)| and lc_low the least |c~2|.  That is about
+R_i / 2, since R_i = 2 P_i / (lc_low |z_i - z_j|); the radius taken is the
+smaller of the two, rounded up.  Overlapping disks stay as they are, with
+is_simple False.  Degree 1 and degree >= 3 run the sweep.
+
 The sweep starts on one circle and has one stopping rule for every caller:
 every correction below DEFAULT_TOL times the root scale, or DEFAULT_MAX_ITER
 sweeps.  The disks are valid wherever the sweep stops; a tighter stop only
@@ -36,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .balls import _EPS, ComplexBall
-from .errors import NonConvergence
+from .errors import BallDomainError, NonConvergence
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 500
@@ -98,6 +111,13 @@ def poly_roots(p: ComplexPolynomial, *,
     as zero admits roots that no disk holds.  Raises NonConvergence if the
     sweep stalls and the disks are nonetheless pairwise disjoint (no overlap
     explains the stall).
+
+    Degree 2 takes its centers from the closed form, not the sweep, and
+    never raises NonConvergence; when its two disks are disjoint each is
+    tightened by the two-root lemma (see _quadratic_roots):
+    |z_i - x_i| <= P_i / (lc_low (|z_i - z_j| - R_j)), with P_i the
+    certificate's bound on |p~(z_i)| for every p~ in the coefficient balls.
+    A root beyond double range raises BallDomainError.
     """
     if p.degree < 1:
         raise ValueError("degree must be >= 1")
@@ -107,6 +127,8 @@ def poly_roots(p: ComplexPolynomial, *,
         raise ValueError("coeff_radii must hold one finite radius >= 0 per "
                          f"coefficient of the degree-{p.degree} polynomial, "
                          f"got {coeff_radii!r}")
+    if p.degree == 2:
+        return _quadratic_roots(p, coeff_radii)
     coeffs = np.array(p.coeffs, dtype=np.complex128)
     n = p.degree
     lc = coeffs[-1]
@@ -166,6 +188,54 @@ def poly_roots(p: ComplexPolynomial, *,
             f"no convergence after {DEFAULT_MAX_ITER} iterations "
             f"at tol={DEFAULT_TOL:g}")
     return RootSet(balls, is_simple)
+
+
+def _quadratic_roots(p: ComplexPolynomial, coeff_radii) -> RootSet:
+    """Degree 2: the stable closed form's centers, _certify's disks there,
+    and each disk tightened by the two-root lemma when the two are disjoint.
+
+    The centers: q = -(c1 + sqrt(disc))/2 with the root's sign that adds
+    c1 and sqrt(disc) without cancellation, then x1 = q/c2 and x2 = c0/q,
+    on the coefficients scaled by a power of two (exact) so that disc
+    cannot overflow.  Only the centers come from floats; the disks are
+    certified for p itself.
+
+    The lemma, with R_i = 2 P_i / (lc_low d) _certify's radius (rounded
+    up), P_i its bound on |p~(z_i)| and d = |z_1 - z_2| as it computed it:
+    disjoint disks hold one root each, x_i in D_i and x_j in D_j, of every
+    p~ in the coefficient balls, and p~(z_i) = c~2 (z_i - x_i)(z_i - x_j)
+    with |z_i - x_j| >= |z_i - z_j| - R_j, so
+
+        |z_i - x_i| <= P_i / (lc_low (|z_i - z_j| - R_j))
+                    <= R_i d / (2 (|z_i - z_j| - R_j)).
+
+    d_low = d (1 - 2^-50) is at most the exact |z_i - z_j| (the subtraction
+    and hypot round by 2^-53 each, relative), and the quotient's three
+    roundings are covered by the same 2^-40 pad as _certify's.  The new
+    radius, near R_i / 2, is the minimum of that bound and R_i.
+    """
+    e = math.frexp(max(map(abs, p.coeffs)))[1]
+    c0, c1, c2 = (complex(math.ldexp(c.real, -e), math.ldexp(c.imag, -e))
+                  for c in p.coeffs)
+    sq = cmath.sqrt(c1 * c1 - 4.0 * c0 * c2)
+    if (c1.conjugate() * sq).real < 0.0:
+        sq = -sq
+    q = -0.5 * (c1 + sq)
+    pts = [q / c2, c0 / q] if q else [0j, 0j]
+    if not all(cmath.isfinite(z) for z in pts):
+        raise BallDomainError("a root of the quadratic is out of double range")
+    with np.errstate(all="ignore"):
+        balls = _certify(p, pts, coeff_radii)
+    if not balls[0].disjoint(balls[1]):
+        return RootSet(balls, False)
+    d = abs(pts[0] - pts[1])
+    d_low = d * (1.0 - 2.0 ** -50)
+    tight = []
+    for b, other in zip(balls, balls[::-1]):
+        bound = b.radius * d / (2.0 * (d_low - other.radius))
+        tight.append(ComplexBall(b.center, min(
+            b.radius, bound * (1.0 + 2 ** -40) + 1e-300)))
+    return RootSet(tuple(tight), True)
 
 
 def _certify(p: ComplexPolynomial, pts: list[complex],

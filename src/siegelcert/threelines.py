@@ -484,11 +484,14 @@ def param_balls(root: ComplexBall, orbit: OrbitData):
 
 
 def fixed_points_tl(root: ComplexBall, orbit: OrbitData,
-                    want: Verdict | None = None
+                    want: Verdict | None = None, *, params=None
                     ) -> list[FixedPointRecord] | None:
     """All N+3 isolated fixed points with certified derivative data.
 
-    Precondition: root is a circle root of salem_from_orbit(orbit).
+    Precondition: root is a circle root of salem_from_orbit(orbit).  params,
+    when given, is param_balls(root, orbit), which the caller holds already
+    (certify_three_lines hands a pair leader's over to
+    conjugate_fixed_points too); it changes no record.
 
     Order: the singular point of the line triple, the N affine diagonal
     points (sorted by abscissa), then the two points on the line at infinity.
@@ -534,7 +537,7 @@ def fixed_points_tl(root: ComplexBall, orbit: OrbitData,
     miss it, and [0:0:1] or a diagonal point meets it only if some a_i or
     b_j is 0 or delta = -1, each a root-of-unity case (see ab_from_delta).
     """
-    db, ab, bb = param_balls(root, orbit)
+    db, ab, bb = param_balls(root, orbit) if params is None else params
     ratio = _parameter_ratio(ab, bb)
     ratio_verdict = ball_in_interval(ratio)
     if want is not None and ratio_verdict not in (want, Verdict.UNKNOWN):
@@ -554,12 +557,11 @@ def fixed_points_tl(root: ComplexBall, orbit: OrbitData,
     return records
 
 
-def conjugate_fixed_points(records: list[FixedPointRecord], lead: ComplexBall,
-                           other: ComplexBall, orbit: OrbitData
-                           ) -> list[FixedPointRecord]:
+def conjugate_fixed_points(records: list[FixedPointRecord], other: ComplexBall,
+                           params) -> list[FixedPointRecord]:
     """The N+3 records at other from records = fixed_points_tl(lead, orbit),
-    where other is lead's partner in SalemCertificate.conjugate_roots and
-    lead.radius <= other.radius.
+    where params = param_balls(lead, orbit), other is lead's partner in
+    SalemCertificate.conjugate_roots and lead.radius <= other.radius.
 
     Conjugation lemma.  Every a_k(delta), b_k(delta) is rational in delta
     with integer coefficients, so f_conj(delta) = c o f_delta o c, c complex
@@ -585,15 +587,16 @@ def conjugate_fixed_points(records: list[FixedPointRecord], lead: ComplexBall,
     swap exactly when the numerators ratio - 2 +- sqrt(disc) of
     _infinity_numerators are non-real: the ratio is real and the same at
     both roots, so both compute the same numerators, and then
-    conj(num+) = num-.  This is read from lead's own ratio ball.
+    conj(num+) = num-.  This is read from lead's own ratio ball, from the
+    params that fixed_points_tl took at lead.
     """
-    n = orbit.N
+    _, ab, bb = params
+    n = len(ab)
     affine = records[1:n + 1]
     position = {rec.coords: k for k, rec in enumerate(affine)}
     derived = sorted(map(_conjugate_record, affine),
                      key=lambda rec: position[rec.coords])
     infinity = [_conjugate_record(rec) for rec in records[n + 1:]]
-    _, ab, bb = param_balls(lead, orbit)
     if _infinity_numerators(_parameter_ratio(ab, bb))[0].center.imag:
         infinity.reverse()
     return [_singular_record(other), *derived, *infinity]

@@ -7,6 +7,7 @@ production path does not use.
 
 import cmath
 import collections
+import functools
 import math
 from dataclasses import dataclass
 
@@ -1052,8 +1053,15 @@ def circle_root_50(poly: IntPolynomial, seed: complex) -> mpmath.mpc:
     until a step falls below 10^(5 - dps) at the working precision; raises
     ValueError after 50 steps.  (mpmath.findroot's default solver is the secant method, which
     ignores df: from the seeds x0 and x0 + 1/4 it left the circle root near
-    0.97298 - 0.23089j of the ((1, 5), (4, 7)) Salem factor.)"""
-    coeffs = poly.coeffs[::-1]
+    0.97298 - 0.23089j of the ((1, 5), (4, 7)) Salem factor.)  Each
+    (poly, seed, dps) is computed once per process: the tests that check
+    the same circle roots share one truth."""
+    return _newton_root(poly.coeffs, seed, mpmath.mp.dps)
+
+
+@functools.cache
+def _newton_root(poly_coeffs, seed, dps) -> mpmath.mpc:
+    coeffs = poly_coeffs[::-1]
     x = _mpc(seed)
     tol = mpmath.mpf(10) ** (5 - mpmath.mp.dps)
     for _ in range(50):
@@ -1110,7 +1118,7 @@ def three_lines_50(delta: mpmath.mpc, orbit: OrbitData):
         t = _form(h, y, z) * x - delta * G1
         return (y * delta * t, G1 * (x + delta * y), z * delta * t)
 
-    diagonal = _abscissas(delta, g1, g2)
+    diagonal = _diagonal_abscissas(delta, orbit, mpmath.mp.dps)
     alpha0 = mpmath.fprod(1 / v for v in a)
     beta0 = mpmath.fprod(1 / v for v in b)
     infinity = mpmath.polyroots([alpha0, delta * (2 * alpha0 - beta0),
@@ -1122,12 +1130,17 @@ def three_lines_50(delta: mpmath.mpc, orbit: OrbitData):
     return fmap, orbit.N + 1, points
 
 
-def _abscissas(delta, g1, g2):
+@functools.cache
+def _diagonal_abscissas(delta, orbit: OrbitData, dps: int):
     """The roots of d g1 = g2, d = (1+delta)^2/delta: the abscissas x of
-    the diagonal fixed points (x, x)."""
+    the diagonal fixed points (x, x), computed once per (delta, orbit, dps)
+    in a process and returned as a tuple."""
+    a, b = _ab_50(delta, orbit)
+    g1 = _product_form([1 / v for v in a])
+    g2 = _product_form([1 / v for v in b])
     d = (1 + delta) ** 2 / delta
-    return mpmath.polyroots([d * u - v for u, v in zip(g1, g2)][::-1],
-                            maxsteps=200, extraprec=2 * DIGITS)
+    return tuple(mpmath.polyroots([d * u - v for u, v in zip(g1, g2)][::-1],
+                                  maxsteps=200, extraprec=2 * DIGITS))
 
 
 def abscissas_50(poly: IntPolynomial, root: ComplexBall, orbit: OrbitData):
@@ -1136,9 +1149,7 @@ def abscissas_50(poly: IntPolynomial, root: ComplexBall, orbit: OrbitData):
     root's center."""
     with mpmath.workdps(DIGITS):
         delta = circle_root_50(poly, root.center)
-        a, b = _ab_50(delta, orbit)
-        return _abscissas(delta, _product_form([1 / v for v in a]),
-                          _product_form([1 / v for v in b]))
+        return _diagonal_abscissas(delta, orbit, DIGITS)
 
 
 def cuspidal_50(delta: mpmath.mpc):

@@ -8,20 +8,27 @@ center and radius bits.  The root kernels are checked on every call that
 the theorem1 searches for k = 3 and k = 4 and a three-lines run make: the
 Salem polynomials of the searched orbit data, and the abscissa polynomials
 of the fixed points, whose ball coefficients come with coeff_radii; the
-sweep also on random polynomials of every degree up to 128.  The strict kernels (the subresultant resultant, the gcd and
+sweep also on random polynomials of every degree up to 128.  Degree 2 runs
+the closed form and the two-root lemma, not the sweep, so its disks are
+checked for what they mean (_check_quadratic): a 50-digit root in each,
+one reference disk met by each, and no disk larger than the certificate's
+at its own center, also on adversarial quadratics.  The strict kernels (the subresultant resultant, the gcd and
 Ben-Or's test mod p, all on lists of ints) are checked the same way against
 the IntPolynomial kernels and Rabin's test they replaced, on every call of
 the strict runs of the benchmark's strict-evidence pool.
 """
 
+import cmath
 import itertools
+import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from siegelcert import intpoly, roots, salem, strictmode, threelines
 from siegelcert.cuspidal import certify_cuspidal
-from siegelcert.errors import NonConvergence
+from siegelcert.errors import BallDomainError, NonConvergence
 from siegelcert.intpoly import IntPolynomial, cyclotomic, x_pow_minus_one
 from siegelcert.pipeline import certify_three_lines, theorem1_pipeline
 from siegelcert.roots import ComplexPolynomial
@@ -145,13 +152,55 @@ def test_certify_matches_the_reference_bit_for_bit(root_calls):
         assert _bits(got) == _bits(want)
 
 
+def _roots_50(p):
+    """The two roots of the quadratic p at 50 digits, by formula."""
+    with mpmath.workdps(50):
+        c0, c1, c2 = (mpmath.mpc(c.real, c.imag) for c in p.coeffs)
+        sq = mpmath.sqrt(c1 * c1 - 4 * c0 * c2)
+        return [(-c1 + sq) / (2 * c2), (-c1 - sq) / (2 * c2)]
+
+
+def _holds(ball, z) -> bool:
+    with mpmath.workdps(50):
+        return abs(mpmath.mpc(ball.center.real, ball.center.imag) - z) <= ball.radius
+
+
+def _check_quadratic(p, coeff_radii=None):
+    """Degree 2 takes closed-form centers and the two-root lemma, so its
+    disks are checked for what they mean, not for the sweep's bits: no disk
+    is larger than _certify's at its own center; disjoint disks each hold
+    exactly one 50-digit root of p and meet exactly one disk of the
+    reference sweep (when that one is disjoint too); overlapping disks are
+    _certify's own and their union holds both roots."""
+    got = roots.poly_roots(p, coeff_radii=coeff_radii)
+    own = roots._certify(p, [b.center for b in got.balls], coeff_radii)
+    assert all(b.radius <= c.radius for b, c in zip(got.balls, own)), p
+    truths = _roots_50(p)
+    if not got.is_simple:
+        assert _bits(got.balls) == _bits(own), p
+        assert all(any(_holds(b, z) for b in got.balls) for z in truths), p
+        return got
+    assert got.balls[0].disjoint(got.balls[1])
+    for b in got.balls:
+        assert sum(_holds(b, z) for z in truths) == 1, p
+    z, _ = durand_kerner_reference(p)
+    ref = certify_reference(p, z.tolist(), coeff_radii)
+    if pairwise_disjoint_reference(ref):
+        for b in got.balls:
+            assert sum(not b.disjoint(r) for r in ref) == 1, p
+    return got
+
+
 def test_sweeps_match_the_reference_bit_for_bit(root_calls):
     calls = root_calls["roots"]
     # abscissa polynomials of degree 1 and 2, Salem polynomials beyond
     degrees = {p.degree for p, _ in calls}
     assert {1, 2} <= degrees and max(degrees) >= 10
     for p, radii in calls:
-        assert _roots_outcome(p, radii) == _roots_reference(p, radii), p
+        if p.degree == 2:
+            assert _check_quadratic(p, radii).is_simple, p
+        else:
+            assert _roots_outcome(p, radii) == _roots_reference(p, radii), p
 
 
 def test_sweeps_on_random_polynomials():
@@ -165,7 +214,63 @@ def test_sweeps_on_random_polynomials():
         reciprocal = np.concatenate([half, half[:(n + 1) // 2][::-1]])
         for coeffs in (c, reciprocal):
             p = ComplexPolynomial(tuple(map(float, coeffs)))
-            assert _roots_outcome(p) == _roots_reference(p), coeffs
+            if n == 2:
+                _check_quadratic(p)
+            else:
+                assert _roots_outcome(p) == _roots_reference(p), coeffs
+
+
+def _roots_of_the_ball_edge(p, coeff_radii, angles=6):
+    """50-digit roots of the polynomials c_k + coeff_radii[k] e^(i t_k),
+    every t_k among `angles` angles: the edge of the coefficient balls."""
+    ts = [cmath.exp(2j * math.pi * a / angles) for a in range(angles)]
+    for dirs in itertools.product(ts, repeat=3):
+        yield _roots_50(ComplexPolynomial(tuple(
+            c + r * t for c, r, t in zip(p.coeffs, coeff_radii, dirs))))
+
+
+def test_quadratics_at_the_edges():
+    """The closed form with the two-root lemma where it is easiest to get
+    wrong: a double and a near-double root (overlapping disks, not simple),
+    tiny leading coefficients (one huge root), real and complex pairs, and
+    coefficient radii, where every polynomial at the edge of the balls must
+    keep exactly one root in each disk."""
+    for coeffs in ((1.0, -2.0, 1.0), (1.0, -2.0, 1.0 - 2.0 ** -52),
+                   (0.0, 0.0, 3.0), (0.0, 0.0, 1e-300)):
+        assert not _check_quadratic(ComplexPolynomial(coeffs)).is_simple
+    simple = [
+        (1.0, -2.0, 1.0 - 2.0 ** -30),           # near-double, separated
+        (1.0, 1.0, 1e-12), (1 + 2j, -3.0, 1e-15j),  # one root near 1e12
+        (-2.0, 0.0, 1.0), (3.0, -7.0, 2.0), (1e-20, 1.0, 1.0),  # real pairs
+        (5.0, 2.0, 1.0), (1.0, 0.0, 1.0), (1.0, 1.0, 1.0),      # complex pairs
+        (1 + 1j, 2 - 1j, 3 + 0.5j), (1e150, 1e-150, 1e-150),
+    ]
+    for coeffs in simple:
+        got = _check_quadratic(ComplexPolynomial(coeffs))
+        assert got.is_simple, coeffs
+        # the lemma about halves the certificate's radius
+        own = roots._certify(ComplexPolynomial(coeffs),
+                             [b.center for b in got.balls], None)
+        assert all(b.radius < 0.6 * c.radius for b, c in zip(got.balls, own))
+    # (x - 1)(x - 3) with wide balls: the disk at 3 is much the larger, so
+    # the lemma's bound at 1 exceeds the certificate's radius there
+    for coeffs, radii in (((3.0, -4.0, 1.0), (0.1, 0.1, 0.1)),
+                          ((3.0, -4.0, 1.0), (0.0, 0.12, 0.0)),
+                          ((5.0, 2.0, 1.0), (0.3, 0.2, 0.1)),
+                          ((2.0, -3.0, 1.0), (1e-9, 1e-9, 1e-9))):
+        p = ComplexPolynomial(coeffs)
+        got = _check_quadratic(p, radii)
+        assert got.is_simple, coeffs
+        for truths in _roots_of_the_ball_edge(p, radii):
+            for b in got.balls:
+                assert sum(_holds(b, z) for z in truths) == 1, (coeffs, radii)
+    # c1^2 overflows unless the coefficients are scaled first; the huge
+    # root's disk then reaches the small one, as the sweep's disks did
+    huge = roots.poly_roots(ComplexPolynomial((1e200, 1e200, 1.0)))
+    assert not huge.is_simple
+    assert sorted(b.center.real for b in huge.balls) == [-1e200, -1.0]
+    with pytest.raises(BallDomainError):
+        roots.poly_roots(ComplexPolynomial((1.0, 1.0, 1e-310)))
 
 
 def test_sweep_on_length_one_arrays():

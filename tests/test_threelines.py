@@ -508,7 +508,8 @@ def test_derived_records_are_the_direct_records_at_the_smaller_disk():
                 records = fixed_points_tl(lead, orbit)
             except SiegelcertError:
                 continue
-            got = conjugate_fixed_points(records, lead, other, orbit)
+            got = conjugate_fixed_points(records, other,
+                                         param_balls(lead, orbit))
             want = fixed_points_tl(ComplexBall(other.center, lead.radius),
                                    orbit)
             assert got[0] == _singular_record(other)
@@ -528,8 +529,8 @@ def test_certify_three_lines_sections_are_the_derived_records():
     assert len(leaders) == 15
     for lead, other in leaders:
         assert sections[lead] == fixed_points_tl(lead, orbit)
-        assert sections[other] == conjugate_fixed_points(sections[lead], lead,
-                                                         other, orbit)
+        assert sections[other] == conjugate_fixed_points(
+            sections[lead], other, param_balls(lead, orbit))
 
 
 def _counted_fixed_points(monkeypatch) -> list:
@@ -538,27 +539,39 @@ def _counted_fixed_points(monkeypatch) -> list:
     calls = []
     real = pipeline.fixed_points_tl
 
-    def fixed_points(root, orbit):
+    def fixed_points(root, orbit, **kwargs):
         calls.append(root)
-        return real(root, orbit)
+        return real(root, orbit, **kwargs)
 
     monkeypatch.setattr(pipeline, "fixed_points_tl", fixed_points)
     return calls
 
 
 def test_fixed_points_tl_runs_once_per_conjugate_pair(monkeypatch):
-    # at the leader of each pair only.  Each orbit here has unpaired roots;
-    # (2),(1), (3),(1) and (7,7),(5,3) have a pair of equal radii (the tie
-    # rule)
+    # at the leader of each pair only, and param_balls once at each root
+    # that runs it: the leader's are handed to conjugate_fixed_points.  Each
+    # orbit here has unpaired roots; (2),(1), (3),(1) and (7,7),(5,3) have a
+    # pair of equal radii (the tie rule)
     calls = _counted_fixed_points(monkeypatch)
+    params = []
+    real_params = threelines.param_balls
+
+    def param_balls(root, orbit):
+        params.append(root)
+        return real_params(root, orbit)
+
+    for module in (threelines, pipeline):
+        monkeypatch.setattr(module, "param_balls", param_balls)
     for m, n in (((2,), (1,)), ((3,), (1,)), ((1, 2), (1, 1)),
                  ((7, 7), (5, 3))):
         calls.clear()
+        params.clear()
         cert = certify_three_lines(OrbitData(m, n)).salem_cert
         others = {other for _, other in conjugate_leaders(cert)}
         assert len(others) == len(cert.conjugate_roots) // 2
         assert len(calls) == len(set(calls))
         assert set(calls) == set(cert.circle_roots) - others
+        assert sorted(params, key=calls.index) == calls
 
 
 def test_a_three_lines_pair_one_ulp_apart_is_computed_directly(monkeypatch):
