@@ -215,14 +215,7 @@ class ComplexBall:
     def __pow__(self, n: int) -> "ComplexBall":
         if not isinstance(n, int) or n < 0:
             raise ValueError("only nonnegative integer powers")
-        out = ComplexBall.exact(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return out
+        return _power([self], n)
 
     def sqrt(self) -> "ComplexBall":
         """Analytic square root branch through sqrt(center).
@@ -252,6 +245,23 @@ def _raw(c, r) -> ComplexBall:
     b._center = c
     b._radius = r
     return b
+
+
+def _power(squares: list, n: int) -> ComplexBall:
+    """squares[0] ** n by repeated squaring: exact(1) times squares[k] =
+    squares[0]^(2^k) for each set bit k of n, ascending.  The squarings
+    that squares lacks are appended to it, so powers of one ball formed
+    through one list share them; each power has the same bits either way."""
+    out = ComplexBall.exact(1)
+    k = 0
+    while n:
+        if k == len(squares):
+            squares.append(squares[-1] * squares[-1])
+        if n & 1:
+            out = out * squares[k]
+        n >>= 1
+        k += 1
+    return out
 
 
 def _ball(c, r) -> ComplexBall:

@@ -1,7 +1,8 @@
 """Exact integer-coefficient polynomial algebra.
 
 Coefficients are Python bigints, index = degree of the term.  Everything here
-is exact: cyclotomic stripping is trial exact division, and the mod-p
+is exact: cyclotomic stripping is exact division (decided for x -+ 1 by
+the values at +-1, for the other indices by trial division), and the mod-p
 irreducibility test is Ben-Or's, over GF(p) with a Frobenius matrix.
 Stripping tries the indices k with euler_phi(k) <= deg p, found below the
 Rosser-Schoenfeld bound n / phi(n) < e^gamma ln ln n + 3 / ln ln n, and a
@@ -19,6 +20,7 @@ The resultant, the gcd and the test mod p run on plain lists of ints.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -264,7 +266,10 @@ def strip_cyclotomic(p: IntPolynomial) -> tuple[IntPolynomial, list[int]]:
     since the cofactor divides p and p(z_k) = 0 exactly; float error at
     degree <= 4096 and coefficients <= 2^48 stays far below the tolerance.
     Larger inputs pass the screen unconditionally.  Divisibility itself is
-    always decided by exact division.
+    always decided exactly: by trial division for k > 2, and for
+    cyclotomic(1) = x - 1 and cyclotomic(2) = x + 1 by the integer rest(1),
+    resp. rest(-1), the remainder of that division, whose quotient is then
+    taken by synthetic division.
     """
     if p.is_zero:
         raise ValueError("zero polynomial")
@@ -285,6 +290,12 @@ def strip_cyclotomic(p: IntPolynomial) -> tuple[IntPolynomial, list[int]]:
     for k in indices:
         if k not in screened:
             continue
+        if k <= 2:
+            r = 1 if k == 1 else -1
+            while rest.degree >= 1 and _value_at_unit(rest.coeffs, r) == 0:
+                rest = _linear_quotient(rest.coeffs, r)
+                factors.append(k)
+            continue
         phi_k = cyclotomic(k)
         if phi_k.degree > rest.degree:
             continue
@@ -297,6 +308,20 @@ def strip_cyclotomic(p: IntPolynomial) -> tuple[IntPolynomial, list[int]]:
             if rest.degree < phi_k.degree:
                 break
     return rest, factors
+
+
+def _value_at_unit(coeffs: tuple[int, ...], r: int) -> int:
+    """The polynomial's value at r = 1 or r = -1, exactly."""
+    if r == 1:
+        return sum(coeffs)
+    return sum(coeffs[::2]) - sum(coeffs[1::2])
+
+
+def _linear_quotient(coeffs: tuple[int, ...], r: int) -> IntPolynomial:
+    """The quotient by x - r of a polynomial that vanishes at r = +-1, by
+    synthetic division: q_{k-1} = c_k + r q_k from the top."""
+    step = operator.add if r == 1 else (lambda q, c: c - q)
+    return _int_poly(list(itertools.accumulate(reversed(coeffs[1:]), step))[::-1])
 
 
 # ---------------------------------------------------------------------------

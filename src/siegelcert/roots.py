@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .balls import _EPS, ComplexBall
+from .balls import _EPS, _ONE_EPS, _TINY, ComplexBall
 from .errors import BallDomainError, NonConvergence
 
 DEFAULT_TOL = 1e-12
@@ -265,16 +265,27 @@ def _certify(p: ComplexPolynomial, pts: list[complex],
     prods = np.ones(len(pts))
     for col in dists.T:
         prods *= col
+    # |p(z)| by Horner once per point value and, when every coefficient is
+    # real, once per conjugate pair: CPython's complex multiply and add are
+    # symmetric under conjugation up to the sign of a zero, so p(conj z) is
+    # the conjugate of p(z) up to signs of zeros, which abs ignores
+    real = all(c.imag == 0.0 for c in rev)
+    sizes = {}
     balls = []
     for zi, err, prod in zip(pts, errs.tolist(), prods.tolist()):
-        val = 0j
-        for c in rev:
-            val = val * zi + c
         if prod == 0.0 or not math.isfinite(prod):
             # coincident iterates: fall back to a crude containment disk
             radius = math.inf
         else:
-            radius = n * (abs(val) + err) / (lc_low * prod)
+            size = sizes.get(zi)
+            if size is None:
+                val = 0j
+                for c in rev:
+                    val = val * zi + c
+                size = sizes[zi] = abs(val)
+                if real:
+                    sizes[zi.conjugate()] = size
+            radius = n * (size + err) / (lc_low * prod)
         if not math.isfinite(radius):
             # pathological; a huge disk makes the overlap explicit
             radius = 2.0 * (1.0 + max(abs(q) for q in pts if math.isfinite(abs(q))))
@@ -299,26 +310,49 @@ def pairwise_disjoint(balls) -> bool:
                for j in near if j > i)
 
 
-def self_paired(balls, image) -> set[int]:
-    """Indices i whose image disk image(balls[i]) meets balls[i] and no other
-    disk.
+def self_paired(centers: np.ndarray, radii: np.ndarray, rows) -> np.ndarray:
+    """For each i in rows, whether the disk D(centers[i], radii[i]) is
+    self-paired under z -> 1/conj(z): its image disk, ComplexBall.inverse
+    of its conjugate, meets it and no other disk of the arrays.
 
-    The lemma: let balls be a simple root enclosure (each disk holds exactly
-    one root) of a polynomial whose root set is invariant under an involution
-    sigma, and let image(B) enclose sigma(B).  If image(B_i) meets no other
-    disk, sigma of B_i's root is a root lying in image(B_i), hence in B_i, and
-    so equals the root itself: the disk holds a root that sigma fixes.  With
-    sigma(z) = conj(z) (real coefficients) that root is real; with
-    sigma(z) = 1/conj(z) (real palindromic coefficients) it has |z| = 1.
+    The lemma: let the disks be a simple root enclosure (each disk holds
+    exactly one root) of a polynomial whose root set is invariant under an
+    involution sigma, and let image(B) enclose sigma(B).  If image(B_i)
+    meets no other disk, sigma of B_i's root is a root lying in image(B_i),
+    hence in B_i, and so equals the root itself: the disk holds a root that
+    sigma fixes.  With sigma(z) = conj(z) (real coefficients) that root is
+    real; with sigma(z) = 1/conj(z) (real palindromic coefficients), the
+    case decided here, it has |z| = 1.
+
+    Each image and each test is the per-ball one, ComplexBall.inverse, its
+    _ball padding and ComplexBall.disjoint, operation for operation over
+    numpy arrays of every pair: np.hypot is the libm hypot that CPython's
+    abs(complex) calls, and the image center c / denom taken part by part
+    has the values of CPython's complex division by a real, up to the sign
+    of a zero, which no test reads.  So the answer is that of the loop over
+    the disks.  Every disk's image is formed, in rows or not, and the first
+    one that the per-ball inverse rejects raises its BallDomainError.
     """
-    images = [image(b) for b in balls]
-    nears = _undecided_pairs(images, balls)
-    out = set()
-    for i, (im, near) in enumerate(zip(images, nears)):
-        if not im.disjoint(balls[i]) and all(
-                im.disjoint(balls[j]) for j in near if j != i):
-            out.add(i)
-    return out
+    with np.errstate(all="ignore"):
+        x, y = centers.real, centers.imag
+        modulus = np.hypot(x, y)
+        denom = modulus * modulus - radii * radii
+        cx, cy = x / denom, y / denom
+        size = np.hypot(cx, cy)
+        r = radii / (denom * (1.0 - 4.0 * _EPS)) + 4.0 * _EPS * size
+        r = r * _ONE_EPS + size * _EPS + _TINY
+        failed = (denom <= _TINY) | (modulus <= radii) | ~(r < math.inf)
+    if failed.any():
+        i = int(failed.argmax())
+        ComplexBall(complex(centers[i]), float(radii[i])).conjugate().inverse()
+    rows = np.asarray(rows, dtype=np.intp)
+    gap = (np.hypot(cx[rows, None] - x, cy[rows, None] - y)
+           - (r[rows, None] + radii))
+    disjoint = gap > _EPS * (size[rows, None] + modulus + 1.0)
+    own = (np.arange(len(rows)), rows)
+    meets_own = ~disjoint[own]
+    disjoint[own] = True
+    return meets_own & disjoint.all(axis=1)
 
 
 def _undecided_pairs(queries, balls) -> list[list[int]]:

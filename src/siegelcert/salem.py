@@ -13,6 +13,10 @@ ball arithmetic throughout:
     the roots; by the lemma stated there, each such disk holds a root with
     |z| = 1 exactly.
 
+The pattern and the pairing are decided over numpy arrays of the disks with
+the float operations of ComplexBall.abs_bounds, inverse and disjoint, so
+they answer as the per-ball checks would.
+
 The rest is cert.poly, the certified polynomial.  Once the pattern holds,
 it is irreducible (a proper monic factor would either split lambda from
 1/lambda, forcing a non-integer constant term, or have all roots on the
@@ -28,7 +32,9 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .balls import ComplexBall
+import numpy as np
+
+from .balls import _EPS, _TINY, ComplexBall
 from .errors import BoundaryUndecidable, NoSalemFactor
 from .intpoly import IntPolynomial, strip_cyclotomic
 from .roots import ComplexPolynomial, RootSet, poly_roots, self_paired, sort_roots
@@ -104,15 +110,16 @@ def is_salem(p: IntPolynomial) -> SalemCertificate:
     rs: RootSet = poly_roots(ComplexPolynomial(tuple(map(float, rest.coeffs))))
     if not rs.is_simple:
         raise BoundaryUndecidable("root disks overlap; cannot classify pattern")
-    outside, inside, straddle = [], [], []
-    for i, b in enumerate(rs.balls):
-        lo, hi = b.abs_bounds()
-        if lo > 1.0:
-            outside.append(b)
-        elif hi < 1.0:
-            inside.append(b)
-        else:
-            straddle.append(i)
+    # ComplexBall.abs_bounds of every disk at once: np.hypot is the libm
+    # hypot that CPython's abs(complex) calls
+    centers = np.array([b.center for b in rs.balls])
+    radii = np.array([b.radius for b in rs.balls])
+    modulus = np.hypot(centers.real, centers.imag)
+    is_out = (modulus - radii) * (1.0 - _EPS) > 1.0
+    is_in = ~is_out & ((modulus + radii) * (1.0 + _EPS) + _TINY < 1.0)
+    outside = [rs.balls[i] for i in np.flatnonzero(is_out)]
+    inside = [rs.balls[i] for i in np.flatnonzero(is_in)]
+    straddle = np.flatnonzero(~(is_out | is_in)).tolist()
     if len(outside) != 1 or len(inside) != 1:
         if straddle and (len(outside) > 1 or len(inside) > 1):
             raise BoundaryUndecidable(
@@ -120,8 +127,7 @@ def is_salem(p: IntPolynomial) -> SalemCertificate:
         raise NoSalemFactor(
             f"root pattern: {len(outside)} outside, {len(inside)} inside, "
             f"{len(straddle)} straddling")
-    on_circle = self_paired(rs.balls, lambda b: b.conjugate().inverse())
-    if not on_circle.issuperset(straddle):
+    if not self_paired(centers, radii, straddle).all():
         raise BoundaryUndecidable(
             "a boundary disk is not self-paired under z -> 1/conj(z)")
     lam = outside[0]

@@ -23,11 +23,12 @@ the approximation search.
 from __future__ import annotations
 
 import collections
+import functools
 import math
 import operator
 from dataclasses import dataclass, replace
 
-from .balls import ComplexBall, Verdict, ball_in_interval
+from .balls import ComplexBall, Verdict, _power, ball_in_interval
 from .certifier import (_HALF, FixedPointRecord, Location, _safe_sqrt,
                         record_from_jacobian)
 from .errors import (BoundaryUndecidable, BudgetExhausted, DegenerateSpectrum,
@@ -230,6 +231,21 @@ def b_value(delta, k: int):
     return ((delta ** 3 - 1) * (delta ** (3 * k + 1) + 1)) / (delta * delta * (delta ** (3 * k) - 1))
 
 
+def _orbit_values(delta, orbit: OrbitData, power, finish=None):
+    """[a_value(delta, m_i)], [b_value(delta, n_j)] bit for bit, for a
+    complex or ball delta with power(e) = delta ** e: the same operations on
+    the same operands, with delta^3 - 1 and delta^2 formed once.  finish,
+    when given, is applied to each value as soon as it is formed, so an
+    error it raises comes in the order of one value at a time."""
+    finish = finish or (lambda v: v)
+    d3 = power(3) - 1
+    dd = delta * delta
+    return ([finish(-(d3 * (power(3 * k - 1) + 1))
+                    / (delta * (power(3 * k) - 1))) for k in orbit.m],
+            [finish((d3 * (power(3 * k + 1) + 1))
+                    / (dd * (power(3 * k) - 1))) for k in orbit.n])
+
+
 def ab_from_delta(delta: complex, orbit: OrbitData) -> ThreeLinesParams:
     """Parameters realizing the orbit conditions at delta; normalizes c to 1
     when delta satisfies the chi constraint.
@@ -240,11 +256,7 @@ def ab_from_delta(delta: complex, orbit: OrbitData) -> ThreeLinesParams:
     cyclotomic.  param_balls divides balls: a denominator ball containing 0
     raises BallDomainError there.
     """
-    return ThreeLinesParams(
-        delta,
-        tuple(a_value(delta, mi) for mi in orbit.m),
-        tuple(b_value(delta, nj) for nj in orbit.n),
-    )
+    return ThreeLinesParams(delta, *_orbit_values(delta, orbit, delta.__pow__))
 
 
 def cleared_chi_polynomial(orbit: OrbitData) -> IntPolynomial:
@@ -255,14 +267,15 @@ def cleared_chi_polynomial(orbit: OrbitData) -> IntPolynomial:
     def prod(polys):
         return math.prod(polys, start=ONE)
 
+    a_all, b_all = prod(a_dens), prod(b_dens)
     total = IntPolynomial(())
     for j, nj in enumerate(orbit.n):
         num = x_pow_minus_one(3 * nj).scale_pow(2)  # t^2 (t^{3n_j} - 1)
-        total = total + num * prod(a_dens) * prod(b_dens[:j] + b_dens[j + 1:])
+        total = total + num * a_all * prod(b_dens[:j] + b_dens[j + 1:])
     for i, mi in enumerate(orbit.m):
         num = x_pow_minus_one(3 * mi).scale_pow(1)  # t (t^{3m_i} - 1)
-        total = total + num * prod(a_dens[:i] + a_dens[i + 1:]) * prod(b_dens)
-    total = total - x_pow_minus_one(3) * prod(a_dens) * prod(b_dens)
+        total = total + num * prod(a_dens[:i] + a_dens[i + 1:]) * b_all
+    total = total - x_pow_minus_one(3) * a_all * b_all
     return total.primitive_positive()
 
 
@@ -479,8 +492,8 @@ def param_balls(root: ComplexBall, orbit: OrbitData):
 
     |delta| = 1 exactly makes every a_k(delta), b_k(delta) real (they reduce
     to real trigonometric expressions), so the parameter balls are realized."""
-    return (root, [a_value(root, mi).realize_real() for mi in orbit.m],
-            [b_value(root, nj).realize_real() for nj in orbit.n])
+    return (root, *_orbit_values(root, orbit, functools.partial(_power, [root]),
+                                 ComplexBall.realize_real))
 
 
 def fixed_points_tl(root: ComplexBall, orbit: OrbitData,
@@ -957,8 +970,9 @@ def approx_parameters(c0: ThreeLinesParams, cstar: ThreeLinesParams, *,
                 # part); not a lift candidate, keep sweeping
                 skipped[type(exc).__name__] += 1
                 continue
-            near0 = list(_candidates(cert.circle_roots, orbit, c0))
-            near_star = list(_candidates(cert.circle_roots, orbit, cstar))
+            params: dict = {}
+            near0 = _candidates(cert.circle_roots, orbit, c0, params)
+            near_star = _candidates(cert.circle_roots, orbit, cstar, params)
             if not (near0 and near_star):
                 continue
             delta0 = next((root for root in near0
@@ -977,17 +991,25 @@ def approx_parameters(c0: ThreeLinesParams, cstar: ThreeLinesParams, *,
         f"tried{skip_note}")
 
 
-def _candidates(circle_roots, orbit: OrbitData, target: ThreeLinesParams):
+def _candidates(circle_roots, orbit: OrbitData, target: ThreeLinesParams,
+                params: dict) -> list[ComplexBall]:
     """Of the 12 circle roots nearest the target's delta and within
     DEFAULT_EPS of it, nearest first, those whose parameters also lie within
-    DEFAULT_EPS of the target's."""
-    near = sorted((r for r in circle_roots
-                   if abs(r.center - target.delta) < DEFAULT_EPS),
-                  key=lambda r: abs(r.center - target.delta))
-    for root in near[:12]:
-        params = ab_from_delta(root.center, orbit)
-        if _within(params.a, target.a) and _within(params.b, target.b):
-            yield root
+    DEFAULT_EPS of the target's.  params maps a root to its
+    ab_from_delta(root.center, orbit), filled here, so that the calls for
+    both targets of one orbit datum compute each root's parameters once."""
+    dists = [(abs(r.center - target.delta), i)
+             for i, r in enumerate(circle_roots)]
+    near = sorted(di for di in dists if di[0] < DEFAULT_EPS)
+    out = []
+    for _, i in near[:12]:
+        root = circle_roots[i]
+        p = params.get(root)
+        if p is None:
+            p = params[root] = ab_from_delta(root.center, orbit)
+        if _within(p.a, target.a) and _within(p.b, target.b):
+            out.append(root)
+    return out
 
 
 def _within(values, targets) -> bool:

@@ -175,6 +175,18 @@ def ball_mul_reference(a: ComplexBall, other):
     return c, _pad(c, r)
 
 
+def ball_pow_reference(a: ComplexBall, n: int) -> ComplexBall:
+    """a ** n as the square-and-multiply loop of one power computed it."""
+    out = ComplexBall.exact(1)
+    base = a
+    while n:
+        if n & 1:
+            out = out * base
+        base = base * base if n > 1 else base
+        n >>= 1
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Z[x] arithmetic and the root-disk certificate as the dense kernels computed
 # them: every result through the validating IntPolynomial constructor, every
@@ -594,9 +606,9 @@ def pair_search_reference(c0, cstar, accept_pair):
                     NonConvergence) as exc:
                 skipped[type(exc).__name__] += 1
                 continue
-            near0 = list(threelines._candidates(cert.circle_roots, orbit, c0))
-            near_star = list(threelines._candidates(cert.circle_roots, orbit,
-                                                    cstar))
+            near0 = threelines._candidates(cert.circle_roots, orbit, c0, {})
+            near_star = threelines._candidates(cert.circle_roots, orbit,
+                                               cstar, {})
             for cand0 in near0:
                 for cand_star in near_star:
                     if cand0.center == cand_star.center:
@@ -622,7 +634,9 @@ def pairwise_disjoint_reference(balls) -> bool:
 
 
 def self_paired_reference(balls, image) -> set[int]:
-    """roots.self_paired testing each image against every disk."""
+    """The indices i whose image(balls[i]) meets balls[i] and no other disk,
+    each image tested against every disk: roots.self_paired with image =
+    z -> 1/conj(z), ComplexBall.conjugate().inverse()."""
     out = set()
     for i, b in enumerate(balls):
         im = image(b)
@@ -630,6 +644,42 @@ def self_paired_reference(balls, image) -> set[int]:
                 im.disjoint(o) for j, o in enumerate(balls) if j != i):
             out.add(i)
     return out
+
+
+def conjugate_inverse(b: ComplexBall) -> ComplexBall:
+    return b.conjugate().inverse()
+
+
+def salem_pattern_reference(balls):
+    """salem.is_salem's checks on a simple root enclosure, disk by disk:
+    ComplexBall.abs_bounds splits the disks outside, inside and straddling
+    the unit circle, every straddling disk must be self-paired under
+    z -> 1/conj(z) (self_paired_reference), and the outside one must be
+    real > 1.  The same errors in the same order; returns (lam, inv_lam,
+    the straddling disks in order)."""
+    outside, inside, straddle = [], [], []
+    for i, b in enumerate(balls):
+        lo, hi = b.abs_bounds()
+        if lo > 1.0:
+            outside.append(b)
+        elif hi < 1.0:
+            inside.append(b)
+        else:
+            straddle.append(i)
+    if len(outside) != 1 or len(inside) != 1:
+        if straddle and (len(outside) > 1 or len(inside) > 1):
+            raise BoundaryUndecidable(
+                f"{len(straddle)} disk(s) straddle the unit circle")
+        raise NoSalemFactor(
+            f"root pattern: {len(outside)} outside, {len(inside)} inside, "
+            f"{len(straddle)} straddling")
+    if not self_paired_reference(balls, conjugate_inverse).issuperset(straddle):
+        raise BoundaryUndecidable(
+            "a boundary disk is not self-paired under z -> 1/conj(z)")
+    lam = outside[0]
+    if not (lam.center.real - lam.radius > 1.0 and lam.meets_real_axis()):
+        raise NoSalemFactor("dominant root not certified real > 1")
+    return lam, inside[0], [balls[i] for i in straddle]
 
 
 # ---------------------------------------------------------------------------
@@ -1097,17 +1147,11 @@ def _ab_50(delta: mpmath.mpc, orbit: OrbitData):
     return a, b
 
 
-def three_lines_50(delta: mpmath.mpc, orbit: OrbitData):
-    """(map, degree, fixed points by Location) of the three-lines family at
-    delta, with a_k and b_k from their formulas in delta.
-
-    The map is [y delta T : G1 (x + delta y) : z delta T], T = H x - delta G1,
-    H = (G2 - G1)/y.  The fixed points: the singular point [0:0:1]; the
-    diagonal points (x, x), where d g1(x) = g2(x) with d = (1+delta)^2/delta;
-    the points [x:1:0], where f restricted to z = 0 gives
-    alpha0 x^2 + delta (2 alpha0 - beta0) x + alpha0 delta^2 = 0 with
-    alpha0 = prod 1/a_i, beta0 = prod 1/b_j.
-    """
+def _three_lines_map_50(delta: mpmath.mpc, orbit: OrbitData):
+    """(map, a, b) of the three-lines family at delta, with a_k and b_k
+    from their formulas in delta.  The map is
+    [y delta T : G1 (x + delta y) : z delta T], T = H x - delta G1,
+    H = (G2 - G1)/y."""
     a, b = _ab_50(delta, orbit)
     g1 = _product_form([1 / v for v in a])
     g2 = _product_form([1 / v for v in b])
@@ -1118,6 +1162,20 @@ def three_lines_50(delta: mpmath.mpc, orbit: OrbitData):
         t = _form(h, y, z) * x - delta * G1
         return (y * delta * t, G1 * (x + delta * y), z * delta * t)
 
+    return fmap, a, b
+
+
+def three_lines_50(delta: mpmath.mpc, orbit: OrbitData):
+    """(map, degree, fixed points by Location) of the three-lines family at
+    delta (_three_lines_map_50).
+
+    The fixed points: the singular point [0:0:1]; the diagonal points
+    (x, x), where d g1(x) = g2(x) with d = (1+delta)^2/delta; the points
+    [x:1:0], where f restricted to z = 0 gives
+    alpha0 x^2 + delta (2 alpha0 - beta0) x + alpha0 delta^2 = 0 with
+    alpha0 = prod 1/a_i, beta0 = prod 1/b_j.
+    """
+    fmap, a, b = _three_lines_map_50(delta, orbit)
     diagonal = _diagonal_abscissas(delta, orbit, mpmath.mp.dps)
     alpha0 = mpmath.fprod(1 / v for v in a)
     beta0 = mpmath.fprod(1 / v for v in b)
@@ -1351,10 +1409,12 @@ def ratio_lemma_50(poly: IntPolynomial, root: ComplexBall, orbit: OrbitData):
 def diagonal_s_50(poly: IntPolynomial, root: ComplexBall, orbit: OrbitData):
     """(x, s) at every diagonal fixed point (x, x) at 50 digits, at the root
     of poly that Newton reaches from root's center: x from d g1 = g2
-    (three_lines_50), and s from the chart-map Jacobian (rotation_number_50),
-    not from threelines.diagonal_s's closed form."""
+    (_diagonal_abscissas, as three_lines_50 takes them), and s from the
+    chart-map Jacobian (rotation_number_50), not from threelines.diagonal_s's
+    closed form.  The points at infinity are not computed."""
     with mpmath.workdps(DIGITS):
         delta = circle_root_50(poly, root.center)
-        fmap, _, points = three_lines_50(delta, orbit)
-        return [(p[0], rotation_number_50(fmap, p))
-                for p in points[Location.AFFINE_DIAGONAL]]
+        fmap = _three_lines_map_50(delta, orbit)[0]
+        one = mpmath.mpc(1)
+        return [(x, rotation_number_50(fmap, (x, x, one)))
+                for x in _diagonal_abscissas(delta, orbit, DIGITS)]

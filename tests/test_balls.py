@@ -10,11 +10,12 @@ import struct
 import mpmath
 import pytest
 
-from siegelcert.balls import ComplexBall, Verdict, ball_in_interval
+from siegelcert.balls import ComplexBall, Verdict, _power, ball_in_interval
 from siegelcert.errors import BallDomainError, SiegelcertError
 
 from oracles import (ball_add_reference, ball_mul_reference,
-                     ball_rsub_reference, ball_sub_reference)
+                     ball_pow_reference, ball_rsub_reference,
+                     ball_sub_reference)
 
 mpmath.mp.dps = 50
 
@@ -233,6 +234,33 @@ def test_exact_big_int_conversion():
     b = ComplexBall.exact(n)
     assert b.radius >= 1.0
     assert abs(b.center - float(n)) == 0.0
+
+
+def _ball_bits(b: ComplexBall):
+    return b.center.real.hex(), b.center.imag.hex(), b.radius.hex()
+
+
+def test_powers_sharing_squarings_keep_the_bits_of_one_power():
+    """ComplexBall ** n and _power over one shared list of squarings, in
+    any order of exponents, against the loop of one power; overflow raises
+    the same BallDomainError."""
+    rng = random.Random(17)
+    for trial in range(40):
+        b = ComplexBall(cmath.rect(rng.uniform(0.5, 1.5), rng.uniform(0, 7)),
+                        rng.choice([0.0, 1e-15, 1e-9, 1e-3]))
+        exponents = list(range(0, 200))
+        rng.shuffle(exponents)
+        squares = [b]
+        for n in exponents:
+            want = ball_pow_reference(b, n)
+            assert _ball_bits(b ** n) == _ball_bits(want)
+            assert _ball_bits(_power(squares, n)) == _ball_bits(want)
+    big = ComplexBall(1e80 + 1e80j, 1.0)
+    with pytest.raises(BallDomainError) as want:
+        ball_pow_reference(big, 7)
+    with pytest.raises(BallDomainError) as got:
+        _power([big, big * big], 7)
+    assert str(got.value) == str(want.value)
 
 
 def test_pow_zero_and_one():

@@ -153,6 +153,14 @@ def _strip_inputs():
     yield _times_cyclotomics(IntPolynomial((3, 0, 1)), [5, 5, 7, 7, 105])
     # one coefficient beyond 2^48: the screen passes every index
     yield _times_cyclotomics(IntPolynomial((2 ** 49 + 1, 1)), [4, 6, 6, 9])
+    # x - 1 and x + 1 several times over, down to a constant cofactor, on
+    # either side of the screen's coefficient limit
+    yield _times_cyclotomics(IntPolynomial((2, -1, 3)), [1, 1, 1, 2, 2, 2, 2])
+    yield _times_cyclotomics(IntPolynomial((1,)), [1, 1, 2, 2])
+    yield _times_cyclotomics(IntPolynomial((-5,)), [2, 2, 2])
+    yield _times_cyclotomics(IntPolynomial((7, 0, -2)), [2, 2, 3, 4])
+    yield _times_cyclotomics(IntPolynomial((2 ** 60, -3)), [1, 1, 2, 2, 2])
+    yield IntPolynomial((3, 1, -2, 5))  # no factor; p(1) = 7, p(-1) = -5
 
 
 def test_strip_matches_the_scalar_screen():

@@ -1,5 +1,6 @@
 """Root isolation: reference instances, cluster handling, re-expansion."""
 
+import cmath
 import math
 import random
 
@@ -7,13 +8,15 @@ import numpy as np
 import pytest
 
 from siegelcert.balls import _EPS, ComplexBall
+from siegelcert.errors import BallDomainError
 from siegelcert.intpoly import strip_cyclotomic
 from siegelcert.roots import (ComplexPolynomial, _undecided_pairs,
                               pairwise_disjoint, poly_roots, self_paired,
                               sort_roots)
 from siegelcert.threelines import OrbitData, cleared_chi_polynomial
 
-from oracles import pairwise_disjoint_reference, self_paired_reference
+from oracles import (conjugate_inverse, pairwise_disjoint_reference,
+                     self_paired_reference)
 
 LISTED_ROOTS = (
     1.9940 + 0.0j,
@@ -127,38 +130,46 @@ def test_sort_roots_deterministic_order():
     assert abs(args[3] + 1j) < 1e-12
 
 
-def test_self_paired_under_conjugation():
-    balls = [
-        ComplexBall(0.5 + 1e-12j, 1e-10),   # a real root
-        ComplexBall(1 + 2j, 1e-10),         # a conjugate pair: each disk's
-        ComplexBall(1 - 2j, 1e-10),         # image is the other disk
-        ComplexBall(3 + 1e-3j, 1e-2),       # two overlapping disks on the
-        ComplexBall(3.005 - 1e-3j, 1e-2),   # axis: each image meets both
-    ]
-    assert self_paired(balls, ComplexBall.conjugate) == {0}
+def _self_paired_set(balls) -> set[int]:
+    """roots.self_paired over every disk, as the set of self-paired ones."""
+    centers = np.array([b.center for b in balls], dtype=complex)
+    radii = np.array([b.radius for b in balls])
+    rows = list(range(len(balls)))
+    return {i for i, ok in zip(rows, self_paired(centers, radii, rows)) if ok}
+
+
+def _pairing_outcome(pairing, balls):
+    """The self-paired set, or the BallDomainError message raised."""
+    try:
+        return pairing(balls)
+    except BallDomainError as exc:
+        return f"BallDomainError: {exc}"
 
 
 def test_self_paired_under_conjugate_inverse():
     balls = [ComplexBall(2.0, 1e-10), ComplexBall(0.5, 1e-10),
              ComplexBall(0.6 + 0.8j, 1e-10), ComplexBall(0.6 - 0.8j, 1e-10)]
-    assert self_paired(balls, lambda b: b.conjugate().inverse()) == {2, 3}
+    assert _self_paired_set(balls) == {2, 3}
+    centers = np.array([b.center for b in balls])
+    radii = np.array([b.radius for b in balls])
+    assert self_paired(centers, radii, [3, 0]).tolist() == [True, False]
+    assert self_paired(centers, radii, []).tolist() == []
 
 
-# -- the sorted pair sweep against the loops over every pair ----------------
-
-def _conjugate_inverse(b):
-    return b.conjugate().inverse()
-
+# -- the sorted pair sweep and the array pairing against the loops ----------
 
 def _assert_sweep_matches(balls):
-    """pairwise_disjoint and self_paired equal their all-pairs references,
-    and every pair the sweep leaves out is disjoint."""
+    """pairwise_disjoint and self_paired equal their per-ball, all-pairs
+    references (self_paired raising the same BallDomainError for a disk
+    whose image is undefined), and every pair the sweep leaves out is
+    disjoint."""
     assert pairwise_disjoint(balls) == pairwise_disjoint_reference(balls)
+    want = _pairing_outcome(
+        lambda bs: self_paired_reference(bs, conjugate_inverse), balls)
+    assert _pairing_outcome(_self_paired_set, balls) == want
     images = [ComplexBall.conjugate]
-    if not any(b.contains_zero() for b in balls):
-        images.append(_conjugate_inverse)
-    for image in images:
-        assert self_paired(balls, image) == self_paired_reference(balls, image)
+    if isinstance(want, set):  # every image is defined
+        images.append(conjugate_inverse)
     for queries in (balls, [image(b) for b in balls for image in images]):
         for q, near in zip(queries, _undecided_pairs(queries, balls)):
             for j, b in enumerate(balls):
@@ -237,3 +248,71 @@ def test_pair_sweep_matches_the_full_loops_on_the_degree_250_root_set():
     assert len(rs) == 250
     assert rs.is_simple == pairwise_disjoint_reference(rs.balls)
     _assert_sweep_matches(list(rs.balls))
+
+
+def test_self_paired_matches_the_per_ball_images_touching_within_ulps():
+    # a circle disk and a second disk whose gap to the first one's image
+    # under 1/conj(z) sits at disjoint's tolerance, moved by a few ulps
+    # either way; then single disks off the circle whose own image they
+    # nearly touch
+    rng = random.Random(23)
+    verdicts = set()
+    for trial in range(200):
+        c = cmath.rect(1.0, rng.uniform(0.0, 2 * math.pi))
+        b0 = ComplexBall(c, 10.0 ** rng.uniform(-12, -2))
+        im = conjugate_inverse(b0)
+        u = cmath.rect(1.0, rng.uniform(0.0, 2 * math.pi))
+        c2 = im.center + u * 10.0 ** rng.uniform(-10, -1)
+        dist = abs(im.center - c2)
+        edge = dist - im.radius - _EPS * (abs(im.center) + abs(c2) + 1.0)
+        if edge <= 0.0:
+            continue
+        for ulps in range(-4, 5):
+            balls = [b0, ComplexBall(c2, edge + ulps * math.ulp(edge))]
+            verdicts.add(0 in self_paired_reference(balls, conjugate_inverse))
+            _assert_sweep_matches(balls)
+    assert verdicts == {True, False}
+    # disks off the circle whose own image they just touch or miss
+    for trial in range(200):
+        c = cmath.rect(1.0 + rng.choice([-1, 1]) * 10.0 ** rng.uniform(-9, -3),
+                       rng.uniform(0.0, 2 * math.pi))
+        gap = abs(c - 1.0 / c.conjugate())
+        balls = [ComplexBall(c, gap * f) for f in (0.4999999, 0.5, 0.5000001)]
+        for b in balls:
+            _assert_sweep_matches([b])
+    # exact ties: a point disk on the circle and a second disk whose gap to
+    # its image equals disjoint's tolerance to the last bit, so the two meet
+    ties = 0
+    for trial in range(200):
+        b0 = ComplexBall(cmath.rect(1.0, rng.uniform(0.0, 2 * math.pi)), 0.0)
+        im = conjugate_inverse(b0)
+        c2 = im.center + cmath.rect(10.0 ** rng.uniform(-12.5, -11),
+                                    rng.uniform(0.0, 2 * math.pi))
+        dist = abs(im.center - c2)
+        tol = _EPS * (abs(im.center) + abs(c2) + 1.0)
+        edge = dist - im.radius - tol
+        for ulps in range(-64, 65):
+            r2 = edge + ulps * math.ulp(edge)
+            if r2 >= 0.0 and dist - (im.radius + r2) == tol:
+                ties += 1
+                _assert_sweep_matches([b0, ComplexBall(c2, r2)])
+    assert ties > 0
+
+
+def test_self_paired_raises_the_per_ball_error_for_a_disk_that_holds_zero():
+    ring = [ComplexBall(cmath.rect(1.0, 0.7 * k), 1e-9) for k in range(6)]
+    for bad in (ComplexBall(0.01 + 0.02j, 0.05),    # holds 0: |c| <= r
+                ComplexBall(1e-150 + 0j, 0.0),       # |c|^2 - r^2 <= _TINY
+                ComplexBall(-0.3 - 0.0j, 0.3)):      # 0 on its boundary
+        for at in (0, 3, 6):
+            balls = ring[:at] + [bad] + ring[at:]
+            with pytest.raises(BallDomainError) as got:
+                _self_paired_set(balls)
+            with pytest.raises(BallDomainError) as want:
+                conjugate_inverse(bad)
+            assert str(got.value) == str(want.value)
+            _assert_sweep_matches(balls)
+    # the first disk that fails raises, as the loop over the disks does
+    first, second = ComplexBall(0.1j, 0.2), ComplexBall(-0.1, 0.2)
+    with pytest.raises(BallDomainError, match=r"0\.1j"):
+        _self_paired_set(ring[:2] + [first, second])

@@ -1,10 +1,19 @@
 """Salem certificates: the degree-8 instance, cyclotomic rejections, oracles."""
 
+import cmath
+import math
+import random
+
 import pytest
 
-from siegelcert.errors import BoundaryUndecidable, NoSalemFactor
+from siegelcert import salem
+from siegelcert.balls import _EPS, _TINY, ComplexBall
+from siegelcert.errors import BallDomainError, BoundaryUndecidable, NoSalemFactor
 from siegelcert.intpoly import IntPolynomial, cyclotomic
+from siegelcert.roots import RootSet, sort_roots
 from siegelcert.salem import SalemCertificate, is_salem
+
+from oracles import salem_pattern_reference
 
 
 def test_salem8_certificate(salem8, salem8_cert):
@@ -94,3 +103,76 @@ def test_double_roots_are_boundary_undecidable():
     # which the one classification pass cannot resolve
     with pytest.raises(BoundaryUndecidable):
         is_salem(lehmer * lehmer)
+
+
+def _bits(b: ComplexBall):
+    return (b.center.real.hex(), b.center.imag.hex(), b.radius.hex())
+
+
+def _pattern_outcome(check, balls):
+    try:
+        lam, inv_lam, circle = check(balls)
+    except (BallDomainError, BoundaryUndecidable, NoSalemFactor) as exc:
+        return type(exc).__name__, str(exc)
+    return _bits(lam), _bits(inv_lam), [_bits(b) for b in sort_roots(circle)]
+
+
+def _edge_disk(rng, modulus_edge: bool) -> ComplexBall:
+    """A disk whose abs_bounds lower (or upper) bound sits within a few
+    ulps of 1, on either side."""
+    step = rng.randint(-3, 3) * 2.0 ** -52
+    if modulus_edge:
+        c = cmath.rect(1.0 + 10.0 ** rng.uniform(-12, -4),
+                       rng.uniform(0.0, 2 * math.pi))
+        r = abs(c) - (1.0 / (1.0 - _EPS) + step)
+    else:
+        c = cmath.rect(1.0 - 10.0 ** rng.uniform(-12, -4),
+                       rng.uniform(0.0, 2 * math.pi))
+        r = (1.0 - _TINY) / (1.0 + _EPS) + step - abs(c)
+    return ComplexBall(c, max(0.0, r))
+
+
+def test_pattern_checks_decide_as_the_per_ball_checks(monkeypatch, salem8):
+    """is_salem's array split and pairing against the per-ball checks
+    (oracles.salem_pattern_reference) on crafted simple root sets of the
+    degree-8 Salem polynomial: disks at the abs_bounds edges, a disk that
+    holds 0, a second disk outside, crowded circle disks, a complex lam."""
+    rng = random.Random(5)
+    outcomes = set()
+    for trial in range(400):
+        circle = []
+        for _ in range(3):
+            z = cmath.rect(1.0, rng.uniform(0.1, 3.0))
+            r = 10.0 ** rng.uniform(-13, -3)
+            circle += [ComplexBall(z, r), ComplexBall(z.conjugate(), r)]
+        balls = [ComplexBall(1.994004199185754, 1e-12),
+                 ComplexBall(0.5015, 1e-12)] + circle
+        mode = rng.randrange(7)
+        if mode == 1:
+            balls[rng.randrange(2, 8)] = _edge_disk(rng, True)
+        elif mode == 2:
+            balls[rng.randrange(2, 8)] = _edge_disk(rng, False)
+        elif mode == 3:
+            balls[1] = ComplexBall(complex(rng.uniform(-0.1, 0.1),
+                                           rng.uniform(-0.1, 0.1)), 0.2)
+        elif mode == 4:
+            balls[2] = ComplexBall(3.0, 1e-9)
+        elif mode == 5:  # a neighbour inside the image of disk 2
+            balls[3] = ComplexBall(balls[2].center * cmath.rect(
+                1.0, 10.0 ** rng.uniform(-9, -5)), balls[2].radius)
+        elif mode == 6:
+            balls[0] = ComplexBall(1.99 + rng.choice([1e-3, 1e-13]) * 1j, 1e-12)
+        rng.shuffle(balls)
+        monkeypatch.setattr(salem, "poly_roots",
+                            lambda p, bs=tuple(balls): RootSet(bs, True))
+        want = _pattern_outcome(salem_pattern_reference, balls)
+
+        def through_is_salem(_):
+            cert = is_salem(salem8)
+            return cert.lam, cert.inv_lam, cert.circle_roots
+
+        assert _pattern_outcome(through_is_salem, balls) == want
+        outcomes.add(want[0] if isinstance(want[0], str) and len(want) == 2
+                     else "certified")
+    assert outcomes == {"certified", "BallDomainError", "BoundaryUndecidable",
+                        "NoSalemFactor"}

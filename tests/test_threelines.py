@@ -198,6 +198,43 @@ def test_ab_real_form_on_circle():
         assert abs(got_b.real - want_b) < 1e-9
 
 
+def _value_bits(v):
+    if isinstance(v, ComplexBall):
+        return v.center.real.hex(), v.center.imag.hex(), v.radius.hex()
+    return v.real.hex(), v.imag.hex()
+
+
+def test_shared_powers_give_the_parameters_of_a_value_and_b_value():
+    """ab_from_delta and param_balls, which form delta^3 - 1, delta^2 and
+    the powers of a ball delta once, against a_value and b_value term by
+    term, bit for bit: every orbit length up to K_SEARCH (the search's
+    range) in one datum, and the orbit data of both pools, at complex and
+    ball delta on and off the unit circle."""
+    k_all = tuple(range(1, threelines.K_SEARCH + 1))
+    orbits = [OrbitData(k_all, k_all), OrbitData(k_all[::-1], k_all[5:] + k_all[:5])]
+    orbits += [OrbitData(*item.args) for item in
+               workloads.three_lines_pool() + workloads.strict_pool()
+               if item.kind == "three-lines"]
+    rng = random.Random(29)
+    deltas = [cmath.rect(1.0, rng.uniform(0.05, 3.1)) for _ in range(6)]
+    deltas += [0.83 + 0.61j, complex(1.3, 0.0), cmath.rect(0.97, 2.0)]
+    deltas += [root.center for root in
+               salem_from_orbit(OrbitData((2, 3), (1, 2))).circle_roots[:4]]
+    for orbit in orbits:
+        for d in deltas:
+            got = ab_from_delta(d, orbit)
+            assert list(map(_value_bits, got.a + got.b)) == [
+                _value_bits(complex(f(d, k))) for f, ks in
+                ((a_value, orbit.m), (b_value, orbit.n)) for k in ks]
+            for radius in (0.0, 1e-15, 1e-9):
+                root = ComplexBall(d, radius)
+                db, ab, bb = param_balls(root, orbit)
+                assert db is root
+                assert list(map(_value_bits, ab + bb)) == [
+                    _value_bits(f(root, k).realize_real()) for f, ks in
+                    ((a_value, orbit.m), (b_value, orbit.n)) for k in ks]
+
+
 def test_chi_guards_its_own_poles():
     with pytest.raises(FormulaPole, match=r"delta\^3 - 1"):
         chi(1.0, OrbitData((2,), (1,)))
