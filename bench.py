@@ -20,6 +20,13 @@ pair, BASE first in the odd pairs and CHECKOUT first in the even ones.  For
 each end-to-end metric of CHECKOUT's BENCHMARK.json it prints each side's
 median and quartiles and the number of pairs in which CHECKOUT reads
 better (ties count for neither).  It exits 1 if any run was not correct.
+
+Each checkout's runs compile to bytecode under a fresh temporary
+PYTHONPYCACHEPREFIX of their own, with PYTHONDONTWRITEBYTECODE removed, so
+no checkout's __pycache__ is read or written: a stale one cannot bias
+setup_s or peak_rss_mb.  One unmeasured import of the harness fills that
+directory before the first run, so every run reads bytecode of its own
+source.
 """
 
 import argparse
@@ -30,16 +37,31 @@ import re
 import statistics
 import subprocess
 import sys
+import tempfile
+
+# the imports of a perfbench/run.py run, from the root of a checkout
+WARM_UP = "import sys; sys.path[:0] = ['perfbench', 'src']; import harness"
 
 
-def run_once(root: str, workload: str, seed: int, seconds: float,
-             trace: int) -> tuple[dict, str]:
+def checkout_env(root: str, cache: str) -> dict[str, str]:
+    """The environment of root's runs, bytecode under the directory cache,
+    after one unmeasured import of the harness has written it there."""
+    env = {k: v for k, v in os.environ.items()
+           if k != "PYTHONDONTWRITEBYTECODE"}
+    env["PYTHONPYCACHEPREFIX"] = cache
+    subprocess.run([sys.executable, "-c", WARM_UP], cwd=root, env=env,
+                   check=True)
+    return env
+
+
+def run_once(root: str, env: dict[str, str], workload: str, seed: int,
+             seconds: float, trace: int) -> tuple[dict, str]:
     """One perfbench/run.py run of the checkout at root: its last JSON line
     and its whole output."""
     out = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds),
-         "--trace", str(trace)], cwd=root, check=True,
+         "--trace", str(trace)], cwd=root, env=env, check=True,
         capture_output=True, text=True).stdout
     return json.loads(out.strip().splitlines()[-1]), out
 
@@ -56,16 +78,21 @@ def record(args) -> int:
     doc = {"sha": sha, "seed": args.seed, "seconds": args.seconds,
            "host": {"cores": os.cpu_count(), "machine": platform.machine(),
                     "platform": platform.platform()}, "runs": {}}
-    for name in names:
-        for trace in (0, 1):
-            run, out = run_once(args.root, name, args.seed, args.seconds, trace)
-            python, numpy = re.search(r"python=(\S+) numpy=(\S+)", out).groups()
-            doc["host"].update(python=python, numpy=numpy)
-            speed = re.search(r"median speed ([0-9.]+)", out)
-            run["speed_probe"] = float(speed.group(1)) if speed else None
-            doc["runs"][f"{name} --trace {trace}"] = run
-            print(name, trace, "correct" if run["correct"] else "NOT correct",
-                  flush=True)
+    with tempfile.TemporaryDirectory(prefix="bench-pycache-") as cache:
+        env = checkout_env(args.root, cache)
+        for name in names:
+            for trace in (0, 1):
+                run, out = run_once(args.root, env, name, args.seed,
+                                    args.seconds, trace)
+                python, numpy = re.search(r"python=(\S+) numpy=(\S+)",
+                                          out).groups()
+                doc["host"].update(python=python, numpy=numpy)
+                speed = re.search(r"median speed ([0-9.]+)", out)
+                run["speed_probe"] = float(speed.group(1)) if speed else None
+                doc["runs"][f"{name} --trace {trace}"] = run
+                print(name, trace,
+                      "correct" if run["correct"] else "NOT correct",
+                      flush=True)
     path = f"BENCH_{sha}.json"
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
@@ -88,15 +115,18 @@ def pairs(args) -> int:
         metrics = json.load(fh)["end_to_end"]
     sides = {"base": args.against, "change": args.root}
     runs: dict[str, list[dict]] = {"base": [], "change": []}
-    for i in range(args.pairs):
-        order = ("base", "change") if i % 2 == 0 else ("change", "base")
-        for side in order:
-            run, _ = run_once(sides[side], args.workload, args.seed,
-                              args.seconds, 0)
-            runs[side].append(run)
-        print(f"pair {i + 1} of {args.pairs} ({order[0]} first):",
-              ", ".join(f"{side} {runs[side][-1]['metrics']['reports_per_s']['value']:.4g}"
-                        for side in sides), "reports_per_s", flush=True)
+    with tempfile.TemporaryDirectory(prefix="bench-pycache-") as cache:
+        envs = {side: checkout_env(root, os.path.join(cache, side))
+                for side, root in sides.items()}
+        for i in range(args.pairs):
+            order = ("base", "change") if i % 2 == 0 else ("change", "base")
+            for side in order:
+                run, _ = run_once(sides[side], envs[side], args.workload,
+                                  args.seed, args.seconds, 0)
+                runs[side].append(run)
+            print(f"pair {i + 1} of {args.pairs} ({order[0]} first):",
+                  ", ".join(f"{side} {runs[side][-1]['metrics']['reports_per_s']['value']:.4g}"
+                            for side in sides), "reports_per_s", flush=True)
     print(f"{args.workload}, seed {args.seed}, {args.seconds:g} s a run, "
           f"{args.pairs} pairs; base {args.against}, change {args.root}; "
           "median [quartiles]")

@@ -40,7 +40,6 @@ CPython's abs calls.  It bounds Horner's float error at all points at once.
 
 from __future__ import annotations
 
-import bisect
 import cmath
 import math
 import numbers
@@ -55,7 +54,6 @@ DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 500
 
 _U = 2.0 ** -53
-_SWEEP_SLACK = 1.0 + 2.0 ** -40  # covers the roundings of _undecided_pairs
 
 
 @dataclass(frozen=True)
@@ -303,11 +301,25 @@ def _horner_bound(weights, moduli: np.ndarray) -> np.ndarray:
     return s
 
 
+def _meets(x, y, r, u, v, s) -> np.ndarray:
+    """Entry [i, j]: D(x_i + i y_i, r_i) meets D(u_j + i v_j, s_j), by
+    ComplexBall.disjoint's float operations in its order over every pair.
+    np.hypot is the libm hypot that CPython's abs(complex) calls, and the
+    rest is real subtract, add, multiply and compare, so each entry is the
+    per-ball answer; only where abs raises OverflowError for finite parts
+    does np.hypot give inf, silently, as the per-ball floats overflow."""
+    with np.errstate(all="ignore"):
+        gap = np.hypot(x[:, None] - u, y[:, None] - v) - (r[:, None] + s)
+        return ~(gap > _EPS * (np.hypot(x, y)[:, None] + np.hypot(u, v) + 1.0))
+
+
 def pairwise_disjoint(balls) -> bool:
     """Every two of the disks are disjoint (ComplexBall.disjoint)."""
-    return all(balls[i].disjoint(balls[j])
-               for i, near in enumerate(_undecided_pairs(balls, balls))
-               for j in near if j > i)
+    z = np.array([b.center for b in balls], dtype=complex)
+    r = np.array([b.radius for b in balls])
+    meets = _meets(z.real, z.imag, r, z.real, z.imag, r)
+    np.fill_diagonal(meets, False)
+    return not meets.any()
 
 
 def self_paired(centers: np.ndarray, radii: np.ndarray, rows) -> np.ndarray:
@@ -324,14 +336,14 @@ def self_paired(centers: np.ndarray, radii: np.ndarray, rows) -> np.ndarray:
     real; with sigma(z) = 1/conj(z) (real palindromic coefficients), the
     case decided here, it has |z| = 1.
 
-    Each image and each test is the per-ball one, ComplexBall.inverse, its
-    _ball padding and ComplexBall.disjoint, operation for operation over
-    numpy arrays of every pair: np.hypot is the libm hypot that CPython's
-    abs(complex) calls, and the image center c / denom taken part by part
-    has the values of CPython's complex division by a real, up to the sign
-    of a zero, which no test reads.  So the answer is that of the loop over
-    the disks.  Every disk's image is formed, in rows or not, and the first
-    one that the per-ball inverse rejects raises its BallDomainError.
+    Each image is the per-ball one, ComplexBall.inverse and its _ball
+    padding, operation for operation over numpy arrays, and each test is
+    _meets: np.hypot is the libm hypot that CPython's abs(complex) calls,
+    and the image center c / denom taken part by part has the values of
+    CPython's complex division by a real, up to the sign of a zero, which
+    no test reads.  So the answer is that of the loop over the disks.
+    Every disk's image is formed, in rows or not, and the first one that
+    the per-ball inverse rejects raises its BallDomainError.
     """
     with np.errstate(all="ignore"):
         x, y = centers.real, centers.imag
@@ -346,57 +358,9 @@ def self_paired(centers: np.ndarray, radii: np.ndarray, rows) -> np.ndarray:
         i = int(failed.argmax())
         ComplexBall(complex(centers[i]), float(radii[i])).conjugate().inverse()
     rows = np.asarray(rows, dtype=np.intp)
-    gap = (np.hypot(cx[rows, None] - x, cy[rows, None] - y)
-           - (r[rows, None] + radii))
-    disjoint = gap > _EPS * (size[rows, None] + modulus + 1.0)
-    own = (np.arange(len(rows)), rows)
-    meets_own = ~disjoint[own]
-    disjoint[own] = True
-    return meets_own & disjoint.all(axis=1)
-
-
-def _undecided_pairs(queries, balls) -> list[list[int]]:
-    """For each query disk, the indices of the balls it may meet: every ball
-    left out is one that ComplexBall.disjoint finds disjoint from it.
-
-    One sort of the balls by the real part of their centers, then a sweep
-    outward from each query's real part.  The inequality that leaves a pair
-    out: with M >= the computed |center| of every disk, h = radius +
-    _EPS (M + 1/2) and dx the float difference of the two real parts,
-
-        |dx| > (h_q + h_b) (1 + 2^-40)
-
-    makes disjoint(q, b) True.  Its float |c_q - c_b| is at least |dx| up to
-    one rounding of hypot, the radius sum and the tolerance
-    _EPS (|c_q| + |c_b| + 1) <= _EPS (2 M + 1) exceed their exact values
-    by a few roundings at most, and each rounding is a relative 2^-52 at
-    most: 2^-40 covers them all many times over.  Every other pair goes to
-    disjoint itself, so a caller's booleans are those of the full pair loop.
-    """
-    if not balls:
-        return [[] for _ in queries]
-    pad = _EPS * (max(abs(b.center) for b in (*queries, *balls)) + 0.5)
-    order = sorted(range(len(balls)), key=lambda j: balls[j].center.real)
-    xs = [balls[j].center.real for j in order]
-    hs = [balls[j].radius + pad for j in order]
-    h_max = max(hs)
-    out = []
-    for q in queries:
-        x, h = q.center.real, q.radius + pad
-        reach = (h + h_max) * _SWEEP_SLACK
-        near = []
-        start = bisect.bisect_left(xs, x)
-        # rightward then leftward: |dx| grows monotonically in each direction
-        for ks, sign in ((range(start, len(xs)), 1.0),
-                         (range(start - 1, -1, -1), -1.0)):
-            for k in ks:
-                dx = (xs[k] - x) * sign
-                if dx > reach:
-                    break
-                if dx <= (h + hs[k]) * _SWEEP_SLACK:
-                    near.append(order[k])
-        out.append(near)
-    return out
+    meets = _meets(cx[rows], cy[rows], r[rows], x, y, radii)
+    # self-paired: the image meets its own disk and no other one
+    return meets[np.arange(len(rows)), rows] & (meets.sum(axis=1) == 1)
 
 
 def sort_roots(balls) -> list[ComplexBall]:

@@ -995,8 +995,8 @@ def _candidates(circle_roots, orbit: OrbitData, target: ThreeLinesParams,
                 params: dict) -> list[ComplexBall]:
     """Of the 12 circle roots nearest the target's delta and within
     DEFAULT_EPS of it, nearest first, those whose parameters also lie within
-    DEFAULT_EPS of the target's.  params maps a root to its
-    ab_from_delta(root.center, orbit), filled here, so that the calls for
+    DEFAULT_EPS of the target's.  params maps a root to the a and b lists
+    of ab_from_delta(root.center, orbit), filled here, so that the calls for
     both targets of one orbit datum compute each root's parameters once."""
     dists = [(abs(r.center - target.delta), i)
              for i, r in enumerate(circle_roots)]
@@ -1004,10 +1004,11 @@ def _candidates(circle_roots, orbit: OrbitData, target: ThreeLinesParams,
     out = []
     for _, i in near[:12]:
         root = circle_roots[i]
-        p = params.get(root)
-        if p is None:
-            p = params[root] = ab_from_delta(root.center, orbit)
-        if _within(p.a, target.a) and _within(p.b, target.b):
+        ab = params.get(root)
+        if ab is None:
+            d = root.center
+            ab = params[root] = _orbit_values(d, orbit, d.__pow__)
+        if _within(ab[0], target.a) and _within(ab[1], target.b):
             out.append(root)
     return out
 

@@ -10,9 +10,8 @@ import pytest
 from siegelcert.balls import _EPS, ComplexBall
 from siegelcert.errors import BallDomainError
 from siegelcert.intpoly import strip_cyclotomic
-from siegelcert.roots import (ComplexPolynomial, _undecided_pairs,
-                              pairwise_disjoint, poly_roots, self_paired,
-                              sort_roots)
+from siegelcert.roots import (ComplexPolynomial, _meets, pairwise_disjoint,
+                              poly_roots, self_paired, sort_roots)
 from siegelcert.threelines import OrbitData, cleared_chi_polynomial
 
 from oracles import (conjugate_inverse, pairwise_disjoint_reference,
@@ -156,25 +155,34 @@ def test_self_paired_under_conjugate_inverse():
     assert self_paired(centers, radii, []).tolist() == []
 
 
-# -- the sorted pair sweep and the array pairing against the loops ----------
+# -- the disk kernel and the array pairing against the per-ball loops -------
+
+def _disk_arrays(balls):
+    return (np.array([b.center.real for b in balls]),
+            np.array([b.center.imag for b in balls]),
+            np.array([b.radius for b in balls]))
+
 
 def _assert_sweep_matches(balls):
     """pairwise_disjoint and self_paired equal their per-ball, all-pairs
     references (self_paired raising the same BallDomainError for a disk
-    whose image is undefined), and every pair the sweep leaves out is
-    disjoint."""
+    whose image is undefined), and _meets equals per-ball disjoint for every
+    pair of a query disk and a disk, the query disks being the disks, their
+    conjugates and, where defined, their images under z -> 1/conj(z)."""
     assert pairwise_disjoint(balls) == pairwise_disjoint_reference(balls)
     want = _pairing_outcome(
         lambda bs: self_paired_reference(bs, conjugate_inverse), balls)
     assert _pairing_outcome(_self_paired_set, balls) == want
-    images = [ComplexBall.conjugate]
-    if isinstance(want, set):  # every image is defined
-        images.append(conjugate_inverse)
-    for queries in (balls, [image(b) for b in balls for image in images]):
-        for q, near in zip(queries, _undecided_pairs(queries, balls)):
-            for j, b in enumerate(balls):
-                if j not in near:
-                    assert q.disjoint(b), (q, b)
+    queries = [*balls, *(b.conjugate() for b in balls)]
+    for b in balls:
+        try:
+            queries.append(conjugate_inverse(b))
+        except BallDomainError:
+            pass
+    got = _meets(*_disk_arrays(queries), *_disk_arrays(balls))
+    assert got.shape == (len(queries), len(balls))
+    assert got.tolist() == [[not q.disjoint(b) for b in balls]
+                            for q in queries]
 
 
 def _random_disks(rng: random.Random, n: int) -> list[ComplexBall]:
@@ -316,3 +324,37 @@ def test_self_paired_raises_the_per_ball_error_for_a_disk_that_holds_zero():
     first, second = ComplexBall(0.1j, 0.2), ComplexBall(-0.1, 0.2)
     with pytest.raises(BallDomainError, match=r"0\.1j"):
         _self_paired_set(ring[:2] + [first, second])
+
+
+def test_numpy_hypot_is_cpython_abs_of_complex():
+    # the premise of _certify, self_paired, is_salem and _meets: np.hypot
+    # over arrays gives abs(complex(x, y)) bit for bit, except where CPython
+    # raises OverflowError for finite parts and numpy gives inf
+    rng = random.Random(5)
+    parts = [math.copysign(10.0 ** rng.uniform(-300, 300), rng.random() - 0.5)
+             for _ in range(2000)]
+    parts += [5e-324, -5e-324, 2.2250738585072014e-308 * 0.75, 1e-310,
+              0.0, -0.0, math.inf, -math.inf, math.nan, 1e308, 1.7e308]
+    xs = [rng.choice(parts) for _ in range(20000)]
+    ys = [rng.choice(parts) for _ in range(20000)]
+    xs += [1e308, 1.7e308, -1.5e308]
+    ys += [1.7e308, 1e308, -1.5e308]
+    with np.errstate(all="ignore"):  # as the library's callers run it
+        got = np.hypot(np.array(xs), np.array(ys)).tolist()
+    overflows = 0
+    for x, y, h in zip(xs, ys, got):
+        try:
+            want = abs(complex(x, y))
+        except OverflowError:
+            overflows += 1
+            assert math.isfinite(x) and math.isfinite(y) and h == math.inf
+            continue
+        if math.isnan(want):
+            assert math.isnan(h), (x, y)
+        else:
+            assert h.hex() == want.hex(), (x, y)
+    assert overflows >= 3
+    with pytest.raises(OverflowError):
+        abs(complex(1e308, 1.7e308))
+    with np.errstate(all="ignore"):
+        assert np.hypot(1e308, 1.7e308) == math.inf
