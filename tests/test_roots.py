@@ -337,6 +337,10 @@ def test_numpy_hypot_is_cpython_abs_of_complex():
               0.0, -0.0, math.inf, -math.inf, math.nan, 1e308, 1.7e308]
     xs = [rng.choice(parts) for _ in range(20000)]
     ys = [rng.choice(parts) for _ in range(20000)]
+    # parts of comparable size, where hypot rounds a true sum of squares
+    for x in parts[:2000]:
+        xs.append(x)
+        ys.append(x * rng.uniform(-10.0, 10.0))
     xs += [1e308, 1.7e308, -1.5e308]
     ys += [1.7e308, 1e308, -1.5e308]
     with np.errstate(all="ignore"):  # as the library's callers run it
