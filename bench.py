@@ -18,8 +18,11 @@ The second form writes no file.  It makes N pairs of --trace 0 runs of
 workload W, one run of BASE's perfbench/run.py and one of CHECKOUT's per
 pair, BASE first in the odd pairs and CHECKOUT first in the even ones.  For
 each end-to-end metric of CHECKOUT's BENCHMARK.json it prints each side's
-median and quartiles and the number of pairs in which CHECKOUT reads
-better (ties count for neither).  It exits 1 if any run was not correct.
+median and quartiles, CHECKOUT's median relative to BASE's as a signed
+percentage, and the number of pairs in which CHECKOUT reads better (ties
+count for neither); a metric whose CHECKOUT median is worse than BASE's by
+more than its bound (BENCHMARK.json, relative) is marked "beyond bound".
+It exits 1 if any run was not correct.
 
 Each checkout's runs compile to bytecode under a fresh temporary
 PYTHONPYCACHEPREFIX of their own, with PYTHONDONTWRITEBYTECODE removed, so
@@ -110,6 +113,18 @@ def _spread(values: list[float]) -> str:
     return f"{q2:.4g} [{q1:.4g}, {q3:.4g}]"
 
 
+def _relative(base: list[float], change: list[float], metric: dict) -> str:
+    """change's median relative to base's as a signed percentage, marked
+    when it is worse than base's by more than the metric's bound."""
+    b, c = statistics.median(base), statistics.median(change)
+    if b == 0:
+        return "n/a"
+    rel = c / b - 1.0
+    worse = -rel if metric["better"] == "higher" else rel
+    mark = f" beyond bound {metric['bound']:.0%}" if worse > metric["bound"] else ""
+    return f"{rel:+.1%}{mark}"
+
+
 def pairs(args) -> int:
     with open(os.path.join(args.root, "BENCHMARK.json")) as fh:
         metrics = json.load(fh)["end_to_end"]
@@ -137,7 +152,8 @@ def pairs(args) -> int:
         sign = 1.0 if metric["better"] == "higher" else -1.0
         wins = sum(sign * (c - b) > 0 for b, c in zip(base, change))
         print(f"  {name:15} {metric['unit']:5} base {_spread(base):28} "
-              f"change {_spread(change):28} change wins {wins} of "
+              f"change {_spread(change):28} "
+              f"{_relative(base, change, metric):8} change wins {wins} of "
               f"{args.pairs}")
     wrong = [side for side in sides for run in runs[side] if not run["correct"]]
     for side in sorted(set(wrong)):

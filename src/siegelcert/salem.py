@@ -35,7 +35,7 @@ from functools import cached_property
 import numpy as np
 
 from .balls import _EPS, _TINY, ComplexBall
-from .errors import BoundaryUndecidable, NoSalemFactor
+from .errors import BallDomainError, BoundaryUndecidable, NoSalemFactor
 from .intpoly import IntPolynomial, strip_cyclotomic
 from .roots import ComplexPolynomial, RootSet, poly_roots, self_paired, sort_roots
 
@@ -83,15 +83,34 @@ class SalemCertificate:
         return pairs
 
 
+def _float_coefficients(p: IntPolynomial):
+    """p's coefficients as floats, and poly_roots' coeff_radii for them:
+    None when every conversion is exact, else each exact conversion error
+    (nonzero beyond 2^53) rounded up, so the disks hold for p itself.  A
+    coefficient beyond double range raises BallDomainError."""
+    try:
+        floats = tuple(map(float, p.coeffs))
+    except OverflowError:
+        raise BallDomainError("a coefficient is out of double range") from None
+    errors = [abs(c - int(f)) for c, f in zip(p.coeffs, floats)]
+    if not any(errors):
+        return floats, None
+    return floats, tuple(math.nextafter(float(e), math.inf)
+                         if int(float(e)) < e else float(e) for e in errors)
+
+
 def is_salem(p: IntPolynomial) -> SalemCertificate:
     """Salem certificate for the non-cyclotomic part of p; raises
     NoSalemFactor with the reason when that part is not a Salem polynomial.
 
     The cyclotomic factors of p are divided out once, exactly; the rest is
     the certified polynomial cert.poly, not p.  Its roots are isolated once,
-    at the default tolerance of poly_roots.  A root disk that straddles the
-    unit circle without resolving the pattern raises BoundaryUndecidable:
-    double precision cannot decide it.
+    at the default tolerance of poly_roots.  Unless exactly one disk is
+    certified outside the unit circle and one inside, the pattern fails:
+    two or more on one side prove that the polynomial is not Salem
+    (NoSalemFactor); else a disk that straddles the circle may hold lambda
+    or 1/lambda, and double precision cannot decide (BoundaryUndecidable);
+    else NoSalemFactor.
     """
     if p.is_zero:
         raise NoSalemFactor("zero polynomial")
@@ -107,7 +126,8 @@ def is_salem(p: IntPolynomial) -> SalemCertificate:
     if not rest.is_palindromic:
         raise NoSalemFactor("not reciprocal")
 
-    rs: RootSet = poly_roots(ComplexPolynomial(tuple(map(float, rest.coeffs))))
+    floats, coeff_radii = _float_coefficients(rest)
+    rs: RootSet = poly_roots(ComplexPolynomial(floats), coeff_radii=coeff_radii)
     if not rs.is_simple:
         raise BoundaryUndecidable("root disks overlap; cannot classify pattern")
     # ComplexBall.abs_bounds of every disk at once: np.hypot is the libm
@@ -121,7 +141,7 @@ def is_salem(p: IntPolynomial) -> SalemCertificate:
     inside = [rs.balls[i] for i in np.flatnonzero(is_in)]
     straddle = np.flatnonzero(~(is_out | is_in)).tolist()
     if len(outside) != 1 or len(inside) != 1:
-        if straddle and (len(outside) > 1 or len(inside) > 1):
+        if straddle and len(outside) <= 1 and len(inside) <= 1:
             raise BoundaryUndecidable(
                 f"{len(straddle)} disk(s) straddle the unit circle")
         raise NoSalemFactor(

@@ -440,7 +440,7 @@ def _abscissa_roots(d: ComplexBall, ga, gb) -> tuple[list[ComplexBall], set[int]
     disk's root with no larger radius, and the conjugate of each disk is
     exactly a disk returned: the real ones have a real center.
     """
-    coeffs = _abscissa_coeffs(d, ga, gb)
+    coeffs = [d * ga[k] - gb[k] for k in range(len(ga))]
     centers = tuple(c.center for c in coeffs)
     radii = tuple(c.radius for c in coeffs)
     if abs(centers[-1]) <= radii[-1]:
@@ -464,26 +464,6 @@ def _abscissa_roots(d: ComplexBall, ga, gb) -> tuple[list[ComplexBall], set[int]
             raise DegenerateSpectrum("an abscissa disk has no conjugate partner")
         closed.append(x if (x.radius, i) <= (xs[j].radius, j) else images[j])
     return closed, real_idx
-
-
-def _abscissa_coeffs(d: ComplexBall, ga, gb) -> list[ComplexBall]:
-    """The coefficients d ga_k - gb_k of the abscissa polynomial, by power."""
-    return [d * ga[k] - gb[k] for k in range(len(ga))]
-
-
-def _closed_form_abscissas(coeffs) -> list[ComplexBall]:
-    """The roots of c0 + c1 x (N = 1) or c0 + c1 x + c2 x^2 (N = 2) by
-    formula: -c0/c1, and (-c1 +- sqrt(c1^2 - 4 c0 c2)) / (2 c2) through
-    ComplexBall.sqrt, whose branch is analytic on its ball.  Each ball
-    encloses a root for every choice of coefficients in their balls; a
-    leading or discriminant ball containing 0 raises BallDomainError."""
-    if len(coeffs) == 2:
-        c0, c1 = coeffs
-        return [-c0 / c1]
-    c0, c1, c2 = coeffs
-    sq = (c1 * c1 - 4 * c0 * c2).sqrt()
-    inv = (2 * c2).inverse()
-    return [(sq - c1) * inv, (-c1 - sq) * inv]
 
 
 def param_balls(root: ComplexBall, orbit: OrbitData):
@@ -534,14 +514,14 @@ def fixed_points_tl(root: ComplexBall, orbit: OrbitData,
     lies in [0, 4], so no enclosure of s is disjoint from [0, 4]: a ratio
     certified In rules out want = CERTIFIED_OUT.
 
-    Then, for want = CERTIFIED_IN and N <= 2 only, the closed-form screen:
-    the abscissas from their formula (_closed_form_abscissas) and s at each
-    from its lemma (diagonal_s), with no root isolation and no Jacobian.
-    Each s ball encloses the true s of a diagonal point, so one certified
-    Out means no record can certify that point In, and None comes back.
-    A SiegelcertError inside the screen is raised as any record's is.  The
-    screen cannot serve want = CERTIFIED_OUT (an In verdict needs the
-    abscissa proved real) nor N >= 3 (no closed form).
+    Then the diagonal screen: the abscissa disks (_abscissa_roots, which
+    the records take too) and s at each from its lemma (diagonal_s), with
+    no Jacobian.  Each s ball encloses a diagonal point's true s, so one
+    certified on the other side rules the pattern out.  An In verdict needs
+    s proved real: it is taken only at a disk certified real, where the
+    realized parameters and d make s a real ball (as in
+    design_rotation_numbers), so want = CERTIFIED_OUT screens only those.
+    A SiegelcertError inside the screen is raised as any record's is.
 
     Lemma: at a circle root delta of a certified Salem factor every point
     is fixed by construction ([0:0:1] maps to [0:0:-delta^2]; the abscissas
@@ -557,12 +537,15 @@ def fixed_points_tl(root: ComplexBall, orbit: OrbitData,
         return None  # the ratio lemma: certified on the other side
     tlm_ball = TLMap.ball_map(db, ab, bb)
     d_ball = _diagonal_d(db)
-    if want is Verdict.CERTIFIED_IN and orbit.N <= 2 and any(
-            ball_in_interval(s) is Verdict.CERTIFIED_OUT
-            for _, s in _closed_form_diagonal(d_ball, tlm_ball, ab, bb)):
-        return None  # the closed-form s: a diagonal point is Out
+    xs, real_idx = _abscissa_roots(d_ball, tlm_ball.g1, tlm_ball.g2)
+    if want is not None and any(
+            ball_in_interval(diagonal_s(x, ab, bb, d_ball))
+            not in (want, Verdict.UNKNOWN)
+            for i, x in enumerate(xs)
+            if want is Verdict.CERTIFIED_IN or i in real_idx):
+        return None  # the diagonal screen: certified on the other side
     records = [_singular_record(db)]
-    for rec in _nonsingular_records(tlm_ball, db, d_ball, ratio,
+    for rec in _nonsingular_records(tlm_ball, db, xs, real_idx, ratio,
                                     ratio_verdict is Verdict.CERTIFIED_IN):
         if want is not None and ball_in_interval(rec.s) is not want:
             return None
@@ -650,21 +633,11 @@ def _diagonal_d(db: ComplexBall) -> ComplexBall:
     return (one_db * one_db / db).realize_real()
 
 
-def _closed_form_diagonal(d_ball: ComplexBall, tlm_ball: TLMap, ab, bb):
-    """(x, s) at each diagonal point for N <= 2, one at a time: the
-    abscissa x from _closed_form_abscissas and s from diagonal_s, with no
-    root isolation and no Jacobian."""
-    coeffs = _abscissa_coeffs(d_ball, tlm_ball.g1, tlm_ball.g2)
-    for x in _closed_form_abscissas(coeffs):
-        yield x, diagonal_s(x, ab, bb, d_ball)
-
-
-def _nonsingular_records(tlm_ball: TLMap, db: ComplexBall, d_ball: ComplexBall,
+def _nonsingular_records(tlm_ball: TLMap, db: ComplexBall, xs, real_idx,
                          ratio: ComplexBall, ratio_in: bool):
-    """The N diagonal records, then the two at infinity, built one at a time
+    """The N diagonal records at the abscissa disks xs with their real
+    indices (_abscissa_roots), then the two at infinity, built one at a time
     as the caller asks for them."""
-    # affine diagonal points: roots of the degree-N abscissa polynomial
-    xs, real_idx = _abscissa_roots(d_ball, tlm_ball.g1, tlm_ball.g2)
     for i, x in enumerate(xs):
         w = ProjectivePoint(x.center, x.center, 1)
         jac = chart_jacobian(tlm_ball, w, chart=2, point_radius=x.radius)
@@ -825,8 +798,8 @@ def diagonal_s(x: ComplexBall, ab, bb, d: ComplexBall) -> ComplexBall:
     puts the true s outside it, real or not.  A CertifiedIn verdict needs an
     exactly real center (ball_in_interval), sound only once s is proved
     real: real parameters and d with an abscissa certified real by
-    conjugate pairing, which design_rotation_numbers has and the gate's
-    closed-form abscissas (fixed_points_tl) do not.
+    conjugate pairing (_abscissa_roots' real indices), the only disks at
+    which the gate's diagonal screen (fixed_points_tl) takes an In verdict.
     """
     corr = ComplexBall.exact(1)
     for va, vb in zip(ab, bb):

@@ -667,7 +667,7 @@ def salem_pattern_reference(balls):
         else:
             straddle.append(i)
     if len(outside) != 1 or len(inside) != 1:
-        if straddle and (len(outside) > 1 or len(inside) > 1):
+        if straddle and len(outside) <= 1 and len(inside) <= 1:
             raise BoundaryUndecidable(
                 f"{len(straddle)} disk(s) straddle the unit circle")
         raise NoSalemFactor(

@@ -142,32 +142,25 @@ def _segment_distance(z) -> mpmath.mpf:
 
 
 def _screen_spy(monkeypatch) -> list:
-    """Patch fixed_points_tl's closed-form screen so that every (x, s) it
-    yields is appended to the list returned."""
+    """Patch the diagonal screen's s (threelines.diagonal_s) so that every
+    (x, s) it computes is appended to the list returned."""
     points = []
-    real = threelines._closed_form_diagonal
+    real = threelines.diagonal_s
 
-    def screen(*args):
-        for x, s in real(*args):
-            points.append((x, s))
-            yield x, s
+    def diagonal_s(x, *args):
+        s = real(x, *args)
+        points.append((x, s))
+        return s
 
-    monkeypatch.setattr(threelines, "_closed_form_diagonal", screen)
+    monkeypatch.setattr(threelines, "diagonal_s", diagonal_s)
     return points
 
 
-def _screen_rejected(points) -> bool:
-    """The screen stops at the first s certified Out and rejects the root."""
-    return bool(points) and ball_in_interval(points[-1][1]) is \
-        Verdict.CERTIFIED_OUT
-
-
-def _closed_form_points(root, orbit) -> list:
-    """Every (x, s) of the closed-form screen at root."""
-    db, ab, bb = threelines.param_balls(root, orbit)
-    tlm = threelines.TLMap.ball_map(db, ab, bb)
-    return list(threelines._closed_form_diagonal(threelines._diagonal_d(db),
-                                                 tlm, ab, bb))
+def _screen_rejected(points, want) -> bool:
+    """The screen stops at the first s certified on the other side of want
+    and rejects the root."""
+    return bool(points) and ball_in_interval(points[-1][1]) not in (
+        want, Verdict.UNKNOWN)
 
 
 def _s_at_50_digits(poly, root, orbit, points) -> list:
@@ -187,17 +180,19 @@ def _s_at_50_digits(poly, root, orbit, points) -> list:
 def test_gate_decides_like_the_full_record_gate(monkeypatch, k):
     # every (orbit, root, side) the search meets gets the same accept or
     # reject, and the same records, as from the gate that builds them all,
-    # and so does every circle root of the pool's orbit data with N = k - 2
-    # on the delta0 side; where beta0/alpha0 alone rules the pattern out,
-    # the ratio lemma holds at 50 digits, and the closed-form s holds there
-    # at every point the screen rejected a root at and at every diagonal
-    # point of the pool's data
+    # and so does every circle root of the pool's orbit data with N of k's
+    # parity (N = 1 and 3 at k = 3, N = 2 at k = 4) on both sides; where
+    # beta0/alpha0 alone rules the pattern out, the ratio lemma holds at 50
+    # digits, and the diagonal screen's x and s hold there at every point
+    # it rejected a search root at and at every point it took on the pool's
+    # data (at every fourth root for N = 3, whose 50-digit points cost the
+    # most)
     real_fixed_points = pipeline.fixed_points_tl
     sides = {want: side for side, want in oracles.PATTERN_SIDES.items()}
     points = _screen_spy(monkeypatch)
     decided = {}
     screened = []
-    closed_form_out = []
+    diagonal_out = []
 
     def decide(root, orbit, want):
         """fixed_points_tl's answer, the records, None or the error raised,
@@ -220,9 +215,9 @@ def test_gate_decides_like_the_full_record_gate(monkeypatch, k):
         if ratio not in (want, Verdict.UNKNOWN):
             assert records is None and not points
             screened.append((orbit, root, side))
-        elif _screen_rejected(points):
-            assert side == "delta0" and records is None
-            closed_form_out.append((orbit, root, points[-1]))
+        elif _screen_rejected(points, want):
+            assert records is None
+            diagonal_out.append((orbit, root, side, points[-1]))
         return got
 
     def fixed_points(root, orbit, want):
@@ -234,7 +229,7 @@ def test_gate_decides_like_the_full_record_gate(monkeypatch, k):
     monkeypatch.setattr(pipeline, "fixed_points_tl", fixed_points)
     pipeline.theorem1_pipeline(k)
     assert sum(decided.values()) >= 2  # the two roots taken
-    assert screened and closed_form_out
+    assert screened and diagonal_out
 
     polys = {}
     for orbit, root, side in screened:
@@ -249,33 +244,44 @@ def test_gate_decides_like_the_full_record_gate(monkeypatch, k):
             else:  # ratio inside [0, 4]: each s is real and in [0, 4]
                 assert _segment_distance(ratio.real) == 0
                 assert _segment_distance(s) < 1e-30
-    for orbit, root, point in closed_form_out:
+    for orbit, root, side, point in diagonal_out:
         if orbit not in polys:
             polys[orbit] = threelines.salem_from_orbit(orbit).poly
         s50, = _s_at_50_digits(polys[orbit], root, orbit, [point])
-        assert _segment_distance(s50) > 1e-20
-
-    pool_roots = 0
+        if side == "delta0":  # s certified Out
+            assert _segment_distance(s50) > 1e-20
+        else:  # s certified In: real and in [0, 4]
+            assert _segment_distance(s50) < 1e-30
+    pool_points = []
     for item in pools.workloads.three_lines_pool():
         orbit = threelines.OrbitData(*item.args)
-        if orbit.N != k - 2:
+        if orbit.N % 2 != k % 2:
             continue
         try:
             cert = threelines.salem_from_orbit(orbit)
         except SiegelcertError:
             continue
-        for root in cert.circle_roots:
-            decide(root, orbit, Verdict.CERTIFIED_IN)
-            found = _closed_form_points(root, orbit)
-            assert len(found) == orbit.N
-            _s_at_50_digits(cert.poly, root, orbit, found)
-            pool_roots += 1
-    assert pool_roots
+        polys[orbit] = cert.poly
+        for i, root in enumerate(cert.circle_roots):
+            found = {}
+            for want in sides:
+                decide(root, orbit, want)
+                found.update((x.center, (x, s)) for x, s in points)
+            if orbit.N < 3 or i % 4 == 0:
+                pool_points.append((orbit, root, list(found.values())))
+    assert {orbit.N for orbit, _, _ in pool_points} == (
+        {1, 3} if k == 3 else {2})
+    assert {side for _, _, side, _ in diagonal_out} == set(sides.values())
+
+    for orbit, root, found in pool_points:
+        if found:
+            _s_at_50_digits(polys[orbit], root, orbit, found)
 
 
-def test_screened_roots_skip_root_isolation_and_jacobians(monkeypatch):
-    # a delta0 root that the closed-form screen rejects costs no abscissa
-    # root isolation and no chart Jacobian; the other gate calls still do
+def test_screened_roots_skip_jacobians(monkeypatch):
+    # a root that the diagonal screen rejects builds no chart Jacobian; the
+    # screen's abscissa disks are the records', so every root past the
+    # ratio lemma isolates them once, before any record
     points = _screen_spy(monkeypatch)
     work = collections.Counter()
     for name in ("_abscissa_roots", "chart_jacobian"):
@@ -286,44 +292,47 @@ def test_screened_roots_skip_root_isolation_and_jacobians(monkeypatch):
             return real(*args, **kwargs)
         monkeypatch.setattr(threelines, name, counted)
     real_fixed_points = pipeline.fixed_points_tl
-    rejected = []
+    rejected = set()
     total = collections.Counter()
 
     def fixed_points(root, orbit, want):
         points.clear()
         work.clear()
         records = real_fixed_points(root, orbit, want=want)
-        if _screen_rejected(points):
-            assert want is Verdict.CERTIFIED_IN and records is None
-            assert not work, (orbit, root)
-            rejected.append((orbit, root))
+        assert work["_abscissa_roots"] <= 1
+        if points:
+            assert work["_abscissa_roots"] == 1
+        if _screen_rejected(points, want):
+            assert records is None
+            assert not work["chart_jacobian"], (orbit, root)
+            rejected.add((orbit.N, want))
         total.update(work)
         return records
 
     monkeypatch.setattr(pipeline, "fixed_points_tl", fixed_points)
     for k in (3, 4):
-        rejected.clear()
-        total.clear()
         pipeline.theorem1_pipeline(k)
-        assert rejected
         assert total["_abscissa_roots"] and total["chart_jacobian"]
+    assert {n for n, _ in rejected} == {1, 2}
+    assert {want for _, want in rejected} == set(
+        oracles.PATTERN_SIDES.values())
 
 
 def test_screen_that_raises_rejects_the_root_under_its_type(monkeypatch):
-    # a SiegelcertError inside the closed-form screen is raised as any
-    # record's is: at every circle root of the pool's orbit data with
-    # N <= 2 that the ratio lemma leaves to the screen, fixed_points_tl
-    # raises it for the In pattern and the gate rejects the root under its
-    # type; the Out pattern and N = 3 never reach the screen
+    # a SiegelcertError inside the diagonal screen is raised as any
+    # record's is: at every circle root of the pool's orbit data (N = 1, 2
+    # and 3) that the ratio lemma leaves to the screen, fixed_points_tl
+    # raises it for the In pattern, and for the Out pattern wherever an
+    # abscissa disk is certified real (the only disks that pattern's screen
+    # takes), and the gate rejects the root under its type
     raised = []
 
-    def closed_form_abscissas(coeffs):
-        raised.append(coeffs)
+    def diagonal_s(x, *args):
+        raised.append(x)
         raise BallDomainError("injected")
 
-    monkeypatch.setattr(threelines, "_closed_form_abscissas",
-                        closed_form_abscissas)
-    screened = 0
+    monkeypatch.setattr(threelines, "diagonal_s", diagonal_s)
+    screened = collections.Counter()
     for item in pools.workloads.three_lines_pool():
         orbit = threelines.OrbitData(*item.args)
         try:
@@ -331,32 +340,34 @@ def test_screen_that_raises_rejects_the_root_under_its_type(monkeypatch):
         except SiegelcertError:
             continue
         for root in cert.circle_roots:
-            _, ab, bb = threelines.param_balls(root, orbit)
+            db, ab, bb = threelines.param_balls(root, orbit)
             ratio = ball_in_interval(threelines._parameter_ratio(ab, bb))
-            if orbit.N > 2 or ratio is Verdict.CERTIFIED_OUT:
-                try:
-                    threelines.fixed_points_tl(root, orbit,
-                                               want=Verdict.CERTIFIED_IN)
-                except SiegelcertError:
-                    pass
-                assert not raised, (orbit, root)
-                continue
-            with pytest.raises(BallDomainError, match="injected"):
-                threelines.fixed_points_tl(root, orbit,
-                                           want=Verdict.CERTIFIED_IN)
-            kept, rejections = {}, collections.Counter()
-            assert not pipeline._gate((orbit, root, "delta0"), kept,
-                                      rejections)
-            assert rejections == {"BallDomainError": 1} and not kept
-            raised.clear()
+            tlm = threelines.TLMap.ball_map(db, ab, bb)
             try:
-                threelines.fixed_points_tl(root, orbit,
-                                           want=Verdict.CERTIFIED_OUT)
+                _, real_idx = threelines._abscissa_roots(
+                    threelines._diagonal_d(db), tlm.g1, tlm.g2)
             except SiegelcertError:
-                pass
-            assert not raised, (orbit, root)
-            screened += 1
-    assert screened > 100
+                continue
+            for side, want in oracles.PATTERN_SIDES.items():
+                raised.clear()
+                if ratio not in (want, Verdict.UNKNOWN) or (
+                        want is Verdict.CERTIFIED_OUT and not real_idx):
+                    try:
+                        threelines.fixed_points_tl(root, orbit, want=want)
+                    except SiegelcertError:
+                        pass
+                    assert not raised, (orbit, root, side)
+                    continue
+                with pytest.raises(BallDomainError, match="injected"):
+                    threelines.fixed_points_tl(root, orbit, want=want)
+                kept, rejections = {}, collections.Counter()
+                assert not pipeline._gate((orbit, root, side), kept,
+                                          rejections)
+                assert rejections == {"BallDomainError": 1} and not kept
+                screened[(orbit.N, side)] += 1
+    assert set(screened) == {(n, side) for n in (1, 2, 3)
+                             for side in oracles.PATTERN_SIDES}
+    assert sum(screened.values()) > 100
 
 
 def test_theorem1_constructs_the_inside_target_once(monkeypatch):
@@ -380,9 +391,9 @@ def test_theorem1_constructs_the_inside_target_once(monkeypatch):
 
 def test_failed_search_names_the_gate_rejections(monkeypatch):
     # three delta0 roots are taken, each at an orbit datum where no delta*
-    # root then passes; every rejection is on the delta* side, which the
-    # closed-form screen of delta0 roots never reaches, so the message is
-    # the one the full record gate gives
+    # root then passes; every rejection is on the delta* side and names
+    # the pattern, as the full record gate does, so the message is the one
+    # that gate gives
     monkeypatch.setattr(threelines, "DEFAULT_MN_CAP", 4)
     with pytest.raises(PipelineFailed) as exc:
         pipeline.theorem1_pipeline(3)

@@ -40,6 +40,66 @@ def test_rejects_every_cyclotomic_up_to_30():
             is_salem(cyclotomic(k))
 
 
+def test_failed_pattern_names_a_proof_or_a_straddler(monkeypatch):
+    # two disks certified on one side of the unit circle prove the
+    # polynomial is not Salem, straddlers or not; with at most one on each
+    # side, a straddling disk may hold lambda or 1/lambda, which double
+    # precision cannot decide
+    lehmer = IntPolynomial((1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1))
+
+    def circle(n):
+        return [ComplexBall(cmath.rect(1.0, 0.3 * (k + 1)), 1e-9)
+                for k in range(n)]
+
+    for balls, want in (
+            ([ComplexBall(3.0, 1e-9), ComplexBall(-3.0, 1e-9),
+              ComplexBall(0.3, 1e-9), ComplexBall(-0.3, 1e-9)] + circle(6),
+             NoSalemFactor),
+            ([ComplexBall(3.0, 1e-9)] + circle(9), BoundaryUndecidable),
+            (circle(10), BoundaryUndecidable)):
+        monkeypatch.setattr(salem, "poly_roots",
+                            lambda p, coeff_radii=None, bs=tuple(balls):
+                            RootSet(bs, True))
+        with pytest.raises(want):
+            is_salem(lehmer)
+        with pytest.raises(want):
+            salem_pattern_reference(balls)
+
+
+def test_inexact_coefficients_widen_the_disks(monkeypatch):
+    # a coefficient beyond 2^53 rounds on its way to a float: poly_roots
+    # gets each exact conversion error, rounded up, as its coefficient
+    # radius, so the disks hold for the integer polynomial itself
+    seen = []
+    real = salem.poly_roots
+
+    def poly_roots(p, coeff_radii=None):
+        seen.append((p.coeffs, coeff_radii))
+        return real(p, coeff_radii=coeff_radii)
+
+    monkeypatch.setattr(salem, "poly_roots", poly_roots)
+    for c, radius in ((2 ** 60 + 1, 1.0), (2 ** 120 + 2 ** 54 + 1, None)):
+        try:
+            is_salem(IntPolynomial((1, c, 3, c, 1)))
+        except (BoundaryUndecidable, NoSalemFactor):
+            pass
+        (coeffs, radii), = seen
+        seen.clear()
+        assert coeffs == (1, float(c), 3, float(c), 1)
+        assert radii[0] == radii[2] == radii[4] == 0.0
+        assert radii[1] == radii[3] >= abs(c - int(float(c)))
+        if radius is not None:
+            assert radii[1] == radius
+    # exact conversions pass no radii
+    is_salem(IntPolynomial((1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1)))
+    assert seen[-1][1] is None
+
+
+def test_coefficient_beyond_double_range_is_a_domain_error():
+    with pytest.raises(BallDomainError, match="out of double range"):
+        is_salem(IntPolynomial((1, 10 ** 400, 3, 10 ** 400, 1)))
+
+
 def test_rejects_structural_defects(salem8):
     with pytest.raises(NoSalemFactor, match="zero"):
         is_salem(IntPolynomial(()))
@@ -164,7 +224,8 @@ def test_pattern_checks_decide_as_the_per_ball_checks(monkeypatch, salem8):
             balls[0] = ComplexBall(1.99 + rng.choice([1e-3, 1e-13]) * 1j, 1e-12)
         rng.shuffle(balls)
         monkeypatch.setattr(salem, "poly_roots",
-                            lambda p, bs=tuple(balls): RootSet(bs, True))
+                            lambda p, coeff_radii=None, bs=tuple(balls):
+                            RootSet(bs, True))
         want = _pattern_outcome(salem_pattern_reference, balls)
 
         def through_is_salem(_):
